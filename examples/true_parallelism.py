@@ -75,9 +75,9 @@ def main() -> None:
     print("\nreading: threads can never exceed one core's arithmetic "
           "throughput — the GIL\nserializes the float math (adding threads "
           "usually *hurts*, via contention).\nProcesses own their cores, so "
-          "they can scale — provided each token carries\nenough local work "
-          "to amortize the multiprocessing queue hop (grow the dataset\nor "
-          "k to see it; tiny workloads are queue-bound).  The socket "
+          "they can scale — tokens hop between them through shared-memory "
+          "rings, a\nburst per lock, so even sparse columns keep the "
+          "kernels busy.  The socket "
           "cluster pays a\nfurther serialization + TCP cost per hop — the "
           "price of needing *no* shared\nmemory at all, which is what lets "
           "the same code span machines.  In every\ncase the protocol is "

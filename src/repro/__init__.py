@@ -116,6 +116,7 @@ from .errors import (
     ReproError,
     ServeError,
     SimulationError,
+    TokenConservationError,
     WireError,
 )
 from .experiments import (
@@ -266,5 +267,6 @@ __all__ = [
     "ExperimentError",
     "WireError",
     "ClusterError",
+    "TokenConservationError",
     "ServeError",
 ]

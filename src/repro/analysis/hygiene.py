@@ -18,7 +18,7 @@ from .rules import HYGIENE_TIER, Rule, register_rule
 __all__ = ["SANCTIONED_FORK_SITES"]
 
 #: The one module allowed to request the ``fork`` start method (its
-#: shared Queue mailboxes genuinely require inherited state; everything
+#: token rings' locks genuinely require inherited state; everything
 #: else must be spawn-safe).
 SANCTIONED_FORK_SITES = ("runtime/multiprocess.py",)
 

@@ -348,15 +348,23 @@ class Shard:
         self._rows = np.asarray(rows, dtype=np.int64)[order]
         self._vals = np.asarray(vals, dtype=np.float64)[order]
         ptr = np.zeros(n_cols + 1, dtype=np.int64)
-        if cols.size:
-            np.add.at(ptr, cols + 1, 1)
-        np.cumsum(ptr, out=ptr)
+        np.cumsum(np.bincount(cols, minlength=n_cols), out=ptr[1:])
         self._ptr = ptr
 
     @property
     def nnz(self) -> int:
         """Number of ratings stored on this worker."""
         return int(self._rows.size)
+
+    def csc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The shard as compressed sparse columns: ``(indptr, users, ratings)``.
+
+        Item ``j``'s local ratings are ``users[indptr[j]:indptr[j + 1]]`` /
+        ``ratings[...]`` — the arrays :meth:`column` slices, returned as
+        views (no copy) so a kernel can bind them once and take tokens
+        as bare item ids (``KernelBackend.bind_tokens``).
+        """
+        return self._ptr, self._rows, self._vals
 
     def column(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Return (user indices, ratings) of item ``j`` local to this worker."""

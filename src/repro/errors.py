@@ -75,3 +75,15 @@ class ClusterError(ReproError):
     :class:`SimulationError`, this signals a protocol bug or a dead
     worker, never a user mistake.
     """
+
+
+class TokenConservationError(ReproError):
+    """A shared-memory runtime lost or duplicated a token.
+
+    Raised by :mod:`repro.runtime.multiprocess` when its end-of-run
+    check finds the token rings holding anything other than each item
+    exactly once, and by :mod:`repro.runtime.mailbox` when a push would
+    overflow a ring (only a duplicated token can cause that).  Like
+    :class:`SimulationError` and :class:`ClusterError`, a protocol bug,
+    never a user mistake.
+    """

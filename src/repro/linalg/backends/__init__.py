@@ -2,8 +2,9 @@
 
 One :class:`~repro.linalg.backends.base.KernelBackend` packages the four
 SGD inner-loop variants (column, column-with-loss, entries,
-entries-const-step) plus the fused column-batch entry point behind a
-single interface; three implementations ship:
+entries-const-step) plus the fused column-batch entry point and the
+shard-bound token-burst kernel (``bind_tokens``) behind a single
+interface; three implementations ship:
 
 * ``"list"`` — :class:`ListBackend`, scalar Python loops over nested
   lists; fastest *interpreted* option at small latent dimensions where

@@ -13,6 +13,10 @@ variants:
 * **entries with a constant step** — the same sweep with one scalar step
   size per call (DSGD/DSGD++ epochs under the bold driver).
 
+The live shared-memory runtimes run the first variant a burst of
+tokens at a time through :meth:`KernelBackend.bind_tokens`, which binds
+a worker's factors and CSC shard once and then takes bare item ids.
+
 Historically each variant existed twice (a list-based scalar loop and an
 ndarray loop), six near-identical copies in total.  A
 :class:`KernelBackend` packages all four behind one interface so the
@@ -42,10 +46,12 @@ from __future__ import annotations
 import abc
 from typing import Any, ClassVar, Sequence
 
+import numpy as np
+
 from ..factors import FactorPair
 from ..losses import Loss
 
-__all__ = ["KernelBackend"]
+__all__ = ["KernelBackend", "TokenKernel"]
 
 
 class KernelBackend(abc.ABC):
@@ -144,6 +150,39 @@ class KernelBackend(abc.ABC):
             )
         return applied
 
+    def bind_tokens(
+        self,
+        w: np.ndarray,
+        h: np.ndarray,
+        indptr: np.ndarray,
+        users: np.ndarray,
+        ratings: np.ndarray,
+        counts: np.ndarray,
+        alpha: float,
+        beta: float,
+        lambda_: float,
+    ) -> "TokenKernel":
+        """Bind a worker's factors and CSC shard once, for bursts of tokens.
+
+        For the substrates whose ``h_j`` lives in one matrix (threads,
+        shared-memory processes) a token is a bare item id: item ``j``
+        works row ``h[j]`` against the shard column
+        ``users[indptr[j]:indptr[j + 1]]`` (``ratings`` and the
+        per-rating ``counts`` aligned with it — the arrays of
+        :meth:`repro.datasets.ratings.Shard.csc`).  All six arrays must
+        be ndarrays: they are mutated through slices, which only alias
+        for ndarrays.
+
+        The returned kernel's :meth:`TokenKernel.process_tokens` is
+        defined to be identical to looping :meth:`process_column` over
+        the burst — which is what this default does.  Compiled backends
+        override this to resolve every pointer here and run a burst in
+        one native call.
+        """
+        return TokenKernel(
+            self, w, h, indptr, users, ratings, counts, alpha, beta, lambda_
+        )
+
     @abc.abstractmethod
     def process_entries(
         self,
@@ -176,3 +215,38 @@ class KernelBackend(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
+
+
+class TokenKernel:
+    """A worker's factors and CSC shard, bound by
+    :meth:`KernelBackend.bind_tokens`; holds the arrays for as long as
+    it lives."""
+
+    def __init__(
+        self, backend, w, h, indptr, users, ratings, counts,
+        alpha, beta, lambda_,
+    ):
+        self._process_column = backend.process_column
+        self._arrays = (w, h, indptr, users, ratings, counts)
+        self._step = (alpha, beta, lambda_)
+        self.n_items = len(indptr) - 1
+
+    def process_tokens(self, items: np.ndarray) -> int:
+        """Run the token work of every item id in ``items`` (one int64
+        array per burst), strictly in order — a repeated id is visited
+        twice — and return the number of updates applied.  An id outside
+        ``[0, n_items)`` raises :class:`IndexError` before anything is
+        applied."""
+        items = np.asarray(items, dtype=np.int64)
+        if items.size and not 0 <= items.min() <= items.max() < self.n_items:
+            raise IndexError(f"token item id outside [0, {self.n_items})")
+        w, h, indptr, users, ratings, counts = self._arrays
+        applied = 0
+        for j in items.tolist():
+            lo, hi = indptr[j], indptr[j + 1]
+            if hi > lo:
+                applied += self._process_column(
+                    w, h[j], users[lo:hi], ratings[lo:hi], counts[lo:hi],
+                    *self._step,
+                )
+        return applied

@@ -39,9 +39,10 @@ from ...errors import ConfigError
 from ..losses import AbsoluteLoss, HuberLoss, Loss, SquaredLoss
 from . import cext_build
 from .list_backend import sgd_core
+from .base import TokenKernel
 from .numpy_backend import NumpyBackend
 
-__all__ = ["CextBackend"]
+__all__ = ["CextBackend", "CextTokenKernel"]
 
 _F8 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
 _I8 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
@@ -62,6 +63,12 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.nomad_process_column_batch.restype = _i64
     lib.nomad_process_column_batch.argtypes = [
         _F8, _PTRS, _PTRS, _PTRS, _PTRS, _I8, _i64, _i64, _f64, _f64, _f64,
+    ]
+    # Raw addresses: bind_tokens validates the arrays and resolves their
+    # pointers once, so a burst pays no per-argument ndpointer check.
+    lib.nomad_process_tokens.restype = _i64
+    lib.nomad_process_tokens.argtypes = [
+        *[ctypes.c_void_p] * 7, _i64, _i64, _i64, _f64, _f64, _f64,
     ]
     lib.nomad_process_entries.restype = _i64
     lib.nomad_process_entries.argtypes = [
@@ -213,6 +220,13 @@ class CextBackend(NumpyBackend):
         _write_back(writebacks)
         return applied
 
+    def bind_tokens(
+        self, w, h, indptr, users, ratings, counts, alpha, beta, lambda_
+    ) -> "CextTokenKernel":
+        return CextTokenKernel(
+            self, w, h, indptr, users, ratings, counts, alpha, beta, lambda_
+        )
+
     def _entries_call(
         self, w, h, entry_rows, entry_cols, ratings, counts, order,
         alpha, beta, lambda_, step, scheduled: int,
@@ -253,3 +267,55 @@ class CextBackend(NumpyBackend):
             w, h, entry_rows, entry_cols, ratings, None, order,
             0.0, 0.0, lambda_, step, 0,
         )
+
+
+class CextTokenKernel(TokenKernel):
+    """One native call per burst: the arrays are validated and their
+    addresses resolved once, here (the base class keeps them alive)."""
+
+    _DTYPES = (np.float64, np.float64, np.int64, np.int64, np.float64, np.int64)
+
+    def __init__(
+        self, backend, w, h, indptr, users, ratings, counts,
+        alpha, beta, lambda_,
+    ):
+        super().__init__(
+            backend, w, h, indptr, users, ratings, counts, alpha, beta, lambda_
+        )
+        for arr, dtype in zip(self._arrays, self._DTYPES):
+            if not (
+                isinstance(arr, np.ndarray)
+                and arr.dtype == dtype
+                and arr.flags.c_contiguous
+            ):
+                raise TypeError(
+                    "bind_tokens needs C-contiguous float64 w/h/ratings "
+                    "and int64 indptr/users/counts ndarrays"
+                )
+        n_items, k = h.shape
+        nnz = users.shape[0]
+        if not (
+            w.ndim == 2
+            and w.shape[1] == k
+            and indptr.shape == (n_items + 1,)
+            and ratings.shape == counts.shape == (nnz,)
+            and indptr[0] == 0
+            and indptr[-1] == nnz
+            and np.all(indptr[1:] >= indptr[:-1])
+            and (nnz == 0 or 0 <= users.min() <= users.max() < w.shape[0])
+        ):
+            raise ValueError(
+                "bind_tokens: shard arrays do not describe a CSC over w/h"
+            )
+        self._native = backend._lib.nomad_process_tokens
+        self._pointers = tuple(arr.ctypes.data for arr in self._arrays)
+        self._tail = (n_items, k, alpha, beta, lambda_)
+
+    def process_tokens(self, items: np.ndarray) -> int:
+        items = np.ascontiguousarray(items, dtype=np.int64)
+        applied = self._native(
+            *self._pointers, items.ctypes.data, items.size, *self._tail
+        )
+        if applied < 0:
+            raise IndexError(f"token item id outside [0, {self.n_items})")
+        return applied

@@ -94,6 +94,32 @@ int64_t nomad_process_column_batch(double *w, double *const *h_cols,
     return applied;
 }
 
+/* Token burst over a CSC shard: items[t] names a column of the shard
+ * (users/ratings/counts sliced by indptr) and a row of h.  w, h and the
+ * shard arrays are bound once by the caller; a burst is just item ids.
+ * Tokens run in order — a repeated id is simply visited twice — so the
+ * result is identical to looping nomad_process_column (square loss).
+ * Returns -1, having applied nothing, if any id is outside [0, n_items). */
+int64_t nomad_process_tokens(double *w, double *h, const int64_t *indptr,
+                             const int64_t *users, const double *ratings,
+                             int64_t *counts, const int64_t *items,
+                             int64_t n_tokens, int64_t n_items, int64_t k,
+                             double alpha, double beta, double lambda_) {
+    int64_t applied = 0;
+    for (int64_t t = 0; t < n_tokens; t++)
+        if (items[t] < 0 || items[t] >= n_items)
+            return -1;
+    for (int64_t t = 0; t < n_tokens; t++) {
+        int64_t j = items[t];
+        int64_t lo = indptr[j];
+        applied += nomad_process_column(w, h + j * k, users + lo,
+                                        ratings + lo, counts + lo,
+                                        indptr[j + 1] - lo, k, alpha, beta,
+                                        lambda_, 0, 0.0);
+    }
+    return applied;
+}
+
 /* Entries variant: an arbitrary list of observed (i, j) entries visited in
  * a given order.  scheduled != 0 uses the equation-(11) per-rating counter
  * schedule (alpha/beta, counts mutated); scheduled == 0 uses the single

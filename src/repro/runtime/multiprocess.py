@@ -10,24 +10,36 @@ The NOMAD structure is unchanged from Algorithm 1:
   written only by its owning process.
 * ``H`` lives in a second shared block; row ``j`` is written only by the
   process currently holding token ``j``.
-* Tokens (plain item indices — the ``h_j`` payload already lives in shared
-  memory, which mirrors the zero-copy queue hand-off of the original C++
-  implementation) travel through per-worker :class:`multiprocessing.Queue`
-  mailboxes.
+* Tokens are plain item indices — the ``h_j`` payload already lives in
+  shared memory, which mirrors the zero-copy queue hand-off of the
+  original C++ implementation — and travel through per-worker
+  **shared-memory rings** (:mod:`repro.runtime.mailbox`): a third block
+  of int64 slots, one ring per worker, each guarded by one lock taken
+  once per burst.
 
 Because ownership is exclusive by construction, no locks guard any float:
-the only synchronized objects are the queues themselves, exactly as in the
+the only synchronized objects are the rings themselves, exactly as in the
 paper ("the only interaction between threads is via operations on the
-queue", §3.5).
+queue", §3.5).  Nothing Python-level happens per token: a worker pops a
+burst as one int64 array, hands it to the kernel bound to its shard at
+start (:meth:`~repro.linalg.backends.base.KernelBackend.bind_tokens` —
+one native call on the compiled backend), draws the burst's destinations
+in one call, and pushes each destination's share under one lock.
+
+Since no token ever sits in a pipe, shutdown cannot depend on a pipe's
+capacity (the old ``mp.Queue`` mailboxes blocked every worker's exit
+once ≳10k tokens were in flight), and once every worker has reported,
+the rings must hold each item exactly once — :meth:`MultiprocessNomad.run`
+checks that and raises :class:`~repro.errors.TokenConservationError`
+otherwise.
 
 Two runtime caveats:
 
-* **Start method.**  The per-worker queue mailboxes are passed positionally
-  through ``Process(args=...)``, which only works when children inherit
-  them — i.e. under the ``fork`` start method.  This runtime therefore
-  requests an explicit fork context and raises
-  :class:`~repro.errors.ConfigError` on platforms without it (macOS and
-  Windows default to ``spawn``); use
+* **Start method.**  The ring locks (and the rings' mapping) reach the
+  workers by inheritance, which only works under the ``fork`` start
+  method.  This runtime therefore requests an explicit fork context and
+  raises :class:`~repro.errors.ConfigError` on platforms without it
+  (macOS and Windows default to ``spawn``); use
   :class:`~repro.runtime.threaded.ThreadedNomad` or the simulator there.
 * **Timing.**  ``wall_seconds`` covers the parallel section only: it is
   stamped the moment the stop event is set.  Result collection and process
@@ -51,7 +63,7 @@ from ..linalg.backends import get_backend, resolve_backend
 from ..linalg.factors import FactorPair, init_factors, validate_init_factors
 from ..linalg.objective import test_rmse
 from ..partition.partitioners import partition_worker_triplets
-from ..rng import RngFactory, derive_pyrandom
+from ..rng import RngFactory, derive_rng
 from ..telemetry import (
     C_BATCHES,
     C_DRAINS,
@@ -67,6 +79,7 @@ from ..telemetry import (
     WorkerTelemetry,
     clock,
 )
+from .mailbox import TokenRings
 from .result import RuntimeResult, resolve_duration, resolve_run_settings
 
 __all__ = ["MultiprocessNomad", "MultiprocessResult"]
@@ -77,10 +90,14 @@ __all__ = ["MultiprocessNomad", "MultiprocessResult"]
 #: worker has exited — both outside the concurrent window.
 __nomad_owner_contexts__ = ("_worker_main", "run")
 
-_POLL_SECONDS = 0.02
+#: A worker that finds its ring empty sleeps this long, doubling per
+#: consecutive empty poll up to the cap (which also bounds how late it
+#: notices the stop event).
+_IDLE_SLEEP_MIN = 50e-6
+_IDLE_SLEEP_MAX = 2e-3
 _JOIN_TIMEOUT = 10.0
-#: Max tokens drained per mailbox visit into one fused kernel call (the
-#: same burst discipline as the threaded runtime and cluster worker).
+#: Max tokens popped per ring visit into one kernel call (the same burst
+#: discipline as the threaded runtime and cluster worker).
 _BURST_TOKENS = 32
 
 
@@ -92,7 +109,7 @@ class MultiprocessResult(RuntimeResult):
 def _fork_context() -> mp.context.BaseContext:
     """The explicit ``fork`` multiprocessing context this runtime needs.
 
-    The mailboxes are plain ``context.Queue()`` objects handed to children
+    The token rings' ``context.Lock()`` objects are handed to children
     positionally through ``Process(args=...)``; only forked children can
     inherit them.  Raising here (rather than crashing inside ``spawn``
     pickling) names the limitation and the alternatives.
@@ -101,8 +118,8 @@ def _fork_context() -> mp.context.BaseContext:
         raise ConfigError(
             "MultiprocessNomad requires the 'fork' start method, which is "
             "unavailable on this platform (macOS/Windows default to "
-            "'spawn', under which the per-worker Queue mailboxes cannot "
-            "be passed through Process(args=...)); use ThreadedNomad or "
+            "'spawn', under which the token rings' locks cannot be "
+            "passed through Process(args=...)); use ThreadedNomad or "
             "the discrete-event simulator instead"
         )
     return mp.get_context("fork")
@@ -121,7 +138,7 @@ def _worker_main(
     hyper: HyperParams,
     backend_name: str,
     seed: int,
-    mailboxes: list,
+    rings: TokenRings,
     stop_event,
     result_queue,
     shm_times_name: str | None = None,
@@ -134,14 +151,11 @@ def _worker_main(
 
     ``shm_times_name`` (set only when telemetry is enabled) names a third
     shared block holding one :func:`~repro.telemetry.clock` stamp per
-    item: the token's most recent mailbox-put time, written by the
+    item: the token's most recent ring-push time, written by the
     routing worker and read by the popping worker to produce cross-process
     hop spans (``perf_counter`` reads ``CLOCK_MONOTONIC`` on Linux, so
     stamps are comparable across the forked processes of one host).
     """
-    alpha = hyper.alpha
-    beta = hyper.beta
-    lambda_ = hyper.lambda_
     backend = get_backend(backend_name)
 
     shm_w = shared_memory.SharedMemory(name=shm_w_name)
@@ -169,74 +183,47 @@ def _worker_main(
             vals=shard_vals,
         )
         counts = np.zeros(shard.nnz, dtype=np.int64)
-        routing = derive_pyrandom(seed, f"mp-route-{worker_id}")
-        mailbox = mailboxes[worker_id]
+        kernel = backend.bind_tokens(
+            w, h, *shard.csc(), counts, hyper.alpha, hyper.beta, hyper.lambda_
+        )
+        routing = derive_rng(seed, f"mp-route-{worker_id}")
+        idle_sleep = _IDLE_SLEEP_MIN
 
         while True:
-            try:
-                if rec is not None:
-                    poll_start = clock()
-                token = mailbox.get(timeout=_POLL_SECONDS)
-            except queue_module.Empty:
+            if rec is not None:
+                poll_start = clock()
+            burst = rings.pop_many(worker_id, _BURST_TOKENS)
+            if not burst.size:
+                if stop_event.is_set():
+                    return
+                time.sleep(idle_sleep)
+                idle_sleep = min(2 * idle_sleep, _IDLE_SLEEP_MAX)
                 if rec is not None:
                     rec.span(SPAN_IDLE, poll_start, clock() - poll_start)
                     rec.add(C_IDLE_POLLS)
-                if stop_event.is_set():
-                    return
                 continue
-            # Drain waiting tokens (without blocking) into one fused
-            # kernel call per burst.
-            burst = [token]
-            while len(burst) < _BURST_TOKENS:
-                try:
-                    burst.append(mailbox.get_nowait())
-                except queue_module.Empty:
-                    break
+            idle_sleep = _IDLE_SLEEP_MIN
             if rec is not None:
-                now = clock()
-                try:
-                    depth = mailbox.qsize()
-                except NotImplementedError:  # macOS mp.Queue has no qsize
-                    depth = 0
-                rec.point(POINT_QUEUE_DEPTH, depth)
+                rec.point(POINT_QUEUE_DEPTH, rings.depth(worker_id))
                 rec.add(C_DRAINS)
-                rec.add(C_TOKENS, len(burst))
-                for j in burst:
-                    arrived = put_times[j]
-                    rec.span(SPAN_HOP, arrived, now - arrived)
-            h_cols: list = []
-            col_users: list = []
-            col_ratings: list = []
-            col_counts: list = []
-            for token in burst:
-                users, ratings = shard.column(token)
-                if users.size:
-                    lo, hi = shard.column_bounds(token)
-                    h_cols.append(h[token])
-                    col_users.append(users)
-                    col_ratings.append(ratings)
-                    col_counts.append(counts[lo:hi])
-            if h_cols:
-                if rec is not None:
-                    kernel_start = clock()
-                applied = backend.process_column_batch(
-                    w, h_cols, col_users, col_ratings, col_counts,
-                    alpha, beta, lambda_,
-                )
-                updates += applied
-                if rec is not None:
-                    rec.span(
-                        SPAN_KERNEL, kernel_start, clock() - kernel_start,
-                        applied,
-                    )
-                    rec.add(C_UPDATES, applied)
-                    rec.add(C_BATCHES)
+                rec.add(C_TOKENS, burst.size)
+                arrived = put_times[burst]
+                kernel_start = clock()
+                rec.spans(SPAN_HOP, arrived, kernel_start - arrived)
+            applied = kernel.process_tokens(burst)
+            updates += applied
             if rec is not None:
                 route_time = clock()
-            for token in burst:
-                if rec is not None:
-                    put_times[token] = route_time
-                mailboxes[routing.randrange(n_workers)].put(token)
+                rec.span(
+                    SPAN_KERNEL, kernel_start, route_time - kernel_start,
+                    applied,
+                )
+                rec.add(C_UPDATES, applied)
+                rec.add(C_BATCHES)
+                put_times[burst] = route_time
+            # Route every popped token onward so none is lost, even when
+            # stopping.
+            rings.route(burst, routing.integers(n_workers, size=burst.size))
             if stop_event.is_set():
                 return
     finally:
@@ -371,8 +358,10 @@ class MultiprocessNomad:
             self.train, self.n_workers
         )
 
-        # Both blocks are created inside the guarded region: if creating
-        # the second one fails, or a worker/collection error propagates,
+        context = _fork_context()
+        n_items = self.train.n_cols
+        # Every block is created inside the guarded region: if creating
+        # a later one fails, or a worker/collection error propagates,
         # _release_blocks still unlinks whatever exists — a leaked block
         # would otherwise survive in /dev/shm until reboot.
         blocks: list[shared_memory.SharedMemory] = []
@@ -385,28 +374,38 @@ class MultiprocessNomad:
             h_shared = np.ndarray(init.h.shape, np.float64, buffer=shm_h.buf)
             w_shared[:] = init.w
             h_shared[:] = init.h
+            # Third block: the per-worker token rings (the mailboxes).
+            shm_rings = shared_memory.SharedMemory(
+                create=True, size=TokenRings.nbytes(self.n_workers, n_items)
+            )
+            blocks.append(shm_rings)
+            rings = TokenRings(
+                shm_rings.buf, self.n_workers, n_items,
+                [context.Lock() for _ in range(self.n_workers)],
+            )
             shm_times = None
             if self.telemetry:
-                # Third block: per-item mailbox-put stamps for the
-                # cross-process hop spans; released with the factor
-                # blocks by the same finally.
+                # Fourth block: per-item ring-push stamps for the
+                # cross-process hop spans; released with the others by
+                # the same finally.
                 shm_times = shared_memory.SharedMemory(
-                    create=True, size=self.train.n_cols * 8
+                    create=True, size=n_items * 8
                 )
                 blocks.append(shm_times)
                 times_shared = np.ndarray(
-                    (self.train.n_cols,), np.float64, buffer=shm_times.buf
+                    (n_items,), np.float64, buffer=shm_times.buf
                 )
                 times_shared[:] = clock()
 
-            context = _fork_context()
-            mailboxes = [context.Queue() for _ in range(self.n_workers)]
             stop_event = context.Event()
             result_queue = context.Queue()
 
-            scatter = factory.pyrandom("mp-scatter")
-            for j in range(self.train.n_cols):
-                mailboxes[scatter.randrange(self.n_workers)].put(j)
+            rings.route(
+                np.arange(n_items, dtype=np.int64),
+                factory.stream("mp-scatter").integers(
+                    self.n_workers, size=n_items
+                ),
+            )
 
             processes = []
             for q in range(self.n_workers):
@@ -426,7 +425,7 @@ class MultiprocessNomad:
                         self.hyper,
                         self.backend.name,
                         self.seed,
-                        mailboxes,
+                        rings,
                         stop_event,
                         result_queue,
                         shm_times.name if shm_times is not None else None,
@@ -468,6 +467,12 @@ class MultiprocessNomad:
                     process.join()
             join_seconds = clock() - started - wall
 
+            # A worker reports after its last ring operation, so once all
+            # have reported the rings are quiescent and must hold every
+            # item exactly once.  (A worker terminated without reporting
+            # may have died mid-burst; nothing can be concluded then.)
+            if collected == self.n_workers:
+                rings.check_conserved(n_items)
             final = FactorPair(w_shared.copy(), h_shared.copy())
         finally:
             _release_blocks(blocks)

@@ -202,12 +202,11 @@ class ThreadedNomad:
 
         def worker(q: int) -> None:
             routing = factory.pyrandom(f"route-{q}")
-            shard = shards[q]
-            my_counts = counts[q]
-            w = factors.w
-            h = factors.h
             hyper = self.hyper
-            backend = self.backend
+            kernel = self.backend.bind_tokens(
+                factors.w, factors.h, *shards[q].csc(), counts[q],
+                hyper.alpha, hyper.beta, hyper.lambda_,
+            )
             mailbox = mailboxes[q]
             rec = recorders[q] if recorders is not None else None
             while True:
@@ -224,8 +223,8 @@ class ThreadedNomad:
                     continue
                 if token is _STOP:
                     return
-                # Drain waiting tokens (without blocking) into one fused
-                # kernel call per burst.
+                # Drain waiting tokens (without blocking) into one kernel
+                # call per burst.
                 burst = [token]
                 saw_stop = False
                 while len(burst) < _BURST_TOKENS:
@@ -238,55 +237,26 @@ class ThreadedNomad:
                         break
                     burst.append(extra)
                 if rec is not None:
-                    now = clock()
                     rec.point(POINT_QUEUE_DEPTH, mailbox.qsize())
                     rec.add(C_DRAINS)
                     rec.add(C_TOKENS, len(burst))
-                    for j in burst:
-                        arrived = put_times[j]
-                        rec.span(SPAN_HOP, arrived, now - arrived)
-                h_cols: list = []
-                col_users: list = []
-                col_ratings: list = []
-                col_counts: list = []
-                for token in burst:
-                    users, ratings = shard.column(token)
-                    if users.size:
-                        lo, hi = shard.column_bounds(token)
-                        h_cols.append(h[token])
-                        col_users.append(users)
-                        col_ratings.append(ratings)
-                        col_counts.append(my_counts[lo:hi])
-                if h_cols:
-                    if rec is not None:
-                        kernel_start = clock()
-                    applied = backend.process_column_batch(
-                        w,
-                        h_cols,
-                        col_users,
-                        col_ratings,
-                        col_counts,
-                        hyper.alpha,
-                        hyper.beta,
-                        hyper.lambda_,
-                    )
-                    update_totals[q] += applied
-                    if rec is not None:
-                        rec.span(
-                            SPAN_KERNEL,
-                            kernel_start,
-                            clock() - kernel_start,
-                            applied,
-                        )
-                        rec.add(C_UPDATES, applied)
-                        rec.add(C_BATCHES)
-                # Route every drained token onward so none is lost, even
-                # when stopping.
+                    arrived = put_times[burst]
+                    kernel_start = clock()
+                    rec.spans(SPAN_HOP, arrived, kernel_start - arrived)
+                applied = kernel.process_tokens(burst)
+                update_totals[q] += applied
                 if rec is not None:
                     route_time = clock()
+                    rec.span(
+                        SPAN_KERNEL, kernel_start, route_time - kernel_start,
+                        applied,
+                    )
+                    rec.add(C_UPDATES, applied)
+                    rec.add(C_BATCHES)
+                    put_times[burst] = route_time
+                # Route every drained token onward so none is lost, even
+                # when stopping.
                 for token in burst:
-                    if rec is not None:
-                        put_times[token] = route_time
                     mailboxes[routing.randrange(self.n_workers)].put(token)
                 if saw_stop or stop.is_set():
                     return

@@ -29,6 +29,8 @@ import time
 from array import array
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = [
     "COUNTER_NAMES",
     "C_BATCHES",
@@ -190,6 +192,19 @@ class Recorder:
         if head >= self.capacity:
             self.dropped += 1
 
+    def spans(self, kind: int, starts: np.ndarray, durations: np.ndarray) -> None:
+        """Record ``len(starts)`` spans of one kind (value 0) in one call
+        — a burst's hops — exactly as that many :meth:`span` calls would."""
+        n = len(starts)
+        head = self._head
+        slots = np.arange(head, head + n) & self._mask
+        np.frombuffer(self._kind, dtype=np.intc)[slots] = kind
+        np.frombuffer(self._start, dtype=np.float64)[slots] = starts
+        np.frombuffer(self._duration, dtype=np.float64)[slots] = durations
+        np.frombuffer(self._value, dtype=np.int64)[slots] = 0
+        self._head = head + n
+        self.dropped += max(0, head + n - max(head, self.capacity))
+
     def point(self, kind: int, value: int) -> None:
         """Record an instantaneous observation (zero-duration span)."""
         self.span(kind, clock(), 0.0, value)
@@ -242,6 +257,9 @@ class _NullRecorder:
     worker_id = -1
 
     def span(self, kind: int, start: float, duration: float, value: int = 0) -> None:
+        pass
+
+    def spans(self, kind: int, starts, durations) -> None:
         pass
 
     def point(self, kind: int, value: int) -> None:

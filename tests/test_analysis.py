@@ -167,6 +167,23 @@ class TestHttpServerAcquisition:
         assert report.exit_code == 0
 
 
+class TestBoundTokenKernel:
+    """NMD001 extension for ``KernelBackend.bind_tokens``: the returned
+    kernel's ``process_tokens`` mutates W and a burst of ``h_j`` rows, so
+    calling it is a factor write like any other kernel call."""
+
+    def test_flagged_tokens_fixture_fires(self):
+        report = analyze_fixture("runtime/nmd001_tokens_flagged.py")
+        assert codes_of(report) == ["NMD001", "NMD001"]
+        symbols = {f.symbol for f in report.ratchet.new}
+        assert symbols == {"replay", "Prefetcher.warm"}
+
+    def test_clean_tokens_fixture_is_silent(self):
+        report = analyze_fixture("runtime/nmd001_tokens_clean.py")
+        assert codes_of(report) == []
+        assert report.exit_code == 0
+
+
 class TestAcceptanceCriteria:
     """The two regressions the checker exists to make unrepresentable."""
 

@@ -149,6 +149,94 @@ class TestKernelEquivalence:
                 [], [], [], [], [], ALPHA, BETA, LAMBDA
             ) == 0
 
+    @pytest.mark.parametrize(
+        "burst",
+        [
+            [0, 3, 5, 1, 6],  # 3 is an empty column
+            [2, 5, 2, 2],  # one item repeated inside a burst
+            [5],
+            [3],  # a burst of one empty column
+            [],
+        ],
+        ids=["empty-columns", "repeated-item", "one", "one-empty", "empty"],
+    )
+    @pytest.mark.parametrize("name", ["list", *OTHER_BACKENDS])
+    def test_process_tokens(self, name, burst):
+        """The bound token kernel is identical to looping process_column
+        over the burst's CSC columns, on every backend."""
+        w, h, _, _, _, _ = _fixture(7)
+        rng = np.random.default_rng(70)
+        sizes = [7, 4, 9, 0, 0, 11, 3, 0]  # per item; trailing empty too
+        indptr = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+        users = rng.integers(0, w.shape[0], size=indptr[-1])
+        ratings = rng.random(indptr[-1]) * 4.0
+        (w_l, h_l), _ = _stores(w, h, name)
+        counts_l = [2] * int(indptr[-1])
+        reference = ListBackend()
+        a = 0
+        for j in burst:
+            lo, hi = int(indptr[j]), int(indptr[j + 1])
+            column_counts = counts_l[lo:hi]
+            a += reference.process_column(
+                w_l, h_l[j], users[lo:hi].tolist(), ratings[lo:hi].tolist(),
+                column_counts, ALPHA, BETA, LAMBDA,
+            )
+            counts_l[lo:hi] = column_counts
+        w_n, h_n = w.copy(), h.copy()
+        counts_n = np.full(indptr[-1], 2, dtype=np.int64)
+        kernel = get_backend(name).bind_tokens(
+            w_n, h_n, indptr, users, ratings, counts_n, ALPHA, BETA, LAMBDA
+        )
+        b = kernel.process_tokens(np.array(burst, dtype=np.int64))
+        assert a == b == sum(sizes[j] for j in burst)
+        assert np.allclose(np.asarray(w_l), w_n, atol=ATOL)
+        assert np.allclose(np.asarray(h_l), h_n, atol=ATOL)
+        assert counts_l == counts_n.tolist()
+
+    @pytest.mark.parametrize("name", ["list", *OTHER_BACKENDS])
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_process_tokens_rejects_unknown_item(self, name, bad):
+        """An id outside the shard raises before anything is applied —
+        never a wrapped negative index, never a wild pointer in C."""
+        w, h = np.ones((4, 2)), np.ones((3, 2))
+        indptr = np.array([0, 1, 2, 3], dtype=np.int64)
+        counts = np.zeros(3, dtype=np.int64)
+        kernel = get_backend(name).bind_tokens(
+            w, h, indptr, np.arange(3), np.ones(3), counts,
+            ALPHA, BETA, LAMBDA,
+        )
+        with pytest.raises(IndexError):
+            kernel.process_tokens(np.array([0, bad], dtype=np.int64))
+        assert counts.tolist() == [0, 0, 0]
+        assert np.all(w == 1.0) and np.all(h == 1.0)
+
+    @needs_cext
+    def test_cext_bind_tokens_validates_arrays(self):
+        """Pointers are resolved once at bind time, so non-conformant or
+        inconsistent arrays are refused there, not dereferenced."""
+        backend = get_backend("cext")
+        w, h = np.ones((4, 2)), np.ones((3, 2))
+        indptr = np.array([0, 1, 2, 3], dtype=np.int64)
+        users, ratings = np.arange(3), np.ones(3)
+        counts = np.zeros(3, dtype=np.int64)
+        step = (ALPHA, BETA, LAMBDA)
+        with pytest.raises(TypeError):
+            backend.bind_tokens(
+                w, h, indptr, users, ratings, counts.tolist(), *step
+            )
+        with pytest.raises(TypeError):
+            backend.bind_tokens(
+                w[:, ::2], h[:, ::2], indptr, users, ratings, counts, *step
+            )
+        with pytest.raises(ValueError):  # a user row w does not have
+            backend.bind_tokens(
+                w, h, indptr, users + 2, ratings, counts, *step
+            )
+        with pytest.raises(ValueError):  # indptr past the ratings
+            backend.bind_tokens(
+                w, h, indptr + 1, users, ratings, counts, *step
+            )
+
     @pytest.mark.parametrize("other", OTHER_BACKENDS)
     def test_process_entries(self, other):
         w, h, rows, cols, vals, order = _fixture(2)

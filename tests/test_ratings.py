@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.datasets.ratings import RatingMatrix, train_test_split
+from repro.datasets.ratings import RatingMatrix, Shard, train_test_split
 from repro.errors import DataError
 from repro.rng import RngFactory
 
@@ -277,6 +277,35 @@ class TestShards:
         for j in range(matrix.n_cols):
             lo, hi = shard.column_bounds(j)
             assert hi - lo == shard.column_nnz(j)
+
+    @pytest.mark.parametrize("nnz", [0, 1, 40, 400])
+    def test_csc_matches_counted_pointers(self, nnz):
+        """csc() is (indptr, users, ratings) views over the shard's own
+        storage, and indptr equals pointers counted one rating at a time
+        (the np.add.at construction it replaced) — empty columns, a
+        trailing run of them, and an empty shard included."""
+        rng = np.random.default_rng(nnz)
+        n_rows, n_cols = 30, 25
+        cells = rng.choice(n_rows * (n_cols - 5), size=nnz, replace=False)
+        rows, cols = cells // (n_cols - 5), cells % (n_cols - 5)
+        vals = rng.random(nnz)
+        shard = Shard(0, n_cols, rows, cols, vals)
+        indptr, users, ratings = shard.csc()
+        expected = np.zeros(n_cols + 1, dtype=np.int64)
+        np.add.at(expected, cols + 1, 1)
+        np.cumsum(expected, out=expected)
+        assert indptr.dtype == np.int64
+        assert indptr.tolist() == expected.tolist()
+        assert users.size == ratings.size == shard.nnz == nnz
+        for j in range(n_cols):
+            col_users, col_ratings = shard.column(j)
+            lo, hi = shard.column_bounds(j)
+            assert np.shares_memory(col_users, users) or lo == hi
+            assert users[lo:hi].tolist() == col_users.tolist()
+            assert ratings[lo:hi].tolist() == col_ratings.tolist()
+            order = np.argsort(rows[cols == j])
+            assert col_users.tolist() == rows[cols == j][order].tolist()
+            assert col_ratings.tolist() == vals[cols == j][order].tolist()
 
     def test_overlapping_partition_rejected(self):
         matrix = make_matrix()

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from repro.config import HyperParams, RunConfig
-from repro.errors import ConfigError
+from repro.datasets.synthetic import SyntheticSpec, make_low_rank
+from repro.errors import ConfigError, ReproError, TokenConservationError
 from repro.linalg.backends import ListBackend, NumpyBackend
 from repro.linalg.factors import init_factors
 from repro.linalg.objective import test_rmse as compute_test_rmse
@@ -105,7 +106,7 @@ class TestMultiprocessNomad:
 
     def test_requires_fork_start_method(self, tiny_split, monkeypatch):
         """Regression: without fork, fail with a clear ConfigError instead
-        of crashing inside spawn's pickling of the Queue mailboxes."""
+        of crashing inside spawn's pickling of the token rings' locks."""
         train, test = tiny_split
         runner = MultiprocessNomad(train, test, n_workers=1, hyper=HYPER)
         monkeypatch.setattr(
@@ -161,12 +162,12 @@ class TestSharedMemoryTeardown:
         created, real = self._recording_shm(monkeypatch)
         runner = MultiprocessNomad(train, test, 1, HYPER, seed=1)
         runner.run(duration_seconds=0.2)
-        assert len(created) == 2
+        assert len(created) == 3  # W, H, and the token rings
         self._assert_unlinked(real, created)
 
     def test_unlinked_when_worker_raises(self, tiny_split, monkeypatch):
-        """Workers that die immediately: the run still tears down both
-        blocks (result collection is bounded by the join timeout)."""
+        """Workers that die immediately: the run still tears down every
+        block (result collection is bounded by the join timeout)."""
         train, test = tiny_split
         created, real = self._recording_shm(monkeypatch)
 
@@ -178,6 +179,7 @@ class TestSharedMemoryTeardown:
         runner = MultiprocessNomad(train, test, 2, HYPER, seed=1)
         result = runner.run(duration_seconds=0.1)
         assert result.updates == 0  # nobody reported
+        assert len(created) == 3
         self._assert_unlinked(real, created)
 
     def test_first_block_unlinked_when_second_allocation_fails(
@@ -190,6 +192,90 @@ class TestSharedMemoryTeardown:
             runner.run(duration_seconds=0.1)
         assert len(created) == 1
         self._assert_unlinked(real, created)
+
+
+class TestTokenRings:
+    """The mailboxes are shared-memory rings: shutdown never waits on a
+    pipe, and the live engine checks token conservation when it stops."""
+
+    def test_shutdown_does_not_depend_on_pipe_capacity(self):
+        """Regression: with >= ~10k items the tokens left in the old
+        mp.Queue pipes at stop exceeded the 64 KiB pipe buffer, every
+        worker blocked flushing its feeder thread, and run() sat through
+        _JOIN_TIMEOUT per worker (20 s here) before terminating them."""
+        spec = SyntheticSpec(
+            n_rows=300, n_cols=20_000, rank=2, density=0.005, noise=0.1
+        )
+        train = make_low_rank(spec, RngFactory(5).stream("wide"))
+        runner = MultiprocessNomad(train, train, 2, HYPER, seed=1)
+        result = runner.run(duration_seconds=0.3)
+        assert result.join_seconds < 2.0
+        assert all(count > 0 for count in result.updates_per_worker)
+
+    @staticmethod
+    def _tampering_worker(monkeypatch, tamper):
+        """Run the real worker after ``tamper(rings)`` in worker 0."""
+        real = mp_module._worker_main
+        signature = inspect.signature(real)
+
+        def worker(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs).arguments
+            if bound["worker_id"] == 0:
+                tamper(bound["rings"])
+            real(*args, **kwargs)
+
+        monkeypatch.setattr(mp_module, "_worker_main", worker)
+
+    def test_lost_token_raises_typed_error(self, tiny_split, monkeypatch):
+        train, test = tiny_split
+        lost = []
+
+        def drop_one(rings):
+            lost.extend(rings.pop_many(0, 1).tolist())
+
+        self._tampering_worker(monkeypatch, drop_one)
+        runner = MultiprocessNomad(train, test, 2, HYPER, seed=1)
+        with pytest.raises(TokenConservationError, match="1 item.s. lost") as caught:
+            runner.run(duration_seconds=0.2)
+        assert isinstance(caught.value, ReproError)
+        assert "0 duplicated" in str(caught.value)
+
+    def test_duplicated_token_raises_typed_error(
+        self, tiny_split, monkeypatch
+    ):
+        train, test = tiny_split
+        self._tampering_worker(
+            monkeypatch,
+            lambda rings: rings.push_many(0, np.array([3], dtype=np.int64)),
+        )
+        runner = MultiprocessNomad(train, test, 2, HYPER, seed=1)
+        with pytest.raises(
+            TokenConservationError, match=r"1 duplicated \(first: \[3\]\)"
+        ):
+            runner.run(duration_seconds=0.2)
+
+    def test_shm_unlinked_when_conservation_fails(
+        self, tiny_split, monkeypatch
+    ):
+        train, test = tiny_split
+        created, real = TestSharedMemoryTeardown._recording_shm(monkeypatch)
+        self._tampering_worker(monkeypatch, lambda rings: rings.pop_many(0, 1))
+        runner = MultiprocessNomad(train, test, 2, HYPER, seed=1)
+        with pytest.raises(TokenConservationError):
+            runner.run(duration_seconds=0.1)
+        assert len(created) == 3
+        TestSharedMemoryTeardown._assert_unlinked(real, created)
+
+    def test_telemetry_adds_the_stamp_block(self, tiny_split, monkeypatch):
+        train, test = tiny_split
+        created, real = TestSharedMemoryTeardown._recording_shm(monkeypatch)
+        runner = MultiprocessNomad(
+            train, test, 2, HYPER, seed=1, telemetry=True
+        )
+        result = runner.run(duration_seconds=0.2)
+        assert len(created) == 4
+        TestSharedMemoryTeardown._assert_unlinked(real, created)
+        assert result.telemetry.summary()["hop_latency"]["count"] > 0
 
 
 class TestTimingSemantics:

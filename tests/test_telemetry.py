@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import fit, fit_stream
@@ -102,6 +103,23 @@ class TestRecorder:
         assert snapshot.dropped == 12
         # Chronological, and exactly the newest 8.
         assert [event[3] for event in snapshot.events] == list(range(12, 20))
+
+    def test_spans_equals_a_loop_of_span(self):
+        """The per-burst vectorised call records exactly what one span()
+        per element would, across ring wrap and a batch wider than the
+        ring."""
+        batched, looped = Recorder(capacity=8), Recorder(capacity=8)
+        rng = np.random.default_rng(0)
+        for n in (3, 5, 7, 0, 20, 1):
+            starts, durations = rng.random(n), rng.random(n)
+            batched.spans(SPAN_HOP, starts, durations)
+            for start, duration in zip(starts.tolist(), durations.tolist()):
+                looped.span(SPAN_HOP, start, duration)
+            looped.span(SPAN_KERNEL, 1.0, 2.0, n)
+            batched.span(SPAN_KERNEL, 1.0, 2.0, n)
+        assert batched.snapshot() == looped.snapshot()
+        assert batched.snapshot().dropped == 36 + 6 - 8
+        NULL_RECORDER.spans(SPAN_HOP, np.zeros(2), np.ones(2))
 
     def test_point_records_zero_duration_span(self):
         recorder = Recorder(capacity=8)
