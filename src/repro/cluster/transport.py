@@ -52,6 +52,8 @@ MAX_FRAME_BYTES = 1 << 26
 _LENGTH = struct.Struct(">I")
 _CONNECT_TIMEOUT = 5.0
 _CONNECT_RETRY = 0.05
+#: Bound on close() waiting for the accept thread to leave accept().
+_ACCEPT_JOIN_TIMEOUT = 1.0
 
 
 class Transport(abc.ABC):
@@ -241,7 +243,14 @@ class TcpTransport(Transport):
         if self._closed:
             return
         self._closed = True
+        # close() alone leaves the port in LISTEN for as long as the
+        # accept thread sits in accept(); shutdown() wakes it first.
+        try:
+            self._server.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # not every platform lets a listening socket shut down
         self._server.close()
+        self._accept_thread.join(_ACCEPT_JOIN_TIMEOUT)
         # Closing inbound connections unblocks their reader threads.
         for conn in [*self._peers.values(), *self._inbound]:
             try:

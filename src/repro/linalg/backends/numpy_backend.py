@@ -60,7 +60,9 @@ def _sgd_core_ndarray(
         w_row = w[entry_rows[idx]]
         h_row = h_col if fixed_h else h[entry_cols[idx]]
         if scheduled:
-            t = counts[idx]
+            # int(): an ndarray counter is an np.int64 scalar, and
+            # ``** 1.5`` on one costs several times the Python int's.
+            t = int(counts[idx])
             scaled_step = alpha / (1.0 + beta * t ** 1.5)
             counts[idx] = t + 1
             decay = 1.0 - scaled_step * lambda_

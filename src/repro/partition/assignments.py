@@ -91,6 +91,42 @@ class OwnershipLedger:
             )
         self._owner[item] = _IN_FLIGHT
 
+    def transfer_many(self, items, sources, destinations) -> None:
+        """Hand each ``items[t]`` from ``sources[t]`` to ``destinations[t]``.
+
+        One vectorised :meth:`release` + :meth:`acquire` per token, with
+        the same checks and the same error text, raised for the first
+        offending position before anything is recorded: a source that
+        does not own its item is a foreign release, a destination
+        outside the worker range is rejected, and an item listed twice
+        is a double acquire (a token moves once per batch).
+        """
+        items = np.asarray(items, dtype=np.int64)
+        sources = np.asarray(sources, dtype=np.int64)
+        destinations = np.asarray(destinations, dtype=np.int64)
+        foreign = self._owner[items] != sources
+        outside = (destinations < 0) | (destinations >= self._n_workers)
+        repeated = np.ones(items.size, dtype=bool)
+        repeated[np.unique(items, return_index=True)[1]] = False
+        bad = foreign | outside | repeated
+        if bad.any():
+            t = int(np.argmax(bad))
+            item, worker = int(items[t]), int(destinations[t])
+            if repeated[t]:
+                first = int(np.flatnonzero(items == item)[0])
+                raise SimulationError(
+                    f"item {item} acquired by worker {worker} while owned "
+                    f"by worker {int(destinations[first])}"
+                )
+            if foreign[t]:
+                raise SimulationError(
+                    f"worker {int(sources[t])} released item {item} owned "
+                    f"by {self.owner_of(item)}"
+                )
+            raise SimulationError(f"worker {worker} out of range")
+        self._owner[items] = destinations
+        self._transfers += int(items.size)
+
     def owned_items(self, worker: int) -> np.ndarray:
         """All items currently owned by ``worker``."""
         return np.flatnonzero(self._owner == worker)

@@ -15,6 +15,9 @@ This package makes that claim executable:
   first sight of a new user/item (the §4 fold-in), and every arriving
   rating is routed to the owning worker's column store — never a global
   re-partition.
+* :mod:`~repro.stream.colstore` — :class:`~repro.stream.colstore.ColumnStore`,
+  that column store: one growable CSC per worker, arrivals folded in
+  lazily, laid out for the bound token kernels.
 * :mod:`~repro.stream.snapshots` — :class:`SnapshotStore`, rotating
   immutable :class:`~repro.model.CompletionModel` snapshots on a cadence,
   plus the prequential (test-then-train) RMSE trace of the stream.

@@ -21,11 +21,24 @@ that execution model made concrete:
   rating receives exactly one equation-(11) SGD update per sweep, through
   the same kernel-backend layer every other engine uses.
 
-The execution is in-process and deterministic given the seed: rounds
-interleave tokens exactly as parallel workers would, and the
-owner-computes rule keeps every interleaving conflict-free (§4.1), so
-this sequential schedule is one of the serializable executions the real
-runtimes sample from.
+Each worker's ratings live in one growable CSC
+(:class:`~repro.stream.colstore.ColumnStore`, seeded from
+:meth:`Shard.csc <repro.datasets.ratings.Shard.csc>`): ingest parks an
+arrival in the store's pending list, and the next sweep folds the list
+in before it runs.  A sweep round is then one
+``kernel.process_tokens(items)`` per worker on a kernel bound once by
+:meth:`KernelBackend.bind_tokens
+<repro.linalg.backends.base.KernelBackend.bind_tokens>` — no per-column
+Python.  A kernel is rebound (and its arrays re-validated) only when a
+flush replaced its store's arrays or a first-seen user or item moved the
+factor matrices or their live row counts.
+
+The execution is in-process and deterministic given the seed: within a
+round the workers run one after another, which is update for update the
+interleaving parallel workers would produce — the owner-computes rule
+keeps every interleaving conflict-free (§4.1) — so this sequential
+schedule is one of the serializable executions the real runtimes sample
+from.
 """
 
 from __future__ import annotations
@@ -57,6 +70,7 @@ from ..telemetry import (
     SPAN_SWEEP,
     clock,
 )
+from .colstore import ColumnStore
 from .sources import RatingEvent
 
 __all__ = ["DeltaStore", "DynamicNomad"]
@@ -160,6 +174,12 @@ def _grown(array: np.ndarray, n_rows: int) -> np.ndarray:
 
 class DynamicNomad:
     """Warm-start NOMAD over a base matrix plus streaming arrivals.
+
+    One :class:`~repro.stream.colstore.ColumnStore` per worker holds its
+    ratings and their update counters.  :meth:`ingest` only appends to
+    the owning store's pending list; :meth:`sweep` first folds pending
+    arrivals in (a rating ingested now trains in the very next sweep)
+    and rebinds the token kernels that fold-in or growth left stale.
 
     Parameters
     ----------
@@ -270,23 +290,12 @@ class DynamicNomad:
             for user in members.tolist():
                 self._owner_of_user[user] = q
         shards = base.shard_by_rows(partition)
-        self._col_users: list[list[list[int]]] = []
-        self._col_ratings: list[list[list[float]]] = []
-        self._col_counts: list[list[list[int]]] = []
-        self._worker_load = [0] * p
-        for q, shard in enumerate(shards):
-            users_per_col: list[list[int]] = []
-            ratings_per_col: list[list[float]] = []
-            counts_per_col: list[list[int]] = []
-            for j in range(base.n_cols):
-                users, ratings = shard.column(j)
-                users_per_col.append(users.tolist())
-                ratings_per_col.append(ratings.tolist())
-                counts_per_col.append([0] * users.size)
-            self._col_users.append(users_per_col)
-            self._col_ratings.append(ratings_per_col)
-            self._col_counts.append(counts_per_col)
-            self._worker_load[q] = shard.nnz
+        self._stores = [ColumnStore(*shard.csc()) for shard in shards]
+        self._worker_load = [shard.nnz for shard in shards]
+        # One bound token kernel per worker, made by the first sweep and
+        # remade whenever a flush or a growth invalidates its pointers.
+        self._kernels: list = [None] * p
+        self._stale = True
 
         self._queues: list[deque[int]] = [deque() for _ in range(p)]
         self._ledger = OwnershipLedger(base.n_cols, p)
@@ -399,9 +408,7 @@ class DynamicNomad:
             self._grow_items(item + 1)
         self.delta.record(user, item, value)
         owner = self._owner_of_user[user]
-        self._col_users[owner][item].append(user)
-        self._col_ratings[owner][item].append(value)
-        self._col_counts[owner][item].append(0)
+        self._stores[owner].append(item, user, value)
         self._worker_load[owner] += 1
         if rec is not None:
             rec.span(SPAN_INGEST, ingest_start, clock() - ingest_start, 1)
@@ -417,6 +424,7 @@ class DynamicNomad:
             self._owner_of_user.append(owner)
             self._new_users += 1
         self._n_users = n_users
+        self._stale = True
 
     def _grow_items(self, n_items: int) -> None:
         bound = 1.0 / np.sqrt(self.hyper.k)
@@ -426,10 +434,6 @@ class DynamicNomad:
             self._h[item] = self._grow_rng.uniform(
                 0.0, bound, size=self.hyper.k
             )
-            for q in range(self.n_workers):
-                self._col_users[q].append([])
-                self._col_ratings[q].append([])
-                self._col_counts[q].append([])
             dest = self._route_rng.randrange(self.n_workers)
             self._queues[dest].append(item)
             self._ledger.acquire(item, dest)
@@ -439,15 +443,21 @@ class DynamicNomad:
     # ------------------------------------------------------------------
     # Training
     # ------------------------------------------------------------------
-    def _clamp_counts(self, counts: list[int]) -> None:
-        """Keep the eq-(11) decay floored: counters never pass the cap,
-        so a sweep can clamp just what it touched."""
-        cap = self.count_cap
-        if cap is None:
-            return
-        for offset, count in enumerate(counts):
-            if count > cap:
-                counts[offset] = cap
+    def _bound_kernels(self) -> list:
+        """Fold pending arrivals into every store and rebind the kernels
+        left stale: a flush that replaced the store's arrays (every
+        store's, when items grew — ``indptr`` extends) or a user growth,
+        which touches no store but moves ``_w`` and its live length."""
+        hyper = self.hyper
+        w, h = self._w[: self._n_users], self._h[: self._n_items]
+        for q, store in enumerate(self._stores):
+            if store.flush(self._n_items) or self._stale:
+                self._kernels[q] = self.backend.bind_tokens(
+                    w, h, store.indptr, store.users, store.ratings,
+                    store.counts, hyper.alpha, hyper.beta, hyper.lambda_,
+                )
+        self._stale = False
+        return self._kernels
 
     def sweep(self, max_updates: int | None = None) -> int:
         """Route every token through every worker once; return updates.
@@ -455,12 +465,14 @@ class DynamicNomad:
         One sweep is the §3.4 circulation schedule: each token starts at
         its resting worker and tours the remaining workers in a fresh
         seeded order, so every observed rating receives exactly one SGD
-        update (rounds are interleaved across tokens the way concurrent
-        workers would interleave them — a serializable execution by the
-        owner-computes argument of §4.1).  Afterwards each token rests at
-        a policy-chosen queue.  ``max_updates`` caps the updates applied
-        *this call*; tokens still complete their tours so conservation
-        holds.
+        update.  A round runs worker by worker — one bound-kernel call
+        over the worker's tokens in plan order — which is update for
+        update what interleaving them would give: workers own disjoint
+        ``w`` rows and a token is at one worker per round (a
+        serializable execution by the owner-computes argument of §4.1).
+        Afterwards each token rests at a policy-chosen queue.
+        ``max_updates`` caps the updates applied *this call*; tokens
+        still complete their tours so conservation holds.
         """
         p = self.n_workers
         rec = self.recorder
@@ -468,99 +480,75 @@ class DynamicNomad:
             sweep_start = clock()
             for q in range(p):
                 rec.point(POINT_QUEUE_DEPTH, len(self._queues[q]))
-        plan: list[tuple[int, list[int]]] = []
-        for q in range(p):
-            while self._queues[q]:
-                j = self._queues[q].popleft()
-                others = [w for w in range(p) if w != q]
+        kernels = self._bound_kernels()
+        tokens: list[int] = []
+        tours: list[list[int]] = []
+        for q, queue in enumerate(self._queues):
+            rest = [w for w in range(p) if w != q]
+            for _ in queue:
+                others = rest.copy()
                 self._route_rng.shuffle(others)
-                plan.append((j, [q, *others]))
+                tours.append([q, *others])
+            tokens.extend(queue)
+            queue.clear()
+        items = np.array(tokens, dtype=np.int64)
+        stops = np.array(tours, dtype=np.int64)
 
         applied = 0
         hyper = self.hyper
         for r in range(p):
+            if r > 0:
+                self._ledger.transfer_many(items, stops[:, r - 1], stops[:, r])
             if max_updates is not None:
                 # Budgeted path: the halt boundary is per column, so each
                 # column goes through its own kernel call.
-                for j, stops in plan:
-                    stop = stops[r]
-                    if r > 0:
-                        self._ledger.release(j, stops[r - 1])
-                        self._ledger.acquire(j, stop)
+                for j, stop in zip(tokens, stops[:, r].tolist()):
                     if applied >= max_updates:
-                        continue
-                    users = self._col_users[stop][j]
-                    if not users:
-                        continue
-                    counts = self._col_counts[stop][j]
-                    done = self.backend.process_column(
-                        self._w,
-                        self._h[j],
-                        users,
-                        self._col_ratings[stop][j],
-                        counts,
-                        hyper.alpha,
-                        hyper.beta,
-                        hyper.lambda_,
-                    )
-                    self._clamp_counts(counts)
-                    applied += done
-                    self._worker_updates[stop] += done
+                        break
+                    users, ratings, counts = self._stores[stop].column(j)
+                    if users.size:
+                        done = self.backend.process_column(
+                            self._w, self._h[j], users, ratings, counts,
+                            hyper.alpha, hyper.beta, hyper.lambda_,
+                        )
+                        applied += done
+                        self._worker_updates[stop] += done
                 continue
-            # Unbudgeted path: fuse the whole round into one batched
-            # kernel call.  Each (worker, item) column appears at most
-            # once per round and columns run in plan order, so the batch
-            # is update-for-update identical to the per-column loop.
-            round_stops: list[int] = []
-            h_cols: list = []
-            col_users: list = []
-            col_ratings: list = []
-            col_counts: list = []
-            for j, stops in plan:
-                stop = stops[r]
-                if r > 0:
-                    self._ledger.release(j, stops[r - 1])
-                    self._ledger.acquire(j, stop)
-                users = self._col_users[stop][j]
-                if not users:
-                    continue
-                round_stops.append(stop)
-                h_cols.append(self._h[j])
-                col_users.append(users)
-                col_ratings.append(self._col_ratings[stop][j])
-                col_counts.append(self._col_counts[stop][j])
-            if h_cols:
-                if rec is not None:
-                    kernel_start = clock()
-                round_applied = self.backend.process_column_batch(
-                    self._w, h_cols, col_users, col_ratings, col_counts,
-                    hyper.alpha, hyper.beta, hyper.lambda_,
+            if rec is not None:
+                kernel_start = clock()
+            round_applied = 0
+            for q in range(p):
+                done = kernels[q].process_tokens(items[stops[:, r] == q])
+                round_applied += done
+                self._worker_updates[q] += done
+            applied += round_applied
+            if rec is not None and round_applied:
+                rec.span(
+                    SPAN_KERNEL, kernel_start, clock() - kernel_start,
+                    round_applied,
                 )
-                applied += round_applied
-                if rec is not None:
-                    rec.span(
-                        SPAN_KERNEL, kernel_start, clock() - kernel_start,
-                        round_applied,
-                    )
-                for stop, users, counts in zip(
-                    round_stops, col_users, col_counts
-                ):
-                    self._clamp_counts(counts)
-                    self._worker_updates[stop] += len(users)
+        if self.count_cap is not None:
+            # Counters never pass the cap between sweeps and a sweep
+            # adds at most one, so one clamp per store restores it.
+            for store in self._stores:
+                store.clamp_counts(self.count_cap)
 
-        for j, stops in plan:
-            self._ledger.release(j, stops[-1])
+        workers = range(p)
+        queues = self._queues
+        dests = []
+        for j in tokens:
             dest = self.policy.choose(
-                range(p), lambda w: len(self._queues[w]), self._route_rng
+                workers, lambda w: len(queues[w]), self._route_rng
             )
-            self._queues[dest].append(j)
-            self._ledger.acquire(j, dest)
+            queues[dest].append(j)
+            dests.append(dest)
+        self._ledger.transfer_many(items, stops[:, -1], dests)
         self._ledger.assert_conserved()
         self._total_updates += applied
         if rec is not None:
             rec.span(SPAN_SWEEP, sweep_start, clock() - sweep_start, applied)
             rec.add(C_UPDATES, applied)
-            rec.add(C_TOKENS, len(plan))
+            rec.add(C_TOKENS, len(tokens))
         return applied
 
     def train(self, epochs: int, max_updates: int | None = None) -> int:

@@ -8,12 +8,15 @@ and the CI ``cluster-smoke`` job.
 
 from __future__ import annotations
 
+import socket
+
 import numpy as np
 import pytest
 
 from repro.api import ENGINES, fit
 from repro.cluster import ClusterNomad, ClusterResult, Token
 from repro.cluster import wire
+from repro.cluster.transport import TcpTransport
 from repro.cli import main as cli_main
 from repro.config import HyperParams, RunConfig
 from repro.core.nomad import NomadOptions
@@ -120,6 +123,16 @@ class TestClusterTcp:
         # fixed window noisy — while still far tighter than the
         # initial-to-converged gap it guards.
         assert cluster.rmse == pytest.approx(shared.rmse, abs=0.5)
+
+    def test_close_stops_listening_at_once(self):
+        """close() used to leave the port in LISTEN (and the accept
+        thread in accept()) until the next connect or process exit."""
+        transport = TcpTransport(0)
+        port = transport.port
+        transport.close()
+        assert not transport._accept_thread.is_alive()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", port), timeout=1.0).close()
 
 
 class TestTokenConservation:

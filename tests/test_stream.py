@@ -3,12 +3,18 @@ serving, and the repro.fit_stream facade)."""
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.config import HyperParams, RunConfig
 from repro.errors import ConfigError, DataError
+from repro.linalg import cext_available
 from repro.linalg.objective import test_rmse as rmse_of
 from repro.rng import RngFactory
 from repro.stream import (
@@ -22,8 +28,14 @@ from repro.stream import (
     ReplayStream,
     SnapshotStore,
 )
+from repro.stream.colstore import ColumnStore
 
 HYPER = HyperParams(k=4, lambda_=0.01, alpha=0.1, beta=0.01)
+
+needs_cext = pytest.mark.skipif(
+    not cext_available(), reason="no usable C toolchain (cext unavailable)"
+)
+KERNEL_BACKENDS = ["list", "numpy", pytest.param("cext", marks=needs_cext)]
 
 
 @pytest.fixture
@@ -270,6 +282,267 @@ class TestDynamicNomad:
 
 
 # ----------------------------------------------------------------------
+# ColumnStore (the per-worker growable CSC)
+# ----------------------------------------------------------------------
+_STORE_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("append"), st.integers(0, 10**6), st.integers(0, 50),
+            st.floats(-5, 5),
+        ),
+        st.tuples(st.just("grow"), st.integers(1, 3)),
+        st.tuples(st.just("bump"), st.integers(0, 10**6)),
+        st.tuples(st.just("flush")),
+    ),
+    max_size=40,
+)
+
+
+class TestColumnStore:
+    @staticmethod
+    def _check(store, model):
+        """``model[j]`` is column j as a list of [user, rating, count]."""
+        assert store.n_items == len(model)
+        assert store.indptr[0] == 0
+        assert np.all(np.diff(store.indptr) >= 0)
+        assert store.indptr[-1] == store.nnz == store.users.size
+        assert store.ratings.shape == store.counts.shape == store.users.shape
+        for j, column in enumerate(model):
+            users, ratings, counts = store.column(j)
+            assert users.tolist() == [entry[0] for entry in column]
+            assert ratings.tolist() == [entry[1] for entry in column]
+            assert counts.tolist() == [entry[2] for entry in column]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        base=st.lists(
+            st.lists(st.tuples(st.integers(0, 50), st.floats(-5, 5)),
+                     max_size=4),
+            min_size=1, max_size=5,
+        ),
+        ops=_STORE_OPS,
+    )
+    def test_any_interleaving_equals_list_of_lists(self, base, ops):
+        """Append / new-item growth / flush in any order: in-column order
+        is base order then arrival order, counters stay with their
+        rating across a flush and new ones start at 0."""
+        indptr = np.cumsum([0] + [len(column) for column in base])
+        flat = [pair for column in base for pair in column]
+        store = ColumnStore(
+            indptr, [user for user, _ in flat], [rating for _, rating in flat]
+        )
+        model = [[[u, r, 0] for u, r in column] for column in base]
+        self._check(store, model)
+        pending: list[tuple[int, list]] = []
+        n_items = len(model)
+        for op in ops:
+            if op[0] == "append":
+                item = op[1] % n_items
+                store.append(item, op[2], op[3])
+                pending.append((item, [op[2], op[3], 0]))
+            elif op[0] == "grow":
+                n_items += op[1]
+            elif op[0] == "bump":  # a kernel advancing one flushed column
+                item = op[1] % store.n_items
+                store.column(item)[2][:] += 1
+                for entry in model[item]:
+                    entry[2] += 1
+            else:
+                arrays = (store.indptr, store.users, store.counts)
+                dirty = bool(pending) or n_items > len(model)
+                assert store.flush(n_items) == dirty
+                if not dirty:  # nothing replaced: bound kernels stay valid
+                    assert arrays == (store.indptr, store.users, store.counts)
+                model.extend([] for _ in range(n_items - len(model)))
+                for item, entry in pending:
+                    model[item].append(entry)
+                pending.clear()
+                self._check(store, model)
+            assert store.nnz == sum(map(len, model)) + len(pending)
+
+    def test_flush_cannot_shrink(self):
+        store = ColumnStore([0, 1, 1], [3], [1.0])
+        with pytest.raises(ValueError, match="shrink"):
+            store.flush(1)
+
+    def test_base_arrays_are_copied(self):
+        indptr, users = np.array([0, 1]), np.array([2])
+        store = ColumnStore(indptr, users, np.array([1.0]))
+        store.users[0] = 9
+        assert users[0] == 2 and store.counts.tolist() == [0]
+
+
+# ----------------------------------------------------------------------
+# DynamicNomad against a reference loop over Python lists
+# ----------------------------------------------------------------------
+class ListReference:
+    """The trainer the list-of-lists stores implemented: per (worker,
+    item) Python lists, one ``process_column`` per column, rounds
+    interleaved in plan order, a per-column counter clamp."""
+
+    def __init__(self, dynamic, base):
+        self.backend = dynamic.backend
+        factors = dynamic.factors
+        self.w, self.h = factors.w, factors.h
+        self.columns: dict[tuple[int, int], tuple[list, list, list]] = {}
+        for user, item, value in zip(
+            base.rows.tolist(), base.cols.tolist(), base.vals.tolist()
+        ):
+            self.add(dynamic, user, item, value)
+
+    def add(self, dynamic, user, item, value):
+        key = (dynamic.owner_of_user(user), item)
+        users, ratings, counts = self.columns.setdefault(key, ([], [], []))
+        users.append(user)
+        ratings.append(value)
+        counts.append(0)
+
+    def grow(self, dynamic):
+        """Adopt the rows ``dynamic`` initialized for new users/items."""
+        factors = dynamic.factors
+        self.w = np.vstack([self.w, factors.w[self.w.shape[0]:]])
+        self.h = np.vstack([self.h, factors.h[self.h.shape[0]:]])
+
+    def sweep(self, dynamic, max_updates=None, cap=None):
+        """Mirror the sweep ``dynamic`` is about to run (call first)."""
+        p = dynamic.n_workers
+        rng = random.Random()
+        rng.setstate(dynamic._route_rng.getstate())
+        plan = []
+        for q, queue in enumerate(dynamic._queues):
+            for j in queue:
+                others = [w for w in range(p) if w != q]
+                rng.shuffle(others)
+                plan.append((j, [q, *others]))
+        applied = 0
+        hyper = dynamic.hyper
+        for r in range(p):
+            for j, stops in plan:
+                if max_updates is not None and applied >= max_updates:
+                    continue
+                column = self.columns.get((stops[r], j))
+                if column is None:
+                    continue
+                users, ratings, counts = column
+                applied += self.backend.process_column(
+                    self.w, self.h[j], users, ratings, counts,
+                    hyper.alpha, hyper.beta, hyper.lambda_,
+                )
+                if cap is not None:
+                    counts[:] = [min(count, cap) for count in counts]
+        return applied
+
+    def assert_matches(self, dynamic, atol=1e-10):
+        factors = dynamic.factors
+        np.testing.assert_allclose(factors.w, self.w, rtol=0, atol=atol)
+        np.testing.assert_allclose(factors.h, self.h, rtol=0, atol=atol)
+        for q, store in enumerate(dynamic._stores):
+            for j in range(dynamic.n_items):
+                users, ratings, counts = store.column(j)
+                expected = self.columns.get((q, j), ([], [], []))
+                assert users.tolist() == expected[0]
+                assert ratings.tolist() == expected[1]
+                assert counts.tolist() == expected[2]
+
+
+class TestDynamicNomadAgainstReference:
+    def _pair(self, replay, backend, **kwargs):
+        dynamic = DynamicNomad(
+            replay.warmup, 3, HYPER, seed=5, kernel_backend=backend, **kwargs
+        )
+        return dynamic, ListReference(dynamic, replay.warmup)
+
+    @staticmethod
+    def _fold_in(dynamic, reference, events):
+        for event in events:
+            dynamic.ingest(event)
+        reference.grow(dynamic)
+        for event in events:
+            reference.add(dynamic, event.user, event.item, event.value)
+
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    def test_sweep_after_factor_reallocation(self, replay, backend):
+        """First-seen users and items reallocate ``_w`` and ``_h`` under
+        kernels an earlier sweep bound; the next sweep must train the
+        live rows (a stale pointer would leave them as initialized, and
+        send the other workers' updates to the old block) exactly as the
+        list reference does."""
+        dynamic, reference = self._pair(replay, backend)
+        assert reference.sweep(dynamic) == dynamic.sweep()
+        w_bound, h_bound = dynamic._w, dynamic._h
+        user, item = dynamic.n_users, dynamic.n_items
+
+        # A new user alone: one store gets the rating, every kernel
+        # must still move to the reallocated W.
+        self._fold_in(dynamic, reference, [RatingEvent(0.0, user, 0, 4.0)])
+        assert dynamic._w is not w_bound and dynamic._h is h_bound
+        fresh = dynamic.factors
+        assert reference.sweep(dynamic) == dynamic.sweep()
+        assert not np.array_equal(dynamic.factors.w[user], fresh.w[user])
+        reference.assert_matches(dynamic)
+
+        # A new item, rated by an old user and by another new one.
+        self._fold_in(dynamic, reference, [
+            RatingEvent(0.1, 0, item, 2.0),
+            RatingEvent(0.2, user + 1, item, 3.0),
+        ])
+        assert dynamic._h is not h_bound
+        fresh = dynamic.factors
+        assert reference.sweep(dynamic) == dynamic.sweep()
+        trained = dynamic.factors
+        assert not np.array_equal(trained.w[user + 1], fresh.w[user + 1])
+        assert not np.array_equal(trained.h[item], fresh.h[item])
+        reference.assert_matches(dynamic)
+
+        # No growth, no arrival: the next sweep reuses the bound kernels.
+        kernels = list(dynamic._kernels)
+        assert reference.sweep(dynamic) == dynamic.sweep()
+        assert all(a is b for a, b in zip(kernels, dynamic._kernels))
+        reference.assert_matches(dynamic)
+
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    @pytest.mark.parametrize("budget", [1, 10, 137])
+    def test_budget_halts_on_the_same_column_boundary(
+        self, replay, budget, backend
+    ):
+        dynamic, reference = self._pair(replay, backend)
+        expected = reference.sweep(dynamic, max_updates=budget)
+        assert dynamic.sweep(max_updates=budget) == expected
+        assert budget <= expected < replay.warmup.nnz
+        assert sum(dynamic.updates_per_worker) == expected
+        reference.assert_matches(dynamic)
+        # Tokens finished their tours: conserved, each resting somewhere.
+        assert sum(dynamic.queue_sizes()) == dynamic.n_items
+        assert dynamic._ledger.items_in_flight().size == 0
+        # ...and the next, unbudgeted sweep still agrees.
+        assert reference.sweep(dynamic) == dynamic.sweep()
+        reference.assert_matches(dynamic)
+
+    def test_count_cap_floor_and_lift_match_per_column_clamp(self, replay):
+        """One clamp per store per sweep leaves the counters the
+        per-column clamp did — under the cap, for arrivals that join
+        below it, and after ``final_epochs`` lifts it."""
+        dynamic, reference = self._pair(replay, "numpy", count_cap=2)
+        for _ in range(3):
+            reference.sweep(dynamic, cap=2)
+            dynamic.sweep()
+        assert all(store.counts.max() == 2 for store in dynamic._stores)
+        self._fold_in(dynamic, reference, list(replay.events())[:30])
+        reference.sweep(dynamic, cap=2)
+        dynamic.sweep()
+        reference.assert_matches(dynamic)
+        counts = np.concatenate([s.counts for s in dynamic._stores])
+        assert sorted(set(counts.tolist())) == [1, 2]
+        dynamic.count_cap = None  # what fit_stream's final_epochs does
+        for _ in range(2):
+            reference.sweep(dynamic)
+            dynamic.sweep()
+        reference.assert_matches(dynamic)
+        counts = np.concatenate([s.counts for s in dynamic._stores])
+        assert sorted(set(counts.tolist())) == [3, 4]
+
+
+# ----------------------------------------------------------------------
 # Snapshots + prequential trace
 # ----------------------------------------------------------------------
 class TestSnapshotStore:
@@ -469,6 +742,27 @@ class TestFitStream:
             )
 
         assert run(8) < run(None)
+
+    @needs_cext
+    def test_final_factors_digest_is_pinned(self, replay):
+        """Bit-identity across the column-store rewrite: this digest was
+        taken on the list-of-lists trainer (commit a2392b5).  A change
+        that reorders updates or routing draws moves it; one that only
+        makes the same updates faster does not."""
+        result = self._run(
+            replay, run=RunConfig(seed=5, kernel_backend="cext"),
+            n_workers=3, final_epochs=2, count_cap=3,
+        )
+        factors = result.final.factors
+        digest = hashlib.sha256(
+            factors.w.tobytes() + factors.h.tobytes()
+        ).hexdigest()
+        assert result.final.timing.updates == 8030
+        assert result.prequential.rmse() == 1.1192242970653934
+        assert digest == (
+            "77d5df21bdfa73e15a313a14b4baa06e"
+            "5619006e58a53bbcc702a85a01ab4cfe"
+        )
 
     def test_recommender_round_trip(self, replay):
         result = self._run(replay)
