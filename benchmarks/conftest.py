@@ -7,7 +7,11 @@ pass or ``medium`` for cleaner curves).
 
 Every run's full ASCII report is saved under ``results/`` so the numbers
 cited in EXPERIMENTS.md can be regenerated with
-``pytest benchmarks/ --benchmark-only``.
+``pytest benchmarks/ --benchmark-only``.  Those reports are deterministic
+(simulated time, seeded).  The wall-clock BENCH json payloads are not, so
+:func:`write_bench_json` only touches the tracked ``results/<name>.json``
+under ``REPRO_BENCH_RECORD=1`` and otherwise writes the git-ignored
+``results/local/<name>.json`` — a tier-1 run leaves the tree clean.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ from repro.experiments.report import render_result
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
 
+#: Set to "1" to let a benchmark run overwrite the tracked BENCH json.
+RECORD_ENV_VAR = "REPRO_BENCH_RECORD"
+
 
 def write_bench_json(path: str, payload: dict) -> None:
     """Write one BENCH payload deterministically.
@@ -29,7 +36,15 @@ def write_bench_json(path: str, payload: dict) -> None:
     Keys are sorted and a trailing newline is emitted, so regenerating an
     unchanged benchmark yields a byte-identical file — ``git diff`` on
     ``results/*.json`` then shows only genuine measurement changes.
+
+    ``path`` names the tracked file; unless ``REPRO_BENCH_RECORD=1`` the
+    payload goes to its untracked sibling under ``local/`` instead,
+    because a single-shot local timing is noise in the repo's history.
     """
+    if os.environ.get(RECORD_ENV_VAR) != "1":
+        path = os.path.join(
+            os.path.dirname(path), "local", os.path.basename(path)
+        )
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)

@@ -19,11 +19,15 @@ conflict-free and the execution is serializable; the optional update log
 feeds :mod:`repro.core.serializability`, which verifies exactly that.
 
 Implementation note.  Factors are held in the storage of the selected
-kernel backend (:mod:`repro.linalg.backends`) — nested Python lists under
-the default small-``k`` list backend, ndarrays under the numpy backend —
-and mutated in place by that backend's kernels.  The backend is chosen by
-``RunConfig.kernel_backend`` (or the ``NOMAD_KERNEL_BACKEND`` environment
-variable), with ``"auto"`` picking by latent dimension.  The
+kernel backend (:mod:`repro.linalg.backends`) — ndarrays under ``cext``
+(what ``"auto"`` picks where a C toolchain exists) and ``numpy``, nested
+Python lists under the interpreted small-``k`` ``list`` fallback — and
+mutated in place by its kernels.  Each worker's ratings stay in its
+shard's CSC arrays beside one per-rating counter array, with one token
+kernel bound over them at construction (``KernelBackend.bind_tokens``):
+a token finish is one ``process_tokens`` call on the item's id, nothing
+marshalled per visit.  The backend is chosen by ``RunConfig.kernel_backend``
+(or the ``NOMAD_KERNEL_BACKEND`` environment variable).  The
 :attr:`NomadSimulation.factors` property materializes a decoupled
 :class:`~repro.linalg.factors.FactorPair` snapshot on demand (evaluation,
 post-run inspection).
@@ -175,7 +179,7 @@ class NomadSimulation:
             )
         validate_init_factors(factors, train.n_rows, train.n_cols, hyper.k)
         # Factors live in the backend's preferred storage and are mutated
-        # in place by its kernels (lists for "list", ndarrays for "numpy").
+        # in place by its kernels (lists for "list", ndarrays otherwise).
         self._backend = resolve_backend(run.kernel_backend, k=hyper.k)
         self._w_store, self._h_store = self._backend.make_store(factors)
 
@@ -184,23 +188,30 @@ class NomadSimulation:
             self._partition = partition_rows_equal_count(train.n_rows, p)
         else:
             self._partition = partition_rows_equal_ratings(train, p)
-        shards = train.shard_by_rows(self._partition)
-        # Per (worker, item): user-index list, rating list, counter list.
-        self._col_users: list[list[list[int]]] = []
-        self._col_ratings: list[list[list[float]]] = []
-        self._col_counts: list[list[list[int]]] = []
-        for shard in shards:
-            users_per_col: list[list[int]] = []
-            ratings_per_col: list[list[float]] = []
-            counts_per_col: list[list[int]] = []
-            for j in range(train.n_cols):
-                users, ratings = shard.column(j)
-                users_per_col.append(users.tolist())
-                ratings_per_col.append(ratings.tolist())
-                counts_per_col.append([0] * users.size)
-            self._col_users.append(users_per_col)
-            self._col_ratings.append(ratings_per_col)
-            self._col_counts.append(counts_per_col)
+        # Per worker: the shard's CSC (indptr, users, ratings) plus its
+        # per-rating counters, with one token kernel bound over them.
+        self._csc = [
+            (*shard.csc(), np.zeros(shard.nnz, dtype=np.int64))
+            for shard in train.shard_by_rows(self._partition)
+        ]
+        self._kernels = [
+            self._backend.bind_tokens(
+                self._w_store, self._h_store, *arrays,
+                hyper.alpha, hyper.beta, hyper.lambda_,
+            )
+            for arrays in self._csc
+        ]
+        # Column bounds as Python ints: they are read on every token visit.
+        self._col_ptr = [arrays[0].tolist() for arrays in self._csc]
+        self._item_ids = np.arange(train.n_cols, dtype=np.int64)
+        # Routing tables, built once: each machine's workers and its peers.
+        machines = range(cluster.n_machines)
+        self._machine_workers = [
+            tuple(cluster.workers_of_machine(m)) for m in machines
+        ]
+        self._other_machines = [
+            tuple(other for other in machines if other != m) for m in machines
+        ]
 
         self._queues: list[deque[ItemToken]] = [deque() for _ in range(p)]
         self._busy = [False] * p
@@ -315,7 +326,8 @@ class NomadSimulation:
             return
         token = self._queues[q].popleft()
         self._busy[q] = True
-        nnz = len(self._col_users[q][token.item])
+        ptr = self._col_ptr[q]
+        nnz = ptr[token.item + 1] - ptr[token.item]
         if nnz:
             delay = self.cluster.sgd_time(q, self.hyper.k, nnz)
         else:
@@ -331,42 +343,36 @@ class NomadSimulation:
     def _finish_token(self, q: int, token: ItemToken) -> None:
         """Apply the token's SGD updates, forward it, continue working."""
         j = token.item
-        users = self._col_users[q][j]
-        if users:
-            counts = self._col_counts[q][j]
+        lo, hi = self._col_ptr[q][j], self._col_ptr[q][j + 1]
+        if hi > lo:
+            _, users, ratings, counts = self._csc[q]
             if self.options.record_updates:
-                for offset, user in enumerate(users):
+                for user, count in zip(
+                    users[lo:hi].tolist(), counts[lo:hi].tolist()
+                ):
                     self.update_log.append(
                         UpdateEvent(
                             seq=self._log_seq,
                             worker=q,
-                            row=int(user),
+                            row=user,
                             col=j,
-                            count=int(counts[offset]),
+                            count=count,
                         )
                     )
                     self._log_seq += 1
             if self.options.loss is None:
-                # One token's column = a batch of one through the fused
-                # entry point (a single discrete event completes here, so
-                # there is never a second column to fuse with).
-                applied = self._backend.process_column_batch(
-                    self._w_store,
-                    (token.vector,),
-                    (users,),
-                    (self._col_ratings[q][j],),
-                    (counts,),
-                    self.hyper.alpha,
-                    self.hyper.beta,
-                    self.hyper.lambda_,
+                # A burst of one: a single discrete event completes here,
+                # so there is never a second column to fuse with.
+                applied = self._kernels[q].process_tokens(
+                    self._item_ids[j:j + 1]
                 )
             else:
                 applied = self._backend.process_column_loss(
                     self._w_store,
                     token.vector,
-                    users,
-                    self._col_ratings[q][j],
-                    counts,
+                    users[lo:hi],
+                    ratings[lo:hi],
+                    counts[lo:hi],
                     self.hyper.alpha,
                     self.hyper.beta,
                     self.hyper.lambda_,
@@ -422,12 +428,7 @@ class NomadSimulation:
                 workers, lambda w: len(self._queues[w]), self._routing_rng
             )
 
-        current_machine = cluster.machine_of(q)
-        other_machines = [
-            machine
-            for machine in range(cluster.n_machines)
-            if machine != current_machine
-        ]
+        other_machines = self._other_machines[cluster.machine_of(q)]
         machine = self.options.policy.choose(
             other_machines, self._machine_queue_size, self._routing_rng
         )
@@ -435,21 +436,19 @@ class NomadSimulation:
             tour = self._machine_tour(machine)
             token.circulation = tour[1:]
             return tour[0]
-        workers = cluster.workers_of_machine(machine)
+        workers = self._machine_workers[machine]
         return self.options.policy.choose(
             workers, lambda w: len(self._queues[w]), self._routing_rng
         )
 
     def _machine_tour(self, machine: int) -> list[int]:
         """A fresh random visiting order of one machine's workers (§3.4)."""
-        workers = self.cluster.workers_of_machine(machine)
+        workers = self._machine_workers[machine]
         return self._routing_rng.sample(workers, len(workers))
 
     def _machine_queue_size(self, machine: int) -> int:
         """Total queued tokens on a machine (the §3.3 payload summed)."""
-        return sum(
-            len(self._queues[w]) for w in self.cluster.workers_of_machine(machine)
-        )
+        return sum(len(self._queues[w]) for w in self._machine_workers[machine])
 
     def _deliver_token(self, q: int, token: ItemToken) -> None:
         """Message arrival: enqueue and wake the worker."""

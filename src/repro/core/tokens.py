@@ -24,11 +24,14 @@ class ItemToken:
     item:
         Item (column) index ``j``.
     vector:
-        The live ``h_j`` coordinates (a mutable sequence — the simulator
-        uses plain Python lists for kernel speed).  NOMAD mutates it in
-        place; because ownership is exclusive, no copy is ever needed —
-        this mirrors the zero-copy hand-off a shared-memory implementation
-        gets from passing pointers through a concurrent queue.
+        The live ``h_j`` coordinates: a mutable row of the kernel
+        backend's item store (an ndarray row view under ``cext`` /
+        ``numpy``, a plain list under ``list``), so it aliases what the
+        simulator's bound token kernels update through the item id.
+        NOMAD mutates it in place; because ownership is exclusive, no
+        copy is ever needed — this mirrors the zero-copy hand-off a
+        shared-memory implementation gets from passing pointers through
+        a concurrent queue.
     circulation:
         Remaining worker ids to visit on the current machine before the
         token pays a network hop (hybrid architecture, §3.4).  Empty for

@@ -13,9 +13,10 @@ variants:
 * **entries with a constant step** — the same sweep with one scalar step
   size per call (DSGD/DSGD++ epochs under the bold driver).
 
-The live shared-memory runtimes run the first variant a burst of
-tokens at a time through :meth:`KernelBackend.bind_tokens`, which binds
-a worker's factors and CSC shard once and then takes bare item ids.
+The live shared-memory runtimes, the dynamic trainer and the simulator
+run the first variant a burst of tokens at a time through
+:meth:`KernelBackend.bind_tokens`, which binds a worker's factors and
+CSC shard once and then takes bare item ids.
 
 Historically each variant existed twice (a list-based scalar loop and an
 ndarray loop), six near-identical copies in total.  A
@@ -165,13 +166,14 @@ class KernelBackend(abc.ABC):
         """Bind a worker's factors and CSC shard once, for bursts of tokens.
 
         For the substrates whose ``h_j`` lives in one matrix (threads,
-        shared-memory processes) a token is a bare item id: item ``j``
-        works row ``h[j]`` against the shard column
+        shared-memory processes, the simulator) a token is a bare item
+        id: item ``j`` works row ``h[j]`` against the shard column
         ``users[indptr[j]:indptr[j + 1]]`` (``ratings`` and the
         per-rating ``counts`` aligned with it — the arrays of
-        :meth:`repro.datasets.ratings.Shard.csc`).  All six arrays must
-        be ndarrays: they are mutated through slices, which only alias
-        for ndarrays.
+        :meth:`repro.datasets.ratings.Shard.csc`).  The four shard
+        arrays must be ndarrays: ``counts`` is mutated through slices,
+        which only alias for ndarrays.  ``w`` / ``h`` are ndarrays or
+        this backend's own :meth:`make_store` storage.
 
         The returned kernel's :meth:`TokenKernel.process_tokens` is
         defined to be identical to looping :meth:`process_column` over

@@ -38,7 +38,7 @@ import numpy as np
 from ...errors import ConfigError
 from ..losses import AbsoluteLoss, HuberLoss, Loss, SquaredLoss
 from . import cext_build
-from .list_backend import sgd_core
+from .list_backend import column_on_lists, sgd_core
 from .base import TokenKernel
 from .numpy_backend import NumpyBackend
 
@@ -84,7 +84,7 @@ def _conform(x: Any, dtype, writebacks: list | None) -> np.ndarray:
     When a copy *was* made and ``writebacks`` is given, the (original,
     copy) pair is recorded so mutations can be propagated back — kernels
     mutate ``w``/``h_col``/``counts`` in place by contract, and callers
-    holding lists (the simulated core's column stores) must observe them.
+    holding lists (a baseline's per-entry counters) must observe them.
     """
     arr = np.ascontiguousarray(x, dtype=dtype)
     if arr is not x and writebacks is not None:
@@ -177,10 +177,9 @@ class CextBackend(NumpyBackend):
         if dispatch is None:
             # Unknown Loss subclass: its gradient is Python code, so run
             # the interpreted reference core rather than guessing in C.
-            return sgd_core(
-                w, None, h_col, user_rows, None, ratings, counts,
-                range(len(user_rows)), alpha, beta, lambda_, 0.0,
-                loss.dloss_dpred,
+            return column_on_lists(
+                sgd_core, w, h_col, user_rows, ratings, counts,
+                alpha, beta, lambda_, loss.dloss_dpred,
             )
         loss_id, loss_param = dispatch
         return self._column_call(

@@ -31,7 +31,7 @@ from ..factors import FactorPair
 from ..losses import Loss
 from .base import KernelBackend
 
-__all__ = ["ListBackend", "sgd_core"]
+__all__ = ["ListBackend", "column_on_lists", "sgd_core"]
 
 
 def sgd_core(
@@ -105,6 +105,34 @@ def sgd_core(
     return applied
 
 
+def _as_list(values: Any) -> Any:
+    return values.tolist() if isinstance(values, np.ndarray) else values
+
+
+def column_on_lists(
+    core, w, h_col, user_rows, ratings, counts, alpha, beta, lambda_, dloss
+) -> int:
+    """One column through ``core`` (:func:`sgd_core` or a function of the
+    same contract), on lists whatever came in.
+
+    Bound token kernels hand in ndarray slices of a worker's CSC arrays.
+    Element access on those yields NumPy scalars, which a Python-level
+    loop is slower on (several times, for the scalar core) and whose
+    ``int64 ** 1.5`` differs from Python's in the last ulp — so each is
+    converted once per call and the counters are written back into the
+    caller's slice afterwards.
+    """
+    users = _as_list(user_rows)
+    counts_list = _as_list(counts)
+    applied = core(
+        w, None, h_col, users, None, _as_list(ratings), counts_list,
+        range(len(users)), alpha, beta, lambda_, 0.0, dloss,
+    )
+    if counts_list is not counts:
+        counts[:] = counts_list
+    return applied
+
+
 class ListBackend(KernelBackend):
     """Nested-list factor storage with pure-Python scalar kernels."""
 
@@ -137,17 +165,17 @@ class ListBackend(KernelBackend):
     def process_column(
         self, w, h_col, user_rows, ratings, counts, alpha, beta, lambda_
     ) -> int:
-        return sgd_core(
-            w, None, h_col, user_rows, None, ratings, counts,
-            range(len(user_rows)), alpha, beta, lambda_, 0.0, None,
+        return column_on_lists(
+            sgd_core, w, h_col, user_rows, ratings, counts,
+            alpha, beta, lambda_, None,
         )
 
     def process_column_loss(
         self, w, h_col, user_rows, ratings, counts, alpha, beta, lambda_, loss: Loss
     ) -> int:
-        return sgd_core(
-            w, None, h_col, user_rows, None, ratings, counts,
-            range(len(user_rows)), alpha, beta, lambda_, 0.0, loss.dloss_dpred,
+        return column_on_lists(
+            sgd_core, w, h_col, user_rows, ratings, counts,
+            alpha, beta, lambda_, loss.dloss_dpred,
         )
 
     def process_entries(

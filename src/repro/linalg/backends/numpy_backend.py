@@ -29,6 +29,7 @@ import numpy as np
 from ..factors import FactorPair
 from ..losses import Loss
 from .base import KernelBackend
+from .list_backend import column_on_lists
 
 __all__ = ["NumpyBackend"]
 
@@ -112,17 +113,17 @@ class NumpyBackend(KernelBackend):
     def process_column(
         self, w, h_col, user_rows, ratings, counts, alpha, beta, lambda_
     ) -> int:
-        return _sgd_core_ndarray(
-            w, None, h_col, user_rows, None, ratings, counts,
-            range(len(user_rows)), alpha, beta, lambda_, 0.0, None,
+        return column_on_lists(
+            _sgd_core_ndarray, w, h_col, user_rows, ratings, counts,
+            alpha, beta, lambda_, None,
         )
 
     def process_column_loss(
         self, w, h_col, user_rows, ratings, counts, alpha, beta, lambda_, loss: Loss
     ) -> int:
-        return _sgd_core_ndarray(
-            w, None, h_col, user_rows, None, ratings, counts,
-            range(len(user_rows)), alpha, beta, lambda_, 0.0, loss.dloss_dpred,
+        return column_on_lists(
+            _sgd_core_ndarray, w, h_col, user_rows, ratings, counts,
+            alpha, beta, lambda_, loss.dloss_dpred,
         )
 
     def process_entries(

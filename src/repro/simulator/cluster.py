@@ -172,9 +172,16 @@ class Cluster:
                 f"machine_speeds must have shape ({n_machines},), "
                 f"got {machine_speeds.shape}"
             )
-        if (machine_speeds <= 0).any():
-            raise ConfigError("machine speeds must be positive")
+        # isfinite first: `NaN <= 0` is false, and a NaN speed turns every
+        # sgd_time of that machine into a NaN delay.
+        if not np.isfinite(machine_speeds).all() or (machine_speeds <= 0).any():
+            raise ConfigError("machine speeds must be positive and finite")
         self.machine_speeds = machine_speeds
+        # Per-worker speed as plain floats: speed_of_worker runs once per
+        # simulated token visit.
+        self._worker_speeds: list[float] = machine_speeds.repeat(
+            self.cores_per_machine
+        ).tolist()
         if jitter < 0:
             raise ConfigError(f"jitter must be >= 0, got {jitter}")
         self.jitter = float(jitter)
@@ -199,7 +206,9 @@ class Cluster:
 
     def machine_of(self, worker_id: int) -> int:
         """Machine hosting a given worker."""
-        return self.worker(worker_id).machine_id
+        if not 0 <= worker_id < len(self._worker_speeds):
+            raise ConfigError(f"worker_id {worker_id} out of range")
+        return worker_id // self.cores_per_machine
 
     def workers_of_machine(self, machine_id: int) -> list[int]:
         """Global worker ids hosted by ``machine_id``."""
@@ -217,7 +226,9 @@ class Cluster:
     # ------------------------------------------------------------------
     def speed_of_worker(self, worker_id: int) -> float:
         """Speed multiplier of the worker's machine."""
-        return float(self.machine_speeds[self.machine_of(worker_id)])
+        if not 0 <= worker_id < len(self._worker_speeds):
+            raise ConfigError(f"worker_id {worker_id} out of range")
+        return self._worker_speeds[worker_id]
 
     def sgd_time(self, worker_id: int, k: int, n_updates: int) -> float:
         """Simulated seconds for a worker to run ``n_updates`` SGD updates."""

@@ -60,7 +60,7 @@ class Simulator:
 
     def schedule_after(self, delay: float, callback: Callable[[], Any]) -> Event:
         """Schedule ``callback`` ``delay`` seconds from now (delay >= 0)."""
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN, which `delay < 0` lets through
             raise SimulationError(f"delay must be >= 0, got {delay}")
         return self._queue.push(self._now + delay, callback)
 

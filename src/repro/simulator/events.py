@@ -4,6 +4,12 @@ Events are ordered by (time, sequence number): the sequence number is a
 monotone counter assigned at scheduling time, so simultaneous events fire in
 the order they were scheduled.  This tie-break is what makes whole-cluster
 simulations bit-reproducible.
+
+The heap holds ``(time, seq, event)`` tuples rather than bare events, so
+``heapq`` orders entries with the C tuple comparison instead of calling a
+Python ``__lt__`` per sift step.  ``seq`` is unique within a queue, so a
+comparison is always decided by the first two fields: the event — and
+with it the callback, which need not be orderable — is never compared.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ class EventQueue:
     """A min-heap of :class:`Event` with stable ordering."""
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._next_seq = 0
 
     def __len__(self) -> int:
@@ -56,23 +62,26 @@ class EventQueue:
 
     def push(self, time: float, callback: Callable[[], Any]) -> Event:
         """Schedule ``callback`` at absolute ``time``; returns the event."""
-        if time < 0:
+        # `not >=` rather than `<`: a NaN time passes `time < 0` and then
+        # compares false against everything, silently corrupting heap order.
+        if not time >= 0:
             raise SimulationError(f"event time must be >= 0, got {time}")
-        event = Event(time=float(time), seq=self._next_seq, callback=callback)
-        self._next_seq += 1
-        heapq.heappush(self._heap, event)
+        seq = self._next_seq
+        event = Event(time=float(time), seq=seq, callback=callback)
+        self._next_seq = seq + 1
+        heapq.heappush(self._heap, (event.time, seq, event))
         return event
 
     def pop(self) -> Event | None:
         """Remove and return the earliest live event, or None when empty."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[2]
             if not event.cancelled:
                 return event
         return None
 
     def peek_time(self) -> float | None:
         """Time of the earliest live event without removing it."""
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None

@@ -108,6 +108,45 @@ class TestKernelEquivalence:
         assert np.allclose(np.asarray(w_l), w_n, atol=ATOL)
         assert np.allclose(np.asarray(h_l), h_n, atol=ATOL)
 
+    @pytest.mark.parametrize(
+        "loss", [None, HuberLoss(delta=0.5)], ids=["square", "huber"]
+    )
+    def test_list_column_kernels_on_ndarray_slices(self, loss):
+        """Bound token kernels hand the list backend slices of a worker's
+        CSC arrays: same bits out as for lists (counters 7, 28, 33 are
+        ones where NumPy's ``int64 ** 1.5`` and Python's differ in the
+        last ulp), and the caller's own array sees the increments."""
+        w, h, rows, _, vals, _ = _fixture(5)
+        nnz, lo = len(rows), 4
+        start = [7, 28, 33] * (nnz // 3)
+        pad = np.full(lo, -1, dtype=np.int64)
+        all_users = np.concatenate([pad, rows, pad])
+        all_ratings = np.concatenate([pad, vals, pad]).astype(np.float64)
+        all_counts = np.concatenate([pad, start, pad])
+        backend = ListBackend()
+
+        def call(w_store, h_col, users, ratings, counts):
+            if loss is None:
+                return backend.process_column(
+                    w_store, h_col, users, ratings, counts, ALPHA, BETA, LAMBDA
+                )
+            return backend.process_column_loss(
+                w_store, h_col, users, ratings, counts, ALPHA, BETA, LAMBDA, loss
+            )
+
+        (w_a, h_a), (w_b, h_b) = _stores(w, h, "list")
+        counts_a = list(start)
+        a = call(w_a, h_a[3], rows.tolist(), vals.tolist(), counts_a)
+        b = call(
+            w_b, h_b[3], all_users[lo:lo + nnz], all_ratings[lo:lo + nnz],
+            all_counts[lo:lo + nnz],
+        )
+        assert a == b == nnz
+        assert w_a == w_b and h_a == h_b
+        assert all_counts[lo:lo + nnz].tolist() == counts_a
+        assert counts_a == [t + 1 for t in start]
+        assert (all_counts[:lo] == -1).all() and (all_counts[lo + nnz:] == -1).all()
+
     @pytest.mark.parametrize("other", OTHER_BACKENDS)
     def test_process_column_batch(self, other):
         """The fused batch entry is identical to looped process_column."""

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -15,15 +18,18 @@ from repro.core.nomad import NomadOptions, NomadSimulation
 from repro.core.serializability import is_serializable, serial_order
 from repro.core.tokens import ItemToken
 from repro.errors import ConfigError
+from repro.linalg.backends import cext_available
 from repro.linalg.factors import init_factors
+from repro.linalg.losses import HuberLoss
 from repro.rng import RngFactory
 from repro.simulator.cluster import Cluster
 from repro.simulator.network import COMMODITY_PROFILE, HPC_PROFILE
 
 
 def run_nomad(train, test, machines=2, cores=2, options=None, run=None,
-              hyper=None, jitter=0.0):
-    cluster = Cluster(machines, cores, HPC_PROFILE, jitter=jitter)
+              hyper=None, jitter=0.0, machine_speeds=None):
+    cluster = Cluster(machines, cores, HPC_PROFILE, jitter=jitter,
+                      machine_speeds=machine_speeds)
     hyper = hyper or HyperParams(k=4, lambda_=0.01, alpha=0.1, beta=0.01)
     run = run or RunConfig(duration=0.01, eval_interval=0.002, seed=7)
     sim = NomadSimulation(train, test, cluster, hyper, run, options=options)
@@ -59,7 +65,66 @@ class TestConvergence:
         assert trace.final_rmse() < trace.records[0].rmse
 
 
+class _UnknownToC(HuberLoss):
+    """A Loss subclass the C dispatch does not know: under cext it runs
+    the interpreted core, which must see the same Python ints and floats
+    it saw when the column stores were lists."""
+
+
+_LIST_DIGEST = "6331d2a86d0d0eaf1490f43b3563b4e0b2521b03619ea8b3bea3fda5b14c77fd"
+_HUBER_DIGEST = "1d9b404d9705d742918e28c28028d0897ef24ef529765c86c159a27fc8d7fb4a"
+
+#: (run_nomad keywords, kernel backend, sha256 of the trace records and
+#: final W‖H); "auto" is cext or, without a toolchain, list.  Recorded on the commit before the
+#: simulator moved from list-of-lists column stores to bound CSC token
+#: kernels, integer topology tables and a tuple-ordered event heap; cext
+#: and list agree bit for bit, numpy differs in the last ulp.
+PINNED_RUNS = {
+    "cext": ({}, "cext", _LIST_DIGEST),
+    "list": ({}, "list", _LIST_DIGEST),
+    "numpy": (
+        {}, "numpy",
+        "079b35d90ec2b32c2be64e16a15f73f3f61e64c80a9622efd98c8ee81e5366e4",
+    ),
+    "huber": (
+        {"options": NomadOptions(loss=HuberLoss(delta=1.0))}, "auto", _HUBER_DIGEST,
+    ),
+    "unknown-loss": (
+        {"options": NomadOptions(loss=_UnknownToC(delta=1.0))}, "auto",
+        _HUBER_DIGEST,
+    ),
+    "least-queue": (
+        {"options": NomadOptions(circulate=False, policy=LeastQueuePolicy())},
+        "auto",
+        "d6ce80e20511154265bde173013a2ce458a68410d9edf49f6b2379d25d689a9e",
+    ),
+    "jitter-speeds": (
+        {"jitter": 0.3, "machine_speeds": np.array([1.0, 0.5])}, "auto",
+        "4000702b8c866276238b79cca255bc56e8b18bbd99f9c234d6d1afc734af1565",
+    ),
+}
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("case", PINNED_RUNS)
+    def test_run_is_bit_identical_to_pinned_digest(self, tiny_split, case):
+        keywords, backend, expected = PINNED_RUNS[case]
+        if backend == "cext" and not cext_available():
+            pytest.skip("no usable C toolchain (cext unavailable)")
+        train, test = tiny_split
+        run = RunConfig(
+            duration=0.01, eval_interval=0.002, seed=7, kernel_backend=backend
+        )
+        sim, trace = run_nomad(train, test, run=run, **keywords)
+        digest = hashlib.sha256()
+        for record in trace.records:
+            digest.update(
+                struct.pack("<dqd", record.time, record.updates, record.rmse)
+            )
+        digest.update(sim.factors.w.tobytes())
+        digest.update(sim.factors.h.tobytes())
+        assert digest.hexdigest() == expected
+
     def test_same_seed_identical_traces(self, tiny_split):
         train, test = tiny_split
         _, a = run_nomad(train, test)
@@ -212,6 +277,19 @@ class TestSerializabilityOfNomad:
         sim, _ = run_nomad(train, test, machines=2, cores=2, options=options)
         assert len(sim.update_log) > 100
         assert is_serializable(sim.update_log)
+        # The same event sequence as before the column stores became CSC
+        # arrays (digest recorded on that commit; every backend agrees).
+        digest = hashlib.sha256()
+        for event in sim.update_log:
+            digest.update(
+                struct.pack(
+                    "<5q", event.seq, event.worker, event.row, event.col,
+                    event.count,
+                )
+            )
+        assert digest.hexdigest() == (
+            "cc13d77d0d2807098f89136d387c2ac2140817b149dffc2eb771b45fb73370b3"
+        )
 
     def test_serial_replay_reproduces_factors(self, tiny_split):
         """Replaying the log in topological order gives identical factors.

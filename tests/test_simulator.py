@@ -53,6 +53,36 @@ class TestEventQueue:
         with pytest.raises(SimulationError):
             EventQueue().push(-1.0, lambda: None)
 
+    def test_nan_time_rejected(self):
+        # NaN passes a `time < 0` guard and then compares false against
+        # every other heap entry, silently corrupting the order.
+        with pytest.raises(SimulationError):
+            EventQueue().push(float("nan"), lambda: None)
+
+    def test_same_time_callbacks_are_never_compared(self):
+        class Unorderable:
+            def __init__(self, log, tag):
+                self.log, self.tag = log, tag
+
+            def __call__(self):
+                self.log.append(self.tag)
+
+            def __lt__(self, other):
+                raise AssertionError("heap compared two callbacks")
+
+        log = []
+        queue = EventQueue()
+        for tag in "abcd":
+            event = queue.push(1.0, Unorderable(log, tag))
+            if tag == "b":
+                event.cancel()
+        queue.push(0.5, Unorderable(log, "early"))
+        assert queue.peek_time() == 0.5
+        while (event := queue.pop()) is not None:
+            event.callback()
+        # Scheduling order among the simultaneous events; "b" is skipped.
+        assert log == ["early", "a", "c", "d"]
+
 
 class TestSimulator:
     def test_runs_in_time_order(self):
@@ -98,6 +128,14 @@ class TestSimulator:
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
             Simulator().schedule_after(-0.1, lambda: None)
+
+    def test_nan_delay_and_time_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule_after(float("nan"), lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("nan"), lambda: None)
+        assert sim.pending() == 0
 
     def test_events_fired_counter(self):
         sim = Simulator()
@@ -198,6 +236,41 @@ class TestCluster:
         with pytest.raises(ConfigError):
             cluster.worker(4)
 
+    def test_integer_topology_agrees_with_worker_objects(self):
+        speeds = np.array([1.0, 0.5, 2.0])
+        cluster = Cluster(3, 4, HPC_PROFILE, machine_speeds=speeds)
+        for worker_id in range(cluster.n_workers):
+            worker = cluster.worker(worker_id)
+            assert cluster.machine_of(worker_id) == worker.machine_id
+            assert worker_id in cluster.workers_of_machine(worker.machine_id)
+            assert cluster.speed_of_worker(worker_id) == speeds[worker.machine_id]
+            for other in range(cluster.n_workers):
+                assert cluster.same_machine(worker_id, other) == (
+                    worker.machine_id == cluster.worker(other).machine_id
+                )
+                delay = cluster.token_delay(worker_id, other, 8)
+                link = (
+                    cluster.intra
+                    if worker.machine_id == cluster.worker(other).machine_id
+                    else cluster.network
+                )
+                assert delay == link.token_delay(8)
+
+    @pytest.mark.parametrize("bad", [-1, 12])
+    def test_topology_range_checks(self, bad):
+        cluster = Cluster(3, 4, HPC_PROFILE)
+        for call in (
+            lambda: cluster.machine_of(bad),
+            lambda: cluster.same_machine(0, bad),
+            lambda: cluster.same_machine(bad, 0),
+            lambda: cluster.speed_of_worker(bad),
+            lambda: cluster.sgd_time(bad, 8, 1),
+            lambda: cluster.token_delay(0, bad, 8),
+            lambda: cluster.workers_of_machine(bad),
+        ):
+            with pytest.raises(ConfigError):
+                call()
+
     def test_token_delay_local_vs_remote(self):
         cluster = Cluster(2, 2, HPC_PROFILE)
         local = cluster.token_delay(0, 1, 8)
@@ -216,6 +289,11 @@ class TestCluster:
             Cluster(2, 1, HPC_PROFILE, machine_speeds=np.array([1.0]))
         with pytest.raises(ConfigError):
             Cluster(2, 1, HPC_PROFILE, machine_speeds=np.array([1.0, 0.0]))
+        # `(speeds <= 0).any()` is false for NaN, and a NaN (or infinite)
+        # speed turns into NaN / zero compute delays downstream.
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                Cluster(2, 1, HPC_PROFILE, machine_speeds=np.array([1.0, bad]))
 
     def test_jitter_disabled_is_exactly_one(self):
         cluster = Cluster(2, 1, HPC_PROFILE, jitter=0.0)

@@ -320,7 +320,10 @@ LIVE_RUN = RunConfig(duration=0.15, eval_interval=0.15, seed=3)
 class TestEngineTelemetry:
     def test_disabled_by_default(self, tiny_split, hyper):
         train, test = tiny_split
-        result = fit(train, test, engine="simulated", hyper=hyper)
+        result = fit(
+            train, test, engine="simulated", hyper=hyper,
+            run=RunConfig(duration=0.05, eval_interval=0.05),
+        )
         assert result.telemetry is None
 
     def test_simulated_reports_virtual_counters(self, tiny_split, hyper):
