@@ -4,13 +4,14 @@ The simulator answers scaling questions; this example runs the actual
 protocol on live concurrency primitives through the same ``repro.fit``
 call — only the ``engine`` string changes:
 
-* ``engine="threaded"`` — real threads + queues.  CPython's GIL
-  serializes the numerics, so adding threads adds little throughput; the
+* ``engine="threaded"`` — real threads passing item ids through token
+  rings.  CPython's GIL serializes interpreted numerics, so adding
+  threads adds little throughput without the compiled backend; the
   value is that the owner-computes protocol (zero locks on parameters)
   runs verbatim.
 * ``engine="multiprocess"`` — worker processes over shared-memory
-  factors, the standard CPython workaround.  Parallelism is real; the
-  protocol is identical.
+  factors and rings, the standard CPython workaround.  Parallelism is
+  real; the worker loop is the very same function.
 * ``engine="cluster"`` — worker processes exchanging serialized token
   envelopes over localhost TCP, no shared memory: the paper's
   multi-machine communication path, paying a real (de)serialization and

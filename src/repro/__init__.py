@@ -118,6 +118,7 @@ from .errors import (
     SimulationError,
     TokenConservationError,
     WireError,
+    WorkerLostError,
 )
 from .experiments import (
     EXPERIMENT_REGISTRY,
@@ -268,5 +269,6 @@ __all__ = [
     "WireError",
     "ClusterError",
     "TokenConservationError",
+    "WorkerLostError",
     "ServeError",
 ]

@@ -2,8 +2,8 @@
 
 Before the facade existed each execution path had its own result shape:
 ``NomadSimulation.run()`` returned a bare :class:`~repro.simulator.trace.Trace`
-(with factors left on the simulation object), the real runtimes returned
-``ThreadedResult``/``MultiprocessResult`` (factors and wall timing, no
+(with factors left on the simulation object), the real runtimes return a
+:class:`~repro.runtime.result.RuntimeResult` (factors and wall timing, no
 trace), and the baselines returned traces with their own conventions.
 :class:`FitResult` normalizes all of them: one convergence trace, one
 trained factor pair, one lazily-built :class:`~repro.model.CompletionModel`,

@@ -101,9 +101,10 @@ class ClusterNomad:
         ``None`` (default) takes ``run.seed`` when a :class:`RunConfig`
         is given, else 0; an explicit value always wins.
     kernel_backend:
-        Kernel backend name (``"auto"``/``"list"``/``"numpy"``); resolved
-        exactly like the other live runtimes.  Workers instantiate the
-        backend by name on their side of the process boundary.
+        Kernel backend name (``"auto"``/``"list"``/``"numpy"``/``"cext"``);
+        resolved exactly like the other live runtimes.  Workers
+        instantiate the backend by name on their side of the process
+        boundary.
     run:
         Optional :class:`~repro.config.RunConfig`; ``duration`` is the
         wall-clock budget of :meth:`run`, ``seed``/``kernel_backend``

@@ -38,6 +38,7 @@ from ..datasets.ratings import Shard
 from ..errors import ClusterError
 from ..linalg.backends import get_backend
 from ..rng import derive_pyrandom
+from ..runtime.loop import BURST_TOKENS
 from ..telemetry import (
     C_BATCHES,
     C_DRAINS,
@@ -64,10 +65,6 @@ __nomad_owner_contexts__ = ("run_worker",)
 
 #: Receive poll period while the inbox is empty, seconds.
 _POLL_SECONDS = 0.02
-
-#: Tokens processed per loop iteration before re-polling the transport,
-#: so a deep inbox cannot starve stop/drain handling.
-_BURST = 32
 
 #: How long a worker keeps draining after ``Stop`` before giving up on
 #: missing ``Fin`` markers (a dead peer); its own result still ships.
@@ -203,7 +200,8 @@ def run_worker(
                 break
             continue
 
-        # Pop one burst of tokens, run them through a single fused kernel
+        # Pop one burst of tokens (capped, so a deep inbox cannot starve
+        # stop/drain handling), run them through a single fused kernel
         # call, then route.  The pop count is fixed before any self-hop
         # re-append, so exactly the tokens the unbatched loop would have
         # processed are processed, in the same order; each token's §3.3
@@ -213,7 +211,7 @@ def run_worker(
             now = clock()
             rec.point(POINT_QUEUE_DEPTH, len(inbox))
             rec.add(C_DRAINS)
-        for _ in range(min(len(inbox), _BURST)):
+        for _ in range(min(len(inbox), BURST_TOKENS)):
             token = inbox.popleft()
             token.queue_hint = len(inbox)
             if rec is not None:

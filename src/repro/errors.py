@@ -78,12 +78,24 @@ class ClusterError(ReproError):
 
 
 class TokenConservationError(ReproError):
-    """A shared-memory runtime lost or duplicated a token.
+    """A token-ring runtime lost or duplicated a token.
 
-    Raised by :mod:`repro.runtime.multiprocess` when its end-of-run
-    check finds the token rings holding anything other than each item
-    exactly once, and by :mod:`repro.runtime.mailbox` when a push would
-    overflow a ring (only a duplicated token can cause that).  Like
+    Raised by the threaded and multiprocess engines
+    (:mod:`repro.runtime.loop`) when the end-of-run check finds the
+    token rings holding anything other than each item exactly once, and
+    by :mod:`repro.runtime.mailbox` when a push would overflow a ring
+    (only a duplicated token can cause that).  Like
     :class:`SimulationError` and :class:`ClusterError`, a protocol bug,
     never a user mistake.
+    """
+
+
+class WorkerLostError(ReproError):
+    """A threaded or multiprocess worker stopped without reporting.
+
+    Raised at the end of a run (after every shared-memory block is
+    unlinked) naming the worker ids that crashed, or hung past the join
+    timeout and were killed: the rows they owned stopped training at an
+    unknown point, so the factors are not returned.  The cluster engine
+    raises :class:`ClusterError` for the same event.
     """

@@ -5,8 +5,8 @@ all baselines share one audited implementation of the update mathematics.
 The SGD inner loops are provided by the pluggable backends of
 :mod:`repro.linalg.backends` (selected per run via
 ``RunConfig.kernel_backend`` / the ``NOMAD_KERNEL_BACKEND`` environment
-variable); :mod:`repro.linalg.kernels` keeps thin function wrappers over
-them plus the ALS/CCD++ closed-form kernels.
+variable); :mod:`repro.linalg.kernels` keeps the single-pair reference
+update plus the ALS/CCD++ closed-form kernels.
 """
 
 from .factors import FactorPair, init_factors
@@ -24,7 +24,6 @@ from .backends import (
 )
 from .kernels import (
     sgd_update_pair,
-    sgd_process_column,
     als_solve_row,
     ccd_coordinate_update,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "get_backend",
     "resolve_backend",
     "sgd_update_pair",
-    "sgd_process_column",
     "als_solve_row",
     "ccd_coordinate_update",
 ]

@@ -29,7 +29,7 @@ Because updates are sequential-dependent (every update to a row feeds the
 next prediction involving that row), all backends preserve the exact
 visit order and the per-rating counter schedule; backends may only differ
 in floating-point rounding at the last-ulp level (the equivalence suite in
-``tests/test_kernel_backends.py`` pins them together at ``atol=1e-10``).
+``tests/test_backends.py`` pins them together at ``atol=1e-10``).
 
 A backend also owns the *factor storage* its kernels are fastest on
 (nested Python lists for :class:`~repro.linalg.backends.list_backend.ListBackend`,
@@ -105,7 +105,14 @@ class KernelBackend(abc.ABC):
         beta: float,
         lambda_: float,
     ) -> int:
-        """Sequential SGD over one item's local ratings (square loss)."""
+        """Sequential SGD over one item's local ratings (square loss).
+
+        NOMAD's token work (§3.1; Algorithm 1 lines 16–21 over Ω̄^(q)_j):
+        the ``w`` rows listed in ``user_rows`` and ``h_col`` are updated
+        in place, each rating's step size follows equation (11) from its
+        entry of ``counts`` (incremented here), and the number of updates
+        applied (``len(user_rows)``) is returned.
+        """
 
     @abc.abstractmethod
     def process_column_loss(

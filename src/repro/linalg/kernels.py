@@ -5,20 +5,12 @@ index arrays in, in-place factor mutation out — so that NOMAD, DSGD, FPSGD
 and the coordinate/ALS methods all execute byte-identical mathematics and
 differ only in *scheduling*, which is exactly the comparison the paper makes.
 
-Since the kernel-backend refactor, the six historical SGD loop variants in
-this module are thin wrappers over :mod:`repro.linalg.backends`, which holds
-exactly one parameterized inner loop per execution strategy:
-
-* the ndarray functions (:func:`sgd_process_column`,
-  :func:`sgd_process_entries`) delegate to
-  :class:`~repro.linalg.backends.NumpyBackend`;
-* the ``*_fast`` list functions delegate to
-  :class:`~repro.linalg.backends.ListBackend`.
-
-New code should depend on a :class:`~repro.linalg.backends.KernelBackend`
-(resolved via :func:`~repro.linalg.backends.resolve_backend`) rather than
-these module-level functions; the wrappers remain for callers that pin one
-concrete representation.
+The SGD inner loops themselves live in :mod:`repro.linalg.backends` — one
+parameterized loop per execution strategy behind the
+:class:`~repro.linalg.backends.KernelBackend` interface (resolved via
+:func:`~repro.linalg.backends.resolve_backend`).  This module keeps the
+single-pair reference update the backends are tested against and the
+ALS/CCD++ closed-form kernels.
 
 A note on the SGD update sign: Algorithm 1 of the paper writes the update as
 ``w ← w − s·[(A − ⟨w,h⟩)h + λw]``, which contains a well-known typo (the
@@ -37,23 +29,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .backends import ListBackend, NumpyBackend
-from .losses import Loss
-
 __all__ = [
     "sgd_update_pair",
-    "sgd_process_column",
-    "sgd_process_entries",
-    "sgd_process_column_fast",
-    "sgd_process_column_loss_fast",
-    "sgd_process_entries_fast",
-    "sgd_process_entries_const_fast",
     "als_solve_row",
     "ccd_coordinate_update",
 ]
-
-_LIST = ListBackend()
-_NUMPY = NumpyBackend()
 
 
 def sgd_update_pair(
@@ -68,154 +48,6 @@ def sgd_update_pair(
     w_old = w_row.copy()
     w_row -= step * (error * h_col + lambda_ * w_row)
     h_col -= step * (error * w_old + lambda_ * h_col)
-
-
-def sgd_process_column(
-    w: np.ndarray,
-    h_col: np.ndarray,
-    user_rows: np.ndarray,
-    ratings: np.ndarray,
-    counts: np.ndarray,
-    alpha: float,
-    beta: float,
-    lambda_: float,
-) -> int:
-    """Process all local ratings of one item — NOMAD's token work (§3.1).
-
-    Runs the sequential SGD updates of Algorithm 1 lines 16–21 over the set
-    Ω̄^(q)_j on ndarray factors, via the numpy backend.  The step size
-    follows equation (11), ``s_t = α / (1 + β·t^1.5)``, where ``t`` is the
-    per-rating update count maintained in ``counts`` (incremented here).
-
-    ``w`` rows listed in ``user_rows`` and ``h_col`` are updated in place;
-    returns the number of SGD updates applied (== ``len(user_rows)``).
-    """
-    return _NUMPY.process_column(
-        w, h_col, user_rows, ratings, counts, alpha, beta, lambda_
-    )
-
-
-def sgd_process_entries(
-    w: np.ndarray,
-    h: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    ratings: np.ndarray,
-    counts: np.ndarray,
-    alpha: float,
-    beta: float,
-    lambda_: float,
-    order: np.ndarray | None = None,
-) -> int:
-    """Run sequential SGD over an arbitrary list of observed entries.
-
-    Used by DSGD/DSGD++/FPSGD block passes and the serial baseline when
-    factors are ndarrays.  The entries are visited in ``order`` (default:
-    given order); each visit uses and increments its per-rating counter,
-    keeping the step-size schedule identical to NOMAD's.
-
-    Returns the number of updates applied.
-    """
-    indices = order if order is not None else range(len(rows))
-    return _NUMPY.process_entries(
-        w, h, rows, cols, ratings, counts, alpha, beta, lambda_, indices
-    )
-
-
-def sgd_process_column_fast(
-    w_rows: list,
-    h_col: list,
-    user_rows: list,
-    ratings: list,
-    counts: list,
-    alpha: float,
-    beta: float,
-    lambda_: float,
-) -> int:
-    """List-based fast path of :func:`sgd_process_column`.
-
-    For the small latent dimensions used in scaled experiments (k ≲ 64),
-    NumPy's per-call overhead dominates the inner loop; plain Python float
-    arithmetic over lists is several times faster.  The mathematics is the
-    list backend's single parameterized core (verified equivalent by the
-    cross-backend suite).  All list arguments are mutated in place.
-
-    Returns the number of updates applied.
-    """
-    return _LIST.process_column(
-        w_rows, h_col, user_rows, ratings, counts, alpha, beta, lambda_
-    )
-
-
-def sgd_process_column_loss_fast(
-    w_rows: list,
-    h_col: list,
-    user_rows: list,
-    ratings: list,
-    counts: list,
-    alpha: float,
-    beta: float,
-    lambda_: float,
-    loss: Loss,
-) -> int:
-    """Generic-loss variant of :func:`sgd_process_column_fast`.
-
-    The paper's §6 notes the NOMAD scheme applies to any objective of the
-    form ``Σ f_ij(w_i, h_j)``; this kernel realizes that for any separable
-    :class:`~repro.linalg.losses.Loss`: the square-loss error term
-    ``⟨w,h⟩ − a`` generalizes to ``loss.dloss_dpred(a, ⟨w,h⟩)`` and the
-    update structure is otherwise identical.  Slower than the specialized
-    kernel (one Python call per update), so the square-loss fast path
-    remains the default.
-    """
-    return _LIST.process_column_loss(
-        w_rows, h_col, user_rows, ratings, counts, alpha, beta, lambda_, loss
-    )
-
-
-def sgd_process_entries_fast(
-    w_rows: list,
-    h_rows: list,
-    entry_rows: list,
-    entry_cols: list,
-    ratings: list,
-    counts: list,
-    alpha: float,
-    beta: float,
-    lambda_: float,
-    order: list,
-) -> int:
-    """List-based fast path of :func:`sgd_process_entries`.
-
-    Same mathematics and counter semantics; used by the block-scheduled
-    baselines (DSGD, DSGD++, FPSGD**) whose inner loops are identical to
-    NOMAD's and must stay cost-comparable for a fair shape comparison.
-    """
-    return _LIST.process_entries(
-        w_rows, h_rows, entry_rows, entry_cols, ratings, counts,
-        alpha, beta, lambda_, order,
-    )
-
-
-def sgd_process_entries_const_fast(
-    w_rows: list,
-    h_rows: list,
-    entry_rows: list,
-    entry_cols: list,
-    ratings: list,
-    step: float,
-    lambda_: float,
-    order: list,
-) -> int:
-    """Constant-step variant of :func:`sgd_process_entries_fast`.
-
-    DSGD and DSGD++ adapt one global step size per epoch with the bold
-    driver (§5.1) instead of per-rating counters, so their inner loop takes
-    the step as a scalar.  Mathematics is otherwise identical.
-    """
-    return _LIST.process_entries_const(
-        w_rows, h_rows, entry_rows, entry_cols, ratings, step, lambda_, order
-    )
 
 
 def als_solve_row(

@@ -5,24 +5,21 @@ results; this package provides the paper's *protocol* running on actual
 concurrent workers:
 
 * :class:`~repro.runtime.threaded.ThreadedNomad` — worker threads passing
-  item tokens through thread-safe queues, owner-computes with zero locks on
-  the parameters themselves.  Faithful to Algorithm 1's structure; the GIL
-  serializes the numerics, so use it for protocol validation rather than
-  speedups.
+  item tokens through :class:`~repro.runtime.mailbox.TokenRings`,
+  owner-computes with zero locks on the parameters themselves.  Faithful
+  to Algorithm 1's structure; the GIL serializes interpreted numerics, so
+  use it for protocol validation rather than speedups.
 * :class:`~repro.runtime.multiprocess.MultiprocessNomad` — worker
-  *processes* over shared-memory factor matrices, the standard CPython
-  workaround for GIL-bound compute.  Demonstrates genuine parallel
-  lock-free execution of the NOMAD update rule.
+  *processes* over shared-memory factor matrices and rings, the standard
+  CPython workaround for GIL-bound compute.  Demonstrates genuine
+  parallel lock-free execution of the NOMAD update rule.
+
+Both run one loop, :func:`~repro.runtime.loop.run_token_loop`, and return
+one :class:`~repro.runtime.result.RuntimeResult`.
 """
 
 from .result import RuntimeResult
-from .threaded import ThreadedNomad, ThreadedResult
-from .multiprocess import MultiprocessNomad, MultiprocessResult
+from .threaded import ThreadedNomad
+from .multiprocess import MultiprocessNomad
 
-__all__ = [
-    "RuntimeResult",
-    "ThreadedNomad",
-    "ThreadedResult",
-    "MultiprocessNomad",
-    "MultiprocessResult",
-]
+__all__ = ["RuntimeResult", "ThreadedNomad", "MultiprocessNomad"]

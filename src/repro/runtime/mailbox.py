@@ -1,19 +1,22 @@
-"""Shared-memory token rings: the multiprocess runtime's mailboxes.
+"""Token rings: the mailboxes of the threaded and multiprocess runtimes.
 
-One int64 block holds a ring per worker: a ``head``/``tail`` pair of
-monotonically increasing counters and ``capacity`` slots of item ids.
-A token in this runtime *is* an item id (``h_j`` already lives in shared
-memory), so moving a burst between processes is two slice copies — no
-pickling, no feeder thread, no pipe whose buffer a stopped run could
-fill.
+One int64 block — a shared-memory block between processes, a
+``bytearray`` between threads — holds a ring per worker: a
+``head``/``tail`` pair of monotonically increasing counters and
+``capacity`` slots of item ids.  A token in these runtimes *is* an item
+id (``h_j`` already lives in memory every worker sees), so moving a
+burst between workers is two slice copies — no pickling, no feeder
+thread, no pipe whose buffer a stopped run could fill.
 
-Synchronisation is one fork-inherited :class:`multiprocessing.Lock` per
-ring, taken **once per batch** by :meth:`TokenRings.push_many` and
+Synchronisation is one lock per ring (a fork-inherited
+:class:`multiprocessing.Lock`, or a :class:`threading.Lock`), taken
+**once per batch** by :meth:`TokenRings.push_many` and
 :meth:`TokenRings.pop_many`.  The paper allows exactly this — the
 queues are the only synchronised objects (§3.5) — and the lock's
 acquire/release pair is what orders the slot writes against the counter
 update on every architecture; nothing here relies on the ordering of
-plain numpy loads and stores.
+plain numpy loads and stores.  A held lock is retried before it is
+slept on (:func:`_acquire`).
 
 ``capacity`` is the next power of two ≥ ``n_items``: tokens are
 conserved, so no ring can ever be asked to hold more than every item at
@@ -37,15 +40,35 @@ __all__ = ["TokenRings"]
 _HEADER = 8
 _HEAD, _TAIL = 0, 1
 _EMPTY = np.empty(0, dtype=np.int64)
+#: Non-blocking tries at a held ring lock before sleeping on it.  A ring
+#: lock is held for two slice copies (a few µs) and a failed try costs
+#: ~0.1 µs, so the holder is normally gone well inside this many tries.
+#: A blocking acquire sleeps in the kernel instead, and whether two
+#: workers' bursts collide on a lock is a matter of their phase: on the
+#: mp-sparse shape ~2 500 acquires per worker-second slept, each for as
+#: long as the host takes to wake an idled virtual CPU, so a window's
+#: throughput depended on whether its workers happened to collide
+#: (22M–34M updates/s inside one quiet run; 31M–39M with the retry,
+#: measured for PR 16).
+_SPIN_TRIES = 200
+
+
+def _acquire(lock) -> None:
+    """Take ``lock``: spin briefly, then block."""
+    for _ in range(_SPIN_TRIES):
+        if lock.acquire(False):
+            return
+    lock.acquire()
 
 
 class TokenRings:
     """``n_workers`` bounded FIFO rings of item ids over one buffer.
 
     ``buffer`` must hold :meth:`nbytes` bytes and start zeroed (a fresh
-    ``SharedMemory`` block does); the creator owns its lifetime.  Build
-    the object **before** forking: children must inherit ``locks``
-    (``context.Lock()`` each), which cannot be pickled across ``spawn``.
+    ``SharedMemory`` block or ``bytearray`` does); the creator owns its
+    lifetime.  Between processes, build the object **before** forking:
+    children must inherit ``locks`` (``context.Lock()`` each), which
+    cannot be pickled across ``spawn``.
     """
 
     def __init__(self, buffer, n_workers: int, n_items: int, locks: list):
@@ -70,7 +93,9 @@ class TokenRings:
         """Append ``items`` (int64 array) to ring ``dst``, in order."""
         n = items.shape[0]
         ring = self._rings[dst]
-        with self._locks[dst]:
+        lock = self._locks[dst]
+        _acquire(lock)
+        try:
             head, tail = int(ring[_HEAD]), int(ring[_TAIL])
             if tail - head + n > self.capacity:
                 raise TokenConservationError(
@@ -84,12 +109,16 @@ class TokenRings:
             data[start:start + first] = items[:first]
             data[:n - first] = items[first:]
             ring[_TAIL] = tail + n
+        finally:
+            lock.release()
 
     def pop_many(self, src: int, limit: int) -> np.ndarray:
         """Remove and return up to ``limit`` of ring ``src``'s oldest ids
         (a fresh array; empty when the ring is)."""
         ring = self._rings[src]
-        with self._locks[src]:
+        lock = self._locks[src]
+        _acquire(lock)
+        try:
             head = int(ring[_HEAD])
             n = min(int(ring[_TAIL]) - head, limit)
             if n <= 0:
@@ -101,6 +130,8 @@ class TokenRings:
             items[:first] = data[start:start + first]
             items[first:] = data[:n - first]
             ring[_HEAD] = head + n
+        finally:
+            lock.release()
         return items
 
     def route(self, items: np.ndarray, dests: np.ndarray) -> None:
@@ -114,8 +145,12 @@ class TokenRings:
     def depth(self, src: int) -> int:
         """Tokens waiting in ring ``src`` right now."""
         ring = self._rings[src]
-        with self._locks[src]:
+        lock = self._locks[src]
+        _acquire(lock)
+        try:
             return int(ring[_TAIL]) - int(ring[_HEAD])
+        finally:
+            lock.release()
 
     def check_conserved(self, n_items: int) -> None:
         """Raise unless the rings together hold each of ``range(n_items)``

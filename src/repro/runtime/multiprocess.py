@@ -20,22 +20,17 @@ The NOMAD structure is unchanged from Algorithm 1:
 Because ownership is exclusive by construction, no locks guard any float:
 the only synchronized objects are the rings themselves, exactly as in the
 paper ("the only interaction between threads is via operations on the
-queue", §3.5).  Nothing Python-level happens per token: a worker pops a
-burst as one int64 array, hands it to the kernel bound to its shard at
-start (:meth:`~repro.linalg.backends.base.KernelBackend.bind_tokens` —
-one native call on the compiled backend), draws the burst's destinations
-in one call, and pushes each destination's share under one lock.
+queue", §3.5).  Each process runs
+:func:`~repro.runtime.loop.run_token_loop`, the loop the threaded runtime
+runs too.
 
 Since no token ever sits in a pipe, shutdown cannot depend on a pipe's
 capacity (the old ``mp.Queue`` mailboxes blocked every worker's exit
-once ≳10k tokens were in flight), and once every worker has reported,
-the rings must hold each item exactly once — :meth:`MultiprocessNomad.run`
-checks that and raises :class:`~repro.errors.TokenConservationError`
-otherwise.
+once ≳10k tokens were in flight).
 
 Two runtime caveats:
 
-* **Start method.**  The ring locks (and the rings' mapping) reach the
+* **Start method.**  The ring locks and every block's mapping reach the
   workers by inheritance, which only works under the ``fork`` start
   method.  This runtime therefore requests an explicit fork context and
   raises :class:`~repro.errors.ConfigError` on platforms without it
@@ -49,61 +44,26 @@ Two runtime caveats:
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing as mp
 import queue as queue_module
-import time
 
 import numpy as np
 from multiprocessing import shared_memory
 
-from ..config import HyperParams, RunConfig
-from ..datasets.ratings import RatingMatrix, Shard
+from ..config import HyperParams
 from ..errors import ConfigError
-from ..linalg.backends import get_backend, resolve_backend
-from ..linalg.factors import FactorPair, init_factors, validate_init_factors
-from ..linalg.objective import test_rmse
-from ..partition.partitioners import partition_worker_triplets
-from ..rng import RngFactory, derive_rng
-from ..telemetry import (
-    C_BATCHES,
-    C_DRAINS,
-    C_IDLE_POLLS,
-    C_TOKENS,
-    C_UPDATES,
-    POINT_QUEUE_DEPTH,
-    Recorder,
-    RunTelemetry,
-    SPAN_HOP,
-    SPAN_IDLE,
-    SPAN_KERNEL,
-    WorkerTelemetry,
-    clock,
-)
+from ..telemetry import clock
+from .loop import TokenRingNomad, run_worker
 from .mailbox import TokenRings
-from .result import RuntimeResult, resolve_duration, resolve_run_settings
 
-__all__ = ["MultiprocessNomad", "MultiprocessResult"]
+__all__ = ["MultiprocessNomad"]
 
-#: nomadlint NMD001 owner contexts: ``_worker_main`` is the per-process
-#: token-dispatch loop (exclusive by token ownership); ``run`` seeds the
-#: shared blocks before any worker exists and snapshots them after every
-#: worker has exited — both outside the concurrent window.
-__nomad_owner_contexts__ = ("_worker_main", "run")
+#: nomadlint NMD001 owner contexts: ``_shared_state`` seeds the shared
+#: blocks before any worker exists — outside the concurrent window.
+__nomad_owner_contexts__ = ("_shared_state",)
 
-#: A worker that finds its ring empty sleeps this long, doubling per
-#: consecutive empty poll up to the cap (which also bounds how late it
-#: notices the stop event).
-_IDLE_SLEEP_MIN = 50e-6
-_IDLE_SLEEP_MAX = 2e-3
 _JOIN_TIMEOUT = 10.0
-#: Max tokens popped per ring visit into one kernel call (the same burst
-#: discipline as the threaded runtime and cluster worker).
-_BURST_TOKENS = 32
-
-
-class MultiprocessResult(RuntimeResult):
-    """Outcome of a multiprocess NOMAD run; see
-    :class:`~repro.runtime.result.RuntimeResult` for the field contract."""
 
 
 def _fork_context() -> mp.context.BaseContext:
@@ -126,120 +86,28 @@ def _fork_context() -> mp.context.BaseContext:
 
 
 def _worker_main(
-    worker_id: int,
-    n_workers: int,
-    shm_w_name: str,
-    shm_h_name: str,
-    shape_w: tuple[int, int],
-    shape_h: tuple[int, int],
-    shard_rows: np.ndarray,
-    shard_cols: np.ndarray,
-    shard_vals: np.ndarray,
-    hyper: HyperParams,
-    backend_name: str,
-    seed: int,
-    rings: TokenRings,
-    stop_event,
-    result_queue,
-    shm_times_name: str | None = None,
+    worker_id, n_workers, w, h, put_times, shard,
+    hyper: HyperParams, backend, seed, rings, stop, result_queue,
 ) -> None:
-    """Entry point of one worker process (module-level for picklability).
+    """Entry point of one worker process.  ``w``, ``h``, ``put_times``
+    and ``rings`` are views over shared blocks the fork inherited mapped;
+    ``shard`` is the parent's own, inherited copy-on-write and only read.
 
     ``hyper`` travels as the :class:`~repro.config.HyperParams` dataclass
     itself — named field access instead of positional tuple unpacking, so
-    a field reorder can never silently swap α and λ.
-
-    ``shm_times_name`` (set only when telemetry is enabled) names a third
-    shared block holding one :func:`~repro.telemetry.clock` stamp per
-    item: the token's most recent ring-push time, written by the
-    routing worker and read by the popping worker to produce cross-process
-    hop spans (``perf_counter`` reads ``CLOCK_MONOTONIC`` on Linux, so
-    stamps are comparable across the forked processes of one host).
+    a field reorder can never silently swap α and λ.  A process that
+    raises never reports, which :meth:`MultiprocessNomad.run` turns into
+    a typed error.
     """
-    backend = get_backend(backend_name)
-
-    shm_w = shared_memory.SharedMemory(name=shm_w_name)
-    shm_h = shared_memory.SharedMemory(name=shm_h_name)
-    shm_times = (
-        shared_memory.SharedMemory(name=shm_times_name)
-        if shm_times_name is not None
-        else None
+    result_queue.put(
+        (
+            worker_id,
+            *run_worker(
+                worker_id, n_workers, w, h, put_times, shard,
+                hyper, backend, seed, rings, stop,
+            ),
+        )
     )
-    rec = Recorder(worker_id) if shm_times is not None else None
-    updates = 0
-    try:
-        w = np.ndarray(shape_w, dtype=np.float64, buffer=shm_w.buf)
-        h = np.ndarray(shape_h, dtype=np.float64, buffer=shm_h.buf)
-        put_times = (
-            np.ndarray((shape_h[0],), dtype=np.float64, buffer=shm_times.buf)
-            if shm_times is not None
-            else None
-        )
-        shard = Shard(
-            worker=worker_id,
-            n_cols=shape_h[0],
-            rows=shard_rows,
-            cols=shard_cols,
-            vals=shard_vals,
-        )
-        counts = np.zeros(shard.nnz, dtype=np.int64)
-        kernel = backend.bind_tokens(
-            w, h, *shard.csc(), counts, hyper.alpha, hyper.beta, hyper.lambda_
-        )
-        routing = derive_rng(seed, f"mp-route-{worker_id}")
-        idle_sleep = _IDLE_SLEEP_MIN
-
-        while True:
-            if rec is not None:
-                poll_start = clock()
-            burst = rings.pop_many(worker_id, _BURST_TOKENS)
-            if not burst.size:
-                if stop_event.is_set():
-                    return
-                time.sleep(idle_sleep)
-                idle_sleep = min(2 * idle_sleep, _IDLE_SLEEP_MAX)
-                if rec is not None:
-                    rec.span(SPAN_IDLE, poll_start, clock() - poll_start)
-                    rec.add(C_IDLE_POLLS)
-                continue
-            idle_sleep = _IDLE_SLEEP_MIN
-            if rec is not None:
-                rec.point(POINT_QUEUE_DEPTH, rings.depth(worker_id))
-                rec.add(C_DRAINS)
-                rec.add(C_TOKENS, burst.size)
-                arrived = put_times[burst]
-                kernel_start = clock()
-                rec.spans(SPAN_HOP, arrived, kernel_start - arrived)
-            applied = kernel.process_tokens(burst)
-            updates += applied
-            if rec is not None:
-                route_time = clock()
-                rec.span(
-                    SPAN_KERNEL, kernel_start, route_time - kernel_start,
-                    applied,
-                )
-                rec.add(C_UPDATES, applied)
-                rec.add(C_BATCHES)
-                put_times[burst] = route_time
-            # Route every popped token onward so none is lost, even when
-            # stopping.
-            rings.route(burst, routing.integers(n_workers, size=burst.size))
-            if stop_event.is_set():
-                return
-    finally:
-        # The telemetry snapshot rides the existing result channel as a
-        # plain dict (picklable, version-free: both ends are one fork).
-        result_queue.put(
-            (
-                worker_id,
-                updates,
-                rec.snapshot().to_dict() if rec is not None else None,
-            )
-        )
-        shm_w.close()
-        shm_h.close()
-        if shm_times is not None:
-            shm_times.close()
 
 
 def _release_blocks(blocks: list[shared_memory.SharedMemory]) -> None:
@@ -260,104 +128,12 @@ def _release_blocks(blocks: list[shared_memory.SharedMemory]) -> None:
             pass  # already gone, or unlinkable — never skip later blocks
 
 
-class MultiprocessNomad:
-    """Owner-computes NOMAD over processes and shared memory.
+class MultiprocessNomad(TokenRingNomad):
+    """Owner-computes NOMAD over processes and shared memory; parameters
+    and ``run()`` are :class:`~repro.runtime.loop.TokenRingNomad`'s."""
 
-    Parameters
-    ----------
-    train, test:
-        Rating matrices of one shape.
-    n_workers:
-        Number of worker processes (>= 1).
-    hyper:
-        Model hyperparameters.
-    seed:
-        Root seed (initialization, token scattering, per-worker routing).
-        ``None`` (default) takes ``run.seed`` when a :class:`RunConfig`
-        is given, else 0; an explicit value always wins.
-    kernel_backend:
-        Kernel backend name (``"auto"``/``"list"``/``"numpy"``/``"cext"``);
-        ``None`` (default) takes ``run.kernel_backend`` when a run config
-        is given, else consults ``$NOMAD_KERNEL_BACKEND``, then
-        ``"auto"``.  The shared-memory factors are ndarrays, so ``"auto"``
-        resolves to the compiled backend when a toolchain is present
-        (workers hand their shared blocks straight to the C kernels with
-        zero copies) and the numpy backend otherwise.
-    run:
-        Optional :class:`~repro.config.RunConfig`.  Its ``duration`` is
-        the wall-clock budget of :meth:`run` (the same field the
-        simulated engine honors — previously the real runtimes silently
-        ignored it), and its ``seed``/``kernel_backend`` become the
-        defaults above.  ``eval_interval`` is unused here and
-        ``max_updates`` is rejected eagerly (workers cannot be halted at
-        an exact global update count).
-    init_factors:
-        Optional warm-start factors (validated against the train shape
-        and ``hyper.k``); the shared-memory blocks are seeded from them
-        instead of the seed-determined initialization.  The caller's
-        arrays are only read.
-    telemetry:
-        When true each worker process records token hops, queue depths,
-        kernel batches, and idle polls (:mod:`repro.telemetry`), ships
-        its snapshot back through the existing result queue, and the
-        result carries a merged :class:`~repro.telemetry.RunTelemetry`.
-        Enabling allocates one extra shared block (8 bytes per item)
-        for cross-process hop stamps; default off.
-    """
-
-    def __init__(
-        self,
-        train: RatingMatrix,
-        test: RatingMatrix,
-        n_workers: int,
-        hyper: HyperParams,
-        seed: int | None = None,
-        kernel_backend: str | None = None,
-        run: RunConfig | None = None,
-        init_factors: FactorPair | None = None,
-        telemetry: bool = False,
-    ):
-        if n_workers < 1:
-            raise ConfigError(f"n_workers must be >= 1, got {n_workers}")
-        if train.shape != test.shape:
-            raise ConfigError("train/test shapes disagree")
-        self.train = train
-        self.test = test
-        self.n_workers = int(n_workers)
-        self.hyper = hyper
-        self.run_config = run
-        self.seed, kernel_backend = resolve_run_settings(
-            seed, kernel_backend, run
-        )
-        self.backend = resolve_backend(
-            kernel_backend, k=hyper.k, storage="ndarray"
-        )
-        if init_factors is not None:
-            validate_init_factors(
-                init_factors, train.n_rows, train.n_cols, hyper.k
-            )
-        self._init_factors = init_factors
-        self.telemetry = bool(telemetry)
-
-    def run(self, duration_seconds: float | None = None) -> MultiprocessResult:
-        """Run the worker pool for ``duration_seconds`` of wall time.
-
-        ``None`` (default) falls back to the constructor run config's
-        ``duration``, or 1 second when no run config was given.
-        """
-        duration_seconds = resolve_duration(duration_seconds, self.run_config)
-        factory = RngFactory(self.seed)
-        if self._init_factors is not None:
-            init = self._init_factors
-        else:
-            init = init_factors(
-                self.train.n_rows, self.train.n_cols, self.hyper.k,
-                factory.stream("init"),
-            )
-        _, shard_triplets = partition_worker_triplets(
-            self.train, self.n_workers
-        )
-
+    @contextlib.contextmanager
+    def _shared_state(self, init):
         context = _fork_context()
         n_items = self.train.n_cols
         # Every block is created inside the guarded region: if creating
@@ -383,110 +159,45 @@ class MultiprocessNomad:
                 shm_rings.buf, self.n_workers, n_items,
                 [context.Lock() for _ in range(self.n_workers)],
             )
-            shm_times = None
+            put_times = None
             if self.telemetry:
                 # Fourth block: per-item ring-push stamps for the
-                # cross-process hop spans; released with the others by
-                # the same finally.
+                # cross-process hop spans.
                 shm_times = shared_memory.SharedMemory(
                     create=True, size=n_items * 8
                 )
                 blocks.append(shm_times)
-                times_shared = np.ndarray(
+                put_times = np.ndarray(
                     (n_items,), np.float64, buffer=shm_times.buf
                 )
-                times_shared[:] = clock()
-
-            stop_event = context.Event()
-            result_queue = context.Queue()
-
-            rings.route(
-                np.arange(n_items, dtype=np.int64),
-                factory.stream("mp-scatter").integers(
-                    self.n_workers, size=n_items
-                ),
-            )
-
-            processes = []
-            for q in range(self.n_workers):
-                shard_rows, shard_cols, shard_vals = shard_triplets[q]
-                process = context.Process(
-                    target=_worker_main,
-                    args=(
-                        q,
-                        self.n_workers,
-                        shm_w.name,
-                        shm_h.name,
-                        init.w.shape,
-                        init.h.shape,
-                        shard_rows,
-                        shard_cols,
-                        shard_vals,
-                        self.hyper,
-                        self.backend.name,
-                        self.seed,
-                        rings,
-                        stop_event,
-                        result_queue,
-                        shm_times.name if shm_times is not None else None,
-                    ),
-                    daemon=True,
-                )
-                processes.append(process)
-
-            started = clock()
-            for process in processes:
-                process.start()
-            time.sleep(duration_seconds)
-            stop_event.set()
-            # End of the parallel section: stamp the wall clock now, so
-            # result collection and joins (each bounded by _JOIN_TIMEOUT)
-            # can never inflate the reported parallel time.
-            wall = clock() - started
-
-            per_worker = [0] * self.n_workers
-            snapshots: list[WorkerTelemetry] = []
-            collected = 0
-            deadline = clock() + _JOIN_TIMEOUT
-            while collected < self.n_workers and clock() < deadline:
-                try:
-                    worker_id, n_updates, snapshot = result_queue.get(
-                        timeout=0.25
-                    )
-                except queue_module.Empty:
-                    continue
-                per_worker[worker_id] = n_updates
-                if snapshot is not None:
-                    snapshots.append(WorkerTelemetry.from_dict(snapshot))
-                collected += 1
-
-            for process in processes:
-                process.join(timeout=_JOIN_TIMEOUT)
-                if process.is_alive():
-                    process.terminate()
-                    process.join()
-            join_seconds = clock() - started - wall
-
-            # A worker reports after its last ring operation, so once all
-            # have reported the rings are quiescent and must hold every
-            # item exactly once.  (A worker terminated without reporting
-            # may have died mid-burst; nothing can be concluded then.)
-            if collected == self.n_workers:
-                rings.check_conserved(n_items)
-            final = FactorPair(w_shared.copy(), h_shared.copy())
+                put_times[:] = clock()
+            yield w_shared, h_shared, rings, put_times, context.Event()
         finally:
             _release_blocks(blocks)
 
-        return MultiprocessResult(
-            factors=final,
-            updates=sum(per_worker),
-            wall_seconds=wall,
-            rmse=test_rmse(final, self.test),
-            updates_per_worker=per_worker,
-            join_seconds=join_seconds,
-            telemetry=(
-                RunTelemetry.from_workers(snapshots)
-                if self.telemetry
-                else None
-            ),
-        )
+    def _spawn(self, worker_args):
+        context = _fork_context()
+        result_queue = context.Queue()
+        processes = [
+            context.Process(
+                target=_worker_main, args=(*args, result_queue), daemon=True
+            )
+            for args in worker_args
+        ]
+        return processes, result_queue
+
+    def _collect(self, processes, result_queue):
+        reports = {}
+        deadline = clock() + _JOIN_TIMEOUT
+        while len(reports) < self.n_workers and clock() < deadline:
+            try:
+                worker_id, updates, snapshot = result_queue.get(timeout=0.25)
+            except queue_module.Empty:
+                continue
+            reports[worker_id] = (updates, snapshot)
+        for process in processes:
+            process.join(timeout=_JOIN_TIMEOUT)
+            if process.is_alive():
+                process.terminate()
+                process.join()
+        return reports

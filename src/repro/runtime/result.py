@@ -7,11 +7,9 @@ drift apart:
 
 * :class:`RuntimeResult` — the common result dataclass (the
   :func:`repro.fit` facade folds it into the uniform
-  :class:`~repro.api.result.FitTiming` block), with
-  :class:`~repro.runtime.threaded.ThreadedResult`,
-  :class:`~repro.runtime.multiprocess.MultiprocessResult`, and
-  :class:`~repro.cluster.coordinator.ClusterResult` as thin,
-  backward-compatible subclasses.
+  :class:`~repro.api.result.FitTiming` block); the threaded and
+  multiprocess engines return it as is, the cluster engine as its
+  :class:`~repro.cluster.coordinator.ClusterResult` subclass.
 * :func:`resolve_run_settings` / :func:`resolve_duration` — the
   precedence rules between explicit constructor/``run()`` arguments and
   an optional :class:`~repro.config.RunConfig`.

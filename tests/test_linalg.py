@@ -8,14 +8,10 @@ import pytest
 from repro.datasets.ratings import RatingMatrix
 from repro.errors import ConfigError
 from repro.linalg.factors import FactorPair, init_factors
+from repro.linalg.backends import ListBackend, NumpyBackend
 from repro.linalg.kernels import (
     als_solve_row,
     ccd_coordinate_update,
-    sgd_process_column,
-    sgd_process_column_fast,
-    sgd_process_entries,
-    sgd_process_entries_const_fast,
-    sgd_process_entries_fast,
     sgd_update_pair,
 )
 from repro.linalg.losses import AbsoluteLoss, HuberLoss, SquaredLoss
@@ -23,6 +19,9 @@ from repro.linalg.objective import predict, regularized_objective, training_sse
 from repro.linalg.objective import test_rmse as compute_test_rmse
 from repro.linalg.regularizers import PlainL2, WeightedL2
 from repro.rng import RngFactory
+
+LIST = ListBackend()
+NUMPY = NumpyBackend()
 
 
 @pytest.fixture
@@ -193,7 +192,7 @@ class TestSGDKernels:
         w = np.random.rand(4, 2)
         h = np.random.rand(2)
         counts = np.zeros(3, dtype=np.int64)
-        applied = sgd_process_column(
+        applied = NUMPY.process_column(
             w, h, np.array([0, 1, 2]), np.array([1.0, 2.0, 3.0]),
             counts, 0.1, 0.01, 0.0,
         )
@@ -207,7 +206,7 @@ class TestSGDKernels:
         rows = np.array([0, 2, 4, 2])
         vals = rng.random(4)
         counts_nd = np.zeros(4, dtype=np.int64)
-        sgd_process_column(w_nd, h_nd, rows, vals, counts_nd, 0.1, 0.02, 0.05)
+        NUMPY.process_column(w_nd, h_nd, rows, vals, counts_nd, 0.1, 0.02, 0.05)
 
         w_fast = rng.random((6, 4))  # regenerate identical start
         rng2 = np.random.default_rng(0)
@@ -216,7 +215,7 @@ class TestSGDKernels:
         w_lists = w_fast.tolist()
         h_list = h_fast.tolist()
         counts_fast = [0, 0, 0, 0]
-        sgd_process_column_fast(
+        LIST.process_column(
             w_lists, h_list, rows.tolist(), vals.tolist(), counts_fast,
             0.1, 0.02, 0.05,
         )
@@ -235,13 +234,13 @@ class TestSGDKernels:
 
         w_nd, h_nd = w0.copy(), h0.copy()
         counts_nd = np.zeros(6, dtype=np.int64)
-        sgd_process_entries(
+        NUMPY.process_entries(
             w_nd, h_nd, rows, cols, vals, counts_nd, 0.1, 0.01, 0.02, order
         )
 
         w_lists, h_lists = w0.tolist(), h0.tolist()
         counts_fast = [0] * 6
-        sgd_process_entries_fast(
+        LIST.process_entries(
             w_lists, h_lists, rows.tolist(), cols.tolist(), vals.tolist(),
             counts_fast, 0.1, 0.01, 0.02, order.tolist(),
         )
@@ -262,7 +261,7 @@ class TestSGDKernels:
             return float(np.sum((np.asarray(vals) - preds) ** 2))
         before = sse()
         for _ in range(30):
-            sgd_process_entries_const_fast(
+            LIST.process_entries_const(
                 w, h, rows, cols, vals, 0.05, 0.0, list(range(20))
             )
         assert sse() < before * 0.2
@@ -274,18 +273,18 @@ class TestSGDKernels:
         h_first = [0.5, 0.5]
         counts = [0]
         w_l = w.tolist()
-        sgd_process_column_fast(w_l, h_first, [0], [5.0], counts, 0.1, 10.0, 0.0)
+        LIST.process_column(w_l, h_first, [0], [5.0], counts, 0.1, 10.0, 0.0)
         delta_first = abs(h_first[0] - 0.5)
         h_second = list(h_first)
         before = h_second[0]
-        sgd_process_column_fast(w_l, h_second, [0], [5.0], counts, 0.1, 10.0, 0.0)
+        LIST.process_column(w_l, h_second, [0], [5.0], counts, 0.1, 10.0, 0.0)
         delta_second = abs(h_second[0] - before)
         assert delta_second < delta_first
 
     def test_empty_entries_noop(self):
-        assert sgd_process_entries_fast([], [], [], [], [], [], 0.1, 0, 0, []) == 0
+        assert LIST.process_entries([], [], [], [], [], [], 0.1, 0, 0, []) == 0
         assert (
-            sgd_process_entries_const_fast([], [], [], [], [], 0.1, 0, []) == 0
+            LIST.process_entries_const([], [], [], [], [], 0.1, 0, []) == 0
         )
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ReproError, TokenConservationError
+from repro.runtime import mailbox
 from repro.runtime.mailbox import TokenRings
 
 if "fork" not in mp.get_all_start_methods():
@@ -113,6 +114,41 @@ class TestConservation:
         rings.push_many(0, ids(0, 1, 7))
         with pytest.raises(TokenConservationError, match="1 id"):
             rings.check_conserved(3)
+
+
+class HeldLock:
+    """A lock somebody else holds for the first ``busy_tries`` tries."""
+
+    def __init__(self, busy_tries: int):
+        self.busy_tries = busy_tries
+        self.calls: list[bool] = []  # the ``blocking`` argument of each
+        self.held = False
+
+    def acquire(self, blocking: bool = True) -> bool:
+        self.calls.append(blocking)
+        if not blocking and len(self.calls) <= self.busy_tries:
+            return False
+        self.held = True
+        return True
+
+    def release(self) -> None:
+        self.held = False
+
+
+class TestLocking:
+    def test_briefly_held_lock_is_retried_not_slept_on(self):
+        lock = HeldLock(busy_tries=3)
+        rings = TokenRings(bytearray(TokenRings.nbytes(1, 4)), 1, 4, [lock])
+        rings.push_many(0, ids(2, 1))
+        assert lock.calls == [False] * 4 and not lock.held
+        assert rings.pop_many(0, 8).tolist() == [2, 1]
+
+    def test_lock_held_past_the_spin_is_blocked_on(self):
+        lock = HeldLock(busy_tries=10**9)
+        rings = TokenRings(bytearray(TokenRings.nbytes(1, 4)), 1, 4, [lock])
+        assert rings.depth(0) == 0
+        assert lock.calls == [False] * mailbox._SPIN_TRIES + [True]
+        assert not lock.held
 
 
 def _shuffle_tokens(rings: TokenRings, me: int, rounds: int, seed: int) -> None:

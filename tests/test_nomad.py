@@ -377,12 +377,10 @@ class TestGenericLosses:
         """Routing the square loss through the generic kernel must produce
         the same trajectory as the specialized fast path."""
         import numpy as np
-        from repro.linalg.kernels import (
-            sgd_process_column_fast,
-            sgd_process_column_loss_fast,
-        )
+        from repro.linalg.backends import ListBackend
         from repro.linalg.losses import SquaredLoss
 
+        LIST = ListBackend()
         rng = np.random.default_rng(0)
         w0 = rng.random((6, 4))
         h0 = rng.random(4)
@@ -390,9 +388,9 @@ class TestGenericLosses:
         vals = rng.random(12).tolist()
 
         w_a, h_a = w0.tolist(), h0.tolist()
-        sgd_process_column_fast(w_a, h_a, rows, vals, [0] * 12, 0.1, 0.02, 0.05)
+        LIST.process_column(w_a, h_a, rows, vals, [0] * 12, 0.1, 0.02, 0.05)
         w_b, h_b = w0.tolist(), h0.tolist()
-        sgd_process_column_loss_fast(
+        LIST.process_column_loss(
             w_b, h_b, rows, vals, [0] * 12, 0.1, 0.02, 0.05, SquaredLoss()
         )
         assert np.allclose(np.asarray(w_a), np.asarray(w_b), atol=1e-12)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.core.serializability import UpdateEvent, is_serializable
 from repro.datasets.distributions import degrees_to_pair_sample
 from repro.datasets.ratings import RatingMatrix, train_test_split
-from repro.linalg.kernels import sgd_process_column, sgd_process_column_fast
+from repro.linalg.backends import ListBackend, NumpyBackend
 from repro.partition.partitioners import (
     partition_rows_equal_count,
     partition_rows_equal_ratings,
@@ -17,6 +17,9 @@ from repro.partition.partitioners import (
 from repro.rng import RngFactory
 from repro.schedules.step_size import NomadSchedule
 from repro.simulator.events import EventQueue
+
+LIST = ListBackend()
+NUMPY = NumpyBackend()
 
 # Simulation-heavy modules draw from seeded numpy generators inside the
 # strategies; function-scoped fixtures are not reused across examples.
@@ -153,11 +156,11 @@ class TestKernelProperties:
 
         w_nd, h_nd = w0.copy(), h0.copy()
         counts_nd = np.zeros(n, dtype=np.int64)
-        sgd_process_column(w_nd, h_nd, rows, vals, counts_nd, 0.1, 0.05, 0.02)
+        NUMPY.process_column(w_nd, h_nd, rows, vals, counts_nd, 0.1, 0.05, 0.02)
 
         w_l, h_l = w0.tolist(), h0.tolist()
         counts_l = [0] * n
-        sgd_process_column_fast(
+        LIST.process_column(
             w_l, h_l, rows.tolist(), vals.tolist(), counts_l, 0.1, 0.05, 0.02
         )
         assert np.allclose(np.asarray(w_l), w_nd, atol=1e-10)
@@ -173,7 +176,7 @@ class TestKernelProperties:
         h = rng.random(3).tolist()
         rows = rng.integers(0, 5, size=20).tolist()
         vals = (rng.random(20) * 2 - 1).tolist()
-        sgd_process_column_fast(w, h, rows, vals, [0] * 20, 0.01, 0.0, 0.1)
+        LIST.process_column(w, h, rows, vals, [0] * 20, 0.01, 0.0, 0.1)
         assert np.abs(np.asarray(w)).max() < 10
         assert np.abs(np.asarray(h)).max() < 10
 

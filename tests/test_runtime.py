@@ -11,12 +11,18 @@ import pytest
 
 from repro.config import HyperParams, RunConfig
 from repro.datasets.synthetic import SyntheticSpec, make_low_rank
-from repro.errors import ConfigError, ReproError, TokenConservationError
+from repro.errors import (
+    ConfigError,
+    ReproError,
+    TokenConservationError,
+    WorkerLostError,
+)
 from repro.linalg.backends import ListBackend, NumpyBackend
 from repro.linalg.factors import init_factors
 from repro.linalg.objective import test_rmse as compute_test_rmse
 from repro.rng import RngFactory
 from repro.runtime import multiprocess as mp_module
+from repro.runtime import threaded as threaded_module
 from repro.runtime.multiprocess import MultiprocessNomad, _worker_main
 from repro.runtime.threaded import ThreadedNomad
 
@@ -71,6 +77,25 @@ class TestThreadedNomad:
         _, other_test = small_split
         with pytest.raises(ConfigError):
             ThreadedNomad(train, other_test, n_workers=1, hyper=HYPER)
+
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning"
+    )
+    def test_worker_that_raises_is_named(self, tiny_split, monkeypatch):
+        """A thread that raises used to vanish into threading.excepthook
+        while run() returned factors."""
+        train, test = tiny_split
+        real = threaded_module._worker_main
+
+        def worker(worker_id, *args):
+            if worker_id == 1:
+                raise RuntimeError("worker crashed before reporting")
+            real(worker_id, *args)
+
+        monkeypatch.setattr(threaded_module, "_worker_main", worker)
+        runner = ThreadedNomad(train, test, 2, HYPER, seed=1)
+        with pytest.raises(WorkerLostError, match=r"\[1\]"):
+            runner.run(duration_seconds=0.1)
 
 
 class TestMultiprocessNomad:
@@ -167,7 +192,8 @@ class TestSharedMemoryTeardown:
 
     def test_unlinked_when_worker_raises(self, tiny_split, monkeypatch):
         """Workers that die immediately: the run still tears down every
-        block (result collection is bounded by the join timeout)."""
+        block (result collection is bounded by the join timeout), then
+        names the dead workers instead of returning a model."""
         train, test = tiny_split
         created, real = self._recording_shm(monkeypatch)
 
@@ -177,8 +203,9 @@ class TestSharedMemoryTeardown:
         monkeypatch.setattr(mp_module, "_worker_main", crashing_worker)
         monkeypatch.setattr(mp_module, "_JOIN_TIMEOUT", 0.5)
         runner = MultiprocessNomad(train, test, 2, HYPER, seed=1)
-        result = runner.run(duration_seconds=0.1)
-        assert result.updates == 0  # nobody reported
+        with pytest.raises(WorkerLostError, match=r"\[0, 1\]") as caught:
+            runner.run(duration_seconds=0.1)
+        assert isinstance(caught.value, ReproError)
         assert len(created) == 3
         self._assert_unlinked(real, created)
 
@@ -212,10 +239,16 @@ class TestTokenRings:
         assert result.join_seconds < 2.0
         assert all(count > 0 for count in result.updates_per_worker)
 
+    ENGINES = pytest.mark.parametrize(
+        "engine, module",
+        [(MultiprocessNomad, mp_module), (ThreadedNomad, threaded_module)],
+        ids=["multiprocess", "threaded"],
+    )
+
     @staticmethod
-    def _tampering_worker(monkeypatch, tamper):
+    def _tampering_worker(monkeypatch, tamper, module=mp_module):
         """Run the real worker after ``tamper(rings)`` in worker 0."""
-        real = mp_module._worker_main
+        real = module._worker_main
         signature = inspect.signature(real)
 
         def worker(*args, **kwargs):
@@ -224,31 +257,36 @@ class TestTokenRings:
                 tamper(bound["rings"])
             real(*args, **kwargs)
 
-        monkeypatch.setattr(mp_module, "_worker_main", worker)
+        monkeypatch.setattr(module, "_worker_main", worker)
 
-    def test_lost_token_raises_typed_error(self, tiny_split, monkeypatch):
+    @ENGINES
+    def test_lost_token_raises_typed_error(
+        self, tiny_split, monkeypatch, engine, module
+    ):
         train, test = tiny_split
         lost = []
 
         def drop_one(rings):
             lost.extend(rings.pop_many(0, 1).tolist())
 
-        self._tampering_worker(monkeypatch, drop_one)
-        runner = MultiprocessNomad(train, test, 2, HYPER, seed=1)
+        self._tampering_worker(monkeypatch, drop_one, module)
+        runner = engine(train, test, 2, HYPER, seed=1)
         with pytest.raises(TokenConservationError, match="1 item.s. lost") as caught:
             runner.run(duration_seconds=0.2)
         assert isinstance(caught.value, ReproError)
         assert "0 duplicated" in str(caught.value)
 
+    @ENGINES
     def test_duplicated_token_raises_typed_error(
-        self, tiny_split, monkeypatch
+        self, tiny_split, monkeypatch, engine, module
     ):
         train, test = tiny_split
         self._tampering_worker(
             monkeypatch,
             lambda rings: rings.push_many(0, np.array([3], dtype=np.int64)),
+            module,
         )
-        runner = MultiprocessNomad(train, test, 2, HYPER, seed=1)
+        runner = engine(train, test, 2, HYPER, seed=1)
         with pytest.raises(
             TokenConservationError, match=r"1 duplicated \(first: \[3\]\)"
         ):
