@@ -5,10 +5,12 @@ experiment registry, at a scale controlled by the ``REPRO_BENCH_SCALE``
 environment variable (default ``"small"``; set ``tiny`` for a fast smoke
 pass or ``medium`` for cleaner curves).
 
-Every run's full ASCII report is saved under ``results/`` so the numbers
-cited in EXPERIMENTS.md can be regenerated with
-``pytest benchmarks/ --benchmark-only``.  Those reports are deterministic
-(simulated time, seeded).  The wall-clock BENCH json payloads are not, so
+Every run's full ASCII report is saved as a tracked ``results/*.txt``
+(the README's ``repro.cli run --experiment figNN`` prints the same
+report for one figure), so all of them can be regenerated with
+``pytest benchmarks/ --benchmark-only``.  Those reports are
+deterministic (simulated time, seeded).  The wall-clock BENCH json
+payloads are not, so
 :func:`write_bench_json` only touches the tracked ``results/<name>.json``
 under ``REPRO_BENCH_RECORD=1`` and otherwise writes the git-ignored
 ``results/local/<name>.json`` — a tier-1 run leaves the tree clean.

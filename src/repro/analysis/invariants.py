@@ -64,6 +64,7 @@ KERNEL_CALLS = frozenset(
         "process_column_loss",
         "process_column_batch",
         "process_tokens",  # TokenKernel, from KernelBackend.bind_tokens
+        "process_token",  # the same kernel's burst of one
     }
 )
 

@@ -25,8 +25,13 @@ Python lists under the interpreted small-``k`` ``list`` fallback — and
 mutated in place by its kernels.  Each worker's ratings stay in its
 shard's CSC arrays beside one per-rating counter array, with one token
 kernel bound over them at construction (``KernelBackend.bind_tokens``):
-a token finish is one ``process_tokens`` call on the item's id, nothing
-marshalled per visit.  The backend is chosen by ``RunConfig.kernel_backend``
+a token finish is one ``process_token(j)`` call, nothing marshalled per
+visit (under ``cext`` a native call of two words: the bound struct's
+address and the item id).  The cluster's cost model is asked once, at
+construction, for every (worker, item) visit time and the two hop
+times; a visit reads those tables.  Every event is a bound method
+scheduled with its arguments (``_finish_token, q, token``), so a visit
+builds no closure.  The backend is chosen by ``RunConfig.kernel_backend``
 (or the ``NOMAD_KERNEL_BACKEND`` environment variable).  The
 :attr:`NomadSimulation.factors` property materializes a decoupled
 :class:`~repro.linalg.factors.FactorPair` snapshot on demand (evaluation,
@@ -203,7 +208,20 @@ class NomadSimulation:
         ]
         # Column bounds as Python ints: they are read on every token visit.
         self._col_ptr = [arrays[0].tolist() for arrays in self._csc]
-        self._item_ids = np.arange(train.n_cols, dtype=np.int64)
+        # The cluster's cost model, asked once per (worker, item) and per
+        # link class instead of once per visit (an empty column costs the
+        # token's handling only).
+        k = hyper.k
+        self._visit_time: list[list[float]] = []
+        for q, ptr in enumerate(self._col_ptr):
+            handling = cluster.sgd_time(q, k, 1) * _TOKEN_HANDLING_FRACTION
+            self._visit_time.append([
+                cluster.sgd_time(q, k, hi - lo) if hi > lo else handling
+                for lo, hi in zip(ptr, ptr[1:])
+            ])
+        self._network_delay = cluster.network.token_delay(k)
+        self._local_delay = cluster.intra.token_delay(k)
+        self._machine_of = [cluster.machine_of(q) for q in range(p)]
         # Routing tables, built once: each machine's workers and its peers.
         machines = range(cluster.n_machines)
         self._machine_workers = [
@@ -220,6 +238,7 @@ class NomadSimulation:
         self._total_updates = 0
         self._network_hops = 0
         self._local_hops = 0
+        self._started = False
         self._halted = False
         self._halt_time: float | None = None
         self._trace = Trace(
@@ -240,7 +259,16 @@ class NomadSimulation:
     # Public API
     # ------------------------------------------------------------------
     def run(self) -> Trace:
-        """Execute the simulation and return its convergence trace."""
+        """Execute the simulation and return its convergence trace.
+
+        A simulation runs once: a second call is refused before it touches
+        anything (re-seeded queues would die in the ownership ledger).
+        """
+        if self._started:
+            raise SimulationError(
+                "a NomadSimulation runs once; build a new one to run again"
+            )
+        self._started = True
         self._seed_queues()
         for q in range(self.cluster.n_workers):
             self._wake_worker(q)
@@ -314,7 +342,7 @@ class NomadSimulation:
         # final point at `duration` is recorded by run() itself.
         while index * interval < duration * (1 - 1e-9):
             time = index * interval
-            self._sim.schedule_at(time, lambda t=time: self._record_point(t))
+            self._sim.schedule_at(time, self._record_point, time)
             index += 1
 
     # ------------------------------------------------------------------
@@ -326,19 +354,13 @@ class NomadSimulation:
             return
         token = self._queues[q].popleft()
         self._busy[q] = True
-        ptr = self._col_ptr[q]
-        nnz = ptr[token.item + 1] - ptr[token.item]
-        if nnz:
-            delay = self.cluster.sgd_time(q, self.hyper.k, nnz)
-        else:
-            delay = (
-                self.cluster.sgd_time(q, self.hyper.k, 1)
-                * _TOKEN_HANDLING_FRACTION
-            )
+        delay = self._visit_time[q][token.item]
         # Transient system noise: NOMAD absorbs it (no barriers), so the
         # mean-1 multiplier only adds variance, never a straggler stall.
-        delay *= self.cluster.jitter_multiplier(self._jitter_rng)
-        self._sim.schedule_after(delay, lambda: self._finish_token(q, token))
+        # Without jitter it is exactly 1.0 and draws nothing.
+        if self.cluster.jitter:
+            delay *= self.cluster.jitter_multiplier(self._jitter_rng)
+        self._sim.schedule_after(delay, self._finish_token, q, token)
 
     def _finish_token(self, q: int, token: ItemToken) -> None:
         """Apply the token's SGD updates, forward it, continue working."""
@@ -363,9 +385,7 @@ class NomadSimulation:
             if self.options.loss is None:
                 # A burst of one: a single discrete event completes here,
                 # so there is never a second column to fuse with.
-                applied = self._kernels[q].process_tokens(
-                    self._item_ids[j:j + 1]
-                )
+                applied = self._kernels[q].process_token(j)
             else:
                 applied = self._backend.process_column_loss(
                     self._w_store,
@@ -390,16 +410,15 @@ class NomadSimulation:
     def _forward_token(self, q: int, token: ItemToken) -> None:
         """Route the token to its next owner (Algorithm 1 lines 22–23)."""
         destination = self._next_destination(q, token)
-        delay = self.cluster.token_delay(q, destination, self.hyper.k)
         self._ledger.release(token.item, q)
         token.hops += 1
-        if self.cluster.same_machine(q, destination):
+        if self._machine_of[q] == self._machine_of[destination]:
             self._local_hops += 1
+            delay = self._local_delay
         else:
             self._network_hops += 1
-        self._sim.schedule_after(
-            delay, lambda: self._deliver_token(destination, token)
-        )
+            delay = self._network_delay
+        self._sim.schedule_after(delay, self._deliver_token, destination, token)
 
     def _next_destination(self, q: int, token: ItemToken) -> int:
         """Hybrid routing of §3.4 on top of the recipient policy.
@@ -428,7 +447,7 @@ class NomadSimulation:
                 workers, lambda w: len(self._queues[w]), self._routing_rng
             )
 
-        other_machines = self._other_machines[cluster.machine_of(q)]
+        other_machines = self._other_machines[self._machine_of[q]]
         machine = self.options.policy.choose(
             other_machines, self._machine_queue_size, self._routing_rng
         )

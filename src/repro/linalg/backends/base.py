@@ -259,3 +259,11 @@ class TokenKernel:
                     *self._step,
                 )
         return applied
+
+    def process_token(self, item: int) -> int:
+        """A burst of one: :meth:`process_tokens` on ``[item]`` by
+        definition, which is what this default does.  It is what a
+        substrate that finishes one token at a time (the simulator, a
+        budgeted sweep) calls; compiled backends override it to skip
+        the array."""
+        return self.process_tokens(np.array([item], dtype=np.int64))

@@ -55,6 +55,17 @@ _f64 = ctypes.c_double
 _NO_COUNTS = np.zeros(1, dtype=np.int64)
 
 
+class _Bound(ctypes.Structure):
+    """``nomad_bound`` of ``nomad_kernels.c``, field for field."""
+
+    _fields_ = [
+        *[(name, ctypes.c_void_p) for name in
+          ("w", "h", "indptr", "users", "ratings", "counts")],
+        ("n_items", _i64), ("k", _i64),
+        ("alpha", _f64), ("beta", _f64), ("lambda_", _f64),
+    ]
+
+
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.nomad_process_column.restype = _i64
     lib.nomad_process_column.argtypes = [
@@ -65,11 +76,13 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         _F8, _PTRS, _PTRS, _PTRS, _PTRS, _I8, _i64, _i64, _f64, _f64, _f64,
     ]
     # Raw addresses: bind_tokens validates the arrays and resolves their
-    # pointers once, so a burst pays no per-argument ndpointer check.
+    # pointers once into a _Bound, so a call pays no ndpointer check.
+    lib.nomad_bound_size.restype = _i64
+    lib.nomad_bound_size.argtypes = []
     lib.nomad_process_tokens.restype = _i64
-    lib.nomad_process_tokens.argtypes = [
-        *[ctypes.c_void_p] * 7, _i64, _i64, _i64, _f64, _f64, _f64,
-    ]
+    lib.nomad_process_tokens.argtypes = [ctypes.c_void_p, ctypes.c_void_p, _i64]
+    lib.nomad_process_token.restype = _i64
+    lib.nomad_process_token.argtypes = [ctypes.c_void_p, _i64]
     lib.nomad_process_entries.restype = _i64
     lib.nomad_process_entries.argtypes = [
         _F8, _F8, _I8, _I8, _F8, _I8, _I8, _i64, _i64, _f64, _f64, _f64,
@@ -269,8 +282,9 @@ class CextBackend(NumpyBackend):
 
 
 class CextTokenKernel(TokenKernel):
-    """One native call per burst: the arrays are validated and their
-    addresses resolved once, here (the base class keeps them alive)."""
+    """One native call per burst or per token: the arrays are validated
+    and their addresses resolved once, here, into a ``nomad_bound`` this
+    object owns (the base class keeps the arrays alive)."""
 
     _DTYPES = (np.float64, np.float64, np.int64, np.int64, np.float64, np.int64)
 
@@ -306,15 +320,25 @@ class CextTokenKernel(TokenKernel):
             raise ValueError(
                 "bind_tokens: shard arrays do not describe a CSC over w/h"
             )
-        self._native = backend._lib.nomad_process_tokens
-        self._pointers = tuple(arr.ctypes.data for arr in self._arrays)
-        self._tail = (n_items, k, alpha, beta, lambda_)
+        self._bound = _Bound(
+            *[arr.ctypes.data for arr in self._arrays],
+            n_items, k, alpha, beta, lambda_,
+        )
+        self._bound_at = ctypes.addressof(self._bound)
+        self._native_burst = backend._lib.nomad_process_tokens
+        self._native_token = backend._lib.nomad_process_token
 
     def process_tokens(self, items: np.ndarray) -> int:
         items = np.ascontiguousarray(items, dtype=np.int64)
-        applied = self._native(
-            *self._pointers, items.ctypes.data, items.size, *self._tail
+        applied = self._native_burst(
+            self._bound_at, items.ctypes.data, items.size
         )
+        if applied < 0:
+            raise IndexError(f"token item id outside [0, {self.n_items})")
+        return applied
+
+    def process_token(self, item: int) -> int:
+        applied = self._native_token(self._bound_at, item)
         if applied < 0:
             raise IndexError(f"token item id outside [0, {self.n_items})")
         return applied

@@ -94,29 +94,46 @@ int64_t nomad_process_column_batch(double *w, double *const *h_cols,
     return applied;
 }
 
-/* Token burst over a CSC shard: items[t] names a column of the shard
- * (users/ratings/counts sliced by indptr) and a row of h.  w, h and the
- * shard arrays are bound once by the caller; a burst is just item ids.
- * Tokens run in order — a repeated id is simply visited twice — so the
- * result is identical to looping nomad_process_column (square loss).
- * Returns -1, having applied nothing, if any id is outside [0, n_items). */
-int64_t nomad_process_tokens(double *w, double *h, const int64_t *indptr,
-                             const int64_t *users, const double *ratings,
-                             int64_t *counts, const int64_t *items,
-                             int64_t n_tokens, int64_t n_items, int64_t k,
-                             double alpha, double beta, double lambda_) {
+/* A worker's factors and CSC shard, bound once by the caller, which owns
+ * this memory (a ctypes.Structure of the same layout, see
+ * cext_backend.py; nomad_bound_size lets the tests compare the two). */
+typedef struct {
+    double *w, *h;
+    const int64_t *indptr, *users;
+    const double *ratings;
+    int64_t *counts;
+    int64_t n_items, k;
+    double alpha, beta, lambda_;
+} nomad_bound;
+
+int64_t nomad_bound_size(void) { return (int64_t)sizeof(nomad_bound); }
+
+/* One token: item names a column of the shard (users/ratings/counts
+ * sliced by indptr) and a row of h.  Identical to nomad_process_column
+ * on that column (square loss).  Returns -1, having applied nothing, if
+ * the id is outside [0, n_items). */
+int64_t nomad_process_token(const nomad_bound *b, int64_t item) {
+    if (item < 0 || item >= b->n_items)
+        return -1;
+    int64_t lo = b->indptr[item];
+    return nomad_process_column(b->w, b->h + item * b->k, b->users + lo,
+                                b->ratings + lo, b->counts + lo,
+                                b->indptr[item + 1] - lo, b->k, b->alpha,
+                                b->beta, b->lambda_, 0, 0.0);
+}
+
+/* Token burst: a burst is just item ids.  Tokens run in order — a
+ * repeated id is simply visited twice — so the result is identical to
+ * looping nomad_process_token.  Returns -1, having applied nothing, if
+ * any id is outside [0, n_items). */
+int64_t nomad_process_tokens(const nomad_bound *b, const int64_t *items,
+                             int64_t n_tokens) {
     int64_t applied = 0;
     for (int64_t t = 0; t < n_tokens; t++)
-        if (items[t] < 0 || items[t] >= n_items)
+        if (items[t] < 0 || items[t] >= b->n_items)
             return -1;
-    for (int64_t t = 0; t < n_tokens; t++) {
-        int64_t j = items[t];
-        int64_t lo = indptr[j];
-        applied += nomad_process_column(w, h + j * k, users + lo,
-                                        ratings + lo, counts + lo,
-                                        indptr[j + 1] - lo, k, alpha, beta,
-                                        lambda_, 0, 0.0);
-    }
+    for (int64_t t = 0; t < n_tokens; t++)
+        applied += nomad_process_token(b, items[t]);
     return applied;
 }
 

@@ -1,8 +1,8 @@
 """The discrete-event simulation engine.
 
 A thin, deterministic loop over an :class:`~repro.simulator.events.EventQueue`:
-pop the earliest event, advance the clock to it, run its callback (which may
-schedule further events), repeat.  There is no wall-clock dependence anywhere,
+pop the earliest event, advance the clock to it, call its callback with the
+arguments it was scheduled with (which may schedule further events), repeat.  There is no wall-clock dependence anywhere,
 so a run is a pure function of its inputs and seed.
 """
 
@@ -46,8 +46,10 @@ class Simulator:
         """Number of events executed so far (diagnostics)."""
         return self._events_fired
 
-    def schedule_at(self, time: float, callback: Callable[[], Any]) -> Event:
-        """Schedule ``callback`` at absolute simulated ``time``.
+    def schedule_at(
+        self, time: float, callback: Callable[..., Any], *args: Any
+    ) -> Event:
+        """Schedule ``callback(*args)`` at absolute simulated ``time``.
 
         Scheduling in the past is an error — it would silently reorder
         causality and hide driver bugs.
@@ -56,13 +58,15 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time}; simulated clock is at {self._now}"
             )
-        return self._queue.push(time, callback)
+        return self._queue.push(time, callback, args)
 
-    def schedule_after(self, delay: float, callback: Callable[[], Any]) -> Event:
-        """Schedule ``callback`` ``delay`` seconds from now (delay >= 0)."""
+    def schedule_after(
+        self, delay: float, callback: Callable[..., Any], *args: Any
+    ) -> Event:
+        """Schedule ``callback(*args)`` ``delay`` seconds from now (delay >= 0)."""
         if not delay >= 0:  # also rejects NaN, which `delay < 0` lets through
             raise SimulationError(f"delay must be >= 0, got {delay}")
-        return self._queue.push(self._now + delay, callback)
+        return self._queue.push(self._now + delay, callback, args)
 
     def run(self, until: float | None = None) -> None:
         """Run events in order until the queue empties or ``until`` passes.
@@ -75,18 +79,13 @@ class Simulator:
             raise SimulationError("Simulator.run is not reentrant")
         self._running = True
         try:
-            while True:
-                next_time = self._queue.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    self._now = until
-                    break
-                event = self._queue.pop()
-                assert event is not None  # peek said there is one
+            pop_until = self._queue.pop_until
+            while (event := pop_until(until)) is not None:
                 self._now = event.time
                 self._events_fired += 1
-                event.callback()
+                event.callback(*event.args)
+            if self._queue:  # only events later than `until` are left
+                self._now = until
         finally:
             self._running = False
 

@@ -9,7 +9,8 @@ The heap holds ``(time, seq, event)`` tuples rather than bare events, so
 ``heapq`` orders entries with the C tuple comparison instead of calling a
 Python ``__lt__`` per sift step.  ``seq`` is unique within a queue, so a
 comparison is always decided by the first two fields: the event — and
-with it the callback, which need not be orderable — is never compared.
+with it the callback and its arguments, which need not be orderable — is
+never compared.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from ..errors import SimulationError
 __all__ = ["Event", "EventQueue"]
 
 
-@dataclass(order=True)
+@dataclass(order=True, slots=True)
 class Event:
-    """A scheduled callback.
+    """A scheduled callback and the arguments it fires with.
 
     Attributes
     ----------
@@ -33,16 +34,18 @@ class Event:
         Absolute simulated time at which the callback fires.
     seq:
         Scheduling-order tie-breaker (unique per queue).
-    callback:
-        Zero-argument callable invoked when the event fires.  Closures are
-        used rather than (fn, args) tuples to keep call sites readable.
+    callback, args:
+        The event fires as ``callback(*args)``.  Scheduling a bound method
+        with its arguments builds no closure per event; a zero-argument
+        callable (``args == ()``) works as it always has.
     cancelled:
         Lazily-deleted flag; cancelled events are skipped when popped.
     """
 
     time: float
     seq: int
-    callback: Callable[[], Any] = field(compare=False)
+    callback: Callable[..., Any] = field(compare=False)
+    args: tuple = field(default=(), compare=False)
     cancelled: bool = field(default=False, compare=False)
 
     def cancel(self) -> None:
@@ -60,23 +63,37 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def push(self, time: float, callback: Callable[[], Any]) -> Event:
-        """Schedule ``callback`` at absolute ``time``; returns the event."""
+    def push(
+        self, time: float, callback: Callable[..., Any], args: tuple = ()
+    ) -> Event:
+        """Schedule ``callback(*args)`` at absolute ``time``; returns the event."""
         # `not >=` rather than `<`: a NaN time passes `time < 0` and then
         # compares false against everything, silently corrupting heap order.
         if not time >= 0:
             raise SimulationError(f"event time must be >= 0, got {time}")
         seq = self._next_seq
-        event = Event(time=float(time), seq=seq, callback=callback)
+        event = Event(float(time), seq, callback, args)
         self._next_seq = seq + 1
         heapq.heappush(self._heap, (event.time, seq, event))
         return event
 
     def pop(self) -> Event | None:
         """Remove and return the earliest live event, or None when empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)[2]
-            if not event.cancelled:
+        return self.pop_until(None)
+
+    def pop_until(self, until: float | None) -> Event | None:
+        """:meth:`pop`, unless the earliest live event is later than
+        ``until`` (``None``: no limit): then it stays queued, at the head
+        of the heap, and None is returned."""
+        heap = self._heap
+        while heap:
+            time, _, event = heap[0]
+            if event.cancelled:
+                heapq.heappop(heap)
+            elif until is not None and time > until:
+                return None
+            else:
+                heapq.heappop(heap)
                 return event
         return None
 

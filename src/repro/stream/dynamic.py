@@ -495,24 +495,18 @@ class DynamicNomad:
         stops = np.array(tours, dtype=np.int64)
 
         applied = 0
-        hyper = self.hyper
         for r in range(p):
             if r > 0:
                 self._ledger.transfer_many(items, stops[:, r - 1], stops[:, r])
             if max_updates is not None:
                 # Budgeted path: the halt boundary is per column, so each
-                # column goes through its own kernel call.
+                # column is a burst of one.
                 for j, stop in zip(tokens, stops[:, r].tolist()):
                     if applied >= max_updates:
                         break
-                    users, ratings, counts = self._stores[stop].column(j)
-                    if users.size:
-                        done = self.backend.process_column(
-                            self._w, self._h[j], users, ratings, counts,
-                            hyper.alpha, hyper.beta, hyper.lambda_,
-                        )
-                        applied += done
-                        self._worker_updates[stop] += done
+                    done = kernels[stop].process_token(j)
+                    applied += done
+                    self._worker_updates[stop] += done
                 continue
             if rec is not None:
                 kernel_start = clock()

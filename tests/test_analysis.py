@@ -184,6 +184,21 @@ class TestBoundTokenKernel:
         assert report.exit_code == 0
 
 
+class TestBoundKernelSingleToken:
+    """NMD001 extension for ``TokenKernel.process_token``: a burst of one
+    is still a factor write."""
+
+    def test_flagged_token_fixture_fires(self):
+        report = analyze_fixture("runtime/nmd001_token_flagged.py")
+        assert codes_of(report) == ["NMD001"]
+        assert {f.symbol for f in report.ratchet.new} == {"peek"}
+
+    def test_clean_token_fixture_is_silent(self):
+        report = analyze_fixture("runtime/nmd001_token_clean.py")
+        assert codes_of(report) == []
+        assert report.exit_code == 0
+
+
 class TestAcceptanceCriteria:
     """The two regressions the checker exists to make unrepresentable."""
 

@@ -249,6 +249,92 @@ class TestKernelEquivalence:
         assert counts.tolist() == [0, 0, 0]
         assert np.all(w == 1.0) and np.all(h == 1.0)
 
+    @pytest.mark.parametrize("name", ["list", *OTHER_BACKENDS])
+    def test_process_token_is_a_burst_of_one(self, name):
+        """``process_token(j)`` is ``process_tokens([j])`` bit for bit,
+        on an empty column and on a repeated id too."""
+        w, h, _, _, _, _ = _fixture(7)
+        rng = np.random.default_rng(71)
+        sizes = [7, 4, 9, 0, 0, 11, 3, 0]
+        indptr = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+        users = rng.integers(0, w.shape[0], size=indptr[-1])
+        ratings = rng.random(indptr[-1]) * 4.0
+        sides = []
+        for _ in range(2):
+            w_n, h_n = w.copy(), h.copy()
+            counts = np.full(indptr[-1], 2, dtype=np.int64)
+            kernel = get_backend(name).bind_tokens(
+                w_n, h_n, indptr, users, ratings, counts, ALPHA, BETA, LAMBDA
+            )
+            sides.append((kernel, w_n, h_n, counts))
+        (one, w_a, h_a, counts_a), (burst, w_b, h_b, counts_b) = sides
+        for j in [5, 3, 0, 5, 5, 7, 2]:  # 3 and 7 are empty columns
+            applied = one.process_token(j)
+            assert applied == sizes[j]
+            assert applied == burst.process_tokens(
+                np.array([j], dtype=np.int64)
+            )
+            assert w_a.tobytes() == w_b.tobytes()
+            assert h_a.tobytes() == h_b.tobytes()
+            assert counts_a.tolist() == counts_b.tolist()
+        assert not np.array_equal(w_a, w)  # and something was applied
+
+    @pytest.mark.parametrize("name", ["list", *OTHER_BACKENDS])
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_process_token_rejects_unknown_item(self, name, bad):
+        w, h = np.ones((4, 2)), np.ones((3, 2))
+        indptr = np.array([0, 1, 2, 3], dtype=np.int64)
+        counts = np.zeros(3, dtype=np.int64)
+        kernel = get_backend(name).bind_tokens(
+            w, h, indptr, np.arange(3), np.ones(3), counts,
+            ALPHA, BETA, LAMBDA,
+        )
+        with pytest.raises(IndexError):
+            kernel.process_token(bad)
+        assert counts.tolist() == [0, 0, 0]
+        assert np.all(w == 1.0) and np.all(h == 1.0)
+
+    @needs_cext
+    def test_cext_bound_struct_matches_c_layout(self):
+        """The ``nomad_bound`` C reads is a ``ctypes.Structure`` Python
+        fills: the two declarations must agree in size, and every field
+        must land where C looks for it — a kernel bound over arrays with
+        distinct contents updates exactly the rows the shard names."""
+        import ctypes
+
+        from repro.linalg.backends.cext_backend import _Bound
+
+        backend = get_backend("cext")
+        assert backend._lib.nomad_bound_size() == ctypes.sizeof(_Bound)
+
+        m, n, k = 6, 4, 3
+        w = np.arange(m * k, dtype=np.float64).reshape(m, k) / 100.0
+        h = 1.0 + np.arange(n * k, dtype=np.float64).reshape(n, k) / 100.0
+        indptr = np.array([0, 2, 2, 3, 3], dtype=np.int64)  # items 0 and 2
+        users = np.array([4, 1, 5], dtype=np.int64)
+        ratings = np.array([3.0, 4.0, 5.0])
+        counts = np.array([10, 20, 30], dtype=np.int64)
+        w_ref, h_ref, counts_ref = w.copy(), h.copy(), counts.copy()
+        kernel = backend.bind_tokens(
+            w, h, indptr, users, ratings, counts, ALPHA, BETA, LAMBDA
+        )
+        assert kernel.process_token(0) == 2
+        assert counts.tolist() == [11, 21, 30]
+        untouched = [0, 2, 3, 5]
+        assert np.array_equal(w[untouched], w_ref[untouched])
+        assert np.array_equal(h[1:], h_ref[1:])
+        # ...and with the values the reference column kernel gives.
+        ListBackend().process_column(
+            w_ref, h_ref[0], users[:2], ratings[:2], counts_ref[:2],
+            ALPHA, BETA, LAMBDA,
+        )
+        assert np.allclose(w, w_ref, atol=ATOL)
+        assert np.allclose(h, h_ref, atol=ATOL)
+        assert kernel.process_tokens(np.array([2, 1], dtype=np.int64)) == 1
+        assert counts.tolist() == [11, 21, 31]
+        assert not np.array_equal(w[5], w_ref[5])
+        assert np.array_equal(w[untouched[:3]], w_ref[untouched[:3]])
+
     @needs_cext
     def test_cext_bind_tokens_validates_arrays(self):
         """Pointers are resolved once at bind time, so non-conformant or

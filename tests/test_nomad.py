@@ -14,10 +14,14 @@ from repro.core.load_balance import (
     PowerOfTwoPolicy,
     UniformPolicy,
 )
-from repro.core.nomad import NomadOptions, NomadSimulation
+from repro.core.nomad import (
+    _TOKEN_HANDLING_FRACTION,
+    NomadOptions,
+    NomadSimulation,
+)
 from repro.core.serializability import is_serializable, serial_order
 from repro.core.tokens import ItemToken
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.linalg.backends import cext_available
 from repro.linalg.factors import init_factors
 from repro.linalg.losses import HuberLoss
@@ -196,6 +200,61 @@ class TestMechanics:
         assert trace.algorithm == "NOMAD"
         assert trace.n_workers == 4
         assert trace.meta["machines"] == 2
+
+
+    def test_visit_time_table_is_the_clusters_cost_model(self, tiny_split):
+        """The per-(worker, item) visit times are what ``Cluster.sgd_time``
+        answers — same float operations, so ``==``, not approx — on
+        machines of different speeds, empty columns included."""
+        train, test = tiny_split
+        cluster = Cluster(
+            2, 2, HPC_PROFILE, machine_speeds=np.array([1.0, 0.5])
+        )
+        hyper = HyperParams(k=4, lambda_=0.01, alpha=0.1, beta=0.01)
+        sim = NomadSimulation(
+            train, test, cluster, hyper,
+            RunConfig(duration=0.01, eval_interval=0.002, seed=7),
+        )
+        shards = train.shard_by_rows(sim._partition)
+        assert len(sim._visit_time) == len(shards) == 4
+        seen_empty = seen_full = 0
+        for q, shard in enumerate(shards):
+            counts = shard.column_nnz_all().tolist()
+            assert len(sim._visit_time[q]) == len(counts) == train.n_cols
+            for j, nnz in enumerate(counts):
+                if nnz:
+                    expected = cluster.sgd_time(q, hyper.k, nnz)
+                    seen_full += 1
+                else:
+                    expected = (
+                        cluster.sgd_time(q, hyper.k, 1)
+                        * _TOKEN_HANDLING_FRACTION
+                    )
+                    seen_empty += 1
+                assert sim._visit_time[q][j] == expected
+        assert seen_empty and seen_full
+        # The slow machine's workers pay twice as long for the same work.
+        assert cluster.sgd_time(2, hyper.k, 3) == 2 * cluster.sgd_time(0, hyper.k, 3)
+        assert sim._machine_of == [0, 0, 1, 1]
+        assert sim._network_delay == cluster.token_delay(0, 2, hyper.k)
+        assert sim._local_delay == cluster.token_delay(0, 1, hyper.k)
+
+    def test_second_run_is_refused_before_touching_state(self, tiny_split):
+        """``run()`` twice is API misuse and says so — it must not read
+        as the ownership invariant breaking, nor disturb the result."""
+        train, test = tiny_split
+        sim, trace = run_nomad(train, test)
+        w, h = sim.factors.w.copy(), sim.factors.h.copy()
+        updates, records = sim.total_updates, len(trace.records)
+        queues = sim.queue_sizes()
+        with pytest.raises(SimulationError, match="runs once"):
+            sim.run()
+        assert sim.total_updates == updates
+        assert len(trace.records) == records
+        assert sim.queue_sizes() == queues
+        assert np.array_equal(sim.factors.w, w)
+        assert np.array_equal(sim.factors.h, h)
+        sim._ledger.assert_conserved()
 
 
 class TestOptions:

@@ -84,7 +84,96 @@ class TestEventQueue:
         assert log == ["early", "a", "c", "d"]
 
 
+    def test_args_travel_with_the_event_and_are_never_compared(self):
+        class Unorderable:
+            def __lt__(self, other):
+                raise AssertionError("heap compared two events' arguments")
+
+            __gt__ = __le__ = __ge__ = __lt__
+
+        log = []
+        queue = EventQueue()
+        for tag in "abc":
+            queue.push(1.0, log.append, (tag,))
+            queue.push(1.0, lambda obj, tag: log.append(tag), (Unorderable(), tag))
+        assert queue.push(2.0, log.append).args == ()
+        while (event := queue.pop_until(1.5)) is not None:
+            event.callback(*event.args)
+        assert log == ["a", "a", "b", "b", "c", "c"]
+        assert len(queue) == 1  # the event at 2.0 stayed queued
+        assert queue.pop_until(None).time == 2.0
+
+    def test_pop_until_skips_cancelled_heads(self):
+        queue = EventQueue()
+        queue.push(1.0, print, ("never",)).cancel()
+        live = queue.push(3.0, print, ("later",))
+        assert queue.pop_until(2.0) is None
+        assert len(queue) == 1  # the cancelled shell is gone, 3.0 is not
+        assert queue.pop_until(3.0) is live
+        assert queue.pop_until(None) is None
+
+
 class TestSimulator:
+    def test_arguments_reach_the_callback(self):
+        sim = Simulator()
+        fired = []
+
+        def record(*args, **kwargs):
+            fired.append((sim.now, args, kwargs))
+
+        sim.schedule_at(2.0, record, "at", 2)
+        sim.schedule_after(1.0, record, ("one", "tuple"))
+        sim.schedule_at(3.0, record)  # zero-argument callbacks still work
+        sim.run()
+        assert fired == [
+            (1.0, (("one", "tuple"),), {}),
+            (2.0, ("at", 2), {}),
+            (3.0, (), {}),
+        ]
+
+    def test_cancelled_event_with_args_is_skipped(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(1.0, fired.append, "kept")
+        sim.schedule_at(1.0, fired.append, "cancelled").cancel()
+        sim.schedule_at(1.0, fired.append, "also kept")
+        sim.run()
+        assert fired == ["kept", "also kept"]
+        assert sim.events_fired == 2
+
+    def test_until_leaves_later_events_with_args_queued(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(1.0, fired.append, 1)
+        sim.schedule_at(5.0, fired.append, 5)
+        sim.run(until=2.0)
+        assert fired == [1]
+        assert sim.now == 2.0
+        assert sim.pending() == 1
+        sim.run(until=5.0)  # an event exactly at `until` fires
+        assert fired == [1, 5]
+        assert sim.now == 5.0
+
+    def test_until_on_a_drained_queue_leaves_the_clock(self):
+        sim = Simulator()
+        sim.schedule_at(1.0, print, "x").cancel()
+        sim.run(until=4.0)
+        assert sim.now == 0.0 and sim.pending() == 0
+
+    def test_scheduling_errors_fire_with_args_present(self):
+        sim = Simulator()
+        sim.schedule_at(1.0, list, ())
+        sim.run()
+        with pytest.raises(SimulationError):
+            sim.schedule_after(float("nan"), print, "x")
+        with pytest.raises(SimulationError):
+            sim.schedule_after(-0.1, print, "x")
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("nan"), print, "x")
+        with pytest.raises(SimulationError):
+            sim.schedule_at(0.5, print, "x")  # the clock is at 1.0
+        assert sim.pending() == 0
+
     def test_runs_in_time_order(self):
         sim = Simulator()
         fired = []
