@@ -90,8 +90,8 @@ def main() -> None:
     log = nomad_result.raw.update_log
     graph = conflict_graph(log)
     print(f"NOMAD: {len(log):,} logged updates from 4 workers")
-    print(f"  conflict graph: {graph.number_of_nodes():,} nodes, "
-          f"{graph.number_of_edges():,} edges")
+    print(f"  conflict graph: {len(graph):,} nodes, "
+          f"{sum(map(len, graph.values())):,} edges")
     print(f"  serializable: {is_serializable(log)}")
 
     replayed = replay_serially(serial_order(log), train, HYPER, seed=5)

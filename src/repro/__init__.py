@@ -23,7 +23,7 @@ The package provides:
 * a streaming subsystem (:mod:`repro.stream`) behind
   :func:`repro.fit_stream`: online rating ingestion with §4 fold-in of
   new users/items, prequential scoring, rotating immutable serving
-  snapshots, and a cached :class:`repro.Recommender` serving front;
+  snapshots, and a stateless :class:`repro.Recommender` serving front;
 * an HTTP recommendation service (:mod:`repro.serve`, CLI
   ``repro-nomad serve``): :class:`repro.RecommendationService` answers
   ``/predict`` and ``/recommend`` traffic from the newest snapshot while
@@ -134,9 +134,8 @@ from .model import CompletionModel
 from .rng import RngFactory
 from .runtime import MultiprocessNomad, ThreadedNomad
 from .schedules import BoldDriver, ConstantSchedule, NomadSchedule
-from .serve import RecommendationService, ServiceConfig
+from .serve import CacheStats, RecommendationService, ServiceConfig
 from .stream import (
-    CacheStats,
     DeltaStore,
     DriftStream,
     DynamicNomad,
@@ -190,8 +189,8 @@ __all__ = [
     "PrequentialTrace",
     "SnapshotStore",
     "Recommender",
-    "CacheStats",
     # serving
+    "CacheStats",
     "RecommendationService",
     "ServiceConfig",
     # configuration

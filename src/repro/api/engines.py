@@ -29,6 +29,7 @@ the public API changes.
 from __future__ import annotations
 
 import time
+from functools import partial
 
 from ..cluster.coordinator import ClusterNomad
 from ..config import RunConfig
@@ -58,17 +59,7 @@ from .registry import (
 from .result import FitResult, FitTiming
 from .streaming import run_dynamic, run_dynamic_stream
 
-__all__ = [
-    "run_simulated",
-    "run_threaded",
-    "run_multiprocess",
-    "run_cluster",
-]
-
-def _resolve_workers(request: FitRequest) -> int:
-    """Worker count for the live engines: explicit, else cluster, else
-    the registry-wide default."""
-    return resolve_workers(request.n_workers, request.cluster)
+__all__ = ["run_simulated", "run_live"]
 
 
 def run_simulated(request: FitRequest) -> FitResult:
@@ -151,24 +142,6 @@ def _simulated_telemetry(request: FitRequest, simulation) -> RunTelemetry:
     return RunTelemetry.from_workers([worker])
 
 
-def _reject_simulated_only(
-    request: FitRequest, allowed: frozenset[str] = frozenset()
-) -> None:
-    """The live runtimes take no simulation-layer extras — fail eagerly.
-
-    ``allowed`` names engine-specific keywords the caller will consume
-    (e.g. the cluster engine's ``transport=``); anything else fails.
-    """
-    engine = request.engine.name
-    if request.options is not None:
-        raise ConfigError(
-            f"options=NomadOptions(...) applies to the simulated engine "
-            f"only, not {engine!r} (the live runtimes implement the basic "
-            "Algorithm 1 routing)"
-        )
-    reject_extra_kwargs(engine, request.extra, allowed)
-
-
 def _live_result(
     request: FitRequest,
     n_workers: int,
@@ -220,61 +193,28 @@ def _live_result(
     )
 
 
-def run_threaded(request: FitRequest) -> FitResult:
-    """Run NOMAD on real threads for ``run.duration`` wall seconds.
+def run_live(
+    runtime_class, request: FitRequest, allowed: frozenset[str] = frozenset()
+) -> FitResult:
+    """Run NOMAD on one live runtime for ``run.duration`` wall seconds.
 
-    With no run config, the runtime's historical 1-second wall budget
-    and seed 0 apply.
+    The one runner of ``threaded``, ``multiprocess`` and ``cluster``,
+    registered below with the runtime class bound.  With no run
+    config, the runtime's historical 1-second wall budget and seed 0
+    apply.  The live runtimes take no simulation-layer extras — those
+    fail eagerly; ``allowed`` names the engine's own keywords, which
+    pass through :func:`repro.fit` to the runtime's constructor.
     """
-    _reject_simulated_only(request)
-    n_workers = _resolve_workers(request)
-    runner = ThreadedNomad(
-        request.train, request.test, n_workers, request.hyper,
-        run=request.run, init_factors=request.factors,
-        telemetry=request.telemetry,
-    )
-    return _live_result(
-        request, n_workers, runner.seed, runner.run(),
-        kernel_backend=runner.backend.name,
-    )
-
-
-def run_multiprocess(request: FitRequest) -> FitResult:
-    """Run NOMAD on real processes for ``run.duration`` wall seconds.
-
-    With no run config, the runtime's historical 1-second wall budget
-    and seed 0 apply.
-    """
-    _reject_simulated_only(request)
-    n_workers = _resolve_workers(request)
-    runner = MultiprocessNomad(
-        request.train, request.test, n_workers, request.hyper,
-        run=request.run, init_factors=request.factors,
-        telemetry=request.telemetry,
-    )
-    return _live_result(
-        request, n_workers, runner.seed, runner.run(),
-        kernel_backend=runner.backend.name,
-    )
-
-
-#: Engine-specific ``fit(...)`` keywords the cluster runner consumes.
-_CLUSTER_KWARGS = frozenset({"transport", "batch_size"})
-
-
-def run_cluster(request: FitRequest) -> FitResult:
-    """Run NOMAD on socket-connected worker processes (message passing).
-
-    With no run config, the runtime's historical 1-second wall budget
-    and seed 0 apply.  Two engine-specific keywords pass through
-    :func:`repro.fit`: ``transport`` (``"tcp"`` — the default, real
-    localhost sockets over spawned processes — or ``"loopback"`` for the
-    in-process test substrate) and ``batch_size`` (tokens per §3.5
-    envelope).
-    """
-    _reject_simulated_only(request, allowed=_CLUSTER_KWARGS)
-    n_workers = _resolve_workers(request)
-    runner = ClusterNomad(
+    engine = request.engine.name
+    if request.options is not None:
+        raise ConfigError(
+            f"options=NomadOptions(...) applies to the simulated engine "
+            f"only, not {engine!r} (the live runtimes implement the basic "
+            "Algorithm 1 routing)"
+        )
+    reject_extra_kwargs(engine, request.extra, allowed)
+    n_workers = resolve_workers(request.n_workers, request.cluster)
+    runner = runtime_class(
         request.train, request.test, n_workers, request.hyper,
         run=request.run, init_factors=request.factors,
         telemetry=request.telemetry, **request.extra,
@@ -283,6 +223,13 @@ def run_cluster(request: FitRequest) -> FitResult:
         request, n_workers, runner.seed, runner.run(),
         kernel_backend=runner.backend.name,
     )
+
+
+#: The cluster engine's own ``fit(...)`` keywords: ``transport``
+#: (``"tcp"`` — the default, real localhost sockets over spawned
+#: processes — or ``"loopback"`` for the in-process test substrate) and
+#: ``batch_size`` (tokens per §3.5 envelope).
+_CLUSTER_KWARGS = frozenset({"transport", "batch_size"})
 
 
 register_engine(
@@ -295,21 +242,21 @@ register_engine(
 register_engine(
     EngineSpec(
         name=THREADED,
-        runner=run_threaded,
+        runner=partial(run_live, ThreadedNomad),
         description="real Python threads (NOMAD protocol validation)",
     )
 )
 register_engine(
     EngineSpec(
         name=MULTIPROCESS,
-        runner=run_multiprocess,
+        runner=partial(run_live, MultiprocessNomad),
         description="real processes over shared-memory factors (NOMAD)",
     )
 )
 register_engine(
     EngineSpec(
         name=CLUSTER,
-        runner=run_cluster,
+        runner=partial(run_live, ClusterNomad, allowed=_CLUSTER_KWARGS),
         description=(
             "worker processes over localhost TCP sockets, message "
             "passing only (NOMAD; fork-free)"

@@ -41,7 +41,6 @@ def fit(
     n_workers: int | None = None,
     options: NomadOptions | None = None,
     init_factors: FactorPair | None = None,
-    factors: FactorPair | None = None,
     telemetry: bool = False,
     **algorithm_kwargs,
 ) -> FitResult:
@@ -94,9 +93,6 @@ def fit(
         give all algorithms one shared start (the §5.1 protocol).  Must
         cover exactly ``(train.n_rows, train.n_cols)`` at ``hyper.k``;
         the caller's arrays are never mutated.
-    factors:
-        Backward-compatible alias of ``init_factors`` (the historical
-        simulated-engine keyword); passing both raises.
     telemetry:
         When true the run records per-worker telemetry
         (:mod:`repro.telemetry`: token hops, queue depths, kernel
@@ -129,12 +125,11 @@ def fit(
         )
     if n_workers is not None and n_workers < 1:
         raise ConfigError(f"n_workers must be >= 1, got {n_workers}")
-    if init_factors is not None and factors is not None:
+    if "factors" in algorithm_kwargs:
         raise ConfigError(
-            "pass either init_factors or its legacy alias factors, not both"
+            "fit() has no factors= keyword: pass warm-start factors as "
+            "init_factors=, which every engine validates and honors"
         )
-    if init_factors is None:
-        init_factors = factors
     if init_factors is not None:
         effective_hyper = hyper if hyper is not None else HyperParams()
         validate_init_factors(

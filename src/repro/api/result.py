@@ -201,10 +201,10 @@ class StreamResult:
             return 0.0
         return self.arrivals / busy
 
-    def recommender(self, **kwargs) -> Recommender:
+    def recommender(self, cold_start: str = "mean") -> Recommender:
         """A serving :class:`~repro.stream.serve.Recommender` over the
-        rotated snapshots (keywords pass through, e.g. ``cold_start=``)."""
-        return Recommender(self.snapshots, **kwargs)
+        rotated snapshots."""
+        return Recommender(self.snapshots, cold_start=cold_start)
 
     def summary(self) -> str:
         """One-line human summary (used by the CLI ``stream`` subcommand)."""

@@ -653,6 +653,17 @@ def _run_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Subcommands whose library errors end in ``error: ...`` on stderr and
+#: exit code 2 (``list`` cannot fail; ``run`` lets them propagate).
+_HANDLERS = {
+    "fit": _run_fit,
+    "stream": _run_stream,
+    "serve": _run_serve,
+    "trace": _run_trace,
+    "analyze": run_analyze,
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     parser = build_parser()
@@ -666,37 +677,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                 print(f"{experiment_id:18s} {first_line}")
             return 0
 
-        if args.command == "fit":
+        handler = _HANDLERS.get(args.command)
+        if handler is not None:
             try:
-                return _run_fit(args)
-            except ReproError as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 2
-
-        if args.command == "stream":
-            try:
-                return _run_stream(args)
-            except ReproError as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 2
-
-        if args.command == "serve":
-            try:
-                return _run_serve(args)
-            except ReproError as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 2
-
-        if args.command == "trace":
-            try:
-                return _run_trace(args)
-            except ReproError as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 2
-
-        if args.command == "analyze":
-            try:
-                return run_analyze(args)
+                return handler(args)
             except ReproError as error:
                 print(f"error: {error}", file=sys.stderr)
                 return 2

@@ -26,10 +26,10 @@ the tests demonstrate the contrast the paper draws in §4.3.
 
 from __future__ import annotations
 
+import graphlib
+import heapq
 from dataclasses import dataclass
 from typing import Sequence
-
-import networkx as nx
 
 __all__ = [
     "UpdateEvent",
@@ -77,8 +77,11 @@ class UpdateEvent:
 FRESH = -1
 
 
-def conflict_graph(events: Sequence[UpdateEvent]) -> nx.DiGraph:
+def conflict_graph(events: Sequence[UpdateEvent]) -> dict[int, set[int]]:
     """Build the dependency graph of an update log.
+
+    The graph is a plain adjacency dict, ``seq -> set of successor seqs``,
+    with every event present as a key.
 
     Row (user) parameters are read/written by a single worker in commit
     order, so row conflicts always produce a forward edge
@@ -94,9 +97,7 @@ def conflict_graph(events: Sequence[UpdateEvent]) -> nx.DiGraph:
     An execution is serializable iff this graph is acyclic; the backward
     anti-dependency edges are what create cycles for Hogwild-style races.
     """
-    graph = nx.DiGraph()
-    for event in events:
-        graph.add_node(event.seq)
+    graph: dict[int, set[int]] = {event.seq: set() for event in events}
 
     last_by_row: dict[int, UpdateEvent] = {}
     col_history: dict[int, list[UpdateEvent]] = {}
@@ -104,44 +105,69 @@ def conflict_graph(events: Sequence[UpdateEvent]) -> nx.DiGraph:
     for event in sorted(events, key=lambda e: e.seq):
         last_row = last_by_row.get(event.row)
         if last_row is not None:
-            graph.add_edge(last_row.seq, event.seq)
+            graph[last_row.seq].add(event.seq)
 
         history = col_history.setdefault(event.col, [])
         if history:
             if event.stale_read == FRESH:
-                graph.add_edge(history[-1].seq, event.seq)
+                graph[history[-1].seq].add(event.seq)
             else:
                 observed = event.stale_read
                 if observed is not None:
-                    graph.add_edge(observed, event.seq)
+                    graph.setdefault(observed, set()).add(event.seq)
                 for other in history:
                     skipped = (
                         observed is None or other.seq > observed
                     ) and other.seq < event.seq
                     if skipped:
-                        graph.add_edge(event.seq, other.seq)
+                        graph[event.seq].add(other.seq)
 
         last_by_row[event.row] = event
         history.append(event)
     return graph
 
 
+def _sorter(graph: dict[int, set[int]]) -> graphlib.TopologicalSorter:
+    """A prepared sorter over ``graph``; raises ``CycleError`` on a cycle."""
+    sorter = graphlib.TopologicalSorter()
+    for node, successors in graph.items():
+        sorter.add(node)
+        for successor in successors:
+            sorter.add(successor, node)
+    sorter.prepare()
+    return sorter
+
+
 def is_serializable(events: Sequence[UpdateEvent]) -> bool:
     """Whether the logged execution admits an equivalent serial order."""
-    graph = conflict_graph(events)
-    return nx.is_directed_acyclic_graph(graph)
+    try:
+        _sorter(conflict_graph(events))
+    except graphlib.CycleError:
+        return False
+    return True
 
 
 def serial_order(events: Sequence[UpdateEvent]) -> list[UpdateEvent]:
-    """An equivalent serial schedule of a serializable execution.
+    """An equivalent serial schedule of a serializable execution: the
+    lexicographically smallest topological order of the conflict graph
+    (among the updates whose predecessors are all placed, lowest ``seq``
+    first).
 
     Raises
     ------
-    networkx.NetworkXUnfeasible
+    graphlib.CycleError
         If the execution is not serializable (the conflict graph has a
         cycle).
     """
-    graph = conflict_graph(events)
+    sorter = _sorter(conflict_graph(events))
     by_seq = {event.seq: event for event in events}
-    ordered = nx.lexicographical_topological_sort(graph)
-    return [by_seq[seq] for seq in ordered]
+    ready = list(sorter.get_ready())
+    heapq.heapify(ready)
+    ordered = []
+    while ready:
+        seq = heapq.heappop(ready)
+        ordered.append(by_seq[seq])
+        sorter.done(seq)
+        for released in sorter.get_ready():
+            heapq.heappush(ready, released)
+    return ordered

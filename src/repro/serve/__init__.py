@@ -14,7 +14,7 @@ measures throughput and tail latency under concurrent ingest.
 """
 
 from .app import RecommendationService, ServiceConfig
-from .cache import LruCache
+from .cache import CacheStats, LruCache
 from .persistence import (
     PERSIST_VERSION,
     DurablePrequentialTrace,
@@ -27,6 +27,7 @@ __all__ = [
     "RecommendationService",
     "ServiceConfig",
     "LruCache",
+    "CacheStats",
     "SnapshotPersister",
     "DurableSnapshotStore",
     "DurablePrequentialTrace",

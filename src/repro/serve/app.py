@@ -8,16 +8,20 @@ into one long-running process:
   served traffic becomes training data;
 * the trainer rotates immutable snapshots into a shared
   :class:`~repro.stream.snapshots.SnapshotStore` (the durable subclass
-  when a persistence directory is configured), and every read endpoint
-  answers from the newest one through a
-  :class:`~repro.stream.serve.Recommender`;
+  when a persistence directory is configured); a read handler takes
+  ``store.latest`` exactly once and derives everything in its reply —
+  the numbers (through the stateless
+  :class:`~repro.stream.serve.Recommender`), ``snapshot_seq``, the
+  ``cold_*`` flags, the cache key — from that one object, so a reply
+  can never mix two rotations and reads hold no model lock;
 * a request-level :class:`~repro.serve.cache.LruCache` keyed on
-  ``(snapshot seq, user, n)`` makes rotation invalidate the cached
-  working set atomically — no clear()-vs-insert race between handler
-  threads and the rotating trainer.
+  ``(snapshot seq, user, n)`` — the service's one cache — makes rotation
+  invalidate the cached working set atomically: no clear()-vs-insert
+  race between handler threads and the rotating trainer.
 
 The HTTP layer is the stdlib ``ThreadingHTTPServer``: one handler thread
-per connection, all sharing the service object under its internal locks.
+per connection, all sharing the service object; the only locks are the
+cache's own, the ingest dedup set's and the request counters'.
 Routes (all JSON, schemas in :mod:`repro.serve.schemas`):
 
 * ``GET /health`` — liveness + trainer status;
@@ -202,9 +206,6 @@ class RecommendationService:
         self._ingest_accepted = 0
         self._ingest_duplicates = 0
 
-        # The Recommender is not internally thread-safe; one lock
-        # serializes all model reads across handler threads.
-        self._recommend_lock = threading.Lock()
         self._requests_lock = threading.Lock()
         self._requests: dict[str, int] = {}
         # Per-route latency histograms and the service's SPAN_HTTP
@@ -444,14 +445,14 @@ class RecommendationService:
 
     def _handle_predict(self, params: dict[str, list[str]]) -> tuple[int, dict]:
         query = PredictQuery.from_query(params)
-        with self._recommend_lock:
-            snapshot = self.store.latest
-            model = snapshot.model
-            prediction = self.recommender.predict(query.user, query.item)
+        snapshot = self.store.latest
+        model = snapshot.model
         return 200, PredictResponse(
             user=query.user,
             item=query.item,
-            prediction=prediction,
+            prediction=self.recommender.predict(
+                query.user, query.item, snapshot=snapshot
+            ),
             snapshot_seq=snapshot.seq,
             cold_user=query.user >= model.n_users,
             cold_item=query.item >= model.n_items,
@@ -459,20 +460,22 @@ class RecommendationService:
 
     def _handle_recommend(self, params: dict[str, list[str]]) -> tuple[int, dict]:
         query = RecommendQuery.from_query(params)
-        with self._recommend_lock:
-            seq = self.store.latest.seq
-            key = (seq, query.user, query.n)
-            hit = self.cache.get(key)
-            if hit is not None:
-                items, cached = hit, True
-            else:
-                items = tuple(
-                    self.recommender.recommend(query.user, top_n=query.n)
+        snapshot = self.store.latest
+        key = (snapshot.seq, query.user, query.n)
+        items = self.cache.get(key)
+        cached = items is not None
+        if not cached:
+            items = tuple(
+                self.recommender.recommend(
+                    query.user, top_n=query.n, snapshot=snapshot
                 )
-                self.cache.put(key, items)
-                cached = False
+            )
+            self.cache.put(key, items)
         return 200, RecommendResponse(
-            user=query.user, snapshot_seq=seq, items=items, cached=cached
+            user=query.user,
+            snapshot_seq=snapshot.seq,
+            items=items,
+            cached=cached,
         ).to_payload()
 
     def _handle_ingest(self, body: bytes) -> tuple[int, dict]:
@@ -514,8 +517,6 @@ class RecommendationService:
                 }
                 for route, histogram in self._latency.items()
             }
-        with self._recommend_lock:
-            recommender_cache = self.recommender.cache_stats.as_dict()
         with self._ingest_lock:
             ingest = {
                 "accepted": self._ingest_accepted,
@@ -536,7 +537,6 @@ class RecommendationService:
             requests=requests,
             latency=latency,
             request_cache=self.cache.stats_payload(),
-            recommender_cache=recommender_cache,
             ingest=ingest,
             trainer=trainer,
         ).to_payload()

@@ -7,25 +7,69 @@ new seq simply misses, and entries of retired snapshots age out of the
 LRU tail.  No request thread ever races a bulk ``clear()`` against an
 insert of a stale result (the flaw a seq-less cache would have).
 
-The cache is shared by every handler thread of the
-``ThreadingHTTPServer``, so all operations take one lock; counters are
-the shared :class:`~repro.stream.serve.CacheStats` shape surfaced at
-``GET /stats``.
+This is the service's only cache and the only lock on its read path:
+it is shared by every handler thread of the ``ThreadingHTTPServer``, so
+all operations take the cache's own lock; its counters are the
+:class:`CacheStats` surfaced at ``GET /stats``.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Hashable
 
 from ..errors import ConfigError
-from ..stream.serve import CacheStats
 
-__all__ = ["LruCache"]
+__all__ = ["CacheStats", "LruCache"]
 
 #: Sentinel distinguishing "cached None" from "missing".
 _MISSING = object()
+
+
+@dataclass
+class CacheStats:
+    """Observable counters of the request cache (``/stats``'s
+    ``request_cache`` block).
+
+    Attributes
+    ----------
+    hits, misses:
+        Lookup outcomes.
+    invalidations:
+        Times the whole cache was dropped by :meth:`LruCache.clear`
+        (rotation never does: the seq-carrying keys just stop matching).
+    evictions:
+        Entries dropped to capacity pressure.
+    """
+
+    hits: int = 0
+    misses: int = 0
+    invalidations: int = 0
+    evictions: int = 0
+
+    @property
+    def lookups(self) -> int:
+        """Total lookups observed."""
+        return self.hits + self.misses
+
+    @property
+    def hit_rate(self) -> float:
+        """Fraction of lookups answered from cache (0.0 when unused)."""
+        if not self.lookups:
+            return 0.0
+        return self.hits / self.lookups
+
+    def as_dict(self) -> dict:
+        """JSON-ready counter dict (used by the ``/stats`` endpoint)."""
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "invalidations": self.invalidations,
+            "evictions": self.evictions,
+            "hit_rate": round(self.hit_rate, 4),
+        }
 
 
 class LruCache:

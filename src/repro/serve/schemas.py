@@ -42,7 +42,9 @@ __all__ = [
 #:   1 — initial contract (health/snapshot/predict/recommend/ratings/stats).
 #:   2 — ``GET /metrics`` (Prometheus text, unversioned by design) and a
 #:       per-route ``latency`` quantile block in ``/stats``.
-SCHEMA_VERSION = 2
+#:   3 — ``/stats`` carries one cache block, ``request_cache``; the second
+#:       (the ``Recommender``'s own, deleted with that cache) is gone.
+SCHEMA_VERSION = 3
 
 #: Largest ``n`` a recommend request may ask for.
 MAX_TOP_N = 1000
@@ -356,7 +358,6 @@ class StatsResponse:
     requests: dict
     latency: dict
     request_cache: dict
-    recommender_cache: dict
     ingest: dict
     trainer: dict
 
@@ -369,7 +370,6 @@ class StatsResponse:
                 "requests": dict(self.requests),
                 "latency": dict(self.latency),
                 "request_cache": dict(self.request_cache),
-                "recommender_cache": dict(self.recommender_cache),
                 "ingest": dict(self.ingest),
                 "trainer": dict(self.trainer),
             }

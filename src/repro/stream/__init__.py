@@ -21,9 +21,9 @@ This package makes that claim executable:
 * :mod:`~repro.stream.snapshots` — :class:`SnapshotStore`, rotating
   immutable :class:`~repro.model.CompletionModel` snapshots on a cadence,
   plus the prequential (test-then-train) RMSE trace of the stream.
-* :mod:`~repro.stream.serve` — :class:`Recommender`, a serving front that
-  answers ``predict``/``recommend`` from the newest snapshot with a
-  per-user top-N cache invalidated on rotation.
+* :mod:`~repro.stream.serve` — :class:`Recommender`, a stateless serving
+  front that answers ``predict``/``recommend`` from one snapshot (the
+  newest unless handed another) under an explicit cold-start policy.
 
 The facade entry point is :func:`repro.fit_stream`, which drives all four
 parts and returns a :class:`~repro.api.result.StreamResult`.
@@ -36,7 +36,7 @@ from .snapshots import (
     PrequentialTrace,
     SnapshotStore,
 )
-from .serve import CacheStats, Recommender
+from .serve import Recommender
 from .sources import (
     DriftStream,
     QueueStream,
@@ -57,6 +57,5 @@ __all__ = [
     "PrequentialRecord",
     "PrequentialTrace",
     "SnapshotStore",
-    "CacheStats",
     "Recommender",
 ]

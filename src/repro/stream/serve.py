@@ -1,11 +1,12 @@
 """Serving front: answer traffic from the newest snapshot.
 
-A :class:`Recommender` sits between request traffic and a
-:class:`~repro.stream.snapshots.SnapshotStore`.  Every call reads the
-*newest* snapshot; per-user top-N results are cached and the whole cache
-is invalidated the moment a rotation is observed (snapshot ``seq``
-changed), so a served recommendation is never staler than one rotation
-cadence.
+A :class:`Recommender` is the cold-start policy between request traffic
+and a :class:`~repro.stream.snapshots.SnapshotStore`.  It holds no state
+of its own: every call ranks or scores from *one* immutable snapshot —
+the one it is handed, or the store's newest, read exactly once — so any
+number of threads may share it without a lock and an answer can never
+mix two rotations.  Caching is the caller's business (the HTTP service
+keeps one seq-keyed LRU, :class:`repro.serve.cache.LruCache`).
 
 Cold-start policy is explicit: a user or item the serving snapshot has
 never seen either raises (``cold_start="error"``) or falls back to the
@@ -15,65 +16,18 @@ approximation, which degrades to popularity ranking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import ConfigError
 from ..model import top_items
 from .snapshots import ModelSnapshot, SnapshotStore
 
-__all__ = ["CacheStats", "Recommender"]
+__all__ = ["Recommender"]
 
 _COLD_START = ("mean", "error")
 
-
-@dataclass
-class CacheStats:
-    """Observable counters of one serving cache.
-
-    Shared by :class:`Recommender`'s per-user top-N cache and the HTTP
-    service's request-level LRU (:class:`repro.serve.cache.LruCache`),
-    so the ``/stats`` endpoint reports every cache in one shape.
-
-    Attributes
-    ----------
-    hits, misses:
-        Lookup outcomes.
-    invalidations:
-        Times the whole cache was dropped because a snapshot rotation
-        was observed.
-    evictions:
-        Entries dropped to capacity pressure (LRU caches; always 0 for
-        :class:`Recommender`, which stops inserting at capacity).
-    """
-
-    hits: int = 0
-    misses: int = 0
-    invalidations: int = 0
-    evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        """Total lookups observed."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups answered from cache (0.0 when unused)."""
-        if not self.lookups:
-            return 0.0
-        return self.hits / self.lookups
-
-    def as_dict(self) -> dict:
-        """JSON-ready counter dict (used by the ``/stats`` endpoint)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "invalidations": self.invalidations,
-            "evictions": self.evictions,
-            "hit_rate": round(self.hit_rate, 4),
-        }
+#: Which factor matrix (0 = W, 1 = H) holds the rows of each entity kind.
+_AXIS = {"user": 0, "item": 1}
 
 
 class Recommender:
@@ -88,139 +42,66 @@ class Recommender:
         ``"mean"`` (default) — requests for unseen users/items are
         answered with the mean factor row; ``"error"`` — they raise
         :class:`~repro.errors.ConfigError`.
-    max_cache_users:
-        Per-user top-N cache capacity; 0 disables caching.
     """
 
-    def __init__(
-        self,
-        store: SnapshotStore,
-        cold_start: str = "mean",
-        max_cache_users: int = 4096,
-    ):
+    def __init__(self, store: SnapshotStore, cold_start: str = "mean"):
         if cold_start not in _COLD_START:
             raise ConfigError(
                 f"cold_start must be one of {_COLD_START}, got {cold_start!r}"
             )
-        if max_cache_users < 0:
-            raise ConfigError(
-                f"max_cache_users must be >= 0, got {max_cache_users}"
-            )
         self.store = store
         self.cold_start = cold_start
-        self.max_cache_users = int(max_cache_users)
-        self._cache: dict[tuple[int, int], list[tuple[int, float]]] = {}
-        self._cache_seq: int | None = None
-        self._mean_rows: tuple[np.ndarray, np.ndarray] | None = None
-        self.cache_stats = CacheStats()
 
-    # Legacy counter attributes, kept as live views of ``cache_stats``.
-    @property
-    def cache_hits(self) -> int:
-        """Top-N cache hits (see :attr:`cache_stats`)."""
-        return self.cache_stats.hits
-
-    @property
-    def cache_misses(self) -> int:
-        """Top-N cache misses (see :attr:`cache_stats`)."""
-        return self.cache_stats.misses
-
-    @property
-    def invalidations(self) -> int:
-        """Whole-cache drops on observed rotation (see :attr:`cache_stats`)."""
-        return self.cache_stats.invalidations
-
-    # ------------------------------------------------------------------
-    def _snapshot(self) -> ModelSnapshot:
-        """Newest snapshot, invalidating the caches on observed rotation."""
-        snapshot = self.store.latest
-        if snapshot.seq != self._cache_seq:
-            if self._cache:
-                self.cache_stats.invalidations += 1
-            self._cache.clear()
-            self._mean_rows = None
-            self._cache_seq = snapshot.seq
-        return snapshot
-
-    def _means(self, snapshot: ModelSnapshot) -> tuple[np.ndarray, np.ndarray]:
-        """Mean (W row, H row) of the snapshot — the cold-start fallback,
-        computed once per rotation (snapshots are immutable)."""
-        if self._mean_rows is None:
-            factors = snapshot.model.factors
-            self._mean_rows = (factors.w.mean(axis=0), factors.h.mean(axis=0))
-        return self._mean_rows
-
-    def _user_vector(self, snapshot: ModelSnapshot, user: int) -> np.ndarray:
-        model = snapshot.model
-        if 0 <= user < model.n_users:
-            return model.factors.w[user]
+    def _row(self, snapshot: ModelSnapshot, kind: str, index: int) -> np.ndarray:
+        """Factor row of one ``"user"`` or ``"item"``, falling back per
+        the cold-start policy when the snapshot does not cover it."""
+        axis = _AXIS[kind]
+        factors = snapshot.model.factors
+        matrix = (factors.w, factors.h)[axis]
+        if 0 <= index < matrix.shape[0]:
+            return matrix[index]
         if self.cold_start == "error":
             raise ConfigError(
-                f"user {user} unknown to serving snapshot seq "
-                f"{snapshot.seq} (covers {model.n_users} users)"
+                f"{kind} {index} unknown to serving snapshot seq "
+                f"{snapshot.seq} (covers {matrix.shape[0]} {kind}s)"
             )
-        return self._means(snapshot)[0]
+        return snapshot.mean_rows[axis]
 
     # ------------------------------------------------------------------
     # Traffic
     # ------------------------------------------------------------------
-    def predict(self, user: int, item: int) -> float:
-        """Predicted rating from the newest snapshot.
+    def predict(
+        self, user: int, item: int, snapshot: ModelSnapshot | None = None
+    ) -> float:
+        """Predicted rating from ``snapshot`` (default: the newest).
 
         Unknown users fall back per the cold-start policy; unknown items
         likewise (mean item row under ``"mean"``).
         """
-        snapshot = self._snapshot()
-        model = snapshot.model
-        w_row = self._user_vector(snapshot, user)
-        if 0 <= item < model.n_items:
-            h_row = model.factors.h[item]
-        elif self.cold_start == "error":
-            raise ConfigError(
-                f"item {item} unknown to serving snapshot seq "
-                f"{snapshot.seq} (covers {model.n_items} items)"
+        if snapshot is None:
+            snapshot = self.store.latest
+        return float(
+            np.dot(
+                self._row(snapshot, "user", user),
+                self._row(snapshot, "item", item),
             )
-        else:
-            h_row = self._means(snapshot)[1]
-        return float(np.dot(w_row, h_row))
+        )
 
     def recommend(
         self,
         user: int,
         top_n: int = 10,
         exclude: np.ndarray | None = None,
+        snapshot: ModelSnapshot | None = None,
     ) -> list[tuple[int, float]]:
-        """Top-N items for ``user`` from the newest snapshot.
-
-        Results are cached per ``(user, top_n)`` until the next rotation.
-        ``exclude`` requests bypass the cache (the mask is caller state,
-        not model state).  Unknown users follow the cold-start policy.
-        """
+        """Top-N items for ``user`` from ``snapshot`` (default: the
+        newest).  Unknown users follow the cold-start policy."""
         if top_n < 1:
             raise ConfigError(f"top_n must be >= 1, got {top_n}")
-        snapshot = self._snapshot()
-        model = snapshot.model
-        known = 0 <= user < model.n_users
-        cacheable = (
-            exclude is None and known and self.max_cache_users > 0
-        )
-        key = (user, top_n)
-        if cacheable:
-            hit = self._cache.get(key)
-            if hit is not None:
-                self.cache_stats.hits += 1
-                return list(hit)
-            self.cache_stats.misses += 1
-
-        if known:
-            ranked = model.recommend(user, top_n=top_n, exclude=exclude)
-        else:
-            w_row = self._user_vector(snapshot, user)  # may raise
-            ranked = top_items(model.factors.h @ w_row, top_n, exclude)
-
-        if cacheable and len(self._cache) < self.max_cache_users:
-            self._cache[key] = list(ranked)
-        return ranked
+        if snapshot is None:
+            snapshot = self.store.latest
+        w_row = self._row(snapshot, "user", user)  # may raise
+        return top_items(snapshot.model.factors.h @ w_row, top_n, exclude)
 
     # ------------------------------------------------------------------
     @property
@@ -229,8 +110,4 @@ class Recommender:
         return self.store.latest.seq
 
     def __repr__(self) -> str:
-        return (
-            f"Recommender(cold_start={self.cold_start!r}, "
-            f"hits={self.cache_hits}, misses={self.cache_misses}, "
-            f"invalidations={self.invalidations})"
-        )
+        return f"Recommender(cold_start={self.cold_start!r})"

@@ -18,6 +18,7 @@ never seen cannot be scored and are tallied separately as *cold*.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,8 +41,8 @@ class ModelSnapshot:
     Attributes
     ----------
     seq:
-        Rotation sequence number, 0 for the warm-start snapshot; serving
-        caches key their validity on it.
+        Rotation sequence number, 0 for the warm-start snapshot; the
+        serving cache keys its entries on it.
     stream_time:
         Stream timestamp (seconds) at which the snapshot was rotated in.
     arrivals_seen:
@@ -58,6 +59,16 @@ class ModelSnapshot:
     arrivals_seen: int
     updates_seen: int
     model: CompletionModel
+
+    @cached_property
+    def mean_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Mean (W row, H row) — the serving layer's cold-start fallback.
+
+        Computed on first use, never at rotation (the trainer's path),
+        and kept: the factors are frozen, so the means cannot go stale.
+        """
+        factors = self.model.factors
+        return factors.w.mean(axis=0), factors.h.mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -156,7 +167,7 @@ class SnapshotStore:
     -----
     :meth:`rotate` deep-copies the factors and marks the copies
     read-only, so a snapshot can never observe later training updates —
-    the immutability the serving layer's caches rely on.
+    the immutability lock-free serving and its seq-keyed cache rely on.
     """
 
     def __init__(self, max_keep: int = 8):
@@ -198,7 +209,7 @@ class SnapshotStore:
         and resume the rotation sequence *after* it.
 
         The snapshot must be newer than anything already resident — the
-        sequence number is the serving caches' validity key, so it can
+        sequence number is the serving cache's validity key, so it can
         never move backwards.
         """
         if snapshot.seq < self._next_seq:

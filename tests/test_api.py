@@ -245,12 +245,12 @@ class TestFitSimulated:
             train.n_rows, train.n_cols, HYPER.k, RngFactory(99).stream("init")
         )
         result = fit(
-            train, test, hyper=HYPER, run=SIM_RUN, factors=factors,
+            train, test, hyper=HYPER, run=SIM_RUN, init_factors=factors,
         )
         assert result.trace.records[0].rmse == pytest.approx(
             fit(
                 train, test, algorithm="dsgd", hyper=HYPER, run=SIM_RUN,
-                factors=factors,
+                init_factors=factors,
             ).trace.records[0].rmse
         )
 
@@ -344,7 +344,10 @@ class TestFitLiveEngines:
                     init_factors=bad,
                 )
 
-    def test_init_factors_and_legacy_alias_conflict(self, tiny_split):
+    def test_legacy_factors_alias_rejected(self, tiny_split):
+        """fit() has no factors= keyword, and it must not leak through
+        **algorithm_kwargs either — into a simulation constructor
+        (unvalidated) or out as an engine's "unsupported keyword"."""
         from repro.linalg.factors import init_factors
         from repro.rng import RngFactory
 
@@ -352,7 +355,14 @@ class TestFitLiveEngines:
         factors = init_factors(
             train.n_rows, train.n_cols, HYPER.k, RngFactory(0).stream("init")
         )
-        with pytest.raises(ConfigError, match="not both"):
+        for engine in ("simulated", "threaded", "multiprocess", "cluster",
+                       "dynamic"):
+            with pytest.raises(ConfigError, match="init_factors="):
+                fit(
+                    train, test, engine=engine, hyper=HYPER, run=LIVE_RUN,
+                    factors=factors,
+                )
+        with pytest.raises(ConfigError, match="init_factors="):
             fit(
                 train, test, hyper=HYPER, run=SIM_RUN,
                 init_factors=factors, factors=factors,

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import networkx as nx
+import graphlib
+
 import pytest
 
 from repro.core.serializability import (
@@ -29,29 +30,29 @@ class TestConflictGraph:
     def test_independent_updates_no_edges(self):
         events = [fresh(0, 0, 0), fresh(1, 1, 1), fresh(2, 2, 2)]
         graph = conflict_graph(events)
-        assert graph.number_of_edges() == 0
+        assert sum(len(successors) for successors in graph.values()) == 0
 
     def test_row_conflict_edge(self):
         events = [fresh(0, 5, 0), fresh(1, 5, 1)]
         graph = conflict_graph(events)
-        assert graph.has_edge(0, 1)
+        assert 1 in graph[0]
 
     def test_col_conflict_edge(self):
         events = [fresh(0, 0, 7), fresh(1, 1, 7)]
         graph = conflict_graph(events)
-        assert graph.has_edge(0, 1)
+        assert 1 in graph[0]
 
     def test_chain_on_same_pair(self):
         events = [fresh(t, 3, 3, count=t) for t in range(4)]
         graph = conflict_graph(events)
-        assert all(graph.has_edge(t, t + 1) for t in range(3))
+        assert all(t + 1 in graph[t] for t in range(3))
 
     def test_stale_read_creates_anti_dependency(self):
         # Event 1 skipped event 0's write on the shared column.
         events = [fresh(0, 0, 2), stale(1, 1, 2, observed=None)]
         graph = conflict_graph(events)
-        assert graph.has_edge(1, 0)
-        assert not graph.has_edge(0, 1)
+        assert 0 in graph[1]
+        assert 1 not in graph[0]
 
     def test_stale_read_observes_named_version(self):
         events = [
@@ -60,8 +61,8 @@ class TestConflictGraph:
             stale(2, 3, 2, observed=0),  # saw 0's write, missed 1's
         ]
         graph = conflict_graph(events)
-        assert graph.has_edge(0, 2)
-        assert graph.has_edge(2, 1)
+        assert 2 in graph[0]
+        assert 1 in graph[2]
 
 
 class TestSerializability:
@@ -125,7 +126,7 @@ class TestSerialOrder:
             stale(2, 1, 2, observed=None),
             stale(3, 2, 1, observed=None),
         ]
-        with pytest.raises(nx.NetworkXUnfeasible):
+        with pytest.raises(graphlib.CycleError):
             serial_order(events)
 
     def test_all_events_present(self):

@@ -6,7 +6,9 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -17,7 +19,7 @@ from repro.config import HyperParams
 from repro.datasets.ratings import RatingMatrix
 from repro.errors import ConfigError, DataError, ServeError
 from repro.linalg.factors import FactorPair
-from repro.model import CompletionModel
+from repro.model import CompletionModel, top_items
 from repro.serve import (
     MAX_BATCH,
     MAX_TOP_N,
@@ -281,39 +283,25 @@ class TestLruCache:
 
 
 # ---------------------------------------------------------------------------
-# Recommender cache observability (shared CacheStats shape)
+# Cache observability (the CacheStats shape behind /stats' request_cache)
 
 
-class TestRecommenderCacheStats:
-    def make_store(self):
-        store = SnapshotStore()
-        snapshot = make_snapshot()
-        store.rotate(
-            snapshot.model.factors, 0.0, 0, 0
-        )
-        return store
-
-    def test_counters_move_and_legacy_names_mirror(self):
-        store = self.make_store()
-        recommender = Recommender(store)
-        recommender.recommend(0, top_n=2)
-        recommender.recommend(0, top_n=2)
-        stats = recommender.cache_stats
+class TestCacheStats:
+    def test_counters_move(self):
+        cache = LruCache(capacity=4)
+        cache.put("a", 1)
+        cache.get("a")
+        cache.get("b")
+        stats = cache.stats
         assert (stats.hits, stats.misses) == (1, 1)
         assert stats.hit_rate == 0.5
-        # The legacy attribute names stay live views of the same counters.
-        assert recommender.cache_hits == stats.hits
-        assert recommender.cache_misses == stats.misses
-        assert recommender.invalidations == stats.invalidations
 
-    def test_rotation_counts_invalidation(self):
-        store = self.make_store()
-        recommender = Recommender(store)
-        recommender.recommend(0, top_n=2)
-        store.rotate(make_snapshot(seq=1).model.factors, 1.0, 1, 1)
-        recommender.recommend(0, top_n=2)
-        assert recommender.cache_stats.invalidations == 1
-        payload = recommender.cache_stats.as_dict()
+    def test_as_dict_shape(self):
+        cache = LruCache(capacity=4)
+        cache.put("a", 1)
+        cache.clear()
+        assert cache.stats.invalidations == 1
+        payload = cache.stats.as_dict()
         assert set(payload) == {
             "hits", "misses", "invalidations", "evictions", "hit_rate",
         }
@@ -588,6 +576,193 @@ class TestService:
     def test_double_start_rejected(self, service):
         with pytest.raises(ServeError, match="already started"):
             service.start()
+
+
+# ---------------------------------------------------------------------------
+# One snapshot per read: everything in a reply derives from one store.latest
+
+
+def shaped_snapshot(seq: int) -> ModelSnapshot:
+    """Snapshots whose shape alternates with seq (6x4 / 9x7), so user 7
+    and item 5 are cold under even seqs and known under odd ones."""
+    grown = 3 * (seq % 2)
+    return make_snapshot(seq=seq, n_users=6 + grown, n_items=4 + grown)
+
+
+class RotatingStore(SnapshotStore):
+    """Test double: ``latest`` rotates a different model in right after
+    each read, so a handler that reads the store twice for one reply
+    sees two snapshots."""
+
+    def __init__(self):
+        super().__init__(max_keep=64)
+        self.adopt(shaped_snapshot(0))
+
+    @property
+    def latest(self) -> ModelSnapshot:
+        snapshot = super().latest
+        self.adopt(shaped_snapshot(self.rotations))
+        return snapshot
+
+
+def service_over(store: SnapshotStore) -> RecommendationService:
+    """An unstarted read-only service answering from ``store``:
+    ``dispatch`` needs neither the socket nor the trainer."""
+    svc = RecommendationService(
+        make_warmup(), HyperParams(k=3), ServiceConfig(train=False)
+    )
+    svc.store = store
+    svc.recommender = Recommender(store)
+    return svc
+
+
+def expected_ranking(snapshot: ModelSnapshot, user: int, n: int):
+    model = snapshot.model
+    if user < model.n_users:
+        return model.recommend(user, top_n=n)
+    return top_items(model.factors.h @ model.factors.w.mean(axis=0), n)
+
+
+def expected_prediction(snapshot: ModelSnapshot, user: int, item: int) -> float:
+    model = snapshot.model
+    if user < model.n_users and item < model.n_items:
+        return model.predict_one(user, item)
+    factors = model.factors
+    w_row = factors.w[user] if user < model.n_users else factors.w.mean(axis=0)
+    h_row = factors.h[item] if item < model.n_items else factors.h.mean(axis=0)
+    return float(np.dot(w_row, h_row))
+
+
+def check_reply(snapshot: ModelSnapshot, route: str, payload: dict) -> None:
+    """A read reply must be exactly what the snapshot it names says."""
+    model = snapshot.model
+    user = payload["user"]
+    if route == "/recommend":
+        ranking = expected_ranking(snapshot, user, len(payload["items"]))
+        assert payload["items"] == [
+            {"item": item, "score": score} for item, score in ranking
+        ]
+    else:
+        item = payload["item"]
+        assert payload["prediction"] == expected_prediction(snapshot, user, item)
+        assert payload["cold_user"] == (user >= model.n_users)
+        assert payload["cold_item"] == (item >= model.n_items)
+
+
+class TestOneSnapshotPerRead:
+    def resident(self, store, seq) -> ModelSnapshot:
+        return {snapshot.seq: snapshot for snapshot in store.snapshots}[seq]
+
+    @pytest.mark.parametrize("user", [1, 7])
+    def test_recommend_is_the_named_snapshots_ranking(self, user):
+        store = RotatingStore()
+        svc = service_over(store)
+        for _ in range(3):  # seqs of both shapes
+            status, payload = svc.dispatch(
+                "GET", "/recommend", {"user": [str(user)], "n": ["3"]}, b""
+            )
+            assert status == 200 and payload["cached"] is False
+            snapshot = self.resident(store, payload["snapshot_seq"])
+            check_reply(snapshot, "/recommend", payload)
+            # ... and that same ranking is what the LRU holds under the seq.
+            assert svc.cache.get((snapshot.seq, user, 3)) == tuple(
+                expected_ranking(snapshot, user, 3)
+            )
+
+    @pytest.mark.parametrize("user, item", [(1, 2), (7, 5), (1, 5), (7, 2)])
+    def test_predict_is_the_named_snapshots_cell_and_flags(self, user, item):
+        store = RotatingStore()
+        svc = service_over(store)
+        flags = set()
+        for _ in range(2):  # an even (6x4) and an odd (9x7) seq
+            params = {"user": [str(user)], "item": [str(item)]}
+            status, payload = svc.dispatch("GET", "/predict", params, b"")
+            assert status == 200
+            snapshot = self.resident(store, payload["snapshot_seq"])
+            check_reply(snapshot, "/predict", payload)
+            flags.add((payload["cold_user"], payload["cold_item"]))
+        assert flags == {(user == 7, item == 5), (False, False)}
+
+    def test_handed_a_snapshot_the_recommender_never_reads_the_store(self):
+        store = RotatingStore()
+        recommender = Recommender(store)
+        snapshot = shaped_snapshot(1)
+        recommender.recommend(1, top_n=2, snapshot=snapshot)
+        recommender.predict(7, 5, snapshot=snapshot)
+        assert store.rotations == 1  # nothing read `latest`
+        recommender.recommend(1, top_n=2)  # bare: exactly one read
+        assert store.rotations == 2
+
+    def test_stats_has_one_cache_block(self):
+        svc = service_over(RotatingStore())
+        svc.dispatch("GET", "/recommend", {"user": ["1"]}, b"")
+        _, stats = svc.dispatch("GET", "/stats", {}, b"")
+        assert stats["schema_version"] == SCHEMA_VERSION == 3
+        assert "recommender_cache" not in stats
+        assert stats["request_cache"]["misses"] == 1
+
+    def test_readers_race_a_rotating_store(self):
+        """Four unlocked reader threads against a store rotated in a
+        loop: every reply matches the snapshot it names, and the LRU
+        accounts for every /recommend."""
+        store = SnapshotStore()
+        history = {0: store.adopt(shaped_snapshot(0))}
+        svc = service_over(store)
+        stop = threading.Event()
+        replies = [[] for _ in range(4)]
+        errors = []
+
+        def rotate():
+            while not stop.is_set():
+                snapshot = shaped_snapshot(store.rotations)
+                history[snapshot.seq] = store.adopt(snapshot)
+                time.sleep(0)
+
+        def read(out, offset):
+            try:
+                turn = offset
+                while not stop.is_set():
+                    turn += 1
+                    user = turn % 8
+                    if turn % 2:
+                        request = "/recommend", {"user": [str(user)], "n": ["3"]}
+                    else:
+                        request = "/predict", {
+                            "user": [str(user)], "item": [str(turn % 7)]
+                        }
+                    status, payload = svc.dispatch("GET", *request, b"")
+                    assert status == 200
+                    out.append((request[0], payload))
+            except Exception as error:
+                errors.append(error)
+                stop.set()
+
+        threads = [threading.Thread(target=rotate)] + [
+            threading.Thread(target=read, args=(out, index))
+            for index, out in enumerate(replies)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave mid-handler, not per 5 ms
+        try:
+            for thread in threads:
+                thread.start()
+            stop.wait(0.3)
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert len(history) > 2  # the store really rotated under the readers
+        flat = [reply for out in replies for reply in out]
+        for route, payload in flat:
+            check_reply(history[payload["snapshot_seq"]], route, payload)
+        recommends = sum(route == "/recommend" for route, _ in flat)
+        assert recommends > 0
+        stats = svc.cache.stats
+        assert stats.hits + stats.misses == recommends
 
 
 class TestObservability:
