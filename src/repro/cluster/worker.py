@@ -1,22 +1,26 @@
-"""One cluster worker: the NOMAD inner loop over a message transport.
+"""One cluster worker: the live token loop over a message transport.
 
 Each worker owns a disjoint user-row shard and communicates **only** by
-serialized frames — no memory is shared with any other node.  The loop is
-Algorithm 1 verbatim, with the communication layer made explicit:
+serialized frames — no memory is shared with any other node.  It runs
+:func:`repro.runtime.loop.run_token_loop`, the loop of every live
+engine; :class:`TransportMailbox` puts the wire behind the mailbox
+surface that loop calls:
 
-* pop a ``(j, h_j)`` token from the local inbox, run the SGD updates over
-  the local ratings Ω̄^(q)_j through the configured
-  :class:`~repro.linalg.backends.base.KernelBackend`, and route the token
-  (with its freshly updated ``h_j`` payload) to a uniformly random worker;
-* outbound tokens accumulate in per-destination buffers and ship as §3.5
-  envelopes of ``batch_size`` tokens; buffers flush early whenever the
-  inbox runs dry, so a partial envelope can never strand a token while
-  the worker idles;
-* on ``Stop`` the worker freezes its model, sends a ``Fin`` drain marker
-  down every outbound link, and keeps receiving until it holds a ``Fin``
-  from every peer — TCP's per-connection ordering then guarantees every
-  token in flight has landed *somewhere*, making token conservation
-  checkable by the coordinator;
+* **inside a worker a token is a bare item id.**  An arriving
+  ``(j, h_j)`` is copied into row ``j`` of a worker-local ``(n_cols, k)``
+  table, to which the kernel is bound once, and is re-serialized from
+  that row when it leaves.  The table costs ``8·k·n_cols`` bytes per
+  worker — what ``ClusterNomad._check_shard_frame_sizes`` already
+  assumes one worker can hold (``worst_held``: every token at rest on it);
+* outbound ids ship as §3.5 envelopes of ``batch_size`` tokens; partial
+  envelopes flush whenever the inbox runs dry, so a buffered token can
+  never strand while the worker idles (on the loop's 50 µs → 2 ms
+  back-off; it used to block 20 ms in ``recv``);
+* on ``Stop`` the loop returns with the model frozen, a ``Fin`` drain
+  marker goes down every outbound link, and the worker keeps receiving
+  until it holds a ``Fin`` from every peer — TCP's per-connection
+  ordering then guarantees every token in flight has landed *somewhere*,
+  making token conservation checkable by the coordinator;
 * finally it reports a :class:`~repro.cluster.wire.ResultShard`: its user
   factors, its update count, and every token at rest locally.
 
@@ -30,6 +34,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -37,38 +42,28 @@ from ..config import HyperParams
 from ..datasets.ratings import Shard
 from ..errors import ClusterError
 from ..linalg.backends import get_backend
-from ..rng import derive_pyrandom
-from ..runtime.loop import BURST_TOKENS
-from ..telemetry import (
-    C_BATCHES,
-    C_DRAINS,
-    C_IDLE_POLLS,
-    C_TOKENS,
-    C_UPDATES,
-    POINT_QUEUE_DEPTH,
-    Recorder,
-    SPAN_HOP,
-    SPAN_IDLE,
-    SPAN_KERNEL,
-    clock,
-    encode_payload,
-)
+from ..rng import derive_rng
+from ..runtime.loop import run_token_loop
+from ..telemetry import Recorder, clock, encode_payload
 from .transport import COORDINATOR, TcpTransport, Transport
 from . import wire
 
-__all__ = ["WorkerSpec", "run_worker", "tcp_worker_entry"]
+__all__ = ["TransportMailbox", "WorkerSpec", "run_worker", "tcp_worker_entry"]
 
-#: nomadlint NMD001 owner contexts: ``run_worker`` is the Algorithm 1
-#: loop — its W block is private to this node and each ``h_j`` arrives
-#: as an owned token payload, so every factor write is owner-guarded.
-__nomad_owner_contexts__ = ("run_worker",)
+#: nomadlint NMD001 owner contexts: ``TransportMailbox.dispatch`` copies
+#: an arriving ``h_j`` into the worker's table.  Receiving the token *is*
+#: the ownership transfer — this node owns row ``j`` from then until it
+#: serializes the row back out; ``run_token_loop`` does every later write.
+__nomad_owner_contexts__ = ("dispatch",)
 
-#: Receive poll period while the inbox is empty, seconds.
+#: Receive poll period of the bootstrap wait and the drain barrier, seconds.
 _POLL_SECONDS = 0.02
 
 #: How long a worker keeps draining after ``Stop`` before giving up on
 #: missing ``Fin`` markers (a dead peer); its own result still ships.
 _DRAIN_TIMEOUT = 10.0
+
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 @dataclass
@@ -103,6 +98,139 @@ class WorkerSpec:
     telemetry: bool = False
 
 
+class TransportMailbox:
+    """One worker's mailbox over a :class:`Transport`: what the loop
+    calls on ``TokenRings`` (``pop_many`` / ``route`` / ``depth``) plus
+    ``is_set()``, so the same object is the loop's ``stop``.
+
+    ``h`` is the worker's ``(n_cols, k)`` table; a row is current while
+    its id is in the inbox, a burst or an unsent buffer.  ``put_times``
+    (``None`` without telemetry) gets each token's arrival stamp: tokens
+    are NOT stamped on the wire (the layout stays byte-identical to the
+    simulator's cost model), so a hop span is local inbox residence.
+    """
+
+    def __init__(
+        self, worker_id: int, n_workers: int, batch_size: int,
+        transport: Transport, h: np.ndarray, put_times: np.ndarray | None,
+    ):
+        self._worker = worker_id
+        self._batch_size = batch_size
+        self._transport = transport
+        self._h = h
+        self._put_times = put_times
+        self._inbox: deque[int] = deque()
+        #: Unsent ids, one list per peer.
+        self._buffers = {q: [] for q in range(n_workers) if q != worker_id}
+        self._stopping = False
+        self._fins: set[int] = set()
+        self._drain_deadline = float("inf")
+
+    def dispatch(self, message) -> None:
+        """Act on one decoded frame: tokens into the table and the
+        inbox, ``Stop`` / ``Fin`` into the drain bookkeeping."""
+        if isinstance(message, wire.TokenEnvelope):
+            # Ids travel as signed int64: a foreign or corrupt frame
+            # could address any row.  Check before the first write.
+            n_cols, k = self._h.shape
+            items = [token.item for token in message.tokens]
+            bad = [j for j in items if not 0 <= j < n_cols]
+            if message.k != k or bad:
+                what = f"item(s) {bad}" if bad else f"k={message.k}"
+                raise ClusterError(
+                    f"worker {self._worker} got a token envelope with {what}; "
+                    f"its table holds k={k}, items [0, {n_cols})"
+                )
+            for token in message.tokens:
+                self._h[token.item] = token.h
+            if self._put_times is not None:
+                self._put_times[items] = clock()
+            self._inbox.extend(items)
+        elif isinstance(message, wire.Stop):
+            # Idempotent: a re-broadcast Stop (the coordinator's failure
+            # path) must not move the deadline or send duplicate Fins.
+            if not self._stopping:
+                self._stopping = True
+                self._drain_deadline = time.monotonic() + _DRAIN_TIMEOUT
+                for q in self._buffers:
+                    self._transport.send(q, wire.encode_fin(self._worker))
+        elif isinstance(message, wire.Fin):
+            self._fins.add(message.worker_id)
+        else:
+            raise ClusterError(
+                f"worker {self._worker} got unexpected "
+                f"{type(message).__name__} frame"
+            )
+
+    def is_set(self) -> bool:
+        """Whether ``Stop`` has arrived (the loop's stop signal)."""
+        return self._stopping
+
+    def depth(self, worker: int) -> int:
+        """Tokens waiting in the inbox right now."""
+        return len(self._inbox)
+
+    def pop_many(self, worker: int, limit: int) -> np.ndarray:
+        """Dispatch every frame already delivered, without blocking, then
+        pop up to ``limit`` of the oldest waiting ids.  Nothing is popped
+        once ``Stop`` has been seen — later arrivals are held, the model
+        freezes at the stop signal like on the other live runtimes — and
+        a dry inbox flushes the partial envelopes."""
+        body = self._transport.recv(timeout=0.0)
+        while body is not None:
+            self.dispatch(wire.decode(body))
+            body = self._transport.recv(timeout=0.0)
+        if self._stopping:
+            return _EMPTY
+        inbox = self._inbox
+        if not inbox:
+            for dest, buffer in self._buffers.items():
+                if buffer:
+                    self._send(dest, len(buffer))
+            return _EMPTY
+        pop = inbox.popleft
+        return np.array(
+            [pop() for _ in range(min(len(inbox), limit))], dtype=np.int64
+        )
+
+    def route(self, items: np.ndarray, dests: np.ndarray) -> None:
+        """Hand ``items[t]`` to worker ``dests[t]``: a self-hop is a local
+        queue push (§3.4), the rest leave in envelopes of ``batch_size``."""
+        self._inbox.extend(items[dests == self._worker].tolist())
+        for dest, buffer in self._buffers.items():
+            buffer.extend(items[dests == dest].tolist())
+            while len(buffer) >= self._batch_size:
+                self._send(dest, self._batch_size)
+
+    def _send(self, dest: int, count: int) -> None:
+        """Ship the oldest ``count`` ids buffered for ``dest`` as one
+        envelope, each token carrying its table row and this worker's
+        inbox depth (the §3.3 hint)."""
+        h, hint, buffer = self._h, len(self._inbox), self._buffers[dest]
+        tokens = [wire.Token(j, hint, h[j]) for j in buffer[:count]]
+        del buffer[:count]
+        self._transport.send(dest, wire.encode_tokens(tokens, h.shape[1]))
+
+    def drain(self) -> None:
+        """The drain barrier: receive until every peer's ``Fin`` is in
+        (or the deadline set at ``Stop`` passes — a dead peer)."""
+        while not (
+            self._fins.issuperset(self._buffers)
+            or time.monotonic() > self._drain_deadline
+        ):
+            body = self._transport.recv(timeout=_POLL_SECONDS)
+            if body is not None:
+                self.dispatch(wire.decode(body))
+
+    def held(self) -> list[wire.Token]:
+        """Every token at rest here — inbox ∪ unsent buffers — with its
+        ``h`` row read back out of the table."""
+        return [
+            wire.Token(j, 0, self._h[j])
+            for j in chain(self._inbox, *self._buffers.values())
+        ]
+
+
 def run_worker(
     spec: WorkerSpec,
     transport: Transport,
@@ -117,165 +245,43 @@ def run_worker(
     exactly as if they had just been received.
     """
     hyper = spec.hyper
-    k = hyper.k
-    backend = get_backend(spec.backend_name)
     # Only this worker's user factors exist here; shard_rows index into
     # this local block directly (copy: the kernels mutate it in place).
     w = np.array(spec.w_init, dtype=np.float64)
+    h = np.zeros((spec.n_cols, hyper.k))
     shard = Shard(
-        worker=spec.worker_id,
-        n_cols=spec.n_cols,
-        rows=spec.shard_rows,
-        cols=spec.shard_cols,
-        vals=spec.shard_vals,
+        worker=spec.worker_id, n_cols=spec.n_cols, rows=spec.shard_rows,
+        cols=spec.shard_cols, vals=spec.shard_vals,
     )
-    counts = np.zeros(shard.nnz, dtype=np.int64)
-    routing = derive_pyrandom(spec.seed, f"cluster-route-{spec.worker_id}")
-    peers = [q for q in range(spec.n_workers) if q != spec.worker_id]
-    inbox: deque[wire.Token] = deque()
-    # Telemetry is local-only: tokens are NOT re-stamped on the wire (the
-    # token layout stays byte-identical to the simulator's cost model),
-    # so a hop span measures local inbox residence — arrival to pop —
-    # via this deque of arrival stamps kept parallel to ``inbox``.
+    kernel = get_backend(spec.backend_name).bind_tokens(
+        w, h, *shard.csc(), np.zeros(shard.nnz, dtype=np.int64),
+        hyper.alpha, hyper.beta, hyper.lambda_,
+    )
     rec = Recorder(spec.worker_id) if spec.telemetry else None
-    arrivals: deque[float] = deque()
-    buffers: dict[int, list[wire.Token]] = {q: [] for q in peers}
-    updates = 0
-    stopping = False
-    fins: set[int] = set()
-    drain_deadline = float("inf")
-
-    def flush(dest: int) -> None:
-        batch = buffers[dest]
-        if batch:
-            transport.send(dest, wire.encode_tokens(batch, k))
-            batch.clear()
-
-    def dispatch(message) -> None:
-        nonlocal stopping, drain_deadline
-        if isinstance(message, wire.TokenEnvelope):
-            inbox.extend(message.tokens)
-            if rec is not None:
-                arrivals.extend([clock()] * len(message.tokens))
-        elif isinstance(message, wire.Stop):
-            # Idempotent: the coordinator may re-broadcast Stop on its
-            # failure path; a second one must not push the drain
-            # deadline out or send duplicate Fin markers.
-            if not stopping:
-                stopping = True
-                drain_deadline = time.monotonic() + _DRAIN_TIMEOUT
-                for q in peers:
-                    transport.send(q, wire.encode_fin(spec.worker_id))
-        elif isinstance(message, wire.Fin):
-            fins.add(message.worker_id)
-        else:
-            raise ClusterError(
-                f"worker {spec.worker_id} got unexpected "
-                f"{type(message).__name__} frame"
-            )
-
+    put_times = np.zeros(spec.n_cols) if spec.telemetry else None
+    mailbox = TransportMailbox(
+        spec.worker_id, spec.n_workers, spec.batch_size, transport, h, put_times
+    )
     for message in pending or ():
-        dispatch(message)
-
-    while True:
-        # Drain every frame already delivered; block only when idle.
-        timeout = 0.0 if (inbox and not stopping) else _POLL_SECONDS
-        if rec is not None and timeout > 0.0:
-            poll_start = clock()
-            body = transport.recv(timeout=timeout)
-            if body is None and not stopping:
-                rec.span(SPAN_IDLE, poll_start, clock() - poll_start)
-                rec.add(C_IDLE_POLLS)
-        else:
-            body = transport.recv(timeout=timeout)
-        while body is not None:
-            dispatch(wire.decode(body))
-            body = transport.recv(timeout=0.0)
-
-        if stopping:
-            # Tokens received after Stop are held, not processed: the
-            # model freezes at the stop signal, matching the other live
-            # runtimes' timing contract.
-            if fins.issuperset(peers) or time.monotonic() > drain_deadline:
-                break
-            continue
-
-        # Pop one burst of tokens (capped, so a deep inbox cannot starve
-        # stop/drain handling), run them through a single fused kernel
-        # call, then route.  The pop count is fixed before any self-hop
-        # re-append, so exactly the tokens the unbatched loop would have
-        # processed are processed, in the same order; each token's §3.3
-        # queue hint is stamped at its pop, when the depth is observed.
-        burst: list[wire.Token] = []
-        if rec is not None and inbox:
-            now = clock()
-            rec.point(POINT_QUEUE_DEPTH, len(inbox))
-            rec.add(C_DRAINS)
-        for _ in range(min(len(inbox), BURST_TOKENS)):
-            token = inbox.popleft()
-            token.queue_hint = len(inbox)
-            if rec is not None:
-                arrived = arrivals.popleft()
-                rec.span(SPAN_HOP, arrived, now - arrived)
-            burst.append(token)
-        if rec is not None and burst:
-            rec.add(C_TOKENS, len(burst))
-        h_cols: list = []
-        col_users: list = []
-        col_ratings: list = []
-        col_counts: list = []
-        for token in burst:
-            users, ratings = shard.column(token.item)
-            if users.size:
-                lo, hi = shard.column_bounds(token.item)
-                h_cols.append(token.h)
-                col_users.append(users)
-                col_ratings.append(ratings)
-                col_counts.append(counts[lo:hi])
-        if h_cols:
-            if rec is not None:
-                kernel_start = clock()
-            applied = backend.process_column_batch(
-                w, h_cols, col_users, col_ratings, col_counts,
-                hyper.alpha, hyper.beta, hyper.lambda_,
-            )
-            updates += applied
-            if rec is not None:
-                rec.span(SPAN_KERNEL, kernel_start, clock() - kernel_start,
-                         applied)
-                rec.add(C_UPDATES, applied)
-                rec.add(C_BATCHES)
-        for token in burst:
-            dest = routing.randrange(spec.n_workers)
-            if dest == spec.worker_id:
-                inbox.append(token)  # a self-hop is a local queue push (§3.4)
-                if rec is not None:
-                    arrivals.append(clock())
-            else:
-                buffers[dest].append(token)
-                if len(buffers[dest]) >= spec.batch_size:
-                    flush(dest)
-        if not inbox:
-            for q in peers:
-                flush(q)
-
-    held = list(inbox)
-    for batch in buffers.values():
-        held.extend(batch)
+        mailbox.dispatch(message)
+    updates = run_token_loop(
+        spec.worker_id, spec.n_workers, kernel, mailbox,
+        derive_rng(spec.seed, f"cluster-route-{spec.worker_id}"),
+        mailbox, rec, put_times,
+    )
+    mailbox.drain()
     if rec is not None:
         # Ship the telemetry snapshot ahead of the result on the same
         # link: TCP per-connection ordering then guarantees the
         # coordinator holds the payload before it counts this worker's
         # ResultShard as collected.
-        transport.send(
-            COORDINATOR,
-            wire.encode_fin(
-                spec.worker_id, telemetry=encode_payload(rec.snapshot())
-            ),
-        )
+        payload = encode_payload(rec.snapshot())
+        transport.send(COORDINATOR, wire.encode_fin(spec.worker_id, payload))
     transport.send(
         COORDINATOR,
-        wire.encode_result(spec.worker_id, updates, spec.w_rows, w, held, k),
+        wire.encode_result(
+            spec.worker_id, updates, spec.w_rows, w, mailbox.held(), hyper.k
+        ),
     )
 
 

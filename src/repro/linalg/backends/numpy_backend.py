@@ -4,7 +4,7 @@ Each update's latent-dimension arithmetic runs as vectorized ``float64``
 ndarray expressions (one fused dot product and two elementwise row
 updates) instead of a scalar Python loop, so the per-update cost grows
 sub-linearly in ``k`` and overtakes the list backend at large latent
-dimensions (k ≳ 64; see ``benchmarks/test_kernel_backends.py``).
+dimensions (k ≳ 64; see ``AUTO_NUMPY_MIN_K``).
 
 The *ratings* dimension deliberately stays sequential: every SGD update
 feeds the very next prediction through the shared ``h_j`` (column

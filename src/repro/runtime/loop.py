@@ -2,18 +2,20 @@
 
 Algorithm 1 is one loop — pop a token, update, push it to a random
 worker — and "the only interaction between threads is via operations on
-the queue" (§3.5).  :func:`run_token_loop` is that loop, written once: a
-worker thread (:mod:`repro.runtime.threaded`) and a forked worker
-process (:mod:`repro.runtime.multiprocess`) both call it over the same
-mailbox type, :class:`~repro.runtime.mailbox.TokenRings`.  Nothing
-Python-level happens per token: a worker pops a burst as one int64
-array, hands it to the kernel bound to its shard
+the queue" (§3.5).  :func:`run_token_loop` is that loop, written once
+for the three live engines: :mod:`repro.runtime.threaded` and
+:mod:`repro.runtime.multiprocess` workers call it over
+:class:`~repro.runtime.mailbox.TokenRings`, a cluster worker over its
+:class:`~repro.cluster.worker.TransportMailbox`.  All it asks of a
+mailbox is ``pop_many(worker, n)`` (up to ``n`` waiting ids as one int64
+array, never blocking), ``route(items, dests)`` (every id handed on) and,
+under telemetry, ``depth(worker)``.  The loop does nothing per token: a
+burst goes to the kernel bound to the worker's shard
 (:meth:`~repro.linalg.backends.base.KernelBackend.bind_tokens` — one
-native call on the compiled backend), and pushes each destination's
-share of the burst under one ring lock.
+native call on the compiled backend) and on to the mailbox as one array.
 
-:class:`TokenRingNomad` is everything else the two engines share: the
-constructor and the ``run()`` skeleton (init factors → rings → scatter →
+:class:`TokenRingNomad` is everything else the two ring engines share:
+the constructor and the ``run()`` skeleton (init factors → rings → scatter →
 start → sleep → stop → collect → conservation check → result).  A
 subclass says only where W/H/rings/stamps live and how a worker is
 started and reports.
@@ -59,11 +61,10 @@ __all__ = ["BURST_TOKENS", "TokenRingNomad", "run_token_loop", "run_worker"]
 #: construction.
 __nomad_owner_contexts__ = ("run_token_loop",)
 
-#: Max tokens popped per mailbox visit into one fused kernel call (the
-#: cluster worker uses the same cap).  Batching amortizes per-call
-#: overhead (compiled backends run the whole burst in native code with
-#: the GIL released); the cap bounds how long a worker defers its stop
-#: check.
+#: Max tokens popped per mailbox visit into one fused kernel call.
+#: Batching amortizes per-call overhead (compiled backends run the whole
+#: burst in native code with the GIL released); the cap bounds how long
+#: a worker defers its stop check.
 BURST_TOKENS = 32
 #: A worker that finds its ring empty sleeps this long, doubling per
 #: consecutive empty poll up to the cap (which also bounds how late it

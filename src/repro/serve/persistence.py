@@ -194,24 +194,23 @@ class DurableSnapshotStore(SnapshotStore):
     max_keep:
         Resident *and* on-disk history depth; older snapshots are pruned
         from both.
-    resume:
-        Adopt the newest persisted snapshot at construction (default).
-        The adopted snapshot serves traffic immediately, and the next
-        rotation continues its sequence — the restart is invisible to
-        clients except for the seq gap of the downtime.
+
+    Construction adopts the newest persisted snapshot, if any: it serves
+    traffic immediately, and the next rotation continues its sequence —
+    the restart is invisible to clients except for the seq gap of the
+    downtime.
     """
 
-    def __init__(self, root: str, max_keep: int = 8, resume: bool = True):
+    def __init__(self, root: str, max_keep: int = 8):
         super().__init__(max_keep=max_keep)
         self.persister = SnapshotPersister(root)
         #: Seq of the snapshot resumed from disk, or ``None`` on a
         #: fresh run directory.
         self.resumed_seq: int | None = None
-        if resume:
-            newest = self.persister.load_newest()
-            if newest is not None:
-                self.adopt(newest)
-                self.resumed_seq = newest.seq
+        newest = self.persister.load_newest()
+        if newest is not None:
+            self.adopt(newest)
+            self.resumed_seq = newest.seq
 
     def rotate(self, factors, stream_time, arrivals_seen, updates_seen):
         """Rotate exactly like the base store, then persist the new
@@ -228,25 +227,24 @@ class DurablePrequentialTrace(PrequentialTrace):
     """A :class:`~repro.stream.snapshots.PrequentialTrace` that appends
     every scored arrival to ``prequential.jsonl`` in the run directory.
 
-    On resume (default) the existing file is loaded back, so windowed
+    An existing file is loaded back and appended to, so windowed
     metrics and the overall RMSE span the whole run history, not just
     the current process.  The file starts with a version header line;
     an unknown version raises :class:`~repro.errors.DataError`.
     """
 
-    def __init__(self, root: str, resume: bool = True):
+    def __init__(self, root: str):
         super().__init__()
         os.makedirs(root, exist_ok=True)
         self.path = os.path.join(root, _PREQUENTIAL_FILE)
         self._lock = threading.Lock()
         exists = os.path.exists(self.path)
-        if exists and resume:
+        if exists:
             loaded = self.load(root)
             self.records.extend(loaded.records)
             self.cold = loaded.cold
-        mode = "a" if (exists and resume) else "w"
-        self._handle = open(self.path, mode, encoding="utf-8")
-        if mode == "w":
+        self._handle = open(self.path, "a", encoding="utf-8")
+        if not exists:
             self._write_line({"persist_version": PERSIST_VERSION})
 
     def _write_line(self, payload: dict) -> None:

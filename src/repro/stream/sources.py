@@ -376,9 +376,6 @@ class QueueStream:
     warmup:
         Ratings known before the stream starts (the initial training
         set, exactly as in the other sources).
-    maxsize:
-        Queue bound; 0 (default) is unbounded.  When full, :meth:`push`
-        blocks — backpressure onto the producer.
 
     Notes
     -----
@@ -389,11 +386,9 @@ class QueueStream:
     source the eventual total is unknowable until :meth:`close`.
     """
 
-    def __init__(self, warmup: RatingMatrix, maxsize: int = 0):
-        if maxsize < 0:
-            raise DataError(f"maxsize must be >= 0, got {maxsize}")
+    def __init__(self, warmup: RatingMatrix):
         self.warmup = warmup
-        self._queue: queue.Queue = queue.Queue(maxsize)
+        self._queue: queue.Queue = queue.Queue()
         self._lock = threading.Lock()
         self._pushed = 0
         self._last_time = 0.0
