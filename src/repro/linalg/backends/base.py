@@ -182,6 +182,13 @@ class KernelBackend(abc.ABC):
         which only alias for ndarrays.  ``w`` / ``h`` are ndarrays or
         this backend's own :meth:`make_store` storage.
 
+        Any ``users`` inside ``w``'s rows are accepted, in any order and
+        with repeats inside a column (a
+        :class:`~repro.stream.colstore.ColumnStore` keeps arrival
+        order).  Columns whose users ascend strictly are what
+        ``Shard.csc()`` delivers, and a property a backend may observe
+        here and exploit — never one it may assume.
+
         The returned kernel's :meth:`TokenKernel.process_tokens` is
         defined to be identical to looping :meth:`process_column` over
         the burst — which is what this default does.  Compiled backends

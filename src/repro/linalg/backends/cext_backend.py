@@ -16,16 +16,31 @@ Two properties worth knowing:
 * **Bit-compatibility** — the C loops replicate the reference core
   operation for operation and are compiled with ``-ffp-contract=off``,
   so they sit inside the cross-backend equivalence envelope
-  (``atol=1e-10``) like any other backend.
+  (``atol=1e-10``) like any other backend, and equal the list reference
+  bit for bit (``tests/test_backends.py::TestBitForBit``).
 * **True parallelism** — :mod:`ctypes` releases the GIL for the duration
   of each foreign call.  NOMAD's owner-computes rule makes concurrent
   kernel calls touch disjoint rows, so the threaded runtime gets genuine
   multi-core scaling out of this backend, not just a faster serial loop.
 
-The fused :meth:`process_column_batch` amortizes the remaining per-call
-ctypes overhead across a burst of tokens: one native call walks several
-columns back to back, exactly equivalent to the sequential loop the
-default implementation performs.
+The burst path is :meth:`CextBackend.bind_tokens`: a
+:class:`CextTokenKernel` validates the worker's factors and CSC shard
+once, resolves their addresses into one ``nomad_bound`` struct, and from
+then on a burst of item ids is one ``nomad_process_tokens`` call (a
+single token, ``nomad_process_token``).  A burst is *defined* as its
+columns run one after another; the C gets there faster without changing
+a bit.  It asks libm for the equation-(11) step only when a rating's
+counter differs from the previous rating's (the ratings of a column
+almost always share one), and over a shard whose users ascend strictly
+inside every column — observed here at bind time, true of
+``Shard.csc()`` — it runs two columns at a time in the §4.3 conflict
+order: column B's rating of user ``u`` waits until column A's cursor has
+passed ``u``, so every ``w`` row and every ``h`` row sees its updates in
+burst order while the two dot-product chains overlap.  No sum is
+reassociated and nothing is contracted, which is why both are
+IEEE-identical to the serial loop.  :meth:`process_column_batch` is the
+legacy burst entry (per-column pointer lists); nothing in ``src/`` calls
+it any more.
 """
 
 from __future__ import annotations
@@ -61,7 +76,7 @@ class _Bound(ctypes.Structure):
     _fields_ = [
         *[(name, ctypes.c_void_p) for name in
           ("w", "h", "indptr", "users", "ratings", "counts")],
-        ("n_items", _i64), ("k", _i64),
+        ("n_items", _i64), ("k", _i64), ("ascending", _i64),
         ("alpha", _f64), ("beta", _f64), ("lambda_", _f64),
     ]
 
@@ -79,6 +94,8 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     # pointers once into a _Bound, so a call pays no ndpointer check.
     lib.nomad_bound_size.restype = _i64
     lib.nomad_bound_size.argtypes = []
+    lib.nomad_bound_offset.restype = _i64
+    lib.nomad_bound_offset.argtypes = [_i64]
     lib.nomad_process_tokens.restype = _i64
     lib.nomad_process_tokens.argtypes = [ctypes.c_void_p, ctypes.c_void_p, _i64]
     lib.nomad_process_token.restype = _i64
@@ -320,9 +337,15 @@ class CextTokenKernel(TokenKernel):
             raise ValueError(
                 "bind_tokens: shard arrays do not describe a CSC over w/h"
             )
+        # Users strictly ascending inside every column (what Shard.csc()
+        # delivers, not what a ColumnStore in arrival order holds) is what
+        # lets the C walk a burst two columns at a time.
+        rising = users[1:] > users[:-1]
+        starts = indptr[1:-1]
+        rising[starts[(starts > 0) & (starts < nnz)] - 1] = True
         self._bound = _Bound(
             *[arr.ctypes.data for arr in self._arrays],
-            n_items, k, alpha, beta, lambda_,
+            n_items, k, bool(rising.all()), alpha, beta, lambda_,
         )
         self._bound_at = ctypes.addressof(self._bound)
         self._native_burst = backend._lib.nomad_process_tokens

@@ -12,13 +12,37 @@
  * computed from the OLD row values.  The build deliberately disables
  * floating-point contraction (-ffp-contract=off) so results stay
  * per-operation IEEE-identical to the interpreted backends; the
- * cross-backend equivalence suite pins all backends at atol=1e-10.
+ * cross-backend equivalence suite pins all backends at atol=1e-10 and
+ * this file against the list reference bit for bit.
+ *
+ * The hot entry point is nomad_process_tokens over a nomad_bound (filled
+ * once by bind_tokens in cext_backend.py).  Two things make it faster
+ * than the loop it is defined as, and neither changes a bit of the result:
+ *
+ *   - Step memo.  The step and decay of a rating depend only on its
+ *     counter, and the ratings of a column almost always share one, so
+ *     the libm pow() is called only when a counter differs from the
+ *     previous rating's.  The value used is the one pow() returned for
+ *     that counter; no table, no state outside the call.
+ *   - Conflict-order pairing (NOMAD section 4.3).  Updates that share
+ *     neither a w row nor an h row commute, so a burst runs two columns
+ *     A, B at a time through one loop with two independent dot-product
+ *     chains.  B's rating of user u runs only once A's cursor has passed
+ *     u, which is decidable from the cursors alone when users ascend
+ *     strictly inside every column (nomad_bound.ascending, observed by
+ *     bind_tokens; otherwise the burst runs column by column).  Every w
+ *     row and every h row therefore sees its updates in burst order.
+ *
+ * Both are IEEE-identical to the serial loop because no sum is
+ * reassociated (each dot product is still one in-order chain), nothing
+ * is contracted, and the per-row order of updates is preserved.
  *
  * All matrices are dense row-major float64 with row stride k; index
  * arrays are int64.  Functions return the number of updates applied.
  */
 
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 
 /* Loss-id dispatch for the column-with-loss variant (NOMAD section 6).
@@ -46,6 +70,41 @@ static double loss_gradient(int64_t loss_id, double param, double rating,
     }
 }
 
+/* The equation-(11) step of a rating whose counter is t, and the decay
+ * 1 - step * lambda that goes with it.  Callers keep the last one and
+ * come back here only when a rating's counter differs from the previous
+ * rating's — the one place this file calls pow(). */
+typedef struct {
+    int64_t t;
+    double step, decay;
+} eq11;
+
+static inline eq11 eq11_at(int64_t t, double alpha, double beta,
+                           double lambda_) {
+    eq11 s;
+    s.t = t;
+    s.step = alpha / (1.0 + beta * pow((double)t, 1.5));
+    s.decay = 1.0 - s.step * lambda_;
+    return s;
+}
+
+static inline double dot(const double *w_row, const double *h_row,
+                         int64_t k) {
+    double prediction = 0.0;
+    for (int64_t d = 0; d < k; d++)
+        prediction += w_row[d] * h_row[d];
+    return prediction;
+}
+
+static inline void apply(double *w_row, double *h_row, int64_t k,
+                         double decay, double scaled_error) {
+    for (int64_t d = 0; d < k; d++) {
+        double w_value = w_row[d];
+        w_row[d] = decay * w_value - scaled_error * h_row[d];
+        h_row[d] = decay * h_row[d] - scaled_error * w_value;
+    }
+}
+
 /* One column (NOMAD token work): all local ratings of one item against a
  * shared h_col vector, scheduled step, arbitrary built-in loss. */
 int64_t nomad_process_column(double *w, double *h_col, const int64_t *users,
@@ -53,23 +112,18 @@ int64_t nomad_process_column(double *w, double *h_col, const int64_t *users,
                              int64_t n, int64_t k, double alpha, double beta,
                              double lambda_, int64_t loss_id,
                              double loss_param) {
+    if (n <= 0)
+        return 0;
+    eq11 s = eq11_at(counts[0], alpha, beta, lambda_);
     for (int64_t i = 0; i < n; i++) {
         double *w_row = w + users[i] * k;
         int64_t t = counts[i];
-        double step = alpha / (1.0 + beta * pow((double)t, 1.5));
+        if (t != s.t)
+            s = eq11_at(t, alpha, beta, lambda_);
         counts[i] = t + 1;
-        double decay = 1.0 - step * lambda_;
-        double prediction = 0.0;
-        for (int64_t d = 0; d < k; d++)
-            prediction += w_row[d] * h_col[d];
         double gradient = loss_gradient(loss_id, loss_param, ratings[i],
-                                        prediction);
-        double scaled_error = step * gradient;
-        for (int64_t d = 0; d < k; d++) {
-            double w_value = w_row[d];
-            w_row[d] = decay * w_value - scaled_error * h_col[d];
-            h_col[d] = decay * h_col[d] - scaled_error * w_value;
-        }
+                                        dot(w_row, h_col, k));
+        apply(w_row, h_col, k, s.decay, s.step * gradient);
     }
     return n;
 }
@@ -96,17 +150,35 @@ int64_t nomad_process_column_batch(double *w, double *const *h_cols,
 
 /* A worker's factors and CSC shard, bound once by the caller, which owns
  * this memory (a ctypes.Structure of the same layout, see
- * cext_backend.py; nomad_bound_size lets the tests compare the two). */
+ * cext_backend.py; nomad_bound_size and nomad_bound_offset let the tests
+ * compare the two).  ascending is nonzero when users rise strictly
+ * inside every column: what nomad_process_tokens needs to pair columns. */
 typedef struct {
     double *w, *h;
     const int64_t *indptr, *users;
     const double *ratings;
     int64_t *counts;
-    int64_t n_items, k;
+    int64_t n_items, k, ascending;
     double alpha, beta, lambda_;
 } nomad_bound;
 
 int64_t nomad_bound_size(void) { return (int64_t)sizeof(nomad_bound); }
+
+/* Byte offset of the field-th member in declaration order, -1 past the
+ * last. */
+int64_t nomad_bound_offset(int64_t field) {
+    static const size_t offsets[] = {
+        offsetof(nomad_bound, w),        offsetof(nomad_bound, h),
+        offsetof(nomad_bound, indptr),   offsetof(nomad_bound, users),
+        offsetof(nomad_bound, ratings),  offsetof(nomad_bound, counts),
+        offsetof(nomad_bound, n_items),  offsetof(nomad_bound, k),
+        offsetof(nomad_bound, ascending), offsetof(nomad_bound, alpha),
+        offsetof(nomad_bound, beta),     offsetof(nomad_bound, lambda_),
+    };
+    if (field < 0 || field >= (int64_t)(sizeof offsets / sizeof offsets[0]))
+        return -1;
+    return (int64_t)offsets[field];
+}
 
 /* One token: item names a column of the shard (users/ratings/counts
  * sliced by indptr) and a row of h.  Identical to nomad_process_column
@@ -122,18 +194,93 @@ int64_t nomad_process_token(const nomad_bound *b, int64_t item) {
                                 b->beta, b->lambda_, 0, 0.0);
 }
 
+/* Two distinct tokens of a shard whose columns ascend, interleaved in
+ * conflict order: the result is that of item_a's column followed by
+ * item_b's.  B's next rating runs beside A's next one when its user is
+ * below A's (A is past that w row, or never touches it), and otherwise
+ * waits while A advances alone; whichever column is left when the other
+ * ends runs serially.  The paired step reads four distinct rows — two
+ * different users, two different items — hence the restricts. */
+static int64_t process_token_pair(const nomad_bound *b, int64_t item_a,
+                                  int64_t item_b) {
+    const int64_t k = b->k;
+    const double alpha = b->alpha, beta = b->beta, lambda_ = b->lambda_;
+    int64_t pa = b->indptr[item_a], end_a = b->indptr[item_a + 1];
+    int64_t pb = b->indptr[item_b], end_b = b->indptr[item_b + 1];
+    const int64_t applied = (end_a - pa) + (end_b - pb);
+    const int64_t *users = b->users;
+    const double *ratings = b->ratings;
+    int64_t *counts = b->counts;
+    double *restrict h_a = b->h + item_a * k;
+    double *restrict h_b = b->h + item_b * k;
+
+    if (pa < end_a && pb < end_b) {
+        eq11 sa = eq11_at(counts[pa], alpha, beta, lambda_);
+        eq11 sb = eq11_at(counts[pb], alpha, beta, lambda_);
+        while (pa < end_a && pb < end_b) {
+            double *restrict w_a = b->w + users[pa] * k;
+            int64_t ta = counts[pa];
+            if (ta != sa.t)
+                sa = eq11_at(ta, alpha, beta, lambda_);
+            counts[pa] = ta + 1;
+            if (users[pb] >= users[pa]) {
+                apply(w_a, h_a, k, sa.decay,
+                      sa.step * (dot(w_a, h_a, k) - ratings[pa]));
+                pa++;
+                continue;
+            }
+            double *restrict w_b = b->w + users[pb] * k;
+            int64_t tb = counts[pb];
+            if (tb != sb.t)
+                sb = eq11_at(tb, alpha, beta, lambda_);
+            counts[pb] = tb + 1;
+            double prediction_a = 0.0, prediction_b = 0.0;
+            for (int64_t d = 0; d < k; d++) {
+                prediction_a += w_a[d] * h_a[d];
+                prediction_b += w_b[d] * h_b[d];
+            }
+            double error_a = sa.step * (prediction_a - ratings[pa]);
+            double error_b = sb.step * (prediction_b - ratings[pb]);
+            for (int64_t d = 0; d < k; d++) {
+                double wa_value = w_a[d], wb_value = w_b[d];
+                w_a[d] = sa.decay * wa_value - error_a * h_a[d];
+                h_a[d] = sa.decay * h_a[d] - error_a * wa_value;
+                w_b[d] = sb.decay * wb_value - error_b * h_b[d];
+                h_b[d] = sb.decay * h_b[d] - error_b * wb_value;
+            }
+            pa++;
+            pb++;
+        }
+    }
+    nomad_process_column(b->w, h_a, users + pa, ratings + pa, counts + pa,
+                         end_a - pa, k, alpha, beta, lambda_, 0, 0.0);
+    nomad_process_column(b->w, h_b, users + pb, ratings + pb, counts + pb,
+                         end_b - pb, k, alpha, beta, lambda_, 0, 0.0);
+    return applied;
+}
+
 /* Token burst: a burst is just item ids.  Tokens run in order — a
  * repeated id is simply visited twice — so the result is identical to
- * looping nomad_process_token.  Returns -1, having applied nothing, if
- * any id is outside [0, n_items). */
+ * looping nomad_process_token; over an ascending shard they run two at
+ * a time (see process_token_pair), an adjacent repeat and the odd one
+ * out alone.  Returns -1, having applied nothing, if any id is outside
+ * [0, n_items). */
 int64_t nomad_process_tokens(const nomad_bound *b, const int64_t *items,
                              int64_t n_tokens) {
     int64_t applied = 0;
     for (int64_t t = 0; t < n_tokens; t++)
         if (items[t] < 0 || items[t] >= b->n_items)
             return -1;
-    for (int64_t t = 0; t < n_tokens; t++)
-        applied += nomad_process_token(b, items[t]);
+    int64_t t = 0;
+    while (t < n_tokens) {
+        if (b->ascending && t + 1 < n_tokens && items[t] != items[t + 1]) {
+            applied += process_token_pair(b, items[t], items[t + 1]);
+            t += 2;
+        } else {
+            applied += nomad_process_token(b, items[t]);
+            t += 1;
+        }
+    }
     return applied;
 }
 
@@ -147,27 +294,23 @@ int64_t nomad_process_entries(double *w, double *h, const int64_t *rows,
                               int64_t n, int64_t k, double alpha, double beta,
                               double lambda_, double step,
                               int64_t scheduled) {
-    double decay = 1.0 - step * lambda_;
-    double scaled_step = step;
+    if (n <= 0)
+        return 0;
+    eq11 s = {0, step, 1.0 - step * lambda_};
+    if (scheduled)
+        s = eq11_at(counts[order[0]], alpha, beta, lambda_);
     for (int64_t i = 0; i < n; i++) {
         int64_t idx = order[i];
         double *w_row = w + rows[idx] * k;
         double *h_row = h + cols[idx] * k;
         if (scheduled) {
             int64_t t = counts[idx];
-            scaled_step = alpha / (1.0 + beta * pow((double)t, 1.5));
+            if (t != s.t)
+                s = eq11_at(t, alpha, beta, lambda_);
             counts[idx] = t + 1;
-            decay = 1.0 - scaled_step * lambda_;
         }
-        double prediction = 0.0;
-        for (int64_t d = 0; d < k; d++)
-            prediction += w_row[d] * h_row[d];
-        double scaled_error = scaled_step * (prediction - ratings[idx]);
-        for (int64_t d = 0; d < k; d++) {
-            double w_value = w_row[d];
-            w_row[d] = decay * w_value - scaled_error * h_row[d];
-            h_row[d] = decay * h_row[d] - scaled_error * w_value;
-        }
+        apply(w_row, h_row, k, s.decay,
+              s.step * (dot(w_row, h_row, k) - ratings[idx]));
     }
     return n;
 }

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import HyperParams, RunConfig
 from repro.core.nomad import NomadSimulation
@@ -68,6 +70,22 @@ def _fixture(seed: int, m: int = 12, n: int = 8, k: int = 5, nnz: int = 30):
 def _stores(w: np.ndarray, h: np.ndarray, other: str):
     pair = FactorPair(w.copy(), h.copy())
     return ListBackend().make_store(pair), get_backend(other).make_store(pair)
+
+
+def _looped_reference(w_l, h_l, indptr, users, ratings, counts_l, burst):
+    """The definition of a burst: ``ListBackend.process_column`` over
+    each token's CSC column in turn, on list stores and a counter list."""
+    reference = ListBackend()
+    applied = 0
+    for j in burst:
+        lo, hi = int(indptr[j]), int(indptr[j + 1])
+        column_counts = counts_l[lo:hi]
+        applied += reference.process_column(
+            w_l, h_l[j], users[lo:hi].tolist(), ratings[lo:hi].tolist(),
+            column_counts, ALPHA, BETA, LAMBDA,
+        )
+        counts_l[lo:hi] = column_counts
+    return applied
 
 
 class TestKernelEquivalence:
@@ -211,16 +229,7 @@ class TestKernelEquivalence:
         ratings = rng.random(indptr[-1]) * 4.0
         (w_l, h_l), _ = _stores(w, h, name)
         counts_l = [2] * int(indptr[-1])
-        reference = ListBackend()
-        a = 0
-        for j in burst:
-            lo, hi = int(indptr[j]), int(indptr[j + 1])
-            column_counts = counts_l[lo:hi]
-            a += reference.process_column(
-                w_l, h_l[j], users[lo:hi].tolist(), ratings[lo:hi].tolist(),
-                column_counts, ALPHA, BETA, LAMBDA,
-            )
-            counts_l[lo:hi] = column_counts
+        a = _looped_reference(w_l, h_l, indptr, users, ratings, counts_l, burst)
         w_n, h_n = w.copy(), h.copy()
         counts_n = np.full(indptr[-1], 2, dtype=np.int64)
         kernel = get_backend(name).bind_tokens(
@@ -297,7 +306,9 @@ class TestKernelEquivalence:
     @needs_cext
     def test_cext_bound_struct_matches_c_layout(self):
         """The ``nomad_bound`` C reads is a ``ctypes.Structure`` Python
-        fills: the two declarations must agree in size, and every field
+        fills: the two declarations must agree in size and in every
+        field's offset (C's ``offsetof``, in declaration order — two
+        swapped ``int64`` fields keep the size), and every field
         must land where C looks for it — a kernel bound over arrays with
         distinct contents updates exactly the rows the shard names."""
         import ctypes
@@ -306,6 +317,11 @@ class TestKernelEquivalence:
 
         backend = get_backend("cext")
         assert backend._lib.nomad_bound_size() == ctypes.sizeof(_Bound)
+        names = [name for name, _ in _Bound._fields_]
+        assert [getattr(_Bound, name).offset for name in names] == [
+            backend._lib.nomad_bound_offset(i) for i in range(len(names))
+        ]
+        assert backend._lib.nomad_bound_offset(len(names)) == -1
 
         m, n, k = 6, 4, 3
         w = np.arange(m * k, dtype=np.float64).reshape(m, k) / 100.0
@@ -428,6 +444,126 @@ class TestKernelEquivalence:
             backend.row(store_w, 1)[2] = -99.0
             backend.restore_rows(store_w, snap)
             assert np.allclose(np.asarray(store_w), w)
+
+
+#: Counters a live run holds side by side: fresh arrivals (0) among old
+#: ratings, 7 / 28 / 33 (where ``int64 ** 1.5`` and libm differ in the
+#: last ulp) and a pile-up at ``fit_stream``'s default ``count_cap``.
+_COUNTERS = st.sampled_from([0, 0, 1, 7, 8, 8, 28, 33])
+_RATINGS = st.floats(0.5, 5.0)
+_N_USERS, _K = 9, 3
+
+#: One shard: per column a list of (user, rating, counter), as drawn —
+#: unsorted, a user repeated inside a column, empty and trailing-empty
+#: columns all occur — or, when the flag is set, every column cut down
+#: to strictly ascending users (what ``Shard.csc()`` delivers).
+_SHARDS = st.tuples(
+    st.lists(
+        st.lists(
+            st.tuples(st.integers(0, _N_USERS - 1), _RATINGS, _COUNTERS),
+            max_size=7,
+        ),
+        min_size=1, max_size=6,
+    ),
+    st.booleans(),
+)
+
+
+def _shard_arrays(columns, ascending):
+    if ascending:
+        columns = [
+            sorted({entry[0]: entry for entry in column}.values())
+            for column in columns
+        ]
+    flat = [entry for column in columns for entry in column]
+    indptr = np.cumsum([0] + [len(column) for column in columns])
+    return (
+        indptr.astype(np.int64),
+        np.array([user for user, _, _ in flat], dtype=np.int64),
+        np.array([rating for _, rating, _ in flat], dtype=np.float64),
+        np.array([count for _, _, count in flat], dtype=np.int64),
+    )
+
+
+def _bit_fixture(n_items: int):
+    rng = np.random.default_rng(11)
+    return rng.random((_N_USERS, _K)), rng.random((n_items, _K))
+
+
+#: The bound kernels held to the reference bit for bit: ``cext``, whose
+#: arithmetic is the reference's operation for operation, and the
+#: interpreted default over the same arrays (``numpy``'s BLAS dot
+#: product is free to sum in another order, hence its ``atol``).
+BIT_EXACT_BACKENDS = ["list", pytest.param("cext", marks=needs_cext)]
+
+
+class TestBitForBit:
+    """``np.array_equal`` against looping ``ListBackend.process_column``
+    — what lets the C kernels memoise the step and pair columns."""
+
+    @pytest.mark.parametrize("name", BIT_EXACT_BACKENDS)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shard=_SHARDS,
+        burst=st.lists(st.integers(0, 10**6), max_size=9),
+    )
+    def test_process_tokens_equals_looped_reference(self, name, shard, burst):
+        """Any CSC with in-range users, any burst (repeats, adjacent
+        repeats, odd length, length 0 / 1), counters mixed inside a
+        column.  Fails on a ``cext`` that pairs columns without checking
+        that they ascend."""
+        indptr, users, ratings, counts = _shard_arrays(*shard)
+        n_items = indptr.size - 1
+        burst = [j % n_items for j in burst]
+        w, h = _bit_fixture(n_items)
+        (w_l, h_l), _ = _stores(w, h, "list")
+        counts_l = counts.tolist()
+        expected = _looped_reference(
+            w_l, h_l, indptr, users, ratings, counts_l, burst
+        )
+        kernel = get_backend(name).bind_tokens(
+            w, h, indptr, users, ratings, counts, ALPHA, BETA, LAMBDA
+        )
+        assert kernel.process_tokens(np.array(burst, dtype=np.int64)) == expected
+        assert np.array_equal(np.asarray(w_l), w)
+        assert np.array_equal(np.asarray(h_l), h)
+        assert counts_l == counts.tolist()
+
+    @needs_cext
+    @settings(max_examples=150, deadline=None)
+    @given(
+        entries=st.lists(
+            st.tuples(
+                st.integers(0, _N_USERS - 1), st.integers(0, 4), _RATINGS,
+                _COUNTERS,
+            ),
+            max_size=12,
+        ),
+        order=st.lists(st.integers(0, 10**6), max_size=20),
+    )
+    def test_cext_process_entries_equals_reference(self, entries, order):
+        """Non-uniform counters, and an order that may visit an entry
+        twice (its counter moves between the visits)."""
+        rows = [i for i, _, _, _ in entries]
+        cols = [j for _, j, _, _ in entries]
+        vals = [a for _, _, a, _ in entries]
+        order = [idx % len(entries) for idx in order] if entries else []
+        w, h = _bit_fixture(5)
+        (w_l, h_l), (w_n, h_n) = _stores(w, h, "cext")
+        counts_l = [t for _, _, _, t in entries]
+        counts_n = np.array(counts_l, dtype=np.int64)
+        a = ListBackend().process_entries(
+            w_l, h_l, rows, cols, vals, counts_l, ALPHA, BETA, LAMBDA, order
+        )
+        b = get_backend("cext").process_entries(
+            w_n, h_n, np.array(rows, dtype=np.int64),
+            np.array(cols, dtype=np.int64), np.array(vals), counts_n,
+            ALPHA, BETA, LAMBDA, np.array(order, dtype=np.int64),
+        )
+        assert a == b == len(order)
+        assert np.array_equal(np.asarray(w_l), w_n)
+        assert np.array_equal(np.asarray(h_l), h_n)
+        assert counts_l == counts_n.tolist()
 
 
 class TestSimulationEquivalence:
