@@ -639,6 +639,12 @@ def _run_trace(args: argparse.Namespace) -> int:
             else ""
         )
     )
+    if summary["tokens_per_batch"]:
+        print(
+            f"bursts: {summary['tokens_per_batch']:,.1f} tokens, "
+            f"{summary['updates_per_batch']:,.0f} updates per kernel batch "
+            f"over {summary['counters']['batches']:,} batches"
+        )
     hop = summary["hop_latency"]
     if hop["count"]:
         print(

@@ -236,7 +236,16 @@ class KernelBackend(abc.ABC):
 class TokenKernel:
     """A worker's factors and CSC shard, bound by
     :meth:`KernelBackend.bind_tokens`; holds the arrays for as long as
-    it lives."""
+    it lives.  ``n_items`` and ``nnz`` are the bound shard's columns and
+    ratings; with :attr:`burst_updates` they are what the live loop
+    sizes a burst from."""
+
+    #: SGD updates worth handing :meth:`process_tokens` in one call: what
+    #: amortises a caller's per-call costs without holding its tokens
+    #: (and deferring its stop check) for long.  At the 4-13 µs an update
+    #: of the interpreted kernels this is 15-50 ms; a compiled subclass
+    #: raises it.  A property of the kernel, not a setting.
+    burst_updates: ClassVar[int] = 4096
 
     def __init__(
         self, backend, w, h, indptr, users, ratings, counts,
@@ -246,6 +255,7 @@ class TokenKernel:
         self._arrays = (w, h, indptr, users, ratings, counts)
         self._step = (alpha, beta, lambda_)
         self.n_items = len(indptr) - 1
+        self.nnz = len(users)
 
     def process_tokens(self, items: np.ndarray) -> int:
         """Run the token work of every item id in ``items`` (one int64

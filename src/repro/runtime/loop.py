@@ -14,6 +14,17 @@ burst goes to the kernel bound to the worker's shard
 (:meth:`~repro.linalg.backends.base.KernelBackend.bind_tokens` — one
 native call on the compiled backend) and on to the mailbox as one array.
 
+A burst is a unit of work, not a count of tokens.  The queue operations
+are the only synchronised thing in NOMAD and §3.5 amortises their fixed
+cost over a batch; what a pop, a kernel call and a route cost here is
+per burst (≈15–20 µs of interpreter), so the loop sizes its pops from
+the shard its kernel is bound to (:func:`_burst_limit`): about
+:attr:`~repro.linalg.backends.base.TokenKernel.burst_updates` SGD
+updates a burst — 1–2 ms of compiled kernel, tens of ms interpreted —
+whether that is 22 tokens of 2 880 ratings each or every one of a
+thousand 24-rating tokens the ring holds.  The limit is observed from
+the input and the kernel, never set.
+
 :class:`TokenRingNomad` is everything else the two ring engines share:
 the constructor and the ``run()`` skeleton (init factors → rings → scatter →
 start → sleep → stop → collect → conservation check → result).  A
@@ -54,18 +65,13 @@ from ..telemetry import (
 from .mailbox import TokenRings
 from .result import RuntimeResult, resolve_duration, resolve_run_settings
 
-__all__ = ["BURST_TOKENS", "TokenRingNomad", "run_token_loop", "run_worker"]
+__all__ = ["TokenRingNomad", "run_token_loop", "run_worker"]
 
 #: nomadlint NMD001 owner contexts: ``run_token_loop`` holds the popped
 #: tokens, so the owner-computes rule makes its W/H writes exclusive by
 #: construction.
 __nomad_owner_contexts__ = ("run_token_loop",)
 
-#: Max tokens popped per mailbox visit into one fused kernel call.
-#: Batching amortizes per-call overhead (compiled backends run the whole
-#: burst in native code with the GIL released); the cap bounds how long
-#: a worker defers its stop check.
-BURST_TOKENS = 32
 #: A worker that finds its ring empty sleeps this long, doubling per
 #: consecutive empty poll up to the cap (which also bounds how late it
 #: notices the stop event).
@@ -75,10 +81,25 @@ IDLE_SLEEP_MAX = 2e-3
 #: burst: ``Generator.integers`` drops the GIL, so one draw per burst
 #: costs a worker *thread* a second GIL hand-off per burst (threaded
 #: 9.3M → 5.9M updates/s on the mp-sparse shape, measured for PR 16).
-#: ~130 bursts a block is enough for that; a block this size (32 KB)
-#: stays in cache and in the allocator's arena, and a refill stalls the
-#: worker for ~15 µs, less than one burst.
+#: A block this size (32 KB) stays in cache and in the allocator's
+#: arena, and a refill stalls the worker for ~15 µs, less than one
+#: burst.  It is also the most tokens a pop asks for, so a block feeds
+#: at least one burst: ~190 bursts of 22 tokens on a dense shard, a
+#: handful of ring-sized ones on a sparse shard.
 _ROUTE_BLOCK = 4096
+
+
+def _burst_limit(kernel: TokenKernel) -> int:
+    """Tokens to ask a mailbox for per pop so that a burst — one fused
+    kernel call — is about ``kernel.burst_updates`` updates on the shard
+    ``kernel`` is bound to: that budget over the shard's mean ratings
+    per column.  The budget is what bounds how long a worker defers its
+    stop check and holds tokens its peers could be working on.  Never
+    under 2 (the compiled burst walks columns in pairs) nor over a
+    destination block — which is what a shard with no ratings at all
+    gets, so its worker keeps forwarding tokens at full width."""
+    tokens = kernel.burst_updates * kernel.n_items // max(kernel.nnz, 1)
+    return max(2, min(tokens, _ROUTE_BLOCK))
 
 
 def run_token_loop(
@@ -94,8 +115,9 @@ def run_token_loop(
     """Algorithm 1 for worker ``worker_id`` until ``stop`` is set;
     returns the SGD updates applied.
 
-    ``kernel`` is bound to the worker's shard, ``routing`` is its
-    private destination stream, ``stop`` anything with ``is_set()``.
+    ``kernel`` is bound to the worker's shard — whose shape sets how
+    many tokens a pop asks for (:func:`_burst_limit`) — ``routing`` is
+    its private destination stream, ``stop`` anything with ``is_set()``.
     ``rec`` and ``put_times`` are both ``None`` unless telemetry is on:
     ``put_times[j]`` is the :func:`~repro.telemetry.clock` stamp of
     token ``j``'s most recent ring push, written by the routing worker
@@ -107,12 +129,13 @@ def run_token_loop(
     """
     updates = 0
     idle_sleep = IDLE_SLEEP_MIN
+    limit = _burst_limit(kernel)
     dests = routing.integers(n_workers, size=_ROUTE_BLOCK)
     drawn = 0
     while True:
         if rec is not None:
             poll_start = clock()
-        burst = rings.pop_many(worker_id, BURST_TOKENS)
+        burst = rings.pop_many(worker_id, limit)
         if not burst.size:
             if stop.is_set():
                 return updates
@@ -141,9 +164,12 @@ def run_token_loop(
             rec.add(C_BATCHES)
             put_times[burst] = route_time
         # Route every popped token onward so none is lost, even when
-        # stopping.
+        # stopping.  A refill covers the burst in hand whatever its
+        # length, so the slice below is never shorter than the burst.
         if drawn + burst.size > dests.size:
-            dests = routing.integers(n_workers, size=_ROUTE_BLOCK)
+            dests = routing.integers(
+                n_workers, size=max(_ROUTE_BLOCK, burst.size)
+            )
             drawn = 0
         rings.route(burst, dests[drawn:drawn + burst.size])
         drawn += burst.size

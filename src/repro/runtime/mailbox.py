@@ -44,12 +44,14 @@ _EMPTY = np.empty(0, dtype=np.int64)
 #: lock is held for two slice copies (a few µs) and a failed try costs
 #: ~0.1 µs, so the holder is normally gone well inside this many tries.
 #: A blocking acquire sleeps in the kernel instead, and whether two
-#: workers' bursts collide on a lock is a matter of their phase: on the
-#: mp-sparse shape ~2 500 acquires per worker-second slept, each for as
-#: long as the host takes to wake an idled virtual CPU, so a window's
-#: throughput depended on whether its workers happened to collide
-#: (22M–34M updates/s inside one quiet run; 31M–39M with the retry,
-#: measured for PR 16).
+#: workers' bursts collide on a lock is a matter of their phase: at PR
+#: 16's 32-token bursts (~20 000 a worker-second on the mp-sparse shape)
+#: ~2 500 acquires per worker-second slept, each for as long as the host
+#: takes to wake an idled virtual CPU, so a window's throughput depended
+#: on whether its workers happened to collide (22M–34M updates/s inside
+#: one quiet run; 31M–39M with the retry).  The loop's shard-sized
+#: bursts take a ring lock about four times less often on that shape
+#: (~5 000 bursts a worker-second); a collision still costs a wake-up.
 _SPIN_TRIES = 200
 
 

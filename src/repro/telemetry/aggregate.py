@@ -10,7 +10,8 @@ lives here, after collection, where cost no longer matters:
   Prometheus summaries.
 * :class:`RunTelemetry` — the per-worker telemetry of one run plus a
   cached merged summary: hop-latency and queue-depth histograms,
-  idle fraction, an updates/sec time series, and summed counters.
+  idle fraction, an updates/sec time series, summed counters and the
+  mean burst (tokens and updates per kernel batch) they imply.
   This is what lands on ``FitResult.telemetry``.
 """
 
@@ -20,6 +21,10 @@ import math
 from dataclasses import dataclass, field
 
 from .recorder import (
+    C_BATCHES,
+    C_TOKENS,
+    C_UPDATES,
+    COUNTER_NAMES,
     POINT_QUEUE_DEPTH,
     SPAN_HOP,
     SPAN_IDLE,
@@ -225,9 +230,20 @@ class RunTelemetry:
         if self._summary is None:
             hop = self.hop_histogram()
             depth = self.queue_depth_histogram()
+            counters = self.counters()
+            batches = counters.get(COUNTER_NAMES[C_BATCHES], 0)
+
+            def per_batch(slot: int) -> float:
+                """Mean of a counter per kernel batch (0.0 on engines
+                that record no batches)."""
+                total = counters.get(COUNTER_NAMES[slot], 0)
+                return total / batches if batches else 0.0
+
             self._summary = {
                 "n_workers": len(self.workers),
-                "counters": self.counters(),
+                "counters": counters,
+                "tokens_per_batch": per_batch(C_TOKENS),
+                "updates_per_batch": per_batch(C_UPDATES),
                 "hop_latency": {
                     "count": hop.count,
                     "mean": hop.mean,

@@ -19,13 +19,16 @@ from repro.datasets.ratings import Shard
 from repro.errors import ClusterError
 from repro.linalg.backends import cext_available, get_backend
 from repro.rng import derive_rng
-from repro.runtime.loop import BURST_TOKENS, run_token_loop
+from repro.runtime import loop as loop_module
+from repro.runtime.loop import run_token_loop
 
 K = 3
 N_COLS = 10
 HYPER = HyperParams(k=K, lambda_=0.01, alpha=0.1, beta=0.01)
 #: Distinct, recognisable payloads: row j is [j + .1, j + .2, j + .3].
 PAYLOADS = np.arange(N_COLS)[:, None] + np.array([0.1, 0.2, 0.3])
+#: More than a test here ever has waiting: "everything that is there".
+ALL = 4 * N_COLS
 
 
 def envelope(items, k: int = K, rows=PAYLOADS) -> bytes:
@@ -75,7 +78,7 @@ def test_delivered_envelopes_pop_in_arrival_order_and_fill_their_rows():
     node.deliver(envelope([7, 2]))
     node.deliver(envelope([5]))
     assert node.mailbox.depth(0) == 0  # nothing is read before a pop
-    assert ints(node.mailbox.pop_many(0, BURST_TOKENS)) == [7, 2, 5]
+    assert ints(node.mailbox.pop_many(0, ALL)) == [7, 2, 5]
     expected = np.zeros((N_COLS, K))
     expected[[7, 2, 5]] = PAYLOADS[[7, 2, 5]]
     np.testing.assert_array_equal(node.h, expected)
@@ -89,8 +92,8 @@ def test_pop_is_capped_and_leaves_the_rest_waiting():
     node.deliver(envelope(range(N_COLS)))
     assert ints(node.mailbox.pop_many(0, 4)) == [0, 1, 2, 3]
     assert node.mailbox.depth(0) == N_COLS - 4
-    assert ints(node.mailbox.pop_many(0, BURST_TOKENS)) == [4, 5, 6, 7, 8, 9]
-    assert node.mailbox.pop_many(0, BURST_TOKENS).size == 0
+    assert ints(node.mailbox.pop_many(0, ALL)) == [4, 5, 6, 7, 8, 9]
+    assert node.mailbox.pop_many(0, ALL).size == 0
 
 
 # ----------------------------------------------------------------------
@@ -112,10 +115,10 @@ def test_route_keeps_self_hops_local_and_ships_full_envelopes():
         np.testing.assert_array_equal(token.h, PAYLOADS[token.item])
         assert token.queue_hint == 3  # the sender's depth at send time
     # The inbox is not dry yet: the partial envelope waits.
-    assert ints(node.mailbox.pop_many(0, BURST_TOKENS)) == [0, 7, 9]
+    assert ints(node.mailbox.pop_many(0, ALL)) == [0, 7, 9]
     assert frames(node.peers[1]) == []
     # Now it is: the next (empty) pop flushes it.
-    assert node.mailbox.pop_many(0, BURST_TOKENS).size == 0
+    assert node.mailbox.pop_many(0, ALL).size == 0
     (partial,) = frames(node.peers[1])
     assert [t.item for t in partial.tokens] == [5, 6, 8]
     assert {t.queue_hint for t in partial.tokens} == {0}
@@ -134,8 +137,8 @@ def test_envelope_size_extremes(batch_size, on_route, on_dry_pop):
     node.mailbox.route(ITEMS, DESTS)
     shipped = [[t.item for t in e.tokens] for e in frames(node.peers[1])]
     assert shipped == on_route
-    node.mailbox.pop_many(0, BURST_TOKENS)  # the three self-hops
-    node.mailbox.pop_many(0, BURST_TOKENS)  # dry
+    node.mailbox.pop_many(0, ALL)  # the three self-hops
+    node.mailbox.pop_many(0, ALL)  # dry
     shipped = [[t.item for t in e.tokens] for e in frames(node.peers[1])]
     assert shipped == on_dry_pop
 
@@ -143,7 +146,7 @@ def test_envelope_size_extremes(batch_size, on_route, on_dry_pop):
 def test_a_departing_token_carries_the_rows_current_value():
     node = Node(batch_size=1)
     node.deliver(envelope([4]))
-    (item,) = ints(node.mailbox.pop_many(0, BURST_TOKENS))
+    (item,) = ints(node.mailbox.pop_many(0, ALL))
     node.h[item] *= 2.0  # what a kernel does between pop and route
     node.mailbox.route(np.array([item]), np.array([1]))
     (sent,) = frames(node.peers[1])
@@ -160,7 +163,7 @@ def test_stop_sets_the_mailbox_sends_one_fin_a_peer_and_is_idempotent():
     node.deliver(wire.encode_stop())
     # Tokens that arrived *before* Stop in the same drain are held too:
     # the model freezes at the stop signal.
-    assert node.mailbox.pop_many(0, BURST_TOKENS).size == 0
+    assert node.mailbox.pop_many(0, ALL).size == 0
     assert node.mailbox.is_set()
     for q in (1, 2):
         assert frames(node.peers[q]) == [wire.Fin(worker_id=0)]
@@ -169,7 +172,7 @@ def test_stop_sets_the_mailbox_sends_one_fin_a_peer_and_is_idempotent():
 
     node.deliver(wire.encode_stop())  # the coordinator's failure path
     node.deliver(envelope([3]))  # a token that was still in flight
-    assert node.mailbox.pop_many(0, BURST_TOKENS).size == 0
+    assert node.mailbox.pop_many(0, ALL).size == 0
     assert node.mailbox._drain_deadline == deadline
     assert frames(node.peers[1]) == frames(node.peers[2]) == []
     assert node.mailbox.depth(0) == 3  # held, never popped
@@ -180,7 +183,7 @@ def test_stop_does_not_flush_unsent_buffers():
     node = Node(batch_size=N_COLS + 5)
     node.mailbox.route(ITEMS, DESTS)
     node.deliver(wire.encode_stop())
-    assert node.mailbox.pop_many(0, BURST_TOKENS).size == 0
+    assert node.mailbox.pop_many(0, ALL).size == 0
     assert frames(node.peers[1]) == [wire.Fin(worker_id=0)]
 
 
@@ -190,7 +193,7 @@ def test_drain_returns_once_every_peer_has_sent_fin():
     node.deliver(wire.encode_fin(2))
     node.deliver(envelope([6]))  # ordered ahead of worker 1's Fin
     node.deliver(wire.encode_fin(1))
-    node.mailbox.pop_many(0, BURST_TOKENS)
+    node.mailbox.pop_many(0, ALL)
     started = time.monotonic()
     node.mailbox.drain()
     assert time.monotonic() - started < 1.0  # no wait: both Fins are in
@@ -201,7 +204,7 @@ def test_unexpected_frame_is_a_cluster_error():
     node = Node()
     node.deliver(wire.encode_ready(1, 4242))
     with pytest.raises(ClusterError, match="worker 0 got unexpected Ready"):
-        node.mailbox.pop_many(0, BURST_TOKENS)
+        node.mailbox.pop_many(0, ALL)
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +213,7 @@ def test_unexpected_frame_is_a_cluster_error():
 def test_held_is_inbox_and_buffers_each_id_once_with_the_current_row():
     node = Node(batch_size=N_COLS + 5)
     node.deliver(envelope(range(N_COLS)))
-    burst = node.mailbox.pop_many(0, BURST_TOKENS)
+    burst = node.mailbox.pop_many(0, ALL)
     node.h[burst] += 100.0  # a kernel's writes
     node.mailbox.route(burst, DESTS)
     held = node.mailbox.held()
@@ -291,7 +294,7 @@ def test_a_rejected_envelope_writes_nothing():
     node = Node()
     node.deliver(envelope([2, -1]))
     with pytest.raises(ClusterError):
-        node.mailbox.pop_many(0, BURST_TOKENS)
+        node.mailbox.pop_many(0, ALL)
     assert not node.h.any() and node.mailbox.depth(0) == 0
 
 
@@ -312,6 +315,10 @@ class StopAfter:
 class RecordingKernel:
     def __init__(self, kernel):
         self._kernel = kernel
+        self.n_items, self.nnz = kernel.n_items, kernel.nnz
+        #: 32 mean columns: pops that leave part of the inbox waiting,
+        #: so self-hops queue behind ids not yet visited.
+        self.burst_updates = 32 * kernel.nnz // kernel.n_items
         self.visited: list[int] = []
 
     def process_tokens(self, burst):
@@ -360,6 +367,8 @@ def test_loop_over_the_mailbox_equals_looped_process_column(backend_name):
             w, h, indptr, users, ratings, np.zeros(nnz, dtype=np.int64), *step
         )
     )
+    limit = loop_module._burst_limit(kernel)
+    assert limit == 32 < n_cols
     updates = run_token_loop(
         0, 1, kernel, mailbox, derive_rng(0, "cluster-route-0"),
         StopAfter(polls), None, None,
@@ -372,7 +381,7 @@ def test_loop_over_the_mailbox_equals_looped_process_column(backend_name):
 
     # One worker: every hop is a self-hop behind the ids still waiting,
     # so the visit order is the arrival order, over and over.
-    assert len(kernel.visited) == (polls + 1) * BURST_TOKENS
+    assert len(kernel.visited) == (polls + 1) * limit
     assert kernel.visited == (order.tolist() * polls)[: len(kernel.visited)]
     w_ref, h_ref = w_init.copy(), h_init.copy()
     counts = np.zeros(nnz, dtype=np.int64)

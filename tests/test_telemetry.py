@@ -226,6 +226,22 @@ class TestRunTelemetry:
         # Span window is [0.0, 0.4] across 2 workers; one 0.1s idle span.
         assert summary["idle_fraction"] == pytest.approx(0.1 / (0.4 * 2))
 
+    def test_mean_burst_comes_from_the_counters(self):
+        workers = [
+            WorkerTelemetry(
+                worker_id=q,
+                counters={"updates": updates, "tokens": tokens, "batches": 4},
+            )
+            for q, (updates, tokens) in enumerate([(9000, 300), (7000, 340)])
+        ]
+        summary = RunTelemetry.from_workers(workers).summary()
+        assert summary["tokens_per_batch"] == 640 / 8
+        assert summary["updates_per_batch"] == 16000 / 8
+        # An engine that records no batches (simulated, dynamic).
+        summary = RunTelemetry.from_workers(self._workers()).summary()
+        assert summary["tokens_per_batch"] == 0.0
+        assert summary["updates_per_batch"] == 0.0
+
     def test_updates_per_second_series_sums_kernel_values(self):
         telemetry = RunTelemetry.from_workers(self._workers())
         series = telemetry.summary()["updates_per_second"]
