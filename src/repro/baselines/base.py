@@ -134,6 +134,22 @@ class ClockedOptimizer(abc.ABC):
     def _run_loop(self) -> None:
         """Scheduling loop: repeat work units until :meth:`_expired`."""
 
+    def _entry_arrays(self) -> tuple:
+        """The training set as ``(rows, cols, ratings, counts)`` for the
+        entries kernels, built once per run in the form the factor store
+        calls for.  Beside ndarray factors (``cext``, ``numpy``) these are
+        the matrix's own arrays and an int64 counter array, which a
+        compiled call takes as they are; beside nested lists (``list``)
+        they are lists, which the interpreted loop indexes fastest."""
+        train = self.train
+        counts = np.zeros(train.nnz, dtype=np.int64)
+        if isinstance(self._w_store, np.ndarray):
+            return train.rows, train.cols, train.vals, counts
+        return (
+            train.rows.tolist(), train.cols.tolist(), train.vals.tolist(),
+            counts.tolist(),
+        )
+
     def _advance(self, dt: float) -> None:
         """Charge ``dt`` simulated seconds of work/communication."""
         if dt < 0:

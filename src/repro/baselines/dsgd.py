@@ -61,9 +61,7 @@ class DSGDSimulation(ClockedOptimizer):
             partition_range_blocks(self.train.n_rows, p),
             partition_range_blocks(self.train.n_cols, n_col_blocks),
         )
-        entry_rows = self.train.rows.tolist()
-        entry_cols = self.train.cols.tolist()
-        ratings = self.train.vals.tolist()
+        entry_rows, entry_cols, ratings, _ = self._entry_arrays()
         cell_orders = [
             [grid.cell_indices(q, c).tolist() for c in range(n_col_blocks)]
             for q in range(p)

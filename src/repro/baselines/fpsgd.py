@@ -53,10 +53,7 @@ class FPSGDSimulation(ClockedOptimizer):
             partition_range_blocks(self.train.n_cols, grid_size),
         )
 
-        entry_rows = self.train.rows.tolist()
-        entry_cols = self.train.cols.tolist()
-        ratings = self.train.vals.tolist()
-        counts = [0] * self.train.nnz
+        entry_rows, entry_cols, ratings, counts = self._entry_arrays()
         cell_orders = {
             (r, c): grid.cell_indices(r, c).tolist()
             for r in range(grid_size)

@@ -29,17 +29,16 @@ class SerialSGD(ClockedOptimizer):
 
     def _run_loop(self) -> None:
         train = self.train
-        entry_rows = train.rows.tolist()
-        entry_cols = train.cols.tolist()
-        ratings = train.vals.tolist()
-        counts = [0] * train.nnz
+        entry_rows, entry_cols, ratings, counts = self._entry_arrays()
         shuffle_rng = self.rng_factory.stream("serial-shuffle")
 
         # Chunked epochs: record points land on the eval grid even when a
         # full epoch costs more than eval_interval.
         chunk = max(1, int(train.nnz // 8))
         while not self._expired():
-            order = shuffle_rng.permutation(train.nnz).tolist()
+            order = shuffle_rng.permutation(train.nnz)
+            if isinstance(counts, list):  # list storage: list visit orders
+                order = order.tolist()
             for start in range(0, len(order), chunk):
                 piece = order[start : start + chunk]
                 applied = self._backend.process_entries(

@@ -29,9 +29,15 @@ a token finish is one ``process_token(j)`` call, nothing marshalled per
 visit (under ``cext`` a native call of two words: the bound struct's
 address and the item id).  The cluster's cost model is asked once, at
 construction, for every (worker, item) visit time and the two hop
-times; a visit reads those tables.  Every event is a bound method
-scheduled with its arguments (``_finish_token, q, token``), so a visit
-builds no closure.  The backend is chosen by ``RunConfig.kernel_backend``
+times; a visit reads those tables.  A token's life is two events, both
+bound methods scheduled with their arguments (no closure per visit):
+``_finish_token(q, token)`` applies the visit, draws the next stop,
+releases the token to the network and starts the worker's next queued
+token, and ``_deliver_token(q, token)`` is its arrival.  Everything a
+finish reads that is fixed for the run (the loss, the update log switch,
+circulation, jitter, the update budget, each worker's queue, tables and
+bound ``process_token``) is resolved once at construction.  The backend
+is chosen by ``RunConfig.kernel_backend``
 (or the ``NOMAD_KERNEL_BACKEND`` environment variable).  The
 :attr:`NomadSimulation.factors` property materializes a decoupled
 :class:`~repro.linalg.factors.FactorPair` snapshot on demand (evaluation,
@@ -255,6 +261,27 @@ class NomadSimulation:
         self.update_log: list[UpdateEvent] = []
         self._log_seq = 0
 
+        # Per-run constants of the token hop, resolved once.
+        self._stations = [
+            (queue, visit, ptr, kernel.process_token, machine)
+            for queue, visit, ptr, kernel, machine in zip(
+                self._queues, self._visit_time, self._col_ptr,
+                self._kernels, self._machine_of,
+            )
+        ]
+        self._loss = self.options.loss
+        self._record_updates = self.options.record_updates
+        self._circulating = self.options.circulate and cluster.cores_per_machine > 1
+        self._choose = self.options.policy.choose
+        self._sample = self._routing_rng.sample
+        self._jitter = cluster.jitter_multiplier if cluster.jitter else None
+        self._budget = run.max_updates
+        self._schedule = self._sim.schedule_after
+        self._finish = self._finish_token
+        self._deliver = self._deliver_token
+        self._acquire = self._ledger.acquire
+        self._release = self._ledger.release
+
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
@@ -355,142 +382,125 @@ class NomadSimulation:
         token = self._queues[q].popleft()
         self._busy[q] = True
         delay = self._visit_time[q][token.item]
-        # Transient system noise: NOMAD absorbs it (no barriers), so the
-        # mean-1 multiplier only adds variance, never a straggler stall.
-        # Without jitter it is exactly 1.0 and draws nothing.
-        if self.cluster.jitter:
-            delay *= self.cluster.jitter_multiplier(self._jitter_rng)
-        self._sim.schedule_after(delay, self._finish_token, q, token)
+        if self._jitter is not None:
+            delay *= self._jitter(self._jitter_rng)
+        self._schedule(delay, self._finish, q, token)
 
     def _finish_token(self, q: int, token: ItemToken) -> None:
-        """Apply the token's SGD updates, forward it, continue working."""
+        """One visit ends (Algorithm 1 lines 15–23 and §3.4): apply the
+        token's SGD updates, send it to its next stop, and start the
+        worker's next queued token."""
+        queue, visit_time, col_ptr, process_token, machine = self._stations[q]
+        if self._halted:
+            # The update budget ran out while this visit was in flight:
+            # it applies nothing, and the token goes back to the head of
+            # the queue it came from (still owned by q).
+            queue.appendleft(token)
+            self._busy[q] = False
+            return
         j = token.item
-        lo, hi = self._col_ptr[q][j], self._col_ptr[q][j + 1]
+        lo, hi = col_ptr[j], col_ptr[j + 1]
         if hi > lo:
-            _, users, ratings, counts = self._csc[q]
-            if self.options.record_updates:
-                for user, count in zip(
-                    users[lo:hi].tolist(), counts[lo:hi].tolist()
-                ):
-                    self.update_log.append(
-                        UpdateEvent(
-                            seq=self._log_seq,
-                            worker=q,
-                            row=user,
-                            col=j,
-                            count=count,
-                        )
-                    )
-                    self._log_seq += 1
-            if self.options.loss is None:
+            if self._record_updates:
+                self._log_updates(q, j, lo, hi)
+            if self._loss is None:
                 # A burst of one: a single discrete event completes here,
                 # so there is never a second column to fuse with.
-                applied = self._kernels[q].process_token(j)
+                applied = process_token(j)
             else:
+                _, users, ratings, counts = self._csc[q]
                 applied = self._backend.process_column_loss(
-                    self._w_store,
-                    token.vector,
-                    users[lo:hi],
-                    ratings[lo:hi],
-                    counts[lo:hi],
-                    self.hyper.alpha,
-                    self.hyper.beta,
-                    self.hyper.lambda_,
-                    self.options.loss,
+                    self._w_store, token.vector, users[lo:hi],
+                    ratings[lo:hi], counts[lo:hi], self.hyper.alpha,
+                    self.hyper.beta, self.hyper.lambda_, self._loss,
                 )
             self._total_updates += applied
             token.processed += 1
 
-        self._forward_token(q, token)
-        self._busy[q] = False
-        if self._check_update_budget():
-            return
-        self._wake_worker(q)
-
-    def _forward_token(self, q: int, token: ItemToken) -> None:
-        """Route the token to its next owner (Algorithm 1 lines 22–23)."""
-        destination = self._next_destination(q, token)
-        self._ledger.release(token.item, q)
+        # The next stop: the rest of the token's tour of this machine
+        # while circulation lasts (§3.4), else a machine from the
+        # recipient policy (§3.3) and either a fresh random tour of its
+        # workers or one worker the policy picks.
+        circulation = token.circulation
+        if circulation:
+            destination = circulation.pop(0)
+        else:
+            if len(self._machine_workers) == 1:
+                target = 0
+            else:
+                target = self._choose(
+                    self._other_machines[machine], self._machine_queue_size,
+                    self._routing_rng,
+                )
+            workers = self._machine_workers[target]
+            if self._circulating:
+                tour = self._sample(workers, len(workers))
+                token.circulation = tour[1:]
+                destination = tour[0]
+            else:
+                destination = self._choose(
+                    workers, self._queue_size, self._routing_rng
+                )
+        self._release(j, q)
         token.hops += 1
-        if self._machine_of[q] == self._machine_of[destination]:
+        if self._machine_of[destination] == machine:
             self._local_hops += 1
             delay = self._local_delay
         else:
             self._network_hops += 1
             delay = self._network_delay
-        self._sim.schedule_after(delay, self._deliver_token, destination, token)
+        schedule = self._schedule
+        schedule(delay, self._deliver, destination, token)
 
-    def _next_destination(self, q: int, token: ItemToken) -> int:
-        """Hybrid routing of §3.4 on top of the recipient policy.
+        budget = self._budget
+        if budget is not None and self._total_updates >= budget:
+            # The budget is spent: halt here with one final trace point.
+            # _record_point then suppresses the evaluation events still
+            # scheduled (no identical-RMSE padding up to `duration`), and
+            # the finishes still in flight apply nothing.
+            self._halted = True
+            self._halt_time = self._sim.now
+            self._record_point(self._halt_time)
+        elif queue:
+            token = queue.popleft()
+            delay = visit_time[token.item]
+            # Transient system noise: NOMAD absorbs it (no barriers), so
+            # the mean-1 multiplier only adds variance, never a straggler
+            # stall.  Without jitter nothing is drawn.
+            if self._jitter is not None:
+                delay *= self._jitter(self._jitter_rng)
+            schedule(delay, self._finish, q, token)
+            return
+        self._busy[q] = False
 
-        While the token still has unvisited threads on the current machine
-        (and circulation is enabled), the next stop is local.  Otherwise the
-        policy picks a machine (uniform by default, least-queue under §3.3
-        dynamic load balancing) and the token enters a fresh random
-        permutation of that machine's workers.
-        """
-        cluster = self.cluster
-        if self.options.circulate and cluster.cores_per_machine > 1:
-            local_next = token.next_local_stop()
-            if local_next is not None:
-                return local_next
-
-        if cluster.n_machines == 1:
-            # Basic single-machine algorithm: uniform worker choice; under
-            # circulation, start a new shuffled tour of all workers.
-            if self.options.circulate and cluster.cores_per_machine > 1:
-                tour = self._machine_tour(0)
-                token.circulation = tour[1:]
-                return tour[0]
-            workers = range(cluster.n_workers)
-            return self.options.policy.choose(
-                workers, lambda w: len(self._queues[w]), self._routing_rng
+    def _log_updates(self, q: int, j: int, lo: int, hi: int) -> None:
+        """Append the visit's (worker, user, item, count) update events."""
+        _, users, _, counts = self._csc[q]
+        for user, count in zip(users[lo:hi].tolist(), counts[lo:hi].tolist()):
+            self.update_log.append(
+                UpdateEvent(seq=self._log_seq, worker=q, row=user, col=j,
+                            count=count)
             )
+            self._log_seq += 1
 
-        other_machines = self._other_machines[self._machine_of[q]]
-        machine = self.options.policy.choose(
-            other_machines, self._machine_queue_size, self._routing_rng
-        )
-        if self.options.circulate and cluster.cores_per_machine > 1:
-            tour = self._machine_tour(machine)
-            token.circulation = tour[1:]
-            return tour[0]
-        workers = self._machine_workers[machine]
-        return self.options.policy.choose(
-            workers, lambda w: len(self._queues[w]), self._routing_rng
-        )
-
-    def _machine_tour(self, machine: int) -> list[int]:
-        """A fresh random visiting order of one machine's workers (§3.4)."""
-        workers = self._machine_workers[machine]
-        return self._routing_rng.sample(workers, len(workers))
+    def _queue_size(self, worker: int) -> int:
+        """Tokens queued at one worker (the §3.3 payload)."""
+        return len(self._queues[worker])
 
     def _machine_queue_size(self, machine: int) -> int:
         """Total queued tokens on a machine (the §3.3 payload summed)."""
         return sum(len(self._queues[w]) for w in self._machine_workers[machine])
 
     def _deliver_token(self, q: int, token: ItemToken) -> None:
-        """Message arrival: enqueue and wake the worker."""
-        self._ledger.acquire(token.item, q)
+        """Message arrival: enqueue and wake the worker if it is idle."""
+        self._acquire(token.item, q)
         self._queues[q].append(token)
-        if not self._halted:
+        if not self._busy[q]:
             self._wake_worker(q)
 
     # ------------------------------------------------------------------
     # Bookkeeping
     # ------------------------------------------------------------------
-    def _check_update_budget(self) -> bool:
-        maximum = self.run_config.max_updates
-        if maximum is not None and self._total_updates >= maximum and not self._halted:
-            # Record one final point at the halt time; _record_point then
-            # suppresses the already-scheduled evaluation events, which
-            # would otherwise pad the trace with identical-RMSE points
-            # until `duration`.
-            self._halted = True
-            self._halt_time = self._sim.now
-            self._record_point(self._halt_time)
-        return self._halted
-
     def _record_point(self, time: float) -> None:
         if self._halt_time is not None and time > self._halt_time:
             return

@@ -34,8 +34,9 @@ class ItemToken:
         a concurrent queue.
     circulation:
         Remaining worker ids to visit on the current machine before the
-        token pays a network hop (hybrid architecture, §3.4).  Empty for
-        the basic single-level algorithm.
+        token pays a network hop (hybrid architecture, §3.4), next stop
+        first: the simulator pops it from the front.  Empty for the basic
+        single-level algorithm.
     hops:
         Lifetime count of worker-to-worker transfers (diagnostics; the
         communication-complexity analysis of §3.2 predicts O(p) hops per
@@ -49,12 +50,6 @@ class ItemToken:
     circulation: list[int] = field(default_factory=list)
     hops: int = 0
     processed: int = 0
-
-    def next_local_stop(self) -> int | None:
-        """Pop and return the next same-machine worker to visit, if any."""
-        if not self.circulation:
-            return None
-        return self.circulation.pop(0)
 
     def __repr__(self) -> str:
         return (

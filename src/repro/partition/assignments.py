@@ -26,6 +26,11 @@ class OwnershipLedger:
     tokens are conserved by construction and this class raises
     :class:`~repro.errors.SimulationError` on any double-acquire or foreign
     release, which would indicate a scheduler bug.
+
+    The owners live in a plain list: :meth:`acquire` / :meth:`release`
+    run once per simulated token hop, and a list read or write is a
+    fraction of an ndarray scalar access.  The batch and whole-ledger
+    checks convert it to an array once per call.
     """
 
     def __init__(self, n_items: int, n_workers: int):
@@ -34,13 +39,13 @@ class OwnershipLedger:
         if n_workers < 1:
             raise SimulationError(f"n_workers must be >= 1, got {n_workers}")
         self._n_workers = int(n_workers)
-        self._owner = np.full(n_items, _IN_FLIGHT, dtype=np.int64)
+        self._owner = [_IN_FLIGHT] * int(n_items)
         self._transfers = 0
 
     @property
     def n_items(self) -> int:
         """Number of tracked item tokens."""
-        return int(self._owner.size)
+        return len(self._owner)
 
     @property
     def transfers(self) -> int:
@@ -59,37 +64,35 @@ class OwnershipLedger:
             raise SimulationError(
                 f"ledger cannot shrink from {self.n_items} to {n_items} items"
             )
-        if n_items == self.n_items:
-            return
-        grown = np.full(n_items, _IN_FLIGHT, dtype=np.int64)
-        grown[: self._owner.size] = self._owner
-        self._owner = grown
+        self._owner.extend([_IN_FLIGHT] * (n_items - self.n_items))
 
     def owner_of(self, item: int) -> int | None:
         """Current owner of ``item``, or None while the token is in flight."""
-        owner = int(self._owner[item])
+        owner = self._owner[item]
         return None if owner == _IN_FLIGHT else owner
 
     def acquire(self, item: int, worker: int) -> None:
         """Record that ``worker`` received the token for ``item``."""
         if not 0 <= worker < self._n_workers:
             raise SimulationError(f"worker {worker} out of range")
-        if self._owner[item] != _IN_FLIGHT:
+        owner = self._owner
+        if owner[item] != _IN_FLIGHT:
             raise SimulationError(
                 f"item {item} acquired by worker {worker} while owned by "
-                f"worker {int(self._owner[item])}"
+                f"worker {owner[item]}"
             )
-        self._owner[item] = worker
+        owner[item] = worker
         self._transfers += 1
 
     def release(self, item: int, worker: int) -> None:
         """Record that ``worker`` sent the token for ``item`` onward."""
-        if self._owner[item] != worker:
-            current = self.owner_of(item)
+        owner = self._owner
+        if owner[item] != worker:
             raise SimulationError(
-                f"worker {worker} released item {item} owned by {current}"
+                f"worker {worker} released item {item} owned by "
+                f"{self.owner_of(item)}"
             )
-        self._owner[item] = _IN_FLIGHT
+        owner[item] = _IN_FLIGHT
 
     def transfer_many(self, items, sources, destinations) -> None:
         """Hand each ``items[t]`` from ``sources[t]`` to ``destinations[t]``.
@@ -104,7 +107,8 @@ class OwnershipLedger:
         items = np.asarray(items, dtype=np.int64)
         sources = np.asarray(sources, dtype=np.int64)
         destinations = np.asarray(destinations, dtype=np.int64)
-        foreign = self._owner[items] != sources
+        owner = np.array(self._owner, dtype=np.int64)
+        foreign = owner[items] != sources
         outside = (destinations < 0) | (destinations >= self._n_workers)
         repeated = np.ones(items.size, dtype=bool)
         repeated[np.unique(items, return_index=True)[1]] = False
@@ -124,16 +128,17 @@ class OwnershipLedger:
                     f"by {self.owner_of(item)}"
                 )
             raise SimulationError(f"worker {worker} out of range")
-        self._owner[items] = destinations
+        owner[items] = destinations
+        self._owner = owner.tolist()
         self._transfers += int(items.size)
 
     def owned_items(self, worker: int) -> np.ndarray:
         """All items currently owned by ``worker``."""
-        return np.flatnonzero(self._owner == worker)
+        return np.flatnonzero(np.asarray(self._owner) == worker)
 
     def items_in_flight(self) -> np.ndarray:
         """All items currently serialized inside messages."""
-        return np.flatnonzero(self._owner == _IN_FLIGHT)
+        return np.flatnonzero(np.asarray(self._owner) == _IN_FLIGHT)
 
     def assert_conserved(self) -> None:
         """Check token conservation: every item is owned or in flight.
@@ -142,9 +147,10 @@ class OwnershipLedger:
         the method also validates owner indices, guarding against memory
         corruption from buggy callers.
         """
-        bad = (self._owner < _IN_FLIGHT) | (self._owner >= self._n_workers)
+        owner = np.asarray(self._owner)
+        bad = (owner < _IN_FLIGHT) | (owner >= self._n_workers)
         if bad.any():
             item = int(np.flatnonzero(bad)[0])
             raise SimulationError(
-                f"item {item} has invalid owner {int(self._owner[item])}"
+                f"item {item} has invalid owner {owner[item]}"
             )

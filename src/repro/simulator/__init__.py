@@ -4,7 +4,8 @@ This package is the substrate that replaces the paper's physical testbeds
 (Stampede HPC nodes, AWS m1.xlarge instances).  It provides:
 
 * :class:`~repro.simulator.engine.Simulator` — a deterministic
-  discrete-event engine (priority queue of timestamped callbacks).
+  discrete-event engine (one heap of ``(time, seq, callback, args)``
+  tuples).
 * :class:`~repro.simulator.cluster.Cluster` — machines × cores topology with
   per-machine speed skew.
 * :class:`~repro.simulator.network.NetworkModel` — latency + bandwidth +
@@ -20,15 +21,12 @@ reads, stable event tie-breaking, seeded RNG streams.
 """
 
 from .engine import Simulator
-from .events import Event, EventQueue
 from .cluster import Cluster, HardwareProfile, Worker, PAPER_HARDWARE
 from .network import NetworkModel, HPC_PROFILE, COMMODITY_PROFILE, LOCAL_PROFILE
 from .trace import Trace, TraceRecord
 
 __all__ = [
     "Simulator",
-    "Event",
-    "EventQueue",
     "Cluster",
     "HardwareProfile",
     "Worker",

@@ -1,17 +1,25 @@
 """The discrete-event simulation engine.
 
-A thin, deterministic loop over an :class:`~repro.simulator.events.EventQueue`:
-pop the earliest event, advance the clock to it, call its callback with the
-arguments it was scheduled with (which may schedule further events), repeat.  There is no wall-clock dependence anywhere,
-so a run is a pure function of its inputs and seed.
+One heap of plain ``(time, seq, callback, args)`` tuples and one loop
+over it: pop the earliest entry, advance the clock to it, call the
+callback with the arguments it was scheduled with (which may schedule
+further events), repeat.  ``seq`` is a counter assigned at scheduling
+time, so simultaneous events fire in the order they were scheduled —
+the tie-break that makes whole-cluster simulations bit-reproducible —
+and, being unique, it decides every comparison ``heapq`` makes before
+the callback or its arguments (which need not be orderable) are
+reached.  There is no wall-clock dependence anywhere, so a run is a
+pure function of its inputs and seed.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import math
 from typing import Any, Callable
 
 from ..errors import SimulationError
-from .events import Event, EventQueue
 
 __all__ = ["Simulator"]
 
@@ -23,15 +31,16 @@ class Simulator:
     --------
     >>> sim = Simulator()
     >>> fired = []
-    >>> _ = sim.schedule_at(2.0, lambda: fired.append(sim.now))
-    >>> _ = sim.schedule_at(1.0, lambda: fired.append(sim.now))
+    >>> sim.schedule_at(2.0, lambda: fired.append(sim.now))
+    >>> sim.schedule_at(1.0, lambda: fired.append(sim.now))
     >>> sim.run()
     >>> fired
     [1.0, 2.0]
     """
 
     def __init__(self) -> None:
-        self._queue = EventQueue()
+        self._heap: list[tuple[float, int, Callable[..., Any], tuple]] = []
+        self._seq = itertools.count()
         self._now = 0.0
         self._running = False
         self._events_fired = 0
@@ -43,30 +52,34 @@ class Simulator:
 
     @property
     def events_fired(self) -> int:
-        """Number of events executed so far (diagnostics)."""
+        """Number of events executed by completed :meth:`run` calls."""
         return self._events_fired
 
     def schedule_at(
         self, time: float, callback: Callable[..., Any], *args: Any
-    ) -> Event:
+    ) -> None:
         """Schedule ``callback(*args)`` at absolute simulated ``time``.
 
         Scheduling in the past is an error — it would silently reorder
         causality and hide driver bugs.
         """
-        if time < self._now:
+        # `not >=` rather than `<`: a NaN time passes `time < now` and then
+        # compares false against everything, silently corrupting heap order.
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule at {time}; simulated clock is at {self._now}"
             )
-        return self._queue.push(time, callback, args)
+        heapq.heappush(self._heap, (float(time), next(self._seq), callback, args))
 
     def schedule_after(
         self, delay: float, callback: Callable[..., Any], *args: Any
-    ) -> Event:
+    ) -> None:
         """Schedule ``callback(*args)`` ``delay`` seconds from now (delay >= 0)."""
         if not delay >= 0:  # also rejects NaN, which `delay < 0` lets through
             raise SimulationError(f"delay must be >= 0, got {delay}")
-        return self._queue.push(self._now + delay, callback, args)
+        heapq.heappush(
+            self._heap, (self._now + delay, next(self._seq), callback, args)
+        )
 
     def run(self, until: float | None = None) -> None:
         """Run events in order until the queue empties or ``until`` passes.
@@ -78,17 +91,22 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
         self._running = True
+        heap = self._heap
+        pop = heapq.heappop
+        limit = math.inf if until is None else until
+        fired = 0
         try:
-            pop_until = self._queue.pop_until
-            while (event := pop_until(until)) is not None:
-                self._now = event.time
-                self._events_fired += 1
-                event.callback(*event.args)
-            if self._queue:  # only events later than `until` are left
+            while heap and heap[0][0] <= limit:
+                time, _, callback, args = pop(heap)
+                self._now = time
+                fired += 1
+                callback(*args)
+            if heap:  # only events later than `until` are left
                 self._now = until
         finally:
+            self._events_fired += fired
             self._running = False
 
     def pending(self) -> int:
-        """Number of events still queued (including cancelled shells)."""
-        return len(self._queue)
+        """Number of events still queued."""
+        return len(self._heap)

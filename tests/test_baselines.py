@@ -3,6 +3,9 @@ GraphLab-ALS, Hogwild, SerialSGD)."""
 
 from __future__ import annotations
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from repro.baselines import (
 from repro.config import HyperParams, RunConfig
 from repro.core.serializability import is_serializable
 from repro.errors import ConfigError
+from repro.linalg.backends import cext_available
 from repro.linalg.objective import regularized_objective
 from repro.simulator.cluster import Cluster
 from repro.simulator.network import COMMODITY_PROFILE, HPC_PROFILE
@@ -331,3 +335,126 @@ class TestBoldDriverRollback:
         assert driver.last_objective == 10.0
         # The preserved baseline still rewards a real improvement next.
         assert driver.observe(9.0) == pytest.approx(0.105)
+
+
+#: (class, machines, cores, cext/list sha256, numpy sha256) of the trace
+#: records and final W‖H, recorded on the commit before the clocked
+#: baselines handed ndarray stores the training arrays instead of lists.
+#: cext equals the list reference bit for bit; numpy differs in the last
+#: ulp (its dot product reduces in another order).
+BASELINE_PINS = {
+    "DSGD": (
+        DSGDSimulation, 2, 2,
+        "cc11c192810cfef06346a1ae3819347249b6922e1947c88deedaf7e39dd695ff",
+        "096e3d502ff6d990c44d488b3eeb34a4991000f03968c02e8a327afefee7a16e",
+    ),
+    "DSGD-shared": (
+        DSGDSimulation, 1, 4,
+        "324b09e02c27a65620920395dc5bba47db3c6f38ef70c7aeb99d29a275b90889",
+        "37cc019836a7e9481e47b9ea8389660264fc9578001f9bb6f0d2c639a21be16c",
+    ),
+    "DSGD++": (
+        DSGDPlusPlusSimulation, 2, 2,
+        "8f74a335ae0bacea980fe7bea785a8b3ab8ae8f8f369710813ad6f9f1d237fde",
+        "5b918ea09da0fafe900d0850358668da347dd07975b2f210f8f1dc492bc9e057",
+    ),
+    "FPSGD": (
+        FPSGDSimulation, 1, 4,
+        "cd577cb0b19f6d9250bdad33b4ef277ca3ff077e41db64b1e90220d0870af5ed",
+        "5332596e1e9c387be677265ef6b29d33e8eea2ff45d2a6b805f940b81d407f75",
+    ),
+    "SerialSGD": (
+        SerialSGD, 1, 1,
+        "f8e58589708b2e4cfdb925ed29e9b0e86e8b957c763e66cfddb45ea58253f8ab",
+        "b40cd7bafa54a129ecea70394c7f653de0da194464e1bc1ec94a9f048de3d0d7",
+    ),
+}
+
+
+class TestBaselineDigests:
+    @pytest.mark.parametrize("backend", ["cext", "list", "numpy"])
+    @pytest.mark.parametrize("case", BASELINE_PINS)
+    def test_run_is_bit_identical_to_pinned_digest(
+        self, tiny_split, case, backend
+    ):
+        if backend == "cext" and not cext_available():
+            pytest.skip("no usable C toolchain (cext unavailable)")
+        cls, machines, cores, reference, numpy_digest = BASELINE_PINS[case]
+        train, test = tiny_split
+        sim = cls(
+            train, test, Cluster(machines, cores, HPC_PROFILE), HYPER,
+            RUN.with_(kernel_backend=backend),
+        )
+        trace = sim.run()
+        digest = hashlib.sha256()
+        for record in trace.records:
+            digest.update(
+                struct.pack("<dqd", record.time, record.updates, record.rmse)
+            )
+        digest.update(sim.factors.w.tobytes())
+        digest.update(sim.factors.h.tobytes())
+        expected = numpy_digest if backend == "numpy" else reference
+        assert digest.hexdigest() == expected
+
+
+class _RecordingBackend:
+    """Delegates to a real backend and keeps every entries-kernel call."""
+
+    def __init__(self, backend):
+        self._backend = backend
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(self._backend, name)
+
+    def process_entries(self, w, h, rows, cols, ratings, counts, *rest):
+        self.calls.append((rows, cols, ratings, counts, rest[-1]))
+        return self._backend.process_entries(
+            w, h, rows, cols, ratings, counts, *rest
+        )
+
+    def process_entries_const(self, w, h, rows, cols, ratings, *rest):
+        self.calls.append((rows, cols, ratings, None, rest[-1]))
+        return self._backend.process_entries_const(
+            w, h, rows, cols, ratings, *rest
+        )
+
+
+class TestEntriesMarshalling:
+    """A block call hands the kernel the training set as the store holds
+    it: the matrix's own arrays beside ndarray factors, never an nnz-long
+    list to convert again on every call; lists beside list factors."""
+
+    @pytest.mark.parametrize("backend", ["cext", "numpy", "list"])
+    @pytest.mark.parametrize("case", BASELINE_PINS)
+    def test_training_arrays_reach_the_kernel_unconverted(
+        self, tiny_split, case, backend
+    ):
+        if backend == "cext" and not cext_available():
+            pytest.skip("no usable C toolchain (cext unavailable)")
+        cls, machines, cores, *_ = BASELINE_PINS[case]
+        train, test = tiny_split
+        sim = cls(
+            train, test, Cluster(machines, cores, HPC_PROFILE), HYPER,
+            RUN.with_(kernel_backend=backend, max_updates=2 * train.nnz),
+        )
+        sim._backend = recorder = _RecordingBackend(sim._backend)
+        sim.run()
+        assert recorder.calls
+        for rows, cols, ratings, counts, order in recorder.calls:
+            if backend == "list":
+                assert all(
+                    type(x) is list for x in (rows, cols, ratings, order)
+                )
+                assert counts is None or type(counts) is list
+                continue
+            assert rows is train.rows
+            assert cols is train.cols
+            assert ratings is train.vals
+            if counts is not None:
+                assert isinstance(counts, np.ndarray)
+                assert counts.dtype == np.int64
+            if cls is SerialSGD:
+                assert isinstance(order, np.ndarray)
+        counters = {id(counts) for *_, counts, _ in recorder.calls}
+        assert len(counters) == 1  # one counter array for the whole run

@@ -23,6 +23,7 @@ from repro.core.serializability import is_serializable, serial_order
 from repro.core.tokens import ItemToken
 from repro.errors import ConfigError, SimulationError
 from repro.linalg.backends import cext_available
+from repro.linalg import objective
 from repro.linalg.factors import init_factors
 from repro.linalg.losses import HuberLoss
 from repro.rng import RngFactory
@@ -152,6 +153,69 @@ class TestDeterminism:
         assert [r.rmse for r in a.records] == [r.rmse for r in b.records]
 
 
+#: Routing branches PINNED_RUNS does not reach: (cluster keywords,
+#: NomadOptions keywords, RunConfig keywords, sha256), kernel backend
+#: "auto", recorded on the commit before the event heap dropped its
+#: Event objects and the ownership ledger its ndarray.  The
+#: max_updates case digests the trace records only: the model it
+#: returned then still carried finishes that landed after the halt.
+BRANCH_PINS = {
+    "one-machine": (
+        {"machines": 1, "cores": 4}, {}, {},
+        "af76961209d36e9f03c94b7b509ed9926cf27769f75b0d61d13ca437ac71991b",
+    ),
+    "one-machine-no-circulation": (
+        {"machines": 1, "cores": 4}, {"circulate": False}, {},
+        "9ff157d6c5e6531fdd78e893375363c8ecd59ed10bebbfc44eec8d63959639ae",
+    ),
+    "power-of-two": (
+        {"machines": 3, "cores": 2},
+        {"circulate": False, "policy": PowerOfTwoPolicy()}, {},
+        "42371def4ef96bca7cfe5b16b3327f70e4a907de3e8f3d3d080245575e12e05c",
+    ),
+    "rows-partition": (
+        {}, {"partition": "rows"}, {},
+        "cd250bbe59c9e2cd36ce2fafeb51ba5bf2f9eeabf3e9ee10c218fd2f897afdcb",
+    ),
+    "commodity": (
+        {"profile": COMMODITY_PROFILE}, {}, {},
+        "5c59b409576d3de650c77180cf339b57193e143cfa98ad54b2649ef3fbdbc6d2",
+    ),
+    "max-updates": (
+        {}, {}, {"max_updates": 500},
+        "d809d605fe9ca8fec3399d6290b64aa9819a5ff4eee7c49d30f4d3f1fb37d94b",
+    ),
+}
+
+
+class TestBranchDigests:
+    @pytest.mark.parametrize("case", BRANCH_PINS)
+    def test_branch_is_bit_identical_to_pinned_digest(self, tiny_split, case):
+        cluster_kw, option_kw, run_kw, expected = BRANCH_PINS[case]
+        cluster_kw = {"machines": 2, "cores": 2, "profile": HPC_PROFILE,
+                      **cluster_kw}
+        cluster = Cluster(
+            cluster_kw["machines"], cluster_kw["cores"], cluster_kw["profile"]
+        )
+        train, test = tiny_split
+        run = RunConfig(duration=0.01, eval_interval=0.002, seed=7, **run_kw)
+        sim = NomadSimulation(
+            train, test, cluster,
+            HyperParams(k=4, lambda_=0.01, alpha=0.1, beta=0.01), run,
+            options=NomadOptions(**option_kw),
+        )
+        trace = sim.run()
+        digest = hashlib.sha256()
+        for record in trace.records:
+            digest.update(
+                struct.pack("<dqd", record.time, record.updates, record.rmse)
+            )
+        if not run_kw:
+            digest.update(sim.factors.w.tobytes())
+            digest.update(sim.factors.h.tobytes())
+        assert digest.hexdigest() == expected
+
+
 class TestMechanics:
     def test_eval_cadence(self, tiny_split):
         train, test = tiny_split
@@ -167,6 +231,23 @@ class TestMechanics:
         sim, trace = run_nomad(train, test, run=run)
         # Stops within one token's worth of the cap.
         assert trace.total_updates() <= 500 + train.col_counts().max()
+
+    def test_budget_halt_returns_the_traced_model(self, tiny_split):
+        # Finishes already scheduled when the budget halts the run apply
+        # nothing: the factors returned are the ones the last trace point
+        # scored, and the tokens they carried are still conserved.
+        train, test = tiny_split
+        run = RunConfig(
+            duration=0.01, eval_interval=0.002, seed=7, max_updates=500
+        )
+        sim, trace = run_nomad(train, test, run=run)
+        assert sim.total_updates == trace.records[-1].updates
+        assert objective.test_rmse(sim.factors, test) == trace.final_rmse()
+        owned = sum(
+            sim._ledger.owned_items(q).size
+            for q in range(sim.cluster.n_workers)
+        )
+        assert owned + sim._ledger.items_in_flight().size == train.n_cols
 
     def test_factors_shapes(self, tiny_split):
         train, test = tiny_split
@@ -393,11 +474,33 @@ class TestSerializabilityOfNomad:
 
 
 class TestTokens:
-    def test_token_circulation_order(self):
+    def test_token_circulation_order(self, tiny_split):
+        # Under §3.4 circulation a token's stops come in tours: each run
+        # of `cores` arrivals after its first finish visits every worker
+        # of the machine exactly once, in the order its tour was drawn.
+        arrivals: dict[int, list[int]] = {}
+
+        class Recording(NomadSimulation):
+            def _deliver_token(self, q, token):
+                arrivals.setdefault(token.item, []).append(q)
+                super()._deliver_token(q, token)
+
+        train, test = tiny_split
+        sim = Recording(
+            train, test, Cluster(1, 4, HPC_PROFILE),
+            HyperParams(k=4, lambda_=0.01, alpha=0.1, beta=0.01),
+            RunConfig(duration=0.01, eval_interval=0.002, seed=7),
+        )
+        sim.run()
+        tours = 0
+        for stops in arrivals.values():
+            for start in range(0, len(stops), 4):
+                tour = stops[start:start + 4]
+                assert len(set(tour)) == len(tour)
+                tours += len(tour) == 4
+        assert tours > train.n_cols
         token = ItemToken(item=3, vector=[0.0], circulation=[5, 7])
-        assert token.next_local_stop() == 5
-        assert token.next_local_stop() == 7
-        assert token.next_local_stop() is None
+        assert token.circulation == [5, 7] and token.hops == 0
 
     def test_repr(self):
         token = ItemToken(item=3, vector=[0.0])

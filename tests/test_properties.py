@@ -16,7 +16,7 @@ from repro.partition.partitioners import (
 )
 from repro.rng import RngFactory
 from repro.schedules.step_size import NomadSchedule
-from repro.simulator.events import EventQueue
+from repro.simulator.engine import Simulator
 
 LIST = ListBackend()
 NUMPY = NumpyBackend()
@@ -186,25 +186,23 @@ class TestEventQueueProperties:
     @given(times=st.lists(st.floats(min_value=0, max_value=100), min_size=1,
                           max_size=50))
     def test_pops_in_nondecreasing_time(self, times):
-        queue = EventQueue()
+        sim = Simulator()
+        fired = []
         for t in times:
-            queue.push(t, lambda: None)
-        popped = []
-        while True:
-            event = queue.pop()
-            if event is None:
-                break
-            popped.append(event.time)
-        assert popped == sorted(popped)
-        assert len(popped) == len(times)
+            sim.schedule_at(t, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == sorted(times)
+        assert sim.events_fired == len(times)
 
     @RELAXED
     @given(n=st.integers(min_value=1, max_value=50))
     def test_equal_times_fifo(self, n):
-        queue = EventQueue()
-        events = [queue.push(1.0, lambda: None) for _ in range(n)]
-        for expected in events:
-            assert queue.pop() is expected
+        sim = Simulator()
+        fired = []
+        for index in range(n):
+            sim.schedule_at(1.0, fired.append, index)
+        sim.run()
+        assert fired == list(range(n))
 
 
 class TestSerializabilityProperties:

@@ -10,7 +10,6 @@ import pytest
 from repro.errors import ConfigError, SimulationError
 from repro.simulator.cluster import Cluster, HardwareProfile, PAPER_HARDWARE
 from repro.simulator.engine import Simulator
-from repro.simulator.events import EventQueue
 from repro.simulator.network import (
     COMMODITY_PROFILE,
     HPC_PROFILE,
@@ -22,42 +21,36 @@ from repro.simulator.trace import Trace
 
 
 class TestEventQueue:
+    """The simulator's event queue — one heap of ``(time, seq, callback,
+    args)`` tuples — seen through :class:`Simulator`."""
+
     def test_ordering_by_time(self):
-        queue = EventQueue()
-        queue.push(2.0, lambda: "b")
-        queue.push(1.0, lambda: "a")
-        assert queue.pop().time == 1.0
-        assert queue.pop().time == 2.0
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(2.0, lambda: fired.append(("b", sim.now)))
+        sim.schedule_at(1.0, lambda: fired.append(("a", sim.now)))
+        sim.run()
+        assert fired == [("a", 1.0), ("b", 2.0)]
 
     def test_stable_tie_break(self):
-        queue = EventQueue()
-        first = queue.push(1.0, lambda: "first")
-        second = queue.push(1.0, lambda: "second")
-        assert queue.pop() is first
-        assert queue.pop() is second
-
-    def test_cancelled_skipped(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        event.cancel()
-        assert queue.pop().time == 2.0
-
-    def test_peek_time(self):
-        queue = EventQueue()
-        assert queue.peek_time() is None
-        queue.push(3.0, lambda: None)
-        assert queue.peek_time() == 3.0
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(1.0, fired.append, "first")
+        sim.schedule_after(1.0, fired.append, "second")
+        sim.run()
+        assert fired == ["first", "second"]
 
     def test_negative_time_rejected(self):
         with pytest.raises(SimulationError):
-            EventQueue().push(-1.0, lambda: None)
+            Simulator().schedule_at(-1.0, lambda: None)
 
     def test_nan_time_rejected(self):
-        # NaN passes a `time < 0` guard and then compares false against
+        # NaN passes a `time < now` guard and then compares false against
         # every other heap entry, silently corrupting the order.
+        sim = Simulator()
         with pytest.raises(SimulationError):
-            EventQueue().push(float("nan"), lambda: None)
+            sim.schedule_at(float("nan"), lambda: None)
+        assert sim.pending() == 0
 
     def test_same_time_callbacks_are_never_compared(self):
         class Unorderable:
@@ -71,18 +64,13 @@ class TestEventQueue:
                 raise AssertionError("heap compared two callbacks")
 
         log = []
-        queue = EventQueue()
+        sim = Simulator()
         for tag in "abcd":
-            event = queue.push(1.0, Unorderable(log, tag))
-            if tag == "b":
-                event.cancel()
-        queue.push(0.5, Unorderable(log, "early"))
-        assert queue.peek_time() == 0.5
-        while (event := queue.pop()) is not None:
-            event.callback()
-        # Scheduling order among the simultaneous events; "b" is skipped.
-        assert log == ["early", "a", "c", "d"]
-
+            sim.schedule_at(1.0, Unorderable(log, tag))
+        sim.schedule_at(0.5, Unorderable(log, "early"))
+        sim.run()
+        # Scheduling order among the simultaneous events.
+        assert log == ["early", "a", "b", "c", "d"]
 
     def test_args_travel_with_the_event_and_are_never_compared(self):
         class Unorderable:
@@ -92,25 +80,16 @@ class TestEventQueue:
             __gt__ = __le__ = __ge__ = __lt__
 
         log = []
-        queue = EventQueue()
+        sim = Simulator()
         for tag in "abc":
-            queue.push(1.0, log.append, (tag,))
-            queue.push(1.0, lambda obj, tag: log.append(tag), (Unorderable(), tag))
-        assert queue.push(2.0, log.append).args == ()
-        while (event := queue.pop_until(1.5)) is not None:
-            event.callback(*event.args)
+            sim.schedule_at(1.0, log.append, tag)
+            sim.schedule_at(1.0, lambda obj, tag: log.append(tag), Unorderable(), tag)
+        sim.schedule_at(2.0, log.append, "late")
+        sim.run(until=1.5)
         assert log == ["a", "a", "b", "b", "c", "c"]
-        assert len(queue) == 1  # the event at 2.0 stayed queued
-        assert queue.pop_until(None).time == 2.0
-
-    def test_pop_until_skips_cancelled_heads(self):
-        queue = EventQueue()
-        queue.push(1.0, print, ("never",)).cancel()
-        live = queue.push(3.0, print, ("later",))
-        assert queue.pop_until(2.0) is None
-        assert len(queue) == 1  # the cancelled shell is gone, 3.0 is not
-        assert queue.pop_until(3.0) is live
-        assert queue.pop_until(None) is None
+        assert sim.pending() == 1  # the event at 2.0 stayed queued
+        sim.run()
+        assert log[-1] == "late" and sim.now == 2.0
 
 
 class TestSimulator:
@@ -131,16 +110,6 @@ class TestSimulator:
             (3.0, (), {}),
         ]
 
-    def test_cancelled_event_with_args_is_skipped(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_at(1.0, fired.append, "kept")
-        sim.schedule_at(1.0, fired.append, "cancelled").cancel()
-        sim.schedule_at(1.0, fired.append, "also kept")
-        sim.run()
-        assert fired == ["kept", "also kept"]
-        assert sim.events_fired == 2
-
     def test_until_leaves_later_events_with_args_queued(self):
         sim = Simulator()
         fired = []
@@ -156,9 +125,11 @@ class TestSimulator:
 
     def test_until_on_a_drained_queue_leaves_the_clock(self):
         sim = Simulator()
-        sim.schedule_at(1.0, print, "x").cancel()
         sim.run(until=4.0)
         assert sim.now == 0.0 and sim.pending() == 0
+        sim.schedule_at(1.0, list, ())
+        sim.run(until=4.0)  # the clock stays at the last event
+        assert sim.now == 1.0 and sim.pending() == 0
 
     def test_scheduling_errors_fire_with_args_present(self):
         sim = Simulator()
