@@ -34,7 +34,6 @@ import numpy as np
 from conftest import write_bench_json
 
 from repro.linalg.backends import cext_available, get_backend
-from repro.linalg.factors import FactorPair
 from repro.telemetry import C_BATCHES, C_UPDATES, SPAN_KERNEL, Recorder, clock
 
 K = 8  # smallest production dim = fastest kernel = worst-case overhead
@@ -52,23 +51,16 @@ DISABLED_FLOOR = 0.98
 ENABLED_FLOOR = 0.90
 
 
-def _batch_fixture(backend):
+def _batch_fixture():
     rng = np.random.default_rng(K)
-    pair = FactorPair(
-        rng.random((N_USERS, K)) / np.sqrt(K),
-        rng.random((max(NNZ // 4, 2), K)) / np.sqrt(K),
-    )
+    w = rng.random((N_USERS, K)) / np.sqrt(K)
+    h = rng.random((max(NNZ // 4, 2), K)) / np.sqrt(K)
     users = rng.integers(0, N_USERS, size=NNZ)
     vals = rng.random(NNZ) * 4.0
-    w, h = backend.make_store(pair)
-    if isinstance(w, list):
-        users, vals = users.tolist(), vals.tolist()
-        counts = [0] * NNZ
-    else:
-        counts = np.zeros(NNZ, np.int64)
+    counts = np.zeros(NNZ, np.int64)
     per_col = NNZ // BATCH_COLS
     bounds = [(j * per_col, (j + 1) * per_col) for j in range(BATCH_COLS)]
-    batch_h = [backend.row(h, j % (NNZ // 4)) for j in range(BATCH_COLS)]
+    batch_h = [h[j % (NNZ // 4)] for j in range(BATCH_COLS)]
     return (
         w,
         batch_h,
@@ -83,9 +75,7 @@ def _variants(backend):
     # mutates factors and step-schedule counts in place, so sharing one
     # store would hand later variants different numerical state.
     def bare():
-        w, batch_h, batch_users, batch_vals, batch_counts = _batch_fixture(
-            backend
-        )
+        w, batch_h, batch_users, batch_vals, batch_counts = _batch_fixture()
 
         def run_once():
             return backend.process_column_batch(
@@ -96,9 +86,7 @@ def _variants(backend):
         return run_once
 
     def instrumented(rec):
-        w, batch_h, batch_users, batch_vals, batch_counts = _batch_fixture(
-            backend
-        )
+        w, batch_h, batch_users, batch_vals, batch_counts = _batch_fixture()
         # The exact shape of the substrates' hot-loop sites: a
         # None-guarded clock stamp before the kernel, a None-guarded
         # span + counters after.
@@ -142,7 +130,7 @@ def _median_call_seconds(variants, calls: int) -> dict[str, float]:
 def test_telemetry_overhead(bench_env):
     results_dir, scale = bench_env
     calls = _CALLS.get(scale, 300)
-    backends = ["numpy"] + (["cext"] if cext_available() else [])
+    backends = ["list"] + (["cext"] if cext_available() else [])
 
     rows = []
     for name in backends:

@@ -99,7 +99,7 @@ class FitResult:
         from ``repr`` to keep results printable.
     kernel_backend:
         Name of the SGD kernel backend the run actually executed on
-        (``"list"``/``"numpy"``/``"cext"``) — i.e. what ``"auto"``
+        (``"list"``/``"cext"``) — i.e. what ``"auto"``
         resolved to, so a benchmark result records which inner loop
         produced it.  ``None`` for engines that predate the field or
         algorithms with no SGD inner loop.

@@ -16,8 +16,6 @@ last-reducer ``max``, and the broadcast.
 
 from __future__ import annotations
 
-
-from ..linalg.factors import FactorPair
 from ..linalg.kernels import als_solve_row
 from .base import ClockedOptimizer
 
@@ -28,19 +26,6 @@ class ALSSimulation(ClockedOptimizer):
     """Bulk-synchronous ALS on the simulated cluster."""
 
     algorithm = "ALS"
-
-    # Exact solves are dense-vector work: keep ndarray factors.
-    factor_storage = "ndarray"
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._w = self._w_store
-        self._h = self._h_store
-
-    @property
-    def factors(self) -> FactorPair:
-        """Snapshot of the ndarray factors (overrides list-based base)."""
-        return FactorPair(self._w.copy(), self._h.copy())
 
     def _run_loop(self) -> None:
         train = self.train

@@ -3,9 +3,9 @@
 The bulk-synchronous baselines (DSGD, DSGD++, CCD++, ALS) do not need a
 discrete-event engine: within an epoch their timing is a closed-form
 ``max`` over workers plus communication terms, so they advance a scalar
-clock.  :class:`ClockedOptimizer` centralizes that clock, the factor
-storage (owned by the kernel backend selected through
-``RunConfig.kernel_backend``, shared with NOMAD), the trace recording
+clock.  :class:`ClockedOptimizer` centralizes that clock, the ndarray
+factors and the kernel backend selected through
+``RunConfig.kernel_backend`` (shared with NOMAD), the trace recording
 policy, and the stopping rule, so each baseline module contains only its
 scheduling logic and cost accounting.
 """
@@ -43,11 +43,6 @@ class ClockedOptimizer(abc.ABC):
 
     algorithm = "?"
 
-    #: Dense-vector subclasses (ALS, CCD++) set this to ``"ndarray"`` to
-    #: hold plain ndarray factors directly instead of an SGD-backend
-    #: store they would never use (avoids a throwaway full-matrix copy).
-    factor_storage = "backend"
-
     def __init__(
         self,
         train: RatingMatrix,
@@ -73,12 +68,9 @@ class ClockedOptimizer(abc.ABC):
                 train.n_rows, train.n_cols, hyper.k, self.rng_factory.stream("init")
             )
         validate_init_factors(factors, train.n_rows, train.n_cols, hyper.k)
-        self._backend = resolve_backend(run.kernel_backend, k=hyper.k)
-        if self.factor_storage == "ndarray":
-            self._w_store = factors.w.copy()
-            self._h_store = factors.h.copy()
-        else:
-            self._w_store, self._h_store = self._backend.make_store(factors)
+        self._backend = resolve_backend(run.kernel_backend)
+        self._w = factors.w.copy()
+        self._h = factors.h.copy()
 
         self._jitter_rng = self.rng_factory.pyrandom(f"jitter-{self.algorithm}")
         self._clock = 0.0
@@ -110,7 +102,7 @@ class ClockedOptimizer(abc.ABC):
     @property
     def factors(self) -> FactorPair:
         """Materialized (W, H) snapshot of the current model state."""
-        return self._backend.export(self._w_store, self._h_store)
+        return FactorPair(self._w.copy(), self._h.copy())
 
     @property
     def now(self) -> float:
@@ -136,19 +128,11 @@ class ClockedOptimizer(abc.ABC):
 
     def _entry_arrays(self) -> tuple:
         """The training set as ``(rows, cols, ratings, counts)`` for the
-        entries kernels, built once per run in the form the factor store
-        calls for.  Beside ndarray factors (``cext``, ``numpy``) these are
-        the matrix's own arrays and an int64 counter array, which a
-        compiled call takes as they are; beside nested lists (``list``)
-        they are lists, which the interpreted loop indexes fastest."""
+        entries kernels, once per run: the matrix's own arrays and one
+        int64 counter array, which a compiled call takes as they are."""
         train = self.train
         counts = np.zeros(train.nnz, dtype=np.int64)
-        if isinstance(self._w_store, np.ndarray):
-            return train.rows, train.cols, train.vals, counts
-        return (
-            train.rows.tolist(), train.cols.tolist(), train.vals.tolist(),
-            counts.tolist(),
-        )
+        return train.rows, train.cols, train.vals, counts
 
     def _advance(self, dt: float) -> None:
         """Charge ``dt`` simulated seconds of work/communication."""

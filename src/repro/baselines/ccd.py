@@ -28,7 +28,6 @@ import numpy as np
 
 from ..errors import ConfigError
 from .base import ClockedOptimizer
-from ..linalg.factors import FactorPair
 
 __all__ = ["CCDPlusPlusSimulation"]
 
@@ -48,8 +47,6 @@ class CCDPlusPlusSimulation(ClockedOptimizer):
 
     algorithm = "CCD++"
 
-    factor_storage = "ndarray"
-
     def __init__(
         self,
         *args,
@@ -66,10 +63,6 @@ class CCDPlusPlusSimulation(ClockedOptimizer):
             )
         self.inner_iters = int(inner_iters)
         self.init_mode = init_mode
-        # CCD++ is a dense-vector method: work in ndarrays throughout
-        # (factor_storage = "ndarray") and override `factors` accordingly.
-        self._w = self._w_store
-        self._h = self._h_store
         if init_mode == "zero_w":
             # The reference implementation (libpmf) starts with W = 0, so
             # predictions begin at 0 and the first rank-one fits strictly
@@ -77,11 +70,6 @@ class CCDPlusPlusSimulation(ClockedOptimizer):
             # shared random W costs the feature-wise method.  Documented as
             # a deliberate deviation from the shared initialization.
             self._w[:] = 0.0
-
-    @property
-    def factors(self) -> FactorPair:
-        """Snapshot of the ndarray factors (overrides list-based base)."""
-        return FactorPair(self._w.copy(), self._h.copy())
 
     def _run_loop(self) -> None:
         train = self.train

@@ -77,8 +77,8 @@ class DSGDSimulation(ClockedOptimizer):
             # Gemulla et al.'s bold driver keeps the previous iterate so a
             # rejected (or diverged) epoch can be rolled back before the
             # step size is halved.
-            snapshot_w = self._backend.copy_rows(self._w_store)
-            snapshot_h = self._backend.copy_rows(self._h_store)
+            snapshot_w = self._w.copy()
+            snapshot_h = self._h.copy()
             offset = shuffle_rng.randrange(n_col_blocks)
             step = driver.step
             diverged = False
@@ -91,8 +91,8 @@ class DSGDSimulation(ClockedOptimizer):
                     order = cell_orders[q][col_block]
                     shuffle_rng.shuffle(order)
                     applied = self._backend.process_entries_const(
-                        self._w_store,
-                        self._h_store,
+                        self._w,
+                        self._h,
                         entry_rows,
                         entry_cols,
                         ratings,
@@ -139,14 +139,12 @@ class DSGDSimulation(ClockedOptimizer):
 
     def _factors_finite(self) -> bool:
         """Cheap divergence probe over the current factors."""
-        w = np.asarray(self._w_store)
-        h = np.asarray(self._h_store)
-        return bool(np.isfinite(w).all() and np.isfinite(h).all())
+        return bool(np.isfinite(self._w).all() and np.isfinite(self._h).all())
 
     def _restore(self, snapshot_w, snapshot_h) -> None:
-        """Roll the factor store back to an epoch-start snapshot."""
-        self._backend.restore_rows(self._w_store, snapshot_w)
-        self._backend.restore_rows(self._h_store, snapshot_h)
+        """Roll the factors back to an epoch-start snapshot."""
+        self._w[...] = snapshot_w
+        self._h[...] = snapshot_h
 
     def _shift_cost(self, block_bytes: float) -> float:
         """Time to rotate one H column block to the next machine."""

@@ -110,8 +110,8 @@ class FPSGDSimulation(ClockedOptimizer):
             order = cell_orders[cell]
             rng.shuffle(order)
             applied = self._backend.process_entries(
-                self._w_store,
-                self._h_store,
+                self._w,
+                self._h,
                 entry_rows,
                 entry_cols,
                 ratings,

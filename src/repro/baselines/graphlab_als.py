@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..linalg.factors import FactorPair
 from ..linalg.kernels import als_solve_row
 from .base import ClockedOptimizer
 
@@ -42,18 +41,6 @@ class GraphLabALSSimulation(ClockedOptimizer):
     """Distributed-lock asynchronous ALS analogue."""
 
     algorithm = "GraphLab-ALS"
-
-    factor_storage = "ndarray"
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._w = self._w_store
-        self._h = self._h_store
-
-    @property
-    def factors(self) -> FactorPair:
-        """Snapshot of the ndarray factors (overrides list-based base)."""
-        return FactorPair(self._w.copy(), self._h.copy())
 
     # ------------------------------------------------------------------
     # Cost model

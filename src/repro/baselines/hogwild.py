@@ -83,7 +83,7 @@ class HogwildSimulation(ClockedOptimizer):
         rng = self.rng_factory.pyrandom("hogwild-order")
 
         # Per-worker stale views of H and the commit version they observed.
-        snapshots = [self._backend.copy_rows(self._h_store) for _ in range(p)]
+        snapshots = [self._h.copy() for _ in range(p)]
         snapshot_version: list[list[int | None]] = [
             [None] * train.n_cols for _ in range(p)
         ]
@@ -99,12 +99,12 @@ class HogwildSimulation(ClockedOptimizer):
             for idx in order:
                 worker = rng.randrange(p)
                 if since_refresh[worker] >= self.refresh_period:
-                    snapshots[worker] = self._backend.copy_rows(self._h_store)
+                    snapshots[worker] = self._h.copy()
                     snapshot_version[worker] = list(last_commit_on_col)
                     since_refresh[worker] = 0
                 i, j = entry_rows[idx], entry_cols[idx]
-                w_row = self._w_store[i]
-                h_live = self._h_store[j]
+                w_row = self._w[i]
+                h_live = self._h[j]
                 h_stale = snapshots[worker][j]
 
                 t = counts[idx]

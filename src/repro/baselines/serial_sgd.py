@@ -37,13 +37,11 @@ class SerialSGD(ClockedOptimizer):
         chunk = max(1, int(train.nnz // 8))
         while not self._expired():
             order = shuffle_rng.permutation(train.nnz)
-            if isinstance(counts, list):  # list storage: list visit orders
-                order = order.tolist()
             for start in range(0, len(order), chunk):
                 piece = order[start : start + chunk]
                 applied = self._backend.process_entries(
-                    self._w_store,
-                    self._h_store,
+                    self._w,
+                    self._h,
                     entry_rows,
                     entry_cols,
                     ratings,

@@ -101,7 +101,7 @@ class ClusterNomad:
         ``None`` (default) takes ``run.seed`` when a :class:`RunConfig`
         is given, else 0; an explicit value always wins.
     kernel_backend:
-        Kernel backend name (``"auto"``/``"list"``/``"numpy"``/``"cext"``);
+        Kernel backend name (``"auto"``/``"list"``/``"cext"``);
         resolved exactly like the other live runtimes.  Workers
         instantiate the backend by name on their side of the process
         boundary.
@@ -169,9 +169,7 @@ class ClusterNomad:
         self.seed, kernel_backend = resolve_run_settings(
             seed, kernel_backend, run
         )
-        self.backend = resolve_backend(
-            kernel_backend, k=hyper.k, storage="ndarray"
-        )
+        self.backend = resolve_backend(kernel_backend)
         if init_factors is not None:
             validate_init_factors(
                 init_factors, train.n_rows, train.n_cols, hyper.k

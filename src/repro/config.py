@@ -99,13 +99,12 @@ class RunConfig:
         Optional cap on the number of SGD updates (used by
         RMSE-versus-updates experiments); ``None`` means unlimited.
     kernel_backend:
-        SGD kernel execution strategy: ``"list"`` (scalar Python loops,
-        fastest interpreted option at small k), ``"numpy"`` (k-vectorized
-        ndarray loops, fastest interpreted option at large k), ``"cext"``
-        (C kernels compiled at first use; requires a C toolchain and
-        raises :class:`~repro.errors.ConfigError` at configuration time
-        without one), or ``"auto"`` (prefer ``cext`` when usable, else
-        pick an interpreted backend by latent dimension; see
+        SGD kernel execution strategy: ``"list"`` (the interpreted
+        reference, one scalar Python loop), ``"cext"`` (the same loop as
+        C compiled at first use, bit-identical to ``"list"``; requires a
+        C toolchain and raises :class:`~repro.errors.ConfigError` at
+        configuration time without one), or ``"auto"`` (``cext`` when
+        usable, else ``list``; see
         :func:`repro.linalg.backends.resolve_backend`).  Defaults to the
         ``NOMAD_KERNEL_BACKEND`` environment variable when set, else
         ``"auto"``.

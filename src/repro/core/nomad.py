@@ -18,13 +18,11 @@ Because each ``w_i`` is only ever touched by its owning worker and each
 conflict-free and the execution is serializable; the optional update log
 feeds :mod:`repro.core.serializability`, which verifies exactly that.
 
-Implementation note.  Factors are held in the storage of the selected
-kernel backend (:mod:`repro.linalg.backends`) — ndarrays under ``cext``
-(what ``"auto"`` picks where a C toolchain exists) and ``numpy``, nested
-Python lists under the interpreted small-``k`` ``list`` fallback — and
-mutated in place by its kernels.  Each worker's ratings stay in its
-shard's CSC arrays beside one per-rating counter array, with one token
-kernel bound over them at construction (``KernelBackend.bind_tokens``):
+Implementation note.  Factors are two ``float64`` ndarrays, mutated in
+place by the selected kernel backend (:mod:`repro.linalg.backends`).
+Each worker's ratings stay in its shard's CSC arrays beside one
+per-rating counter array, with one token kernel bound over them at
+construction (``KernelBackend.bind_tokens``):
 a token finish is one ``process_token(j)`` call, nothing marshalled per
 visit (under ``cext`` a native call of two words: the bound struct's
 address and the item id).  The cluster's cost model is asked once, at
@@ -189,10 +187,9 @@ class NomadSimulation:
                 train.n_rows, train.n_cols, hyper.k, self._rng_factory.stream("init")
             )
         validate_init_factors(factors, train.n_rows, train.n_cols, hyper.k)
-        # Factors live in the backend's preferred storage and are mutated
-        # in place by its kernels (lists for "list", ndarrays otherwise).
-        self._backend = resolve_backend(run.kernel_backend, k=hyper.k)
-        self._w_store, self._h_store = self._backend.make_store(factors)
+        # Private copies, mutated in place by the backend's kernels.
+        self._backend = resolve_backend(run.kernel_backend)
+        self._w, self._h = factors.w.copy(), factors.h.copy()
 
         p = cluster.n_workers
         if self.options.partition == "rows":
@@ -207,7 +204,7 @@ class NomadSimulation:
         ]
         self._kernels = [
             self._backend.bind_tokens(
-                self._w_store, self._h_store, *arrays,
+                self._w, self._h, *arrays,
                 hyper.alpha, hyper.beta, hyper.lambda_,
             )
             for arrays in self._csc
@@ -308,7 +305,7 @@ class NomadSimulation:
     @property
     def factors(self) -> FactorPair:
         """Materialized (W, H) snapshot of the current model state."""
-        return self._backend.export(self._w_store, self._h_store)
+        return FactorPair(self._w.copy(), self._h.copy())
 
     @property
     def kernel_backend(self) -> str:
@@ -356,7 +353,7 @@ class NomadSimulation:
         """Algorithm 1 lines 7–10: items scattered uniformly at random."""
         for j in range(self.train.n_cols):
             q = self._routing_rng.randrange(self.cluster.n_workers)
-            token = ItemToken(item=j, vector=self._backend.row(self._h_store, j))
+            token = ItemToken(item=j, vector=self._h[j])
             self._queues[q].append(token)
             self._ledger.acquire(j, q)
 
@@ -410,12 +407,11 @@ class NomadSimulation:
             else:
                 _, users, ratings, counts = self._csc[q]
                 applied = self._backend.process_column_loss(
-                    self._w_store, token.vector, users[lo:hi],
+                    self._w, token.vector, users[lo:hi],
                     ratings[lo:hi], counts[lo:hi], self.hyper.alpha,
                     self.hyper.beta, self.hyper.lambda_, self._loss,
                 )
             self._total_updates += applied
-            token.processed += 1
 
         # The next stop: the rest of the token's tour of this machine
         # while circulation lasts (§3.4), else a machine from the
@@ -442,7 +438,6 @@ class NomadSimulation:
                     workers, self._queue_size, self._routing_rng
                 )
         self._release(j, q)
-        token.hops += 1
         if self._machine_of[destination] == machine:
             self._local_hops += 1
             delay = self._local_delay

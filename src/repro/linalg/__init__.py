@@ -17,7 +17,6 @@ from .backends import (
     CextBackend,
     KernelBackend,
     ListBackend,
-    NumpyBackend,
     cext_available,
     get_backend,
     resolve_backend,
@@ -40,7 +39,6 @@ __all__ = [
     "predict",
     "KernelBackend",
     "ListBackend",
-    "NumpyBackend",
     "CextBackend",
     "cext_available",
     "get_backend",

@@ -27,19 +27,15 @@ optimizer.
 
 Because updates are sequential-dependent (every update to a row feeds the
 next prediction involving that row), all backends preserve the exact
-visit order and the per-rating counter schedule; backends may only differ
-in floating-point rounding at the last-ulp level (the equivalence suite in
-``tests/test_backends.py`` pins them together at ``atol=1e-10``).
+visit order and the per-rating counter schedule, and the arithmetic too:
+the interpreted reference (:class:`~repro.linalg.backends.list_backend.ListBackend`)
+and the compiled backend produce the same bits (``tests/test_backends.py``
+holds them together with ``np.array_equal``).
 
-A backend also owns the *factor storage* its kernels are fastest on
-(nested Python lists for :class:`~repro.linalg.backends.list_backend.ListBackend`,
-``float64`` ndarrays for
-:class:`~repro.linalg.backends.numpy_backend.NumpyBackend`): optimizers
-hold opaque stores created by :meth:`KernelBackend.make_store` and go
-through the storage helpers for rows, snapshots, and export.  Both
-backends' kernels additionally accept plain ndarray factors directly —
-the shared-memory runtimes require ndarray storage and call the kernels
-on their shared blocks (see :mod:`repro.runtime.multiprocess`).
+Factors are ``float64`` ndarrays: every kernel mutates the caller's
+``w`` / ``h`` (or ``h_col`` row) in place, so the shared-memory runtimes
+call the kernels on their shared blocks directly (see
+:mod:`repro.runtime.multiprocess`).
 """
 
 from __future__ import annotations
@@ -49,7 +45,6 @@ from typing import Any, ClassVar, Sequence
 
 import numpy as np
 
-from ..factors import FactorPair
 from ..losses import Loss
 
 __all__ = ["KernelBackend", "TokenKernel"]
@@ -58,37 +53,12 @@ __all__ = ["KernelBackend", "TokenKernel"]
 class KernelBackend(abc.ABC):
     """Interface of one SGD kernel execution strategy.
 
-    Kernels mutate factors and counters in place and return the number of
-    updates applied.  ``w`` / ``h`` arguments are whatever
-    :meth:`make_store` produced (or ndarrays — every backend must accept
-    ndarray rows so the shared-memory runtimes can reuse it).
+    Kernels mutate ``float64`` ndarray factors and the counters in place
+    and return the number of updates applied.
     """
 
     #: Registry key and ``NOMAD_KERNEL_BACKEND`` value selecting this backend.
     name: ClassVar[str] = "?"
-
-    # ------------------------------------------------------------------
-    # Factor storage
-    # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def make_store(self, factors: FactorPair) -> tuple[Any, Any]:
-        """Copy ``factors`` into this backend's preferred (W, H) storage."""
-
-    @abc.abstractmethod
-    def export(self, w: Any, h: Any) -> FactorPair:
-        """Materialize an independent :class:`FactorPair` snapshot."""
-
-    @abc.abstractmethod
-    def row(self, store: Any, index: int) -> Any:
-        """A live, mutable reference to one factor row (token payloads)."""
-
-    @abc.abstractmethod
-    def copy_rows(self, store: Any) -> Any:
-        """A decoupled copy of a whole store (epoch snapshots, staleness)."""
-
-    @abc.abstractmethod
-    def restore_rows(self, store: Any, snapshot: Any) -> None:
-        """Value-copy ``snapshot`` back into ``store`` (bold-driver rollback)."""
 
     # ------------------------------------------------------------------
     # Kernels
@@ -179,8 +149,7 @@ class KernelBackend(abc.ABC):
         per-rating ``counts`` aligned with it — the arrays of
         :meth:`repro.datasets.ratings.Shard.csc`).  The four shard
         arrays must be ndarrays: ``counts`` is mutated through slices,
-        which only alias for ndarrays.  ``w`` / ``h`` are ndarrays or
-        this backend's own :meth:`make_store` storage.
+        which only alias for ndarrays.
 
         Any ``users`` inside ``w``'s rows are accepted, in any order and
         with repeats inside a column (a
@@ -242,8 +211,9 @@ class TokenKernel:
 
     #: SGD updates worth handing :meth:`process_tokens` in one call: what
     #: amortises a caller's per-call costs without holding its tokens
-    #: (and deferring its stop check) for long.  At the 4-13 µs an update
-    #: of the interpreted kernels this is 15-50 ms; a compiled subclass
+    #: (and deferring its stop check) for long.  At the 4.5-82 µs an
+    #: update of the interpreted reference over ndarray factors (k = 4 to
+    #: 100; 7.7 µs at k = 8) this is 18-330 ms; a compiled subclass
     #: raises it.  A property of the kernel, not a setting.
     burst_updates: ClassVar[int] = 4096
 

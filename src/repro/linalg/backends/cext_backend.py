@@ -1,23 +1,19 @@
 """Compiled SGD backend — C inner loops over ndarray factors via ctypes.
 
-The interpreted backends pay Python-interpreter or ndarray-dispatch
-overhead *per rating*; this backend runs the whole inner loop in C
-(``nomad_kernels.c``, built on demand by :mod:`.cext_build`), so the
-per-update cost drops to the raw arithmetic.  Factor stores are plain
-``float64`` ndarrays — identical to :class:`NumpyBackend` — which means
-the shared-memory runtimes and cluster workers hand their blocks straight
-to the C functions with **zero copies**; arguments in any other
-representation (nested lists, mismatched dtypes) are converted on the way
-in and written back on the way out, so the backend stays conformant with
-the full :class:`KernelBackend` contract.
+The interpreted reference pays Python-interpreter overhead *per
+rating*; this backend runs the whole inner loop in C (``nomad_kernels.c``,
+built on demand by :mod:`.cext_build`), so the per-update cost drops to
+the raw arithmetic.  Factors are plain ``float64`` ndarrays, which the
+shared-memory runtimes and cluster workers hand straight to the C
+functions with **zero copies**; an array of another dtype or layout is
+converted on the way in and written back on the way out.
 
 Two properties worth knowing:
 
 * **Bit-compatibility** — the C loops replicate the reference core
   operation for operation and are compiled with ``-ffp-contract=off``,
-  so they sit inside the cross-backend equivalence envelope
-  (``atol=1e-10``) like any other backend, and equal the list reference
-  bit for bit (``tests/test_backends.py::TestBitForBit``).
+  so they equal the list reference bit for bit
+  (``tests/test_backends.py::TestBitForBit``).
 * **True parallelism** — :mod:`ctypes` releases the GIL for the duration
   of each foreign call.  NOMAD's owner-computes rule makes concurrent
   kernel calls touch disjoint rows, so the threaded runtime gets genuine
@@ -53,9 +49,8 @@ import numpy as np
 from ...errors import ConfigError
 from ..losses import AbsoluteLoss, HuberLoss, Loss, SquaredLoss
 from . import cext_build
-from .list_backend import column_on_lists, sgd_core
-from .base import TokenKernel
-from .numpy_backend import NumpyBackend
+from .base import KernelBackend, TokenKernel
+from .list_backend import column_on_lists
 
 __all__ = ["CextBackend", "CextTokenKernel"]
 
@@ -113,8 +108,8 @@ def _conform(x: Any, dtype, writebacks: list | None) -> np.ndarray:
 
     When a copy *was* made and ``writebacks`` is given, the (original,
     copy) pair is recorded so mutations can be propagated back — kernels
-    mutate ``w``/``h_col``/``counts`` in place by contract, and callers
-    holding lists (a baseline's per-entry counters) must observe them.
+    mutate ``w``/``h_col``/``counts`` in place by contract, and a caller
+    holding its counters in a list must observe them.
     """
     arr = np.ascontiguousarray(x, dtype=dtype)
     if arr is not x and writebacks is not None:
@@ -126,11 +121,8 @@ def _write_back(writebacks: list) -> None:
     for original, arr in writebacks:
         if isinstance(original, np.ndarray):
             original[...] = arr
-        elif arr.ndim == 1:
+        else:  # a list of counters
             original[:] = arr.tolist()
-        else:
-            for row, values in zip(original, arr.tolist()):
-                row[:] = values
 
 
 def _loss_id(loss: Loss) -> tuple[int, float] | None:
@@ -144,8 +136,8 @@ def _loss_id(loss: Loss) -> tuple[int, float] | None:
     return None
 
 
-class CextBackend(NumpyBackend):
-    """ndarray factor storage with compiled (C, via ctypes) kernels."""
+class CextBackend(KernelBackend):
+    """The reference loop compiled to C, called through ctypes."""
 
     name = "cext"
 
@@ -163,7 +155,7 @@ class CextBackend(NumpyBackend):
             raise ConfigError(
                 f"kernel backend 'cext' is unavailable: {reason}. "
                 "Use kernel_backend='auto' (or unset $NOMAD_KERNEL_BACKEND) "
-                "to fall back to the interpreted 'list'/'numpy' backends."
+                "to fall back to the interpreted 'list' backend."
             )
 
     def __init__(self) -> None:
@@ -208,7 +200,7 @@ class CextBackend(NumpyBackend):
             # Unknown Loss subclass: its gradient is Python code, so run
             # the interpreted reference core rather than guessing in C.
             return column_on_lists(
-                sgd_core, w, h_col, user_rows, ratings, counts,
+                w, h_col, user_rows, ratings, counts,
                 alpha, beta, lambda_, loss.dloss_dpred,
             )
         loss_id, loss_param = dispatch

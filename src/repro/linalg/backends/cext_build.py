@@ -19,7 +19,7 @@ Fallback
 --------
 Availability is probed, never assumed: a missing toolchain or a failed
 compile records a reason and the selection policy in
-:mod:`repro.linalg.backends` falls back to the interpreted backends.
+:mod:`repro.linalg.backends` falls back to the interpreted reference.
 Setting ``$NOMAD_CEXT_DISABLE`` to a non-empty value masks the toolchain
 entirely (this is how the pure-python fallback path is exercised
 end-to-end on a box that does have a compiler).
@@ -53,8 +53,8 @@ ENV_CACHE = "NOMAD_CEXT_CACHE"
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "nomad_kernels.c")
 
 #: -ffp-contract=off keeps the arithmetic per-operation IEEE-identical to
-#: the interpreted backends (no FMA contraction), which is what lets the
-#: equivalence suite hold all backends to atol=1e-10.
+#: the interpreted reference (no FMA contraction), which is what lets the
+#: equivalence suite hold the two backends to the same bits.
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math")
 
 #: Number of actual compiler invocations in this process (test hook: a

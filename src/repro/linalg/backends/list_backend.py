@@ -1,10 +1,7 @@
-"""List-based scalar SGD backend — the small-``k`` fast path.
+"""The interpreted reference backend: one scalar Python SGD loop.
 
-For the small latent dimensions of the scaled experiments (k ≲ 64),
-NumPy's per-call overhead dominates the inner loop; plain Python float
-arithmetic over nested lists is several times faster.  All four kernel
-variants funnel into one parameterized core, :func:`sgd_core`, so the
-update mathematics exists exactly once::
+All four kernel variants funnel into one parameterized core,
+:func:`sgd_core`, so the update mathematics exists exactly once::
 
     s      = α / (1 + β·t^1.5)          (or the constant step)
     g      = dℓ/dp(a, ⟨w, h⟩)           (p − a for the square loss)
@@ -15,10 +12,13 @@ with both updates computed from the *old* row values — a simultaneous
 gradient step on the sampled term of equation (1), and the algebraically
 expanded form of ``w ← w − s·(g·h + λ·w)``.
 
-The core also runs correctly (though slower) on ndarray factors, because
-it only relies on ``rows[i]`` returning a mutable row and scalar
-``row[d]`` indexing; the shared-memory runtimes exploit this when the
-user pins ``NOMAD_KERNEL_BACKEND=list``.
+The core runs over ``float64`` ndarray factors (it only relies on
+``rows[i]`` returning a mutable row and scalar ``row[d]`` indexing).
+Every operation is one IEEE double operation in a fixed order, which is
+what the compiled backend replicates bit for bit; this backend is the
+specification it is held to, and the fallback where no C toolchain is
+usable.  The registry name ``"list"`` is historical: factors were once
+nested lists here.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ..factors import FactorPair
 from ..losses import Loss
 from .base import KernelBackend
 
@@ -85,7 +84,9 @@ def sgd_core(
         w_row = w_rows[entry_rows[idx]]
         h_row = h_col if fixed_h else h_rows[entry_cols[idx]]
         if scheduled:
-            t = counts[idx]
+            # int(): an ndarray counter is an np.int64, whose ``** 1.5``
+            # differs from a Python int's in the last ulp.
+            t = int(counts[idx])
             scaled_step = alpha / (1.0 + beta * t ** 1.5)
             counts[idx] = t + 1
             decay = 1.0 - scaled_step * lambda_
@@ -110,54 +111,36 @@ def _as_list(values: Any) -> Any:
 
 
 def column_on_lists(
-    core, w, h_col, user_rows, ratings, counts, alpha, beta, lambda_, dloss
+    w, h_col, user_rows, ratings, counts, alpha, beta, lambda_, dloss
 ) -> int:
-    """One column through ``core`` (:func:`sgd_core` or a function of the
-    same contract), on lists whatever came in.
+    """One column through :func:`sgd_core`, with the column's own arrays
+    as lists whatever came in.
 
-    Bound token kernels hand in ndarray slices of a worker's CSC arrays.
-    Element access on those yields NumPy scalars, which a Python-level
-    loop is slower on (several times, for the scalar core) and whose
-    ``int64 ** 1.5`` differs from Python's in the last ulp — so each is
-    converted once per call and the counters are written back into the
-    caller's slice afterwards.
+    Bound token kernels hand in ndarray slices of a worker's CSC arrays
+    and an ndarray ``h`` row.  Element access on those yields NumPy
+    scalars, which a Python-level loop is several times slower on, so
+    each is converted once per call (the values, and so the bits, are the
+    same) and ``h_col`` and the counters are written back into the
+    caller's arrays afterwards.
     """
     users = _as_list(user_rows)
+    h_list = _as_list(h_col)
     counts_list = _as_list(counts)
-    applied = core(
-        w, None, h_col, users, None, _as_list(ratings), counts_list,
+    applied = sgd_core(
+        w, None, h_list, users, None, _as_list(ratings), counts_list,
         range(len(users)), alpha, beta, lambda_, 0.0, dloss,
     )
+    if h_list is not h_col:
+        h_col[:] = h_list
     if counts_list is not counts:
         counts[:] = counts_list
     return applied
 
 
 class ListBackend(KernelBackend):
-    """Nested-list factor storage with pure-Python scalar kernels."""
+    """The interpreted reference: :func:`sgd_core` behind every kernel."""
 
     name = "list"
-
-    # ------------------------------------------------------------------
-    # Factor storage
-    # ------------------------------------------------------------------
-    def make_store(self, factors: FactorPair) -> tuple[list, list]:
-        return factors.w.tolist(), factors.h.tolist()
-
-    def export(self, w: Any, h: Any) -> FactorPair:
-        return FactorPair(np.array(w, dtype=np.float64), np.array(h, dtype=np.float64))
-
-    def row(self, store: Any, index: int) -> Any:
-        return store[index]
-
-    def copy_rows(self, store: Any) -> Any:
-        if isinstance(store, np.ndarray):
-            return store.copy()
-        return [row[:] for row in store]
-
-    def restore_rows(self, store: Any, snapshot: Any) -> None:
-        for index, row in enumerate(snapshot):
-            store[index][:] = row
 
     # ------------------------------------------------------------------
     # Kernels
@@ -166,7 +149,7 @@ class ListBackend(KernelBackend):
         self, w, h_col, user_rows, ratings, counts, alpha, beta, lambda_
     ) -> int:
         return column_on_lists(
-            sgd_core, w, h_col, user_rows, ratings, counts,
+            w, h_col, user_rows, ratings, counts,
             alpha, beta, lambda_, None,
         )
 
@@ -174,7 +157,7 @@ class ListBackend(KernelBackend):
         self, w, h_col, user_rows, ratings, counts, alpha, beta, lambda_, loss: Loss
     ) -> int:
         return column_on_lists(
-            sgd_core, w, h_col, user_rows, ratings, counts,
+            w, h_col, user_rows, ratings, counts,
             alpha, beta, lambda_, loss.dloss_dpred,
         )
 

@@ -226,15 +226,13 @@ class TokenRingNomad:
         ``None`` (default) takes ``run.seed`` when a :class:`RunConfig`
         is given, else 0; an explicit value always wins.
     kernel_backend:
-        Kernel backend name (``"auto"``/``"list"``/``"numpy"``/``"cext"``);
-        ``None`` (default) takes ``run.kernel_backend`` when a run config
-        is given, else consults ``$NOMAD_KERNEL_BACKEND``, then
-        ``"auto"``.  The factors are ndarrays (on the heap or over
-        shared-memory blocks), so ``"auto"`` resolves to the compiled
-        backend when a toolchain is present (zero copies, and its calls
-        release the GIL, so worker threads then run truly in parallel)
-        and the numpy backend otherwise; ``"list"`` still runs correctly
-        on the ndarray rows, just slower.
+        Kernel backend name (``"auto"``/``"list"``/``"cext"``); ``None``
+        (default) takes ``run.kernel_backend`` when a run config is
+        given, else consults ``$NOMAD_KERNEL_BACKEND``, then ``"auto"``:
+        the compiled backend when a toolchain is present (zero copies
+        into the ndarray factors, on the heap or over shared-memory
+        blocks, and its calls release the GIL, so worker threads then
+        run truly in parallel), the interpreted reference otherwise.
     run:
         Optional :class:`~repro.config.RunConfig`.  Its ``duration`` is
         the wall-clock budget of :meth:`run` (the same field the
@@ -282,9 +280,7 @@ class TokenRingNomad:
         self.seed, kernel_backend = resolve_run_settings(
             seed, kernel_backend, run
         )
-        self.backend = resolve_backend(
-            kernel_backend, k=hyper.k, storage="ndarray"
-        )
+        self.backend = resolve_backend(kernel_backend)
         if init_factors is not None:
             validate_init_factors(
                 init_factors, train.n_rows, train.n_cols, hyper.k

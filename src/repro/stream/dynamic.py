@@ -200,9 +200,9 @@ class DynamicNomad:
     seed:
         Root seed; explicit value beats ``run.seed``, default 0.
     kernel_backend:
-        Kernel backend name; factors are ndarray-stored, so ``"auto"``
-        resolves to the compiled backend when a toolchain is present and
-        the numpy backend otherwise.
+        Kernel backend name; ``"auto"`` resolves to the compiled backend
+        when a toolchain is present and the interpreted reference
+        otherwise.
     init_factors:
         Optional warm-start factors validated against the base shape and
         ``hyper.k`` — resuming from a previous run's
@@ -255,9 +255,7 @@ class DynamicNomad:
         if kernel_backend is None and run is not None:
             kernel_backend = run.kernel_backend
         self.seed = int(seed)
-        self.backend = resolve_backend(
-            kernel_backend, k=hyper.k, storage="ndarray"
-        )
+        self.backend = resolve_backend(kernel_backend)
         self.policy = policy if policy is not None else UniformPolicy()
 
         self._factory = RngFactory(self.seed)

@@ -2,9 +2,10 @@
 
 The kernel backends of :mod:`repro.linalg.backends` must be numerically
 interchangeable: identical visit order, identical counter schedule, and
-factors matching to float-rounding noise (``atol=1e-10``) on every kernel
-variant and on whole optimizer runs.  These tests pin that contract so a
-future backend (numba, Cython, GPU) has an executable specification.
+factors matching the list reference (``atol=1e-10`` on every kernel
+variant and on whole optimizer runs, and bit for bit in
+:class:`TestBitForBit`).  These tests pin that contract so a future
+backend (numba, Cython, GPU) has an executable specification.
 """
 
 from __future__ import annotations
@@ -21,16 +22,13 @@ from repro.baselines.hogwild import HogwildSimulation
 from repro.baselines.serial_sgd import SerialSGD
 from repro.errors import ConfigError
 from repro.linalg.backends import (
-    AUTO_NUMPY_MIN_K,
     BACKENDS,
     CextBackend,
     ListBackend,
-    NumpyBackend,
     cext_available,
     get_backend,
     resolve_backend,
 )
-from repro.linalg.factors import FactorPair
 from repro.linalg.losses import HuberLoss
 from repro.simulator.cluster import Cluster
 from repro.simulator.network import HPC_PROFILE
@@ -45,11 +43,11 @@ needs_cext = pytest.mark.skipif(
 
 #: Backends compared against the list reference in the equivalence suite;
 #: ``cext`` rows skip cleanly where the toolchain is absent.
-OTHER_BACKENDS = ["numpy", pytest.param("cext", marks=needs_cext)]
+OTHER_BACKENDS = [pytest.param("cext", marks=needs_cext)]
 
-#: Every backend expected to run on this box (storage/selection tests).
+#: Every backend expected to run on this box.
 def _available_backends() -> list[str]:
-    names = ["list", "numpy"]
+    names = ["list"]
     if cext_available():
         names.append("cext")
     return names
@@ -67,14 +65,14 @@ def _fixture(seed: int, m: int = 12, n: int = 8, k: int = 5, nnz: int = 30):
     return w, h, rows, cols, vals, order
 
 
-def _stores(w: np.ndarray, h: np.ndarray, other: str):
-    pair = FactorPair(w.copy(), h.copy())
-    return ListBackend().make_store(pair), get_backend(other).make_store(pair)
+def _stores(w: np.ndarray, h: np.ndarray):
+    """Two private copies of the factors: the reference's and the other's."""
+    return (w.copy(), h.copy()), (w.copy(), h.copy())
 
 
 def _looped_reference(w_l, h_l, indptr, users, ratings, counts_l, burst):
     """The definition of a burst: ``ListBackend.process_column`` over
-    each token's CSC column in turn, on list stores and a counter list."""
+    each token's CSC column in turn, with a counter list."""
     reference = ListBackend()
     applied = 0
     for j in burst:
@@ -94,7 +92,7 @@ class TestKernelEquivalence:
     @pytest.mark.parametrize("other", OTHER_BACKENDS)
     def test_process_column(self, other):
         w, h, rows, _, vals, _ = _fixture(0)
-        (w_l, h_l), (w_n, h_n) = _stores(w, h, other)
+        (w_l, h_l), (w_n, h_n) = _stores(w, h)
         counts_l = [3] * len(rows)
         counts_n = np.full(len(rows), 3, dtype=np.int64)
         a = ListBackend().process_column(
@@ -112,7 +110,7 @@ class TestKernelEquivalence:
     @pytest.mark.parametrize("other", OTHER_BACKENDS)
     def test_process_column_loss(self, other):
         w, h, rows, _, vals, _ = _fixture(1)
-        (w_l, h_l), (w_n, h_n) = _stores(w, h, other)
+        (w_l, h_l), (w_n, h_n) = _stores(w, h)
         loss = HuberLoss(delta=0.5)
         counts_l = [0] * len(rows)
         counts_n = np.zeros(len(rows), dtype=np.int64)
@@ -152,7 +150,7 @@ class TestKernelEquivalence:
                 w_store, h_col, users, ratings, counts, ALPHA, BETA, LAMBDA, loss
             )
 
-        (w_a, h_a), (w_b, h_b) = _stores(w, h, "list")
+        (w_a, h_a), (w_b, h_b) = _stores(w, h)
         counts_a = list(start)
         a = call(w_a, h_a[3], rows.tolist(), vals.tolist(), counts_a)
         b = call(
@@ -160,7 +158,7 @@ class TestKernelEquivalence:
             all_counts[lo:lo + nnz],
         )
         assert a == b == nnz
-        assert w_a == w_b and h_a == h_b
+        assert np.array_equal(w_a, w_b) and np.array_equal(h_a, h_b)
         assert all_counts[lo:lo + nnz].tolist() == counts_a
         assert counts_a == [t + 1 for t in start]
         assert (all_counts[:lo] == -1).all() and (all_counts[lo + nnz:] == -1).all()
@@ -173,7 +171,7 @@ class TestKernelEquivalence:
         items = [0, 3, 5, 1]
         col_users = [rng.integers(0, w.shape[0], size=m) for m in (7, 0, 11, 4)]
         col_ratings = [rng.random(u.size) * 4.0 for u in col_users]
-        (w_l, h_l), (w_n, h_n) = _stores(w, h, other)
+        (w_l, h_l), (w_n, h_n) = _stores(w, h)
         counts_l = [[1] * u.size for u in col_users]
         counts_n = [np.ones(u.size, dtype=np.int64) for u in col_users]
         reference = ListBackend()
@@ -188,7 +186,7 @@ class TestKernelEquivalence:
         backend = get_backend(other)
         b = backend.process_column_batch(
             w_n,
-            [backend.row(h_n, j) for j in items],
+            [h_n[j] for j in items],
             col_users,
             col_ratings,
             counts_n,
@@ -227,7 +225,7 @@ class TestKernelEquivalence:
         indptr = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
         users = rng.integers(0, w.shape[0], size=indptr[-1])
         ratings = rng.random(indptr[-1]) * 4.0
-        (w_l, h_l), _ = _stores(w, h, name)
+        (w_l, h_l), _ = _stores(w, h)
         counts_l = [2] * int(indptr[-1])
         a = _looped_reference(w_l, h_l, indptr, users, ratings, counts_l, burst)
         w_n, h_n = w.copy(), h.copy()
@@ -381,7 +379,7 @@ class TestKernelEquivalence:
     @pytest.mark.parametrize("other", OTHER_BACKENDS)
     def test_process_entries(self, other):
         w, h, rows, cols, vals, order = _fixture(2)
-        (w_l, h_l), (w_n, h_n) = _stores(w, h, other)
+        (w_l, h_l), (w_n, h_n) = _stores(w, h)
         counts_l = [0] * len(rows)
         counts_n = np.zeros(len(rows), dtype=np.int64)
         a = ListBackend().process_entries(
@@ -399,7 +397,7 @@ class TestKernelEquivalence:
     @pytest.mark.parametrize("other", OTHER_BACKENDS)
     def test_process_entries_const(self, other):
         w, h, rows, cols, vals, order = _fixture(3)
-        (w_l, h_l), (w_n, h_n) = _stores(w, h, other)
+        (w_l, h_l), (w_n, h_n) = _stores(w, h)
         a = ListBackend().process_entries_const(
             w_l, h_l, rows.tolist(), cols.tolist(), vals.tolist(),
             0.07, LAMBDA, order.tolist(),
@@ -420,30 +418,6 @@ class TestKernelEquivalence:
             assert backend.process_entries_const(
                 [], [], [], [], [], 0.1, LAMBDA, []
             ) == 0
-
-    def test_storage_round_trip(self):
-        w, h, *_ = _fixture(4)
-        pair = FactorPair(w.copy(), h.copy())
-        for name in _available_backends():
-            backend = get_backend(name)
-            store_w, store_h = backend.make_store(pair)
-            out = backend.export(store_w, store_h)
-            assert np.array_equal(out.w, w)
-            assert np.array_equal(out.h, h)
-            # export is decoupled: mutating the store must not leak out.
-            backend.row(store_w, 0)[0] = 123.0
-            assert out.w[0, 0] == w[0, 0]
-
-    def test_snapshot_restore(self):
-        w, h, *_ = _fixture(5)
-        pair = FactorPair(w.copy(), h.copy())
-        for name in _available_backends():
-            backend = get_backend(name)
-            store_w, _ = backend.make_store(pair)
-            snap = backend.copy_rows(store_w)
-            backend.row(store_w, 1)[2] = -99.0
-            backend.restore_rows(store_w, snap)
-            assert np.allclose(np.asarray(store_w), w)
 
 
 #: Counters a live run holds side by side: fresh arrivals (0) among old
@@ -492,8 +466,7 @@ def _bit_fixture(n_items: int):
 
 #: The bound kernels held to the reference bit for bit: ``cext``, whose
 #: arithmetic is the reference's operation for operation, and the
-#: interpreted default over the same arrays (``numpy``'s BLAS dot
-#: product is free to sum in another order, hence its ``atol``).
+#: interpreted bound kernel over the same arrays.
 BIT_EXACT_BACKENDS = ["list", pytest.param("cext", marks=needs_cext)]
 
 
@@ -516,7 +489,7 @@ class TestBitForBit:
         n_items = indptr.size - 1
         burst = [j % n_items for j in burst]
         w, h = _bit_fixture(n_items)
-        (w_l, h_l), _ = _stores(w, h, "list")
+        (w_l, h_l), _ = _stores(w, h)
         counts_l = counts.tolist()
         expected = _looped_reference(
             w_l, h_l, indptr, users, ratings, counts_l, burst
@@ -549,7 +522,7 @@ class TestBitForBit:
         vals = [a for _, _, a, _ in entries]
         order = [idx % len(entries) for idx in order] if entries else []
         w, h = _bit_fixture(5)
-        (w_l, h_l), (w_n, h_n) = _stores(w, h, "cext")
+        (w_l, h_l), (w_n, h_n) = _stores(w, h)
         counts_l = [t for _, _, _, t in entries]
         counts_n = np.array(counts_l, dtype=np.int64)
         a = ListBackend().process_entries(
@@ -595,6 +568,7 @@ class TestSimulationEquivalence:
         rmse_n = [r.rmse for r in traces[other].records]
         assert np.allclose(rmse_l, rmse_n, atol=1e-8)
 
+    @needs_cext
     @pytest.mark.parametrize("optimizer", [SerialSGD, DSGDSimulation,
                                            HogwildSimulation])
     def test_baselines_match_across_backends(self, small_split, optimizer):
@@ -602,7 +576,7 @@ class TestSimulationEquivalence:
         cluster = Cluster(1, 2, HPC_PROFILE)
         hyper = HyperParams(k=4, lambda_=0.01, alpha=0.05)
         finals = {}
-        for backend in ("list", "numpy"):
+        for backend in ("list", "cext"):
             run = RunConfig(
                 duration=0.004, eval_interval=0.001, seed=5,
                 kernel_backend=backend,
@@ -610,20 +584,15 @@ class TestSimulationEquivalence:
             opt = optimizer(train, test, cluster, hyper, run)
             trace = opt.run()
             finals[backend] = (opt.factors, trace.final_rmse())
-        assert np.allclose(
-            finals["list"][0].w, finals["numpy"][0].w, atol=1e-8
-        )
-        assert np.allclose(
-            finals["list"][0].h, finals["numpy"][0].h, atol=1e-8
-        )
-        assert finals["list"][1] == pytest.approx(finals["numpy"][1], abs=1e-8)
+        assert np.array_equal(finals["list"][0].w, finals["cext"][0].w)
+        assert np.array_equal(finals["list"][0].h, finals["cext"][0].h)
+        assert finals["list"][1] == finals["cext"][1]
 
 
 class TestSelection:
     def test_registry_names(self):
-        assert set(BACKENDS) == {"list", "numpy", "cext"}
+        assert set(BACKENDS) == {"list", "cext"}
         assert isinstance(get_backend("list"), ListBackend)
-        assert isinstance(get_backend("numpy"), NumpyBackend)
         if cext_available():
             assert isinstance(get_backend("cext"), CextBackend)
 
@@ -631,60 +600,77 @@ class TestSelection:
         with pytest.raises(ConfigError):
             get_backend("cython")
         with pytest.raises(ConfigError):
-            resolve_backend("gpu", k=8)
+            resolve_backend("gpu")
+        with pytest.raises(ConfigError):
+            get_backend("numpy")
 
     @needs_cext
     def test_auto_prefers_cext_when_available(self):
-        # The compiled backend dominates at every k and for every storage.
-        assert isinstance(resolve_backend("auto", k=8), CextBackend)
+        assert isinstance(resolve_backend("auto"), CextBackend)
+        # k= and storage= are accepted and steer nothing.
         assert isinstance(
-            resolve_backend("auto", k=AUTO_NUMPY_MIN_K), CextBackend
+            resolve_backend("auto", k=128, storage="ndarray"), CextBackend
         )
+
+    def test_auto_falls_back_to_list(self, monkeypatch):
+        # Mask the toolchain: "auto" is the interpreted reference, at
+        # every k, exactly as on a box with no compiler.
+        monkeypatch.setenv("NOMAD_CEXT_DISABLE", "1")
+        assert isinstance(resolve_backend("auto"), ListBackend)
         assert isinstance(
-            resolve_backend("auto", k=4, storage="ndarray"), CextBackend
+            resolve_backend("auto", k=128, storage="ndarray"), ListBackend
         )
 
     def test_auto_selects_by_k(self, monkeypatch):
-        # Mask the toolchain: "auto" falls back to the interpreted
-        # crossover, exactly as on a box with no compiler.
+        # No k crossover any more: "auto" picks one backend at every k.
+        ks = (1, 4, 16, 64, 128, 1024)
+        expected = type(resolve_backend("auto"))
+        for k in ks:
+            assert type(resolve_backend("auto", k=k)) is expected
         monkeypatch.setenv("NOMAD_CEXT_DISABLE", "1")
-        assert isinstance(resolve_backend("auto", k=8), ListBackend)
+        for k in ks:
+            assert isinstance(resolve_backend("auto", k=k), ListBackend)
+
+    def test_auto_prefers_numpy_for_ndarray_storage(self, monkeypatch):
+        # The storage crossover to a numpy backend is retired: factors
+        # are ndarrays on every backend, so storage= steers nothing.
+        expected = type(resolve_backend("auto"))
+        for storage in ("", "list", "ndarray"):
+            assert type(resolve_backend("auto", storage=storage)) is expected
+        monkeypatch.setenv("NOMAD_CEXT_DISABLE", "1")
         assert isinstance(
-            resolve_backend("auto", k=AUTO_NUMPY_MIN_K), NumpyBackend
+            resolve_backend("auto", k=4, storage="ndarray"), ListBackend
+        )
+        # An explicit choice is taken as given, whatever the storage.
+        assert isinstance(
+            resolve_backend("list", k=4, storage="ndarray"), ListBackend
         )
 
     def test_none_consults_env_var(self, monkeypatch):
         monkeypatch.setenv("NOMAD_CEXT_DISABLE", "1")
         monkeypatch.delenv("NOMAD_KERNEL_BACKEND", raising=False)
-        assert isinstance(resolve_backend(None, k=4), ListBackend)
-        monkeypatch.setenv("NOMAD_KERNEL_BACKEND", "numpy")
-        assert isinstance(resolve_backend(None, k=4), NumpyBackend)
+        assert isinstance(resolve_backend(None), ListBackend)
+        monkeypatch.setenv("NOMAD_KERNEL_BACKEND", "cext")
+        with pytest.raises(ConfigError, match="'cext' is unavailable"):
+            resolve_backend(None)
         # Explicit names ignore the environment entirely.
-        assert isinstance(resolve_backend("list", k=4), ListBackend)
-
-    def test_auto_prefers_numpy_for_ndarray_storage(self, monkeypatch):
-        monkeypatch.setenv("NOMAD_CEXT_DISABLE", "1")
-        assert isinstance(
-            resolve_backend("auto", k=4, storage="ndarray"), NumpyBackend
-        )
-        # Explicit choice still wins over the storage default.
-        assert isinstance(
-            resolve_backend("list", k=4, storage="ndarray"), ListBackend
-        )
+        assert isinstance(resolve_backend("list"), ListBackend)
 
     def test_run_config_validates_backend(self):
-        assert RunConfig().kernel_backend in ("auto", "cext", "list", "numpy")
-        assert RunConfig(kernel_backend="numpy").kernel_backend == "numpy"
+        assert RunConfig().kernel_backend in ("auto", "cext", "list")
+        assert RunConfig(kernel_backend="list").kernel_backend == "list"
         # "cext" is always a *valid* setting (even with no toolchain);
         # availability is enforced at backend resolution, with a clean
         # ConfigError instead of a mid-fit crash.
         assert RunConfig(kernel_backend="cext").kernel_backend == "cext"
         with pytest.raises(ConfigError):
             RunConfig(kernel_backend="fortran")
+        with pytest.raises(ConfigError):
+            RunConfig(kernel_backend="numpy")
 
     def test_env_var_sets_default(self, monkeypatch):
-        monkeypatch.setenv("NOMAD_KERNEL_BACKEND", "numpy")
-        assert RunConfig().kernel_backend == "numpy"
+        monkeypatch.setenv("NOMAD_KERNEL_BACKEND", "list")
+        assert RunConfig().kernel_backend == "list"
         monkeypatch.setenv("NOMAD_KERNEL_BACKEND", "bogus")
         with pytest.raises(ConfigError):
             RunConfig()
@@ -696,14 +682,15 @@ class TestSelection:
         cluster = Cluster(1, 2, HPC_PROFILE)
         hyper = HyperParams(k=4, lambda_=0.01, alpha=0.05)
         run = RunConfig(duration=0.002, eval_interval=0.001,
-                        kernel_backend="numpy")
+                        kernel_backend="list")
         sim = NomadSimulation(train, test, cluster, hyper, run)
-        assert isinstance(sim._backend, NumpyBackend)
-        assert isinstance(sim._w_store, np.ndarray)
-        run_list = run.with_(kernel_backend="list")
-        sim_list = NomadSimulation(train, test, cluster, hyper, run_list)
-        assert isinstance(sim_list._backend, ListBackend)
-        assert isinstance(sim_list._w_store, list)
+        assert isinstance(sim._backend, ListBackend)
+        assert isinstance(sim._w, np.ndarray)
+        if cext_available():
+            run_cext = run.with_(kernel_backend="cext")
+            sim_cext = NomadSimulation(train, test, cluster, hyper, run_cext)
+            assert isinstance(sim_cext._backend, CextBackend)
+            assert isinstance(sim_cext._w, np.ndarray)
 
 
 class TestMaxUpdatesHalt:

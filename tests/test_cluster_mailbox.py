@@ -230,7 +230,7 @@ def spec_for(n_workers: int = 1) -> WorkerSpec:
     cols = np.arange(N_COLS, dtype=np.int64)
     return WorkerSpec(
         worker_id=0, n_workers=n_workers, n_cols=N_COLS, hyper=HYPER,
-        backend_name="numpy", seed=0, batch_size=4,
+        backend_name="list", seed=0, batch_size=4,
         shard_rows=cols % 4, shard_cols=cols, shard_vals=np.ones(N_COLS),
         w_rows=np.arange(4, dtype=np.int64), w_init=np.full((4, K), 0.5),
     )
@@ -330,7 +330,6 @@ class RecordingKernel:
     "backend_name",
     [
         "list",
-        "numpy",
         pytest.param(
             "cext",
             marks=pytest.mark.skipif(

@@ -236,7 +236,7 @@ def test_burst_limit_is_the_budget_over_the_mean_column(
     assert loop_module._burst_limit(kernel) == limit
 
 
-def bound_kernel(n_rows: int, n_cols: int, rows, cols, backend="numpy"):
+def bound_kernel(n_rows: int, n_cols: int, rows, cols, backend="list"):
     """A real kernel of ``backend`` over a one-worker shard of ones."""
     shard = Shard(
         worker=0, n_cols=n_cols, rows=np.asarray(rows, dtype=np.int64),
@@ -251,7 +251,7 @@ def bound_kernel(n_rows: int, n_cols: int, rows, cols, backend="numpy"):
 @pytest.mark.parametrize(
     "backend, budget, limit",
     [
-        ("numpy", INTERPRETED, 2),
+        ("list", INTERPRETED, 2),
         pytest.param(
             "cext", COMPILED, 22,
             marks=pytest.mark.skipif(
@@ -428,7 +428,7 @@ class TestLiveBursts:
         spec = SyntheticSpec(n_rows=3000, n_cols=40, rank=4, density=0.6, noise=0.05)
         train, test = train_test_split(make_low_rank(spec, rng), 0.1, rng)
         runner = engine(
-            train, test, n_workers=2, seed=0, kernel_backend="numpy",
+            train, test, n_workers=2, seed=0, kernel_backend="list",
             hyper=HyperParams(k=8, lambda_=0.01, alpha=0.02, beta=0.01),
         )
         result = runner.run(duration_seconds=0.3)

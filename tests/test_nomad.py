@@ -72,8 +72,7 @@ class TestConvergence:
 
 class _UnknownToC(HuberLoss):
     """A Loss subclass the C dispatch does not know: under cext it runs
-    the interpreted core, which must see the same Python ints and floats
-    it saw when the column stores were lists."""
+    the interpreted core, which must give the bits the C gives."""
 
 
 _LIST_DIGEST = "6331d2a86d0d0eaf1490f43b3563b4e0b2521b03619ea8b3bea3fda5b14c77fd"
@@ -83,14 +82,10 @@ _HUBER_DIGEST = "1d9b404d9705d742918e28c28028d0897ef24ef529765c86c159a27fc8d7fb4
 #: final W‖H); "auto" is cext or, without a toolchain, list.  Recorded on the commit before the
 #: simulator moved from list-of-lists column stores to bound CSC token
 #: kernels, integer topology tables and a tuple-ordered event heap; cext
-#: and list agree bit for bit, numpy differs in the last ulp.
+#: and list agree bit for bit.
 PINNED_RUNS = {
     "cext": ({}, "cext", _LIST_DIGEST),
     "list": ({}, "list", _LIST_DIGEST),
-    "numpy": (
-        {}, "numpy",
-        "079b35d90ec2b32c2be64e16a15f73f3f61e64c80a9622efd98c8ee81e5366e4",
-    ),
     "huber": (
         {"options": NomadOptions(loss=HuberLoss(delta=1.0))}, "auto", _HUBER_DIGEST,
     ),
@@ -500,7 +495,7 @@ class TestTokens:
                 tours += len(tour) == 4
         assert tours > train.n_cols
         token = ItemToken(item=3, vector=[0.0], circulation=[5, 7])
-        assert token.circulation == [5, 7] and token.hops == 0
+        assert token.circulation == [5, 7]
 
     def test_repr(self):
         token = ItemToken(item=3, vector=[0.0])

@@ -17,7 +17,7 @@ from repro.errors import (
     TokenConservationError,
     WorkerLostError,
 )
-from repro.linalg.backends import ListBackend, NumpyBackend
+from repro.linalg.backends import ListBackend, cext_available
 from repro.linalg.factors import init_factors
 from repro.linalg.objective import test_rmse as compute_test_rmse
 from repro.rng import RngFactory
@@ -402,10 +402,10 @@ class TestRunConfigSemantics:
         assert isinstance(multiprocess.backend, ListBackend)
         # Explicit arguments still beat the run config.
         pinned = ThreadedNomad(
-            train, test, 1, HYPER, seed=3, kernel_backend="numpy", run=run
+            train, test, 1, HYPER, seed=3, kernel_backend="auto", run=run
         )
         assert pinned.seed == 3
-        assert isinstance(pinned.backend, NumpyBackend)
+        assert pinned.backend.name == ("cext" if cext_available() else "list")
 
     def test_max_updates_rejected_eagerly(self, tiny_split):
         train, test = tiny_split
@@ -426,14 +426,11 @@ class TestRunConfigSemantics:
 
 
 class TestRuntimeBackends:
-    def test_auto_resolves_to_numpy(self, tiny_split):
+    def test_auto_resolves_to_cext_or_list(self, tiny_split):
         train, test = tiny_split
-        assert isinstance(
-            ThreadedNomad(train, test, 1, HYPER).backend, NumpyBackend
-        )
-        assert isinstance(
-            MultiprocessNomad(train, test, 1, HYPER).backend, NumpyBackend
-        )
+        expected = "cext" if cext_available() else "list"
+        assert ThreadedNomad(train, test, 1, HYPER).backend.name == expected
+        assert MultiprocessNomad(train, test, 1, HYPER).backend.name == expected
 
     def test_explicit_list_backend_works(self, tiny_split):
         train, test = tiny_split
@@ -464,7 +461,8 @@ class TestRuntimeBackends:
             MultiprocessNomad(train, test, 1, HYPER).backend, ListBackend
         )
         # An explicit argument still beats the environment.
+        monkeypatch.setenv("NOMAD_KERNEL_BACKEND", "bogus")
         assert isinstance(
-            ThreadedNomad(train, test, 1, HYPER, kernel_backend="numpy").backend,
-            NumpyBackend,
+            ThreadedNomad(train, test, 1, HYPER, kernel_backend="list").backend,
+            ListBackend,
         )
