@@ -254,13 +254,14 @@ def run_dynamic_stream(request: StreamRequest) -> StreamResult:
         last_time = max(last_time, event.time)
         # Score + fold-in are the per-arrival hot path; both count
         # toward ingest_seconds (and so the throughput figure).
+        # The score is predict_one's ⟨w_u, h_i⟩ read straight off the
+        # snapshot's rows; ingest rejects a negative index just after.
         started = time.perf_counter()
-        snapshot = store.latest.model
-        if event.user < snapshot.n_users and event.item < snapshot.n_items:
+        factors = store.latest.model.factors
+        w, h, user, item = factors.w, factors.h, event.user, event.item
+        if 0 <= user < len(w) and 0 <= item < len(h):
             prequential.score(
-                event.time,
-                arrivals,
-                snapshot.predict_one(event.user, event.item),
+                event.time, arrivals, float(np.dot(w[user], h[item])),
                 event.value,
             )
         else:

@@ -17,13 +17,17 @@ Three policies are provided:
 Policies draw from a stdlib :class:`random.Random` (not a NumPy generator):
 recipient choice happens once per token hop, millions of times per run, and
 ``Random.randrange`` is several times cheaper per call.
+
+:meth:`RecipientPolicy.choose` routes one token (the simulator's hop);
+:meth:`RecipientPolicy.place` routes a whole batch onto live queues with
+the same draws in the same order (the dynamic trainer's end of sweep).
 """
 
 from __future__ import annotations
 
 import abc
 import random
-from typing import Callable, Sequence
+from typing import Callable, MutableSequence, Sequence
 
 from ..errors import SimulationError
 
@@ -60,6 +64,31 @@ class RecipientPolicy(abc.ABC):
             Randomness source (owned by the caller for determinism).
         """
 
+    def place(
+        self,
+        tokens: Sequence[int],
+        queues: Sequence[MutableSequence[int]],
+        rng: random.Random,
+    ) -> list[int]:
+        """Append each of ``tokens``, in order, to the queue it is routed
+        to; return the chosen queue indices.
+
+        Every queue is a candidate.  This is the per-token :meth:`choose`
+        loop, with each queue's size read live as earlier tokens land, so
+        an override must draw exactly what that loop draws.
+        """
+        candidates = range(len(queues))
+
+        def queue_size(worker: int) -> int:
+            return len(queues[worker])
+
+        dests = []
+        for token in tokens:
+            dest = self.choose(candidates, queue_size, rng)
+            queues[dest].append(token)
+            dests.append(dest)
+        return dests
+
     @staticmethod
     def _require_candidates(candidates: Sequence[int]) -> None:
         if len(candidates) == 0:
@@ -72,6 +101,16 @@ class UniformPolicy(RecipientPolicy):
     def choose(self, candidates, queue_size, rng) -> int:
         self._require_candidates(candidates)
         return int(candidates[rng.randrange(len(candidates))])
+
+    def place(self, tokens, queues, rng) -> list[int]:
+        # Queue sizes never enter a uniform pick: one randrange a token,
+        # exactly the draw choose() makes over range(len(queues)).
+        self._require_candidates(queues)
+        randrange, p = rng.randrange, len(queues)
+        dests = [randrange(p) for _ in tokens]
+        for token, dest in zip(tokens, dests):
+            queues[dest].append(token)
+        return dests
 
     def __repr__(self) -> str:
         return "UniformPolicy()"

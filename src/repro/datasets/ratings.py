@@ -148,7 +148,12 @@ class RatingMatrix:
     # ------------------------------------------------------------------
     # Index views
     # ------------------------------------------------------------------
-    def _build_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The matrix as compressed sparse rows: ``(indptr, items, ratings)``.
+
+        User ``i``'s items are ``items[indptr[i]:indptr[i + 1]]``, in
+        ascending order.  Built once and cached; do not write to them.
+        """
         if self._csr is None:
             ptr = np.zeros(self._n_rows + 1, dtype=np.int64)
             np.add.at(ptr, self._rows + 1, 1)
@@ -169,7 +174,7 @@ class RatingMatrix:
 
     def items_of_user(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Return (item indices, ratings) of user ``i`` — the set Ω_i."""
-        ptr, idx, vals = self._build_csr()
+        ptr, idx, vals = self.csr()
         lo, hi = ptr[i], ptr[i + 1]
         return idx[lo:hi], vals[lo:hi]
 
@@ -181,7 +186,7 @@ class RatingMatrix:
 
     def row_counts(self) -> np.ndarray:
         """|Ω_i| for every user ``i``."""
-        ptr, _, _ = self._build_csr()
+        ptr, _, _ = self.csr()
         return np.diff(ptr)
 
     def col_counts(self) -> np.ndarray:

@@ -66,11 +66,12 @@ class ColumnStore:
         """Fold pending arrivals in and cover ``n_items`` columns.
 
         Arrivals are sorted by item (stably, so arrival order survives
-        inside a column) and inserted at the end of their columns with a
+        inside a column) and land at the end of their columns with a
         zero counter; existing counters keep their rating.  Columns
         beyond the old :attr:`n_items` start empty.  Returns whether any
         array was replaced — a kernel bound to this store must then be
-        rebound.
+        rebound.  A shrink or a pending item outside ``[0, n_items)``
+        raises :class:`ValueError` and changes nothing.
         """
         grown = n_items - self.n_items
         if grown < 0:
@@ -88,18 +89,37 @@ class ColumnStore:
             items = np.asarray(items, dtype=np.int64)
             order = np.argsort(items, kind="stable")
             items = items[order]
-            at = indptr[items + 1]
-            self.users = np.insert(
-                self.users, at, np.asarray(users, dtype=np.int64)[order]
+            if items[0] < 0 or items[-1] >= n_items:
+                bad = items[0] if items[0] < 0 else items[-1]
+                raise ValueError(
+                    f"pending item {bad} is outside the {n_items} columns "
+                    f"being flushed"
+                )
+            # The t-th arrival in item order lands after the t arrivals
+            # before it and every old rating up to its column's end; the
+            # old ratings fill the remaining slots in their own order.
+            at = indptr[items + 1] + np.arange(items.size)
+            old = np.ones(self.users.size + items.size, dtype=bool)
+            old[at] = False
+            self.users = self._merged(
+                self.users, at, old, np.asarray(users, dtype=np.int64)[order]
             )
-            self.ratings = np.insert(
-                self.ratings, at, np.asarray(ratings, dtype=np.float64)[order]
+            self.ratings = self._merged(
+                self.ratings, at, old,
+                np.asarray(ratings, dtype=np.float64)[order],
             )
-            self.counts = np.insert(self.counts, at, 0)
+            self.counts = self._merged(self.counts, at, old, 0)
             indptr[1:] += np.cumsum(np.bincount(items, minlength=n_items))
             self._pending.clear()
         self.indptr = indptr
         return True
+
+    @staticmethod
+    def _merged(array, at, old, arrivals) -> np.ndarray:
+        out = np.empty(old.size, dtype=array.dtype)
+        out[old] = array
+        out[at] = arrivals
+        return out
 
     def column(self, item: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Live ``(users, ratings, counts)`` views of one flushed column."""

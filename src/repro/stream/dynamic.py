@@ -43,6 +43,8 @@ from.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from collections import deque
 
 import numpy as np
@@ -103,6 +105,13 @@ class DeltaStore:
         self._cols: list[int] = []
         self._vals: list[float] = []
         self._seen: set[tuple[int, int]] = set()
+        # The base CSR behind memoryviews: indexing one yields a plain
+        # int, so a lookup is one bisect over the user's sorted items
+        # with no per-arrival numpy call and no per-rating Python object.
+        indptr, items, _ = base.csr()
+        self._base_users = base.n_rows
+        self._base_indptr = memoryview(np.ascontiguousarray(indptr))
+        self._base_items = memoryview(np.ascontiguousarray(items))
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -111,17 +120,17 @@ class DeltaStore:
         """Whether ``(user, item)`` is already rated (base or delta)."""
         if (user, item) in self._seen:
             return True
-        if user < self.base.n_rows and item < self.base.n_cols:
-            items, _ = self.base.items_of_user(user)
-            pos = int(np.searchsorted(items, item))
-            return pos < items.size and items[pos] == item
-        return False
+        if user >= self._base_users:
+            return False
+        items, hi = self._base_items, self._base_indptr[user + 1]
+        pos = bisect_left(items, item, self._base_indptr[user], hi)
+        return pos < hi and items[pos] == item
 
     def append(self, user: int, item: int, value: float) -> None:
         """Record one arrival; duplicates raise :class:`DataError`."""
         if user < 0 or item < 0:
             raise DataError(f"arrival index out of range: ({user}, {item})")
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise DataError(f"arrival rating must be finite, got {value}")
         if self.contains(user, item):
             raise DataError(
@@ -391,7 +400,7 @@ class DynamicNomad:
         # leave the trainer exactly as it was (no phantom users/tokens).
         if user < 0 or item < 0:
             raise DataError(f"arrival index out of range: ({user}, {item})")
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise DataError(f"arrival rating must be finite, got {value}")
         if self.delta.contains(user, item):
             raise DataError(
@@ -468,7 +477,10 @@ class DynamicNomad:
         update what interleaving them would give: workers own disjoint
         ``w`` rows and a token is at one worker per round (a
         serializable execution by the owner-computes argument of §4.1).
-        Afterwards each token rests at a policy-chosen queue.
+        Afterwards one :meth:`RecipientPolicy.place
+        <repro.core.load_balance.RecipientPolicy.place>` call rests every
+        token, in plan order, at the queue the policy picks for it — the
+        draws a per-token ``choose`` would make, whatever the policy.
         ``max_updates`` caps the updates applied *this call*; tokens
         still complete their tours so conservation holds.
         """
@@ -479,18 +491,31 @@ class DynamicNomad:
             for q in range(p):
                 rec.point(POINT_QUEUE_DEPTH, len(self._queues[q]))
         kernels = self._bound_kernels()
+        # Row t of ``stops`` is token t's tour: its resting worker, then
+        # the others in a seeded order.  A shuffle of one worker draws
+        # nothing, so below three workers a queue's tours are one
+        # constant row and only wider ones pay a shuffle per token.
         tokens: list[int] = []
-        tours: list[list[int]] = []
+        n_tokens = sum(map(len, self._queues))
+        stops = np.empty((n_tokens, p), dtype=np.int64)
+        shuffle = self._route_rng.shuffle
         for q, queue in enumerate(self._queues):
+            first = len(tokens)
+            last = first + len(queue)
             rest = [w for w in range(p) if w != q]
-            for _ in queue:
-                others = rest.copy()
-                self._route_rng.shuffle(others)
-                tours.append([q, *others])
+            stops[first:last, 0] = q
+            if len(rest) > 1:
+                others: list[int] = []
+                for _ in queue:
+                    tour = rest.copy()
+                    shuffle(tour)
+                    others += tour
+                stops[first:last, 1:] = np.reshape(others, (-1, p - 1))
+            else:
+                stops[first:last, 1:] = rest
             tokens.extend(queue)
             queue.clear()
         items = np.array(tokens, dtype=np.int64)
-        stops = np.array(tours, dtype=np.int64)
 
         applied = 0
         for r in range(p):
@@ -525,15 +550,7 @@ class DynamicNomad:
             for store in self._stores:
                 store.clamp_counts(self.count_cap)
 
-        workers = range(p)
-        queues = self._queues
-        dests = []
-        for j in tokens:
-            dest = self.policy.choose(
-                workers, lambda w: len(queues[w]), self._route_rng
-            )
-            queues[dest].append(j)
-            dests.append(dest)
+        dests = self.policy.place(tokens, self._queues, self._route_rng)
         self._ledger.transfer_many(items, stops[:, -1], dests)
         self._ledger.assert_conserved()
         self._total_updates += applied

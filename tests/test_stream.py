@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -13,6 +14,12 @@ from hypothesis import strategies as st
 
 import repro
 from repro.config import HyperParams, RunConfig
+from repro.core.load_balance import (
+    LeastQueuePolicy,
+    PowerOfTwoPolicy,
+    UniformPolicy,
+)
+from repro.datasets.ratings import RatingMatrix
 from repro.errors import ConfigError, DataError
 from repro.linalg import cext_available
 from repro.linalg.objective import test_rmse as rmse_of
@@ -157,6 +164,41 @@ class TestDeltaStore:
         store.append(user, free_item, 1.0)
         with pytest.raises(DataError, match="duplicate"):
             store.append(user, free_item, 2.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), density=st.floats(0.0, 0.9))
+    def test_contains_matches_a_search_of_the_users_items(self, seed, density):
+        """Every cell of a grid wider and taller than the base — users
+        with no base rating, users and items past the base shape, cells
+        only the delta holds — answers what ``items_of_user`` plus
+        ``searchsorted`` answered."""
+        rng = np.random.default_rng(seed)
+        n_rows, n_cols = 12, 7
+        rated = rng.random((n_rows, n_cols)) < density
+        rated[rng.integers(0, n_rows, 3)] = False  # users with no ratings
+        rated[rng.integers(0, n_rows), rng.integers(0, n_cols)] = True
+        rows, cols = np.nonzero(rated)
+        base = RatingMatrix(n_rows, n_cols, rows, cols, np.ones(rows.size))
+        store = DeltaStore(base)
+        unrated = list(zip(*np.nonzero(~rated)))
+        picks = rng.permutation(len(unrated))[:4]
+        fresh = [tuple(map(int, unrated[t])) for t in picks]
+        fresh += [(n_rows + 1, 0), (0, n_cols + 2), (n_rows, n_cols)]
+        for user, item in fresh:
+            store.append(user, item, 1.0)
+
+        def searched(user, item):
+            if (user, item) in fresh:
+                return True
+            if user < n_rows and item < n_cols:
+                items, _ = base.items_of_user(user)
+                pos = int(np.searchsorted(items, item))
+                return pos < items.size and items[pos] == item
+            return False
+
+        for user in range(n_rows + 3):
+            for item in range(n_cols + 3):
+                assert store.contains(user, item) == searched(user, item)
 
 
 # ----------------------------------------------------------------------
@@ -365,6 +407,26 @@ class TestColumnStore:
         with pytest.raises(ValueError, match="shrink"):
             store.flush(1)
 
+    def test_flush_rejects_an_item_outside_its_columns(self):
+        """A pending item the flush does not cover is a typed error
+        naming it, raised before any array is replaced."""
+        store = ColumnStore([0, 1, 1], [3], [1.0])
+        store.append(1, 5, 2.0)
+        store.append(6, 4, 2.5)
+        arrays = (store.indptr, store.users, store.ratings, store.counts)
+        with pytest.raises(ValueError, match="item 6"):
+            store.flush(3)
+        assert arrays == (
+            store.indptr, store.users, store.ratings, store.counts
+        )
+        assert store.n_items == 2 and store.nnz == 3
+        assert store.flush(7)
+        assert store.column(1)[0].tolist() == [5]
+        assert store.column(6)[0].tolist() == [4]
+        store.append(-1, 2, 1.0)
+        with pytest.raises(ValueError, match="item -1"):
+            store.flush(7)
+
     def test_base_arrays_are_copied(self):
         indptr, users = np.array([0, 1]), np.array([2])
         store = ColumnStore(indptr, users, np.array([1.0]))
@@ -540,6 +602,77 @@ class TestDynamicNomadAgainstReference:
         reference.assert_matches(dynamic)
         counts = np.concatenate([s.counts for s in dynamic._stores])
         assert sorted(set(counts.tolist())) == [3, 4]
+
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "policy", [LeastQueuePolicy(), PowerOfTwoPolicy()], ids=repr
+    )
+    def test_queue_aware_policies_conserve_and_match(
+        self, replay, policy, n_workers
+    ):
+        """Three sweeps under a policy that reads queue sizes: tokens are
+        conserved, every rating trains once a sweep, and the updates are
+        the list reference's (one constant tour row below three workers,
+        shuffled tours above)."""
+        dynamic = DynamicNomad(
+            replay.warmup, n_workers, HYPER, seed=5, kernel_backend="list",
+            policy=policy,
+        )
+        reference = ListReference(dynamic, replay.warmup)
+        for _ in range(3):
+            expected = reference.sweep(dynamic)
+            assert dynamic.sweep() == expected == replay.warmup.nnz
+            assert sum(dynamic.queue_sizes()) == dynamic.n_items
+            assert dynamic._ledger.items_in_flight().size == 0
+            dynamic._ledger.assert_conserved()
+            for q, queue in enumerate(dynamic._queues):
+                assert all(dynamic._ledger.owner_of(j) == q for j in queue)
+            reference.assert_matches(dynamic)
+        if isinstance(policy, LeastQueuePolicy):
+            sizes = dynamic.queue_sizes()
+            assert max(sizes) - min(sizes) <= 1
+
+
+# ----------------------------------------------------------------------
+# Recipient policies: placing a batch of tokens
+# ----------------------------------------------------------------------
+def _choose_loop(policy, tokens, queues, rng):
+    """The per-token loop ``RecipientPolicy.place`` replaces."""
+    workers = range(len(queues))
+    dests = []
+    for token in tokens:
+        dest = policy.choose(workers, lambda w: len(queues[w]), rng)
+        queues[dest].append(token)
+        dests.append(dest)
+    return dests
+
+
+class TestRecipientPlace:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        policy=st.sampled_from(
+            [UniformPolicy(), LeastQueuePolicy(), PowerOfTwoPolicy()]
+        ),
+        lengths=st.lists(st.integers(0, 6), min_size=1, max_size=6),
+        n_tokens=st.integers(0, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_place_equals_the_choose_loop(
+        self, policy, lengths, n_tokens, seed
+    ):
+        """Same picks, same queue contents, same RNG state afterwards."""
+        def queues():
+            return [deque(range(100 * q, 100 * q + n))
+                    for q, n in enumerate(lengths)]
+
+        tokens = list(range(1000, 1000 + n_tokens))
+        placed_rng, looped_rng = random.Random(seed), random.Random(seed)
+        placed, looped = queues(), queues()
+        picks = policy.place(tokens, placed, placed_rng)
+        assert picks == _choose_loop(policy, tokens, looped, looped_rng)
+        assert placed == looped
+        assert placed_rng.getstate() == looped_rng.getstate()
 
 
 # ----------------------------------------------------------------------
