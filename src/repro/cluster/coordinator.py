@@ -40,7 +40,7 @@ from ..errors import ClusterError, ConfigError
 from ..linalg.backends import resolve_backend
 from ..linalg.factors import FactorPair, init_factors, validate_init_factors
 from ..linalg.objective import test_rmse
-from ..partition.partitioners import partition_worker_triplets
+from ..partition.partitioners import partition_rows_equal_ratings
 from ..rng import RngFactory
 from ..runtime.result import (
     RuntimeResult,
@@ -188,15 +188,14 @@ class ClusterNomad:
         alongside as ``w_rows`` for reassembly).
         """
         train = self.train
-        partition, triplets = partition_worker_triplets(
-            train, self.n_workers
-        )
+        partition = partition_rows_equal_ratings(train, self.n_workers)
         if self.transport == "tcp":
             self._check_shard_frame_sizes(partition)
         local_of = np.empty(train.n_rows, dtype=np.int64)
         specs = []
-        for q in range(self.n_workers):
-            shard_rows, shard_cols, shard_vals = triplets[q]
+        for q, shard in enumerate(train.shard_by_rows(partition)):
+            indptr, users, ratings = shard.csc()
+            # Ascending ranges: the remap keeps users ascending per column.
             local_of[partition[q]] = np.arange(partition[q].size)
             specs.append(
                 WorkerSpec(
@@ -207,9 +206,9 @@ class ClusterNomad:
                     backend_name=self.backend.name,
                     seed=self.seed,
                     batch_size=self.batch_size,
-                    shard_rows=local_of[shard_rows],
-                    shard_cols=shard_cols,
-                    shard_vals=shard_vals,
+                    indptr=indptr,
+                    users=local_of[users],
+                    ratings=ratings,
                     w_rows=partition[q],
                     w_init=init.w[partition[q]],
                     telemetry=self.telemetry,

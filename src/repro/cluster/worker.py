@@ -39,7 +39,6 @@ from itertools import chain
 import numpy as np
 
 from ..config import HyperParams
-from ..datasets.ratings import Shard
 from ..errors import ClusterError
 from ..linalg.backends import get_backend
 from ..rng import derive_rng
@@ -75,10 +74,13 @@ class WorkerSpec:
     payloads beyond the worker's own ``W`` shard arrive later as token
     envelopes over the wire.
 
-    ``shard_rows`` holds *local* row positions (indices into the
-    worker's ``(len(w_rows), k)`` W block), so each worker allocates
-    only its own shard of user factors; ``w_rows`` maps those positions
-    back to global user ids when the result ships.
+    The shard ships as the CSC arrays ``(indptr, users, ratings)`` cut by
+    ``RatingMatrix.shard_by_rows`` (users strictly ascending in every
+    column), which the worker binds its kernel on as they arrive.
+    ``users`` holds *local* row positions (indices into the worker's
+    ``(len(w_rows), k)`` W block), so each worker allocates only its own
+    shard of user factors; ``w_rows`` maps those positions back to
+    global user ids when the result ships.
     """
 
     worker_id: int
@@ -88,9 +90,9 @@ class WorkerSpec:
     backend_name: str
     seed: int
     batch_size: int
-    shard_rows: np.ndarray
-    shard_cols: np.ndarray
-    shard_vals: np.ndarray
+    indptr: np.ndarray
+    users: np.ndarray
+    ratings: np.ndarray
     w_rows: np.ndarray
     w_init: np.ndarray
     #: When true the worker records into a telemetry ring and ships the
@@ -245,16 +247,13 @@ def run_worker(
     exactly as if they had just been received.
     """
     hyper = spec.hyper
-    # Only this worker's user factors exist here; shard_rows index into
-    # this local block directly (copy: the kernels mutate it in place).
+    # Only this worker's user factors exist here; the shard's users index
+    # into this local block directly (copy: the kernels mutate it in place).
     w = np.array(spec.w_init, dtype=np.float64)
     h = np.zeros((spec.n_cols, hyper.k))
-    shard = Shard(
-        worker=spec.worker_id, n_cols=spec.n_cols, rows=spec.shard_rows,
-        cols=spec.shard_cols, vals=spec.shard_vals,
-    )
     kernel = get_backend(spec.backend_name).bind_tokens(
-        w, h, *shard.csc(), np.zeros(shard.nnz, dtype=np.int64),
+        w, h, spec.indptr, spec.users, spec.ratings,
+        np.zeros(spec.users.size, dtype=np.int64),
         hyper.alpha, hyper.beta, hyper.lambda_,
     )
     rec = Recorder(spec.worker_id) if spec.telemetry else None

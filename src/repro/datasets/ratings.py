@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import DataError
 
-__all__ = ["RatingMatrix", "Shard", "train_test_split"]
+__all__ = ["RatingMatrix", "Shard", "partition_owner", "train_test_split"]
 
 
 class RatingMatrix:
@@ -155,21 +155,17 @@ class RatingMatrix:
         ascending order.  Built once and cached; do not write to them.
         """
         if self._csr is None:
-            ptr = np.zeros(self._n_rows + 1, dtype=np.int64)
-            np.add.at(ptr, self._rows + 1, 1)
-            np.cumsum(ptr, out=ptr)
             # Triplets are already sorted by (row, col): CSR order is direct.
-            self._csr = (ptr, self._cols, self._vals)
+            self._csr = (
+                _pointers(self._rows, self._n_rows), self._cols, self._vals
+            )
         return self._csr
 
     def _build_csc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self._csc is None:
-            order = np.lexsort((self._rows, self._cols))
-            cols = self._cols[order]
-            ptr = np.zeros(self._n_cols + 1, dtype=np.int64)
-            np.add.at(ptr, cols + 1, 1)
-            np.cumsum(ptr, out=ptr)
-            self._csc = (ptr, self._rows[order], self._vals[order])
+            self._csc = _by_item(
+                self._n_cols, self._rows, self._cols, self._vals
+            )
         return self._csc
 
     def items_of_user(self, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -204,38 +200,24 @@ class RatingMatrix:
         ----------
         partition:
             Sequence of ``p`` arrays of user indices; must be disjoint and
-            cover ``range(n_rows)`` (validated).
+            cover ``range(n_rows)`` (validated by :func:`partition_owner`).
 
         Returns
         -------
-        list of :class:`Shard`, one per worker, each holding its local
-        ratings in a by-column (CSC) layout so that processing a nomadic
-        token ``(j, h_j)`` is a contiguous slice.
+        list of :class:`Shard`, one per worker: the matrix's cached CSC
+        restricted to the worker's rows, so users stay strictly ascending
+        inside every column and processing a nomadic token ``(j, h_j)``
+        is a contiguous slice.  Nothing is sorted here — a subsequence of
+        CSC order is still CSC order.
         """
-        owner = np.full(self._n_rows, -1, dtype=np.int64)
-        for q, members in enumerate(partition):
-            members = np.asarray(members, dtype=np.int64)
-            if members.size and (owner[members] != -1).any():
-                raise DataError("row partition sets overlap")
-            owner[members] = q
-        if (owner == -1).any():
-            missing = int(np.flatnonzero(owner == -1)[0])
-            raise DataError(f"row partition does not cover row {missing}")
-
-        shards = []
-        rating_owner = owner[self._rows]
-        for q in range(len(partition)):
-            mask = rating_owner == q
-            shards.append(
-                Shard(
-                    worker=q,
-                    n_cols=self._n_cols,
-                    rows=self._rows[mask],
-                    cols=self._cols[mask],
-                    vals=self._vals[mask],
-                )
-            )
-        return shards
+        indptr, users, ratings = self._build_csc()
+        rating_owner = partition_owner(partition, self._n_rows)[users]
+        items = np.repeat(np.arange(self._n_cols), np.diff(indptr))
+        masks = [rating_owner == q for q in range(len(partition))]
+        return [
+            Shard._from_csc(q, _pointers(items[m], self._n_cols), users[m], ratings[m])
+            for q, m in enumerate(masks)
+        ]
 
     # ------------------------------------------------------------------
     # Constructors / exports
@@ -335,7 +317,9 @@ class Shard:
 
     This is the materialization of the paper's Ω̄^(q)_j: for every item
     ``j``, :meth:`column` returns the (user, rating) pairs of ``j`` whose
-    users belong to this worker's row partition.
+    users belong to this worker's row partition, strictly ascending (CSC
+    order).  :meth:`RatingMatrix.shard_by_rows` cuts shards from the
+    matrix's CSC; this constructor takes COO triplets and sorts them.
     """
 
     def __init__(
@@ -348,18 +332,23 @@ class Shard:
     ):
         self.worker = int(worker)
         self.n_cols = int(n_cols)
-        order = np.lexsort((rows, cols))
-        cols = np.asarray(cols, dtype=np.int64)[order]
-        self._rows = np.asarray(rows, dtype=np.int64)[order]
-        self._vals = np.asarray(vals, dtype=np.float64)[order]
-        ptr = np.zeros(n_cols + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cols, minlength=n_cols), out=ptr[1:])
-        self._ptr = ptr
+        self._ptr, self._users, self._ratings = _by_item(
+            self.n_cols, rows, cols, vals
+        )
+
+    @classmethod
+    def _from_csc(cls, worker: int, indptr, users, ratings) -> "Shard":
+        """A shard over arrays already in CSC order; nothing is sorted."""
+        shard = cls.__new__(cls)
+        shard.worker = int(worker)
+        shard.n_cols = indptr.size - 1
+        shard._ptr, shard._users, shard._ratings = indptr, users, ratings
+        return shard
 
     @property
     def nnz(self) -> int:
         """Number of ratings stored on this worker."""
-        return int(self._rows.size)
+        return int(self._users.size)
 
     def csc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The shard as compressed sparse columns: ``(indptr, users, ratings)``.
@@ -369,16 +358,12 @@ class Shard:
         views (no copy) so a kernel can bind them once and take tokens
         as bare item ids (``KernelBackend.bind_tokens``).
         """
-        return self._ptr, self._rows, self._vals
+        return self._ptr, self._users, self._ratings
 
     def column(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Return (user indices, ratings) of item ``j`` local to this worker."""
         lo, hi = self._ptr[j], self._ptr[j + 1]
-        return self._rows[lo:hi], self._vals[lo:hi]
-
-    def column_nnz(self, j: int) -> int:
-        """Number of local ratings of item ``j`` — |Ω̄^(q)_j|."""
-        return int(self._ptr[j + 1] - self._ptr[j])
+        return self._users[lo:hi], self._ratings[lo:hi]
 
     def column_bounds(self, j: int) -> tuple[int, int]:
         """Half-open range of item ``j`` inside this shard's storage order.
@@ -389,16 +374,53 @@ class Shard:
         """
         return int(self._ptr[j]), int(self._ptr[j + 1])
 
-    def column_nnz_all(self) -> np.ndarray:
-        """|Ω̄^(q)_j| for every item ``j`` as one array."""
-        return np.diff(self._ptr)
-
-    def local_rows(self) -> np.ndarray:
-        """Sorted unique user indices present on this worker."""
-        return np.unique(self._rows)
-
     def __repr__(self) -> str:
         return f"Shard(worker={self.worker}, nnz={self.nnz})"
+
+
+def partition_owner(
+    sets: Sequence[np.ndarray], n: int, kind: str = "row"
+) -> np.ndarray:
+    """The ``int64`` owner array of a partition of ``range(n)``: ``owner[i]``
+    is the position in ``sets`` of the set holding ``i``.  Sets may be
+    empty; ids must be integers in ``[0, n)``, the sets disjoint and
+    covering, or :class:`DataError` names the ``kind`` of partition."""
+    owner = np.full(n, -1, dtype=np.int64)
+    for q, members in enumerate(sets):
+        members = np.asarray(members)
+        if members.size == 0:
+            continue
+        if members.dtype.kind not in "iu" or members.min() < 0 or members.max() >= n:
+            raise DataError(f"{kind} partition set {q} holds ids not in range({n})")
+        if (owner[members] != -1).any():
+            raise DataError(f"{kind} partition sets overlap")
+        owner[members] = q
+    if (owner == -1).any():
+        missing = int(np.flatnonzero(owner == -1)[0])
+        raise DataError(f"{kind} partition does not cover index {missing}")
+    return owner
+
+
+def _pointers(ids: np.ndarray, n: int) -> np.ndarray:
+    """Compressed pointers over ``range(n)``: ``ptr[i]`` counts ids below ``i``."""
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ids, minlength=n), out=ptr[1:])
+    return ptr
+
+
+def _by_item(
+    n_cols: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """COO triplets in CSC order: ``(indptr, users, ratings)``.
+
+    The one place ratings are ordered by item: a stable sort by
+    (col, row), so users ascend inside every column.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals, dtype=np.float64)
+    order = np.lexsort((rows, cols))
+    return _pointers(cols, n_cols), rows[order], vals[order]
 
 
 def train_test_split(

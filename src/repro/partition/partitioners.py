@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from ..datasets.ratings import RatingMatrix
+from ..datasets.ratings import RatingMatrix, partition_owner
 
 __all__ = [
     "partition_rows_equal_count",
@@ -69,26 +69,20 @@ def partition_rows_equal_ratings(matrix: RatingMatrix, p: int) -> list[np.ndarra
 def partition_worker_triplets(
     matrix: RatingMatrix, p: int
 ) -> tuple[list[np.ndarray], list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """Partition rows by equal ratings and split the COO triplets per worker.
+    """Partition rows by equal ratings and return each worker's COO triplets.
 
-    The serialized-shard layout both distributed runtimes feed their
-    workers: ``partition[q]`` is worker ``q``'s row set I_q and
-    ``triplets[q]`` its local ``(rows, cols, vals)`` arrays — the
-    ratings whose user belongs to I_q, ready to rebuild Ω̄^(q) without
-    the full matrix.  Held in one place so the process- and
-    socket-based engines can never shard differently.
+    ``partition[q]`` is worker ``q``'s row set I_q and ``triplets[q]``
+    its local ``(rows, cols, vals)`` arrays in CSC order: the shard
+    :meth:`RatingMatrix.shard_by_rows` cuts, its column ids expanded.
+    The engines take the shards themselves; this COO form feeds
+    :class:`~repro.datasets.ratings.Shard`'s triplet constructor.
     """
     partition = partition_rows_equal_ratings(matrix, p)
-    owner = np.empty(matrix.n_rows, dtype=np.int64)
-    for q, members in enumerate(partition):
-        owner[members] = q
-    rating_owner = owner[matrix.rows]
     triplets = []
-    for q in range(p):
-        mask = rating_owner == q
-        triplets.append(
-            (matrix.rows[mask], matrix.cols[mask], matrix.vals[mask])
-        )
+    for shard in matrix.shard_by_rows(partition):
+        indptr, users, ratings = shard.csc()
+        cols = np.repeat(np.arange(matrix.n_cols), np.diff(indptr))
+        triplets.append((users, cols, ratings))
     return partition, triplets
 
 
@@ -114,17 +108,13 @@ class BlockGrid:
         col_sets: list[np.ndarray],
     ):
         self.matrix = matrix
+        row_of = partition_owner(row_sets, matrix.n_rows, "row")
+        col_of = partition_owner(col_sets, matrix.n_cols, "col")
         self.row_sets = [np.asarray(s, dtype=np.int64) for s in row_sets]
         self.col_sets = [np.asarray(s, dtype=np.int64) for s in col_sets]
-        self._validate_partition(self.row_sets, matrix.n_rows, "row")
-        self._validate_partition(self.col_sets, matrix.n_cols, "col")
-
-        row_of = np.empty(matrix.n_rows, dtype=np.int64)
-        for idx, members in enumerate(self.row_sets):
-            row_of[members] = idx
-        col_of = np.empty(matrix.n_cols, dtype=np.int64)
-        for idx, members in enumerate(self.col_sets):
-            col_of[members] = idx
+        for kind, sets in (("row", self.row_sets), ("col", self.col_sets)):
+            if any(members.size == 0 for members in sets):
+                raise DataError(f"{kind} partition contains an empty set")
         self._row_block_of_rating = row_of[matrix.rows]
         self._col_block_of_rating = col_of[matrix.cols]
 
@@ -140,21 +130,6 @@ class BlockGrid:
         )
         self._cell_order = order
         self._cell_boundaries = boundaries
-
-    @staticmethod
-    def _validate_partition(
-        sets: list[np.ndarray], n: int, kind: str
-    ) -> None:
-        seen = np.zeros(n, dtype=bool)
-        for members in sets:
-            if members.size == 0:
-                raise DataError(f"{kind} partition contains an empty set")
-            if seen[members].any():
-                raise DataError(f"{kind} partition sets overlap")
-            seen[members] = True
-        if not seen.all():
-            missing = int(np.flatnonzero(~seen)[0])
-            raise DataError(f"{kind} partition does not cover index {missing}")
 
     @property
     def n_row_blocks(self) -> int:

@@ -51,7 +51,7 @@ import numpy as np
 
 from ..config import HyperParams, RunConfig
 from ..core.load_balance import RecipientPolicy, UniformPolicy
-from ..datasets.ratings import RatingMatrix
+from ..datasets.ratings import RatingMatrix, partition_owner
 from ..errors import ConfigError, DataError
 from ..linalg.backends import resolve_backend
 from ..linalg.factors import (
@@ -292,10 +292,8 @@ class DynamicNomad:
         # One-time base partition; arrivals extend these structures only.
         p = self.n_workers
         partition = partition_rows_equal_ratings(base, p)
-        self._owner_of_user: list[int] = [0] * base.n_rows
-        for q, members in enumerate(partition):
-            for user in members.tolist():
-                self._owner_of_user[user] = q
+        # A list, not an array: ingestion appends each new user's owner.
+        self._owner_of_user = partition_owner(partition, base.n_rows).tolist()
         shards = base.shard_by_rows(partition)
         self._stores = [ColumnStore(*shard.csc()) for shard in shards]
         self._worker_load = [shard.nnz for shard in shards]

@@ -20,9 +20,12 @@ from repro.cluster.transport import TcpTransport
 from repro.cli import main as cli_main
 from repro.config import HyperParams, RunConfig
 from repro.core.nomad import NomadOptions
+from repro.datasets.ratings import Shard
 from repro.errors import ClusterError, ConfigError
+from repro.linalg.backends import cext_available, get_backend
 from repro.linalg.factors import init_factors
 from repro.linalg.objective import test_rmse as compute_test_rmse
+from repro.partition.partitioners import partition_worker_triplets
 from repro.rng import RngFactory
 
 HYPER = HyperParams(k=4, lambda_=0.01, alpha=0.1, beta=0.01)
@@ -133,6 +136,56 @@ class TestClusterTcp:
         assert not transport._accept_thread.is_alive()
         with pytest.raises(ConnectionRefusedError):
             socket.create_connection(("127.0.0.1", port), timeout=1.0).close()
+
+
+class TestClusterShards:
+    """What the coordinator ships: each worker's CSC, cut once from the
+    matrix, equal to the COO path it replaced (triplets, local remap,
+    then a sort in the triplet constructor)."""
+
+    @staticmethod
+    def specs(train, p):
+        runner = ClusterNomad(
+            train, train, n_workers=p, hyper=HYPER, seed=1,
+            kernel_backend="list", transport="loopback",
+        )
+        init = init_factors(
+            train.n_rows, train.n_cols, HYPER.k, RngFactory(1).stream("init")
+        )
+        return runner._worker_specs(init)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_shipped_csc_equals_the_coo_path(self, small_split, p):
+        train, _ = small_split
+        partition, triplets = partition_worker_triplets(train, p)
+        local_of = np.empty(train.n_rows, dtype=np.int64)
+        specs = self.specs(train, p)
+        assert len(specs) == p
+        for q, spec in enumerate(specs):
+            rows, cols, vals = triplets[q]
+            local_of[partition[q]] = np.arange(partition[q].size)
+            expected = Shard(
+                q, train.n_cols, local_of[rows], cols, vals
+            ).csc()
+            shipped = (spec.indptr, spec.users, spec.ratings)
+            for got, want in zip(shipped, expected):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+            np.testing.assert_array_equal(spec.w_rows, partition[q])
+
+    @pytest.mark.skipif(not cext_available(), reason="no C toolchain")
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_shipped_users_ascend_in_every_column(self, small_split, p):
+        train, _ = small_split
+        cext = get_backend("cext")
+        for spec in self.specs(train, p):
+            kernel = cext.bind_tokens(
+                np.array(spec.w_init), np.zeros((spec.n_cols, HYPER.k)),
+                spec.indptr, spec.users, spec.ratings,
+                np.zeros(spec.users.size, dtype=np.int64),
+                HYPER.alpha, HYPER.beta, HYPER.lambda_,
+            )
+            assert kernel._bound.ascending
 
 
 class TestTokenConservation:

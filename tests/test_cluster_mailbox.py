@@ -231,7 +231,8 @@ def spec_for(n_workers: int = 1) -> WorkerSpec:
     return WorkerSpec(
         worker_id=0, n_workers=n_workers, n_cols=N_COLS, hyper=HYPER,
         backend_name="list", seed=0, batch_size=4,
-        shard_rows=cols % 4, shard_cols=cols, shard_vals=np.ones(N_COLS),
+        indptr=np.arange(N_COLS + 1, dtype=np.int64), users=cols % 4,
+        ratings=np.ones(N_COLS),
         w_rows=np.arange(4, dtype=np.int64), w_init=np.full((4, K), 0.5),
     )
 

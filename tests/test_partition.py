@@ -139,6 +139,27 @@ class TestBlockGrid:
             )
 
 
+    @pytest.mark.parametrize("axis", ["row", "col"])
+    @pytest.mark.parametrize(
+        "bad_sets",
+        [
+            lambda n: [np.arange(n - 1), np.array([-1])],
+            lambda n: [np.arange(n // 2) + 0.2, np.arange(n // 2, n)],
+            lambda n: [np.arange(n // 2), np.arange(n // 2, n + 1)],
+        ],
+        ids=["negative", "float", "out-of-range"],
+    )
+    def test_bad_ids_rejected(self, matrix, axis, bad_sets):
+        rows = partition_range_blocks(matrix.n_rows, 2)
+        cols = partition_range_blocks(matrix.n_cols, 2)
+        if axis == "row":
+            rows = bad_sets(matrix.n_rows)
+        else:
+            cols = bad_sets(matrix.n_cols)
+        with pytest.raises(DataError):
+            BlockGrid(matrix, rows, cols)
+
+
 class TestOwnershipLedger:
     def test_acquire_release_cycle(self):
         ledger = OwnershipLedger(n_items=3, n_workers=2)

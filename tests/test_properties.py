@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.serializability import UpdateEvent, is_serializable
 from repro.datasets.distributions import degrees_to_pair_sample
-from repro.datasets.ratings import RatingMatrix, train_test_split
+from repro.datasets.ratings import RatingMatrix, Shard, train_test_split
 from repro.linalg.backends import ListBackend
 from repro.partition.partitioners import (
     partition_rows_equal_count,
@@ -46,6 +46,20 @@ def rating_matrices(draw):
         mask[rng.integers(0, n_rows), j] = True
     rows, cols = np.nonzero(mask)
     return RatingMatrix(n_rows, n_cols, rows, cols, dense[rows, cols])
+
+
+@st.composite
+def row_partitions(draw, n_rows):
+    """Random partitions of ``range(n_rows)`` into 1–6 sets: members
+    scattered (non-contiguous), and sometimes one set left empty."""
+    p = draw(st.integers(min_value=1, max_value=6))
+    owner = np.array(
+        draw(st.lists(st.integers(0, p - 1), min_size=n_rows, max_size=n_rows))
+    )
+    if p > 1 and draw(st.booleans()):
+        empty = draw(st.integers(0, p - 1))
+        owner[owner == empty] = (empty + 1) % p
+    return [np.flatnonzero(owner == q) for q in range(p)]
 
 
 class TestPartitionProperties:
@@ -90,6 +104,25 @@ class TestShardProperties:
             for shard in shards:
                 users_sharded |= set(shard.column(j)[0].tolist())
             assert users_sharded == users_global
+
+    @RELAXED
+    @given(matrix=rating_matrices(), data=st.data())
+    def test_cut_equals_the_coo_sort(self, matrix, data):
+        """The cut from the matrix's CSC is bit-identical to sorting each
+        worker's COO triplets by (col, row) in the triplet constructor."""
+        partition = data.draw(row_partitions(matrix.n_rows))
+        shards = matrix.shard_by_rows(partition)
+        assert len(shards) == len(partition)
+        for q, (members, shard) in enumerate(zip(partition, shards)):
+            m = np.isin(matrix.rows, members)
+            reference = Shard(
+                q, matrix.n_cols, matrix.rows[m], matrix.cols[m],
+                matrix.vals[m],
+            )
+            assert shard.worker == q and shard.n_cols == matrix.n_cols
+            for got, want in zip(shard.csc(), reference.csc()):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
 
 
 class TestSplitProperties:

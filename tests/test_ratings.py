@@ -267,16 +267,17 @@ class TestShards:
     def test_shard_column_nnz_consistency(self):
         matrix = make_matrix()
         shards = matrix.shard_by_rows([np.array([0, 1]), np.array([2])])
+        counts = sum(np.diff(shard.csc()[0]) for shard in shards)
         for j in range(matrix.n_cols):
-            total = sum(shard.column_nnz(j) for shard in shards)
-            assert total == matrix.users_of_item(j)[0].size
+            assert counts[j] == matrix.users_of_item(j)[0].size
 
     def test_shard_column_bounds_align(self):
         matrix = make_matrix()
         (shard,) = matrix.shard_by_rows([np.arange(3)])
+        counts = np.diff(shard.csc()[0])
         for j in range(matrix.n_cols):
             lo, hi = shard.column_bounds(j)
-            assert hi - lo == shard.column_nnz(j)
+            assert hi - lo == counts[j]
 
     @pytest.mark.parametrize("nnz", [0, 1, 40, 400])
     def test_csc_matches_counted_pointers(self, nnz):
@@ -317,10 +318,19 @@ class TestShards:
         with pytest.raises(DataError, match="cover"):
             matrix.shard_by_rows([np.array([0]), np.array([2])])
 
-    def test_local_rows(self):
+    @pytest.mark.parametrize(
+        "partition",
+        [
+            [np.array([0, 1]), np.array([-1])],
+            [np.array([0.7, 1.2]), np.array([2])],
+            [np.array([0, 1]), np.array([2, 3])],
+        ],
+        ids=["negative", "float", "out-of-range"],
+    )
+    def test_bad_partition_ids_rejected(self, partition):
         matrix = make_matrix()
-        shards = matrix.shard_by_rows([np.array([0, 1]), np.array([2])])
-        assert shards[1].local_rows().tolist() == [2]
+        with pytest.raises(DataError):
+            matrix.shard_by_rows(partition)
 
 
 class TestTrainTestSplit:
