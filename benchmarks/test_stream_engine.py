@@ -92,7 +92,7 @@ def test_stream_engine(bench_env):
         warmup_epochs + stream.n_events // train_every + final_epochs
     )
     started = time.perf_counter()
-    static = DynamicNomad(combined, N_WORKERS, hyper, seed=SEED)
+    static = DynamicNomad(combined, N_WORKERS, hyper, RunConfig(seed=SEED))
     static.train(sweeps)
     retrain_seconds = time.perf_counter() - started
     static_rmse = rmse_of(static.factors, combined)

@@ -17,8 +17,8 @@ Each engine is one runner callable ``(FitRequest) -> FitResult`` plus a
   usable for static fits; the only engine carrying a ``stream_runner``).
 
 The live engines run NOMAD only (the paper's baselines are simulated
-algorithms); their traces record the endpoints — the seed-determined
-initialization at t=0 and the final model at ``wall_seconds`` — on a real
+algorithms); their traces record the endpoints — the pair the runtime
+started from at t=0 and the final model at ``wall_seconds`` — on a real
 wall-clock axis.
 
 Adding a new engine means writing one runner with this signature,
@@ -34,11 +34,9 @@ from functools import partial
 from ..cluster.coordinator import ClusterNomad
 from ..config import RunConfig
 from ..errors import ConfigError
-from ..linalg.factors import init_factors
 from ..linalg.objective import test_rmse
-from ..rng import RngFactory
 from ..runtime.multiprocess import MultiprocessNomad
-from ..runtime.result import RuntimeResult
+from ..runtime.result import LiveNomad, RuntimeResult
 from ..runtime.threaded import ThreadedNomad
 from ..simulator.cluster import Cluster
 from ..simulator.network import HPC_PROFILE
@@ -54,6 +52,7 @@ from .registry import (
     FitRequest,
     register_engine,
     reject_extra_kwargs,
+    resolve_wall_clock_run,
     resolve_workers,
 )
 from .result import FitResult, FitTiming
@@ -143,37 +142,25 @@ def _simulated_telemetry(request: FitRequest, simulation) -> RunTelemetry:
 
 
 def _live_result(
-    request: FitRequest,
-    n_workers: int,
-    seed: int,
-    outcome: RuntimeResult,
-    kernel_backend: str | None = None,
+    request: FitRequest, runner: LiveNomad, outcome: RuntimeResult
 ) -> FitResult:
     """Fold a :class:`RuntimeResult` into the uniform :class:`FitResult`.
 
     The trace records the run's endpoints on a real-seconds axis: the
-    RMSE of the starting factors — the supplied warm start, or the
-    seed-determined initialization (recomputed here from the runtime's
-    resolved seed — cheap, and identical to what the runtime started
-    from) — and the final model.
+    RMSE of the pair the runtime started from (the warm start, or the
+    seed's draw) and the final model.
     """
-    train, hyper = request.train, request.hyper
-    if request.factors is not None:
-        initial = request.factors
-    else:
-        initial = init_factors(
-            train.n_rows, train.n_cols, hyper.k, RngFactory(seed).stream("init")
-        )
+    hyper = request.hyper
     trace = Trace(
         algorithm=request.algorithm.name,
-        n_workers=n_workers,
+        n_workers=runner.n_workers,
         meta={
             "engine": request.engine.name,
             "k": hyper.k,
             "lambda": hyper.lambda_,
         },
     )
-    trace.add(0.0, 0, test_rmse(initial, request.test))
+    trace.add(0.0, 0, test_rmse(runner.initial_factors, request.test))
     trace.add(outcome.wall_seconds, outcome.updates, outcome.rmse)
     return FitResult(
         algorithm=request.algorithm.name,
@@ -188,7 +175,7 @@ def _live_result(
             updates_per_worker=tuple(outcome.updates_per_worker),
         ),
         raw=outcome,
-        kernel_backend=kernel_backend,
+        kernel_backend=runner.backend.name,
         telemetry=outcome.telemetry,
     )
 
@@ -199,9 +186,9 @@ def run_live(
     """Run NOMAD on one live runtime for ``run.duration`` wall seconds.
 
     The one runner of ``threaded``, ``multiprocess`` and ``cluster``,
-    registered below with the runtime class bound.  With no run
-    config, the runtime's historical 1-second wall budget and seed 0
-    apply.  The live runtimes take no simulation-layer extras — those
+    registered below with the runtime class bound.  With no run config
+    the wall-clock default applies (:func:`resolve_wall_clock_run`: 1 s,
+    seed 0).  The live runtimes take no simulation-layer extras — those
     fail eagerly; ``allowed`` names the engine's own keywords, which
     pass through :func:`repro.fit` to the runtime's constructor.
     """
@@ -213,16 +200,13 @@ def run_live(
             "Algorithm 1 routing)"
         )
     reject_extra_kwargs(engine, request.extra, allowed)
-    n_workers = resolve_workers(request.n_workers, request.cluster)
     runner = runtime_class(
-        request.train, request.test, n_workers, request.hyper,
-        run=request.run, init_factors=request.factors,
+        request.train, request.test,
+        resolve_workers(request.n_workers, request.cluster), request.hyper,
+        resolve_wall_clock_run(request.run), init_factors=request.factors,
         telemetry=request.telemetry, **request.extra,
     )
-    return _live_result(
-        request, n_workers, runner.seed, runner.run(),
-        kernel_backend=runner.backend.name,
-    )
+    return _live_result(request, runner, runner.run())
 
 
 #: The cluster engine's own ``fit(...)`` keywords: ``transport``

@@ -74,8 +74,9 @@ def fit(
         simulated engine and real wall seconds on the live engines — the
         same field, honored everywhere.  ``None`` takes each engine's
         default: the plain :class:`RunConfig() <repro.config.RunConfig>`
-        defaults on the simulated engine, the runtimes' historical
-        1-second wall budget on the live engines.
+        defaults on the simulated engine; on the live and dynamic engines
+        a 1-second wall budget at seed 0, on ``$NOMAD_KERNEL_BACKEND``
+        (else ``"auto"``) kernels.
     cluster:
         Simulated topology (simulated engine).  The live engines take
         only its worker count.  Defaults to a single machine with

@@ -57,6 +57,7 @@ __all__ = [
     "supported_pairs",
     "supported_stream_pairs",
     "resolve_workers",
+    "resolve_wall_clock_run",
     "reject_extra_kwargs",
     "DEFAULT_WORKERS",
 ]
@@ -144,8 +145,8 @@ class FitRequest:
 
     ``run=None`` means the caller did not configure execution; each
     engine substitutes its own sensible default (the simulated engine
-    the :class:`RunConfig` defaults, the live engines their historical
-    1-second wall budget).  ``extra`` carries algorithm-specific
+    the :class:`RunConfig` defaults, the wall-clock engines
+    :func:`resolve_wall_clock_run`'s).  ``extra`` carries algorithm-specific
     constructor keywords (e.g. ``refresh_period`` for Hogwild,
     ``inner_iters`` for CCD++); engines that cannot honor them must
     reject rather than ignore.
@@ -221,6 +222,17 @@ def resolve_workers(n_workers: int | None, cluster: Cluster | None = None) -> in
     if cluster is not None:
         return cluster.n_workers
     return DEFAULT_WORKERS
+
+
+def resolve_wall_clock_run(run: RunConfig | None) -> RunConfig:
+    """The one ``run=None`` policy of the wall-clock engines (the live
+    runtimes and the dynamic trainer): ``run`` itself, else a 1 s wall
+    budget at seed 0 on ``$NOMAD_KERNEL_BACKEND`` (else ``"auto"``).
+    Built per call, because :class:`~repro.config.RunConfig` reads the
+    environment when it is constructed."""
+    if run is not None:
+        return run
+    return RunConfig(duration=1.0)
 
 
 def reject_extra_kwargs(

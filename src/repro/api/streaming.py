@@ -31,7 +31,6 @@ from ..datasets.ratings import RatingMatrix
 from ..errors import ConfigError
 from ..linalg.factors import FactorPair
 from ..linalg.objective import predict, test_rmse
-from ..runtime.result import resolve_duration
 from ..simulator.trace import Trace
 from ..stream.dynamic import DynamicNomad
 from ..stream.snapshots import PrequentialTrace, SnapshotStore
@@ -45,6 +44,7 @@ from .registry import (
     reject_extra_kwargs,
     resolve_algorithm,
     resolve_engine,
+    resolve_wall_clock_run,
     resolve_workers,
 )
 from .result import FitResult, FitTiming, StreamResult
@@ -91,9 +91,7 @@ def run_dynamic(request: FitRequest) -> FitResult:
         )
     reject_extra_kwargs(request.engine.name, request.extra, _DYNAMIC_KWARGS)
     n_workers = resolve_workers(request.n_workers, request.cluster)
-    run = request.run
-    duration = resolve_duration(None, run)
-    max_updates = run.max_updates if run is not None else None
+    run = resolve_wall_clock_run(request.run)
     dynamic = DynamicNomad(
         request.train,
         n_workers,
@@ -118,7 +116,9 @@ def run_dynamic(request: FitRequest) -> FitResult:
     train_seconds = 0.0
     while True:
         budget = (
-            None if max_updates is None else max_updates - dynamic.total_updates
+            None
+            if run.max_updates is None
+            else run.max_updates - dynamic.total_updates
         )
         if budget is not None and budget <= 0:
             break
@@ -130,7 +130,7 @@ def run_dynamic(request: FitRequest) -> FitResult:
             dynamic.total_updates,
             test_rmse(dynamic.factors, request.test),
         )
-        if applied == 0 or train_seconds >= duration:
+        if applied == 0 or train_seconds >= run.duration:
             break
     return FitResult(
         algorithm=request.algorithm.name,
@@ -177,7 +177,7 @@ def run_dynamic_stream(request: StreamRequest) -> StreamResult:
         stream.warmup,
         n_workers,
         request.hyper,
-        run=request.run,
+        run=resolve_wall_clock_run(request.run),
         init_factors=request.init_factors,
         count_cap=request.count_cap,
         telemetry=request.telemetry,

@@ -20,7 +20,7 @@ from ..config import HyperParams, RunConfig
 from ..datasets.ratings import RatingMatrix
 from ..errors import ConfigError, SimulationError
 from ..linalg.backends import resolve_backend
-from ..linalg.factors import FactorPair, init_factors, validate_init_factors
+from ..linalg.factors import FactorPair, start_factors
 from ..linalg.objective import test_rmse
 from ..rng import RngFactory
 from ..simulator.cluster import Cluster
@@ -63,11 +63,9 @@ class ClockedOptimizer(abc.ABC):
         self.run_config = run
         self.rng_factory = RngFactory(run.seed)
 
-        if factors is None:
-            factors = init_factors(
-                train.n_rows, train.n_cols, hyper.k, self.rng_factory.stream("init")
-            )
-        validate_init_factors(factors, train.n_rows, train.n_cols, hyper.k)
+        factors = start_factors(
+            train.n_rows, train.n_cols, hyper.k, run.seed, factors
+        )
         self._backend = resolve_backend(run.kernel_backend)
         self._w = factors.w.copy()
         self._h = factors.h.copy()

@@ -58,6 +58,37 @@ from .telemetry import KIND_NAMES, chrome_trace
 __all__ = ["main", "build_parser"]
 
 
+#: The flags several subcommands take, each defined once; a command
+#: passes only what it words or defaults differently.  (Not argparse
+#: ``parents=``: a parent's actions are shared objects, so one command's
+#: ``set_defaults`` would leak into every other.)
+_SHARED_FLAGS: dict[str, dict] = {
+    "--seed": {"type": int, "default": 0, "help": "root random seed (default: 0)"},
+    "--dataset": {
+        "default": "netflix",
+        "help": "dataset surrogate profile (default: netflix)",
+    },
+    "--workers": {
+        "type": int,
+        "default": 2,
+        "help": "dynamic NOMAD worker count (default 2)",
+    },
+    "--duration": {"type": float},
+    "--engine": {"choices": sorted(ENGINES)},
+    "--source": {"choices": ("replay", "drift")},
+    "--warmup-epochs": {"type": int, "default": 5},
+    "--train-every": {"type": int, "default": 50},
+    "--snapshot-every": {"type": int},
+    "--save": {"default": None, "metavar": "PATH"},
+}
+
+
+def _flag(command: argparse.ArgumentParser, name: str, **overrides) -> None:
+    """Add the shared flag ``name`` to ``command``, with ``overrides``
+    (its default or help wording) applied over the one definition."""
+    command.add_argument(name, **{**_SHARED_FLAGS[name], **overrides})
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -85,9 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("tiny", "small", "medium"),
         help="duration preset (default: small)",
     )
-    run_cmd.add_argument(
-        "--seed", type=int, default=0, help="root random seed (default: 0)"
-    )
+    _flag(run_cmd, "--seed")
     run_cmd.add_argument(
         "--outdir",
         default=None,
@@ -115,21 +144,13 @@ def build_parser() -> argparse.ArgumentParser:
         default="nomad",
         help="algorithm registry name, case-insensitive (default: nomad)",
     )
-    fit_cmd.add_argument(
-        "--engine",
-        default="simulated",
-        choices=sorted(ENGINES),
+    _flag(
+        fit_cmd, "--engine", default="simulated",
         help="execution engine (default: simulated)",
     )
-    fit_cmd.add_argument(
-        "--dataset",
-        default="netflix",
-        help="dataset surrogate profile (default: netflix)",
-    )
-    fit_cmd.add_argument(
-        "--duration",
-        type=float,
-        default=0.1,
+    _flag(fit_cmd, "--dataset")
+    _flag(
+        fit_cmd, "--duration", default=0.1,
         help=(
             "run budget in seconds — simulated seconds on the simulated "
             "engine, real wall seconds on the live engines (default: 0.1)"
@@ -141,9 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="trace evaluation period in seconds (default: duration/10)",
     )
-    fit_cmd.add_argument(
-        "--seed", type=int, default=0, help="root random seed (default: 0)"
-    )
+    _flag(fit_cmd, "--seed")
     fit_cmd.add_argument(
         "--machines",
         type=int,
@@ -156,22 +175,15 @@ def build_parser() -> argparse.ArgumentParser:
         default=2,
         help="cores per simulated machine (simulated engine; default: 2)",
     )
-    fit_cmd.add_argument(
-        "--workers",
-        type=int,
-        default=None,
+    _flag(
+        fit_cmd, "--workers", default=None,
         help=(
             "worker count for the live engines — threads, shared-memory "
             "processes, or cluster nodes (default: machines*cores; "
             "rejected with --engine simulated — use --machines/--cores)"
         ),
     )
-    fit_cmd.add_argument(
-        "--save",
-        default=None,
-        metavar="PATH",
-        help="save the trained model as compressed npz",
-    )
+    _flag(fit_cmd, "--save", help="save the trained model as compressed npz")
 
     stream_cmd = commands.add_parser(
         "stream",
@@ -185,15 +197,12 @@ def build_parser() -> argparse.ArgumentParser:
             "synthetic stream whose ground truth drifts."
         ),
     )
-    stream_cmd.add_argument(
-        "--source",
-        default="replay",
-        choices=("replay", "drift"),
+    _flag(
+        stream_cmd, "--source", default="replay",
         help="arrival source (default: replay)",
     )
-    stream_cmd.add_argument(
-        "--dataset",
-        default="netflix",
+    _flag(
+        stream_cmd, "--dataset",
         help="dataset surrogate profile for --source replay (default: netflix)",
     )
     stream_cmd.add_argument(
@@ -220,22 +229,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=2000,
         help="events to generate for --source drift (default 2000)",
     )
-    stream_cmd.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="dynamic NOMAD worker count (default 2)",
-    )
-    stream_cmd.add_argument(
-        "--warmup-epochs",
-        type=int,
-        default=5,
+    _flag(stream_cmd, "--workers")
+    _flag(
+        stream_cmd, "--warmup-epochs",
         help="sweeps over the warm-up matrix before streaming (default 5)",
     )
-    stream_cmd.add_argument(
-        "--train-every",
-        type=int,
-        default=50,
+    _flag(
+        stream_cmd, "--train-every",
         help="run a training pass every N arrivals (default 50)",
     )
     stream_cmd.add_argument(
@@ -244,19 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="sweeps per training pass (default 1)",
     )
-    stream_cmd.add_argument(
-        "--snapshot-every",
-        type=int,
-        default=500,
+    _flag(
+        stream_cmd, "--snapshot-every", default=500,
         help="rotate a serving snapshot every N arrivals (default 500)",
     )
-    stream_cmd.add_argument(
-        "--seed", type=int, default=0, help="root random seed (default: 0)"
-    )
-    stream_cmd.add_argument(
-        "--save",
-        default=None,
-        metavar="PATH",
+    _flag(stream_cmd, "--seed")
+    _flag(
+        stream_cmd, "--save",
         help="save the final serving snapshot as compressed npz",
     )
 
@@ -271,15 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
             "from the newest persisted snapshot."
         ),
     )
-    serve_cmd.add_argument(
-        "--source",
-        default="drift",
-        choices=("replay", "drift"),
+    _flag(
+        serve_cmd, "--source", default="drift",
         help="warm-up ratings source (default: drift)",
     )
-    serve_cmd.add_argument(
-        "--dataset",
-        default="netflix",
+    _flag(
+        serve_cmd, "--dataset",
         help="dataset surrogate profile for --source replay (default: netflix)",
     )
     serve_cmd.add_argument(
@@ -293,28 +284,17 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="bind port; 0 picks an ephemeral port (default: 0)",
     )
-    serve_cmd.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="dynamic NOMAD worker count (default 2)",
-    )
-    serve_cmd.add_argument(
-        "--warmup-epochs",
-        type=int,
-        default=5,
+    _flag(serve_cmd, "--workers")
+    _flag(
+        serve_cmd, "--warmup-epochs",
         help="sweeps over the warm-up matrix before serving (default 5)",
     )
-    serve_cmd.add_argument(
-        "--train-every",
-        type=int,
-        default=50,
+    _flag(
+        serve_cmd, "--train-every",
         help="run a training pass every N ingested ratings (default 50)",
     )
-    serve_cmd.add_argument(
-        "--snapshot-every",
-        type=int,
-        default=200,
+    _flag(
+        serve_cmd, "--snapshot-every", default=200,
         help="rotate a serving snapshot every N ingested ratings (default 200)",
     )
     serve_cmd.add_argument(
@@ -329,15 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=1024,
         help="request-level LRU capacity; 0 disables (default 1024)",
     )
-    serve_cmd.add_argument(
-        "--duration",
-        type=float,
-        default=None,
+    _flag(
+        serve_cmd, "--duration", default=None,
         help="serve for this many seconds then stop (default: until Ctrl-C)",
     )
-    serve_cmd.add_argument(
-        "--seed", type=int, default=0, help="root random seed (default: 0)"
-    )
+    _flag(serve_cmd, "--seed")
 
     trace_cmd = commands.add_parser(
         "trace",
@@ -350,35 +326,23 @@ def build_parser() -> argparse.ArgumentParser:
             "(ui.perfetto.dev) or chrome://tracing."
         ),
     )
-    trace_cmd.add_argument(
-        "--engine",
-        default="threaded",
-        choices=sorted(ENGINES),
+    _flag(
+        trace_cmd, "--engine", default="threaded",
         help=(
             "execution engine (default: threaded); the simulated engine "
             "records counters only, so its trace carries no spans"
         ),
     )
-    trace_cmd.add_argument(
-        "--dataset",
-        default="netflix",
-        help="dataset surrogate profile (default: netflix)",
-    )
-    trace_cmd.add_argument(
-        "--duration",
-        type=float,
-        default=0.5,
+    _flag(trace_cmd, "--dataset")
+    _flag(
+        trace_cmd, "--duration", default=0.5,
         help="run budget in seconds, as in 'fit' (default: 0.5)",
     )
-    trace_cmd.add_argument(
-        "--workers",
-        type=int,
-        default=2,
+    _flag(
+        trace_cmd, "--workers",
         help="worker count for the live engines (default: 2)",
     )
-    trace_cmd.add_argument(
-        "--seed", type=int, default=0, help="root random seed (default: 0)"
-    )
+    _flag(trace_cmd, "--seed")
     trace_cmd.add_argument(
         "--out",
         default="trace.json",
@@ -422,6 +386,20 @@ def _print_fit_matrix() -> None:
         print(f"{name:<14}  {status}")
 
 
+def _fit_inputs(args: argparse.Namespace):
+    """``(profile, train, test, run)`` of a ``fit`` or ``trace`` command:
+    the dataset surrogate, and a run of ``--duration`` seconds evaluated
+    every ``--eval-interval`` (``trace`` has none: duration/10)."""
+    eval_interval = getattr(args, "eval_interval", None)
+    if eval_interval is None:
+        eval_interval = args.duration / 10
+    profile, train, test = build_dataset(args.dataset, seed=args.seed)
+    run = RunConfig(
+        duration=args.duration, eval_interval=eval_interval, seed=args.seed
+    )
+    return profile, train, test, run
+
+
 def _run_fit(args: argparse.Namespace) -> int:
     """Drive one facade fit from parsed CLI arguments."""
     if args.list_combos:
@@ -433,15 +411,7 @@ def _run_fit(args: argparse.Namespace) -> int:
             "--workers applies to the live engines only; size the "
             "simulated engine with --machines/--cores"
         )
-    eval_interval = (
-        args.eval_interval
-        if args.eval_interval is not None
-        else args.duration / 10
-    )
-    profile, train, test = build_dataset(args.dataset, seed=args.seed)
-    run = RunConfig(
-        duration=args.duration, eval_interval=eval_interval, seed=args.seed
-    )
+    profile, train, test, run = _fit_inputs(args)
     cluster = None
     if args.engine == "simulated":
         cluster = make_cluster(args.machines, args.cores)
@@ -601,12 +571,7 @@ def _run_serve(args: argparse.Namespace) -> int:
 
 def _run_trace(args: argparse.Namespace) -> int:
     """Record one telemetry-enabled fit and export a Chrome trace."""
-    profile, train, test = build_dataset(args.dataset, seed=args.seed)
-    run = RunConfig(
-        duration=args.duration,
-        eval_interval=args.duration / 10,
-        seed=args.seed,
-    )
+    profile, train, test, run = _fit_inputs(args)
     workers = None if args.engine == "simulated" else args.workers
     result = fit(
         train,

@@ -20,7 +20,7 @@ Layers, bottom up:
   runner.
 """
 
-from .coordinator import DEFAULT_BATCH_SIZE, ClusterNomad, ClusterResult
+from .coordinator import DEFAULT_BATCH_SIZE, ClusterNomad
 from .transport import (
     COORDINATOR,
     LoopbackHub,
@@ -39,7 +39,6 @@ from .worker import WorkerSpec, run_worker
 
 __all__ = [
     "ClusterNomad",
-    "ClusterResult",
     "DEFAULT_BATCH_SIZE",
     "Transport",
     "TcpTransport",

@@ -37,16 +37,11 @@ import numpy as np
 from ..config import HyperParams, RunConfig
 from ..datasets.ratings import RatingMatrix
 from ..errors import ClusterError, ConfigError
-from ..linalg.backends import resolve_backend
-from ..linalg.factors import FactorPair, init_factors, validate_init_factors
+from ..linalg.factors import FactorPair
 from ..linalg.objective import test_rmse
 from ..partition.partitioners import partition_rows_equal_ratings
 from ..rng import RngFactory
-from ..runtime.result import (
-    RuntimeResult,
-    resolve_duration,
-    resolve_run_settings,
-)
+from ..runtime.result import LiveNomad, RuntimeResult
 from ..telemetry import RunTelemetry, clock, decode_payload
 from .transport import (
     COORDINATOR,
@@ -58,7 +53,7 @@ from .transport import (
 from .worker import WorkerSpec, run_worker, tcp_worker_entry
 from . import wire
 
-__all__ = ["ClusterNomad", "ClusterResult", "DEFAULT_BATCH_SIZE"]
+__all__ = ["ClusterNomad", "DEFAULT_BATCH_SIZE"]
 
 #: nomadlint NMD001 owner contexts: ``_assemble`` rebuilds (W, H) from
 #: the result shards after every worker has frozen and reported — the
@@ -80,36 +75,20 @@ _JOIN_TIMEOUT = 10.0
 _TRANSPORTS = ("tcp", "loopback")
 
 
-class ClusterResult(RuntimeResult):
-    """Outcome of a cluster NOMAD run; see
-    :class:`~repro.runtime.result.RuntimeResult` for the field contract."""
-
-
-class ClusterNomad:
+class ClusterNomad(LiveNomad):
     """Message-passing NOMAD over socket-connected worker processes.
+
+    The shared parameters — ``train``, ``test``, ``n_workers``,
+    ``hyper``, the required ``run``, ``init_factors`` and ``telemetry``
+    — are :class:`~repro.runtime.result.LiveNomad`'s.  Workers
+    instantiate ``run.kernel_backend`` by name on their side of the
+    process boundary; a warm start seeds their ``W`` blocks and the
+    scattered ``h_j`` token payloads; telemetry snapshots ship back as
+    payload-bearing ``Fin`` frames (a run without telemetry is
+    byte-identical to a pre-telemetry run on the wire).
 
     Parameters
     ----------
-    train, test:
-        Rating matrices of one shape.
-    n_workers:
-        Number of worker nodes (>= 1).
-    hyper:
-        Model hyperparameters.
-    seed:
-        Root seed (initialization, token scattering, per-worker routing).
-        ``None`` (default) takes ``run.seed`` when a :class:`RunConfig`
-        is given, else 0; an explicit value always wins.
-    kernel_backend:
-        Kernel backend name (``"auto"``/``"list"``/``"cext"``);
-        resolved exactly like the other live runtimes.  Workers
-        instantiate the backend by name on their side of the process
-        boundary.
-    run:
-        Optional :class:`~repro.config.RunConfig`; ``duration`` is the
-        wall-clock budget of :meth:`run`, ``seed``/``kernel_backend``
-        become the defaults above, and ``max_updates`` is rejected
-        eagerly like on every live runtime.
     transport:
         ``"tcp"`` (default) — worker processes over localhost sockets,
         started with the ``spawn`` method (fork-free, so it runs on
@@ -118,19 +97,6 @@ class ClusterNomad:
         threads and copied-buffer queues (tests; GIL-bound).
     batch_size:
         Tokens per §3.5 envelope (>= 1).
-    init_factors:
-        Optional warm-start factors (validated against the train shape
-        and ``hyper.k``): worker ``W`` blocks and the scattered ``h_j``
-        token payloads are seeded from them instead of the
-        seed-determined initialization.  The caller's arrays are only
-        read.
-    telemetry:
-        When true each worker records token hops, queue depths, kernel
-        batches, and idle polls into a per-worker ring
-        (:mod:`repro.telemetry`), ships the snapshot back as a
-        payload-bearing ``Fin``, and the result carries a merged
-        :class:`~repro.telemetry.RunTelemetry`.  Default off: the run
-        is byte-identical to a pre-telemetry run on the wire.
     """
 
     def __init__(
@@ -139,18 +105,15 @@ class ClusterNomad:
         test: RatingMatrix,
         n_workers: int,
         hyper: HyperParams,
-        seed: int | None = None,
-        kernel_backend: str | None = None,
-        run: RunConfig | None = None,
-        transport: str = "tcp",
-        batch_size: int = DEFAULT_BATCH_SIZE,
+        run: RunConfig,
         init_factors: FactorPair | None = None,
         telemetry: bool = False,
+        transport: str = "tcp",
+        batch_size: int = DEFAULT_BATCH_SIZE,
     ):
-        if n_workers < 1:
-            raise ConfigError(f"n_workers must be >= 1, got {n_workers}")
-        if train.shape != test.shape:
-            raise ConfigError("train/test shapes disagree")
+        super().__init__(
+            train, test, n_workers, hyper, run, init_factors, telemetry
+        )
         if transport not in _TRANSPORTS:
             raise ConfigError(
                 f"unknown cluster transport {transport!r}; "
@@ -158,23 +121,8 @@ class ClusterNomad:
             )
         if batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-        self.train = train
-        self.test = test
-        self.n_workers = int(n_workers)
-        self.hyper = hyper
-        self.run_config = run
         self.transport = transport
         self.batch_size = int(batch_size)
-        self.telemetry = bool(telemetry)
-        self.seed, kernel_backend = resolve_run_settings(
-            seed, kernel_backend, run
-        )
-        self.backend = resolve_backend(kernel_backend)
-        if init_factors is not None:
-            validate_init_factors(
-                init_factors, train.n_rows, train.n_cols, hyper.k
-            )
-        self._init_factors = init_factors
 
     # ------------------------------------------------------------------
     # Setup
@@ -204,7 +152,7 @@ class ClusterNomad:
                     n_cols=train.n_cols,
                     hyper=self.hyper,
                     backend_name=self.backend.name,
-                    seed=self.seed,
+                    seed=self.run_config.seed,
                     batch_size=self.batch_size,
                     indptr=indptr,
                     users=local_of[users],
@@ -362,32 +310,20 @@ class ClusterNomad:
     # ------------------------------------------------------------------
     # Run
     # ------------------------------------------------------------------
-    def run(self, duration_seconds: float | None = None) -> ClusterResult:
-        """Run the cluster for ``duration_seconds`` of wall time.
-
-        ``None`` (default) falls back to the constructor run config's
-        ``duration``, or 1 second when no run config was given.
-        """
-        duration_seconds = resolve_duration(duration_seconds, self.run_config)
-        factory = RngFactory(self.seed)
-        if self._init_factors is not None:
-            init = self._init_factors
-        else:
-            init = init_factors(
-                self.train.n_rows, self.train.n_cols, self.hyper.k,
-                factory.stream("init"),
-            )
+    def run(self) -> RuntimeResult:
+        """Run the cluster for ``run.duration`` seconds of wall time."""
+        init = self.initial_factors
+        factory = RngFactory(self.run_config.seed)
         specs = self._worker_specs(init)
         if self.transport == "tcp":
-            return self._run_tcp(duration_seconds, init, specs, factory)
-        return self._run_loopback(duration_seconds, init, specs, factory)
+            return self._run_tcp(init, specs, factory)
+        return self._run_loopback(init, specs, factory)
 
     def _drive(
         self,
         transport: Transport,
         init: FactorPair,
         factory: RngFactory,
-        duration_seconds: float,
         health_check=None,
         fin_sink: dict[int, bytes] | None = None,
     ) -> tuple[dict[int, wire.ResultShard], float, float]:
@@ -398,7 +334,7 @@ class ClusterNomad:
         # runtimes likewise seed tokens before their wall stamp).
         self._scatter_tokens(transport, init, factory)
         started = clock()
-        run_deadline = started + duration_seconds
+        run_deadline = started + self.run_config.duration
         while True:
             # Sleep in short slices so a worker dying early in a long
             # run fails within _HEALTH_POLL_SECONDS, not at the end of
@@ -427,7 +363,7 @@ class ClusterNomad:
         wall: float,
         join_seconds: float,
         fin_payloads: dict[int, bytes] | None = None,
-    ) -> ClusterResult:
+    ) -> RuntimeResult:
         final = self._assemble(init, shards)
         per_worker = [shards[q].updates for q in range(self.n_workers)]
         telemetry = None
@@ -442,7 +378,7 @@ class ClusterNomad:
             telemetry = RunTelemetry.from_workers(
                 [worker for worker in decoded if worker is not None]
             )
-        return ClusterResult(
+        return RuntimeResult(
             factors=final,
             updates=sum(per_worker),
             wall_seconds=wall,
@@ -454,11 +390,10 @@ class ClusterNomad:
 
     def _run_tcp(
         self,
-        duration_seconds: float,
         init: FactorPair,
         specs: list[WorkerSpec],
         factory: RngFactory,
-    ) -> ClusterResult:
+    ) -> RuntimeResult:
         context = mp.get_context("spawn")
         processes = []
 
@@ -513,7 +448,7 @@ class ClusterNomad:
                     transport.send(q, peers_frame)
 
                 shards, wall, stopped = self._drive(
-                    transport, init, factory, duration_seconds, health_check,
+                    transport, init, factory, health_check,
                     fin_payloads,
                 )
                 completed = True
@@ -536,11 +471,10 @@ class ClusterNomad:
 
     def _run_loopback(
         self,
-        duration_seconds: float,
         init: FactorPair,
         specs: list[WorkerSpec],
         factory: RngFactory,
-    ) -> ClusterResult:
+    ) -> RuntimeResult:
         hub = LoopbackHub()
         transport = hub.transport(COORDINATOR)
         worker_transports = [hub.transport(spec.worker_id) for spec in specs]
@@ -576,7 +510,7 @@ class ClusterNomad:
             thread.start()
         try:
             shards, wall, stopped = self._drive(
-                transport, init, factory, duration_seconds, health_check,
+                transport, init, factory, health_check,
                 fin_payloads,
             )
             completed = True

@@ -52,7 +52,7 @@ import numpy as np
 from ..config import HyperParams, RunConfig
 from ..datasets.ratings import RatingMatrix
 from ..errors import ConfigError, SimulationError
-from ..linalg.factors import FactorPair, init_factors, validate_init_factors
+from ..linalg.factors import FactorPair, start_factors
 from ..linalg.backends import resolve_backend
 from ..linalg.losses import Loss, SquaredLoss
 from ..linalg.objective import test_rmse
@@ -182,11 +182,9 @@ class NomadSimulation:
         self._routing_rng = self._rng_factory.pyrandom("nomad-routing")
         self._jitter_rng = self._rng_factory.pyrandom("nomad-jitter")
 
-        if factors is None:
-            factors = init_factors(
-                train.n_rows, train.n_cols, hyper.k, self._rng_factory.stream("init")
-            )
-        validate_init_factors(factors, train.n_rows, train.n_cols, hyper.k)
+        factors = start_factors(
+            train.n_rows, train.n_cols, hyper.k, run.seed, factors
+        )
         # Private copies, mutated in place by the backend's kernels.
         self._backend = resolve_backend(run.kernel_backend)
         self._w, self._h = factors.w.copy(), factors.h.copy()

@@ -12,10 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError
+from ..rng import derive_rng
 
 __all__ = [
     "FactorPair",
     "init_factors",
+    "start_factors",
     "validate_init_factors",
 ]
 
@@ -117,3 +119,18 @@ def validate_init_factors(
             f"is {k}"
         )
     return factors
+
+
+def start_factors(
+    n_rows: int, n_cols: int, k: int, seed: int, warm: FactorPair | None
+) -> FactorPair:
+    """The pair a run starts from: ``warm`` once validated against the
+    problem shape, else the seed's ``"init"`` draw.
+
+    Every trainer starts here, so one seed means one start on every
+    engine — the "same initial parameters" of §5.1.  The returned pair
+    is the caller's to read, not to mutate: trainers copy it.
+    """
+    if warm is not None:
+        return validate_init_factors(warm, n_rows, n_cols, k)
+    return init_factors(n_rows, n_cols, k, derive_rng(seed, "init"))

@@ -71,7 +71,8 @@ class CompletionModel:
     ----------
     factors:
         Trained (W, H) pair, e.g. ``NomadSimulation(...).factors`` after a
-        run, or ``ThreadedNomad(...).run().factors``.
+        run, or ``ThreadedNomad(train, test, n_workers, hyper,
+        run).run().factors``.
 
     Examples
     --------

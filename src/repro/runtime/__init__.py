@@ -14,8 +14,10 @@ concurrent workers:
   CPython workaround for GIL-bound compute.  Demonstrates genuine
   parallel lock-free execution of the NOMAD update rule.
 
-Both run one loop, :func:`~repro.runtime.loop.run_token_loop`, and return
-one :class:`~repro.runtime.result.RuntimeResult`.
+Both are built by :class:`~repro.runtime.result.LiveNomad` (as the
+cluster engine is) from a required :class:`~repro.config.RunConfig`, run
+one loop, :func:`~repro.runtime.loop.run_token_loop`, and return one
+:class:`~repro.runtime.result.RuntimeResult`.
 """
 
 from .result import RuntimeResult

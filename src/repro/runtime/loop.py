@@ -26,8 +26,9 @@ thousand 24-rating tokens the ring holds.  The limit is observed from
 the input and the kernel, never set.
 
 :class:`TokenRingNomad` is everything else the two ring engines share:
-the constructor and the ``run()`` skeleton (init factors → rings → scatter →
-start → sleep → stop → collect → conservation check → result).  A
+the ``run()`` skeleton (rings → scatter → start → sleep → stop →
+collect → conservation check → result) over the live runtimes' shared
+constructor, :class:`~repro.runtime.result.LiveNomad`.  A
 subclass says only where W/H/rings/stamps live and how a worker is
 started and reports.
 """
@@ -38,15 +39,14 @@ import time
 
 import numpy as np
 
-from ..config import HyperParams, RunConfig
-from ..datasets.ratings import RatingMatrix, Shard
-from ..errors import ConfigError, WorkerLostError
-from ..linalg.backends import resolve_backend
+from ..config import HyperParams
+from ..datasets.ratings import Shard
+from ..errors import WorkerLostError
 from ..linalg.backends.base import KernelBackend, TokenKernel
-from ..linalg.factors import FactorPair, init_factors, validate_init_factors
+from ..linalg.factors import FactorPair
 from ..linalg.objective import test_rmse
 from ..partition.partitioners import partition_rows_equal_ratings
-from ..rng import RngFactory, derive_rng
+from ..rng import derive_rng
 from ..telemetry import (
     C_BATCHES,
     C_DRAINS,
@@ -63,7 +63,7 @@ from ..telemetry import (
     clock,
 )
 from .mailbox import TokenRings
-from .result import RuntimeResult, resolve_duration, resolve_run_settings
+from .result import LiveNomad, RuntimeResult
 
 __all__ = ["TokenRingNomad", "run_token_loop", "run_worker"]
 
@@ -204,7 +204,7 @@ def run_worker(
     return updates, rec.snapshot() if rec is not None else None
 
 
-class TokenRingNomad:
+class TokenRingNomad(LiveNomad):
     """Owner-computes NOMAD over live workers and shared token rings.
 
     Every worker owns a disjoint set of user rows (its partition I_q)
@@ -213,108 +213,33 @@ class TokenRingNomad:
     only by the current token holder — the owner-computes rule makes
     mutual exclusion structural rather than enforced.
 
-    Parameters
-    ----------
-    train, test:
-        Rating matrices of one shape.
-    n_workers:
-        Number of workers (>= 1).
-    hyper:
-        Model hyperparameters.
-    seed:
-        Root seed (initialization, token scattering, per-worker routing).
-        ``None`` (default) takes ``run.seed`` when a :class:`RunConfig`
-        is given, else 0; an explicit value always wins.
-    kernel_backend:
-        Kernel backend name (``"auto"``/``"list"``/``"cext"``); ``None``
-        (default) takes ``run.kernel_backend`` when a run config is
-        given, else consults ``$NOMAD_KERNEL_BACKEND``, then ``"auto"``:
-        the compiled backend when a toolchain is present (zero copies
-        into the ndarray factors, on the heap or over shared-memory
-        blocks, and its calls release the GIL, so worker threads then
-        run truly in parallel), the interpreted reference otherwise.
-    run:
-        Optional :class:`~repro.config.RunConfig`.  Its ``duration`` is
-        the wall-clock budget of :meth:`run` (the same field the
-        simulated engine honors), and its ``seed``/``kernel_backend``
-        become the defaults above.  ``eval_interval`` is unused (the
-        live runtimes evaluate once, at the end) and ``max_updates`` is
-        rejected eagerly: live workers cannot halt mid-flight at an
-        exact global update count, and pretending otherwise would
-        corrupt updates-versus-RMSE comparisons.
-    init_factors:
-        Optional warm-start factors (validated against the train shape
-        and ``hyper.k``); training starts from a private copy instead of
-        the seed-determined initialization.  The caller's arrays are
-        only read.
-    telemetry:
-        When true every worker records token hops, ring depths, kernel
-        batches, and idle polls into a per-worker
-        :class:`~repro.telemetry.Recorder`, and the result carries a
-        merged :class:`~repro.telemetry.RunTelemetry`.  Enabling
-        allocates one stamp (8 bytes) per item; default off, and the
-        disabled path costs one ``None`` check per instrumentation site.
+    The constructor is :class:`~repro.runtime.result.LiveNomad`'s: a
+    required :class:`~repro.config.RunConfig` supplies the seed, the
+    kernel backend and ``run()``'s wall budget.  Telemetry adds one
+    8-byte hop stamp per item.
     """
 
-    def __init__(
-        self,
-        train: RatingMatrix,
-        test: RatingMatrix,
-        n_workers: int,
-        hyper: HyperParams,
-        seed: int | None = None,
-        kernel_backend: str | None = None,
-        run: RunConfig | None = None,
-        init_factors: FactorPair | None = None,
-        telemetry: bool = False,
-    ):
-        if n_workers < 1:
-            raise ConfigError(f"n_workers must be >= 1, got {n_workers}")
-        if train.shape != test.shape:
-            raise ConfigError("train/test shapes disagree")
-        self.train = train
-        self.test = test
-        self.n_workers = int(n_workers)
-        self.hyper = hyper
-        self.run_config = run
-        self.seed, kernel_backend = resolve_run_settings(
-            seed, kernel_backend, run
-        )
-        self.backend = resolve_backend(kernel_backend)
-        if init_factors is not None:
-            validate_init_factors(
-                init_factors, train.n_rows, train.n_cols, hyper.k
-            )
-        self._init_factors = init_factors
-        self.telemetry = bool(telemetry)
+    def run(self) -> RuntimeResult:
+        """Run the worker pool for ``run.duration`` seconds of wall time.
 
-    def run(self, duration_seconds: float | None = None) -> RuntimeResult:
-        """Run the worker pool for ``duration_seconds`` of wall time.
-
-        ``None`` (default) falls back to the constructor run config's
-        ``duration``, or 1 second when no run config was given.  Raises
-        :class:`~repro.errors.TokenConservationError` if the rings do
-        not hold every item exactly once when the workers have stopped,
-        and :class:`~repro.errors.WorkerLostError` if a worker never
-        reported.
+        Raises :class:`~repro.errors.TokenConservationError` if the
+        rings do not hold every item exactly once when the workers have
+        stopped, and :class:`~repro.errors.WorkerLostError` if a worker
+        never reported.  An error or interrupt during the timed wait
+        still stops and collects every worker before it propagates.
         """
-        duration_seconds = resolve_duration(duration_seconds, self.run_config)
-        factory = RngFactory(self.seed)
-        init = self._init_factors
-        if init is None:
-            init = init_factors(
-                self.train.n_rows, self.train.n_cols, self.hyper.k,
-                factory.stream("init"),
-            )
+        seed = self.run_config.seed
         shards = self.train.shard_by_rows(
             partition_rows_equal_ratings(self.train, self.n_workers)
         )
         n_items = self.train.n_cols
 
-        with self._shared_state(init) as (w, h, rings, put_times, stop):
+        with self._shared_state(self.initial_factors) as (
+            w, h, rings, put_times, stop,
+        ):
             rings.route(
                 np.arange(n_items, dtype=np.int64),
-                factory.stream("scatter").integers(
+                derive_rng(seed, "scatter").integers(
                     self.n_workers, size=n_items
                 ),
             )
@@ -322,7 +247,7 @@ class TokenRingNomad:
                 [
                     (
                         q, self.n_workers, w, h, put_times, shards[q],
-                        self.hyper, self.backend, self.seed, rings, stop,
+                        self.hyper, self.backend, seed, rings, stop,
                     )
                     for q in range(self.n_workers)
                 ]
@@ -330,13 +255,17 @@ class TokenRingNomad:
             started = clock()
             for worker in workers:
                 worker.start()
-            time.sleep(duration_seconds)
-            stop.set()
-            # End of the parallel section: stamp the wall clock now, so
-            # result collection and joins can never inflate the reported
-            # parallel time.
-            wall = clock() - started
-            reports = self._collect(workers, channel)
+            try:
+                time.sleep(self.run_config.duration)
+            finally:
+                # Reached on an error or interrupt in the wait too: no
+                # worker may outlive run(), nor a shared block its worker.
+                stop.set()
+                # End of the parallel section: stamp the wall clock now,
+                # so result collection and joins can never inflate the
+                # reported parallel time.
+                wall = clock() - started
+                reports = self._collect(workers, channel)
             join_seconds = clock() - started - wall
             # A worker reports after its last ring operation, so once all
             # have reported the rings are quiescent and must hold every

@@ -1,18 +1,15 @@
 """Shared machinery of the real (wall-clock) NOMAD runtimes.
 
 All live runtimes — threads, shared-memory processes, and the socket
-cluster — report the same outcome fields and resolve their run settings
-the same way; this module holds both halves once so they can never
-drift apart:
+cluster — take the same constructor and report the same outcome fields;
+this module holds both halves once so they can never drift apart:
 
+* :class:`LiveNomad` — the constructor: problem checks, the required
+  :class:`~repro.config.RunConfig` (seed, kernel backend, wall budget),
+  the resolved backend and the pair the run starts from.
 * :class:`RuntimeResult` — the common result dataclass (the
   :func:`repro.fit` facade folds it into the uniform
-  :class:`~repro.api.result.FitTiming` block); the threaded and
-  multiprocess engines return it as is, the cluster engine as its
-  :class:`~repro.cluster.coordinator.ClusterResult` subclass.
-* :func:`resolve_run_settings` / :func:`resolve_duration` — the
-  precedence rules between explicit constructor/``run()`` arguments and
-  an optional :class:`~repro.config.RunConfig`.
+  :class:`~repro.api.result.FitTiming` block).
 
 Timing contract
 ---------------
@@ -26,61 +23,78 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..config import RunConfig
+from ..config import HyperParams, RunConfig
+from ..datasets.ratings import RatingMatrix
 from ..errors import ConfigError
-from ..linalg.factors import FactorPair
+from ..linalg.backends import resolve_backend
+from ..linalg.factors import FactorPair, start_factors
 
-__all__ = [
-    "RuntimeResult",
-    "resolve_run_settings",
-    "resolve_duration",
-    "DEFAULT_DURATION",
-]
-
-#: Wall-clock budget used when neither ``duration_seconds`` nor a
-#: :class:`~repro.config.RunConfig` supplies one (the historical default).
-DEFAULT_DURATION = 1.0
+__all__ = ["LiveNomad", "RuntimeResult"]
 
 
-def resolve_run_settings(
-    seed: int | None,
-    kernel_backend: str | None,
-    run: RunConfig | None,
-) -> tuple[int, str | None]:
-    """Resolve ``(seed, kernel_backend)``: explicit argument > run config
-    field > legacy default.
+class LiveNomad:
+    """What every live NOMAD runtime is built from.
 
-    Also rejects ``run.max_updates`` eagerly — real workers cannot be
-    halted at an exact global update count, and silently ignoring the
-    field would corrupt updates-versus-RMSE comparisons.
+    Parameters
+    ----------
+    train, test:
+        Rating matrices of one shape.
+    n_workers:
+        Number of workers (>= 1).
+    hyper:
+        Model hyperparameters.
+    run:
+        The run's :class:`~repro.config.RunConfig`: ``seed`` roots the
+        start, the token scatter and every worker's routing stream,
+        ``kernel_backend`` names the kernels, and ``duration`` is the
+        wall-clock budget of ``run()``.  ``eval_interval`` is unused
+        (the live runtimes evaluate once, at the end) and
+        ``max_updates`` is rejected eagerly: live workers cannot halt at
+        an exact global update count, and pretending otherwise would
+        corrupt updates-versus-RMSE comparisons.
+    init_factors:
+        Optional warm-start factors (validated against the train shape
+        and ``hyper.k``).  Training starts from them instead of the
+        seed's draw; either way the pair is kept as
+        :attr:`initial_factors` and only ever read.
+    telemetry:
+        When true every worker records token hops, queue depths, kernel
+        batches and idle polls (:mod:`repro.telemetry`), and the result
+        carries a merged :class:`~repro.telemetry.RunTelemetry`.
+        Default off; the disabled path costs one ``None`` check per
+        instrumentation site.
     """
-    if run is not None and run.max_updates is not None:
-        raise ConfigError(
-            "max_updates is not supported by the real runtimes (workers "
-            "cannot be halted at an exact global update count); use the "
-            "simulated engine for update-budget experiments"
-        )
-    if seed is None:
-        seed = run.seed if run is not None else 0
-    if kernel_backend is None and run is not None:
-        kernel_backend = run.kernel_backend
-    return int(seed), kernel_backend
 
-
-def resolve_duration(
-    duration_seconds: float | None, run: RunConfig | None
-) -> float:
-    """Resolve the wall-clock budget: explicit argument > ``run.duration``
-    > :data:`DEFAULT_DURATION`."""
-    if duration_seconds is None:
-        duration_seconds = (
-            run.duration if run is not None else DEFAULT_DURATION
+    def __init__(
+        self,
+        train: RatingMatrix,
+        test: RatingMatrix,
+        n_workers: int,
+        hyper: HyperParams,
+        run: RunConfig,
+        init_factors: FactorPair | None = None,
+        telemetry: bool = False,
+    ):
+        if n_workers < 1:
+            raise ConfigError(f"n_workers must be >= 1, got {n_workers}")
+        if train.shape != test.shape:
+            raise ConfigError("train/test shapes disagree")
+        if run.max_updates is not None:
+            raise ConfigError(
+                "max_updates is not supported by the real runtimes (workers "
+                "cannot be halted at an exact global update count); use the "
+                "simulated engine for update-budget experiments"
+            )
+        self.train = train
+        self.test = test
+        self.n_workers = int(n_workers)
+        self.hyper = hyper
+        self.run_config = run
+        self.backend = resolve_backend(run.kernel_backend)
+        self.initial_factors = start_factors(
+            train.n_rows, train.n_cols, hyper.k, run.seed, init_factors
         )
-    if duration_seconds <= 0:
-        raise ConfigError(
-            f"duration_seconds must be > 0, got {duration_seconds}"
-        )
-    return duration_seconds
+        self.telemetry = bool(telemetry)
 
 
 @dataclass

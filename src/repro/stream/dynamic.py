@@ -54,11 +54,7 @@ from ..core.load_balance import RecipientPolicy, UniformPolicy
 from ..datasets.ratings import RatingMatrix, partition_owner
 from ..errors import ConfigError, DataError
 from ..linalg.backends import resolve_backend
-from ..linalg.factors import (
-    FactorPair,
-    init_factors as _draw_factors,
-    validate_init_factors,
-)
+from ..linalg.factors import FactorPair, start_factors
 from ..partition.assignments import OwnershipLedger
 from ..partition.partitioners import partition_rows_equal_ratings
 from ..rng import RngFactory
@@ -201,22 +197,21 @@ class DynamicNomad:
     hyper:
         Model hyperparameters.
     run:
-        Optional :class:`~repro.config.RunConfig`; supplies default
-        ``seed``/``kernel_backend``.  Unlike the real runtimes this
-        trainer is in-process, so an update budget *is* honorable
+        The run's :class:`~repro.config.RunConfig` (required): ``seed``
+        roots the start, the token scatter and the routing draws, and
+        ``kernel_backend`` names the kernels (``"auto"`` is the compiled
+        backend where a toolchain is present, else the interpreted
+        reference).  ``duration`` bounds the static runner's sweeps, not
+        the trainer.  Unlike the real runtimes this trainer is
+        in-process, so an update budget *is* honorable
         (pass it through :meth:`sweep`'s ``max_updates``; the halt lands
         on a column boundary, like the simulated engine's).
-    seed:
-        Root seed; explicit value beats ``run.seed``, default 0.
-    kernel_backend:
-        Kernel backend name; ``"auto"`` resolves to the compiled backend
-        when a toolchain is present and the interpreted reference
-        otherwise.
     init_factors:
         Optional warm-start factors validated against the base shape and
         ``hyper.k`` — resuming from a previous run's
         :attr:`~repro.api.result.FitResult.factors` is the §4 fold-in
-        protocol's starting point.
+        protocol's starting point.  Without them the trainer starts
+        from the seed's draw, the pair every engine starts from.
     policy:
         Recipient policy choosing each token's resting worker after a
         sweep (§3.3; default uniform).
@@ -237,9 +232,7 @@ class DynamicNomad:
         base: RatingMatrix,
         n_workers: int,
         hyper: HyperParams,
-        run: RunConfig | None = None,
-        seed: int | None = None,
-        kernel_backend: str | None = None,
+        run: RunConfig,
         init_factors: FactorPair | None = None,
         policy: RecipientPolicy | None = None,
         count_cap: int | None = None,
@@ -259,27 +252,16 @@ class DynamicNomad:
         self.hyper = hyper
         self.run_config = run
         self.n_workers = int(n_workers)
-        if seed is None:
-            seed = run.seed if run is not None else 0
-        if kernel_backend is None and run is not None:
-            kernel_backend = run.kernel_backend
-        self.seed = int(seed)
-        self.backend = resolve_backend(kernel_backend)
+        self.backend = resolve_backend(run.kernel_backend)
         self.policy = policy if policy is not None else UniformPolicy()
 
-        self._factory = RngFactory(self.seed)
+        self._factory = RngFactory(run.seed)
         self._route_rng = self._factory.pyrandom("dynamic-route")
         self._grow_rng = self._factory.stream("dynamic-grow")
 
-        if init_factors is None:
-            factors = _draw_factors(
-                base.n_rows, base.n_cols, hyper.k,
-                self._factory.stream("init"),
-            )
-        else:
-            factors = validate_init_factors(
-                init_factors, base.n_rows, base.n_cols, hyper.k
-            )
+        factors = start_factors(
+            base.n_rows, base.n_cols, hyper.k, run.seed, init_factors
+        )
         self._n_users = base.n_rows
         self._n_items = base.n_cols
         # Capacity-backed storage: ingest-time growth is amortized O(1),

@@ -23,7 +23,10 @@ from repro.config import HyperParams, RunConfig
 from repro.core.nomad import NomadOptions, NomadSimulation
 from repro.errors import ConfigError
 from repro.linalg.backends import BACKENDS
+from repro.linalg.factors import init_factors
+from repro.linalg.objective import test_rmse as compute_test_rmse
 from repro.model import CompletionModel
+from repro.rng import derive_rng
 from repro.runtime.result import RuntimeResult
 from repro.simulator.cluster import Cluster
 from repro.simulator.network import HPC_PROFILE
@@ -281,8 +284,9 @@ class TestFitLiveEngines:
         assert np.isfinite(result.model.predict_one(0, 0))
 
     def test_default_run_uses_runtime_one_second_budget(self, tiny_split):
-        """fit(engine='threaded') with no run= keeps the runtimes'
-        historical 1-second wall default, not RunConfig's 10 seconds."""
+        """fit(engine='threaded') with no run= runs the wall-clock
+        engines' 1-second default, not RunConfig's 10 seconds (the
+        runtimes themselves require a RunConfig)."""
         train, test = tiny_split
         result = fit(train, test, engine="threaded", hyper=HYPER,
                      n_workers=1)
@@ -380,6 +384,39 @@ class TestFitLiveEngines:
         train, test = tiny_split
         with pytest.raises(ConfigError, match="n_workers"):
             fit(train, test, engine="threaded", run=LIVE_RUN, n_workers=0)
+
+
+class TestSharedStart:
+    """§5.1: every algorithm starts "with the same initial parameters".
+    One seed is one start on every engine — the pair each trainer
+    scores at t=0 is the seed's ``"init"`` draw."""
+
+    RUNS = [
+        ("nomad", "simulated", {}),
+        ("nomad", "threaded", {}),
+        ("nomad", "multiprocess", {}),
+        ("nomad", "cluster", {"transport": "loopback"}),
+        ("nomad", "dynamic", {}),
+        ("dsgd", "simulated", {}),
+    ]
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_one_seed_one_start_on_every_engine(self, tiny_split, seed):
+        train, test = tiny_split
+        drawn = init_factors(
+            train.n_rows, train.n_cols, HYPER.k, derive_rng(seed, "init")
+        )
+        expected = compute_test_rmse(drawn, test)
+        for algorithm, engine, extra in self.RUNS:
+            duration = SIM_RUN.duration if engine == "simulated" else 0.1
+            result = fit(
+                train, test, algorithm=algorithm, engine=engine, hyper=HYPER,
+                n_workers=2, **extra,
+                run=RunConfig(
+                    duration=duration, eval_interval=duration, seed=seed
+                ),
+            )
+            assert result.trace.records[0].rmse == expected, (algorithm, engine)
 
 
 class TestFitResultShape:

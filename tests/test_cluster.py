@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.api import ENGINES, fit
-from repro.cluster import ClusterNomad, ClusterResult, Token
+from repro.cluster import ClusterNomad, Token
 from repro.cluster import wire
 from repro.cluster.transport import TcpTransport
 from repro.cli import main as cli_main
@@ -27,8 +27,14 @@ from repro.linalg.factors import init_factors
 from repro.linalg.objective import test_rmse as compute_test_rmse
 from repro.partition.partitioners import partition_worker_triplets
 from repro.rng import RngFactory
+from repro.runtime.result import RuntimeResult
 
 HYPER = HyperParams(k=4, lambda_=0.01, alpha=0.1, beta=0.01)
+
+
+def wall(duration, **fields):
+    """A live run's config: ``duration`` seconds of wall time."""
+    return RunConfig(duration=duration, eval_interval=duration, **fields)
 
 
 def initial_rmse_for(train, test, seed):
@@ -45,21 +51,21 @@ class TestClusterLoopback:
     def test_converges(self, small_split):
         train, test = small_split
         runner = ClusterNomad(
-            train, test, n_workers=3, hyper=HYPER, seed=1,
-            transport="loopback",
+            train, test, n_workers=3, hyper=HYPER,
+            transport="loopback", run=wall(0.5, seed=1),
         )
-        result = runner.run(duration_seconds=0.5)
-        assert isinstance(result, ClusterResult)
+        result = runner.run()
+        assert isinstance(result, RuntimeResult)
         assert result.updates > 0
         assert result.rmse < initial_rmse_for(train, test, seed=1) - 0.05
 
     def test_all_workers_contribute(self, small_split):
         train, test = small_split
         runner = ClusterNomad(
-            train, test, n_workers=3, hyper=HYPER, seed=1,
-            transport="loopback",
+            train, test, n_workers=3, hyper=HYPER,
+            transport="loopback", run=wall(0.4, seed=1),
         )
-        result = runner.run(duration_seconds=0.4)
+        result = runner.run()
         assert len(result.updates_per_worker) == 3
         assert all(count > 0 for count in result.updates_per_worker)
         assert sum(result.updates_per_worker) == result.updates
@@ -67,10 +73,10 @@ class TestClusterLoopback:
     def test_single_worker(self, tiny_split):
         train, test = tiny_split
         runner = ClusterNomad(
-            train, test, n_workers=1, hyper=HYPER, seed=1,
-            transport="loopback",
+            train, test, n_workers=1, hyper=HYPER,
+            transport="loopback", run=wall(0.2, seed=1),
         )
-        result = runner.run(duration_seconds=0.2)
+        result = runner.run()
         assert result.updates > 0
         assert np.all(np.isfinite(result.factors.w))
         assert np.all(np.isfinite(result.factors.h))
@@ -79,22 +85,22 @@ class TestClusterLoopback:
         """wall_seconds covers the parallel section; drain/collection
         lands in join_seconds, like every live runtime."""
         train, test = tiny_split
-        runner = ClusterNomad(
-            train, test, n_workers=2, hyper=HYPER, seed=1,
-            transport="loopback",
-        )
         duration = 0.3
-        result = runner.run(duration_seconds=duration)
+        runner = ClusterNomad(
+            train, test, n_workers=2, hyper=HYPER,
+            transport="loopback", run=wall(duration, seed=1),
+        )
+        result = runner.run()
         assert duration <= result.wall_seconds < duration + 0.25
         assert result.join_seconds >= 0.0
 
     def test_batch_size_one_still_circulates(self, tiny_split):
         train, test = tiny_split
         runner = ClusterNomad(
-            train, test, n_workers=2, hyper=HYPER, seed=1,
-            transport="loopback", batch_size=1,
+            train, test, n_workers=2, hyper=HYPER,
+            transport="loopback", batch_size=1, run=wall(0.2, seed=1),
         )
-        result = runner.run(duration_seconds=0.2)
+        result = runner.run()
         assert all(count > 0 for count in result.updates_per_worker)
 
 
@@ -107,11 +113,11 @@ class TestClusterTcp:
 
         train, test = small_split
         cluster = ClusterNomad(
-            train, test, n_workers=4, hyper=HYPER, seed=1
-        ).run(duration_seconds=0.6)
+            train, test, n_workers=4, hyper=HYPER, run=wall(0.6, seed=1)
+        ).run()
         shared = MultiprocessNomad(
-            train, test, n_workers=4, hyper=HYPER, seed=1
-        ).run(duration_seconds=0.6)
+            train, test, n_workers=4, hyper=HYPER, run=wall(0.6, seed=1)
+        ).run()
         initial = initial_rmse_for(train, test, seed=1)
         assert cluster.updates > 0
         assert all(count > 0 for count in cluster.updates_per_worker)
@@ -146,8 +152,8 @@ class TestClusterShards:
     @staticmethod
     def specs(train, p):
         runner = ClusterNomad(
-            train, train, n_workers=p, hyper=HYPER, seed=1,
-            kernel_backend="list", transport="loopback",
+            train, train, n_workers=p, hyper=HYPER,
+            run=wall(0.1, seed=1, kernel_backend="list"), transport="loopback",
         )
         init = init_factors(
             train.n_rows, train.n_cols, HYPER.k, RngFactory(1).stream("init")
@@ -207,7 +213,8 @@ class TestTokenConservation:
     def test_lost_token_detected(self, tiny_split):
         train, test = tiny_split
         runner = ClusterNomad(
-            train, test, n_workers=1, hyper=HYPER, transport="loopback"
+            train, test, n_workers=1, hyper=HYPER, run=wall(0.1),
+            transport="loopback",
         )
         init = init_factors(
             train.n_rows, train.n_cols, HYPER.k, RngFactory(0).stream("init")
@@ -219,7 +226,8 @@ class TestTokenConservation:
     def test_duplicated_token_detected(self, tiny_split):
         train, test = tiny_split
         runner = ClusterNomad(
-            train, test, n_workers=1, hyper=HYPER, transport="loopback"
+            train, test, n_workers=1, hyper=HYPER, run=wall(0.1),
+            transport="loopback",
         )
         init = init_factors(
             train.n_rows, train.n_cols, HYPER.k, RngFactory(0).stream("init")
@@ -232,10 +240,10 @@ class TestTokenConservation:
         """A normal run reassembles every h_j (none left at init)."""
         train, test = tiny_split
         runner = ClusterNomad(
-            train, test, n_workers=2, hyper=HYPER, seed=1,
-            transport="loopback",
+            train, test, n_workers=2, hyper=HYPER,
+            transport="loopback", run=wall(0.4, seed=1),
         )
-        result = runner.run(duration_seconds=0.4)
+        result = runner.run()
         init = init_factors(
             train.n_rows, train.n_cols, HYPER.k, RngFactory(1).stream("init")
         )
@@ -259,11 +267,12 @@ class TestClusterFailureHandling:
         monkeypatch.setattr(threading, "excepthook", lambda args: None)
         train, test = tiny_split
         runner = ClusterNomad(
-            train, test, n_workers=2, hyper=HYPER, transport="loopback"
+            train, test, n_workers=2, hyper=HYPER, run=wall(0.1),
+            transport="loopback",
         )
         started = time.monotonic()
         with pytest.raises(ClusterError, match="died before reporting"):
-            runner.run(duration_seconds=0.1)
+            runner.run()
         assert time.monotonic() - started < 5.0
 
     def test_loopback_single_crash_releases_survivors(
@@ -288,11 +297,12 @@ class TestClusterFailureHandling:
         monkeypatch.setattr(threading, "excepthook", lambda args: None)
         train, test = tiny_split
         runner = ClusterNomad(
-            train, test, n_workers=2, hyper=HYPER, transport="loopback"
+            train, test, n_workers=2, hyper=HYPER, run=wall(0.1),
+            transport="loopback",
         )
         started = time.monotonic()
         with pytest.raises(ClusterError, match="died before reporting"):
-            runner.run(duration_seconds=0.1)
+            runner.run()
         assert time.monotonic() - started < 5.0
         survivors = [
             t for t in threading.enumerate() if t.name == "cluster-1"
@@ -303,21 +313,21 @@ class TestClusterFailureHandling:
 class TestClusterConfig:
     def test_bad_args(self, tiny_split):
         train, test = tiny_split
+        run = wall(0.1)
         with pytest.raises(ConfigError, match="n_workers"):
-            ClusterNomad(train, test, n_workers=0, hyper=HYPER)
+            ClusterNomad(train, test, n_workers=0, hyper=HYPER, run=run)
         with pytest.raises(ConfigError, match="transport"):
-            ClusterNomad(train, test, 1, HYPER, transport="carrier-pigeon")
+            ClusterNomad(train, test, 1, HYPER, run, transport="carrier-pigeon")
         with pytest.raises(ConfigError, match="batch_size"):
-            ClusterNomad(train, test, 1, HYPER, batch_size=0)
-        runner = ClusterNomad(train, test, 1, HYPER, transport="loopback")
-        with pytest.raises(ConfigError, match="duration"):
-            runner.run(duration_seconds=0.0)
+            ClusterNomad(train, test, 1, HYPER, run, batch_size=0)
 
     def test_shape_mismatch(self, tiny_split, small_split):
         train, _ = tiny_split
         _, other_test = small_split
         with pytest.raises(ConfigError):
-            ClusterNomad(train, other_test, n_workers=1, hyper=HYPER)
+            ClusterNomad(
+                train, other_test, n_workers=1, hyper=HYPER, run=wall(0.1)
+            )
 
     def test_max_updates_rejected_eagerly(self, tiny_split):
         train, test = tiny_split
@@ -332,6 +342,7 @@ class TestClusterConfig:
         runner = ClusterNomad(
             train, test, 1, HyperParams(k=100, lambda_=0.01, alpha=0.1,
                                         beta=0.01),
+            wall(0.1),
         )
         huge_partition = [np.arange(200_000)]
         with pytest.raises(ConfigError, match="frame limit"):
@@ -343,7 +354,10 @@ class TestClusterConfig:
         runner = ClusterNomad(
             train, test, 1, HYPER, run=run, transport="loopback"
         )
-        assert runner.seed == 17
+        drawn = init_factors(
+            train.n_rows, train.n_cols, HYPER.k, RngFactory(17).stream("init")
+        )
+        assert np.array_equal(runner.initial_factors.w, drawn.w)
         result = runner.run()
         assert 0.2 <= result.wall_seconds < 0.2 + 0.25
 

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.config import HyperParams
+from repro.config import HyperParams, RunConfig
 from repro.datasets.ratings import RatingMatrix, Shard, train_test_split
 from repro.datasets.synthetic import SyntheticSpec, make_low_rank
 from repro.linalg.backends import cext_available, get_backend
@@ -357,6 +357,11 @@ SPARSE_HYPER = HyperParams(k=4, lambda_=0.02, alpha=0.08, beta=0.01)
 ENGINES = [ThreadedNomad, MultiprocessNomad]
 
 
+def wall(duration, **fields):
+    """A live run's config: ``duration`` seconds of wall time."""
+    return RunConfig(duration=duration, eval_interval=duration, **fields)
+
+
 @pytest.fixture(scope="module")
 def sparse_split():
     """400x400 at 10%: ~18 ratings per column per worker, the mp-sparse
@@ -377,9 +382,10 @@ class TestLiveBursts:
             np.ones(5),
         )
         runner = ThreadedNomad(
-            train, train, n_workers=3, hyper=HyperParams(k=2), seed=0
+            train, train, n_workers=3, hyper=HyperParams(k=2),
+            run=wall(0.1, seed=0),
         )
-        result = runner.run(duration_seconds=0.1)  # checks conservation
+        result = runner.run()  # checks conservation
         assert result.updates > 0
         assert result.updates_per_worker[2] == 0
 
@@ -395,10 +401,10 @@ class TestLiveBursts:
 
         def run(seconds, telemetry=False):
             runner = engine(
-                train, test, n_workers=2, hyper=SPARSE_HYPER, seed=3,
-                telemetry=telemetry,
+                train, test, n_workers=2, hyper=SPARSE_HYPER,
+                telemetry=telemetry, run=wall(seconds, seed=3),
             )
-            return runner.run(duration_seconds=seconds)
+            return runner.run()
 
         result = run(0.3, telemetry=True)
         assert result.telemetry.summary()["tokens_per_batch"] > 32
@@ -428,9 +434,10 @@ class TestLiveBursts:
         spec = SyntheticSpec(n_rows=3000, n_cols=40, rank=4, density=0.6, noise=0.05)
         train, test = train_test_split(make_low_rank(spec, rng), 0.1, rng)
         runner = engine(
-            train, test, n_workers=2, seed=0, kernel_backend="list",
+            train, test, n_workers=2,
             hyper=HyperParams(k=8, lambda_=0.01, alpha=0.02, beta=0.01),
+            run=wall(0.3, seed=0, kernel_backend="list"),
         )
-        result = runner.run(duration_seconds=0.3)
+        result = runner.run()
         assert all(count > 0 for count in result.updates_per_worker)
         assert result.join_seconds < 0.3

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import inspect
+import multiprocessing
+import os
 import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.api import fit
+from repro.api.registry import resolve_wall_clock_run
 from repro.config import HyperParams, RunConfig
 from repro.datasets.synthetic import SyntheticSpec, make_low_rank
 from repro.errors import (
@@ -29,6 +33,11 @@ from repro.runtime.threaded import ThreadedNomad
 HYPER = HyperParams(k=4, lambda_=0.01, alpha=0.1, beta=0.01)
 
 
+def wall(duration, **fields):
+    """A live run's config: ``duration`` seconds of wall time."""
+    return RunConfig(duration=duration, eval_interval=duration, **fields)
+
+
 def initial_rmse_for(train, test, seed):
     """RMSE of the untouched seed-determined initialization."""
     factors = init_factors(
@@ -40,43 +49,50 @@ def initial_rmse_for(train, test, seed):
 class TestThreadedNomad:
     def test_converges(self, small_split):
         train, test = small_split
-        runner = ThreadedNomad(train, test, n_workers=3, hyper=HYPER, seed=1)
-        result = runner.run(duration_seconds=0.8)
+        runner = ThreadedNomad(
+            train, test, n_workers=3, hyper=HYPER, run=wall(0.8, seed=1)
+        )
+        result = runner.run()
         assert result.updates > 0
         assert result.rmse < initial_rmse_for(train, test, seed=1)
 
     def test_all_workers_contribute(self, small_split):
         train, test = small_split
-        runner = ThreadedNomad(train, test, n_workers=3, hyper=HYPER, seed=1)
-        result = runner.run(duration_seconds=0.8)
+        runner = ThreadedNomad(
+            train, test, n_workers=3, hyper=HYPER, run=wall(0.8, seed=1)
+        )
+        result = runner.run()
         assert all(count > 0 for count in result.updates_per_worker)
 
     def test_factors_finite(self, small_split):
         train, test = small_split
-        runner = ThreadedNomad(train, test, n_workers=2, hyper=HYPER, seed=1)
-        result = runner.run(duration_seconds=0.4)
+        runner = ThreadedNomad(
+            train, test, n_workers=2, hyper=HYPER, run=wall(0.4, seed=1)
+        )
+        result = runner.run()
         assert np.all(np.isfinite(result.factors.w))
         assert np.all(np.isfinite(result.factors.h))
 
     def test_single_worker(self, tiny_split):
         train, test = tiny_split
-        runner = ThreadedNomad(train, test, n_workers=1, hyper=HYPER, seed=1)
-        result = runner.run(duration_seconds=0.3)
+        runner = ThreadedNomad(
+            train, test, n_workers=1, hyper=HYPER, run=wall(0.3, seed=1)
+        )
+        result = runner.run()
         assert result.updates > 0
 
     def test_bad_args(self, tiny_split):
         train, test = tiny_split
         with pytest.raises(ConfigError):
-            ThreadedNomad(train, test, n_workers=0, hyper=HYPER)
-        runner = ThreadedNomad(train, test, n_workers=1, hyper=HYPER)
-        with pytest.raises(ConfigError):
-            runner.run(duration_seconds=0.0)
+            ThreadedNomad(train, test, n_workers=0, hyper=HYPER, run=wall(0.1))
 
     def test_shape_mismatch(self, tiny_split, small_split):
         train, _ = tiny_split
         _, other_test = small_split
         with pytest.raises(ConfigError):
-            ThreadedNomad(train, other_test, n_workers=1, hyper=HYPER)
+            ThreadedNomad(
+                train, other_test, n_workers=1, hyper=HYPER, run=wall(0.1)
+            )
 
     @pytest.mark.filterwarnings(
         "ignore::pytest.PytestUnhandledThreadExceptionWarning"
@@ -93,16 +109,18 @@ class TestThreadedNomad:
             real(worker_id, *args)
 
         monkeypatch.setattr(threaded_module, "_worker_main", worker)
-        runner = ThreadedNomad(train, test, 2, HYPER, seed=1)
+        runner = ThreadedNomad(train, test, 2, HYPER, run=wall(0.1, seed=1))
         with pytest.raises(WorkerLostError, match=r"\[1\]"):
-            runner.run(duration_seconds=0.1)
+            runner.run()
 
 
 class TestMultiprocessNomad:
     def test_converges(self, small_split):
         train, test = small_split
-        runner = MultiprocessNomad(train, test, n_workers=2, hyper=HYPER, seed=1)
-        result = runner.run(duration_seconds=1.0)
+        runner = MultiprocessNomad(
+            train, test, n_workers=2, hyper=HYPER, run=wall(1.0, seed=1)
+        )
+        result = runner.run()
         assert result.updates > 0
         # Shared-memory writes from children must be visible in the parent:
         # the RMSE must have moved below the untouched initialization's.
@@ -110,35 +128,40 @@ class TestMultiprocessNomad:
 
     def test_all_workers_contribute(self, small_split):
         train, test = small_split
-        runner = MultiprocessNomad(train, test, n_workers=2, hyper=HYPER, seed=1)
-        result = runner.run(duration_seconds=1.0)
+        runner = MultiprocessNomad(
+            train, test, n_workers=2, hyper=HYPER, run=wall(1.0, seed=1)
+        )
+        result = runner.run()
         assert all(count > 0 for count in result.updates_per_worker)
 
     def test_factors_finite(self, tiny_split):
         train, test = tiny_split
-        runner = MultiprocessNomad(train, test, n_workers=2, hyper=HYPER, seed=1)
-        result = runner.run(duration_seconds=0.5)
+        runner = MultiprocessNomad(
+            train, test, n_workers=2, hyper=HYPER, run=wall(0.5, seed=1)
+        )
+        result = runner.run()
         assert np.all(np.isfinite(result.factors.w))
         assert np.all(np.isfinite(result.factors.h))
 
     def test_bad_args(self, tiny_split):
         train, test = tiny_split
         with pytest.raises(ConfigError):
-            MultiprocessNomad(train, test, n_workers=0, hyper=HYPER)
-        runner = MultiprocessNomad(train, test, n_workers=1, hyper=HYPER)
-        with pytest.raises(ConfigError):
-            runner.run(duration_seconds=-1.0)
+            MultiprocessNomad(
+                train, test, n_workers=0, hyper=HYPER, run=wall(0.1)
+            )
 
     def test_requires_fork_start_method(self, tiny_split, monkeypatch):
         """Regression: without fork, fail with a clear ConfigError instead
         of crashing inside spawn's pickling of the token rings' locks."""
         train, test = tiny_split
-        runner = MultiprocessNomad(train, test, n_workers=1, hyper=HYPER)
+        runner = MultiprocessNomad(
+            train, test, n_workers=1, hyper=HYPER, run=wall(0.1)
+        )
         monkeypatch.setattr(
             mp_module.mp, "get_all_start_methods", lambda: ["spawn"]
         )
         with pytest.raises(ConfigError, match="fork"):
-            runner.run(duration_seconds=0.1)
+            runner.run()
 
     def test_worker_takes_named_hyperparams(self):
         """Regression: hyperparameters cross the process boundary as the
@@ -185,8 +208,8 @@ class TestSharedMemoryTeardown:
     def test_unlinked_after_clean_run(self, tiny_split, monkeypatch):
         train, test = tiny_split
         created, real = self._recording_shm(monkeypatch)
-        runner = MultiprocessNomad(train, test, 1, HYPER, seed=1)
-        runner.run(duration_seconds=0.2)
+        runner = MultiprocessNomad(train, test, 1, HYPER, run=wall(0.2, seed=1))
+        runner.run()
         assert len(created) == 3  # W, H, and the token rings
         self._assert_unlinked(real, created)
 
@@ -202,9 +225,9 @@ class TestSharedMemoryTeardown:
 
         monkeypatch.setattr(mp_module, "_worker_main", crashing_worker)
         monkeypatch.setattr(mp_module, "_JOIN_TIMEOUT", 0.5)
-        runner = MultiprocessNomad(train, test, 2, HYPER, seed=1)
+        runner = MultiprocessNomad(train, test, 2, HYPER, run=wall(0.1, seed=1))
         with pytest.raises(WorkerLostError, match=r"\[0, 1\]") as caught:
-            runner.run(duration_seconds=0.1)
+            runner.run()
         assert isinstance(caught.value, ReproError)
         assert len(created) == 3
         self._assert_unlinked(real, created)
@@ -214,9 +237,9 @@ class TestSharedMemoryTeardown:
     ):
         train, test = tiny_split
         created, real = self._recording_shm(monkeypatch, fail_on_create=2)
-        runner = MultiprocessNomad(train, test, 1, HYPER, seed=1)
+        runner = MultiprocessNomad(train, test, 1, HYPER, run=wall(0.1, seed=1))
         with pytest.raises(OSError, match="simulated allocation"):
-            runner.run(duration_seconds=0.1)
+            runner.run()
         assert len(created) == 1
         self._assert_unlinked(real, created)
 
@@ -234,8 +257,8 @@ class TestTokenRings:
             n_rows=300, n_cols=20_000, rank=2, density=0.005, noise=0.1
         )
         train = make_low_rank(spec, RngFactory(5).stream("wide"))
-        runner = MultiprocessNomad(train, train, 2, HYPER, seed=1)
-        result = runner.run(duration_seconds=0.3)
+        runner = MultiprocessNomad(train, train, 2, HYPER, run=wall(0.3, seed=1))
+        result = runner.run()
         assert result.join_seconds < 2.0
         assert all(count > 0 for count in result.updates_per_worker)
 
@@ -270,9 +293,9 @@ class TestTokenRings:
             lost.extend(rings.pop_many(0, 1).tolist())
 
         self._tampering_worker(monkeypatch, drop_one, module)
-        runner = engine(train, test, 2, HYPER, seed=1)
+        runner = engine(train, test, 2, HYPER, run=wall(0.2, seed=1))
         with pytest.raises(TokenConservationError, match="1 item.s. lost") as caught:
-            runner.run(duration_seconds=0.2)
+            runner.run()
         assert isinstance(caught.value, ReproError)
         assert "0 duplicated" in str(caught.value)
 
@@ -286,11 +309,11 @@ class TestTokenRings:
             lambda rings: rings.push_many(0, np.array([3], dtype=np.int64)),
             module,
         )
-        runner = engine(train, test, 2, HYPER, seed=1)
+        runner = engine(train, test, 2, HYPER, run=wall(0.2, seed=1))
         with pytest.raises(
             TokenConservationError, match=r"1 duplicated \(first: \[3\]\)"
         ):
-            runner.run(duration_seconds=0.2)
+            runner.run()
 
     def test_shm_unlinked_when_conservation_fails(
         self, tiny_split, monkeypatch
@@ -298,9 +321,9 @@ class TestTokenRings:
         train, test = tiny_split
         created, real = TestSharedMemoryTeardown._recording_shm(monkeypatch)
         self._tampering_worker(monkeypatch, lambda rings: rings.pop_many(0, 1))
-        runner = MultiprocessNomad(train, test, 2, HYPER, seed=1)
+        runner = MultiprocessNomad(train, test, 2, HYPER, run=wall(0.1, seed=1))
         with pytest.raises(TokenConservationError):
-            runner.run(duration_seconds=0.1)
+            runner.run()
         assert len(created) == 3
         TestSharedMemoryTeardown._assert_unlinked(real, created)
 
@@ -308,9 +331,9 @@ class TestTokenRings:
         train, test = tiny_split
         created, real = TestSharedMemoryTeardown._recording_shm(monkeypatch)
         runner = MultiprocessNomad(
-            train, test, 2, HYPER, seed=1, telemetry=True
+            train, test, 2, HYPER, telemetry=True, run=wall(0.2, seed=1)
         )
-        result = runner.run(duration_seconds=0.2)
+        result = runner.run()
         assert len(created) == 4
         TestSharedMemoryTeardown._assert_unlinked(real, created)
         assert result.telemetry.summary()["hop_latency"]["count"] > 0
@@ -330,9 +353,11 @@ class TestTimingSemantics:
             return real_join(self, timeout)
 
         monkeypatch.setattr(threading.Thread, "join", slow_join)
-        runner = ThreadedNomad(train, test, n_workers=2, hyper=HYPER, seed=1)
         duration = 0.3
-        result = runner.run(duration_seconds=duration)
+        runner = ThreadedNomad(
+            train, test, n_workers=2, hyper=HYPER, run=wall(duration, seed=1)
+        )
+        result = runner.run()
         assert result.wall_seconds < duration + delay
         assert result.join_seconds >= 2 * delay  # one per worker thread
 
@@ -350,26 +375,97 @@ class TestTimingSemantics:
             return real_join(self, timeout)
 
         monkeypatch.setattr(process_cls, "join", slow_join)
-        runner = MultiprocessNomad(
-            train, test, n_workers=2, hyper=HYPER, seed=1
-        )
         duration = 0.3
-        result = runner.run(duration_seconds=duration)
+        runner = MultiprocessNomad(
+            train, test, n_workers=2, hyper=HYPER, run=wall(duration, seed=1)
+        )
+        result = runner.run()
         # Collection polls may add a little, but the mocked join delays
         # must land entirely in join_seconds, never in wall_seconds.
         assert result.wall_seconds < duration + delay
         assert result.join_seconds >= 2 * delay
 
 
+def _shm_blocks() -> set[str]:
+    """Names of the shared-memory blocks on this host (empty where
+    there is no ``/dev/shm``)."""
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
+def _live_workers() -> list[str]:
+    """Worker threads and child processes of this process still alive."""
+    threads = [
+        thread.name
+        for thread in threading.enumerate()
+        if thread.name.startswith(("nomad-", "cluster-"))
+    ]
+    return threads + [child.name for child in multiprocessing.active_children()]
+
+
+class TestInterruptedWait:
+    """Regression: the ring engines set ``stop`` only after their timed
+    wait returned, so a Ctrl-C or an error in the wait left the workers
+    running — threads that kept the interpreter alive, forked children
+    working on blocks already unlinked.  The cluster's ``_drive`` is
+    held to the same bar."""
+
+    @pytest.mark.parametrize(
+        "engine, extra",
+        [
+            ("threaded", {}),
+            ("multiprocess", {}),
+            ("cluster", {"transport": "loopback"}),
+        ],
+        ids=["threaded", "multiprocess", "cluster"],
+    )
+    def test_interrupt_stops_every_worker(
+        self, tiny_split, monkeypatch, engine, extra
+    ):
+        train, test = tiny_split
+        parent = os.getpid()
+        real_sleep = time.sleep
+        interrupted = []
+
+        def sleep(seconds):
+            # Only the parent's main thread is interrupted: forked
+            # children inherit this patch, and idle workers sleep too.
+            if (
+                not interrupted
+                and os.getpid() == parent
+                and threading.current_thread() is threading.main_thread()
+            ):
+                interrupted.append(seconds)
+                raise KeyboardInterrupt
+            real_sleep(seconds)
+
+        blocks = _shm_blocks()
+        assert not _live_workers()
+        monkeypatch.setattr(time, "sleep", sleep)
+        with pytest.raises(KeyboardInterrupt):
+            fit(
+                train, test, engine=engine, n_workers=2, hyper=HYPER,
+                run=wall(5.0, seed=1), **extra,
+            )
+        monkeypatch.undo()
+        assert interrupted
+        deadline = time.monotonic() + 2.0
+        while (
+            _live_workers() or _shm_blocks() - blocks
+        ) and time.monotonic() < deadline:
+            real_sleep(0.02)
+        assert not _live_workers()
+        assert not _shm_blocks() - blocks
+
+
 class TestRunConfigSemantics:
-    """RunConfig.duration is honored by the real runtimes (it used to be
-    silently ignored in favor of the duration_seconds default)."""
+    """The required RunConfig is the one source of a live run's wall
+    budget, seed and kernel backend."""
 
     def test_threaded_honors_runconfig_duration(self, tiny_split):
         train, test = tiny_split
         run = RunConfig(duration=0.3, eval_interval=0.1, seed=1)
         runner = ThreadedNomad(train, test, 2, HYPER, run=run)
-        result = runner.run()  # no duration_seconds: run.duration applies
+        result = runner.run()
         assert 0.3 <= result.wall_seconds < 0.3 + 0.25
 
     def test_multiprocess_honors_runconfig_duration(self, tiny_split):
@@ -382,30 +478,19 @@ class TestRunConfigSemantics:
         # to stay robust on loaded CI runners.
         assert 0.3 <= result.wall_seconds < 0.3 + 1.5
 
-    def test_explicit_duration_beats_runconfig(self, tiny_split):
-        train, test = tiny_split
-        run = RunConfig(duration=5.0, eval_interval=0.1, seed=1)
-        runner = ThreadedNomad(train, test, 1, HYPER, run=run)
-        result = runner.run(duration_seconds=0.2)
-        assert result.wall_seconds < 1.0
-
     def test_runconfig_supplies_seed_and_backend(self, tiny_split):
         train, test = tiny_split
         run = RunConfig(
             duration=0.2, eval_interval=0.1, seed=17, kernel_backend="list"
         )
-        threaded = ThreadedNomad(train, test, 1, HYPER, run=run)
-        assert threaded.seed == 17
-        assert isinstance(threaded.backend, ListBackend)
-        multiprocess = MultiprocessNomad(train, test, 1, HYPER, run=run)
-        assert multiprocess.seed == 17
-        assert isinstance(multiprocess.backend, ListBackend)
-        # Explicit arguments still beat the run config.
-        pinned = ThreadedNomad(
-            train, test, 1, HYPER, seed=3, kernel_backend="auto", run=run
+        drawn = init_factors(
+            train.n_rows, train.n_cols, HYPER.k, RngFactory(17).stream("init")
         )
-        assert pinned.seed == 3
-        assert pinned.backend.name == ("cext" if cext_available() else "list")
+        for engine in (ThreadedNomad, MultiprocessNomad):
+            runner = engine(train, test, 1, HYPER, run=run)
+            assert isinstance(runner.backend, ListBackend)
+            assert np.array_equal(runner.initial_factors.w, drawn.w)
+            assert np.array_equal(runner.initial_factors.h, drawn.h)
 
     def test_max_updates_rejected_eagerly(self, tiny_split):
         train, test = tiny_split
@@ -418,9 +503,12 @@ class TestRunConfigSemantics:
             MultiprocessNomad(train, test, 1, HYPER, run=run)
 
     def test_legacy_default_without_runconfig(self, tiny_split):
-        """No run config and no duration: the historical 1 s default."""
+        """No run config: the wall-clock engines' ``run=None`` policy
+        hands the runtime the historical 1 s default."""
         train, test = tiny_split
-        runner = ThreadedNomad(train, test, 1, HYPER, seed=1)
+        run = resolve_wall_clock_run(None)
+        assert run.duration == 1.0
+        runner = ThreadedNomad(train, test, 1, HYPER, run=run)
         result = runner.run()
         assert 1.0 <= result.wall_seconds < 1.0 + 0.5
 
@@ -429,40 +517,39 @@ class TestRuntimeBackends:
     def test_auto_resolves_to_cext_or_list(self, tiny_split):
         train, test = tiny_split
         expected = "cext" if cext_available() else "list"
-        assert ThreadedNomad(train, test, 1, HYPER).backend.name == expected
-        assert MultiprocessNomad(train, test, 1, HYPER).backend.name == expected
+        run = wall(0.1, kernel_backend="auto")
+        assert ThreadedNomad(train, test, 1, HYPER, run).backend.name == expected
+        assert (
+            MultiprocessNomad(train, test, 1, HYPER, run).backend.name
+            == expected
+        )
 
     def test_explicit_list_backend_works(self, tiny_split):
         train, test = tiny_split
         runner = ThreadedNomad(
-            train, test, n_workers=1, hyper=HYPER, seed=1,
-            kernel_backend="list",
+            train, test, n_workers=1, hyper=HYPER,
+            run=wall(0.3, seed=1, kernel_backend="list"),
         )
         assert isinstance(runner.backend, ListBackend)
-        result = runner.run(duration_seconds=0.3)
+        result = runner.run()
         assert result.updates > 0
         assert np.all(np.isfinite(result.factors.w))
 
     def test_unknown_backend_rejected(self, tiny_split):
         train, test = tiny_split
-        with pytest.raises(ConfigError):
-            ThreadedNomad(train, test, 1, HYPER, kernel_backend="gpu")
-        with pytest.raises(ConfigError):
-            MultiprocessNomad(train, test, 1, HYPER, kernel_backend="gpu")
+        with pytest.raises(ConfigError, match="kernel_backend"):
+            ThreadedNomad(train, test, 1, HYPER, wall(0.1, kernel_backend="gpu"))
 
     def test_env_var_pins_runtime_backend(self, tiny_split, monkeypatch):
-        """$NOMAD_KERNEL_BACKEND applies when no explicit name is given."""
+        """$NOMAD_KERNEL_BACKEND applies when the run config names no
+        backend."""
         train, test = tiny_split
         monkeypatch.setenv("NOMAD_KERNEL_BACKEND", "list")
         assert isinstance(
-            ThreadedNomad(train, test, 1, HYPER).backend, ListBackend
+            ThreadedNomad(train, test, 1, HYPER, wall(0.1)).backend,
+            ListBackend,
         )
         assert isinstance(
-            MultiprocessNomad(train, test, 1, HYPER).backend, ListBackend
-        )
-        # An explicit argument still beats the environment.
-        monkeypatch.setenv("NOMAD_KERNEL_BACKEND", "bogus")
-        assert isinstance(
-            ThreadedNomad(train, test, 1, HYPER, kernel_backend="list").backend,
+            MultiprocessNomad(train, test, 1, HYPER, wall(0.1)).backend,
             ListBackend,
         )

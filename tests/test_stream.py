@@ -55,7 +55,9 @@ def replay(tiny_matrix):
 
 @pytest.fixture
 def warm_dynamic(replay):
-    dynamic = DynamicNomad(replay.warmup, n_workers=2, hyper=HYPER, seed=5)
+    dynamic = DynamicNomad(
+        replay.warmup, n_workers=2, hyper=HYPER, run=RunConfig(seed=5)
+    )
     dynamic.train(2)
     return dynamic
 
@@ -206,21 +208,21 @@ class TestDeltaStore:
 # ----------------------------------------------------------------------
 class TestDynamicNomad:
     def test_sweep_updates_every_rating_once(self, replay):
-        dynamic = DynamicNomad(replay.warmup, 2, HYPER, seed=5)
+        dynamic = DynamicNomad(replay.warmup, 2, HYPER, RunConfig(seed=5))
         assert dynamic.sweep() == replay.warmup.nnz
         assert dynamic.total_updates == replay.warmup.nnz
         assert sum(dynamic.updates_per_worker) == dynamic.total_updates
 
     def test_training_reduces_rmse(self, replay):
-        dynamic = DynamicNomad(replay.warmup, 2, HYPER, seed=5)
+        dynamic = DynamicNomad(replay.warmup, 2, HYPER, RunConfig(seed=5))
         before = rmse_of(dynamic.factors, replay.warmup)
         dynamic.train(4)
         after = rmse_of(dynamic.factors, replay.warmup)
         assert after < before
 
     def test_deterministic_given_seed(self, replay):
-        a = DynamicNomad(replay.warmup, 2, HYPER, seed=5)
-        b = DynamicNomad(replay.warmup, 2, HYPER, seed=5)
+        a = DynamicNomad(replay.warmup, 2, HYPER, RunConfig(seed=5))
+        b = DynamicNomad(replay.warmup, 2, HYPER, RunConfig(seed=5))
         a.train(2)
         b.train(2)
         assert np.array_equal(a.factors.w, b.factors.w)
@@ -284,15 +286,15 @@ class TestDynamicNomad:
             RngFactory(9).stream("warm"),
         )
         dynamic = DynamicNomad(
-            replay.warmup, 2, HYPER, seed=5, init_factors=warm
+            replay.warmup, 2, HYPER, RunConfig(seed=5), init_factors=warm
         )
         assert np.array_equal(dynamic.factors.w, warm.w)
         bad = repro.init_factors(2, 2, HYPER.k, RngFactory(9).stream("warm"))
         with pytest.raises(ConfigError, match="init factors"):
-            DynamicNomad(replay.warmup, 2, HYPER, init_factors=bad)
+            DynamicNomad(replay.warmup, 2, HYPER, RunConfig(), init_factors=bad)
 
     def test_sweep_budget_halts_at_column_granularity(self, replay):
-        dynamic = DynamicNomad(replay.warmup, 2, HYPER, seed=5)
+        dynamic = DynamicNomad(replay.warmup, 2, HYPER, RunConfig(seed=5))
         applied = dynamic.sweep(max_updates=10)
         assert applied >= 10
         assert applied < replay.warmup.nnz
@@ -510,7 +512,8 @@ class ListReference:
 class TestDynamicNomadAgainstReference:
     def _pair(self, replay, backend, **kwargs):
         dynamic = DynamicNomad(
-            replay.warmup, 3, HYPER, seed=5, kernel_backend=backend, **kwargs
+            replay.warmup, 3, HYPER, RunConfig(seed=5, kernel_backend=backend),
+            **kwargs,
         )
         return dynamic, ListReference(dynamic, replay.warmup)
 
@@ -616,7 +619,8 @@ class TestDynamicNomadAgainstReference:
         the list reference's (one constant tour row below three workers,
         shuffled tours above)."""
         dynamic = DynamicNomad(
-            replay.warmup, n_workers, HYPER, seed=5, kernel_backend="list",
+            replay.warmup, n_workers, HYPER,
+            RunConfig(seed=5, kernel_backend="list"),
             policy=policy,
         )
         reference = ListReference(dynamic, replay.warmup)
@@ -858,7 +862,7 @@ class TestFitStream:
         sweeps = (
             warmup_epochs + stream.n_events // train_every + final_epochs
         )
-        static = DynamicNomad(combined, 2, HYPER, seed=5)
+        static = DynamicNomad(combined, 2, HYPER, RunConfig(seed=5))
         static.train(sweeps)
         static_rmse = rmse_of(static.factors, combined)
         assert dynamic_rmse <= static_rmse * 1.05
