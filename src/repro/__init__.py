@@ -133,7 +133,7 @@ from .linalg.losses import AbsoluteLoss, HuberLoss, Loss, SquaredLoss
 from .model import CompletionModel
 from .rng import RngFactory
 from .runtime import MultiprocessNomad, ThreadedNomad
-from .schedules import BoldDriver, ConstantSchedule, NomadSchedule
+from .schedules import BoldDriver, NomadSchedule
 from .serve import CacheStats, RecommendationService, ServiceConfig
 from .stream import (
     DeltaStore,
@@ -241,7 +241,6 @@ __all__ = [
     "CompletionModel",
     # schedules
     "NomadSchedule",
-    "ConstantSchedule",
     "BoldDriver",
     # simulator
     "Simulator",

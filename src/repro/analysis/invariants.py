@@ -61,7 +61,6 @@ OWNER_DECLARATION = "__nomad_owner_contexts__"
 KERNEL_CALLS = frozenset(
     {
         "process_column",
-        "process_column_loss",
         "process_column_batch",
         "process_tokens",  # TokenKernel, from KernelBackend.bind_tokens
         "process_token",  # the same kernel's burst of one
@@ -69,7 +68,7 @@ KERNEL_CALLS = frozenset(
 )
 
 #: Path segments whose modules feed reported timings (wall/join splits,
-#: prequential stamps, monitor deadlines).
+#: prequential stamps).
 TIMING_SEGMENTS = frozenset(
     {"runtime", "cluster", "stream", "metrics", "api", "serve", "telemetry"}
 )

@@ -21,9 +21,9 @@ feeds :mod:`repro.core.serializability`, which verifies exactly that.
 Implementation note.  Factors are two ``float64`` ndarrays, mutated in
 place by the selected kernel backend (:mod:`repro.linalg.backends`).
 Each worker's ratings stay in its shard's CSC arrays beside one
-per-rating counter array, with one token kernel bound over them at
-construction (``KernelBackend.bind_tokens``):
-a token finish is one ``process_token(j)`` call, nothing marshalled per
+per-rating counter array, with one token kernel bound over them and
+the run's loss at construction (``KernelBackend.bind_tokens``): a token
+finish is one ``process_token(j)`` call, nothing marshalled per
 visit (under ``cext`` a native call of two words: the bound struct's
 address and the item id).  The cluster's cost model is asked once, at
 construction, for every (worker, item) visit time and the two hop
@@ -32,7 +32,7 @@ bound methods scheduled with their arguments (no closure per visit):
 ``_finish_token(q, token)`` applies the visit, draws the next stop,
 releases the token to the network and starts the worker's next queued
 token, and ``_deliver_token(q, token)`` is its arrival.  Everything a
-finish reads that is fixed for the run (the loss, the update log switch,
+finish reads that is fixed for the run (the update log switch,
 circulation, jitter, the update budget, each worker's queue, tables and
 bound ``process_token``) is resolved once at construction.  The backend
 is chosen by ``RunConfig.kernel_backend``
@@ -96,11 +96,13 @@ class NomadOptions:
         Keep a full log of (worker, i, j, count) update events for
         serializability analysis.  Memory-heavy; tests only.
     loss:
-        Separable per-entry loss.  ``None`` (default) selects the paper's
-        square loss via the specialized fast kernel; any other
-        :class:`~repro.linalg.losses.Loss` (absolute, Huber, ...) runs
-        through the generic kernel — the §6 extension of NOMAD to arbitrary
-        ``Σ f_ij(w_i, h_j)`` objectives.
+        Separable per-entry loss.  ``None`` (default) is the paper's
+        square loss; any other :class:`~repro.linalg.losses.Loss`
+        (absolute, Huber, ...) is the §6 extension of NOMAD to arbitrary
+        ``Σ f_ij(w_i, h_j)`` objectives.  Either way it is bound once
+        into each worker's token kernel (``KernelBackend.bind_tokens``),
+        and a token finish is the same one call.  Anything else is a
+        :class:`~repro.errors.ConfigError`.
     """
 
     policy: RecipientPolicy = field(default_factory=UniformPolicy)
@@ -114,8 +116,13 @@ class NomadOptions:
             raise ConfigError(
                 f"partition must be 'rows' or 'ratings', got {self.partition!r}"
             )
-        if self.loss is not None and isinstance(self.loss, SquaredLoss):
-            # Normalize: explicit SquaredLoss means the default fast path.
+        if self.loss is not None and not isinstance(self.loss, Loss):
+            raise ConfigError(
+                f"loss must be a repro.linalg.losses.Loss or None, "
+                f"got {self.loss!r}"
+            )
+        if isinstance(self.loss, SquaredLoss):
+            # Normalize: explicit SquaredLoss means the default square loss.
             self.loss = None
 
 
@@ -203,7 +210,7 @@ class NomadSimulation:
         self._kernels = [
             self._backend.bind_tokens(
                 self._w, self._h, *arrays,
-                hyper.alpha, hyper.beta, hyper.lambda_,
+                hyper.alpha, hyper.beta, hyper.lambda_, self.options.loss,
             )
             for arrays in self._csc
         ]
@@ -264,7 +271,6 @@ class NomadSimulation:
                 self._kernels, self._machine_of,
             )
         ]
-        self._loss = self.options.loss
         self._record_updates = self.options.record_updates
         self._circulating = self.options.circulate and cluster.cores_per_machine > 1
         self._choose = self.options.policy.choose
@@ -398,18 +404,9 @@ class NomadSimulation:
         if hi > lo:
             if self._record_updates:
                 self._log_updates(q, j, lo, hi)
-            if self._loss is None:
-                # A burst of one: a single discrete event completes here,
-                # so there is never a second column to fuse with.
-                applied = process_token(j)
-            else:
-                _, users, ratings, counts = self._csc[q]
-                applied = self._backend.process_column_loss(
-                    self._w, token.vector, users[lo:hi],
-                    ratings[lo:hi], counts[lo:hi], self.hyper.alpha,
-                    self.hyper.beta, self.hyper.lambda_, self._loss,
-                )
-            self._total_updates += applied
+            # A burst of one: a single discrete event completes here, so
+            # there is never a second column to fuse with.
+            self._total_updates += process_token(j)
 
         # The next stop: the rest of the token's tour of this machine
         # while circulation lasts (§3.4), else a machine from the

@@ -13,12 +13,7 @@ from .synthetic import (
     make_low_rank,
     make_netflix_like,
 )
-from .distributions import (
-    power_law_degrees,
-    log_normal_degrees,
-    degrees_to_pair_sample,
-)
-from .loaders import load_npz, save_npz, load_text, save_text
+from .distributions import log_normal_degrees, degrees_to_pair_sample
 from .registry import DatasetProfile, PROFILES, load_profile, paper_statistics
 
 __all__ = [
@@ -27,13 +22,8 @@ __all__ = [
     "SyntheticSpec",
     "make_low_rank",
     "make_netflix_like",
-    "power_law_degrees",
     "log_normal_degrees",
     "degrees_to_pair_sample",
-    "load_npz",
-    "save_npz",
-    "load_text",
-    "save_text",
     "DatasetProfile",
     "PROFILES",
     "load_profile",

@@ -4,10 +4,9 @@ Real recommendation datasets have heavily skewed activity: a few users rate
 thousands of items while most rate a handful, and likewise for items.  The
 paper's weak-scaling experiment (§5.5) samples the per-user and per-item
 rating counts "from the corresponding empirical distribution of the Netflix
-data".  Since Netflix itself is unavailable here, this module provides two
-standard heavy-tailed families (truncated power law, log-normal) whose
-parameters the registry tunes to match Netflix's published summary
-statistics, plus the machinery that turns two degree sequences into a
+data".  Since Netflix itself is unavailable here, this module provides a
+standard heavy-tailed family (log-normal) whose parameters the registry
+tunes to match Netflix's published summary statistics, plus the machinery that turns two degree sequences into a
 consistent sample of (user, item) rating pairs.
 """
 
@@ -18,46 +17,9 @@ import numpy as np
 from ..errors import DataError
 
 __all__ = [
-    "power_law_degrees",
     "log_normal_degrees",
     "degrees_to_pair_sample",
 ]
-
-
-def power_law_degrees(
-    n: int,
-    exponent: float,
-    min_degree: int,
-    max_degree: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Sample ``n`` degrees from a truncated discrete power law.
-
-    ``P(d) ∝ d**(-exponent)`` for ``min_degree <= d <= max_degree``.
-
-    Parameters
-    ----------
-    n:
-        Number of degrees to draw.
-    exponent:
-        Tail exponent; larger means lighter tail.  Must be > 0.
-    min_degree, max_degree:
-        Inclusive support bounds; ``1 <= min_degree <= max_degree``.
-    rng:
-        Source of randomness.
-    """
-    if n < 1:
-        raise DataError(f"n must be >= 1, got {n}")
-    if exponent <= 0:
-        raise DataError(f"exponent must be > 0, got {exponent}")
-    if not 1 <= min_degree <= max_degree:
-        raise DataError(
-            f"need 1 <= min_degree <= max_degree, got [{min_degree}, {max_degree}]"
-        )
-    support = np.arange(min_degree, max_degree + 1, dtype=np.float64)
-    weights = support ** (-float(exponent))
-    weights /= weights.sum()
-    return rng.choice(support.astype(np.int64), size=n, p=weights)
 
 
 def log_normal_degrees(

@@ -5,8 +5,8 @@ all baselines share one audited implementation of the update mathematics.
 The SGD inner loops are provided by the pluggable backends of
 :mod:`repro.linalg.backends` (selected per run via
 ``RunConfig.kernel_backend`` / the ``NOMAD_KERNEL_BACKEND`` environment
-variable); :mod:`repro.linalg.kernels` keeps the single-pair reference
-update plus the ALS/CCD++ closed-form kernels.
+variable); :mod:`repro.linalg.kernels` keeps the ALS closed-form row
+solve.
 """
 
 from .factors import FactorPair, init_factors
@@ -21,11 +21,7 @@ from .backends import (
     get_backend,
     resolve_backend,
 )
-from .kernels import (
-    sgd_update_pair,
-    als_solve_row,
-    ccd_coordinate_update,
-)
+from .kernels import als_solve_row
 
 __all__ = [
     "FactorPair",
@@ -43,7 +39,5 @@ __all__ = [
     "cext_available",
     "get_backend",
     "resolve_backend",
-    "sgd_update_pair",
     "als_solve_row",
-    "ccd_coordinate_update",
 ]

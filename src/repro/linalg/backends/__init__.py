@@ -1,10 +1,9 @@
 """Pluggable SGD kernel backends and their selection policy.
 
-One :class:`~repro.linalg.backends.base.KernelBackend` packages the four
-SGD inner-loop variants (column, column-with-loss, entries,
-entries-const-step) plus the fused column-batch entry point and the
-shard-bound token-burst kernel (``bind_tokens``) behind a single
-interface.  Factors are ``float64`` ndarrays under every backend; two
+One :class:`~repro.linalg.backends.base.KernelBackend` packages the three
+SGD inner-loop variants (column, entries, entries-const-step) plus the
+fused column-batch entry point and the shard-bound token-burst kernel
+(``bind_tokens``, which binds the loss too) behind a single interface.  Factors are ``float64`` ndarrays under every backend; two
 implementations ship:
 
 * ``"list"`` — :class:`ListBackend`, the interpreted reference: one

@@ -1,12 +1,12 @@
 """The pluggable SGD kernel-backend interface.
 
-Every optimizer in the library ultimately runs one of four SGD inner-loop
-variants:
+Every optimizer in the library ultimately runs one of three SGD
+inner-loop variants:
 
 * **column** — all local ratings of one item against a shared ``h_j``
-  vector (NOMAD's token work, Algorithm 1 lines 16–21);
-* **column with a generic loss** — the §6 extension of the column loop to
-  an arbitrary separable :class:`~repro.linalg.losses.Loss`;
+  vector (NOMAD's token work, Algorithm 1 lines 16–21), under the square
+  loss or, bound into a token kernel, any separable
+  :class:`~repro.linalg.losses.Loss` (the §6 extension);
 * **entries** — an arbitrary list of observed ``(i, j)`` entries visited in
   a given order with the per-rating step-size schedule of equation (11)
   (serial SGD, FPSGD** block passes);
@@ -15,12 +15,12 @@ variants:
 
 The live shared-memory runtimes, the dynamic trainer and the simulator
 run the first variant a burst of tokens at a time through
-:meth:`KernelBackend.bind_tokens`, which binds a worker's factors and
-CSC shard once and then takes bare item ids.
+:meth:`KernelBackend.bind_tokens`, which binds a worker's factors, CSC
+shard and loss once and then takes bare item ids.
 
 Historically each variant existed twice (a list-based scalar loop and an
 ndarray loop), six near-identical copies in total.  A
-:class:`KernelBackend` packages all four behind one interface so the
+:class:`KernelBackend` packages all three behind one interface so the
 mathematics lives in exactly one place per backend and new execution
 strategies (numba, Cython, GPU) can be added without touching any
 optimizer.
@@ -84,21 +84,6 @@ class KernelBackend(abc.ABC):
         applied (``len(user_rows)``) is returned.
         """
 
-    @abc.abstractmethod
-    def process_column_loss(
-        self,
-        w: Any,
-        h_col: Any,
-        user_rows: Sequence[int],
-        ratings: Sequence[float],
-        counts: Sequence[int],
-        alpha: float,
-        beta: float,
-        lambda_: float,
-        loss: Loss,
-    ) -> int:
-        """Column variant under an arbitrary separable loss (§6)."""
-
     def process_column_batch(
         self,
         w: Any,
@@ -128,6 +113,7 @@ class KernelBackend(abc.ABC):
             )
         return applied
 
+    @abc.abstractmethod
     def bind_tokens(
         self,
         w: np.ndarray,
@@ -139,8 +125,10 @@ class KernelBackend(abc.ABC):
         alpha: float,
         beta: float,
         lambda_: float,
+        loss: Loss | None = None,
     ) -> "TokenKernel":
-        """Bind a worker's factors and CSC shard once, for bursts of tokens.
+        """Bind a worker's factors, CSC shard and loss once, for bursts
+        of tokens.
 
         For the substrates whose ``h_j`` lives in one matrix (threads,
         shared-memory processes, the simulator) a token is a bare item
@@ -158,15 +146,15 @@ class KernelBackend(abc.ABC):
         ``Shard.csc()`` delivers, and a property a backend may observe
         here and exploit — never one it may assume.
 
-        The returned kernel's :meth:`TokenKernel.process_tokens` is
-        defined to be identical to looping :meth:`process_column` over
-        the burst — which is what this default does.  Compiled backends
-        override this to resolve every pointer here and run a burst in
-        one native call.
+        ``loss`` is the separable :class:`~repro.linalg.losses.Loss`
+        every column runs under; ``None`` is the square loss.  The
+        returned kernel's :meth:`TokenKernel.process_tokens` is defined
+        to be identical to looping the reference column core over the
+        burst: :func:`~repro.linalg.backends.list_backend.column_on_lists`
+        with ``loss.dloss_dpred`` (``None`` for the square loss, which
+        is looping ``ListBackend.process_column``).  A compiled backend
+        resolves every pointer here and runs a burst in one native call.
         """
-        return TokenKernel(
-            self, w, h, indptr, users, ratings, counts, alpha, beta, lambda_
-        )
 
     @abc.abstractmethod
     def process_entries(
@@ -202,7 +190,7 @@ class KernelBackend(abc.ABC):
         return f"{type(self).__name__}()"
 
 
-class TokenKernel:
+class TokenKernel(abc.ABC):
     """A worker's factors and CSC shard, bound by
     :meth:`KernelBackend.bind_tokens`; holds the arrays for as long as
     it lives.  ``n_items`` and ``nnz`` are the bound shard's columns and
@@ -218,34 +206,20 @@ class TokenKernel:
     burst_updates: ClassVar[int] = 4096
 
     def __init__(
-        self, backend, w, h, indptr, users, ratings, counts,
-        alpha, beta, lambda_,
+        self, w, h, indptr, users, ratings, counts, alpha, beta, lambda_
     ):
-        self._process_column = backend.process_column
         self._arrays = (w, h, indptr, users, ratings, counts)
         self._step = (alpha, beta, lambda_)
         self.n_items = len(indptr) - 1
         self.nnz = len(users)
 
+    @abc.abstractmethod
     def process_tokens(self, items: np.ndarray) -> int:
         """Run the token work of every item id in ``items`` (one int64
         array per burst), strictly in order — a repeated id is visited
         twice — and return the number of updates applied.  An id outside
         ``[0, n_items)`` raises :class:`IndexError` before anything is
         applied."""
-        items = np.asarray(items, dtype=np.int64)
-        if items.size and not 0 <= items.min() <= items.max() < self.n_items:
-            raise IndexError(f"token item id outside [0, {self.n_items})")
-        w, h, indptr, users, ratings, counts = self._arrays
-        applied = 0
-        for j in items.tolist():
-            lo, hi = indptr[j], indptr[j + 1]
-            if hi > lo:
-                applied += self._process_column(
-                    w, h[j], users[lo:hi], ratings[lo:hi], counts[lo:hi],
-                    *self._step,
-                )
-        return applied
 
     def process_token(self, item: int) -> int:
         """A burst of one: :meth:`process_tokens` on ``[item]`` by

@@ -21,16 +21,19 @@ Two properties worth knowing:
 
 The burst path is :meth:`CextBackend.bind_tokens`: a
 :class:`CextTokenKernel` validates the worker's factors and CSC shard
-once, resolves their addresses into one ``nomad_bound`` struct, and from
-then on a burst of item ids is one ``nomad_process_tokens`` call (a
-single token, ``nomad_process_token``).  A burst is *defined* as its
+once, resolves their addresses into one ``nomad_bound`` struct together
+with the loss (``_loss_id``'s ``(loss_id, param)``: square, absolute or
+Huber), and from then on a burst of item ids is one
+``nomad_process_tokens`` call (a single token, ``nomad_process_token``).
+A :class:`~repro.linalg.losses.Loss` C has no id for is bound to the
+interpreted ``list`` kernel instead.  A burst is *defined* as its
 columns run one after another; the C gets there faster without changing
 a bit.  It asks libm for the equation-(11) step only when a rating's
 counter differs from the previous rating's (the ratings of a column
-almost always share one), and over a shard whose users ascend strictly
-inside every column — observed here at bind time, true of
-``Shard.csc()`` — it runs two columns at a time in the §4.3 conflict
-order: column B's rating of user ``u`` waits until column A's cursor has
+almost always share one), and under the square loss, over a shard whose
+users ascend strictly inside every column — observed here at bind time,
+true of ``Shard.csc()`` — it runs two columns at a time in the §4.3
+conflict order: column B's rating of user ``u`` waits until column A's cursor has
 passed ``u``, so every ``w`` row and every ``h`` row sees its updates in
 burst order while the two dot-product chains overlap.  No sum is
 reassociated and nothing is contracted, which is why both are
@@ -50,7 +53,6 @@ from ...errors import ConfigError
 from ..losses import AbsoluteLoss, HuberLoss, Loss, SquaredLoss
 from . import cext_build
 from .base import KernelBackend, TokenKernel
-from .list_backend import column_on_lists
 
 __all__ = ["CextBackend", "CextTokenKernel"]
 
@@ -71,15 +73,15 @@ class _Bound(ctypes.Structure):
     _fields_ = [
         *[(name, ctypes.c_void_p) for name in
           ("w", "h", "indptr", "users", "ratings", "counts")],
-        ("n_items", _i64), ("k", _i64), ("ascending", _i64),
-        ("alpha", _f64), ("beta", _f64), ("lambda_", _f64),
+        *[(name, _i64) for name in ("n_items", "k", "ascending", "loss_id")],
+        *[(name, _f64) for name in ("alpha", "beta", "lambda_", "loss_param")],
     ]
 
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.nomad_process_column.restype = _i64
     lib.nomad_process_column.argtypes = [
-        _F8, _F8, _I8, _F8, _I8, _i64, _i64, _f64, _f64, _f64, _i64, _f64,
+        _F8, _F8, _I8, _F8, _I8, _i64, _i64, _f64, _f64, _f64,
     ]
     lib.nomad_process_column_batch.restype = _i64
     lib.nomad_process_column_batch.argtypes = [
@@ -126,7 +128,8 @@ def _write_back(writebacks: list) -> None:
 
 
 def _loss_id(loss: Loss) -> tuple[int, float] | None:
-    """(loss_id, param) for losses the C dispatch knows; None otherwise."""
+    """(loss_id, param) for the losses ``loss_gradient`` in C knows; None
+    otherwise."""
     if type(loss) is SquaredLoss:
         return 0, 0.0
     if type(loss) is AbsoluteLoss:
@@ -165,9 +168,8 @@ class CextBackend(KernelBackend):
     # ------------------------------------------------------------------
     # Kernels
     # ------------------------------------------------------------------
-    def _column_call(
-        self, w, h_col, user_rows, ratings, counts, alpha, beta, lambda_,
-        loss_id: int, loss_param: float,
+    def process_column(
+        self, w, h_col, user_rows, ratings, counts, alpha, beta, lambda_
     ) -> int:
         n = len(user_rows)
         if n == 0:
@@ -180,34 +182,10 @@ class CextBackend(KernelBackend):
         ratings_arr = _conform(ratings, np.float64, None)
         applied = self._lib.nomad_process_column(
             w_arr, h_arr, users_arr, ratings_arr, counts_arr,
-            n, h_arr.shape[0], alpha, beta, lambda_, loss_id, loss_param,
+            n, h_arr.shape[0], alpha, beta, lambda_,
         )
         _write_back(writebacks)
         return applied
-
-    def process_column(
-        self, w, h_col, user_rows, ratings, counts, alpha, beta, lambda_
-    ) -> int:
-        return self._column_call(
-            w, h_col, user_rows, ratings, counts, alpha, beta, lambda_, 0, 0.0
-        )
-
-    def process_column_loss(
-        self, w, h_col, user_rows, ratings, counts, alpha, beta, lambda_, loss: Loss
-    ) -> int:
-        dispatch = _loss_id(loss)
-        if dispatch is None:
-            # Unknown Loss subclass: its gradient is Python code, so run
-            # the interpreted reference core rather than guessing in C.
-            return column_on_lists(
-                w, h_col, user_rows, ratings, counts,
-                alpha, beta, lambda_, loss.dloss_dpred,
-            )
-        loss_id, loss_param = dispatch
-        return self._column_call(
-            w, h_col, user_rows, ratings, counts, alpha, beta, lambda_,
-            loss_id, loss_param,
-        )
 
     def process_column_batch(
         self,
@@ -242,10 +220,22 @@ class CextBackend(KernelBackend):
         return applied
 
     def bind_tokens(
-        self, w, h, indptr, users, ratings, counts, alpha, beta, lambda_
-    ) -> "CextTokenKernel":
+        self, w, h, indptr, users, ratings, counts, alpha, beta, lambda_,
+        loss: Loss | None = None,
+    ) -> TokenKernel:
+        dispatch = (0, 0.0) if loss is None else _loss_id(loss)
+        if dispatch is None:
+            # A Loss C has no id for: its gradient is Python code, which
+            # the interpreted reference kernel runs.
+            from . import get_backend
+
+            return get_backend("list").bind_tokens(
+                w, h, indptr, users, ratings, counts, alpha, beta, lambda_,
+                loss,
+            )
         return CextTokenKernel(
-            self, w, h, indptr, users, ratings, counts, alpha, beta, lambda_
+            self, w, h, indptr, users, ratings, counts, alpha, beta, lambda_,
+            *dispatch,
         )
 
     def _entries_call(
@@ -293,7 +283,8 @@ class CextBackend(KernelBackend):
 class CextTokenKernel(TokenKernel):
     """One native call per burst or per token: the arrays are validated
     and their addresses resolved once, here, into a ``nomad_bound`` this
-    object owns (the base class keeps the arrays alive)."""
+    object owns (the base class keeps the arrays alive), beside the
+    ``(loss_id, param)`` of the loss every column runs under."""
 
     _DTYPES = (np.float64, np.float64, np.int64, np.int64, np.float64, np.int64)
     #: 1-2.4 ms of native code at 16-37 ns an update: long enough that
@@ -306,10 +297,10 @@ class CextTokenKernel(TokenKernel):
 
     def __init__(
         self, backend, w, h, indptr, users, ratings, counts,
-        alpha, beta, lambda_,
+        alpha, beta, lambda_, loss_id, loss_param,
     ):
         super().__init__(
-            backend, w, h, indptr, users, ratings, counts, alpha, beta, lambda_
+            w, h, indptr, users, ratings, counts, alpha, beta, lambda_
         )
         for arr, dtype in zip(self._arrays, self._DTYPES):
             if not (
@@ -344,7 +335,8 @@ class CextTokenKernel(TokenKernel):
         rising[starts[(starts > 0) & (starts < nnz)] - 1] = True
         self._bound = _Bound(
             *[arr.ctypes.data for arr in self._arrays],
-            n_items, k, bool(rising.all()), alpha, beta, lambda_,
+            n_items, k, bool(rising.all()), loss_id,
+            alpha, beta, lambda_, loss_param,
         )
         self._bound_at = ctypes.addressof(self._bound)
         self._native_burst = backend._lib.nomad_process_tokens

@@ -1,6 +1,6 @@
 """The interpreted reference backend: one scalar Python SGD loop.
 
-All four kernel variants funnel into one parameterized core,
+Every kernel variant funnels into one parameterized core,
 :func:`sgd_core`, so the update mathematics exists exactly once::
 
     s      = α / (1 + β·t^1.5)          (or the constant step)
@@ -28,9 +28,9 @@ from typing import Any, Sequence
 import numpy as np
 
 from ..losses import Loss
-from .base import KernelBackend
+from .base import KernelBackend, TokenKernel
 
-__all__ = ["ListBackend", "column_on_lists", "sgd_core"]
+__all__ = ["ListBackend", "ListTokenKernel", "column_on_lists", "sgd_core"]
 
 
 def sgd_core(
@@ -153,12 +153,13 @@ class ListBackend(KernelBackend):
             alpha, beta, lambda_, None,
         )
 
-    def process_column_loss(
-        self, w, h_col, user_rows, ratings, counts, alpha, beta, lambda_, loss: Loss
-    ) -> int:
-        return column_on_lists(
-            w, h_col, user_rows, ratings, counts,
-            alpha, beta, lambda_, loss.dloss_dpred,
+    def bind_tokens(
+        self, w, h, indptr, users, ratings, counts, alpha, beta, lambda_,
+        loss: Loss | None = None,
+    ) -> "ListTokenKernel":
+        return ListTokenKernel(
+            w, h, indptr, users, ratings, counts, alpha, beta, lambda_,
+            None if loss is None else loss.dloss_dpred,
         )
 
     def process_entries(
@@ -181,3 +182,33 @@ class ListBackend(KernelBackend):
             w, h, None, entry_rows, entry_cols, ratings, None, order,
             0.0, 0.0, lambda_, step, None,
         )
+
+
+class ListTokenKernel(TokenKernel):
+    """The interpreted bound kernel: :func:`column_on_lists` over each
+    token's CSC column in turn, under the bound loss's gradient
+    (``dloss``; ``None`` for the inlined square loss)."""
+
+    def __init__(
+        self, w, h, indptr, users, ratings, counts, alpha, beta, lambda_,
+        dloss,
+    ):
+        super().__init__(
+            w, h, indptr, users, ratings, counts, alpha, beta, lambda_
+        )
+        self._dloss = dloss
+
+    def process_tokens(self, items: np.ndarray) -> int:
+        items = np.asarray(items, dtype=np.int64)
+        if items.size and not 0 <= items.min() <= items.max() < self.n_items:
+            raise IndexError(f"token item id outside [0, {self.n_items})")
+        w, h, indptr, users, ratings, counts = self._arrays
+        applied = 0
+        for j in items.tolist():
+            lo, hi = indptr[j], indptr[j + 1]
+            if hi > lo:
+                applied += column_on_lists(
+                    w, h[j], users[lo:hi], ratings[lo:hi], counts[lo:hi],
+                    *self._step, self._dloss,
+                )
+        return applied

@@ -9,14 +9,16 @@
  *     w[d] <- (1 - s*lambda) * w_old[d] - s*g * h[d]
  *     h[d] <- (1 - s*lambda) * h[d]     - s*g * w_old[d]
  *
- * computed from the OLD row values.  The build deliberately disables
- * floating-point contraction (-ffp-contract=off) so results stay
- * per-operation IEEE-identical to the interpreted backends; the
- * cross-backend equivalence suite pins all backends at atol=1e-10 and
- * this file against the list reference bit for bit.
+ * computed from the OLD row values, where g is the bound loss's
+ * dloss/dprediction (loss_gradient; p - a for the square loss).  The
+ * build deliberately disables floating-point contraction
+ * (-ffp-contract=off) so results stay per-operation IEEE-identical to
+ * the interpreted reference; the cross-backend equivalence suite pins
+ * this file against it bit for bit, under every loss C knows.
  *
  * The hot entry point is nomad_process_tokens over a nomad_bound (filled
- * once by bind_tokens in cext_backend.py).  Two things make it faster
+ * once by bind_tokens in cext_backend.py, loss included: the column loop
+ * reads the bound loss id once per column).  Two things make it faster
  * than the loop it is defined as, and neither changes a bit of the result:
  *
  *   - Step memo.  The step and decay of a rating depend only on its
@@ -30,8 +32,9 @@
  *     chains.  B's rating of user u runs only once A's cursor has passed
  *     u, which is decidable from the cursors alone when users ascend
  *     strictly inside every column (nomad_bound.ascending, observed by
- *     bind_tokens; otherwise the burst runs column by column).  Every w
- *     row and every h row therefore sees its updates in burst order.
+ *     bind_tokens) and the bound loss is the square loss; otherwise the
+ *     burst runs column by column.  Every w row and every h row
+ *     therefore sees its updates in burst order.
  *
  * Both are IEEE-identical to the serial loop because no sum is
  * reassociated (each dot product is still one in-order chain), nothing
@@ -45,11 +48,11 @@
 #include <stddef.h>
 #include <stdint.h>
 
-/* Loss-id dispatch for the column-with-loss variant (NOMAD section 6).
- * Ids are assigned by the Python wrapper: 0 = square, 1 = absolute,
- * 2 = huber(param = delta).  Unknown losses never reach C — the wrapper
- * falls back to the interpreted kernel for them. */
-static double loss_gradient(int64_t loss_id, double param, double rating,
+/* dloss/dprediction of a separable loss (NOMAD section 6).  Ids are
+ * assigned by cext_backend._loss_id and bound into nomad_bound:
+ * 0 = square, 1 = absolute, 2 = huber(param = delta).  A loss without
+ * an id never reaches C: bind_tokens hands it the interpreted kernel. */
+static inline double loss_gradient(int64_t loss_id, double param, double rating,
                             double prediction) {
     double residual = prediction - rating;
     switch (loss_id) {
@@ -105,9 +108,9 @@ static inline void apply(double *w_row, double *h_row, int64_t k,
     }
 }
 
-/* One column (NOMAD token work): all local ratings of one item against a
- * shared h_col vector, scheduled step, arbitrary built-in loss. */
-int64_t nomad_process_column(double *w, double *h_col, const int64_t *users,
+/* The column loop (NOMAD token work): all local ratings of one item
+ * against a shared h_col vector, scheduled step, under one loss. */
+static inline int64_t column(double *w, double *h_col, const int64_t *users,
                              const double *ratings, int64_t *counts,
                              int64_t n, int64_t k, double alpha, double beta,
                              double lambda_, int64_t loss_id,
@@ -128,6 +131,15 @@ int64_t nomad_process_column(double *w, double *h_col, const int64_t *users,
     return n;
 }
 
+/* One column under the square loss: the exported per-column entry. */
+int64_t nomad_process_column(double *w, double *h_col, const int64_t *users,
+                             const double *ratings, int64_t *counts,
+                             int64_t n, int64_t k, double alpha, double beta,
+                             double lambda_) {
+    return column(w, h_col, users, ratings, counts, n, k, alpha, beta,
+                  lambda_, 0, 0.0);
+}
+
 /* Fused column batch: several tokens' columns in one native call.  Column
  * c touches h column h_cols[c] and the per-column users/ratings/counts
  * arrays; columns run in order, so the result is identical to n_cols
@@ -143,8 +155,7 @@ int64_t nomad_process_column_batch(double *w, double *const *h_cols,
     for (int64_t c = 0; c < n_cols; c++)
         applied += nomad_process_column(w, h_cols[c], users_cols[c],
                                         ratings_cols[c], counts_cols[c],
-                                        lens[c], k, alpha, beta, lambda_,
-                                        0, 0.0);
+                                        lens[c], k, alpha, beta, lambda_);
     return applied;
 }
 
@@ -152,14 +163,16 @@ int64_t nomad_process_column_batch(double *w, double *const *h_cols,
  * this memory (a ctypes.Structure of the same layout, see
  * cext_backend.py; nomad_bound_size and nomad_bound_offset let the tests
  * compare the two).  ascending is nonzero when users rise strictly
- * inside every column: what nomad_process_tokens needs to pair columns. */
+ * inside every column: what nomad_process_tokens needs to pair columns.
+ * loss_id and loss_param name the loss every column runs under (see
+ * loss_gradient). */
 typedef struct {
     double *w, *h;
     const int64_t *indptr, *users;
     const double *ratings;
     int64_t *counts;
-    int64_t n_items, k, ascending;
-    double alpha, beta, lambda_;
+    int64_t n_items, k, ascending, loss_id;
+    double alpha, beta, lambda_, loss_param;
 } nomad_bound;
 
 int64_t nomad_bound_size(void) { return (int64_t)sizeof(nomad_bound); }
@@ -172,8 +185,9 @@ int64_t nomad_bound_offset(int64_t field) {
         offsetof(nomad_bound, indptr),   offsetof(nomad_bound, users),
         offsetof(nomad_bound, ratings),  offsetof(nomad_bound, counts),
         offsetof(nomad_bound, n_items),  offsetof(nomad_bound, k),
-        offsetof(nomad_bound, ascending), offsetof(nomad_bound, alpha),
-        offsetof(nomad_bound, beta),     offsetof(nomad_bound, lambda_),
+        offsetof(nomad_bound, ascending), offsetof(nomad_bound, loss_id),
+        offsetof(nomad_bound, alpha),    offsetof(nomad_bound, beta),
+        offsetof(nomad_bound, lambda_),  offsetof(nomad_bound, loss_param),
     };
     if (field < 0 || field >= (int64_t)(sizeof offsets / sizeof offsets[0]))
         return -1;
@@ -181,21 +195,20 @@ int64_t nomad_bound_offset(int64_t field) {
 }
 
 /* One token: item names a column of the shard (users/ratings/counts
- * sliced by indptr) and a row of h.  Identical to nomad_process_column
- * on that column (square loss).  Returns -1, having applied nothing, if
- * the id is outside [0, n_items). */
+ * sliced by indptr) and a row of h, run under the bound loss.  Returns
+ * -1, having applied nothing, if the id is outside [0, n_items). */
 int64_t nomad_process_token(const nomad_bound *b, int64_t item) {
     if (item < 0 || item >= b->n_items)
         return -1;
     int64_t lo = b->indptr[item];
-    return nomad_process_column(b->w, b->h + item * b->k, b->users + lo,
-                                b->ratings + lo, b->counts + lo,
-                                b->indptr[item + 1] - lo, b->k, b->alpha,
-                                b->beta, b->lambda_, 0, 0.0);
+    return column(b->w, b->h + item * b->k, b->users + lo, b->ratings + lo,
+                  b->counts + lo, b->indptr[item + 1] - lo, b->k, b->alpha,
+                  b->beta, b->lambda_, b->loss_id, b->loss_param);
 }
 
-/* Two distinct tokens of a shard whose columns ascend, interleaved in
- * conflict order: the result is that of item_a's column followed by
+/* Two distinct tokens of a shard whose columns ascend, under the square
+ * loss, interleaved in conflict order: the result is that of item_a's
+ * column followed by
  * item_b's.  B's next rating runs beside A's next one when its user is
  * below A's (A is past that w row, or never touches it), and otherwise
  * waits while A advances alone; whichever column is left when the other
@@ -253,27 +266,28 @@ static int64_t process_token_pair(const nomad_bound *b, int64_t item_a,
         }
     }
     nomad_process_column(b->w, h_a, users + pa, ratings + pa, counts + pa,
-                         end_a - pa, k, alpha, beta, lambda_, 0, 0.0);
+                         end_a - pa, k, alpha, beta, lambda_);
     nomad_process_column(b->w, h_b, users + pb, ratings + pb, counts + pb,
-                         end_b - pb, k, alpha, beta, lambda_, 0, 0.0);
+                         end_b - pb, k, alpha, beta, lambda_);
     return applied;
 }
 
 /* Token burst: a burst is just item ids.  Tokens run in order — a
  * repeated id is simply visited twice — so the result is identical to
- * looping nomad_process_token; over an ascending shard they run two at
- * a time (see process_token_pair), an adjacent repeat and the odd one
- * out alone.  Returns -1, having applied nothing, if any id is outside
- * [0, n_items). */
+ * looping nomad_process_token; over an ascending shard under the square
+ * loss they run two at a time (see process_token_pair), an adjacent
+ * repeat and the odd one out alone.  Returns -1, having applied
+ * nothing, if any id is outside [0, n_items). */
 int64_t nomad_process_tokens(const nomad_bound *b, const int64_t *items,
                              int64_t n_tokens) {
     int64_t applied = 0;
     for (int64_t t = 0; t < n_tokens; t++)
         if (items[t] < 0 || items[t] >= b->n_items)
             return -1;
+    const int pairing = b->ascending && b->loss_id == 0;
     int64_t t = 0;
     while (t < n_tokens) {
-        if (b->ascending && t + 1 < n_tokens && items[t] != items[t + 1]) {
+        if (pairing && t + 1 < n_tokens && items[t] != items[t + 1]) {
             applied += process_token_pair(b, items[t], items[t + 1]);
             t += 2;
         } else {

@@ -81,7 +81,7 @@ class HuberLoss(Loss):
     """
 
     def __init__(self, delta: float = 1.0):
-        if delta <= 0:
+        if not delta > 0:  # NaN too: it would clip nothing
             raise ValueError(f"delta must be > 0, got {delta}")
         self.delta = float(delta)
 

@@ -21,7 +21,7 @@ from .factors import FactorPair
 from .losses import Loss, SquaredLoss
 from .regularizers import Regularizer, WeightedL2
 
-__all__ = ["predict", "test_rmse", "regularized_objective", "training_sse"]
+__all__ = ["predict", "test_rmse", "regularized_objective"]
 
 
 def predict(factors: FactorPair, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -34,13 +34,6 @@ def test_rmse(factors: FactorPair, test: RatingMatrix) -> float:
     predictions = predict(factors, test.rows, test.cols)
     diff = test.vals - predictions
     return float(np.sqrt(np.mean(diff * diff)))
-
-
-def training_sse(factors: FactorPair, train: RatingMatrix) -> float:
-    """Sum of squared training errors Σ (A_ij - ⟨w_i, h_j⟩)²."""
-    predictions = predict(factors, train.rows, train.cols)
-    diff = train.vals - predictions
-    return float(np.dot(diff, diff))
 
 
 def regularized_objective(

@@ -6,8 +6,6 @@ rating counts is what makes the per-rating SGD penalty a plain ``λ w_i``
 term (equations 9–10): each of user ``i``'s ``|Ω_i|`` sampled ratings
 contributes a ``λ w_i`` pull, which sums to the full weighted penalty over
 an epoch.
-
-An unweighted variant is included as an extension for ablations.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ import abc
 
 import numpy as np
 
-__all__ = ["Regularizer", "WeightedL2", "PlainL2"]
+__all__ = ["Regularizer", "WeightedL2"]
 
 
 class Regularizer(abc.ABC):
@@ -67,30 +65,3 @@ class WeightedL2(Regularizer):
 
     def __repr__(self) -> str:
         return f"WeightedL2(lambda_={self.lambda_})"
-
-
-class PlainL2(Regularizer):
-    """Unweighted ``(λ/2)(‖W‖² + ‖H‖²)`` regularizer (ablation extension).
-
-    The per-update coefficient divides by the rating count so that an epoch
-    of SGD applies the same total shrinkage as the objective prescribes.
-    """
-
-    def __init__(self, lambda_: float):
-        if lambda_ < 0:
-            raise ValueError(f"lambda_ must be >= 0, got {lambda_}")
-        self.lambda_ = float(lambda_)
-
-    def penalty(self, w, h, row_counts, col_counts) -> float:
-        return 0.5 * self.lambda_ * (
-            float(np.einsum("ij,ij->", w, w)) + float(np.einsum("ij,ij->", h, h))
-        )
-
-    def sgd_coefficient_row(self, row_count: int) -> float:
-        return self.lambda_ / max(int(row_count), 1)
-
-    def sgd_coefficient_col(self, col_count: int) -> float:
-        return self.lambda_ / max(int(col_count), 1)
-
-    def __repr__(self) -> str:
-        return f"PlainL2(lambda_={self.lambda_})"

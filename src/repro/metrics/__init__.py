@@ -1,6 +1,5 @@
-"""Run summaries and wall-clock convergence monitoring."""
+"""Run summaries."""
 
-from .monitor import ConvergenceMonitor
 from .summary import (
     trace_summary,
     throughput_by_config,
@@ -9,7 +8,6 @@ from .summary import (
 )
 
 __all__ = [
-    "ConvergenceMonitor",
     "trace_summary",
     "throughput_by_config",
     "speedup_efficiency",

@@ -12,31 +12,14 @@ visited less often keeps a correspondingly larger step.
 
 from __future__ import annotations
 
-import abc
-
 from ..errors import ConfigError
 
-__all__ = [
-    "StepSchedule",
-    "NomadSchedule",
-    "ConstantSchedule",
-    "InverseTimeSchedule",
-]
+__all__ = ["NomadSchedule"]
 
 
-class StepSchedule(abc.ABC):
-    """Maps a per-rating update count ``t`` (0-based) to a step size."""
-
-    @abc.abstractmethod
-    def step(self, t: int) -> float:
-        """Step size for the (t+1)-th update of a rating."""
-
-    def __call__(self, t: int) -> float:
-        return self.step(t)
-
-
-class NomadSchedule(StepSchedule):
-    """Equation (11): ``s_t = alpha / (1 + beta * t**1.5)``."""
+class NomadSchedule:
+    """Equation (11): ``s_t = alpha / (1 + beta * t**1.5)``, mapping a
+    per-rating update count ``t`` (0-based) to a step size."""
 
     def __init__(self, alpha: float, beta: float):
         if alpha <= 0:
@@ -47,46 +30,13 @@ class NomadSchedule(StepSchedule):
         self.beta = float(beta)
 
     def step(self, t: int) -> float:
+        """Step size for the (t+1)-th update of a rating."""
         if t < 0:
             raise ConfigError(f"update count must be >= 0, got {t}")
         return self.alpha / (1.0 + self.beta * t ** 1.5)
 
+    def __call__(self, t: int) -> float:
+        return self.step(t)
+
     def __repr__(self) -> str:
         return f"NomadSchedule(alpha={self.alpha}, beta={self.beta})"
-
-
-class ConstantSchedule(StepSchedule):
-    """Fixed step size (useful for controlled unit tests and ablations)."""
-
-    def __init__(self, step_size: float):
-        if step_size <= 0:
-            raise ConfigError(f"step_size must be > 0, got {step_size}")
-        self._step = float(step_size)
-
-    def step(self, t: int) -> float:
-        if t < 0:
-            raise ConfigError(f"update count must be >= 0, got {t}")
-        return self._step
-
-    def __repr__(self) -> str:
-        return f"ConstantSchedule({self._step})"
-
-
-class InverseTimeSchedule(StepSchedule):
-    """Classic Robbins–Monro ``alpha / (1 + beta·t)`` decay (ablation)."""
-
-    def __init__(self, alpha: float, beta: float):
-        if alpha <= 0:
-            raise ConfigError(f"alpha must be > 0, got {alpha}")
-        if beta < 0:
-            raise ConfigError(f"beta must be >= 0, got {beta}")
-        self.alpha = float(alpha)
-        self.beta = float(beta)
-
-    def step(self, t: int) -> float:
-        if t < 0:
-            raise ConfigError(f"update count must be >= 0, got {t}")
-        return self.alpha / (1.0 + self.beta * t)
-
-    def __repr__(self) -> str:
-        return f"InverseTimeSchedule(alpha={self.alpha}, beta={self.beta})"

@@ -29,7 +29,8 @@ from repro.linalg.backends import (
     get_backend,
     resolve_backend,
 )
-from repro.linalg.losses import HuberLoss
+from repro.linalg.backends.list_backend import column_on_lists
+from repro.linalg.losses import AbsoluteLoss, HuberLoss
 from repro.simulator.cluster import Cluster
 from repro.simulator.network import HPC_PROFILE
 
@@ -70,17 +71,21 @@ def _stores(w: np.ndarray, h: np.ndarray):
     return (w.copy(), h.copy()), (w.copy(), h.copy())
 
 
-def _looped_reference(w_l, h_l, indptr, users, ratings, counts_l, burst):
-    """The definition of a burst: ``ListBackend.process_column`` over
-    each token's CSC column in turn, with a counter list."""
-    reference = ListBackend()
+def _looped_reference(
+    w_l, h_l, indptr, users, ratings, counts_l, burst, loss=None
+):
+    """The definition of a burst: the reference column core over each
+    token's CSC column in turn, with a counter list, under ``loss``'s
+    gradient (``None``: the square loss, i.e. looping
+    ``ListBackend.process_column``)."""
+    dloss = None if loss is None else loss.dloss_dpred
     applied = 0
     for j in burst:
         lo, hi = int(indptr[j]), int(indptr[j + 1])
         column_counts = counts_l[lo:hi]
-        applied += reference.process_column(
+        applied += column_on_lists(
             w_l, h_l[j], users[lo:hi].tolist(), ratings[lo:hi].tolist(),
-            column_counts, ALPHA, BETA, LAMBDA,
+            column_counts, ALPHA, BETA, LAMBDA, dloss,
         )
         counts_l[lo:hi] = column_counts
     return applied
@@ -107,31 +112,16 @@ class TestKernelEquivalence:
         assert np.allclose(np.asarray(h_l), h_n, atol=ATOL)
         assert counts_l == counts_n.tolist() == [4] * len(rows)
 
-    @pytest.mark.parametrize("other", OTHER_BACKENDS)
-    def test_process_column_loss(self, other):
-        w, h, rows, _, vals, _ = _fixture(1)
-        (w_l, h_l), (w_n, h_n) = _stores(w, h)
-        loss = HuberLoss(delta=0.5)
-        counts_l = [0] * len(rows)
-        counts_n = np.zeros(len(rows), dtype=np.int64)
-        ListBackend().process_column_loss(
-            w_l, h_l[0], rows.tolist(), vals.tolist(), counts_l,
-            ALPHA, BETA, LAMBDA, loss,
-        )
-        get_backend(other).process_column_loss(
-            w_n, h_n[0], rows, vals, counts_n, ALPHA, BETA, LAMBDA, loss
-        )
-        assert np.allclose(np.asarray(w_l), w_n, atol=ATOL)
-        assert np.allclose(np.asarray(h_l), h_n, atol=ATOL)
-
     @pytest.mark.parametrize(
         "loss", [None, HuberLoss(delta=0.5)], ids=["square", "huber"]
     )
     def test_list_column_kernels_on_ndarray_slices(self, loss):
-        """Bound token kernels hand the list backend slices of a worker's
-        CSC arrays: same bits out as for lists (counters 7, 28, 33 are
-        ones where NumPy's ``int64 ** 1.5`` and Python's differ in the
-        last ulp), and the caller's own array sees the increments."""
+        """The list kernels run on slices of a worker's CSC arrays
+        (``process_column`` on the slices; a bound kernel, which takes
+        the loss, on the column between the pads): same bits out as for
+        lists (counters 7, 28, 33 are ones where NumPy's ``int64 ** 1.5``
+        and Python's differ in the last ulp), and the caller's own array
+        sees the increments."""
         w, h, rows, _, vals, _ = _fixture(5)
         nnz, lo = len(rows), 4
         start = [7, 28, 33] * (nnz // 3)
@@ -141,22 +131,23 @@ class TestKernelEquivalence:
         all_counts = np.concatenate([pad, start, pad])
         backend = ListBackend()
 
-        def call(w_store, h_col, users, ratings, counts):
-            if loss is None:
-                return backend.process_column(
-                    w_store, h_col, users, ratings, counts, ALPHA, BETA, LAMBDA
-                )
-            return backend.process_column_loss(
-                w_store, h_col, users, ratings, counts, ALPHA, BETA, LAMBDA, loss
-            )
-
         (w_a, h_a), (w_b, h_b) = _stores(w, h)
         counts_a = list(start)
-        a = call(w_a, h_a[3], rows.tolist(), vals.tolist(), counts_a)
-        b = call(
-            w_b, h_b[3], all_users[lo:lo + nnz], all_ratings[lo:lo + nnz],
-            all_counts[lo:lo + nnz],
+        a = column_on_lists(
+            w_a, h_a[1], rows.tolist(), vals.tolist(), counts_a,
+            ALPHA, BETA, LAMBDA, None if loss is None else loss.dloss_dpred,
         )
+        if loss is None:
+            b = backend.process_column(
+                w_b, h_b[1], all_users[lo:lo + nnz], all_ratings[lo:lo + nnz],
+                all_counts[lo:lo + nnz], ALPHA, BETA, LAMBDA,
+            )
+        else:
+            indptr = np.array([0, lo, lo + nnz, 2 * lo + nnz], dtype=np.int64)
+            b = backend.bind_tokens(
+                w_b, h_b, indptr, all_users, all_ratings, all_counts,
+                ALPHA, BETA, LAMBDA, loss,
+            ).process_token(1)
         assert a == b == nnz
         assert np.array_equal(w_a, w_b) and np.array_equal(h_a, h_b)
         assert all_counts[lo:lo + nnz].tolist() == counts_a
@@ -470,21 +461,41 @@ def _bit_fixture(n_items: int):
 BIT_EXACT_BACKENDS = ["list", pytest.param("cext", marks=needs_cext)]
 
 
+class _UnknownToC(HuberLoss):
+    """A Loss C has no id for: bound under ``cext``, it gets the
+    interpreted kernel."""
+
+    def __repr__(self) -> str:
+        return f"_UnknownToC(delta={self.delta})"
+
+
+#: The loss a kernel is bound with: the square loss (``None``), each loss
+#: C has an id for, and one it has not.
+_LOSSES = st.sampled_from(
+    [None, AbsoluteLoss(), HuberLoss(delta=0.5), _UnknownToC(delta=0.5)]
+)
+
+
 class TestBitForBit:
-    """``np.array_equal`` against looping ``ListBackend.process_column``
-    — what lets the C kernels memoise the step and pair columns."""
+    """``np.array_equal`` against looping the reference column core
+    under the bound loss — what lets the C kernels memoise the step and
+    pair columns."""
 
     @pytest.mark.parametrize("name", BIT_EXACT_BACKENDS)
     @settings(max_examples=300, deadline=None)
     @given(
         shard=_SHARDS,
         burst=st.lists(st.integers(0, 10**6), max_size=9),
+        loss=_LOSSES,
     )
-    def test_process_tokens_equals_looped_reference(self, name, shard, burst):
+    def test_process_tokens_equals_looped_reference(
+        self, name, shard, burst, loss
+    ):
         """Any CSC with in-range users, any burst (repeats, adjacent
         repeats, odd length, length 0 / 1), counters mixed inside a
-        column.  Fails on a ``cext`` that pairs columns without checking
-        that they ascend."""
+        column, any loss.  Fails on a ``cext`` that pairs columns
+        without checking that they ascend, or under a loss other than
+        the square loss."""
         indptr, users, ratings, counts = _shard_arrays(*shard)
         n_items = indptr.size - 1
         burst = [j % n_items for j in burst]
@@ -492,10 +503,10 @@ class TestBitForBit:
         (w_l, h_l), _ = _stores(w, h)
         counts_l = counts.tolist()
         expected = _looped_reference(
-            w_l, h_l, indptr, users, ratings, counts_l, burst
+            w_l, h_l, indptr, users, ratings, counts_l, burst, loss
         )
         kernel = get_backend(name).bind_tokens(
-            w, h, indptr, users, ratings, counts, ALPHA, BETA, LAMBDA
+            w, h, indptr, users, ratings, counts, ALPHA, BETA, LAMBDA, loss
         )
         assert kernel.process_tokens(np.array(burst, dtype=np.int64)) == expected
         assert np.array_equal(np.asarray(w_l), w)

@@ -1,16 +1,11 @@
-"""Tests for degree distributions, synthetic generators, loaders, registry."""
+"""Tests for degree distributions, synthetic generators and the registry."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.datasets.distributions import (
-    degrees_to_pair_sample,
-    log_normal_degrees,
-    power_law_degrees,
-)
-from repro.datasets.loaders import load_npz, load_text, save_npz, save_text
+from repro.datasets.distributions import degrees_to_pair_sample, log_normal_degrees
 from repro.datasets.registry import PROFILES, load_profile, paper_statistics
 from repro.datasets.synthetic import (
     SyntheticSpec,
@@ -24,26 +19,6 @@ from repro.rng import RngFactory
 @pytest.fixture
 def rng():
     return RngFactory(77).stream("dataset-tests")
-
-
-class TestPowerLaw:
-    def test_support_bounds(self, rng):
-        degrees = power_law_degrees(500, 2.0, 3, 50, rng)
-        assert degrees.min() >= 3
-        assert degrees.max() <= 50
-
-    def test_heavier_tail_with_smaller_exponent(self, rng):
-        light = power_law_degrees(5000, 3.5, 1, 1000, rng)
-        heavy = power_law_degrees(5000, 1.2, 1, 1000, rng)
-        assert heavy.mean() > light.mean()
-
-    def test_bad_args(self, rng):
-        with pytest.raises(DataError):
-            power_law_degrees(0, 2.0, 1, 10, rng)
-        with pytest.raises(DataError):
-            power_law_degrees(10, 0.0, 1, 10, rng)
-        with pytest.raises(DataError):
-            power_law_degrees(10, 2.0, 5, 3, rng)
 
 
 class TestLogNormal:
@@ -157,48 +132,6 @@ class TestNetflixLike:
             make_netflix_like(0, 10, 5.0, rng)
         with pytest.raises(DataError):
             make_netflix_like(10, 10, -5.0, rng)
-
-
-class TestLoaders:
-    def test_npz_round_trip(self, rng, tmp_path):
-        matrix = make_low_rank(
-            SyntheticSpec(n_rows=30, n_cols=20, rank=2, density=0.2), rng
-        )
-        path = tmp_path / "m.npz"
-        save_npz(matrix, path)
-        assert load_npz(path) == matrix
-
-    def test_text_round_trip(self, rng, tmp_path):
-        matrix = make_low_rank(
-            SyntheticSpec(n_rows=15, n_cols=10, rank=2, density=0.3), rng
-        )
-        path = tmp_path / "m.txt"
-        save_text(matrix, path)
-        assert load_text(path) == matrix
-
-    def test_text_missing_header(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("0 0 1.5\n")
-        with pytest.raises(DataError, match="shape"):
-            load_text(path)
-
-    def test_text_malformed_line(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("%shape 2 2\n0 0\n")
-        with pytest.raises(DataError):
-            load_text(path)
-
-    def test_text_comments_skipped(self, tmp_path):
-        path = tmp_path / "ok.txt"
-        path.write_text("%shape 2 2\n% a comment\n0 1 2.5\n")
-        matrix = load_text(path)
-        assert matrix.nnz == 1
-
-    def test_npz_missing_keys(self, tmp_path):
-        path = tmp_path / "bad.npz"
-        np.savez(path, rows=np.array([0]))
-        with pytest.raises(DataError, match="missing"):
-            load_npz(path)
 
 
 class TestRegistry:

@@ -9,15 +9,11 @@ from repro.datasets.ratings import RatingMatrix
 from repro.errors import ConfigError
 from repro.linalg.factors import FactorPair, init_factors
 from repro.linalg.backends import ListBackend
-from repro.linalg.kernels import (
-    als_solve_row,
-    ccd_coordinate_update,
-    sgd_update_pair,
-)
+from repro.linalg.kernels import als_solve_row
 from repro.linalg.losses import AbsoluteLoss, HuberLoss, SquaredLoss
-from repro.linalg.objective import predict, regularized_objective, training_sse
+from repro.linalg.objective import predict, regularized_objective
 from repro.linalg.objective import test_rmse as compute_test_rmse
-from repro.linalg.regularizers import PlainL2, WeightedL2
+from repro.linalg.regularizers import WeightedL2
 from repro.rng import RngFactory
 
 LIST = ListBackend()
@@ -103,6 +99,8 @@ class TestLosses:
     def test_huber_bad_delta(self):
         with pytest.raises(ValueError):
             HuberLoss(delta=0.0)
+        with pytest.raises(ValueError):  # would clip nothing
+            HuberLoss(delta=float("nan"))
 
 
 class TestRegularizers:
@@ -120,21 +118,9 @@ class TestRegularizers:
         assert reg.sgd_coefficient_row(5) == 0.3
         assert reg.sgd_coefficient_col(50) == 0.3
 
-    def test_plain_penalty(self):
-        w = np.ones((2, 2))
-        h = np.ones((1, 2))
-        reg = PlainL2(1.0)
-        assert reg.penalty(w, h, np.array([1, 1]), np.array([2])) == pytest.approx(3.0)
-
-    def test_plain_sgd_coefficient_scales(self):
-        reg = PlainL2(1.0)
-        assert reg.sgd_coefficient_row(4) == pytest.approx(0.25)
-
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             WeightedL2(-0.1)
-        with pytest.raises(ValueError):
-            PlainL2(-0.1)
 
 
 class TestObjective:
@@ -161,14 +147,10 @@ class TestObjective:
         # errors: 0 and 1 -> rmse = sqrt(1/2)
         assert compute_test_rmse(factors, matrix) == pytest.approx(np.sqrt(0.5))
 
-    def test_training_sse(self):
-        matrix, factors = self.make_data()
-        assert training_sse(factors, matrix) == pytest.approx(1.0)
-
     def test_objective_with_zero_lambda_is_half_sse(self):
         matrix, factors = self.make_data()
         objective = regularized_objective(factors, matrix, lambda_=0.0)
-        assert objective == pytest.approx(0.5 * training_sse(factors, matrix))
+        assert objective == pytest.approx(0.5 * 1.0)  # errors 0 and 1
 
     def test_objective_penalty_added(self):
         matrix, factors = self.make_data()
@@ -178,15 +160,6 @@ class TestObjective:
 
 
 class TestSGDKernels:
-    def test_update_pair_moves_toward_rating(self):
-        w = np.array([0.5, 0.5])
-        h = np.array([0.5, 0.5])
-        before = abs(np.dot(w, h) - 3.0)
-        for _ in range(50):
-            sgd_update_pair(w, h, rating=3.0, step=0.05, lambda_=0.0)
-        after = abs(np.dot(w, h) - 3.0)
-        assert after < before * 0.1
-
     def test_process_column_counts_incremented(self):
         w = np.random.rand(4, 2)
         h = np.random.rand(2)
@@ -314,30 +287,3 @@ class TestALSKernel:
         light = als_solve_row(h_sub, ratings, lambda_=0.1, weight=1)
         heavy = als_solve_row(h_sub, ratings, lambda_=0.1, weight=100)
         assert np.linalg.norm(heavy) < np.linalg.norm(light)
-
-
-class TestCCDKernel:
-    def test_optimal_coordinate(self):
-        # One row with residual R and coords v: optimum of the rank-1 fit.
-        residual = np.array([1.0, 2.0])
-        v = np.array([1.0, 1.0])
-        new_u, new_residual = ccd_coordinate_update(
-            residual, own_coord=0.0, other_coords=v, lambda_=0.0, weight=1
-        )
-        assert new_u == pytest.approx(1.5)
-        assert np.allclose(new_residual, residual - 1.5 * v)
-
-    def test_residual_invariant(self):
-        # R + u*v must be unchanged by the update (definition of residual).
-        rng = np.random.default_rng(6)
-        residual = rng.random(5)
-        v = rng.random(5)
-        u_old = 0.7
-        u_new, r_new = ccd_coordinate_update(residual, u_old, v, 0.1, 3)
-        assert np.allclose(r_new + u_new * v, residual + u_old * v)
-
-    def test_zero_denominator_safe(self):
-        u, r = ccd_coordinate_update(
-            np.array([1.0]), 0.5, np.array([0.0]), lambda_=0.0, weight=0
-        )
-        assert u == 0.0

@@ -1,19 +1,16 @@
-"""Tests for metrics summaries and the wall-clock convergence monitor."""
+"""Tests for metrics summaries."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigError, SimulationError
-from repro.linalg.factors import init_factors
-from repro.metrics.monitor import ConvergenceMonitor
+from repro.errors import SimulationError
 from repro.metrics.summary import (
     speedup_efficiency,
     throughput_by_config,
     time_to_threshold_table,
     trace_summary,
 )
-from repro.rng import RngFactory
 from repro.simulator.trace import Trace
 
 
@@ -78,48 +75,3 @@ class TestTimeToThresholdTable:
         by_name = {row["algorithm"]: row for row in rows}
         assert by_name["A"]["time_to_threshold"] == 1.0
         assert by_name["B"]["time_to_threshold"] is None
-
-
-class TestConvergenceMonitor:
-    def make_monitor(self):
-        factors = init_factors(10, 5, 2, RngFactory(0).stream("m"))
-        from repro.datasets.synthetic import SyntheticSpec, make_low_rank
-
-        test = make_low_rank(
-            SyntheticSpec(10, 5, rank=2, density=0.5),
-            RngFactory(0).stream("t"),
-        )
-        return ConvergenceMonitor(
-            test,
-            factors_fn=lambda: factors,
-            updates_fn=lambda: 42,
-            algorithm="live",
-            n_workers=2,
-        )
-
-    def test_sample_records(self):
-        monitor = self.make_monitor()
-        rmse = monitor.sample()
-        assert rmse > 0
-        assert len(monitor.trace) == 1
-        assert monitor.trace.records[0].updates == 42
-
-    def test_start_records_zeroth(self):
-        monitor = self.make_monitor()
-        monitor.start()
-        assert len(monitor.trace) == 1
-
-    def test_watch_collects_points(self):
-        monitor = self.make_monitor()
-        trace = monitor.watch(duration_seconds=0.05, interval_seconds=0.01)
-        assert len(trace) >= 3
-
-    def test_bad_args(self):
-        monitor = self.make_monitor()
-        with pytest.raises(ConfigError):
-            monitor.watch(0.0, 0.01)
-        with pytest.raises(ConfigError):
-            ConvergenceMonitor(
-                None, factors_fn=lambda: None, updates_fn=lambda: 0,
-                n_workers=0,
-            )

@@ -530,25 +530,39 @@ class TestGenericLosses:
         options = NomadOptions(loss=SquaredLoss())
         assert options.loss is None
 
-    def test_squared_generic_kernel_matches_fast_kernel(self, tiny_split):
-        """Routing the square loss through the generic kernel must produce
-        the same trajectory as the specialized fast path."""
-        import numpy as np
-        from repro.linalg.backends import ListBackend
+    def test_non_loss_rejected_at_construction(self):
+        """A loss that is not a ``Loss`` is a configuration error when
+        the options are built, not an ``AttributeError`` at the first
+        token finish."""
+        with pytest.raises(ConfigError, match="loss"):
+            NomadOptions(loss="huber")
+
+    def test_squared_generic_kernel_matches_fast_kernel(self):
+        """A kernel bound with ``SquaredLoss()`` gives the bits of one
+        bound with ``loss=None``, on every backend."""
+        from repro.linalg.backends import get_backend
         from repro.linalg.losses import SquaredLoss
 
-        LIST = ListBackend()
         rng = np.random.default_rng(0)
-        w0 = rng.random((6, 4))
-        h0 = rng.random(4)
-        rows = rng.integers(0, 6, size=12).tolist()
-        vals = rng.random(12).tolist()
-
-        w_a, h_a = w0.tolist(), h0.tolist()
-        LIST.process_column(w_a, h_a, rows, vals, [0] * 12, 0.1, 0.02, 0.05)
-        w_b, h_b = w0.tolist(), h0.tolist()
-        LIST.process_column_loss(
-            w_b, h_b, rows, vals, [0] * 12, 0.1, 0.02, 0.05, SquaredLoss()
-        )
-        assert np.allclose(np.asarray(w_a), np.asarray(w_b), atol=1e-12)
-        assert np.allclose(np.asarray(h_a), np.asarray(h_b), atol=1e-12)
+        w0, h0 = rng.random((6, 4)), rng.random((3, 4))
+        indptr = np.array([0, 5, 5, 12], dtype=np.int64)
+        users = np.concatenate([
+            np.sort(rng.choice(6, 5, replace=False)),
+            np.sort(rng.choice(6, 6, replace=False)),
+            [2],
+        ]).astype(np.int64)
+        ratings = rng.random(12)
+        for name in ["list", "cext"] if cext_available() else ["list"]:
+            sides = []
+            for loss in (None, SquaredLoss()):
+                w, h = w0.copy(), h0.copy()
+                counts = np.zeros(12, dtype=np.int64)
+                kernel = get_backend(name).bind_tokens(
+                    w, h, indptr, users, ratings, counts, 0.1, 0.02, 0.05, loss
+                )
+                kernel.process_tokens(np.array([0, 2, 1, 2, 0], dtype=np.int64))
+                sides.append((w, h, counts))
+            (w_a, h_a, counts_a), (w_b, h_b, counts_b) = sides
+            assert np.array_equal(w_a, w_b) and np.array_equal(h_a, h_b), name
+            assert np.array_equal(counts_a, counts_b), name
+            assert not np.array_equal(w_a, w0), name

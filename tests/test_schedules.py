@@ -8,11 +8,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.schedules.bold_driver import BoldDriver
-from repro.schedules.step_size import (
-    ConstantSchedule,
-    InverseTimeSchedule,
-    NomadSchedule,
-)
+from repro.schedules.step_size import NomadSchedule
 
 
 class TestNomadSchedule:
@@ -50,24 +46,8 @@ class TestNomadSchedule:
 
     def test_decay_faster_than_inverse_time(self):
         nomad = NomadSchedule(0.1, 0.01)
-        inverse = InverseTimeSchedule(0.1, 0.01)
-        assert nomad.step(10_000) < inverse.step(10_000)
-
-
-class TestConstantSchedule:
-    def test_constant(self):
-        schedule = ConstantSchedule(0.07)
-        assert schedule.step(0) == schedule.step(999) == pytest.approx(0.07)
-
-    def test_bad_step(self):
-        with pytest.raises(ConfigError):
-            ConstantSchedule(0.0)
-
-
-class TestInverseTime:
-    def test_formula(self):
-        schedule = InverseTimeSchedule(0.2, 0.5)
-        assert schedule.step(4) == pytest.approx(0.2 / 3.0)
+        inverse_time = 0.1 / (1.0 + 0.01 * 10_000)  # Robbins–Monro
+        assert nomad.step(10_000) < inverse_time
 
 
 class TestBoldDriver:
