@@ -3,22 +3,24 @@
 Runs the paper's multi-machine NOMAD on real worker processes that
 communicate only by serialized messages over localhost TCP — the
 decentralized communication path the algorithm is named for, scaled down
-to one host.  The coordinator never touches a factor during the run; it
+to one host.  The coordinator never touches a factor during the run.
+Its run is :meth:`~repro.runtime.result.LiveNomad.run`, the one run of
+every live engine, over this engine's launch:
 
-1. partitions the user rows, initializes ``(W, H)`` from the shared
-   seed scheme every engine uses, and spawns one process per worker
-   (``spawn`` start method — no fork, no inherited state);
-2. bootstraps the ring: collects each worker's ``Ready(port)``,
-   broadcasts the ``Peers`` address book, and scatters the item tokens
-   (with their ``h_j`` payloads) as §3.5 envelopes;
-3. sleeps for the wall-clock budget, broadcasts ``Stop``, and stamps
-   ``wall_seconds`` — exactly the timing contract of the other live
-   runtimes (shutdown cost lands in ``join_seconds``);
-4. collects one :class:`~repro.cluster.wire.ResultShard` per worker and
-   reassembles the model: ``W`` from the row shards, ``H`` from the
-   union of held tokens — verifying **token conservation** (every item
-   exactly once) along the way, the Ω-freedom invariant of §4 made into
-   a runtime check.
+1. **launch** — partition the user rows, start one worker per shard
+   (``spawn`` start method — no fork, no inherited state), bootstrap the
+   ring (collect each worker's ``Ready(port)``, broadcast the ``Peers``
+   address book) and scatter the item tokens (with their ``h_j``
+   payloads) as §3.5 envelopes;
+2. **wait** — the wall-clock budget, from after the scatter, failing
+   fast on a worker that dies;
+3. **stop and collect** — broadcast ``Stop`` (the ``wall_seconds``
+   stamp), then collect one :class:`~repro.cluster.wire.ResultShard`
+   and, under telemetry, one payload-bearing ``Fin`` per worker;
+4. **assemble** — ``W`` from the row shards, ``H`` from the union of
+   held tokens, verifying **token conservation** (every item exactly
+   once) along the way, the Ω-freedom invariant of §4 made into a
+   runtime check.
 
 ``transport="loopback"`` runs the identical worker loop on in-process
 threads over :class:`~repro.cluster.transport.LoopbackHub` — no sockets,
@@ -28,6 +30,7 @@ protocol and worker code path are byte-for-byte the same.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing as mp
 import threading
 import time
@@ -38,11 +41,10 @@ from ..config import HyperParams, RunConfig
 from ..datasets.ratings import RatingMatrix
 from ..errors import ClusterError, ConfigError
 from ..linalg.factors import FactorPair
-from ..linalg.objective import test_rmse
 from ..partition.partitioners import partition_rows_equal_ratings
 from ..rng import RngFactory
-from ..runtime.result import LiveNomad, RuntimeResult
-from ..telemetry import RunTelemetry, clock, decode_payload
+from ..runtime.result import Launch, LiveNomad
+from ..telemetry import decode_payload
 from .transport import (
     COORDINATOR,
     MAX_FRAME_BYTES,
@@ -66,8 +68,6 @@ __nomad_owner_contexts__ = ("_assemble",)
 DEFAULT_BATCH_SIZE = 8
 
 _POLL_SECONDS = 0.02
-#: How often the run-phase sleep wakes to check worker liveness.
-_HEALTH_POLL_SECONDS = 0.2
 _BOOTSTRAP_TIMEOUT = 30.0
 _RESULT_TIMEOUT = 15.0
 _JOIN_TIMEOUT = 10.0
@@ -195,11 +195,9 @@ class ClusterNomad(LiveNomad):
                     "the multi-host fix)"
                 )
 
-    def _scatter_tokens(
-        self, transport: Transport, init: FactorPair, factory: RngFactory
-    ) -> None:
+    def _scatter_tokens(self, transport: Transport, init: FactorPair) -> None:
         """Deal every item token to a seed-determined worker, batched."""
-        scatter = factory.pyrandom("cluster-scatter")
+        scatter = RngFactory(self.run_config.seed).pyrandom("cluster-scatter")
         pending: list[list[wire.Token]] = [[] for _ in range(self.n_workers)]
         for j in range(self.train.n_cols):
             dest = scatter.randrange(self.n_workers)
@@ -222,7 +220,7 @@ class ClusterNomad(LiveNomad):
         frame_type: type,
         timeout: float,
         what: str,
-        health_check=None,
+        workers: list,
         fin_sink: dict[int, bytes] | None = None,
     ) -> dict[int, object]:
         """Collect one ``frame_type`` frame per worker within ``timeout``.
@@ -234,12 +232,11 @@ class ClusterNomad(LiveNomad):
         are captured into it by worker id (a telemetry-enabled worker
         sends its ``Fin`` just ahead of its ``ResultShard`` on the same
         ordered link).  Missing workers fail with a
-        :class:`ClusterError` naming them.  ``health_check`` (optional)
-        runs on every idle poll with the frames so far and returns a
-        failure description (or ``None``) when an unreported worker is
-        known dead — failing early instead of waiting out the deadline.
-        One grace poll runs before raising, because a worker may enqueue
-        its frame and die in the instant after the idle poll.
+        :class:`ClusterError` naming them: at the deadline, or early,
+        on an idle poll, when one of ``workers`` that has not reported
+        is dead.  One grace poll runs before raising, because a worker
+        may enqueue its frame and die in the instant after the idle
+        poll.
         """
         collected: dict[int, object] = {}
         deadline = time.monotonic() + timeout
@@ -252,14 +249,23 @@ class ClusterNomad(LiveNomad):
                 )
             body = transport.recv(timeout=_POLL_SECONDS)
             if body is None:
-                failure = (
-                    health_check(collected) if health_check else None
-                )
-                if failure is None:
+                # A process that exited 0 sent its frame first (it may
+                # still be in flight); a thread's is queued before it ends.
+                dead = [
+                    q
+                    for q, worker in enumerate(workers)
+                    if q not in collected
+                    and not worker.is_alive()
+                    and getattr(worker, "exitcode", None) != 0
+                ]
+                if not dead:
                     continue
                 body = transport.recv(timeout=_POLL_SECONDS)
                 if body is None:
-                    raise ClusterError(failure)
+                    raise ClusterError(
+                        f"worker(s) {dead} died before reporting; the "
+                        "traceback is on the worker's stderr"
+                    )
                 # A frame made it out just before the death — keep going;
                 # a still-unreported dead worker fails on the next pass.
             message = wire.decode(body)
@@ -272,17 +278,6 @@ class ClusterNomad(LiveNomad):
             ):
                 fin_sink[message.worker_id] = message.telemetry
         return collected
-
-    def _collect_results(
-        self,
-        transport: Transport,
-        health_check=None,
-        fin_sink: dict[int, bytes] | None = None,
-    ) -> dict[int, wire.ResultShard]:
-        return self._gather(
-            transport, wire.ResultShard, _RESULT_TIMEOUT, "results",
-            health_check, fin_sink,
-        )
 
     def _assemble(
         self, init: FactorPair, shards: dict[int, wire.ResultShard]
@@ -308,227 +303,111 @@ class ClusterNomad(LiveNomad):
         return FactorPair(w, h)
 
     # ------------------------------------------------------------------
-    # Run
+    # Launch
     # ------------------------------------------------------------------
-    def run(self) -> RuntimeResult:
-        """Run the cluster for ``run.duration`` seconds of wall time."""
+    @contextlib.contextmanager
+    def _launch(self):
+        """Transport, started workers, the Ready/Peers bootstrap (TCP)
+        and the token scatter.  On exit every worker is joined; after a
+        failure the survivors are released first, since they stop only
+        on the ``Stop`` broadcast: TCP processes are terminated, and a
+        loopback thread gets ``Stop`` plus a ``Fin`` from every peer —
+        a crashed peer can never send the ``Fin`` its survivors' drain
+        barriers wait on (duplicates of genuine ones are harmless: the
+        barrier is a set)."""
         init = self.initial_factors
-        factory = RngFactory(self.run_config.seed)
         specs = self._worker_specs(init)
-        if self.transport == "tcp":
-            return self._run_tcp(init, specs, factory)
-        return self._run_loopback(init, specs, factory)
+        tcp = self.transport == "tcp"
+        if tcp:
+            transport = TcpTransport(COORDINATOR)
+            context = mp.get_context("spawn")
+            workers = [
+                context.Process(
+                    target=tcp_worker_entry,
+                    args=(spec, transport.port),
+                    daemon=True,
+                )
+                for spec in specs
+            ]
+        else:
+            hub = LoopbackHub()
+            transport = hub.transport(COORDINATOR)
+            workers = [
+                threading.Thread(
+                    target=run_worker,
+                    args=(spec, hub.transport(spec.worker_id)),
+                    name=f"cluster-{spec.worker_id}",
+                    daemon=True,
+                )
+                for spec in specs
+            ]
+        running: list = []
+        fin_payloads: dict[int, bytes] = {}
 
-    def _drive(
-        self,
-        transport: Transport,
-        init: FactorPair,
-        factory: RngFactory,
-        health_check=None,
-        fin_sink: dict[int, bytes] | None = None,
-    ) -> tuple[dict[int, wire.ResultShard], float, float]:
-        """Scatter → run → stop → collect; returns (shards, wall, stop stamp)."""
-        # The scatter is bootstrap, like Ready/Peers: stamp the wall
-        # clock only once every token is on the wire, so serializing the
-        # initial H never eats into the timed window (the other live
-        # runtimes likewise seed tokens before their wall stamp).
-        self._scatter_tokens(transport, init, factory)
-        started = clock()
-        run_deadline = started + self.run_config.duration
-        while True:
-            # Sleep in short slices so a worker dying early in a long
-            # run fails within _HEALTH_POLL_SECONDS, not at the end of
-            # the whole wall budget (no worker exits before Stop, so any
-            # death seen here is a crash).
-            left = run_deadline - clock()
-            if left <= 0:
-                break
-            time.sleep(min(left, _HEALTH_POLL_SECONDS))
-            failure = health_check(()) if health_check else None
-            if failure is not None:
-                raise ClusterError(failure)
-        for q in range(self.n_workers):
-            transport.send(q, wire.encode_stop())
-        # End of the parallel section: stamp the wall clock at the stop
-        # broadcast, so draining, result collection, and joins can never
-        # inflate the reported parallel time.
-        stopped = clock()
-        shards = self._collect_results(transport, health_check, fin_sink)
-        return shards, stopped - started, stopped
+        def stop() -> None:
+            for q in range(self.n_workers):
+                transport.send(q, wire.encode_stop())
 
-    def _finish(
-        self,
-        init: FactorPair,
-        shards: dict[int, wire.ResultShard],
-        wall: float,
-        join_seconds: float,
-        fin_payloads: dict[int, bytes] | None = None,
-    ) -> RuntimeResult:
-        final = self._assemble(init, shards)
-        per_worker = [shards[q].updates for q in range(self.n_workers)]
-        telemetry = None
-        if self.telemetry:
+        def assemble(shards: dict[int, wire.ResultShard]):
             # A payload that fails version/magic checks decodes to None
             # and that worker is simply absent from the merge — version
             # skew degrades telemetry, never the run.
-            decoded = [
-                decode_payload(blob)
-                for blob in (fin_payloads or {}).values()
-            ]
-            telemetry = RunTelemetry.from_workers(
-                [worker for worker in decoded if worker is not None]
-            )
-        return RuntimeResult(
-            factors=final,
-            updates=sum(per_worker),
-            wall_seconds=wall,
-            rmse=test_rmse(final, self.test),
-            updates_per_worker=per_worker,
-            join_seconds=join_seconds,
-            telemetry=telemetry,
-        )
-
-    def _run_tcp(
-        self,
-        init: FactorPair,
-        specs: list[WorkerSpec],
-        factory: RngFactory,
-    ) -> RuntimeResult:
-        context = mp.get_context("spawn")
-        processes = []
-
-        def health_check(collected: dict) -> str | None:
-            """Fail fast, naming the exit code, when a worker that has
-            not reported is already dead — instead of letting the crash
-            surface as a full collection timeout."""
-            dead = [
-                (q, processes[q].exitcode)
-                for q in range(self.n_workers)
-                if q not in collected
-                and not processes[q].is_alive()
-                and processes[q].exitcode not in (0, None)
-            ]
-            if not dead:
-                return None
-            described = ", ".join(
-                f"worker {q} (exit code {code})" for q, code in dead
-            )
+            decoded = [decode_payload(blob) for blob in fin_payloads.values()]
             return (
-                f"{described} died before reporting; the traceback is "
-                "on the worker process stderr"
+                self._assemble(init, shards),
+                [shards[q].updates for q in range(self.n_workers)],
+                [worker for worker in decoded if worker is not None],
             )
 
-        completed = False
-        fin_payloads: dict[int, bytes] = {}
-        with TcpTransport(COORDINATOR) as transport:
+        with transport:
             try:
-                for spec in specs:
-                    process = context.Process(
-                        target=tcp_worker_entry,
-                        args=(spec, transport.port),
-                        daemon=True,
-                    )
-                    process.start()
-                    processes.append(process)
-
-                # Bootstrap: collect Ready(port) from every worker, then
-                # broadcast the address book that closes the ring.
-                ready = self._gather(
-                    transport, wire.Ready, _BOOTSTRAP_TIMEOUT, "ready",
-                    health_check,
+                for worker in workers:
+                    worker.start()
+                    running.append(worker)
+                if tcp:
+                    self._bootstrap(transport, running)
+                # The scatter is bootstrap too: run() stamps the wall
+                # clock only once every token is on the wire.
+                self._scatter_tokens(transport, init)
+                yield Launch(
+                    workers=running,
+                    unstarted=[],
+                    stop=stop,
+                    collect=lambda: self._gather(
+                        transport, wire.ResultShard, _RESULT_TIMEOUT,
+                        "results", running, fin_payloads,
+                    ),
+                    assemble=assemble,
                 )
-                for message in ready.values():
-                    transport.register_peer(
-                        message.worker_id, "127.0.0.1", message.port
-                    )
-                peers_frame = wire.encode_peers(
-                    {q: message.port for q, message in ready.items()}
-                )
-                for q in range(self.n_workers):
-                    transport.send(q, peers_frame)
-
-                shards, wall, stopped = self._drive(
-                    transport, init, factory, health_check,
-                    fin_payloads,
-                )
-                completed = True
+            except BaseException:
+                if tcp:
+                    for process in running:
+                        process.terminate()
+                else:
+                    stop()
+                    for q in range(self.n_workers):
+                        for peer in range(self.n_workers):
+                            if peer != q:
+                                transport.send(q, wire.encode_fin(peer))
+                raise
             finally:
-                # Reached on success and on any bootstrap/collection
-                # failure: no worker process may outlive the run.  After
-                # a failure the survivors would never exit on their own
-                # (they only stop on the Stop broadcast), so terminate
-                # them up front rather than waiting out a join timeout
-                # per worker before the error surfaces.
-                for process in processes:
-                    if not completed and process.is_alive():
-                        process.terminate()
-                    process.join(timeout=_JOIN_TIMEOUT)
-                    if process.is_alive():
-                        process.terminate()
-                        process.join()
-        join_seconds = clock() - stopped
-        return self._finish(init, shards, wall, join_seconds, fin_payloads)
+                for worker in running:
+                    worker.join(timeout=_JOIN_TIMEOUT)
+                    if tcp and worker.is_alive():
+                        worker.terminate()
+                        worker.join()
 
-    def _run_loopback(
-        self,
-        init: FactorPair,
-        specs: list[WorkerSpec],
-        factory: RngFactory,
-    ) -> RuntimeResult:
-        hub = LoopbackHub()
-        transport = hub.transport(COORDINATOR)
-        worker_transports = [hub.transport(spec.worker_id) for spec in specs]
-        threads = [
-            threading.Thread(
-                target=run_worker,
-                args=(spec, worker_transport),
-                name=f"cluster-{spec.worker_id}",
-                daemon=True,
-            )
-            for spec, worker_transport in zip(specs, worker_transports)
-        ]
+    def _bootstrap(self, transport: TcpTransport, workers: list) -> None:
+        """Collect ``Ready(port)`` from every worker, then broadcast the
+        address book that closes the ring."""
+        ready = self._gather(
+            transport, wire.Ready, _BOOTSTRAP_TIMEOUT, "ready", workers
+        )
+        for message in ready.values():
+            transport.register_peer(message.worker_id, "127.0.0.1", message.port)
+        peers_frame = wire.encode_peers(
+            {q: message.port for q, message in ready.items()}
+        )
+        for q in range(self.n_workers):
+            transport.send(q, peers_frame)
 
-        def health_check(collected: dict) -> str | None:
-            """A dead thread that never reported crashed (its result
-            would already be queued otherwise) — fail fast, like the
-            TCP path does for dead processes."""
-            dead = [
-                q
-                for q, thread in enumerate(threads)
-                if q not in collected and not thread.is_alive()
-            ]
-            if not dead:
-                return None
-            return (
-                f"loopback worker(s) {dead} died before reporting; "
-                "the traceback is on stderr (threading.excepthook)"
-            )
-
-        completed = False
-        fin_payloads: dict[int, bytes] = {}
-        for thread in threads:
-            thread.start()
-        try:
-            shards, wall, stopped = self._drive(
-                transport, init, factory, health_check,
-                fin_payloads,
-            )
-            completed = True
-        finally:
-            # After a failure the surviving workers have seen no Stop
-            # and would poll their queues forever; broadcast it — and,
-            # since a crashed peer can never send the Fin its survivors'
-            # drain barriers wait on, forge a Fin from every worker id
-            # (duplicates of genuine ones are harmless: the barrier is a
-            # set) — so survivors exit now instead of waiting out the
-            # full drain timeout.
-            if not completed:
-                for q in range(self.n_workers):
-                    transport.send(q, wire.encode_stop())
-                    for peer in range(self.n_workers):
-                        if peer != q:
-                            transport.send(q, wire.encode_fin(peer))
-            for thread in threads:
-                thread.join(timeout=_JOIN_TIMEOUT)
-        join_seconds = clock() - stopped
-        return self._finish(init, shards, wall, join_seconds, fin_payloads)

@@ -357,7 +357,7 @@ class NomadSimulation:
         """Algorithm 1 lines 7–10: items scattered uniformly at random."""
         for j in range(self.train.n_cols):
             q = self._routing_rng.randrange(self.cluster.n_workers)
-            token = ItemToken(item=j, vector=self._h[j])
+            token = ItemToken(item=j)
             self._queues[q].append(token)
             self._ledger.acquire(j, q)
 

@@ -2,16 +2,15 @@
 
 In NOMAD the item parameter vectors are "nomadic variables" (§3.1): each
 lives in exactly one worker's queue or hands at a time and migrates after
-being processed.  The token object carries the item index, a direct
-(mutable) view of the item's factor row, and the intra-machine circulation
-state of the hybrid architecture (§3.4).
+being processed.  The token object carries the item index and the
+intra-machine circulation state of the hybrid architecture (§3.4); the
+``h_j`` row itself stays in the simulator's item-factor matrix, which the
+bound token kernels update through the item id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 __all__ = ["ItemToken"]
 
@@ -24,14 +23,6 @@ class ItemToken:
     ----------
     item:
         Item (column) index ``j``.
-    vector:
-        The live ``h_j`` coordinates: a row view of the item factor
-        matrix, so it aliases what the simulator's bound token kernels
-        update through the item id.
-        NOMAD mutates it in place; because ownership is exclusive, no
-        copy is ever needed — this mirrors the zero-copy hand-off a
-        shared-memory implementation gets from passing pointers through
-        a concurrent queue.
     circulation:
         Remaining worker ids to visit on the current machine before the
         token pays a network hop (hybrid architecture, §3.4), next stop
@@ -40,7 +31,6 @@ class ItemToken:
     """
 
     item: int
-    vector: np.ndarray
     circulation: list[int] = field(default_factory=list)
 
     def __repr__(self) -> str:

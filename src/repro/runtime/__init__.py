@@ -14,10 +14,11 @@ concurrent workers:
   CPython workaround for GIL-bound compute.  Demonstrates genuine
   parallel lock-free execution of the NOMAD update rule.
 
-Both are built by :class:`~repro.runtime.result.LiveNomad` (as the
-cluster engine is) from a required :class:`~repro.config.RunConfig`, run
-one loop, :func:`~repro.runtime.loop.run_token_loop`, and return one
-:class:`~repro.runtime.result.RuntimeResult`.
+Both are built and run by :class:`~repro.runtime.result.LiveNomad` (as
+the cluster engine is) from a required :class:`~repro.config.RunConfig`:
+one constructor, one ``run()`` and one
+:class:`~repro.runtime.result.RuntimeResult`, with one worker loop,
+:func:`~repro.runtime.loop.run_token_loop`.
 """
 
 from .result import RuntimeResult

@@ -1,4 +1,4 @@
-"""The live token loop, and the engine skeleton around it.
+"""The live token loop, and the ring engines' launch around it.
 
 Algorithm 1 is one loop — pop a token, update, push it to a random
 worker — and "the only interaction between threads is via operations on
@@ -26,15 +26,16 @@ thousand 24-rating tokens the ring holds.  The limit is observed from
 the input and the kernel, never set.
 
 :class:`TokenRingNomad` is everything else the two ring engines share:
-the ``run()`` skeleton (rings → scatter → start → sleep → stop →
-collect → conservation check → result) over the live runtimes' shared
-constructor, :class:`~repro.runtime.result.LiveNomad`.  A
-subclass says only where W/H/rings/stamps live and how a worker is
-started and reports.
+their launch (shared state → scatter → unstarted workers) and their
+assemble step (lost-worker and conservation checks), plugged into the
+one run of every live engine,
+:meth:`~repro.runtime.result.LiveNomad.run`.  A subclass says only
+where W/H/rings/stamps live and how a worker is started and reports.
 """
 
 from __future__ import annotations
 
+import contextlib
 import time
 
 import numpy as np
@@ -44,7 +45,6 @@ from ..datasets.ratings import Shard
 from ..errors import WorkerLostError
 from ..linalg.backends.base import KernelBackend, TokenKernel
 from ..linalg.factors import FactorPair
-from ..linalg.objective import test_rmse
 from ..partition.partitioners import partition_rows_equal_ratings
 from ..rng import derive_rng
 from ..telemetry import (
@@ -55,7 +55,6 @@ from ..telemetry import (
     C_UPDATES,
     POINT_QUEUE_DEPTH,
     Recorder,
-    RunTelemetry,
     SPAN_HOP,
     SPAN_IDLE,
     SPAN_KERNEL,
@@ -63,7 +62,7 @@ from ..telemetry import (
     clock,
 )
 from .mailbox import TokenRings
-from .result import LiveNomad, RuntimeResult
+from .result import Launch, LiveNomad
 
 __all__ = ["TokenRingNomad", "run_token_loop", "run_worker"]
 
@@ -213,21 +212,18 @@ class TokenRingNomad(LiveNomad):
     only by the current token holder — the owner-computes rule makes
     mutual exclusion structural rather than enforced.
 
-    The constructor is :class:`~repro.runtime.result.LiveNomad`'s: a
-    required :class:`~repro.config.RunConfig` supplies the seed, the
-    kernel backend and ``run()``'s wall budget.  Telemetry adds one
+    The constructor and ``run()`` are
+    :class:`~repro.runtime.result.LiveNomad`'s; this class is the two
+    ring engines' launch.  A lost or duplicated token raises
+    :class:`~repro.errors.TokenConservationError`, a worker that never
+    reported :class:`~repro.errors.WorkerLostError`.  Telemetry adds one
     8-byte hop stamp per item.
     """
 
-    def run(self) -> RuntimeResult:
-        """Run the worker pool for ``run.duration`` seconds of wall time.
-
-        Raises :class:`~repro.errors.TokenConservationError` if the
-        rings do not hold every item exactly once when the workers have
-        stopped, and :class:`~repro.errors.WorkerLostError` if a worker
-        never reported.  An error or interrupt during the timed wait
-        still stops and collects every worker before it propagates.
-        """
+    @contextlib.contextmanager
+    def _launch(self):
+        """Shared state, the scattered tokens and one unstarted worker
+        per shard; the state is released on exit."""
         seed = self.run_config.seed
         shards = self.train.shard_by_rows(
             partition_rows_equal_ratings(self.train, self.n_workers)
@@ -252,52 +248,35 @@ class TokenRingNomad(LiveNomad):
                     for q in range(self.n_workers)
                 ]
             )
-            started = clock()
-            for worker in workers:
-                worker.start()
-            try:
-                time.sleep(self.run_config.duration)
-            finally:
-                # Reached on an error or interrupt in the wait too: no
-                # worker may outlive run(), nor a shared block its worker.
-                stop.set()
-                # End of the parallel section: stamp the wall clock now,
-                # so result collection and joins can never inflate the
-                # reported parallel time.
-                wall = clock() - started
-                reports = self._collect(workers, channel)
-            join_seconds = clock() - started - wall
-            # A worker reports after its last ring operation, so once all
-            # have reported the rings are quiescent and must hold every
-            # item exactly once.  (A worker that never reported may have
-            # died mid-burst; nothing can be concluded then.)
-            if len(reports) == self.n_workers:
-                rings.check_conserved(n_items)
-            final = FactorPair(w.copy(), h.copy())
+            running: list = []
 
-        lost = sorted(set(range(self.n_workers)) - set(reports))
-        if lost:
-            raise WorkerLostError(
-                f"worker(s) {lost} of {self.n_workers} stopped without "
-                "reporting (crashed, or killed after the join timeout); "
-                "the factors they were writing cannot be trusted"
-            )
-        per_worker = [reports[q][0] for q in range(self.n_workers)]
-        return RuntimeResult(
-            factors=final,
-            updates=sum(per_worker),
-            wall_seconds=wall,
-            rmse=test_rmse(final, self.test),
-            updates_per_worker=per_worker,
-            join_seconds=join_seconds,
-            telemetry=(
-                RunTelemetry.from_workers(
-                    [reports[q][1] for q in range(self.n_workers)]
+            def assemble(reports: dict):
+                lost = sorted(set(range(self.n_workers)) - set(reports))
+                if lost:
+                    raise WorkerLostError(
+                        f"worker(s) {lost} of {self.n_workers} stopped "
+                        "without reporting (crashed, or killed after the "
+                        "join timeout); the factors they were writing "
+                        "cannot be trusted"
+                    )
+                # A worker reports after its last ring operation, so once
+                # all have reported the rings are quiescent and must hold
+                # every item exactly once.
+                rings.check_conserved(n_items)
+                ordered = [reports[q] for q in range(self.n_workers)]
+                return (
+                    FactorPair(w.copy(), h.copy()),
+                    [updates for updates, _ in ordered],
+                    [snapshot for _, snapshot in ordered],
                 )
-                if self.telemetry
-                else None
-            ),
-        )
+
+            yield Launch(
+                workers=running,
+                unstarted=workers,
+                stop=stop.set,
+                collect=lambda: self._collect(running, channel),
+                assemble=assemble,
+            )
 
     def _shared_state(self, init: FactorPair):
         """Context manager yielding ``(w, h, rings, put_times, stop)``:
@@ -308,11 +287,13 @@ class TokenRingNomad(LiveNomad):
 
     def _spawn(self, worker_args: list[tuple]):
         """Return ``(workers, channel)``: per :func:`run_worker` argument
-        tuple one unstarted worker (anything with ``start()``) that will
-        report its result through ``channel``."""
+        tuple one unstarted worker (anything with ``start()`` and
+        ``is_alive()``) that will report its result through
+        ``channel``."""
         raise NotImplementedError
 
-    def _collect(self, workers, channel) -> dict:
-        """Join every worker and return ``{worker_id: (updates,
-        WorkerTelemetry | None)}`` for those that reported."""
+    def _collect(self, workers: list, channel) -> dict:
+        """Join every started worker and return ``{worker_id: (updates,
+        WorkerTelemetry | None)}`` for those that reported, waiting for
+        none that has died."""
         raise NotImplementedError

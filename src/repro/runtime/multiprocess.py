@@ -22,7 +22,8 @@ the only synchronized objects are the rings themselves, exactly as in the
 paper ("the only interaction between threads is via operations on the
 queue", §3.5).  Each process runs
 :func:`~repro.runtime.loop.run_token_loop`, the loop the threaded runtime
-runs too.
+runs too, and the run around them is every live engine's,
+:meth:`~repro.runtime.result.LiveNomad.run`.
 
 Since no token ever sits in a pipe, shutdown cannot depend on a pipe's
 capacity (the old ``mp.Queue`` mailboxes blocked every worker's exit
@@ -36,10 +37,10 @@ Two runtime caveats:
   raises :class:`~repro.errors.ConfigError` on platforms without it
   (macOS and Windows default to ``spawn``); use
   :class:`~repro.runtime.threaded.ThreadedNomad` or the simulator there.
-* **Timing.**  ``wall_seconds`` covers the parallel section only: it is
-  stamped the moment the stop event is set.  Result collection and process
-  joins (up to ``_JOIN_TIMEOUT`` each) are reported separately as
-  ``join_seconds`` so shutdown cost can never inflate throughput numbers.
+* **Timing.**  ``wall_seconds`` follows the one contract of every live
+  runtime (:mod:`repro.runtime.result`); result collection and process
+  joins (up to ``_JOIN_TIMEOUT`` each, none for a process already dead)
+  land in ``join_seconds``.
 """
 
 from __future__ import annotations
@@ -96,8 +97,7 @@ def _worker_main(
     ``hyper`` travels as the :class:`~repro.config.HyperParams` dataclass
     itself — named field access instead of positional tuple unpacking, so
     a field reorder can never silently swap α and λ.  A process that
-    raises never reports, which :meth:`MultiprocessNomad.run` turns into
-    a typed error.
+    raises never reports, which ``run()`` turns into a typed error.
     """
     result_queue.put(
         (
@@ -130,7 +130,8 @@ def _release_blocks(blocks: list[shared_memory.SharedMemory]) -> None:
 
 class MultiprocessNomad(TokenRingNomad):
     """Owner-computes NOMAD over processes and shared memory; parameters
-    and ``run()`` are :class:`~repro.runtime.loop.TokenRingNomad`'s."""
+    and ``run()`` are :class:`~repro.runtime.result.LiveNomad`'s, the
+    launch :class:`~repro.runtime.loop.TokenRingNomad`'s."""
 
     @contextlib.contextmanager
     def _shared_state(self, init):
@@ -189,10 +190,22 @@ class MultiprocessNomad(TokenRingNomad):
     def _collect(self, processes, result_queue):
         reports = {}
         deadline = clock() + _JOIN_TIMEOUT
-        while len(reports) < self.n_workers and clock() < deadline:
+        while len(reports) < len(processes) and clock() < deadline:
+            # A process that has exited flushed its report first, so once
+            # every unreported one is dead a last look at the queue ends
+            # the wait instead of the join timeout.
+            waiting = any(
+                process.is_alive()
+                for q, process in enumerate(processes)
+                if q not in reports
+            )
             try:
-                worker_id, updates, snapshot = result_queue.get(timeout=0.25)
+                worker_id, updates, snapshot = result_queue.get(
+                    timeout=0.25 if waiting else 0.0
+                )
             except queue_module.Empty:
+                if not waiting:
+                    break
                 continue
             reports[worker_id] = (updates, snapshot)
         for process in processes:

@@ -5,7 +5,10 @@ The same rings and the same loop as
 the factors, the :class:`~repro.runtime.mailbox.TokenRings` and the hop
 stamps are plain heap arrays every thread sees, the ring locks are
 :class:`threading.Lock` objects, and each thread runs
-:func:`~repro.runtime.loop.run_token_loop` over its own shard.
+:func:`~repro.runtime.loop.run_token_loop` over its own shard.  The run
+around them is every live engine's,
+:meth:`~repro.runtime.result.LiveNomad.run`; this module says only where
+the state lives, how a thread is made and how its report is collected.
 
 CPython's GIL means the threads interleave rather than truly parallelize
 interpreted float math (the compiled backend releases it), so this
@@ -34,7 +37,7 @@ def _worker_main(
     seed, rings, stop, reports,
 ) -> None:
     """Entry point of one worker thread.  A thread that raises never
-    reports, which :meth:`ThreadedNomad.run` turns into a typed error."""
+    reports, which ``run()`` turns into a typed error."""
     reports[worker_id] = run_worker(
         worker_id, n_workers, w, h, put_times, shard, hyper,
         backend, seed, rings, stop,
@@ -43,7 +46,8 @@ def _worker_main(
 
 class ThreadedNomad(TokenRingNomad):
     """Owner-computes NOMAD over real threads; parameters and ``run()``
-    are :class:`~repro.runtime.loop.TokenRingNomad`'s."""
+    are :class:`~repro.runtime.result.LiveNomad`'s, the launch
+    :class:`~repro.runtime.loop.TokenRingNomad`'s."""
 
     @contextlib.contextmanager
     def _shared_state(self, init):

@@ -7,13 +7,13 @@ layer; aggregation, Chrome-trace export, and Prometheus rendering live
 on the collection side where cost no longer matters.
 
 Disabled is the default and costs one branch per instrumentation site:
-substrates hold ``None`` (or :data:`NULL_RECORDER`) unless the caller
-passed ``telemetry=True`` through ``repro.fit()`` / ``fit_stream()``.
+substrates hold ``None`` unless the caller passed ``telemetry=True``
+through ``repro.fit()`` / ``fit_stream()``.
 
 Layout:
 
 * :mod:`~repro.telemetry.recorder` — hot path: :data:`clock`, event
-  kinds, counters, :class:`Recorder`, :data:`NULL_RECORDER`.
+  kinds, counters, :class:`Recorder`.
 * :mod:`~repro.telemetry.aggregate` — :class:`Histogram`,
   :class:`RunTelemetry` (the ``FitResult.telemetry`` value).
 * :mod:`~repro.telemetry.payload` — the versioned blob a cluster Fin
@@ -39,10 +39,8 @@ from .recorder import (
     C_UPDATES,
     COUNTER_NAMES,
     KIND_NAMES,
-    NULL_RECORDER,
     POINT_QUEUE_DEPTH,
     Recorder,
-    SPAN_DRAIN,
     SPAN_HOP,
     SPAN_HTTP,
     SPAN_IDLE,
@@ -69,13 +67,11 @@ __all__ = [
     "Histogram",
     "KIND_NAMES",
     "MAX_PAYLOAD_EVENTS",
-    "NULL_RECORDER",
     "PAYLOAD_MAGIC",
     "PAYLOAD_VERSION",
     "POINT_QUEUE_DEPTH",
     "Recorder",
     "RunTelemetry",
-    "SPAN_DRAIN",
     "SPAN_HOP",
     "SPAN_HTTP",
     "SPAN_IDLE",

@@ -12,10 +12,9 @@ fixed-size **span** records and monotonic **counters**.  Design budget:
   ``CLOCK_MONOTONIC``, so stamps are comparable across the processes of
   one host, which is what lets hop latency span a put in one process
   and a pop in another);
-* compiled out by default — substrates hold ``None`` (or
-  :data:`NULL_RECORDER`) when telemetry is off and guard every
-  instrumentation site with a single truthiness/attribute check, so the
-  disabled path costs one branch.
+* compiled out by default — substrates hold ``None`` when telemetry is
+  off and guard every instrumentation site with one ``is not None``
+  check, so the disabled path costs one branch.
 
 A recorder is **single-writer**: only its owning worker records into
 it.  Collection (:meth:`Recorder.snapshot`) happens after the worker
@@ -40,10 +39,8 @@ __all__ = [
     "C_UPDATES",
     "DEFAULT_CAPACITY",
     "KIND_NAMES",
-    "NULL_RECORDER",
     "POINT_QUEUE_DEPTH",
     "Recorder",
-    "SPAN_DRAIN",
     "SPAN_HOP",
     "SPAN_HTTP",
     "SPAN_IDLE",
@@ -67,7 +64,8 @@ clock = time.perf_counter
 # of zero duration whose payload rides in ``value``.
 
 SPAN_HOP = 1        #: token mailbox residence: put/arrival -> pop
-SPAN_DRAIN = 2      #: one mailbox drain visit (burst assembly)
+# 2 was a mailbox drain span nothing recorded; the ids are payload ids,
+# so it stays unused rather than renumbering the rest.
 SPAN_KERNEL = 3     #: one fused kernel-batch call; value = updates applied
 SPAN_SWEEP = 4      #: one dynamic-runtime sweep; value = updates applied
 SPAN_INGEST = 5     #: one streaming ingest call; value = ratings absorbed
@@ -78,7 +76,6 @@ POINT_QUEUE_DEPTH = 9  #: queue depth observed at drain time; value = depth
 
 KIND_NAMES = {
     SPAN_HOP: "hop",
-    SPAN_DRAIN: "drain",
     SPAN_KERNEL: "kernel",
     SPAN_SWEEP: "sweep",
     SPAN_INGEST: "ingest",
@@ -158,10 +155,6 @@ class Recorder:
         "_value",
         "_counters",
     )
-
-    #: Class attribute so ``recorder.enabled`` is a plain load on both
-    #: the real recorder and :data:`NULL_RECORDER`.
-    enabled = True
 
     def __init__(self, worker_id: int = 0, capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
@@ -246,34 +239,3 @@ class Recorder:
             events=events,
             dropped=self.dropped,
         )
-
-
-class _NullRecorder:
-    """Do-nothing recorder for substrates that want an unconditional
-    ``recorder.span(...)`` call style instead of a ``None`` guard."""
-
-    __slots__ = ()
-    enabled = False
-    worker_id = -1
-
-    def span(self, kind: int, start: float, duration: float, value: int = 0) -> None:
-        pass
-
-    def spans(self, kind: int, starts, durations) -> None:
-        pass
-
-    def point(self, kind: int, value: int) -> None:
-        pass
-
-    def add(self, counter: int, n: int = 1) -> None:
-        pass
-
-    def count(self, counter: int) -> int:
-        return 0
-
-    def snapshot(self) -> WorkerTelemetry:
-        return WorkerTelemetry(worker_id=self.worker_id)
-
-
-#: Shared no-op recorder; safe to hand to any number of workers.
-NULL_RECORDER = _NullRecorder()

@@ -494,11 +494,11 @@ class TestTokens:
                 assert len(set(tour)) == len(tour)
                 tours += len(tour) == 4
         assert tours > train.n_cols
-        token = ItemToken(item=3, vector=[0.0], circulation=[5, 7])
+        token = ItemToken(item=3, circulation=[5, 7])
         assert token.circulation == [5, 7]
 
     def test_repr(self):
-        token = ItemToken(item=3, vector=[0.0])
+        token = ItemToken(item=3)
         assert "item=3" in repr(token)
 
 

@@ -13,9 +13,11 @@ import pytest
 
 from repro.api import fit
 from repro.api.registry import resolve_wall_clock_run
+from repro.cluster import coordinator as coordinator_module
 from repro.config import HyperParams, RunConfig
 from repro.datasets.synthetic import SyntheticSpec, make_low_rank
 from repro.errors import (
+    ClusterError,
     ConfigError,
     ReproError,
     TokenConservationError,
@@ -406,8 +408,9 @@ class TestInterruptedWait:
     """Regression: the ring engines set ``stop`` only after their timed
     wait returned, so a Ctrl-C or an error in the wait left the workers
     running — threads that kept the interpreter alive, forked children
-    working on blocks already unlinked.  The cluster's ``_drive`` is
-    held to the same bar."""
+    working on blocks already unlinked.  The cluster's wait — since the
+    one run of every live engine, the same wait — is held to the same
+    bar."""
 
     @pytest.mark.parametrize(
         "engine, extra",
@@ -455,6 +458,111 @@ class TestInterruptedWait:
             real_sleep(0.02)
         assert not _live_workers()
         assert not _shm_blocks() - blocks
+
+
+#: The three live engines, the cluster over its in-process transport.
+LIVE_ENGINES = pytest.mark.parametrize(
+    "engine, extra",
+    [
+        ("threaded", {}),
+        ("multiprocess", {}),
+        ("cluster", {"transport": "loopback"}),
+    ],
+    ids=["threaded", "multiprocess", "cluster"],
+)
+
+
+def _assert_released(blocks: set[str]) -> None:
+    """Within 2 s no worker of this process is alive and no shared block
+    beyond ``blocks`` exists."""
+    deadline = time.monotonic() + 2.0
+    while (
+        _live_workers() or _shm_blocks() - blocks
+    ) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert not _live_workers()
+    assert not _shm_blocks() - blocks
+
+
+class TestFailedWorkerStart:
+    """Regression: the ring engines and the loopback cluster started
+    their workers before the ``try`` whose ``finally`` stops them, so a
+    start that raised left the workers already started running — on
+    ``threaded`` a non-daemon thread the interpreter never got past."""
+
+    @LIVE_ENGINES
+    def test_failed_start_leaks_no_worker(
+        self, tiny_split, monkeypatch, engine, extra
+    ):
+        train, test = tiny_split
+        worker_class = (
+            mp_module._fork_context().Process
+            if engine == "multiprocess"
+            else threading.Thread
+        )
+        real_start = worker_class.start
+        starts = []
+
+        def start(self):
+            starts.append(self)
+            if len(starts) == 2:
+                raise RuntimeError("injected start failure")
+            real_start(self)
+
+        blocks = _shm_blocks()
+        assert not _live_workers()
+        monkeypatch.setattr(worker_class, "start", start)
+        with pytest.raises(RuntimeError, match="injected start failure"):
+            fit(
+                train, test, engine=engine, n_workers=2, hyper=HYPER,
+                run=wall(5.0, seed=1), **extra,
+            )
+        monkeypatch.undo()
+        assert len(starts) == 2
+        _assert_released(blocks)
+
+
+class TestDeadWorker:
+    """Regression: a worker that died early in a long run surfaced only
+    when the whole budget was slept out (``threaded``), and then after
+    the full join timeout spent waiting for a report the dead process
+    could never send (``multiprocess``).  Every live engine now polls
+    liveness in its wait and ends the run in its typed error at once."""
+
+    @LIVE_ENGINES
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning"
+    )
+    def test_dead_worker_is_a_typed_error_at_once(
+        self, tiny_split, monkeypatch, engine, extra
+    ):
+        train, test = tiny_split
+        if engine == "cluster":
+            module, name, error = coordinator_module, "run_worker", ClusterError
+        else:
+            module = threaded_module if engine == "threaded" else mp_module
+            name, error = "_worker_main", WorkerLostError
+        real = getattr(module, name)
+
+        def worker(first, *args):
+            worker_id = first.worker_id if engine == "cluster" else first
+            if worker_id == 1:
+                raise RuntimeError("injected worker crash")
+            real(first, *args)
+
+        blocks = _shm_blocks()
+        assert not _live_workers()
+        monkeypatch.setattr(module, name, worker)
+        monkeypatch.setattr(threading, "excepthook", lambda args: None)
+        started = time.monotonic()
+        with pytest.raises(error, match=r"\[1\]"):
+            fit(
+                train, test, engine=engine, n_workers=2, hyper=HYPER,
+                run=wall(3.0, seed=1), **extra,
+            )
+        assert time.monotonic() - started < 1.5
+        monkeypatch.undo()
+        _assert_released(blocks)
 
 
 class TestRunConfigSemantics:

@@ -25,7 +25,6 @@ from repro.telemetry import (
     C_UPDATES,
     COUNTER_NAMES,
     MAX_PAYLOAD_EVENTS,
-    NULL_RECORDER,
     PAYLOAD_MAGIC,
     PAYLOAD_VERSION,
     POINT_QUEUE_DEPTH,
@@ -119,22 +118,12 @@ class TestRecorder:
             batched.span(SPAN_KERNEL, 1.0, 2.0, n)
         assert batched.snapshot() == looped.snapshot()
         assert batched.snapshot().dropped == 36 + 6 - 8
-        NULL_RECORDER.spans(SPAN_HOP, np.zeros(2), np.ones(2))
 
     def test_point_records_zero_duration_span(self):
         recorder = Recorder(capacity=8)
         recorder.point(POINT_QUEUE_DEPTH, 42)
         ((kind, _start, duration, value),) = recorder.snapshot().events
         assert (kind, duration, value) == (POINT_QUEUE_DEPTH, 0.0, 42)
-
-    def test_null_recorder_is_inert(self):
-        assert NULL_RECORDER.enabled is False
-        assert Recorder.enabled is True
-        NULL_RECORDER.span(SPAN_HOP, 0.0, 1.0)
-        NULL_RECORDER.point(POINT_QUEUE_DEPTH, 5)
-        NULL_RECORDER.add(C_UPDATES, 100)
-        assert NULL_RECORDER.count(C_UPDATES) == 0
-        assert NULL_RECORDER.snapshot().events == []
 
     def test_worker_telemetry_dict_round_trip(self):
         original = WorkerTelemetry(
