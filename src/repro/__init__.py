@@ -112,6 +112,7 @@ from .errors import (
     ClusterError,
     ConfigError,
     DataError,
+    DivergenceError,
     ExperimentError,
     ReproError,
     ServeError,
@@ -263,6 +264,7 @@ __all__ = [
     "ConfigError",
     "DataError",
     "SimulationError",
+    "DivergenceError",
     "ExperimentError",
     "WireError",
     "ClusterError",

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..config import HyperParams, RunConfig
 from ..datasets.ratings import RatingMatrix
-from ..errors import ConfigError, SimulationError
+from ..errors import ConfigError, DivergenceError, SimulationError
 from ..linalg.backends import resolve_backend
 from ..linalg.factors import FactorPair, start_factors
 from ..linalg.objective import test_rmse
@@ -165,7 +165,7 @@ class ClockedOptimizer(abc.ABC):
     def _record_point(self, time: float) -> None:
         rmse = test_rmse(self.factors, self.test)
         if not np.isfinite(rmse):
-            raise SimulationError(
+            raise DivergenceError(
                 f"{self.algorithm}: test RMSE diverged "
                 "(reduce the step size or increase regularization)"
             )

@@ -51,7 +51,7 @@ import numpy as np
 
 from ..config import HyperParams, RunConfig
 from ..datasets.ratings import RatingMatrix
-from ..errors import ConfigError, SimulationError
+from ..errors import ConfigError, DivergenceError, SimulationError
 from ..linalg.factors import FactorPair, start_factors
 from ..linalg.backends import resolve_backend
 from ..linalg.losses import Loss, SquaredLoss
@@ -498,7 +498,7 @@ class NomadSimulation:
             return
         rmse = test_rmse(self.factors, self.test)
         if not np.isfinite(rmse):
-            raise SimulationError(
+            raise DivergenceError(
                 "test RMSE diverged; reduce alpha or increase beta/lambda"
             )
         self._trace.add(time, self._total_updates, rmse)

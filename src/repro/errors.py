@@ -32,6 +32,18 @@ class SimulationError(ReproError):
     """
 
 
+class DivergenceError(SimulationError):
+    """Training diverged: the model's test RMSE or factors are not finite.
+
+    Raised by the simulator and the clocked baselines when a recorded
+    test RMSE is not finite, and by every live engine when its final
+    ``W`` or ``H`` holds a non-finite value — never a model returned as
+    if trained.  The cure is a smaller step size (``alpha``) or more
+    regularization (``beta`` / ``lambda_``).  Subclasses
+    :class:`SimulationError`, so a caller catching that catches this too.
+    """
+
+
 class ExperimentError(ReproError):
     """An experiment specification could not be resolved or executed."""
 

@@ -11,8 +11,9 @@ implementations ship:
   that defines every update, and the fallback where no C toolchain is
   usable.
 * ``"cext"`` — :class:`CextBackend`, the same loop compiled to C at
-  first use (system ``cc``/``gcc``, cached ``.so``, loaded via ctypes);
-  1–2 orders of magnitude faster, the only backend whose calls release
+  first use (system ``cc``/``gcc`` and Python's headers, one cached
+  extension module with a plain and an AVX2 build, picked at load);
+  1–2 orders of magnitude faster, the only backend whose bursts release
   the GIL, and equal to ``list`` bit for bit.
 
 Selection

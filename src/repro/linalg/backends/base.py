@@ -101,9 +101,8 @@ class KernelBackend(abc.ABC):
         ``col_counts[c]`` describe one column's token work; columns are
         processed strictly in sequence, so the result is defined to be
         identical to looping :meth:`process_column` — which is exactly
-        what this default does, keeping every backend conformant.
-        Compiled backends override it to amortize per-call overhead
-        across a whole burst of tokens in one native call.
+        what this, the one implementation, does.  Legacy: a burst is
+        :meth:`bind_tokens`' ``process_tokens``.
         """
         applied = 0
         for index, h_col in enumerate(h_cols):

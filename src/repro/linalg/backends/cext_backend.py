@@ -1,51 +1,46 @@
-"""Compiled SGD backend — C inner loops over ndarray factors via ctypes.
+"""Compiled SGD backend — C inner loops over ndarray factors, called
+through a native extension type.
 
 The interpreted reference pays Python-interpreter overhead *per
-rating*; this backend runs the whole inner loop in C (``nomad_kernels.c``,
-built on demand by :mod:`.cext_build`), so the per-update cost drops to
-the raw arithmetic.  Factors are plain ``float64`` ndarrays, which the
-shared-memory runtimes and cluster workers hand straight to the C
-functions with **zero copies**; an array of another dtype or layout is
-converted on the way in and written back on the way out.
+rating*; this backend runs the whole inner loop in C (``nomad_kernels.c``
+behind ``nomad_module.c``, built on demand by :mod:`.cext_build`), so
+the per-update cost drops to the raw arithmetic.  Factors are plain
+``float64`` ndarrays, which the shared-memory runtimes and cluster
+workers hand straight to C through the buffer protocol with **zero
+copies**; an array of another dtype or layout is converted on the way in
+and written back on the way out.
 
 Two properties worth knowing:
 
 * **Bit-compatibility** — the C loops replicate the reference core
-  operation for operation and are compiled with ``-ffp-contract=off``,
-  so they equal the list reference bit for bit
+  operation for operation and are compiled with ``-ffp-contract=off``
+  (and, in the AVX2 build the module picks where the CPU has it,
+  ``-mno-fma``), so they equal the list reference bit for bit
   (``tests/test_backends.py::TestBitForBit``).
-* **True parallelism** — :mod:`ctypes` releases the GIL for the duration
-  of each foreign call.  NOMAD's owner-computes rule makes concurrent
-  kernel calls touch disjoint rows, so the threaded runtime gets genuine
-  multi-core scaling out of this backend, not just a faster serial loop.
+* **True parallelism** — a burst (``process_tokens``) and an entries
+  sweep release the GIL while they run.  NOMAD's owner-computes rule
+  makes concurrent kernel calls touch disjoint rows, so the threaded
+  runtime gets genuine multi-core scaling out of this backend, not just
+  a faster serial loop.
 
-The burst path is :meth:`CextBackend.bind_tokens`: a
-:class:`CextTokenKernel` validates the worker's factors and CSC shard
-once, resolves their addresses into one ``nomad_bound`` struct together
-with the loss (``_loss_id``'s ``(loss_id, param)``: square, absolute or
-Huber), and from then on a burst of item ids is one
-``nomad_process_tokens`` call (a single token, ``nomad_process_token``).
+The burst path is :meth:`CextBackend.bind_tokens`: the module's
+``Kernels.bind`` checks the worker's factors and CSC shard once — dtypes,
+contiguity, the CSC shape, the user range — observes whether users
+ascend inside every column, and holds their buffers in a native
+``TokenKernel`` together with the loss (``_loss_id``'s ``(loss_id,
+param)``: square, absolute or Huber).  From then on a burst of item ids
+is one ``METH_O`` call on that object, and a single token another.
 A :class:`~repro.linalg.losses.Loss` C has no id for is bound to the
 interpreted ``list`` kernel instead.  A burst is *defined* as its
 columns run one after another; the C gets there faster without changing
-a bit.  It asks libm for the equation-(11) step only when a rating's
-counter differs from the previous rating's (the ratings of a column
-almost always share one), and under the square loss, over a shard whose
-users ascend strictly inside every column — observed here at bind time,
-true of ``Shard.csc()`` — it runs two columns at a time in the §4.3
-conflict order: column B's rating of user ``u`` waits until column A's cursor has
-passed ``u``, so every ``w`` row and every ``h`` row sees its updates in
-burst order while the two dot-product chains overlap.  No sum is
-reassociated and nothing is contracted, which is why both are
-IEEE-identical to the serial loop.  :meth:`process_column_batch` is the
-legacy burst entry (per-column pointer lists); nothing in ``src/`` calls
-it any more.
+a bit (see ``nomad_kernels.c``).  :meth:`process_column` and the
+inherited :meth:`~.base.KernelBackend.process_column_batch` are the
+legacy per-column entries; nothing in ``src/`` calls them any more.
 """
 
 from __future__ import annotations
 
-import ctypes
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -56,53 +51,9 @@ from .base import KernelBackend, TokenKernel
 
 __all__ = ["CextBackend", "CextTokenKernel"]
 
-_F8 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
-_I8 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
-_PTRS = ctypes.POINTER(ctypes.c_void_p)
-_i64 = ctypes.c_int64
-_f64 = ctypes.c_double
-
 #: counts placeholder for the constant-step entries call (never read: the
-#: C loop only dereferences counts when scheduled != 0).
+#: C loop only dereferences counts when scheduled).
 _NO_COUNTS = np.zeros(1, dtype=np.int64)
-
-
-class _Bound(ctypes.Structure):
-    """``nomad_bound`` of ``nomad_kernels.c``, field for field."""
-
-    _fields_ = [
-        *[(name, ctypes.c_void_p) for name in
-          ("w", "h", "indptr", "users", "ratings", "counts")],
-        *[(name, _i64) for name in ("n_items", "k", "ascending", "loss_id")],
-        *[(name, _f64) for name in ("alpha", "beta", "lambda_", "loss_param")],
-    ]
-
-
-def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
-    lib.nomad_process_column.restype = _i64
-    lib.nomad_process_column.argtypes = [
-        _F8, _F8, _I8, _F8, _I8, _i64, _i64, _f64, _f64, _f64,
-    ]
-    lib.nomad_process_column_batch.restype = _i64
-    lib.nomad_process_column_batch.argtypes = [
-        _F8, _PTRS, _PTRS, _PTRS, _PTRS, _I8, _i64, _i64, _f64, _f64, _f64,
-    ]
-    # Raw addresses: bind_tokens validates the arrays and resolves their
-    # pointers once into a _Bound, so a call pays no ndpointer check.
-    lib.nomad_bound_size.restype = _i64
-    lib.nomad_bound_size.argtypes = []
-    lib.nomad_bound_offset.restype = _i64
-    lib.nomad_bound_offset.argtypes = [_i64]
-    lib.nomad_process_tokens.restype = _i64
-    lib.nomad_process_tokens.argtypes = [ctypes.c_void_p, ctypes.c_void_p, _i64]
-    lib.nomad_process_token.restype = _i64
-    lib.nomad_process_token.argtypes = [ctypes.c_void_p, _i64]
-    lib.nomad_process_entries.restype = _i64
-    lib.nomad_process_entries.argtypes = [
-        _F8, _F8, _I8, _I8, _F8, _I8, _I8, _i64, _i64, _f64, _f64, _f64,
-        _f64, _i64,
-    ]
-    return lib
 
 
 def _conform(x: Any, dtype, writebacks: list | None) -> np.ndarray:
@@ -140,7 +91,7 @@ def _loss_id(loss: Loss) -> tuple[int, float] | None:
 
 
 class CextBackend(KernelBackend):
-    """The reference loop compiled to C, called through ctypes."""
+    """The reference loop compiled to C, called through a native type."""
 
     name = "cext"
 
@@ -163,7 +114,7 @@ class CextBackend(KernelBackend):
 
     def __init__(self) -> None:
         type(self).ensure_available()
-        self._lib = _bind(cext_build.load_library())
+        self._kernels = cext_build.load_library().kernels
 
     # ------------------------------------------------------------------
     # Kernels
@@ -171,50 +122,16 @@ class CextBackend(KernelBackend):
     def process_column(
         self, w, h_col, user_rows, ratings, counts, alpha, beta, lambda_
     ) -> int:
-        n = len(user_rows)
-        if n == 0:
+        if len(user_rows) == 0:
             return 0
         writebacks: list = []
-        w_arr = _conform(w, np.float64, writebacks)
-        h_arr = _conform(h_col, np.float64, writebacks)
-        counts_arr = _conform(counts, np.int64, writebacks)
-        users_arr = _conform(user_rows, np.int64, None)
-        ratings_arr = _conform(ratings, np.float64, None)
-        applied = self._lib.nomad_process_column(
-            w_arr, h_arr, users_arr, ratings_arr, counts_arr,
-            n, h_arr.shape[0], alpha, beta, lambda_,
-        )
-        _write_back(writebacks)
-        return applied
-
-    def process_column_batch(
-        self,
-        w: Any,
-        h_cols: Sequence[Any],
-        col_users: Sequence[Sequence[int]],
-        col_ratings: Sequence[Sequence[float]],
-        col_counts: Sequence[Sequence[int]],
-        alpha: float,
-        beta: float,
-        lambda_: float,
-    ) -> int:
-        n_cols = len(h_cols)
-        if n_cols == 0:
-            return 0
-        writebacks: list = []
-        w_arr = _conform(w, np.float64, writebacks)
-        h_arrs = [_conform(col, np.float64, writebacks) for col in h_cols]
-        counts_arrs = [_conform(c, np.int64, writebacks) for c in col_counts]
-        users_arrs = [_conform(u, np.int64, None) for u in col_users]
-        ratings_arrs = [_conform(r, np.float64, None) for r in col_ratings]
-        lens = np.array([a.shape[0] for a in users_arrs], dtype=np.int64)
-        h_ptrs = (ctypes.c_void_p * n_cols)(*[a.ctypes.data for a in h_arrs])
-        u_ptrs = (ctypes.c_void_p * n_cols)(*[a.ctypes.data for a in users_arrs])
-        r_ptrs = (ctypes.c_void_p * n_cols)(*[a.ctypes.data for a in ratings_arrs])
-        c_ptrs = (ctypes.c_void_p * n_cols)(*[a.ctypes.data for a in counts_arrs])
-        applied = self._lib.nomad_process_column_batch(
-            w_arr, h_ptrs, u_ptrs, r_ptrs, c_ptrs, lens, n_cols,
-            h_arrs[0].shape[0], alpha, beta, lambda_,
+        applied = self._kernels.process_column(
+            _conform(w, np.float64, writebacks),
+            _conform(h_col, np.float64, writebacks),
+            _conform(user_rows, np.int64, None),
+            _conform(ratings, np.float64, None),
+            _conform(counts, np.int64, writebacks),
+            alpha, beta, lambda_,
         )
         _write_back(writebacks)
         return applied
@@ -234,29 +151,25 @@ class CextBackend(KernelBackend):
                 loss,
             )
         return CextTokenKernel(
-            self, w, h, indptr, users, ratings, counts, alpha, beta, lambda_,
-            *dispatch,
+            self._kernels, w, h, indptr, users, ratings, counts,
+            alpha, beta, lambda_, *dispatch,
         )
 
     def _entries_call(
         self, w, h, entry_rows, entry_cols, ratings, counts, order,
-        alpha, beta, lambda_, step, scheduled: int,
+        alpha, beta, lambda_, step, scheduled: bool,
     ) -> int:
         if len(entry_rows) == 0:
             return 0
         writebacks: list = []
-        w_arr = _conform(w, np.float64, writebacks)
-        h_arr = _conform(h, np.float64, writebacks)
-        counts_arr = (
-            _conform(counts, np.int64, writebacks) if scheduled else _NO_COUNTS
-        )
-        rows_arr = _conform(entry_rows, np.int64, None)
-        cols_arr = _conform(entry_cols, np.int64, None)
-        ratings_arr = _conform(ratings, np.float64, None)
-        order_arr = _conform(order, np.int64, None)
-        applied = self._lib.nomad_process_entries(
-            w_arr, h_arr, rows_arr, cols_arr, ratings_arr, counts_arr,
-            order_arr, order_arr.shape[0], w_arr.shape[1],
+        applied = self._kernels.process_entries(
+            _conform(w, np.float64, writebacks),
+            _conform(h, np.float64, writebacks),
+            _conform(entry_rows, np.int64, None),
+            _conform(entry_cols, np.int64, None),
+            _conform(ratings, np.float64, None),
+            _conform(counts, np.int64, writebacks) if scheduled else _NO_COUNTS,
+            _conform(order, np.int64, None),
             alpha, beta, lambda_, step, scheduled,
         )
         _write_back(writebacks)
@@ -268,7 +181,7 @@ class CextBackend(KernelBackend):
     ) -> int:
         return self._entries_call(
             w, h, entry_rows, entry_cols, ratings, counts, order,
-            alpha, beta, lambda_, 0.0, 1,
+            alpha, beta, lambda_, 0.0, True,
         )
 
     def process_entries_const(
@@ -276,83 +189,46 @@ class CextBackend(KernelBackend):
     ) -> int:
         return self._entries_call(
             w, h, entry_rows, entry_cols, ratings, None, order,
-            0.0, 0.0, lambda_, step, 0,
+            0.0, 0.0, lambda_, step, False,
         )
 
 
 class CextTokenKernel(TokenKernel):
-    """One native call per burst or per token: the arrays are validated
-    and their addresses resolved once, here, into a ``nomad_bound`` this
-    object owns (the base class keeps the arrays alive), beside the
-    ``(loss_id, param)`` of the loss every column runs under."""
+    """One native call per burst or per token.  The module's
+    ``Kernels.bind`` checks the arrays and holds their buffers in a
+    native ``TokenKernel`` beside the ``(loss_id, param)`` of the loss
+    every column runs under; its two methods become this object's, so a
+    call goes straight from the caller into C."""
 
-    _DTYPES = (np.float64, np.float64, np.int64, np.int64, np.float64, np.int64)
-    #: 1-2.4 ms of native code at 16-37 ns an update: long enough that
-    #: the caller's ≈20 µs of interpreter per burst stop showing and
-    #: that a dense shard's bursts are tens of columns, so the paired
-    #: walk seldom has an odd one out (half this budget, 11 columns on
-    #: the mp-dense shard, measured 4% slower there); short enough that
-    #: a stop is seen at once.
+    #: 1.3-2.4 ms of native code at the 20-37 ns an update the paired
+    #: walk runs at on the benchmark shards (k = 8 to 32, AVX2 build;
+    #: 22-53 ns plain): long enough that the caller's ≈20 µs of
+    #: interpreter per burst stop showing and that a dense shard's
+    #: bursts are tens of columns, so the paired walk seldom has an odd
+    #: one out (half this budget, 11 columns on the mp-dense shard,
+    #: measured 4% slower there); short enough that a stop is seen at
+    #: once.
     burst_updates = 65536
 
     def __init__(
-        self, backend, w, h, indptr, users, ratings, counts,
+        self, kernels, w, h, indptr, users, ratings, counts,
         alpha, beta, lambda_, loss_id, loss_param,
     ):
         super().__init__(
             w, h, indptr, users, ratings, counts, alpha, beta, lambda_
         )
-        for arr, dtype in zip(self._arrays, self._DTYPES):
-            if not (
-                isinstance(arr, np.ndarray)
-                and arr.dtype == dtype
-                and arr.flags.c_contiguous
-            ):
-                raise TypeError(
-                    "bind_tokens needs C-contiguous float64 w/h/ratings "
-                    "and int64 indptr/users/counts ndarrays"
-                )
-        n_items, k = h.shape
-        nnz = users.shape[0]
-        if not (
-            w.ndim == 2
-            and w.shape[1] == k
-            and indptr.shape == (n_items + 1,)
-            and ratings.shape == counts.shape == (nnz,)
-            and indptr[0] == 0
-            and indptr[-1] == nnz
-            and np.all(indptr[1:] >= indptr[:-1])
-            and (nnz == 0 or 0 <= users.min() <= users.max() < w.shape[0])
-        ):
-            raise ValueError(
-                "bind_tokens: shard arrays do not describe a CSC over w/h"
-            )
-        # Users strictly ascending inside every column (what Shard.csc()
-        # delivers, not what a ColumnStore in arrival order holds) is what
-        # lets the C walk a burst two columns at a time.
-        rising = users[1:] > users[:-1]
-        starts = indptr[1:-1]
-        rising[starts[(starts > 0) & (starts < nnz)] - 1] = True
-        self._bound = _Bound(
-            *[arr.ctypes.data for arr in self._arrays],
-            n_items, k, bool(rising.all()), loss_id,
+        self._bound = kernels.bind(
+            w, h, indptr, users, ratings, counts, loss_id,
             alpha, beta, lambda_, loss_param,
         )
-        self._bound_at = ctypes.addressof(self._bound)
-        self._native_burst = backend._lib.nomad_process_tokens
-        self._native_token = backend._lib.nomad_process_token
+        # The hot calls are the native methods themselves: these instance
+        # attributes shadow the delegating methods below, so no Python
+        # frame sits between a caller and C.
+        self.process_tokens = self._bound.process_tokens
+        self.process_token = self._bound.process_token
 
     def process_tokens(self, items: np.ndarray) -> int:
-        items = np.ascontiguousarray(items, dtype=np.int64)
-        applied = self._native_burst(
-            self._bound_at, items.ctypes.data, items.size
-        )
-        if applied < 0:
-            raise IndexError(f"token item id outside [0, {self.n_items})")
-        return applied
+        return self._bound.process_tokens(items)
 
     def process_token(self, item: int) -> int:
-        applied = self._native_token(self._bound_at, item)
-        if applied < 0:
-            raise IndexError(f"token item id outside [0, {self.n_items})")
-        return applied
+        return self._bound.process_token(item)

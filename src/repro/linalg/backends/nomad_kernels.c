@@ -16,10 +16,16 @@
  * the interpreted reference; the cross-backend equivalence suite pins
  * this file against it bit for bit, under every loss C knows.
  *
- * The hot entry point is nomad_process_tokens over a nomad_bound (filled
- * once by bind_tokens in cext_backend.py, loss included: the column loop
- * reads the bound loss id once per column).  Two things make it faster
- * than the loop it is defined as, and neither changes a bit of the result:
+ * This file is written once and compiled twice (cext_build.py): a plain
+ * build and, on x86, one with -mavx2 -mno-fma, each under its own
+ * NOMAD_VARIANT name.  Everything here is static except that build's
+ * nomad_variant table (nomad_kernels.h); nomad_module.c links both
+ * builds and picks one table when it loads.
+ *
+ * The hot entry point is process_tokens over a nomad_bound (filled once
+ * by the module's Kernels.bind, loss included: the column loop reads the
+ * bound loss id once per column).  Three things make it faster than the
+ * loop it is defined as, and none changes a bit of the result:
  *
  *   - Step memo.  The step and decay of a rating depend only on its
  *     counter, and the ratings of a column almost always share one, so
@@ -31,12 +37,20 @@
  *     A, B at a time through one loop with two independent dot-product
  *     chains.  B's rating of user u runs only once A's cursor has passed
  *     u, which is decidable from the cursors alone when users ascend
- *     strictly inside every column (nomad_bound.ascending, observed by
- *     bind_tokens) and the bound loss is the square loss; otherwise the
+ *     strictly inside every column (nomad_bound.ascending, observed at
+ *     bind) and the bound loss is the square loss; otherwise the
  *     burst runs column by column.  Every w row and every h row
  *     therefore sees its updates in burst order.
+ *   - A 4-wide apply.  In the AVX2 build the compiler runs the update
+ *     loops four lanes at a time.  Each lane computes exactly the scalar
+ *     expression for its own d (a multiply, a multiply, a subtract, each
+ *     rounded once), so the lanes are the scalar loop's operations side
+ *     by side.  -mno-fma and -ffp-contract=off keep a multiply and the
+ *     subtract that follows it from fusing into one rounding, and no
+ *     -ffast-math means the dot product is never reassociated into
+ *     vector partial sums: it stays one in-order scalar chain.
  *
- * Both are IEEE-identical to the serial loop because no sum is
+ * All three are IEEE-identical to the serial loop because no sum is
  * reassociated (each dot product is still one in-order chain), nothing
  * is contracted, and the per-row order of updates is preserved.
  *
@@ -45,8 +59,13 @@
  */
 
 #include <math.h>
-#include <stddef.h>
 #include <stdint.h>
+
+#include "nomad_kernels.h"
+
+#ifndef NOMAD_VARIANT
+#define NOMAD_VARIANT base
+#endif
 
 /* dloss/dprediction of a separable loss (NOMAD section 6).  Ids are
  * assigned by cext_backend._loss_id and bound into nomad_bound:
@@ -131,73 +150,10 @@ static inline int64_t column(double *w, double *h_col, const int64_t *users,
     return n;
 }
 
-/* One column under the square loss: the exported per-column entry. */
-int64_t nomad_process_column(double *w, double *h_col, const int64_t *users,
-                             const double *ratings, int64_t *counts,
-                             int64_t n, int64_t k, double alpha, double beta,
-                             double lambda_) {
-    return column(w, h_col, users, ratings, counts, n, k, alpha, beta,
-                  lambda_, 0, 0.0);
-}
-
-/* Fused column batch: several tokens' columns in one native call.  Column
- * c touches h column h_cols[c] and the per-column users/ratings/counts
- * arrays; columns run in order, so the result is identical to n_cols
- * sequential nomad_process_column calls (square loss). */
-int64_t nomad_process_column_batch(double *w, double *const *h_cols,
-                                   const int64_t *const *users_cols,
-                                   const double *const *ratings_cols,
-                                   int64_t *const *counts_cols,
-                                   const int64_t *lens, int64_t n_cols,
-                                   int64_t k, double alpha, double beta,
-                                   double lambda_) {
-    int64_t applied = 0;
-    for (int64_t c = 0; c < n_cols; c++)
-        applied += nomad_process_column(w, h_cols[c], users_cols[c],
-                                        ratings_cols[c], counts_cols[c],
-                                        lens[c], k, alpha, beta, lambda_);
-    return applied;
-}
-
-/* A worker's factors and CSC shard, bound once by the caller, which owns
- * this memory (a ctypes.Structure of the same layout, see
- * cext_backend.py; nomad_bound_size and nomad_bound_offset let the tests
- * compare the two).  ascending is nonzero when users rise strictly
- * inside every column: what nomad_process_tokens needs to pair columns.
- * loss_id and loss_param name the loss every column runs under (see
- * loss_gradient). */
-typedef struct {
-    double *w, *h;
-    const int64_t *indptr, *users;
-    const double *ratings;
-    int64_t *counts;
-    int64_t n_items, k, ascending, loss_id;
-    double alpha, beta, lambda_, loss_param;
-} nomad_bound;
-
-int64_t nomad_bound_size(void) { return (int64_t)sizeof(nomad_bound); }
-
-/* Byte offset of the field-th member in declaration order, -1 past the
- * last. */
-int64_t nomad_bound_offset(int64_t field) {
-    static const size_t offsets[] = {
-        offsetof(nomad_bound, w),        offsetof(nomad_bound, h),
-        offsetof(nomad_bound, indptr),   offsetof(nomad_bound, users),
-        offsetof(nomad_bound, ratings),  offsetof(nomad_bound, counts),
-        offsetof(nomad_bound, n_items),  offsetof(nomad_bound, k),
-        offsetof(nomad_bound, ascending), offsetof(nomad_bound, loss_id),
-        offsetof(nomad_bound, alpha),    offsetof(nomad_bound, beta),
-        offsetof(nomad_bound, lambda_),  offsetof(nomad_bound, loss_param),
-    };
-    if (field < 0 || field >= (int64_t)(sizeof offsets / sizeof offsets[0]))
-        return -1;
-    return (int64_t)offsets[field];
-}
-
 /* One token: item names a column of the shard (users/ratings/counts
  * sliced by indptr) and a row of h, run under the bound loss.  Returns
  * -1, having applied nothing, if the id is outside [0, n_items). */
-int64_t nomad_process_token(const nomad_bound *b, int64_t item) {
+static int64_t process_token(const nomad_bound *b, int64_t item) {
     if (item < 0 || item >= b->n_items)
         return -1;
     int64_t lo = b->indptr[item];
@@ -265,21 +221,21 @@ static int64_t process_token_pair(const nomad_bound *b, int64_t item_a,
             pb++;
         }
     }
-    nomad_process_column(b->w, h_a, users + pa, ratings + pa, counts + pa,
-                         end_a - pa, k, alpha, beta, lambda_);
-    nomad_process_column(b->w, h_b, users + pb, ratings + pb, counts + pb,
-                         end_b - pb, k, alpha, beta, lambda_);
+    column(b->w, h_a, users + pa, ratings + pa, counts + pa, end_a - pa, k,
+           alpha, beta, lambda_, 0, 0.0);
+    column(b->w, h_b, users + pb, ratings + pb, counts + pb, end_b - pb, k,
+           alpha, beta, lambda_, 0, 0.0);
     return applied;
 }
 
 /* Token burst: a burst is just item ids.  Tokens run in order — a
  * repeated id is simply visited twice — so the result is identical to
- * looping nomad_process_token; over an ascending shard under the square
+ * looping process_token; over an ascending shard under the square
  * loss they run two at a time (see process_token_pair), an adjacent
  * repeat and the odd one out alone.  Returns -1, having applied
  * nothing, if any id is outside [0, n_items). */
-int64_t nomad_process_tokens(const nomad_bound *b, const int64_t *items,
-                             int64_t n_tokens) {
+static int64_t process_tokens(const nomad_bound *b, const int64_t *items,
+                              int64_t n_tokens) {
     int64_t applied = 0;
     for (int64_t t = 0; t < n_tokens; t++)
         if (items[t] < 0 || items[t] >= b->n_items)
@@ -291,7 +247,7 @@ int64_t nomad_process_tokens(const nomad_bound *b, const int64_t *items,
             applied += process_token_pair(b, items[t], items[t + 1]);
             t += 2;
         } else {
-            applied += nomad_process_token(b, items[t]);
+            applied += process_token(b, items[t]);
             t += 1;
         }
     }
@@ -302,12 +258,12 @@ int64_t nomad_process_tokens(const nomad_bound *b, const int64_t *items,
  * a given order.  scheduled != 0 uses the equation-(11) per-rating counter
  * schedule (alpha/beta, counts mutated); scheduled == 0 uses the single
  * constant step (DSGD/DSGD++ epochs) and never touches counts. */
-int64_t nomad_process_entries(double *w, double *h, const int64_t *rows,
-                              const int64_t *cols, const double *ratings,
-                              int64_t *counts, const int64_t *order,
-                              int64_t n, int64_t k, double alpha, double beta,
-                              double lambda_, double step,
-                              int64_t scheduled) {
+static int64_t process_entries(double *w, double *h, const int64_t *rows,
+                               const int64_t *cols, const double *ratings,
+                               int64_t *counts, const int64_t *order,
+                               int64_t n, int64_t k, double alpha,
+                               double beta, double lambda_, double step,
+                               int64_t scheduled) {
     if (n <= 0)
         return 0;
     eq11 s = {0, step, 1.0 - step * lambda_};
@@ -328,3 +284,22 @@ int64_t nomad_process_entries(double *w, double *h, const int64_t *rows,
     }
     return n;
 }
+
+/* One column under the square loss: the legacy per-column entry. */
+static int64_t process_column(double *w, double *h_col, const int64_t *users,
+                              const double *ratings, int64_t *counts,
+                              int64_t n, int64_t k, double alpha,
+                              double beta, double lambda_) {
+    return column(w, h_col, users, ratings, counts, n, k, alpha, beta,
+                  lambda_, 0, 0.0);
+}
+
+#define NOMAD_JOIN(a, b) a##b
+#define NOMAD_TABLE(variant) NOMAD_JOIN(nomad_variant_, variant)
+#define NOMAD_QUOTE(x) #x
+#define NOMAD_NAME(variant) NOMAD_QUOTE(variant)
+
+const nomad_variant NOMAD_TABLE(NOMAD_VARIANT) = {
+    NOMAD_NAME(NOMAD_VARIANT), process_tokens, process_token, process_column,
+    process_entries,
+};

@@ -23,8 +23,11 @@ one sequence on every engine:
 4. **Stop, stamp, collect** (the ``finally``, reached on an error or
    interrupt too): the engine's stop signal, the ``wall`` stamp, then
    every worker's report under the engine's timeouts.
-5. **Assemble.**  The engine's conservation check and final factors,
-   then one :class:`RuntimeResult` and one
+5. **Assemble.**  The engine's conservation check and final factors;
+   once every worker is joined and the launch released, a final ``W``
+   or ``H`` holding a non-finite value ends the run in
+   :class:`~repro.errors.DivergenceError`, and otherwise one
+   :class:`RuntimeResult` and one
    :meth:`~repro.telemetry.RunTelemetry.from_workers` merge.
 
 Timing contract
@@ -44,9 +47,11 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from ..config import HyperParams, RunConfig
 from ..datasets.ratings import RatingMatrix
-from ..errors import ConfigError
+from ..errors import ConfigError, DivergenceError
 from ..linalg.backends import resolve_backend
 from ..linalg.factors import FactorPair, start_factors
 from ..linalg.objective import test_rmse
@@ -163,7 +168,8 @@ class LiveNomad:
         An error or interrupt anywhere after the launch — a worker that
         fails to start included — still stops and collects every started
         worker before it propagates; a worker that dies ends the run at
-        once in the engine's typed error.
+        once in the engine's typed error, and a model that diverged in
+        :class:`~repro.errors.DivergenceError`.
         """
         with self._launch() as launch:
             started = clock()
@@ -184,6 +190,11 @@ class LiveNomad:
                 reports = launch.collect()
             final, per_worker, snapshots = launch.assemble(reports)
         join_seconds = clock() - started - wall
+        if not (np.isfinite(final.w).all() and np.isfinite(final.h).all()):
+            raise DivergenceError(
+                f"final factors diverged after {sum(per_worker)} updates; "
+                "reduce alpha or increase beta/lambda"
+            )
         return RuntimeResult(
             factors=final,
             updates=sum(per_worker),

@@ -16,10 +16,13 @@ from repro.api.registry import resolve_wall_clock_run
 from repro.cluster import coordinator as coordinator_module
 from repro.config import HyperParams, RunConfig
 from repro.datasets.synthetic import SyntheticSpec, make_low_rank
+from repro.experiments.harness import build_dataset
 from repro.errors import (
     ClusterError,
     ConfigError,
+    DivergenceError,
     ReproError,
+    SimulationError,
     TokenConservationError,
     WorkerLostError,
 )
@@ -563,6 +566,39 @@ class TestDeadWorker:
         assert time.monotonic() - started < 1.5
         monkeypatch.undo()
         _assert_released(blocks)
+
+
+class TestDivergence:
+    """Regression: a live run whose step size diverged returned a
+    ``FitResult`` with NaN factors and a NaN RMSE, exit code 0, where
+    the simulator raised.  Every live engine now checks its final
+    ``W‖H`` after the join and raises the simulator's error type."""
+
+    @pytest.fixture(scope="class")
+    def diverging(self):
+        _, train, test = build_dataset("netflix", 0)
+        return train, test, HyperParams(k=8, lambda_=0.01, alpha=5.0, beta=0.01)
+
+    @LIVE_ENGINES
+    def test_diverged_live_run_is_a_typed_error(self, diverging, engine, extra):
+        train, test, hyper = diverging
+        blocks = _shm_blocks()
+        assert not _live_workers()
+        started = time.monotonic()
+        with pytest.raises(DivergenceError, match="diverged"):
+            fit(
+                train, test, engine=engine, n_workers=2, hyper=hyper,
+                run=RunConfig(duration=0.5), **extra,
+            )
+        assert time.monotonic() - started < 2.5
+        _assert_released(blocks)
+
+    def test_simulated_divergence_is_the_same_error(self, diverging):
+        train, test, hyper = diverging
+        with pytest.raises(DivergenceError) as raised:
+            fit(train, test, engine="simulated", hyper=hyper,
+                run=RunConfig(duration=0.5))
+        assert isinstance(raised.value, SimulationError)
 
 
 class TestRunConfigSemantics:
