@@ -31,11 +31,8 @@ The package provides:
   :class:`repro.QueueStream`, with optional durable persistence so a
   restarted server resumes from the newest snapshot on disk;
 * every baseline of the paper's evaluation (DSGD, DSGD++, FPSGD**, CCD++,
-  ALS, a GraphLab-style lock-server ALS, Hogwild) in the algorithm
-  registry (:data:`repro.ALGORITHMS`);
-* the low-level classes underneath (:class:`repro.NomadSimulation`,
-  :class:`repro.ThreadedNomad`, :class:`repro.MultiprocessNomad`, ...)
-  for power users;
+  a GraphLab-style lock-server ALS, Hogwild) in the algorithm registry
+  (:data:`repro.ALGORITHMS`);
 * shape-preserving surrogates of the Netflix / Yahoo! Music / Hugewiki
   datasets, and the synthetic weak-scaling generator of §5.5;
 * an experiment harness regenerating every table and figure
@@ -82,22 +79,12 @@ from .core.load_balance import (
     RecipientPolicy,
     UniformPolicy,
 )
-from .core.nomad import NomadOptions, NomadSimulation
+from .core.nomad import NomadOptions
 from .core.serializability import (
     UpdateEvent,
     conflict_graph,
     is_serializable,
     serial_order,
-)
-from .baselines import (
-    ALSSimulation,
-    CCDPlusPlusSimulation,
-    DSGDPlusPlusSimulation,
-    DSGDSimulation,
-    FPSGDSimulation,
-    GraphLabALSSimulation,
-    HogwildSimulation,
-    SerialSGD,
 )
 from .datasets import (
     RatingMatrix,
@@ -107,7 +94,6 @@ from .datasets import (
     make_netflix_like,
     train_test_split,
 )
-from .cluster import ClusterNomad
 from .errors import (
     ClusterError,
     ConfigError,
@@ -129,17 +115,13 @@ from .experiments import (
     run_experiment,
 )
 from .linalg import FactorPair, init_factors, test_rmse, regularized_objective
-from .linalg.factors import validate_init_factors
 from .linalg.losses import AbsoluteLoss, HuberLoss, Loss, SquaredLoss
 from .model import CompletionModel
 from .rng import RngFactory
-from .runtime import MultiprocessNomad, ThreadedNomad
-from .schedules import BoldDriver, NomadSchedule
 from .serve import CacheStats, RecommendationService, ServiceConfig
 from .stream import (
     DeltaStore,
     DriftStream,
-    DynamicNomad,
     ModelSnapshot,
     PrequentialTrace,
     QueueStream,
@@ -156,7 +138,6 @@ from .simulator import (
     HPC_PROFILE,
     NetworkModel,
     PAPER_HARDWARE,
-    Simulator,
     Trace,
 )
 
@@ -185,7 +166,6 @@ __all__ = [
     "DriftStream",
     "QueueStream",
     "DeltaStore",
-    "DynamicNomad",
     "ModelSnapshot",
     "PrequentialTrace",
     "SnapshotStore",
@@ -197,8 +177,7 @@ __all__ = [
     # configuration
     "HyperParams",
     "RunConfig",
-    # core algorithm
-    "NomadSimulation",
+    # NOMAD options and routing policies
     "NomadOptions",
     "RecipientPolicy",
     "UniformPolicy",
@@ -209,19 +188,6 @@ __all__ = [
     "conflict_graph",
     "is_serializable",
     "serial_order",
-    # baselines
-    "SerialSGD",
-    "DSGDSimulation",
-    "DSGDPlusPlusSimulation",
-    "FPSGDSimulation",
-    "CCDPlusPlusSimulation",
-    "ALSSimulation",
-    "GraphLabALSSimulation",
-    "HogwildSimulation",
-    # runtimes
-    "ThreadedNomad",
-    "MultiprocessNomad",
-    "ClusterNomad",
     # datasets
     "RatingMatrix",
     "SyntheticSpec",
@@ -232,7 +198,6 @@ __all__ = [
     # numerics
     "FactorPair",
     "init_factors",
-    "validate_init_factors",
     "test_rmse",
     "regularized_objective",
     "Loss",
@@ -240,11 +205,7 @@ __all__ = [
     "AbsoluteLoss",
     "HuberLoss",
     "CompletionModel",
-    # schedules
-    "NomadSchedule",
-    "BoldDriver",
-    # simulator
-    "Simulator",
+    # cluster presets
     "Cluster",
     "HardwareProfile",
     "PAPER_HARDWARE",

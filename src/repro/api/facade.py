@@ -56,8 +56,8 @@ def fit(
         for smoke runs, misleading for model selection).
     algorithm:
         Registry name, case-insensitive and alias-aware: ``"nomad"``,
-        ``"dsgd"``, ``"dsgd++"``, ``"fpsgd"``, ``"ccd++"``, ``"als"``,
-        ``"graphlab-als"``, ``"hogwild"``, ``"serialsgd"``.
+        ``"dsgd"``, ``"dsgd++"``, ``"fpsgd"``, ``"ccd++"``,
+        ``"graphlab-als"``, ``"hogwild"``.
     engine:
         Execution substrate: ``"simulated"`` (every algorithm);
         ``"threaded"``, ``"multiprocess"``, ``"cluster"`` (NOMAD — the

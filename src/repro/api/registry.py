@@ -24,14 +24,12 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..baselines import (
-    ALSSimulation,
     CCDPlusPlusSimulation,
     DSGDPlusPlusSimulation,
     DSGDSimulation,
     FPSGDSimulation,
     GraphLabALSSimulation,
     HogwildSimulation,
-    SerialSGD,
 )
 from ..config import HyperParams, RunConfig
 from ..core.nomad import NomadOptions, NomadSimulation
@@ -430,14 +428,6 @@ register_algorithm(
 )
 register_algorithm(
     AlgorithmSpec(
-        name="ALS",
-        engines=_SIM_ONLY,
-        simulated=ALSSimulation,
-        description="bulk-synchronous alternating least squares",
-    )
-)
-register_algorithm(
-    AlgorithmSpec(
         name="GraphLab-ALS",
         engines=_SIM_ONLY,
         simulated=GraphLabALSSimulation,
@@ -451,14 +441,5 @@ register_algorithm(
         engines=_SIM_ONLY,
         simulated=HogwildSimulation,
         description="lock-free shared-memory SGD with stale reads",
-    )
-)
-register_algorithm(
-    AlgorithmSpec(
-        name="SerialSGD",
-        engines=_SIM_ONLY,
-        simulated=SerialSGD,
-        aliases=("serial", "serial_sgd", "serial-sgd"),
-        description="single-worker SGD reference",
     )
 )

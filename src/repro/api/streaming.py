@@ -28,7 +28,7 @@ import numpy as np
 
 from ..config import HyperParams, RunConfig
 from ..datasets.ratings import RatingMatrix
-from ..errors import ConfigError
+from ..errors import ConfigError, DivergenceError
 from ..linalg.factors import FactorPair
 from ..linalg.objective import predict, test_rmse
 from ..simulator.trace import Trace
@@ -83,6 +83,8 @@ def run_dynamic(request: FitRequest) -> FitResult:
     ``init_factors`` warm starts like every engine.  One engine-specific
     keyword passes through :func:`repro.fit`: ``count_cap`` (the
     step-schedule floor of :class:`~repro.stream.dynamic.DynamicNomad`).
+    A sweep after which the test RMSE is not finite ends the run in
+    :class:`~repro.errors.DivergenceError`.
     """
     if request.options is not None:
         raise ConfigError(
@@ -125,11 +127,13 @@ def run_dynamic(request: FitRequest) -> FitResult:
         started = time.perf_counter()
         applied = dynamic.sweep(budget)
         train_seconds += time.perf_counter() - started
-        trace.add(
-            train_seconds,
-            dynamic.total_updates,
-            test_rmse(dynamic.factors, request.test),
-        )
+        rmse = test_rmse(dynamic.factors, request.test)
+        if not np.isfinite(rmse):
+            raise DivergenceError(
+                f"test RMSE diverged after {dynamic.total_updates} updates; "
+                "reduce alpha or increase beta/lambda"
+            )
+        trace.add(train_seconds, dynamic.total_updates, rmse)
         if applied == 0 or train_seconds >= run.duration:
             break
     return FitResult(

@@ -4,7 +4,6 @@ Every baseline executes its real update mathematics and charges simulated
 time through the same :class:`~repro.simulator.cluster.Cluster` cost model
 NOMAD uses, so convergence-versus-time comparisons are apples-to-apples:
 
-* :class:`~repro.baselines.serial_sgd.SerialSGD` — single-worker reference.
 * :class:`~repro.baselines.dsgd.DSGDSimulation` — Gemulla et al.'s bulk-
   synchronous block SGD (p×p grid, bold driver).
 * :class:`~repro.baselines.dsgd_pp.DSGDPlusPlusSimulation` — Teflioudi et
@@ -13,8 +12,6 @@ NOMAD uses, so convergence-versus-time comparisons are apples-to-apples:
   memory FPSGD** (p′×p′ grid, task-manager scheduling).
 * :class:`~repro.baselines.ccd.CCDPlusPlusSimulation` — Yu et al.'s CCD++
   feature-wise coordinate descent with residual maintenance.
-* :class:`~repro.baselines.als.ALSSimulation` — bulk-synchronous
-  alternating least squares.
 * :class:`~repro.baselines.graphlab_als.GraphLabALSSimulation` — the
   distributed-lock asynchronous ALS analogue of GraphLab (Appendix F).
 * :class:`~repro.baselines.hogwild.HogwildSimulation` — lock-free shared-
@@ -22,22 +19,18 @@ NOMAD uses, so convergence-versus-time comparisons are apples-to-apples:
   non-serializability).
 """
 
-from .serial_sgd import SerialSGD
 from .dsgd import DSGDSimulation
 from .dsgd_pp import DSGDPlusPlusSimulation
 from .fpsgd import FPSGDSimulation
 from .ccd import CCDPlusPlusSimulation
-from .als import ALSSimulation
 from .graphlab_als import GraphLabALSSimulation
 from .hogwild import HogwildSimulation
 
 __all__ = [
-    "SerialSGD",
     "DSGDSimulation",
     "DSGDPlusPlusSimulation",
     "FPSGDSimulation",
     "CCDPlusPlusSimulation",
-    "ALSSimulation",
     "GraphLabALSSimulation",
     "HogwildSimulation",
 ]

@@ -1,6 +1,6 @@
 """Shared machinery for the baseline optimizer simulations.
 
-The bulk-synchronous baselines (DSGD, DSGD++, CCD++, ALS) do not need a
+The bulk-synchronous baselines (DSGD, DSGD++, CCD++) do not need a
 discrete-event engine: within an epoch their timing is a closed-form
 ``max`` over workers plus communication terms, so they advance a scalar
 clock.  :class:`ClockedOptimizer` centralizes that clock, the ndarray

@@ -7,9 +7,10 @@ network, so "a popular user who has rated many items will require read
 locks on a large number of items, and this will lead to vast amount of
 communication and delays in updates on those items".
 
-This analogue executes the same exact ALS mathematics as
-:class:`~repro.baselines.als.ALSSimulation` but charges the lock protocol's
-costs:
+This analogue executes the exact alternating least-squares solves of the
+paper's §2.1 (equation 3 with the weighted regularizer of equation 1,
+:func:`~repro.linalg.kernels.als_solve_row`) and charges the lock
+protocol's costs:
 
 * **Per-neighbour lock round trips.** Each row update pays one
   acquire/release round trip per rated item whose owner is remote.  With a

@@ -2,7 +2,7 @@
 
 The paper evaluates on Netflix, Yahoo! Music, and Hugewiki.  Those corpora
 are proprietary or impractically large, so this package provides
-*shape-preserving surrogates* (see ``DESIGN.md`` §2) built on a planted
+*shape-preserving surrogates* (see :mod:`repro.datasets.registry`) built on a planted
 low-rank model, together with the synthetic generator of §5.5 used for the
 weak-scaling experiment.
 """

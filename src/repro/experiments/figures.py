@@ -562,7 +562,7 @@ def fig21_23(scale: str = "small", seed: int = 0) -> ExperimentResult:
 
 
 # ----------------------------------------------------------------------
-# Ablations (design-choice benches called out in DESIGN.md)
+# Ablations (stragglers, hybrid circulation, load balancing: one choice varied)
 # ----------------------------------------------------------------------
 def ablation_jitter(scale: str = "small", seed: int = 0) -> ExperimentResult:
     """Straggler ablation: NOMAD vs DSGD on ideal and noisy clusters.

@@ -1,4 +1,4 @@
-"""The ALS closed-form row solve, shared by the two ALS baselines.
+"""The ALS closed-form row solve, used by the GraphLab-ALS baseline.
 
 The SGD inner loops live in :mod:`repro.linalg.backends` — one
 parameterized loop per execution strategy behind the

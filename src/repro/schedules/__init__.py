@@ -1,9 +1,9 @@
-"""Step-size schedules: NOMAD's t^1.5 decay and DSGD's bold driver."""
+"""Step-size schedules: DSGD's bold driver.
 
-from .step_size import NomadSchedule
+NOMAD's per-rating step of equation (11) has no class: both kernel
+backends compute it inline (``linalg/backends``).
+"""
+
 from .bold_driver import BoldDriver
 
-__all__ = [
-    "NomadSchedule",
-    "BoldDriver",
-]
+__all__ = ["BoldDriver"]

@@ -5,7 +5,7 @@ watching the training objective: if the last epoch decreased the objective,
 the step grows slightly (reward); if it increased, the step shrinks sharply
 (punish).  The paper's §5.1 notes that "DSGD and DSGD++ ... use an
 alternative strategy called bold-driver", so the DSGD baselines here use
-this class while NOMAD uses :class:`~repro.schedules.step_size.NomadSchedule`.
+this class while NOMAD's kernels apply equation (11) per rating.
 """
 
 from __future__ import annotations

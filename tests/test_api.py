@@ -45,8 +45,8 @@ class TestRegistries:
         } == set(ENGINES)
 
     def test_stock_algorithms_registered(self):
-        expected = {"NOMAD", "DSGD", "DSGD++", "FPSGD**", "CCD++", "ALS",
-                    "GraphLab-ALS", "Hogwild", "SerialSGD"}
+        expected = {"NOMAD", "DSGD", "DSGD++", "FPSGD**", "CCD++",
+                    "GraphLab-ALS", "Hogwild"}
         assert expected == set(ALGORITHMS)
 
     def test_lookup_is_case_insensitive(self):
@@ -58,12 +58,19 @@ class TestRegistries:
         assert resolve_algorithm("fpsgd").name == "FPSGD**"
         assert resolve_algorithm("ccd").name == "CCD++"
         assert resolve_algorithm("graphlab").name == "GraphLab-ALS"
-        assert resolve_algorithm("serial").name == "SerialSGD"
         assert resolve_algorithm("dsgdpp").name == "DSGD++"
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ConfigError, match="unknown algorithm"):
             resolve_algorithm("svd++")
+
+    @pytest.mark.parametrize("name", ["als", "serial"])
+    def test_deleted_algorithms_are_unknown(self, tiny_split, name):
+        """Plain ALS and SerialSGD are gone, with no alias onto another
+        algorithm: GraphLab-ALS charges different simulated time."""
+        train, test = tiny_split
+        with pytest.raises(ConfigError, match="unknown algorithm"):
+            fit(train, test, algorithm=name, engine="simulated")
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigError, match="unknown engine"):
@@ -87,14 +94,14 @@ class TestRegistries:
 
     def test_supported_pairs_matrix(self):
         pairs = supported_pairs()
-        # 9 algorithms on simulated + NOMAD on the four other engines.
+        # 7 algorithms on simulated + NOMAD on the four other engines.
         assert len(pairs) == len(ALGORITHMS) + 4
         assert ("NOMAD", "threaded") in pairs
         assert ("NOMAD", "cluster") in pairs
         assert ("NOMAD", "dynamic") in pairs
-        assert ("ALS", "threaded") not in pairs
-        assert ("ALS", "cluster") not in pairs
-        assert ("ALS", "dynamic") not in pairs
+        assert ("DSGD", "threaded") not in pairs
+        assert ("DSGD", "cluster") not in pairs
+        assert ("DSGD", "dynamic") not in pairs
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ConfigError, match="already registered"):
@@ -110,17 +117,17 @@ class TestRegistries:
         with pytest.raises(ConfigError, match="already taken"):
             register_algorithm(
                 AlgorithmSpec(
-                    name="MyALS",
+                    name="MyCCD",
                     engines=frozenset({"simulated"}),
-                    aliases=("als",),
+                    aliases=("ccd",),
                 )
             )
-        assert "MyALS" not in ALGORITHMS
+        assert "MyCCD" not in ALGORITHMS
         # Registration is atomic: the rejected spec's own name was not
         # half-written into the lookup index (a lookup raises the normal
         # ConfigError, not a KeyError from a dangling index entry).
         with pytest.raises(ConfigError, match="unknown algorithm"):
-            resolve_algorithm("myals")
+            resolve_algorithm("myccd")
 
     def test_top_level_exports(self):
         assert repro.fit is fit
@@ -134,15 +141,15 @@ class TestPairRejection:
     def test_baseline_on_live_engine_rejected(self, tiny_split):
         train, test = tiny_split
         with pytest.raises(ConfigError) as excinfo:
-            fit(train, test, algorithm="als", engine="threaded")
+            fit(train, test, algorithm="dsgd", engine="threaded")
         message = str(excinfo.value)
         # The error names the pair and lists the full support matrix.
-        assert "'ALS'" in message and "'threaded'" in message
+        assert "'DSGD'" in message and "'threaded'" in message
         assert (
             "NOMAD: cluster, dynamic, multiprocess, simulated, threaded"
             in message
         )
-        assert "ALS: simulated" in message
+        assert "DSGD: simulated" in message
 
     def test_every_undeclared_pair_rejected(self, tiny_split):
         train, test = tiny_split

@@ -19,7 +19,6 @@ from repro.config import HyperParams, RunConfig
 from repro.core.nomad import NomadSimulation
 from repro.baselines.dsgd import DSGDSimulation
 from repro.baselines.hogwild import HogwildSimulation
-from repro.baselines.serial_sgd import SerialSGD
 from repro.errors import ConfigError
 from repro.linalg.backends import (
     BACKENDS,
@@ -568,8 +567,7 @@ class TestSimulationEquivalence:
         assert np.allclose(rmse_l, rmse_n, atol=1e-8)
 
     @needs_cext
-    @pytest.mark.parametrize("optimizer", [SerialSGD, DSGDSimulation,
-                                           HogwildSimulation])
+    @pytest.mark.parametrize("optimizer", [DSGDSimulation, HogwildSimulation])
     def test_baselines_match_across_backends(self, small_split, optimizer):
         train, test = small_split
         cluster = Cluster(1, 2, HPC_PROFILE)

@@ -1,5 +1,5 @@
-"""Tests for every baseline optimizer (DSGD, DSGD++, FPSGD**, CCD++, ALS,
-GraphLab-ALS, Hogwild, SerialSGD)."""
+"""Tests for every baseline optimizer (DSGD, DSGD++, FPSGD**, CCD++,
+GraphLab-ALS, Hogwild)."""
 
 from __future__ import annotations
 
@@ -10,14 +10,12 @@ import numpy as np
 import pytest
 
 from repro.baselines import (
-    ALSSimulation,
     CCDPlusPlusSimulation,
     DSGDPlusPlusSimulation,
     DSGDSimulation,
     FPSGDSimulation,
     GraphLabALSSimulation,
     HogwildSimulation,
-    SerialSGD,
 )
 from repro.config import HyperParams, RunConfig
 from repro.core.serializability import is_serializable
@@ -34,7 +32,6 @@ ALL_MULTI_MACHINE = [
     DSGDSimulation,
     DSGDPlusPlusSimulation,
     CCDPlusPlusSimulation,
-    ALSSimulation,
     GraphLabALSSimulation,
 ]
 SHARED_MEMORY_ONLY = [FPSGDSimulation, HogwildSimulation]
@@ -45,7 +42,7 @@ class TestAllBaselinesConverge:
     def test_multi_machine_converges(self, cls, small_split):
         train, test = small_split
         cluster = Cluster(2, 2, HPC_PROFILE)
-        run = RUN if cls not in (ALSSimulation, CCDPlusPlusSimulation,
+        run = RUN if cls not in (CCDPlusPlusSimulation,
                                  GraphLabALSSimulation) else RUN.with_(
             duration=0.3, eval_interval=0.05)
         trace = cls(train, test, cluster, HYPER, run).run()
@@ -66,37 +63,16 @@ class TestAllBaselinesConverge:
         b = cls(train, test, cluster, HYPER, RUN).run()
         assert [r.rmse for r in a.records] == [r.rmse for r in b.records]
 
-    @pytest.mark.parametrize(
-        "cls", ALL_MULTI_MACHINE + SHARED_MEMORY_ONLY + [SerialSGD]
-    )
+    @pytest.mark.parametrize("cls", ALL_MULTI_MACHINE + SHARED_MEMORY_ONLY)
     def test_trace_well_formed(self, cls, tiny_split):
         train, test = tiny_split
-        single = cls in SHARED_MEMORY_ONLY or cls is SerialSGD
+        single = cls in SHARED_MEMORY_ONLY
         cluster = Cluster(1 if single else 2, 2, HPC_PROFILE)
         trace = cls(train, test, cluster, HYPER, RUN).run()
         assert trace.records[0].time == 0.0
         assert trace.records[-1].time <= RUN.duration + 1e-12
         times = trace.times()
         assert all(a < b for a, b in zip(times, times[1:]))
-
-
-class TestSerialSGD:
-    def test_visits_each_rating_per_epoch(self, tiny_split):
-        train, test = tiny_split
-        cluster = Cluster(1, 1, HPC_PROFILE)
-        run = RunConfig(duration=1.0, eval_interval=0.2, seed=1,
-                        max_updates=train.nnz)
-        sim = SerialSGD(train, test, cluster, HYPER, run)
-        sim.run()
-        # One epoch = exactly nnz updates (within one chunk of slack).
-        assert sim.total_updates <= train.nnz + train.nnz // 8
-
-    def test_updates_counted(self, tiny_split):
-        train, test = tiny_split
-        cluster = Cluster(1, 1, HPC_PROFILE)
-        sim = SerialSGD(train, test, cluster, HYPER, RUN)
-        trace = sim.run()
-        assert trace.total_updates() > 0
 
 
 class TestDSGD:
@@ -224,13 +200,13 @@ class TestCCD:
         assert one.final_rmse() != three.final_rmse()
 
 
-class TestALS:
+class TestGraphLabALS:
     def test_objective_monotone_decreasing(self, small_split):
         """Exact alternating solves can never increase J(W, H)."""
         train, test = small_split
         cluster = Cluster(1, 4, HPC_PROFILE, jitter=0.0)
         run = RunConfig(duration=2.0, eval_interval=0.1, seed=1)
-        sim = ALSSimulation(train, test, cluster, HYPER, run)
+        sim = GraphLabALSSimulation(train, test, cluster, HYPER, run)
 
         objectives = []
         original = sim._record_point
@@ -247,23 +223,18 @@ class TestALS:
         for before, after in zip(objectives, objectives[1:]):
             assert after <= before + 1e-6
 
-    def test_converges_to_noise_floor(self, small_split):
-        train, test = small_split
-        cluster = Cluster(1, 4, HPC_PROFILE, jitter=0.0)
-        run = RunConfig(duration=3.0, eval_interval=0.3, seed=1)
-        trace = ALSSimulation(train, test, cluster, HYPER, run).run()
-        assert trace.final_rmse() < 0.3
-
-
-class TestGraphLabALS:
-    def test_much_slower_than_plain_als_on_commodity(self, small_split):
+    def test_much_slower_on_commodity_than_on_hpc(self, small_split):
         """Appendix F's shape: lock round trips dominate on slow networks."""
         train, test = small_split
         run = RunConfig(duration=1.0, eval_interval=0.1, seed=1)
-        cluster = Cluster(4, 2, COMMODITY_PROFILE, jitter=0.0)
-        als = ALSSimulation(train, test, cluster, HYPER, run).run()
-        graphlab = GraphLabALSSimulation(train, test, cluster, HYPER, run).run()
-        assert graphlab.total_updates() < als.total_updates() / 5
+        commodity = GraphLabALSSimulation(
+            train, test, Cluster(4, 2, COMMODITY_PROFILE, jitter=0.0),
+            HYPER, run,
+        ).run()
+        hpc = GraphLabALSSimulation(
+            train, test, Cluster(4, 2, HPC_PROFILE, jitter=0.0), HYPER, run
+        ).run()
+        assert commodity.total_updates() < hpc.total_updates() / 5
 
     def test_single_machine_no_lock_penalty(self, small_split):
         train, test = small_split
@@ -271,6 +242,14 @@ class TestGraphLabALS:
         cluster = Cluster(1, 4, HPC_PROFILE, jitter=0.0)
         graphlab = GraphLabALSSimulation(train, test, cluster, HYPER, run).run()
         assert graphlab.final_rmse() < graphlab.records[0].rmse
+
+    def test_converges_to_noise_floor(self, small_split):
+        """Exact solves reach the planted model's noise floor."""
+        train, test = small_split
+        cluster = Cluster(1, 4, HPC_PROFILE, jitter=0.0)
+        run = RunConfig(duration=3.0, eval_interval=0.3, seed=1)
+        trace = GraphLabALSSimulation(train, test, cluster, HYPER, run).run()
+        assert trace.final_rmse() < 0.3
 
 
 class TestHogwild:
@@ -358,10 +337,6 @@ BASELINE_PINS = {
         FPSGDSimulation, 1, 4,
         "cd577cb0b19f6d9250bdad33b4ef277ca3ff077e41db64b1e90220d0870af5ed",
     ),
-    "SerialSGD": (
-        SerialSGD, 1, 1,
-        "f8e58589708b2e4cfdb925ed29e9b0e86e8b957c763e66cfddb45ea58253f8ab",
-    ),
 }
 
 
@@ -441,7 +416,5 @@ class TestEntriesMarshalling:
             if counts is not None:
                 assert isinstance(counts, np.ndarray)
                 assert counts.dtype == np.int64
-            if cls is SerialSGD:
-                assert isinstance(order, np.ndarray)
         counters = {id(counts) for *_, counts, _ in recorder.calls}
         assert len(counters) == 1  # one counter array for the whole run

@@ -384,9 +384,9 @@ class TestClusterViaFacade:
     def test_baseline_on_cluster_rejected_with_matrix(self, tiny_split):
         train, test = tiny_split
         with pytest.raises(ConfigError) as excinfo:
-            fit(train, test, algorithm="als", engine="cluster")
+            fit(train, test, algorithm="dsgd", engine="cluster")
         message = str(excinfo.value)
-        assert "'ALS'" in message and "'cluster'" in message
+        assert "'DSGD'" in message and "'cluster'" in message
         assert (
             "NOMAD: cluster, dynamic, multiprocess, simulated, threaded"
             in message

@@ -64,7 +64,7 @@ class TestHarness:
 
     def test_registry_contains_paper_algorithms(self):
         for name in ("NOMAD", "DSGD", "DSGD++", "FPSGD**", "CCD++",
-                     "ALS", "GraphLab-ALS"):
+                     "GraphLab-ALS"):
             assert name in ALGORITHMS
 
     def test_same_seed_same_initialization_across_algorithms(self, tiny_split):
@@ -212,7 +212,7 @@ class TestCLI:
         assert "NOMAD" in out and "multiprocess" in out
 
     def test_fit_rejects_unsupported_pair(self, capsys):
-        assert main(["fit", "--algorithm", "als", "--engine", "threaded"]) == 2
+        assert main(["fit", "--algorithm", "dsgd", "--engine", "threaded"]) == 2
         err = capsys.readouterr().err
         assert "supported combinations" in err
 

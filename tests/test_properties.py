@@ -15,7 +15,6 @@ from repro.partition.partitioners import (
     partition_rows_equal_ratings,
 )
 from repro.rng import RngFactory
-from repro.schedules.step_size import NomadSchedule
 from repro.simulator.engine import Simulator
 
 LIST = ListBackend()
@@ -144,31 +143,6 @@ class TestSplitProperties:
         assert not train_pairs & test_pairs
         all_pairs = set(zip(matrix.rows.tolist(), matrix.cols.tolist()))
         assert train_pairs | test_pairs == all_pairs
-
-
-class TestScheduleProperties:
-    @RELAXED
-    @given(
-        alpha=st.floats(min_value=1e-6, max_value=10.0),
-        beta=st.floats(min_value=0.0, max_value=10.0),
-        t=st.integers(min_value=0, max_value=10**6),
-    )
-    def test_nomad_schedule_positive_and_bounded(self, alpha, beta, t):
-        step = NomadSchedule(alpha, beta).step(t)
-        assert 0 < step <= alpha
-
-    @RELAXED
-    @given(
-        alpha=st.floats(min_value=1e-6, max_value=10.0),
-        beta=st.floats(min_value=1e-6, max_value=10.0),
-    )
-    def test_nomad_schedule_strictly_decreasing(self, alpha, beta):
-        schedule = NomadSchedule(alpha, beta)
-        previous = schedule.step(0)
-        for t in (1, 2, 5, 10, 100):
-            current = schedule.step(t)
-            assert current < previous
-            previous = current
 
 
 class TestKernelProperties:

@@ -463,16 +463,19 @@ class TestInterruptedWait:
         assert not _shm_blocks() - blocks
 
 
+def _engines(rows) -> pytest.MarkDecorator:
+    return pytest.mark.parametrize(
+        "engine, extra", rows, ids=[engine for engine, _ in rows]
+    )
+
+
 #: The three live engines, the cluster over its in-process transport.
-LIVE_ENGINES = pytest.mark.parametrize(
-    "engine, extra",
-    [
-        ("threaded", {}),
-        ("multiprocess", {}),
-        ("cluster", {"transport": "loopback"}),
-    ],
-    ids=["threaded", "multiprocess", "cluster"],
-)
+_LIVE_ROWS = [
+    ("threaded", {}),
+    ("multiprocess", {}),
+    ("cluster", {"transport": "loopback"}),
+]
+LIVE_ENGINES = _engines(_LIVE_ROWS)
 
 
 def _assert_released(blocks: set[str]) -> None:
@@ -572,14 +575,16 @@ class TestDivergence:
     """Regression: a live run whose step size diverged returned a
     ``FitResult`` with NaN factors and a NaN RMSE, exit code 0, where
     the simulator raised.  Every live engine now checks its final
-    ``W‖H`` after the join and raises the simulator's error type."""
+    ``W‖H`` after the join and raises the simulator's error type; the
+    in-process ``dynamic`` engine checks the test RMSE after each
+    sweep."""
 
     @pytest.fixture(scope="class")
     def diverging(self):
         _, train, test = build_dataset("netflix", 0)
         return train, test, HyperParams(k=8, lambda_=0.01, alpha=5.0, beta=0.01)
 
-    @LIVE_ENGINES
+    @_engines(_LIVE_ROWS + [("dynamic", {})])
     def test_diverged_live_run_is_a_typed_error(self, diverging, engine, extra):
         train, test, hyper = diverging
         blocks = _shm_blocks()

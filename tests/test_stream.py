@@ -929,7 +929,7 @@ class TestFitStream:
 
     def test_unsupported_pairs_rejected(self, replay):
         with pytest.raises(ConfigError, match="stream"):
-            repro.fit_stream(replay, algorithm="als", engine="simulated")
+            repro.fit_stream(replay, algorithm="dsgd", engine="simulated")
         with pytest.raises(ConfigError, match="does not stream"):
             repro.fit_stream(replay, algorithm="nomad", engine="threaded")
 

@@ -353,7 +353,7 @@ class TestEngineTelemetry:
         train, test = tiny_split
         with pytest.raises(ConfigError, match="telemetry_counters"):
             fit(
-                train, test, algorithm="serialsgd", engine="simulated",
+                train, test, algorithm="dsgd", engine="simulated",
                 hyper=hyper,
                 run=RunConfig(duration=0.05, eval_interval=0.05, seed=1),
                 telemetry=True,
