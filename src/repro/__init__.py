@@ -13,15 +13,15 @@ The package provides:
   engine="simulated")`` — returning a uniform :class:`repro.FitResult`
   (convergence trace, trained factors, deployable model, timing block),
   with ``init_factors=`` warm starts honored everywhere;
-* five stock engines behind the facade: the deterministic discrete-event
-  cluster simulator, real thread- and process-based NOMAD runtimes, a
-  socket-based ``"cluster"`` engine whose workers exchange serialized
-  token envelopes over localhost TCP with no shared memory, and the
-  in-process warm-start ``"dynamic"`` trainer — all registry entries
-  (:data:`repro.ENGINES`), so future substrates plug in without new
-  public classes;
+* four stock engines behind the facade: the deterministic discrete-event
+  cluster simulator, real thread- and process-based NOMAD runtimes, and
+  a socket-based ``"cluster"`` engine whose workers exchange serialized
+  token envelopes over localhost TCP with no shared memory — all
+  registry entries (:data:`repro.ENGINES`), so future substrates plug in
+  without new public classes;
 * a streaming subsystem (:mod:`repro.stream`) behind
-  :func:`repro.fit_stream`: online rating ingestion with §4 fold-in of
+  :func:`repro.fit_stream`, the one way into the in-process warm-start
+  NOMAD trainer: online rating ingestion with §4 fold-in of
   new users/items, prequential scoring, rotating immutable serving
   snapshots, and a stateless :class:`repro.Recommender` serving front;
 * an HTTP recommendation service (:mod:`repro.serve`, CLI
@@ -70,7 +70,6 @@ from .api import (
     register_algorithm,
     register_engine,
     supported_pairs,
-    supported_stream_pairs,
 )
 from .config import HyperParams, RunConfig
 from .core.load_balance import (
@@ -158,7 +157,6 @@ __all__ = [
     "register_algorithm",
     "register_engine",
     "supported_pairs",
-    "supported_stream_pairs",
     # streaming subsystem
     "RatingEvent",
     "RatingStream",

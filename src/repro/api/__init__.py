@@ -9,9 +9,7 @@
   — the single normalized result every engine returns.
 * :data:`~repro.api.registry.ALGORITHMS` / :data:`~repro.api.registry.ENGINES`
   — the registries, extensible via :func:`register_algorithm` /
-  :func:`register_engine`; streaming support is a capability flag on
-  both sides (``AlgorithmSpec.stream_engines``,
-  ``EngineSpec.stream_runner``).
+  :func:`register_engine`.
 
 The pre-facade classes (:class:`~repro.core.nomad.NomadSimulation`, the
 baselines, :class:`~repro.runtime.threaded.ThreadedNomad`,
@@ -27,15 +25,12 @@ from .registry import (
     AlgorithmSpec,
     EngineSpec,
     FitRequest,
-    StreamRequest,
     check_pair,
-    check_stream_pair,
     register_algorithm,
     register_engine,
     resolve_algorithm,
     resolve_engine,
     supported_pairs,
-    supported_stream_pairs,
 )
 from .result import FitResult, FitTiming, StreamResult
 from .streaming import fit_stream
@@ -46,7 +41,6 @@ __all__ = [
     "FitResult",
     "FitTiming",
     "FitRequest",
-    "StreamRequest",
     "StreamResult",
     "ALGORITHMS",
     "ENGINES",
@@ -57,7 +51,5 @@ __all__ = [
     "resolve_algorithm",
     "resolve_engine",
     "check_pair",
-    "check_stream_pair",
     "supported_pairs",
-    "supported_stream_pairs",
 ]

@@ -12,9 +12,6 @@ Each engine is one runner callable ``(FitRequest) -> FitResult`` plus a
 * ``"cluster"`` — real worker processes exchanging serialized token
   envelopes over localhost TCP sockets, no shared memory (the paper's
   multi-machine communication path; fork-free, ``spawn``-started).
-* ``"dynamic"`` — the in-process warm-start NOMAD trainer behind
-  :func:`repro.fit_stream` (defined in :mod:`repro.api.streaming`, also
-  usable for static fits; the only engine carrying a ``stream_runner``).
 
 The live engines run NOMAD only (the paper's baselines are simulated
 algorithms); their traces record the endpoints — the pair the runtime
@@ -44,7 +41,6 @@ from ..simulator.trace import Trace
 from ..telemetry import POINT_QUEUE_DEPTH, RunTelemetry, WorkerTelemetry
 from .registry import (
     CLUSTER,
-    DYNAMIC,
     MULTIPROCESS,
     SIMULATED,
     THREADED,
@@ -56,7 +52,6 @@ from .registry import (
     resolve_workers,
 )
 from .result import FitResult, FitTiming
-from .streaming import run_dynamic, run_dynamic_stream
 
 __all__ = ["run_simulated", "run_live"]
 
@@ -245,16 +240,5 @@ register_engine(
             "worker processes over localhost TCP sockets, message "
             "passing only (NOMAD; fork-free)"
         ),
-    )
-)
-register_engine(
-    EngineSpec(
-        name=DYNAMIC,
-        runner=run_dynamic,
-        description=(
-            "in-process warm-start NOMAD over a growable problem "
-            "(the streaming substrate behind repro.fit_stream)"
-        ),
-        stream_runner=run_dynamic_stream,
     )
 )

@@ -61,11 +61,10 @@ def fit(
     engine:
         Execution substrate: ``"simulated"`` (every algorithm);
         ``"threaded"``, ``"multiprocess"``, ``"cluster"`` (NOMAD — the
-        latter over localhost sockets with no shared memory), or
-        ``"dynamic"`` (the in-process warm-start trainer behind
-        :func:`repro.fit_stream`, also usable for static fits).
-        Unsupported pairs raise :class:`~repro.errors.ConfigError`
-        naming every valid combination.
+        latter over localhost sockets with no shared memory).  Online
+        training over an arrival stream is :func:`repro.fit_stream`,
+        not an engine.  Unsupported pairs raise
+        :class:`~repro.errors.ConfigError` naming every valid combination.
     hyper:
         Model hyperparameters; defaults to :class:`HyperParams()
         <repro.config.HyperParams>`.
@@ -74,8 +73,8 @@ def fit(
         simulated engine and real wall seconds on the live engines — the
         same field, honored everywhere.  ``None`` takes each engine's
         default: the plain :class:`RunConfig() <repro.config.RunConfig>`
-        defaults on the simulated engine; on the live and dynamic engines
-        a 1-second wall budget at seed 0, on ``$NOMAD_KERNEL_BACKEND``
+        defaults on the simulated engine; on the live engines a
+        1-second wall budget at seed 0, on ``$NOMAD_KERNEL_BACKEND``
         (else ``"auto"``) kernels.
     cluster:
         Simulated topology (simulated engine).  The live engines take

@@ -43,7 +43,6 @@ __all__ = [
     "AlgorithmSpec",
     "EngineSpec",
     "FitRequest",
-    "StreamRequest",
     "ALGORITHMS",
     "ENGINES",
     "register_algorithm",
@@ -51,9 +50,7 @@ __all__ = [
     "resolve_algorithm",
     "resolve_engine",
     "check_pair",
-    "check_stream_pair",
     "supported_pairs",
-    "supported_stream_pairs",
     "resolve_workers",
     "resolve_wall_clock_run",
     "reject_extra_kwargs",
@@ -65,7 +62,6 @@ SIMULATED = "simulated"
 THREADED = "threaded"
 MULTIPROCESS = "multiprocess"
 CLUSTER = "cluster"
-DYNAMIC = "dynamic"
 
 
 @dataclass(frozen=True)
@@ -93,11 +89,6 @@ class AlgorithmSpec:
     accepts_nomad_options:
         Whether the simulation constructor takes the ``options=``
         :class:`~repro.core.nomad.NomadOptions` keyword.
-    stream_engines:
-        ``supports_stream`` capability flags: engines this algorithm can
-        train *online* on (warm-start ingestion through
-        :func:`repro.fit_stream`).  Must be a subset of ``engines`` — a
-        streaming engine always also runs static fits.
     """
 
     name: str
@@ -106,35 +97,19 @@ class AlgorithmSpec:
     aliases: tuple[str, ...] = ()
     description: str = ""
     accepts_nomad_options: bool = False
-    stream_engines: frozenset[str] = frozenset()
 
     def supports(self, engine_name: str) -> bool:
         """Whether this algorithm runs on the named engine."""
         return engine_name in self.engines
 
-    def supports_stream(self, engine_name: str) -> bool:
-        """Whether this algorithm trains online on the named engine."""
-        return engine_name in self.stream_engines
-
 
 @dataclass(frozen=True)
 class EngineSpec:
-    """One execution substrate: a name plus its runner callable(s).
-
-    ``stream_runner`` is the optional online-training entry point
-    (``(StreamRequest) -> StreamResult``); engines without one support
-    static fits only and :attr:`supports_stream` is False.
-    """
+    """One execution substrate: a name plus its runner callable."""
 
     name: str
     runner: Callable[["FitRequest"], FitResult]
     description: str = ""
-    stream_runner: Callable[["StreamRequest"], object] | None = None
-
-    @property
-    def supports_stream(self) -> bool:
-        """Whether this engine can run :func:`repro.fit_stream`."""
-        return self.stream_runner is not None
 
 
 @dataclass
@@ -166,47 +141,6 @@ class FitRequest:
     extra: dict = field(default_factory=dict)
 
 
-@dataclass
-class StreamRequest:
-    """Everything :func:`repro.fit_stream` assembled for a stream runner.
-
-    ``stream`` is any :class:`~repro.stream.sources.RatingStream`; the
-    cadence fields are in *arrivals* (snapshot every N ingested ratings,
-    train every M) and are required — their user-facing defaults live in
-    one place, :func:`repro.fit_stream`'s signature.  ``test`` optionally
-    supplies a held-out set for the final result's convergence trace;
-    ``None`` evaluates rotations against the combined (base + arrivals)
-    training data instead.  ``store``/``prequential`` optionally inject
-    the :class:`~repro.stream.snapshots.SnapshotStore` /
-    :class:`~repro.stream.snapshots.PrequentialTrace` instances the run
-    rotates into and scores against — how the HTTP service shares its
-    (durable) serving store with a background trainer; ``None`` means
-    the runner constructs fresh in-memory ones.
-    """
-
-    algorithm: AlgorithmSpec
-    engine: EngineSpec
-    stream: object
-    hyper: HyperParams
-    warmup_epochs: int
-    train_every: int
-    epochs_per_train: int
-    final_epochs: int
-    snapshot_every: int
-    max_snapshots: int
-    count_cap: int | None
-    run: RunConfig | None = None
-    test: RatingMatrix | None = None
-    n_workers: int | None = None
-    init_factors: FactorPair | None = None
-    store: object | None = None
-    prequential: object | None = None
-    #: Record trainer telemetry (:mod:`repro.telemetry`) and attach the
-    #: merged RunTelemetry to the final result.
-    telemetry: bool = False
-    extra: dict = field(default_factory=dict)
-
-
 #: Worker count the live engines use when neither ``n_workers`` nor a
 #: cluster is given.
 DEFAULT_WORKERS = 2
@@ -223,11 +157,11 @@ def resolve_workers(n_workers: int | None, cluster: Cluster | None = None) -> in
 
 
 def resolve_wall_clock_run(run: RunConfig | None) -> RunConfig:
-    """The one ``run=None`` policy of the wall-clock engines (the live
-    runtimes and the dynamic trainer): ``run`` itself, else a 1 s wall
-    budget at seed 0 on ``$NOMAD_KERNEL_BACKEND`` (else ``"auto"``).
-    Built per call, because :class:`~repro.config.RunConfig` reads the
-    environment when it is constructed."""
+    """The one ``run=None`` policy of the live runtimes: ``run`` itself,
+    else a 1 s wall budget at seed 0 on ``$NOMAD_KERNEL_BACKEND`` (else
+    ``"auto"``).  Built per call, because
+    :class:`~repro.config.RunConfig` reads the environment when it is
+    constructed."""
     if run is not None:
         return run
     return RunConfig(duration=1.0)
@@ -273,18 +207,8 @@ def register_algorithm(spec: AlgorithmSpec) -> AlgorithmSpec:
                 f"algorithm name/alias {key!r} is already taken by {claimed!r}"
             )
     folded_engines = frozenset(e.strip().lower() for e in spec.engines)
-    folded_stream = frozenset(e.strip().lower() for e in spec.stream_engines)
-    if folded_engines != spec.engines or folded_stream != spec.stream_engines:
-        spec = dataclasses.replace(
-            spec, engines=folded_engines, stream_engines=folded_stream
-        )
-    if not spec.stream_engines <= spec.engines:
-        extra = sorted(spec.stream_engines - spec.engines)
-        raise ConfigError(
-            f"algorithm {spec.name!r} declares stream support on engines "
-            f"{extra} it does not run on; stream_engines must be a subset "
-            "of engines"
-        )
+    if folded_engines != spec.engines:
+        spec = dataclasses.replace(spec, engines=folded_engines)
     for key in (spec.name, *spec.aliases):
         _ALGORITHM_INDEX[key.lower()] = spec.name
     ALGORITHMS[spec.name] = spec
@@ -354,31 +278,7 @@ def check_pair(algorithm: AlgorithmSpec, engine: EngineSpec) -> None:
     )
 
 
-def supported_stream_pairs() -> list[tuple[str, str]]:
-    """Every valid streaming (algorithm, engine) combination, sorted."""
-    return sorted(
-        (spec.name, engine)
-        for spec in ALGORITHMS.values()
-        for engine in sorted(spec.stream_engines)
-        if engine in ENGINES and ENGINES[engine].supports_stream
-    )
-
-
-def check_stream_pair(algorithm: AlgorithmSpec, engine: EngineSpec) -> None:
-    """Raise :class:`ConfigError` unless the pair supports streaming."""
-    if engine.supports_stream and algorithm.supports_stream(engine.name):
-        return
-    pairs = supported_stream_pairs()
-    listing = (
-        "; ".join(f"{a} on {e}" for a, e in pairs) if pairs else "none"
-    )
-    raise ConfigError(
-        f"algorithm {algorithm.name!r} does not stream on engine "
-        f"{engine.name!r}; streaming combinations — {listing}"
-    )
-
-
-_ALL_ENGINES = frozenset({SIMULATED, THREADED, MULTIPROCESS, CLUSTER, DYNAMIC})
+_ALL_ENGINES = frozenset({SIMULATED, THREADED, MULTIPROCESS, CLUSTER})
 _SIM_ONLY = frozenset({SIMULATED})
 
 register_algorithm(
@@ -388,7 +288,6 @@ register_algorithm(
         simulated=NomadSimulation,
         description="Yun et al.'s asynchronous decentralized SGD (Alg. 1)",
         accepts_nomad_options=True,
-        stream_engines=frozenset({DYNAMIC}),
     )
 )
 register_algorithm(

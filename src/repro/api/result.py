@@ -159,7 +159,8 @@ class StreamResult:
     Attributes
     ----------
     algorithm, engine:
-        The streaming (algorithm, engine) pair that ran.
+        Always ``"NOMAD"`` / ``"dynamic"``: the labels of the one
+        streaming trainer, :class:`~repro.stream.dynamic.DynamicNomad`.
     snapshots:
         The rotated :class:`~repro.stream.snapshots.SnapshotStore`;
         ``snapshots.latest.model`` is the serving model at end of stream.

@@ -36,11 +36,14 @@ class DivergenceError(SimulationError):
     """Training diverged: the model's test RMSE or factors are not finite.
 
     Raised by the simulator and the clocked baselines when a recorded
-    test RMSE is not finite, and by every live engine when its final
-    ``W`` or ``H`` holds a non-finite value — never a model returned as
-    if trained.  The cure is a smaller step size (``alpha``) or more
-    regularization (``beta`` / ``lambda_``).  Subclasses
-    :class:`SimulationError`, so a caller catching that catches this too.
+    test RMSE is not finite, by every live engine when its final ``W``
+    or ``H`` holds a non-finite value, and by
+    :meth:`SnapshotStore.rotate <repro.stream.snapshots.SnapshotStore.rotate>`
+    (so by :func:`repro.fit_stream`) on such factors — never a model
+    returned as if trained, nor served.  The cure is a smaller step size
+    (``alpha``) or more regularization (``beta`` / ``lambda_``).
+    Subclasses :class:`SimulationError`, so a caller catching that
+    catches this too.
     """
 
 

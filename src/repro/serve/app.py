@@ -24,13 +24,16 @@ per connection, all sharing the service object; the only locks are the
 cache's own, the ingest dedup set's and the request counters'.
 Routes (all JSON, schemas in :mod:`repro.serve.schemas`):
 
-* ``GET /health`` — liveness + trainer status;
+* ``GET /health`` — liveness + trainer status (``degraded`` once the
+  trainer has died — e.g. on a diverged model, which the store refuses
+  to rotate in, so reads keep answering from the last finite snapshot);
 * ``GET /snapshot`` — metadata of the serving snapshot;
 * ``GET /predict?user=&item=`` — one scored cell;
 * ``GET /recommend?user=&n=`` — top-N for one user;
 * ``POST /ratings`` — batch ingest (idempotent: already-rated cells are
   counted as duplicates and skipped, never re-queued — the trainer
-  treats a duplicate arrival as corruption, so the edge filters them);
+  treats a duplicate arrival as corruption, so the edge filters them;
+  503 once no trainer drains the stream);
 * ``GET /stats`` — request, cache, ingest, and trainer counters, plus
   per-route latency quantiles (p50/p95/p99);
 * ``GET /metrics`` — the same counters in Prometheus text exposition
@@ -269,6 +272,8 @@ class RecommendationService:
         except Exception as error:  # surfaced via /health + /stats
             self.trainer_error = f"{type(error).__name__}: {error}"
             self.trainer_traceback = traceback.format_exc()
+            # Nothing drains the queue any more: ingest answers 503.
+            self.stream.close()
 
     def start(self) -> "RecommendationService":
         """Spawn the trainer, wait for a serving snapshot, bind the

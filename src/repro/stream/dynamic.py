@@ -201,11 +201,8 @@ class DynamicNomad:
         roots the start, the token scatter and the routing draws, and
         ``kernel_backend`` names the kernels (``"auto"`` is the compiled
         backend where a toolchain is present, else the interpreted
-        reference).  ``duration`` bounds the static runner's sweeps, not
-        the trainer.  Unlike the real runtimes this trainer is
-        in-process, so an update budget *is* honorable
-        (pass it through :meth:`sweep`'s ``max_updates``; the halt lands
-        on a column boundary, like the simulated engine's).
+        reference).  The caller decides how many sweeps run; the
+        trainer reads neither ``duration`` nor ``max_updates``.
     init_factors:
         Optional warm-start factors validated against the base shape and
         ``hyper.k`` — resuming from a previous run's
@@ -446,7 +443,7 @@ class DynamicNomad:
         self._stale = False
         return self._kernels
 
-    def sweep(self, max_updates: int | None = None) -> int:
+    def sweep(self) -> int:
         """Route every token through every worker once; return updates.
 
         One sweep is the §3.4 circulation schedule: each token starts at
@@ -461,8 +458,6 @@ class DynamicNomad:
         <repro.core.load_balance.RecipientPolicy.place>` call rests every
         token, in plan order, at the queue the policy picks for it — the
         draws a per-token ``choose`` would make, whatever the policy.
-        ``max_updates`` caps the updates applied *this call*; tokens
-        still complete their tours so conservation holds.
         """
         p = self.n_workers
         rec = self.recorder
@@ -501,16 +496,6 @@ class DynamicNomad:
         for r in range(p):
             if r > 0:
                 self._ledger.transfer_many(items, stops[:, r - 1], stops[:, r])
-            if max_updates is not None:
-                # Budgeted path: the halt boundary is per column, so each
-                # column is a burst of one.
-                for j, stop in zip(tokens, stops[:, r].tolist()):
-                    if applied >= max_updates:
-                        break
-                    done = kernels[stop].process_token(j)
-                    applied += done
-                    self._worker_updates[stop] += done
-                continue
             if rec is not None:
                 kernel_start = clock()
             round_applied = 0
@@ -540,17 +525,11 @@ class DynamicNomad:
             rec.add(C_TOKENS, len(tokens))
         return applied
 
-    def train(self, epochs: int, max_updates: int | None = None) -> int:
-        """Run ``epochs`` sweeps (bounded by ``max_updates``); return updates."""
+    def train(self, epochs: int) -> int:
+        """Run ``epochs`` sweeps; return the updates applied."""
         if epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {epochs}")
-        applied = 0
-        for _ in range(epochs):
-            budget = None if max_updates is None else max_updates - applied
-            if budget is not None and budget <= 0:
-                break
-            applied += self.sweep(budget)
-        return applied
+        return sum(self.sweep() for _ in range(epochs))
 
     def __repr__(self) -> str:
         return (

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import ConfigError, DataError
+from ..errors import ConfigError, DataError, DivergenceError
 from ..linalg.factors import FactorPair
 from ..model import CompletionModel
 
@@ -168,6 +168,8 @@ class SnapshotStore:
     :meth:`rotate` deep-copies the factors and marks the copies
     read-only, so a snapshot can never observe later training updates —
     the immutability lock-free serving and its seq-keyed cache rely on.
+    It is the one place a model becomes servable, so it is also where a
+    non-finite model is refused.
     """
 
     def __init__(self, max_keep: int = 8):
@@ -185,7 +187,19 @@ class SnapshotStore:
         arrivals_seen: int,
         updates_seen: int,
     ) -> ModelSnapshot:
-        """Freeze the given factors as the new serving snapshot."""
+        """Freeze the given factors as the new serving snapshot.
+
+        Factors holding a non-finite value raise
+        :class:`~repro.errors.DivergenceError` before anything is built:
+        the store keeps serving its last finite snapshot, and a durable
+        subclass persists nothing.
+        """
+        if not (np.isfinite(factors.w).all() and np.isfinite(factors.h).all()):
+            raise DivergenceError(
+                f"factors diverged after {updates_seen} updates; refusing "
+                f"to rotate them in (seq {self._next_seq}); reduce alpha or "
+                "increase beta/lambda"
+            )
         w = np.ascontiguousarray(factors.w, dtype=np.float64).copy()
         h = np.ascontiguousarray(factors.h, dtype=np.float64).copy()
         w.setflags(write=False)

@@ -30,6 +30,7 @@ from repro.rng import derive_rng
 from repro.runtime.result import RuntimeResult
 from repro.simulator.cluster import Cluster
 from repro.simulator.network import HPC_PROFILE
+from repro.stream.dynamic import DynamicNomad
 
 HYPER = HyperParams(k=4, lambda_=0.01, alpha=0.1, beta=0.01)
 SIM_RUN = RunConfig(duration=0.005, eval_interval=0.001, seed=3)
@@ -40,9 +41,9 @@ LIVE_RUN = RunConfig(duration=0.25, eval_interval=0.25, seed=3)
 
 class TestRegistries:
     def test_stock_engines_registered(self):
-        assert {
-            "simulated", "threaded", "multiprocess", "cluster", "dynamic"
-        } == set(ENGINES)
+        assert {"simulated", "threaded", "multiprocess", "cluster"} == set(
+            ENGINES
+        )
 
     def test_stock_algorithms_registered(self):
         expected = {"NOMAD", "DSGD", "DSGD++", "FPSGD**", "CCD++",
@@ -76,32 +77,43 @@ class TestRegistries:
         with pytest.raises(ConfigError, match="unknown engine"):
             resolve_engine("gpu")
 
+    def test_dynamic_is_an_unknown_engine(self, tiny_split):
+        """The streaming trainer is reached through fit_stream only; a
+        static fit on it is an unknown engine, not an alias."""
+        train, test = tiny_split
+        with pytest.raises(ConfigError, match="unknown engine"):
+            fit(train, test, engine="dynamic")
+
     def test_capability_flags(self):
         assert ALGORITHMS["NOMAD"].engines == {
-            "simulated", "threaded", "multiprocess", "cluster", "dynamic"
+            "simulated", "threaded", "multiprocess", "cluster"
         }
         for name, spec in ALGORITHMS.items():
             if name != "NOMAD":
                 assert spec.engines == {"simulated"}, name
 
     def test_stream_capability_flags(self):
-        assert ALGORITHMS["NOMAD"].stream_engines == {"dynamic"}
-        assert ENGINES["dynamic"].supports_stream
-        for name, spec in ENGINES.items():
-            if name != "dynamic":
-                assert not spec.supports_stream, name
-        assert repro.supported_stream_pairs() == [("NOMAD", "dynamic")]
+        """There are none: fit_stream runs one trainer, so neither
+        registry carries a streaming half."""
+        import repro.api
+
+        for name in ("StreamRequest", "check_stream_pair",
+                     "supported_stream_pairs"):
+            assert not hasattr(repro, name), name
+            assert not hasattr(repro.api, name), name
+        assert not hasattr(AlgorithmSpec, "stream_engines")
+        assert not hasattr(AlgorithmSpec, "supports_stream")
+        assert not hasattr(EngineSpec, "stream_runner")
+        assert not hasattr(EngineSpec, "supports_stream")
 
     def test_supported_pairs_matrix(self):
         pairs = supported_pairs()
-        # 7 algorithms on simulated + NOMAD on the four other engines.
-        assert len(pairs) == len(ALGORITHMS) + 4
+        # 7 algorithms on simulated + NOMAD on the three live engines.
+        assert len(pairs) == len(ALGORITHMS) + 3
         assert ("NOMAD", "threaded") in pairs
         assert ("NOMAD", "cluster") in pairs
-        assert ("NOMAD", "dynamic") in pairs
         assert ("DSGD", "threaded") not in pairs
         assert ("DSGD", "cluster") not in pairs
-        assert ("DSGD", "dynamic") not in pairs
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ConfigError, match="already registered"):
@@ -146,7 +158,7 @@ class TestPairRejection:
         # The error names the pair and lists the full support matrix.
         assert "'DSGD'" in message and "'threaded'" in message
         assert (
-            "NOMAD: cluster, dynamic, multiprocess, simulated, threaded"
+            "NOMAD: cluster, multiprocess, simulated, threaded"
             in message
         )
         assert "DSGD: simulated" in message
@@ -347,8 +359,7 @@ class TestFitLiveEngines:
 
         train, test = tiny_split
         bad = init_factors(3, 3, HYPER.k, RngFactory(0).stream("init"))
-        for engine in ("simulated", "threaded", "multiprocess", "cluster",
-                       "dynamic"):
+        for engine in ("simulated", "threaded", "multiprocess", "cluster"):
             with pytest.raises(ConfigError, match="init factors"):
                 fit(
                     train, test, engine=engine, hyper=HYPER, run=LIVE_RUN,
@@ -366,8 +377,7 @@ class TestFitLiveEngines:
         factors = init_factors(
             train.n_rows, train.n_cols, HYPER.k, RngFactory(0).stream("init")
         )
-        for engine in ("simulated", "threaded", "multiprocess", "cluster",
-                       "dynamic"):
+        for engine in ("simulated", "threaded", "multiprocess", "cluster"):
             with pytest.raises(ConfigError, match="init_factors="):
                 fit(
                     train, test, engine=engine, hyper=HYPER, run=LIVE_RUN,
@@ -403,7 +413,6 @@ class TestSharedStart:
         ("nomad", "threaded", {}),
         ("nomad", "multiprocess", {}),
         ("nomad", "cluster", {"transport": "loopback"}),
-        ("nomad", "dynamic", {}),
         ("dsgd", "simulated", {}),
     ]
 
@@ -424,6 +433,10 @@ class TestSharedStart:
                 ),
             )
             assert result.trace.records[0].rmse == expected, (algorithm, engine)
+        # The streaming trainer (fit_stream's) starts from the same draw.
+        dynamic = DynamicNomad(train, 2, HYPER, RunConfig(seed=seed))
+        assert np.array_equal(dynamic.factors.w, drawn.w)
+        assert np.array_equal(dynamic.factors.h, drawn.h)
 
 
 class TestFitResultShape:

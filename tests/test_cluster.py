@@ -388,7 +388,7 @@ class TestClusterViaFacade:
         message = str(excinfo.value)
         assert "'DSGD'" in message and "'cluster'" in message
         assert (
-            "NOMAD: cluster, dynamic, multiprocess, simulated, threaded"
+            "NOMAD: cluster, multiprocess, simulated, threaded"
             in message
         )
 

@@ -470,12 +470,11 @@ def _engines(rows) -> pytest.MarkDecorator:
 
 
 #: The three live engines, the cluster over its in-process transport.
-_LIVE_ROWS = [
+LIVE_ENGINES = _engines([
     ("threaded", {}),
     ("multiprocess", {}),
     ("cluster", {"transport": "loopback"}),
-]
-LIVE_ENGINES = _engines(_LIVE_ROWS)
+])
 
 
 def _assert_released(blocks: set[str]) -> None:
@@ -575,16 +574,15 @@ class TestDivergence:
     """Regression: a live run whose step size diverged returned a
     ``FitResult`` with NaN factors and a NaN RMSE, exit code 0, where
     the simulator raised.  Every live engine now checks its final
-    ``W‖H`` after the join and raises the simulator's error type; the
-    in-process ``dynamic`` engine checks the test RMSE after each
-    sweep."""
+    ``W‖H`` after the join and raises the simulator's error type
+    (``fit_stream``'s case is in ``tests/test_stream.py``)."""
 
     @pytest.fixture(scope="class")
     def diverging(self):
         _, train, test = build_dataset("netflix", 0)
         return train, test, HyperParams(k=8, lambda_=0.01, alpha=5.0, beta=0.01)
 
-    @_engines(_LIVE_ROWS + [("dynamic", {})])
+    @LIVE_ENGINES
     def test_diverged_live_run_is_a_typed_error(self, diverging, engine, extra):
         train, test, hyper = diverging
         blocks = _shm_blocks()

@@ -573,6 +573,43 @@ class TestService:
         # The closing rotation reflects every arrival.
         assert svc.store.latest.arrivals_seen == 7
 
+    def test_diverged_trainer_keeps_serving_the_last_finite_snapshot(
+        self, service
+    ):
+        """Regression: one finite but absurd rating (the schema checks
+        finiteness only) drove the model to inf/NaN, and every later
+        snapshot answered ``nan`` predictions and empty top-N lists
+        with /health "ok".  The store now refuses that rotation: the
+        trainer stops, reads stay on the last finite snapshot, /health
+        says "degraded" and ingest is refused."""
+        finite_seq = service.store.latest.seq
+        ratings = fresh_pairs(service.warmup, 10)
+        ratings[0]["value"] = 1e300
+        status, _ = http_post(service.url + "/ratings", {"ratings": ratings})
+        assert status == 202
+
+        # 10 arrivals over snapshot_every=10: the trainer reaches the
+        # rotation that would publish the diverged model.
+        deadline = time.monotonic() + 30
+        while service.trainer_error is None:
+            assert time.monotonic() < deadline, "trainer never stopped"
+            time.sleep(0.02)
+        assert service.trainer_error.startswith("DivergenceError")
+
+        _, health = http_get(service.url + "/health")
+        assert health["status"] == "degraded"
+        assert health["serving_seq"] == finite_seq
+        _, predicted = http_get(service.url + "/predict?user=1&item=2")
+        assert predicted["snapshot_seq"] == finite_seq
+        assert np.isfinite(predicted["prediction"])
+        _, top = http_get(service.url + "/recommend?user=1&n=3")
+        assert top["snapshot_seq"] == finite_seq and len(top["items"]) == 3
+        code, payload = http_error(
+            http_post, service.url + "/ratings",
+            {"ratings": fresh_pairs(service.warmup, 11)[10:]},
+        )
+        assert code == 503 and "no trainer" in payload["error"]
+
     def test_double_start_rejected(self, service):
         with pytest.raises(ServeError, match="already started"):
             service.start()

@@ -20,7 +20,7 @@ from repro.core.load_balance import (
     UniformPolicy,
 )
 from repro.datasets.ratings import RatingMatrix
-from repro.errors import ConfigError, DataError
+from repro.errors import ConfigError, DataError, DivergenceError
 from repro.linalg import cext_available
 from repro.linalg.objective import test_rmse as rmse_of
 from repro.rng import RngFactory
@@ -293,14 +293,6 @@ class TestDynamicNomad:
         with pytest.raises(ConfigError, match="init factors"):
             DynamicNomad(replay.warmup, 2, HYPER, RunConfig(), init_factors=bad)
 
-    def test_sweep_budget_halts_at_column_granularity(self, replay):
-        dynamic = DynamicNomad(replay.warmup, 2, HYPER, RunConfig(seed=5))
-        applied = dynamic.sweep(max_updates=10)
-        assert applied >= 10
-        assert applied < replay.warmup.nnz
-        # Conservation survives a budget halt.
-        assert sum(dynamic.queue_sizes()) == dynamic.n_items
-
     def test_duplicate_arrival_rejected(self, warm_dynamic):
         base = warm_dynamic.delta.base
         user = int(base.rows[0])
@@ -467,7 +459,7 @@ class ListReference:
         self.w = np.vstack([self.w, factors.w[self.w.shape[0]:]])
         self.h = np.vstack([self.h, factors.h[self.h.shape[0]:]])
 
-    def sweep(self, dynamic, max_updates=None, cap=None):
+    def sweep(self, dynamic, cap=None):
         """Mirror the sweep ``dynamic`` is about to run (call first)."""
         p = dynamic.n_workers
         rng = random.Random()
@@ -482,8 +474,6 @@ class ListReference:
         hyper = dynamic.hyper
         for r in range(p):
             for j, stops in plan:
-                if max_updates is not None and applied >= max_updates:
-                    continue
                 column = self.columns.get((stops[r], j))
                 if column is None:
                     continue
@@ -563,24 +553,6 @@ class TestDynamicNomadAgainstReference:
         kernels = list(dynamic._kernels)
         assert reference.sweep(dynamic) == dynamic.sweep()
         assert all(a is b for a, b in zip(kernels, dynamic._kernels))
-        reference.assert_matches(dynamic)
-
-    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-    @pytest.mark.parametrize("budget", [1, 10, 137])
-    def test_budget_halts_on_the_same_column_boundary(
-        self, replay, budget, backend
-    ):
-        dynamic, reference = self._pair(replay, backend)
-        expected = reference.sweep(dynamic, max_updates=budget)
-        assert dynamic.sweep(max_updates=budget) == expected
-        assert budget <= expected < replay.warmup.nnz
-        assert sum(dynamic.updates_per_worker) == expected
-        reference.assert_matches(dynamic)
-        # Tokens finished their tours: conserved, each resting somewhere.
-        assert sum(dynamic.queue_sizes()) == dynamic.n_items
-        assert dynamic._ledger.items_in_flight().size == 0
-        # ...and the next, unbudgeted sweep still agrees.
-        assert reference.sweep(dynamic) == dynamic.sweep()
         reference.assert_matches(dynamic)
 
     def test_count_cap_floor_and_lift_match_per_column_clamp(self, replay):
@@ -928,10 +900,11 @@ class TestFitStream:
         assert np.isfinite(result.final.trace.final_rmse())
 
     def test_unsupported_pairs_rejected(self, replay):
-        with pytest.raises(ConfigError, match="stream"):
-            repro.fit_stream(replay, algorithm="dsgd", engine="simulated")
-        with pytest.raises(ConfigError, match="does not stream"):
-            repro.fit_stream(replay, algorithm="nomad", engine="threaded")
+        """fit_stream runs one trainer; there is no pair to choose."""
+        with pytest.raises(TypeError, match="algorithm"):
+            repro.fit_stream(replay, algorithm="dsgd")
+        with pytest.raises(TypeError, match="engine"):
+            repro.fit_stream(replay, engine="threaded")
 
     def test_bad_stream_rejected(self, tiny_matrix):
         with pytest.raises(ConfigError, match="stream"):
@@ -944,44 +917,54 @@ class TestFitStream:
             self._run(replay, warmup_epochs=-1)
 
     def test_unknown_engine_kwargs_rejected(self, replay):
-        with pytest.raises(ConfigError, match="transport"):
+        with pytest.raises(TypeError, match="transport"):
             self._run(replay, transport="tcp")
 
+    def test_max_updates_rejected(self, replay):
+        """Regression: a budget was silently ignored (a 10-update budget
+        applied every update the cadence asked for)."""
+        with pytest.raises(ConfigError, match="max_updates"):
+            self._run(replay, run=RunConfig(max_updates=10, seed=1))
 
-# ----------------------------------------------------------------------
-# The dynamic engine through repro.fit (static path)
-# ----------------------------------------------------------------------
-class TestDynamicEngineStaticFit:
-    def test_smoke(self, tiny_split):
-        train, test = tiny_split
-        result = repro.fit(
-            train, test, engine="dynamic", hyper=HYPER,
-            run=RunConfig(duration=0.05, eval_interval=0.05, seed=3),
-            n_workers=2,
-        )
-        assert result.engine == "dynamic"
-        assert result.timing.updates > 0
-        assert len(result.trace) >= 2  # init + at least one sweep
-        assert result.final_rmse() < result.trace.records[0].rmse
-        assert sum(result.timing.updates_per_worker) == result.timing.updates
+    def test_diverged_stream_stops_at_the_last_finite_snapshot(self, replay):
+        """Regression: one finite but absurd arrival drove the factors to
+        inf/NaN, and every later snapshot served ``nan`` predictions and
+        empty recommendations with no error.  Now the rotation that
+        would publish them raises, and the store keeps serving the last
+        finite snapshot."""
+        poisoned_at = 150
 
-    def test_max_updates_honored(self, tiny_split):
-        train, test = tiny_split
-        result = repro.fit(
-            train, test, engine="dynamic", hyper=HYPER,
-            run=RunConfig(
-                duration=5.0, eval_interval=5.0, seed=3, max_updates=50
-            ),
-            n_workers=2,
-        )
-        # Halts at a column boundary at or just past the budget, far
-        # short of even one full sweep.
-        assert 50 <= result.timing.updates < train.nnz
+        class Poisoned:
+            warmup = replay.warmup
+            n_events = replay.n_events
 
-    def test_options_rejected(self, tiny_split):
-        train, test = tiny_split
-        with pytest.raises(ConfigError, match="simulated engine"):
-            repro.fit(
-                train, test, engine="dynamic", hyper=HYPER,
-                options=repro.NomadOptions(),
-            )
+            def events(self):
+                for arrival, event in enumerate(replay.events(), 1):
+                    if arrival == poisoned_at:
+                        event = RatingEvent(
+                            event.time, event.user, event.item, 1e300
+                        )
+                    yield event
+
+        store = SnapshotStore()
+        with pytest.raises(DivergenceError, match="diverged"):
+            self._run(Poisoned(), store=store)
+        # Rotations at warm-up end and at arrival 100; the one at 200,
+        # after the poisoned arrival trained in, was refused.
+        assert store.latest.seq == store.rotations - 1 == 1
+        assert store.latest.arrivals_seen == 100
+        for snapshot in store.snapshots:
+            factors = snapshot.model.factors
+            assert np.isfinite(factors.w).all()
+            assert np.isfinite(factors.h).all()
+        recommender = Recommender(store)
+        assert np.isfinite(recommender.predict(0, 0))
+        assert len(recommender.recommend(0, top_n=3)) == 3
+
+    def test_diverged_warm_up_publishes_nothing(self, replay):
+        """A step size that diverges during warm-up leaves the store
+        empty: no snapshot ever held the non-finite model."""
+        store = SnapshotStore()
+        with pytest.raises(DivergenceError, match="diverged"):
+            self._run(replay, hyper=HYPER.with_(alpha=5.0), store=store)
+        assert len(store) == 0 and store.rotations == 0

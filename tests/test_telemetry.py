@@ -388,25 +388,6 @@ class TestEngineTelemetry:
         assert summary["counters"]["updates"] == result.timing.updates
         assert summary["hop_latency"]["count"] > 0
 
-    def test_dynamic_static_fit_records_sweeps(self, tiny_split, hyper):
-        train, test = tiny_split
-        result = fit(
-            train, test, engine="dynamic", hyper=hyper,
-            run=RunConfig(duration=0.05, eval_interval=0.05, seed=3,
-                          max_updates=5000),
-            n_workers=2, telemetry=True,
-        )
-        summary = result.telemetry.summary()
-        assert summary["counters"]["updates"] == result.timing.updates
-        kinds = {
-            event[0]
-            for worker in result.telemetry.workers
-            for event in worker.events
-        }
-        # The dynamic trainer times whole warm-start sweeps, not
-        # per-column kernel batches.
-        assert SPAN_SWEEP in kinds
-
 
 class TestClusterTelemetry:
     def test_merged_run_telemetry_with_histograms(self, small_split):
@@ -467,6 +448,24 @@ class TestStreamTelemetry:
         ]
         assert len(rotations) == result.snapshots.rotations
         assert result.final.telemetry.summary()["counters"]["updates"] > 0
+
+    def test_fit_stream_records_sweeps(self, tiny_matrix, hyper):
+        stream = ReplayStream(tiny_matrix, warmup_fraction=0.6, seed=4)
+        result = fit_stream(
+            stream, hyper=hyper, n_workers=2, warmup_epochs=2,
+            final_epochs=1, telemetry=True,
+        )
+        final = result.final
+        summary = final.telemetry.summary()
+        assert summary["counters"]["updates"] == final.timing.updates
+        kinds = {
+            event[0]
+            for worker in final.telemetry.workers
+            for event in worker.events
+        }
+        # The dynamic trainer times whole warm-start sweeps, not
+        # per-column kernel batches.
+        assert SPAN_SWEEP in kinds
 
     def test_fit_stream_disabled_by_default(self, tiny_matrix, hyper):
         stream = ReplayStream(tiny_matrix, warmup_fraction=0.6, seed=4)
