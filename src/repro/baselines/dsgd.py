@@ -62,15 +62,21 @@ class DSGDSimulation(ClockedOptimizer):
             partition_range_blocks(self.train.n_cols, n_col_blocks),
         )
         entry_rows, entry_cols, ratings, _ = self._entry_arrays()
+        # Each cell's visit order: an int64 copy (the shuffle must not
+        # reorder the grid's own index), shuffled in place by the stream
+        # at every visit and taken by the entries kernel as it is.
         cell_orders = [
-            [grid.cell_indices(q, c).tolist() for c in range(n_col_blocks)]
+            [grid.cell_indices(q, c).astype(np.int64)
+             for c in range(n_col_blocks)]
             for q in range(p)
         ]
         max_block_cols = max(len(s) for s in grid.col_sets)
         block_bytes = max_block_cols * token_bytes(self.hyper.k)
 
         driver = BoldDriver(initial_step=self.hyper.alpha)
-        shuffle_rng = self.rng_factory.pyrandom("dsgd-shuffle")
+        shuffle_rng = self._backend.rng_stream(
+            self.rng_factory.pyrandom("dsgd-shuffle")
+        )
         regularizer = WeightedL2(self.hyper.lambda_)
 
         while not self._expired():

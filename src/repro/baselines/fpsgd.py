@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import heapq
 
+import numpy as np
+
 from ..errors import ConfigError
 from ..partition.partitioners import BlockGrid, partition_range_blocks
 from .base import ClockedOptimizer
@@ -54,8 +56,11 @@ class FPSGDSimulation(ClockedOptimizer):
         )
 
         entry_rows, entry_cols, ratings, counts = self._entry_arrays()
+        # Each cell's visit order: an int64 copy (the shuffle must not
+        # reorder the grid's own index), shuffled in place by the stream
+        # at every visit and taken by the entries kernel as it is.
         cell_orders = {
-            (r, c): grid.cell_indices(r, c).tolist()
+            (r, c): grid.cell_indices(r, c).astype(np.int64)
             for r in range(grid_size)
             for c in range(grid_size)
         }
@@ -64,7 +69,9 @@ class FPSGDSimulation(ClockedOptimizer):
         locked_cols: set[int] = set()
         assignment: dict[int, tuple[int, int]] = {}
         idle: list[int] = []
-        rng = self.rng_factory.pyrandom("fpsgd-schedule")
+        rng = self._backend.rng_stream(
+            self.rng_factory.pyrandom("fpsgd-schedule")
+        )
 
         def pick_block() -> tuple[int, int] | None:
             """Least-processed free block, ties broken at random."""

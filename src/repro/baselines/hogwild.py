@@ -25,6 +25,8 @@ is nevertheless non-serializable, unlike NOMAD's.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..core.serializability import FRESH, UpdateEvent
 from ..errors import ConfigError
 from .base import ClockedOptimizer
@@ -80,7 +82,9 @@ class HogwildSimulation(ClockedOptimizer):
         entry_cols = train.cols.tolist()
         ratings = train.vals.tolist()
         counts = [0] * train.nnz
-        rng = self.rng_factory.pyrandom("hogwild-order")
+        rng = self._backend.rng_stream(
+            self.rng_factory.pyrandom("hogwild-order")
+        )
 
         # Per-worker stale views of H and the commit version they observed.
         snapshots = [self._h.copy() for _ in range(p)]
@@ -94,9 +98,9 @@ class HogwildSimulation(ClockedOptimizer):
         update_cost = self.cluster.sgd_time(0, k, 1)
 
         while not self._expired():
-            order = list(range(train.nnz))
+            order = np.arange(train.nnz, dtype=np.int64)
             rng.shuffle(order)
-            for idx in order:
+            for idx in order.tolist():
                 worker = rng.randrange(p)
                 if since_refresh[worker] >= self.refresh_period:
                     snapshots[worker] = self._h.copy()

@@ -14,13 +14,17 @@ Three policies are provided:
   cheaper approximation of least-queue that only inspects two candidates
   (extension; not in the paper, useful for the load-balancing ablation).
 
-Policies draw from a stdlib :class:`random.Random` (not a NumPy generator):
-recipient choice happens once per token hop, millions of times per run, and
-``Random.randrange`` is several times cheaper per call.
+Policies draw ``randrange`` / ``sample`` from a stdlib
+:class:`random.Random` (not a NumPy generator) or from a draw stream of
+the kernel backend (:meth:`KernelBackend.rng_stream
+<repro.linalg.backends.base.KernelBackend.rng_stream>`), which makes the
+same draws from the same state: under ``cext`` CPython's Mersenne Twister
+in C, under ``list`` :mod:`random` itself.
 
-:meth:`RecipientPolicy.choose` routes one token (the simulator's hop);
-:meth:`RecipientPolicy.place` routes a whole batch onto live queues with
-the same draws in the same order (the dynamic trainer's end of sweep).
+:meth:`RecipientPolicy.choose` routes one token (the simulator's hop, on
+a ``random.Random``); :meth:`RecipientPolicy.place` routes a whole batch
+onto live queues with the same draws in the same order (the dynamic
+trainer's end of sweep, on a draw stream).
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from __future__ import annotations
 import abc
 import random
 from typing import Callable, MutableSequence, Sequence
+
+import numpy as np
 
 from ..errors import SimulationError
 
@@ -61,21 +67,23 @@ class RecipientPolicy(abc.ABC):
             Callback reporting the pending-work size of a candidate — the
             §3.3 payload information.
         rng:
-            Randomness source (owned by the caller for determinism).
+            Randomness source (owned by the caller for determinism): a
+            ``random.Random`` or a backend draw stream.
         """
 
     def place(
         self,
         tokens: Sequence[int],
         queues: Sequence[MutableSequence[int]],
-        rng: random.Random,
+        rng,
     ) -> list[int]:
         """Append each of ``tokens``, in order, to the queue it is routed
         to; return the chosen queue indices.
 
-        Every queue is a candidate.  This is the per-token :meth:`choose`
-        loop, with each queue's size read live as earlier tokens land, so
-        an override must draw exactly what that loop draws.
+        ``rng`` is a backend draw stream.  Every queue is a candidate.
+        This is the per-token :meth:`choose` loop, with each queue's size
+        read live as earlier tokens land, so an override must draw
+        exactly what that loop draws.
         """
         candidates = range(len(queues))
 
@@ -104,13 +112,14 @@ class UniformPolicy(RecipientPolicy):
 
     def place(self, tokens, queues, rng) -> list[int]:
         # Queue sizes never enter a uniform pick: one randrange a token,
-        # exactly the draw choose() makes over range(len(queues)).
+        # exactly the draw choose() makes over range(len(queues)), all
+        # in one call.  A queue takes its tokens in order.
         self._require_candidates(queues)
-        randrange, p = rng.randrange, len(queues)
-        dests = [randrange(p) for _ in tokens]
-        for token, dest in zip(tokens, dests):
-            queues[dest].append(token)
-        return dests
+        dests = rng.randbelow_many(len(queues), len(tokens))
+        tokens = np.asarray(tokens, dtype=np.int64)
+        for q, queue in enumerate(queues):
+            queue.extend(tokens[dests == q].tolist())
+        return dests.tolist()
 
     def __repr__(self) -> str:
         return "UniformPolicy()"

@@ -41,6 +41,7 @@ call the kernels on their shared blocks directly (see
 from __future__ import annotations
 
 import abc
+import random
 from typing import Any, ClassVar, Sequence
 
 import numpy as np
@@ -184,6 +185,24 @@ class KernelBackend(abc.ABC):
         order: Sequence[int],
     ) -> int:
         """Sequential SGD over entries with one constant step size."""
+
+    @abc.abstractmethod
+    def rng_stream(self, rng: random.Random) -> Any:
+        """A draw stream started from ``rng``'s state (``rng`` itself is
+        not advanced).
+
+        The stream makes exactly the draws ``rng`` would make from that
+        state: ``randrange(n)``, ``randbelow_many(n, count)`` (an int64
+        array of ``count`` ``randrange(n)`` draws), ``shuffle(buffer)``
+        (``random.shuffle`` over a writable C-contiguous int64 buffer, in
+        place), ``sample(population, k)`` and ``getstate()`` in
+        ``random.Random``'s format.  Every bound lies in ``[1, 2**32)``
+        (``ValueError`` otherwise) and a buffer of another dtype or
+        layout is a ``TypeError``.  The interpreted stream
+        (:class:`~repro.linalg.backends.list_backend.PyRandomStream`)
+        calls :mod:`random` itself and is the specification a compiled
+        one is held to.
+        """
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

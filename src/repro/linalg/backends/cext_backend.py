@@ -36,6 +36,11 @@ columns run one after another; the C gets there faster without changing
 a bit (see ``nomad_kernels.c``).  :meth:`process_column` and the
 inherited :meth:`~.base.KernelBackend.process_column_batch` are the
 legacy per-column entries; nothing in ``src/`` calls them any more.
+
+:meth:`CextBackend.rng_stream` hands out the module's ``MTStream``:
+CPython's Mersenne Twister started from a ``random.Random``'s state,
+whose ``randrange`` / ``randbelow_many`` / ``shuffle`` / ``sample`` draw
+exactly what that object's would, at C prices.
 """
 
 from __future__ import annotations
@@ -114,7 +119,9 @@ class CextBackend(KernelBackend):
 
     def __init__(self) -> None:
         type(self).ensure_available()
-        self._kernels = cext_build.load_library().kernels
+        module = cext_build.load_library()
+        self._kernels = module.kernels
+        self._stream_type = module.MTStream
 
     # ------------------------------------------------------------------
     # Kernels
@@ -154,6 +161,9 @@ class CextBackend(KernelBackend):
             self._kernels, w, h, indptr, users, ratings, counts,
             alpha, beta, lambda_, *dispatch,
         )
+
+    def rng_stream(self, rng):
+        return self._stream_type(rng.getstate())
 
     def _entries_call(
         self, w, h, entry_rows, entry_cols, ratings, counts, order,

@@ -23,6 +23,9 @@ nested lists here.
 
 from __future__ import annotations
 
+import operator
+import random
+from array import array
 from typing import Any, Sequence
 
 import numpy as np
@@ -30,7 +33,13 @@ import numpy as np
 from ..losses import Loss
 from .base import KernelBackend, TokenKernel
 
-__all__ = ["ListBackend", "ListTokenKernel", "column_on_lists", "sgd_core"]
+__all__ = [
+    "ListBackend",
+    "ListTokenKernel",
+    "PyRandomStream",
+    "column_on_lists",
+    "sgd_core",
+]
 
 
 def sgd_core(
@@ -137,6 +146,67 @@ def column_on_lists(
     return applied
 
 
+#: Every draw is ``randrange(n)`` with ``n`` below this.
+_BOUND = 1 << 32
+_OUT_OF_BOUND = "draw bound must lie in [1, 2**32)"
+
+
+def _bound(n: int) -> int:
+    n = operator.index(n)
+    if not 0 < n < _BOUND:
+        raise ValueError(_OUT_OF_BOUND)
+    return n
+
+
+class PyRandomStream:
+    """The interpreted draw stream: a copy of a :class:`random.Random`
+    whose methods are the :mod:`random` calls they are named after.
+
+    This is the specification the compiled ``MTStream`` is held to
+    (``tests/test_backends.py::TestDrawStream``), and it makes the C's
+    checks on bounds and buffers.
+    """
+
+    def __init__(self, rng: random.Random):
+        self._rng = random.Random()
+        self._rng.setstate(rng.getstate())
+
+    def randrange(self, n: int) -> int:
+        return self._rng.randrange(_bound(n))
+
+    def randbelow_many(self, n: int, count: int) -> np.ndarray:
+        randrange, n = self._rng.randrange, _bound(n)
+        if count < 0:
+            raise ValueError("count must be >= 0")
+        return np.array([randrange(n) for _ in range(count)], dtype=np.int64)
+
+    def shuffle(self, buffer: Any) -> None:
+        try:
+            view = memoryview(buffer)
+        except TypeError:
+            view = None
+        if (view is None or view.readonly or not view.c_contiguous
+                or view.itemsize != 8
+                or view.format.lstrip("<=@") not in ("q", "l")):
+            raise TypeError(
+                "buffer must be a writable C-contiguous int64 array"
+            )
+        view = view.cast("B").cast("q")
+        if len(view) >= _BOUND:
+            raise ValueError(_OUT_OF_BOUND)
+        values = view.tolist()
+        self._rng.shuffle(values)
+        view[:] = array("q", values)
+
+    def sample(self, population: Sequence, k: int) -> list:
+        if len(population) >= _BOUND:
+            raise ValueError(_OUT_OF_BOUND)
+        return self._rng.sample(population, k)
+
+    def getstate(self) -> tuple:
+        return self._rng.getstate()
+
+
 class ListBackend(KernelBackend):
     """The interpreted reference: :func:`sgd_core` behind every kernel."""
 
@@ -162,6 +232,9 @@ class ListBackend(KernelBackend):
             None if loss is None else loss.dloss_dpred,
         )
 
+    def rng_stream(self, rng: random.Random) -> PyRandomStream:
+        return PyRandomStream(rng)
+
     def process_entries(
         self, w, h, entry_rows, entry_cols, ratings, counts, alpha, beta,
         lambda_, order,
@@ -169,8 +242,8 @@ class ListBackend(KernelBackend):
         if len(entry_rows) == 0:
             return 0
         return sgd_core(
-            w, h, None, entry_rows, entry_cols, ratings, counts, order,
-            alpha, beta, lambda_, 0.0, None,
+            w, h, None, entry_rows, entry_cols, ratings, counts,
+            _as_list(order), alpha, beta, lambda_, 0.0, None,
         )
 
     def process_entries_const(
@@ -179,8 +252,8 @@ class ListBackend(KernelBackend):
         if len(entry_rows) == 0:
             return 0
         return sgd_core(
-            w, h, None, entry_rows, entry_cols, ratings, None, order,
-            0.0, 0.0, lambda_, step, None,
+            w, h, None, entry_rows, entry_cols, ratings, None,
+            _as_list(order), 0.0, 0.0, lambda_, step, None,
         )
 
 

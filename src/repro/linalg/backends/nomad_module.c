@@ -20,10 +20,18 @@
  * Shapes, ids and user rows are checked here, so no call can reach
  * outside an array.  `_variants` maps the name of every linked build
  * this CPU can run to its Kernels object, so the tests can hold the
- * builds to each other's bits; `variant` names the one picked. */
+ * builds to each other's bits; `variant` names the one picked.
+ *
+ * `MTStream(random_obj.getstate())` is CPython's Mersenne Twister, built
+ * from a random.Random's state and drawing exactly what that object
+ * would: randrange(n), randbelow_many(n, count) -> int64[count],
+ * shuffle(int64 buffer), sample(seq, k) and getstate(). */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+
+#include <math.h>
+#include <string.h>
 
 #include "nomad_kernels.h"
 
@@ -370,6 +378,359 @@ static PyObject *new_kernels(const nomad_variant *variant) {
 }
 
 /* ------------------------------------------------------------------ */
+/* MTStream: CPython's random.Random, draw for draw                    */
+/* ------------------------------------------------------------------ */
+
+/* MT19937 as CPython's _randommodule.c runs it, started from a
+ * random.Random's getstate().  Every draw is _randbelow(n) for n in
+ * [1, 2**32): getrandbits(n.bit_length()) — one tempered word shifted
+ * right by 32 - bit_length — until the value falls below n, which is
+ * what random.py's randrange, shuffle and sample call, in the order
+ * they call it.  The interpreted reference these are held to is the
+ * list backend's stream (list_backend.py). */
+
+enum { MT_N = 624, MT_M = 397, MT_STATE_VERSION = 3 };
+
+typedef struct {
+    PyObject_HEAD
+    uint32_t mt[MT_N];
+    int index;
+    PyObject *gauss_next; /* random.Random's, handed back by getstate() */
+} MTStreamObject;
+
+/* The next tempered word.  The read position is the caller's local
+ * (stored back into the object once per call), so a bulk draw keeps it
+ * in a register. */
+static inline uint32_t mt_next(uint32_t *mt, int *index) {
+    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
+    uint32_t y;
+    if (*index >= MT_N) {
+        /* The next block of words, in place, split where the indices
+         * wrap (one loop with `% MT_N` ran bulk draws 2x slower). */
+        int kk;
+        for (kk = 0; kk < MT_N - MT_M; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 1U];
+        }
+        for (; kk < MT_N - 1; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 1U];
+        }
+        y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 1U];
+        *index = 0;
+    }
+    y = mt[(*index)++];
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= y >> 18;
+    return y;
+}
+
+/* random.Random._randbelow(n), 1 <= n < 2**32. */
+static inline uint32_t mt_below(uint32_t *mt, int *index, uint32_t n) {
+    int shift = __builtin_clz(n); /* 32 - n.bit_length() */
+    uint32_t r = mt_next(mt, index) >> shift;
+    while (r >= n)
+        r = mt_next(mt, index) >> shift;
+    return r;
+}
+
+static const int64_t MT_BOUND = (int64_t)1 << 32;
+
+static int out_of_bound(void) {
+    PyErr_SetString(PyExc_ValueError, "draw bound must lie in [1, 2**32)");
+    return -1;
+}
+
+/* An integer n in [1, 2**32) into *n; -1 with an exception otherwise. */
+static int draw_bound(PyObject *arg, uint32_t *n) {
+    PyObject *index = PyNumber_Index(arg);
+    if (index == NULL)
+        return -1;
+    int overflow;
+    long long value = PyLong_AsLongLongAndOverflow(index, &overflow);
+    Py_DECREF(index);
+    if (value == -1 && PyErr_Occurred())
+        return -1;
+    if (overflow || value < 1 || value >= MT_BOUND)
+        return out_of_bound();
+    *n = (uint32_t)value;
+    return 0;
+}
+
+static PyObject *mt_stream_new(PyTypeObject *type, PyObject *args,
+                               PyObject *kwds) {
+    static char *kwlist[] = {"state", NULL};
+    PyObject *state;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O:MTStream", kwlist,
+                                     &state))
+        return NULL;
+    PyObject *words = NULL;
+    long version = -1;
+    if (PyTuple_Check(state) && PyTuple_GET_SIZE(state) == 3) {
+        version = PyLong_AsLong(PyTuple_GET_ITEM(state, 0));
+        words = PyTuple_GET_ITEM(state, 1);
+    }
+    if (PyErr_Occurred() || version != MT_STATE_VERSION ||
+        !PyTuple_Check(words) || PyTuple_GET_SIZE(words) != MT_N + 1) {
+        PyErr_Clear();
+        PyErr_SetString(PyExc_ValueError,
+                        "state must be a random.Random getstate() "
+                        "(version 3)");
+        return NULL;
+    }
+    MTStreamObject *self = (MTStreamObject *)type->tp_alloc(type, 0);
+    if (self == NULL)
+        return NULL;
+    for (int i = 0; i <= MT_N; i++) {
+        unsigned long long word =
+            PyLong_AsUnsignedLongLong(PyTuple_GET_ITEM(words, i));
+        if ((word == (unsigned long long)-1 && PyErr_Occurred()) ||
+            word > (i < MT_N ? 0xffffffffULL : (unsigned long long)MT_N)) {
+            PyErr_Clear();
+            PyErr_SetString(PyExc_ValueError,
+                            "state holds a word or index out of range");
+            Py_DECREF(self);
+            return NULL;
+        }
+        if (i < MT_N)
+            self->mt[i] = (uint32_t)word;
+        else
+            self->index = (int)word;
+    }
+    self->gauss_next = Py_NewRef(PyTuple_GET_ITEM(state, 2));
+    return (PyObject *)self;
+}
+
+static void mt_stream_dealloc(MTStreamObject *self) {
+    Py_XDECREF(self->gauss_next);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyObject *mt_stream_randrange(MTStreamObject *self, PyObject *arg) {
+    uint32_t n;
+    if (draw_bound(arg, &n) < 0)
+        return NULL;
+    int index = self->index;
+    uint32_t r = mt_below(self->mt, &index, n);
+    self->index = index;
+    return PyLong_FromUnsignedLong(r);
+}
+
+/* numpy.empty(count, "int64"): the one array this module makes. */
+static PyObject *new_int64_array(Py_ssize_t count) {
+    static PyObject *empty = NULL; /* held for the process's lifetime */
+    if (empty == NULL) {
+        PyObject *numpy = PyImport_ImportModule("numpy");
+        if (numpy == NULL)
+            return NULL;
+        empty = PyObject_GetAttrString(numpy, "empty");
+        Py_DECREF(numpy);
+        if (empty == NULL)
+            return NULL;
+    }
+    return PyObject_CallFunction(empty, "ns", count, "int64");
+}
+
+static PyObject *mt_stream_randbelow_many(MTStreamObject *self,
+                                          PyObject *args) {
+    PyObject *bound;
+    Py_ssize_t count;
+    uint32_t n;
+    if (!PyArg_ParseTuple(args, "On:randbelow_many", &bound, &count) ||
+        draw_bound(bound, &n) < 0)
+        return NULL;
+    if (count < 0) {
+        PyErr_SetString(PyExc_ValueError, "count must be >= 0");
+        return NULL;
+    }
+    PyObject *out = new_int64_array(count);
+    Py_buffer view;
+    if (out == NULL || get_array(out, &view, 'i', 1, "out") < 0) {
+        Py_XDECREF(out);
+        return NULL;
+    }
+    /* mt_below's rejection loop without its branch: every word lands in
+     * the next slot, which only a word below n moves past. */
+    int64_t *draws = view.buf;
+    int index = self->index, shift = __builtin_clz(n);
+    for (Py_ssize_t t = 0; t < count;) {
+        uint32_t r = mt_next(self->mt, &index) >> shift;
+        draws[t] = r;
+        t += r < n;
+    }
+    self->index = index;
+    PyBuffer_Release(&view);
+    return out;
+}
+
+static PyObject *mt_stream_shuffle(MTStreamObject *self, PyObject *arg) {
+    Py_buffer view;
+    if (get_array(arg, &view, 'i', 1, "buffer") < 0)
+        return NULL;
+    int64_t *x = view.buf;
+    Py_ssize_t n = length(&view);
+    if (n >= MT_BOUND) {
+        PyBuffer_Release(&view);
+        out_of_bound();
+        return NULL;
+    }
+    /* Fisher-Yates over mt_below(i + 1), its rejection loop without the
+     * branch: a rejected word swaps x[i] with itself and keeps i. */
+    int index = self->index;
+    for (Py_ssize_t i = n - 1; i > 0;) {
+        uint32_t bound = (uint32_t)(i + 1);
+        uint32_t r = mt_next(self->mt, &index) >> __builtin_clz(bound);
+        int accept = r < bound;
+        Py_ssize_t j = accept ? (Py_ssize_t)r : i;
+        int64_t swap = x[i];
+        x[i] = x[j];
+        x[j] = swap;
+        i -= accept;
+    }
+    self->index = index;
+    PyBuffer_Release(&view);
+    Py_RETURN_NONE;
+}
+
+/* Insert j into an open-addressed table of `mask + 1` slots (-1 empty);
+ * 0 when it was already there.  sample's `selected` set. */
+static int insert_new(int64_t *table, size_t mask, uint32_t j) {
+    size_t slot = (size_t)((j * 0x9E3779B97F4A7C15ULL) >> 32) & mask;
+    while (table[slot] >= 0) {
+        if (table[slot] == j)
+            return 0;
+        slot = (slot + 1) & mask;
+    }
+    table[slot] = j;
+    return 1;
+}
+
+/* random.Random.sample(population, k): the pool branch when the
+ * population is no larger than CPython's set-size estimate, else
+ * rejection against the set of picks, with the same draws. */
+static PyObject *mt_stream_sample(MTStreamObject *self, PyObject *args) {
+    PyObject *population;
+    Py_ssize_t k;
+    if (!PyArg_ParseTuple(args, "On:sample", &population, &k))
+        return NULL;
+    if (!PySequence_Check(population)) {
+        PyErr_SetString(PyExc_TypeError, "Population must be a sequence.");
+        return NULL;
+    }
+    Py_ssize_t n = PySequence_Size(population);
+    if (n < 0)
+        return NULL;
+    if (k < 0 || k > n) {
+        PyErr_SetString(PyExc_ValueError,
+                        "Sample larger than population or is negative");
+        return NULL;
+    }
+    if (n >= MT_BOUND) {
+        out_of_bound();
+        return NULL;
+    }
+    Py_ssize_t setsize = 21;
+    if (k > 5)
+        setsize += (Py_ssize_t)1
+                   << (2 * (int)ceil(log((double)(3 * k)) / log(4.0)));
+    PyObject *result = PyList_New(k);
+    if (result == NULL)
+        return NULL;
+    if (n <= setsize) {
+        PyObject *pool = PySequence_List(population);
+        if (pool == NULL)
+            goto fail;
+        PyObject **slots = ((PyListObject *)pool)->ob_item;
+        for (Py_ssize_t i = 0; i < k; i++) {
+            Py_ssize_t j = mt_below(self->mt, &self->index,
+                                    (uint32_t)(n - i));
+            Py_ssize_t last = n - i - 1;
+            PyObject *item = slots[j]; /* the pool's reference moves */
+            slots[j] = slots[last];
+            slots[last] = NULL;
+            PyList_SET_ITEM(result, i, item);
+        }
+        Py_DECREF(pool);
+        return result;
+    }
+    size_t mask = 7;
+    while (mask + 1 < 2 * (size_t)k)
+        mask = 2 * mask + 1;
+    int64_t *table = PyMem_Malloc((mask + 1) * sizeof(int64_t));
+    if (table == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    memset(table, 0xff, (mask + 1) * sizeof(int64_t));
+    for (Py_ssize_t i = 0; i < k; i++) {
+        uint32_t j;
+        do
+            j = mt_below(self->mt, &self->index, (uint32_t)n);
+        while (!insert_new(table, mask, j));
+        PyObject *item = PySequence_GetItem(population, j);
+        if (item == NULL) {
+            PyMem_Free(table);
+            goto fail;
+        }
+        PyList_SET_ITEM(result, i, item);
+    }
+    PyMem_Free(table);
+    return result;
+
+fail:
+    Py_DECREF(result);
+    return NULL;
+}
+
+static PyObject *mt_stream_getstate(MTStreamObject *self,
+                                    PyObject *Py_UNUSED(ignored)) {
+    PyObject *words = PyTuple_New(MT_N + 1);
+    if (words == NULL)
+        return NULL;
+    for (int i = 0; i <= MT_N; i++) {
+        PyObject *word = i < MT_N ? PyLong_FromUnsignedLong(self->mt[i])
+                                  : PyLong_FromLong(self->index);
+        if (word == NULL) {
+            Py_DECREF(words);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(words, i, word);
+    }
+    return Py_BuildValue("(iNO)", MT_STATE_VERSION, words, self->gauss_next);
+}
+
+static PyMethodDef mt_stream_methods[] = {
+    {"randrange", (PyCFunction)mt_stream_randrange, METH_O,
+     "randrange(n): random.Random.randrange(n), 1 <= n < 2**32."},
+    {"randbelow_many", (PyCFunction)mt_stream_randbelow_many, METH_VARARGS,
+     "randbelow_many(n, count) -> int64[count]: count randrange(n) draws."},
+    {"shuffle", (PyCFunction)mt_stream_shuffle, METH_O,
+     "shuffle(buffer): random.Random.shuffle over a writable C-contiguous "
+     "int64 buffer, in place."},
+    {"sample", (PyCFunction)mt_stream_sample, METH_VARARGS,
+     "sample(population, k) -> list: random.Random.sample."},
+    {"getstate", (PyCFunction)mt_stream_getstate, METH_NOARGS,
+     "The state in random.Random.getstate()'s format."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject MTStreamType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.linalg.backends._nomad.MTStream",
+    .tp_basicsize = sizeof(MTStreamObject),
+    .tp_dealloc = (destructor)mt_stream_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "MTStream(state): CPython's Mersenne Twister from a "
+              "random.Random's getstate(), drawing what that object "
+              "would draw.",
+    .tp_methods = mt_stream_methods,
+    .tp_new = mt_stream_new,
+};
+
+/* ------------------------------------------------------------------ */
 /* Module                                                              */
 /* ------------------------------------------------------------------ */
 
@@ -391,12 +752,18 @@ PyMODINIT_FUNC PyInit__nomad(void) {
         runnable[n_runnable++] = &nomad_variant_avx2;
 #endif
     const nomad_variant *chosen = runnable[n_runnable - 1];
-    if (PyType_Ready(&TokenKernelType) < 0 || PyType_Ready(&KernelsType) < 0)
+    if (PyType_Ready(&TokenKernelType) < 0 || PyType_Ready(&KernelsType) < 0
+        || PyType_Ready(&MTStreamType) < 0)
         return NULL;
     PyObject *module = PyModule_Create(&nomad_module);
     PyObject *variants = PyDict_New();
     if (module == NULL || variants == NULL) {
         Py_XDECREF(variants);
+        goto fail;
+    }
+    if (PyModule_AddObjectRef(module, "MTStream",
+                              (PyObject *)&MTStreamType) < 0) {
+        Py_DECREF(variants);
         goto fail;
     }
     if (PyModule_AddObject(module, "_variants", variants) < 0) {

@@ -65,11 +65,15 @@ class RngFactory:
     def pyrandom(self, name: str) -> random.Random:
         """Return a stdlib :class:`random.Random` stream for ``name``.
 
-        Hot paths that draw millions of small integers (token routing)
-        use this instead of a NumPy generator: ``Random.randrange`` has a
-        fraction of ``Generator.integers``'s per-call overhead.  Streams are
-        derived from the same seed/name scheme as :meth:`stream` (different
-        underlying sequences — the two APIs are distinct streams by design).
+        Hot paths that draw millions of small integers (token routing,
+        cell shuffles) use this instead of a NumPy generator: its draw
+        sequence is CPython's, which a kernel backend's draw stream
+        (:meth:`KernelBackend.rng_stream
+        <repro.linalg.backends.base.KernelBackend.rng_stream>`) continues
+        draw for draw — in C under ``cext`` — from this object's state.
+        The simulator draws from it directly.  Streams are derived from
+        the same seed/name scheme as :meth:`stream` (different underlying
+        sequences — the two APIs are distinct streams by design).
         """
         return derive_pyrandom(self._seed, name)
 

@@ -198,7 +198,8 @@ class DurableSnapshotStore(SnapshotStore):
     Construction adopts the newest persisted snapshot, if any: it serves
     traffic immediately, and the next rotation continues its sequence —
     the restart is invisible to clients except for the seq gap of the
-    downtime.
+    downtime.  A newest snapshot holding a non-finite value is refused
+    with :class:`~repro.errors.DivergenceError` naming its file.
     """
 
     def __init__(self, root: str, max_keep: int = 8):
@@ -209,7 +210,7 @@ class DurableSnapshotStore(SnapshotStore):
         self.resumed_seq: int | None = None
         newest = self.persister.load_newest()
         if newest is not None:
-            self.adopt(newest)
+            self.adopt(newest, self.persister.model_path(newest.seq))
             self.resumed_seq = newest.seq
 
     def rotate(self, factors, stream_time, arrivals_seen, updates_seen):

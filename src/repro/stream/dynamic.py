@@ -253,7 +253,9 @@ class DynamicNomad:
         self.policy = policy if policy is not None else UniformPolicy()
 
         self._factory = RngFactory(run.seed)
-        self._route_rng = self._factory.pyrandom("dynamic-route")
+        self._route_rng = self.backend.rng_stream(
+            self._factory.pyrandom("dynamic-route")
+        )
         self._grow_rng = self._factory.stream("dynamic-grow")
 
         factors = start_factors(
@@ -458,6 +460,12 @@ class DynamicNomad:
         <repro.core.load_balance.RecipientPolicy.place>` call rests every
         token, in plan order, at the queue the policy picks for it — the
         draws a per-token ``choose`` would make, whatever the policy.
+
+        Every draw (tours, rests, new items' first queues) comes from one
+        ``dynamic-route`` stream of the kernel backend
+        (:meth:`~repro.linalg.backends.base.KernelBackend.rng_stream`):
+        the draws a ``random.Random`` would make, under ``cext`` at C
+        prices — a uniform sweep's rests are one ``randbelow_many`` call.
         """
         p = self.n_workers
         rec = self.recorder
@@ -467,9 +475,9 @@ class DynamicNomad:
                 rec.point(POINT_QUEUE_DEPTH, len(self._queues[q]))
         kernels = self._bound_kernels()
         # Row t of ``stops`` is token t's tour: its resting worker, then
-        # the others in a seeded order.  A shuffle of one worker draws
-        # nothing, so below three workers a queue's tours are one
-        # constant row and only wider ones pay a shuffle per token.
+        # the others, shuffled in place one row at a time.  A shuffle of
+        # one worker draws nothing, so below three workers a queue's
+        # tours are one constant row and no shuffle runs.
         tokens: list[int] = []
         n_tokens = sum(map(len, self._queues))
         stops = np.empty((n_tokens, p), dtype=np.int64)
@@ -477,17 +485,11 @@ class DynamicNomad:
         for q, queue in enumerate(self._queues):
             first = len(tokens)
             last = first + len(queue)
-            rest = [w for w in range(p) if w != q]
             stops[first:last, 0] = q
-            if len(rest) > 1:
-                others: list[int] = []
-                for _ in queue:
-                    tour = rest.copy()
+            stops[first:last, 1:] = [w for w in range(p) if w != q]
+            if p > 2:
+                for tour in stops[first:last, 1:]:
                     shuffle(tour)
-                    others += tour
-                stops[first:last, 1:] = np.reshape(others, (-1, p - 1))
-            else:
-                stops[first:last, 1:] = rest
             tokens.extend(queue)
             queue.clear()
         items = np.array(tokens, dtype=np.int64)

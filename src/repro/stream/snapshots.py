@@ -152,6 +152,13 @@ class PrequentialTrace:
         )
 
 
+def _require_finite(factors: FactorPair, refusal: str) -> None:
+    """Raise :class:`~repro.errors.DivergenceError` with ``refusal`` when
+    ``factors`` hold a non-finite value: only a finite model is served."""
+    if not (np.isfinite(factors.w).all() and np.isfinite(factors.h).all()):
+        raise DivergenceError(refusal)
+
+
 class SnapshotStore:
     """Rotates immutable model snapshots on a cadence.
 
@@ -194,12 +201,12 @@ class SnapshotStore:
         the store keeps serving its last finite snapshot, and a durable
         subclass persists nothing.
         """
-        if not (np.isfinite(factors.w).all() and np.isfinite(factors.h).all()):
-            raise DivergenceError(
-                f"factors diverged after {updates_seen} updates; refusing "
-                f"to rotate them in (seq {self._next_seq}); reduce alpha or "
-                "increase beta/lambda"
-            )
+        _require_finite(
+            factors,
+            f"factors diverged after {updates_seen} updates; refusing "
+            f"to rotate them in (seq {self._next_seq}); reduce alpha or "
+            "increase beta/lambda",
+        )
         w = np.ascontiguousarray(factors.w, dtype=np.float64).copy()
         h = np.ascontiguousarray(factors.h, dtype=np.float64).copy()
         w.setflags(write=False)
@@ -217,20 +224,30 @@ class SnapshotStore:
             del self._snapshots[: len(self._snapshots) - self.max_keep]
         return snapshot
 
-    def adopt(self, snapshot: ModelSnapshot) -> ModelSnapshot:
+    def adopt(
+        self, snapshot: ModelSnapshot, source: str | None = None
+    ) -> ModelSnapshot:
         """Install an externally-built snapshot (e.g. one reloaded from
         disk by :class:`repro.serve.persistence.DurableSnapshotStore`)
         and resume the rotation sequence *after* it.
 
         The snapshot must be newer than anything already resident — the
         sequence number is the serving cache's validity key, so it can
-        never move backwards.
+        never move backwards — and finite, as :meth:`rotate` requires:
+        a non-finite one raises :class:`~repro.errors.DivergenceError`
+        naming ``source`` (where it came from, e.g. its file) and is not
+        installed.
         """
         if snapshot.seq < self._next_seq:
             raise ConfigError(
                 f"cannot adopt snapshot seq {snapshot.seq}; store has "
                 f"already rotated past it (next seq {self._next_seq})"
             )
+        _require_finite(
+            snapshot.model.factors,
+            f"{source or f'snapshot seq {snapshot.seq}'} holds non-finite "
+            "factors; refusing to serve it",
+        )
         self._snapshots.append(snapshot)
         self._next_seq = snapshot.seq + 1
         if len(self._snapshots) > self.max_keep:

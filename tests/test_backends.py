@@ -10,6 +10,8 @@ backend (numba, Cython, GPU) has an executable specification.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -535,6 +537,149 @@ class TestBitForBit:
         assert np.array_equal(np.asarray(w_l), w_n)
         assert np.array_equal(np.asarray(h_l), h_n)
         assert counts_l == counts_n.tolist()
+
+
+#: Draw bounds: small ones, the edges of a bit length (where rejection
+#: is most and least frequent), and anything below 2**32.
+_BOUNDS = st.one_of(
+    st.integers(1, 12),
+    st.sampled_from([2**16, 2**16 + 1, 2**31, 2**31 + 1, 2**32 - 1]),
+    st.integers(1, 2**32 - 1),
+)
+#: Seeds, and how many 32-bit words the source generator draws before
+#: the stream copies its state: the copy may start anywhere in the
+#: 624-word block, at its end included.
+_SEEDS = st.integers(0, 2**64)
+_WARMUP = st.integers(0, 700)
+
+
+def _source(seed: int, warmup: int) -> random.Random:
+    rng = random.Random(seed)
+    for _ in range(warmup):
+        rng.getrandbits(32)
+    return rng
+
+
+def _assert_same_state(stream, reference: random.Random) -> None:
+    """Equal ``getstate()``, and the next draw of a generator restored
+    from the stream's state is the reference's."""
+    assert stream.getstate() == reference.getstate()
+    follower = random.Random()
+    follower.setstate(stream.getstate())
+    assert follower.random() == reference.random()
+
+
+class TestDrawStream:
+    """A backend's draw stream makes CPython's ``random`` draws, value
+    for value and state for state — what lets ``cext`` take the dynamic
+    sweep's routing and the baselines' shuffles into C without moving a
+    digest."""
+
+    @pytest.mark.parametrize("name", BIT_EXACT_BACKENDS)
+    @settings(max_examples=200, deadline=None)
+    @given(seed=_SEEDS, warmup=_WARMUP, n=_BOUNDS,
+           count=st.integers(0, 3000))
+    def test_randrange_and_randbelow_many(self, name, seed, warmup, n, count):
+        reference = _source(seed, warmup)
+        stream = get_backend(name).rng_stream(reference)
+        assert stream.getstate() == reference.getstate()
+        assert [stream.randrange(n) for _ in range(3)] == [
+            reference.randrange(n) for _ in range(3)
+        ]
+        draws = stream.randbelow_many(n, count)
+        assert draws.dtype == np.int64 and draws.shape == (count,)
+        assert draws.tolist() == [reference.randrange(n) for _ in range(count)]
+        _assert_same_state(stream, reference)
+
+    @pytest.mark.parametrize("name", BIT_EXACT_BACKENDS)
+    @settings(max_examples=200, deadline=None)
+    @given(seed=_SEEDS, warmup=_WARMUP, length=st.integers(0, 10_000),
+           offset=st.integers(-(2**62), 2**62))
+    def test_shuffle(self, name, seed, warmup, length, offset):
+        reference = _source(seed, warmup)
+        stream = get_backend(name).rng_stream(reference)
+        buffer = np.arange(length, dtype=np.int64) + offset
+        expected = buffer.tolist()
+        stream.shuffle(buffer)
+        reference.shuffle(expected)
+        assert buffer.tolist() == expected
+        _assert_same_state(stream, reference)
+
+    @pytest.mark.parametrize("name", BIT_EXACT_BACKENDS)
+    @settings(max_examples=300, deadline=None)
+    @given(seed=_SEEDS, warmup=_WARMUP, data=st.data(),
+           as_range=st.booleans())
+    def test_sample(self, name, seed, warmup, data, as_range):
+        """Both of CPython's branches: ``k`` across the set-size
+        threshold (21 for ``k`` ≤ 5, then 21 + 4**ceil(log4(3k)))."""
+        n = data.draw(st.one_of(st.integers(0, 30), st.integers(0, 2000)))
+        k = data.draw(st.integers(0, min(n, 200)))
+        population = range(n) if as_range else [f"item{i}" for i in range(n)]
+        reference = _source(seed, warmup)
+        stream = get_backend(name).rng_stream(reference)
+        assert stream.sample(population, k) == reference.sample(population, k)
+        _assert_same_state(stream, reference)
+
+    @pytest.mark.parametrize("name", BIT_EXACT_BACKENDS)
+    def test_source_is_not_advanced(self, name):
+        source = random.Random(3)
+        before = source.getstate()
+        get_backend(name).rng_stream(source).randbelow_many(5, 100)
+        assert source.getstate() == before
+
+    @pytest.mark.parametrize("name", BIT_EXACT_BACKENDS)
+    def test_shuffle_takes_a_contiguous_row_in_place(self, name):
+        table = np.tile(np.arange(6, dtype=np.int64), (3, 1))
+        expected = list(range(6))
+        reference = random.Random(8)
+        stream = get_backend(name).rng_stream(reference)
+        stream.shuffle(table[1])
+        reference.shuffle(expected)
+        assert table[1].tolist() == expected
+        assert table[0].tolist() == table[2].tolist() == list(range(6))
+
+    @pytest.mark.parametrize("name", BIT_EXACT_BACKENDS)
+    @pytest.mark.parametrize(
+        "buffer",
+        [
+            np.arange(6, dtype=np.float64),
+            np.arange(6, dtype=np.int32),
+            np.arange(12, dtype=np.int64)[::2],
+            np.arange(12, dtype=np.int64).reshape(3, 4)[:, 1],
+            list(range(6)),
+            b"abcdefgh",
+        ],
+        ids=["float64", "int32", "strided", "column", "list", "bytes"],
+    )
+    def test_shuffle_refuses_other_buffers(self, name, buffer):
+        stream = get_backend(name).rng_stream(random.Random(0))
+        with pytest.raises(TypeError, match="int64"):
+            stream.shuffle(buffer)
+        read_only = np.arange(6, dtype=np.int64)
+        read_only.setflags(write=False)
+        with pytest.raises(TypeError, match="int64"):
+            stream.shuffle(read_only)
+        assert stream.getstate() == random.Random(0).getstate()
+
+    @pytest.mark.parametrize("name", BIT_EXACT_BACKENDS)
+    @pytest.mark.parametrize("bound", [2**32, 2**40, 2**64, 0, -1])
+    def test_bounds_outside_the_word_raise(self, name, bound):
+        stream = get_backend(name).rng_stream(random.Random(0))
+        with pytest.raises(ValueError, match=r"\[1, 2\*\*32\)"):
+            stream.randrange(bound)
+        with pytest.raises(ValueError, match=r"\[1, 2\*\*32\)"):
+            stream.randbelow_many(bound, 1)
+        assert stream.getstate() == random.Random(0).getstate()
+
+    @pytest.mark.parametrize("name", BIT_EXACT_BACKENDS)
+    def test_sample_refusals_match_random(self, name):
+        stream = get_backend(name).rng_stream(random.Random(0))
+        with pytest.raises(ValueError, match="larger than population"):
+            stream.sample(range(3), 4)
+        with pytest.raises(ValueError, match="negative"):
+            stream.sample(range(3), -1)
+        with pytest.raises(TypeError, match="sequence"):
+            stream.sample({1, 2, 3}, 1)
 
 
 class TestSimulationEquivalence:

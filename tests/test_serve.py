@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import sys
 import threading
 import time
@@ -17,7 +18,7 @@ import pytest
 
 from repro.config import HyperParams
 from repro.datasets.ratings import RatingMatrix
-from repro.errors import ConfigError, DataError, ServeError
+from repro.errors import ConfigError, DataError, DivergenceError, ServeError
 from repro.linalg.factors import FactorPair
 from repro.model import CompletionModel, top_items
 from repro.serve import (
@@ -440,6 +441,25 @@ class TestDurableSnapshotStore:
         store = DurableSnapshotStore(str(tmp_path))
         assert store.resumed_seq is None
         assert len(store) == 0
+
+    def test_restart_refuses_a_non_finite_newest_snapshot(self, tmp_path):
+        """A NaN model on disk (written by hand, or by a build that did
+        not check) is refused at construction, naming its file, and
+        never served."""
+        persister = SnapshotPersister(str(tmp_path))
+        persister.save(make_snapshot(seq=0))
+        poisoned = make_snapshot(seq=1)
+        w = poisoned.model.factors.w.copy()
+        w[0, 0] = np.nan
+        persister.save(ModelSnapshot(
+            1, 1.0, 10, 100,
+            CompletionModel(FactorPair(w, poisoned.model.factors.h)),
+        ))
+        with pytest.raises(
+            DivergenceError,
+            match=re.escape(persister.model_path(1)) + ".*non-finite",
+        ):
+            DurableSnapshotStore(str(tmp_path))
 
     def test_adopt_rejects_stale_sequence(self, tmp_path):
         store = DurableSnapshotStore(str(tmp_path))

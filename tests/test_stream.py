@@ -22,6 +22,7 @@ from repro.core.load_balance import (
 from repro.datasets.ratings import RatingMatrix
 from repro.errors import ConfigError, DataError, DivergenceError
 from repro.linalg import cext_available
+from repro.linalg.backends import get_backend
 from repro.linalg.objective import test_rmse as rmse_of
 from repro.rng import RngFactory
 from repro.stream import (
@@ -627,6 +628,9 @@ def _choose_loop(policy, tokens, queues, rng):
 class TestRecipientPlace:
     @settings(max_examples=200, deadline=None)
     @given(
+        backend=st.sampled_from(
+            ["list", "cext"] if cext_available() else ["list"]
+        ),
         policy=st.sampled_from(
             [UniformPolicy(), LeastQueuePolicy(), PowerOfTwoPolicy()]
         ),
@@ -635,15 +639,18 @@ class TestRecipientPlace:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_place_equals_the_choose_loop(
-        self, policy, lengths, n_tokens, seed
+        self, backend, policy, lengths, n_tokens, seed
     ):
-        """Same picks, same queue contents, same RNG state afterwards."""
+        """Same picks, same queue contents, same RNG state afterwards, on
+        the backend's draw stream (the dynamic trainer's)."""
         def queues():
             return [deque(range(100 * q, 100 * q + n))
                     for q, n in enumerate(lengths)]
 
         tokens = list(range(1000, 1000 + n_tokens))
-        placed_rng, looped_rng = random.Random(seed), random.Random(seed)
+        stream = get_backend(backend).rng_stream
+        placed_rng = stream(random.Random(seed))
+        looped_rng = stream(random.Random(seed))
         placed, looped = queues(), queues()
         picks = policy.place(tokens, placed, placed_rng)
         assert picks == _choose_loop(policy, tokens, looped, looped_rng)
