@@ -82,7 +82,12 @@ def test_stream_engine(bench_env):
         final_epochs=final_epochs,
         snapshot_every=max(100, stream.n_events // 8),
     )
-    combined = result.final.raw.combined()
+    events = list(stream.events())
+    combined = stream.warmup.with_appended(
+        [e.user for e in events],
+        [e.item for e in events],
+        [e.value for e in events],
+    )
     dynamic_rmse = rmse_of(result.final.factors, combined)
 
     # Full static retrain on the same total data: the standard (uncapped)

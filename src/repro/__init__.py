@@ -119,7 +119,6 @@ from .model import CompletionModel
 from .rng import RngFactory
 from .serve import CacheStats, RecommendationService, ServiceConfig
 from .stream import (
-    DeltaStore,
     DriftStream,
     ModelSnapshot,
     PrequentialTrace,
@@ -163,7 +162,6 @@ __all__ = [
     "ReplayStream",
     "DriftStream",
     "QueueStream",
-    "DeltaStore",
     "ModelSnapshot",
     "PrequentialTrace",
     "SnapshotStore",

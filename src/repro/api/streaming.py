@@ -63,7 +63,6 @@ def fit_stream(
     epochs_per_train: int = 1,
     final_epochs: int = 5,
     snapshot_every: int = 500,
-    max_snapshots: int = 8,
     count_cap: int | None = 8,
     store: SnapshotStore | None = None,
     prequential: PrequentialTrace | None = None,
@@ -93,9 +92,9 @@ def fit_stream(
     test:
         Optional held-out ratings for the final result's per-rotation
         convergence trace; ``None`` evaluates rotations against the
-        combined (warm-up + arrivals) training data.  Entries whose
-        user/item the model has not yet seen are excluded from each
-        evaluation.
+        training data (warm-up + arrivals, as the trainer holds it).
+        Entries whose user/item the model has not yet seen are excluded
+        from each evaluation.
     hyper:
         Model hyperparameters, as in :func:`repro.fit`.
     run:
@@ -123,8 +122,6 @@ def fit_stream(
         final snapshot rotation always happens.
     snapshot_every:
         Rotate an immutable serving snapshot every this many arrivals.
-    max_snapshots:
-        Resident snapshot history (the newest is never evicted).
     count_cap:
         Per-rating step-schedule counter ceiling (see
         :class:`~repro.stream.dynamic.DynamicNomad`).  The default keeps
@@ -135,10 +132,10 @@ def fit_stream(
         subclass, e.g. the durable store of
         :mod:`repro.serve.persistence`) to rotate snapshots into.  This
         is how a serving layer observes rotations *live* instead of
-        waiting for the stream to end; ``max_snapshots`` is ignored in
-        favor of the store's own ``max_keep``.  A non-empty store
-        resumes its sequence (the warm-start snapshot gets the next
-        seq, not 0).
+        waiting for the stream to end.  ``None`` builds a
+        :class:`~repro.stream.snapshots.SnapshotStore` with its default
+        history.  A non-empty store resumes its sequence (the warm-start
+        snapshot gets the next seq, not 0).
     prequential:
         Optional :class:`~repro.stream.snapshots.PrequentialTrace` (or
         subclass) to score arrivals into; ``None`` builds a fresh one.
@@ -172,7 +169,6 @@ def fit_stream(
         ("train_every", train_every),
         ("epochs_per_train", epochs_per_train),
         ("snapshot_every", snapshot_every),
-        ("max_snapshots", max_snapshots),
     ):
         if value < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")
@@ -198,7 +194,7 @@ def fit_stream(
         telemetry=bool(telemetry),
     )
     if store is None:
-        store = SnapshotStore(max_keep=max_snapshots)
+        store = SnapshotStore()
     if prequential is None:
         prequential = PrequentialTrace()
     trace = Trace(
@@ -216,20 +212,15 @@ def fit_stream(
         factors = dynamic.factors
         if test is not None:
             return _partial_rmse(factors, test)
-        # Training RMSE over base + arrivals straight from the triplet
-        # arrays — no O(nnz log nnz) combined-matrix rebuild per rotation.
-        base = dynamic.delta.base
-        delta_rows, delta_cols, delta_vals = dynamic.delta.triplets()
+        # Training RMSE over every rating the workers' stores hold, read
+        # in store order — no O(nnz log nnz) combined-matrix rebuild.
         sq_sum, count = 0.0, 0
-        for rows, cols, vals in (
-            (base.rows, base.cols, base.vals),
-            (delta_rows, delta_cols, delta_vals),
-        ):
-            if rows.size == 0:
+        for users, items, ratings in dynamic.triplets():
+            if users.size == 0:
                 continue
-            diff = vals - predict(factors, rows, cols)
+            diff = ratings - predict(factors, users, items)
             sq_sum += float(np.dot(diff, diff))
-            count += rows.size
+            count += users.size
         return float(np.sqrt(sq_sum / count))
 
     def rotate(stream_time: float) -> float:

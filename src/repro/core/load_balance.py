@@ -14,26 +14,16 @@ Three policies are provided:
   cheaper approximation of least-queue that only inspects two candidates
   (extension; not in the paper, useful for the load-balancing ablation).
 
-Policies draw ``randrange`` / ``sample`` from a stdlib
-:class:`random.Random` (not a NumPy generator) or from a draw stream of
-the kernel backend (:meth:`KernelBackend.rng_stream
-<repro.linalg.backends.base.KernelBackend.rng_stream>`), which makes the
-same draws from the same state: under ``cext`` CPython's Mersenne Twister
-in C, under ``list`` :mod:`random` itself.
-
-:meth:`RecipientPolicy.choose` routes one token (the simulator's hop, on
-a ``random.Random``); :meth:`RecipientPolicy.place` routes a whole batch
-onto live queues with the same draws in the same order (the dynamic
-trainer's end of sweep, on a draw stream).
+:meth:`RecipientPolicy.choose` routes one token: the simulator's hop,
+drawing ``randrange`` / ``sample`` from a stdlib :class:`random.Random`
+(not a NumPy generator).
 """
 
 from __future__ import annotations
 
 import abc
 import random
-from typing import Callable, MutableSequence, Sequence
-
-import numpy as np
+from typing import Callable, Sequence
 
 from ..errors import SimulationError
 
@@ -67,35 +57,8 @@ class RecipientPolicy(abc.ABC):
             Callback reporting the pending-work size of a candidate — the
             §3.3 payload information.
         rng:
-            Randomness source (owned by the caller for determinism): a
-            ``random.Random`` or a backend draw stream.
+            Randomness source (owned by the caller for determinism).
         """
-
-    def place(
-        self,
-        tokens: Sequence[int],
-        queues: Sequence[MutableSequence[int]],
-        rng,
-    ) -> list[int]:
-        """Append each of ``tokens``, in order, to the queue it is routed
-        to; return the chosen queue indices.
-
-        ``rng`` is a backend draw stream.  Every queue is a candidate.
-        This is the per-token :meth:`choose` loop, with each queue's size
-        read live as earlier tokens land, so an override must draw
-        exactly what that loop draws.
-        """
-        candidates = range(len(queues))
-
-        def queue_size(worker: int) -> int:
-            return len(queues[worker])
-
-        dests = []
-        for token in tokens:
-            dest = self.choose(candidates, queue_size, rng)
-            queues[dest].append(token)
-            dests.append(dest)
-        return dests
 
     @staticmethod
     def _require_candidates(candidates: Sequence[int]) -> None:
@@ -109,17 +72,6 @@ class UniformPolicy(RecipientPolicy):
     def choose(self, candidates, queue_size, rng) -> int:
         self._require_candidates(candidates)
         return int(candidates[rng.randrange(len(candidates))])
-
-    def place(self, tokens, queues, rng) -> list[int]:
-        # Queue sizes never enter a uniform pick: one randrange a token,
-        # exactly the draw choose() makes over range(len(queues)), all
-        # in one call.  A queue takes its tokens in order.
-        self._require_candidates(queues)
-        dests = rng.randbelow_many(len(queues), len(tokens))
-        tokens = np.asarray(tokens, dtype=np.int64)
-        for q, queue in enumerate(queues):
-            queue.extend(tokens[dests == q].tolist())
-        return dests.tolist()
 
     def __repr__(self) -> str:
         return "UniformPolicy()"

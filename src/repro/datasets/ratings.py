@@ -231,12 +231,6 @@ class RatingMatrix:
         rows, cols = np.nonzero(dense != missing)
         return cls(dense.shape[0], dense.shape[1], rows, cols, dense[rows, cols])
 
-    def to_dense(self, missing: float = 0.0) -> np.ndarray:
-        """Materialize to a dense array; absent entries become ``missing``."""
-        out = np.full(self.shape, missing, dtype=np.float64)
-        out[self._rows, self._cols] = self._vals
-        return out
-
     def with_appended(
         self,
         rows: np.ndarray,
@@ -245,12 +239,12 @@ class RatingMatrix:
         n_rows: int | None = None,
         n_cols: int | None = None,
     ) -> "RatingMatrix":
-        """Return a new matrix with extra ratings appended (delta composition).
+        """Return a new matrix with extra ratings appended.
 
-        The streaming subsystem's append-only delta stores compose back
-        into plain matrices through this method: the result holds the
-        union of the existing triplets and the arrivals, with the shape
-        grown to cover any brand-new row/column index.  Duplicates —
+        A stream's warm-up and its arrivals compose back into one plain
+        matrix through this method: the result holds the union of the
+        existing triplets and the arrivals, with the shape grown to
+        cover any brand-new row/column index.  Duplicates —
         within the arrivals or against existing ratings — are rejected
         exactly as the constructor rejects them.
 

@@ -155,11 +155,3 @@ class BlockGrid:
     def cell_nnz(self, row_block: int, col_block: int) -> int:
         """Number of ratings inside one grid cell."""
         return int(self.cell_indices(row_block, col_block).size)
-
-    def nnz_matrix(self) -> np.ndarray:
-        """Dense (row blocks × col blocks) array of per-cell rating counts."""
-        out = np.zeros((self.n_row_blocks, self.n_col_blocks), dtype=np.int64)
-        for r in range(self.n_row_blocks):
-            for c in range(self.n_col_blocks):
-                out[r, c] = self.cell_nnz(r, c)
-        return out

@@ -21,7 +21,7 @@ into one long-running process:
 
 The HTTP layer is the stdlib ``ThreadingHTTPServer``: one handler thread
 per connection, all sharing the service object; the only locks are the
-cache's own, the ingest dedup set's and the request counters'.
+cache's own, the ingest path's and the request counters'.
 Routes (all JSON, schemas in :mod:`repro.serve.schemas`):
 
 * ``GET /health`` — liveness + trainer status (``degraded`` once the
@@ -33,7 +33,8 @@ Routes (all JSON, schemas in :mod:`repro.serve.schemas`):
 * ``POST /ratings`` — batch ingest (idempotent: already-rated cells are
   counted as duplicates and skipped, never re-queued — the trainer
   treats a duplicate arrival as corruption, so the edge filters them;
-  503 once no trainer drains the stream);
+  a batch naming an id more than ``MAX_BATCH`` past every one held is
+  refused whole with 400; 503 once no trainer drains the stream);
 * ``GET /stats`` — request, cache, ingest, and trainer counters, plus
   per-route latency quantiles (p50/p95/p99);
 * ``GET /metrics`` — the same counters in Prometheus text exposition
@@ -66,6 +67,7 @@ from ..config import HyperParams
 from ..datasets.ratings import RatingMatrix
 from ..errors import ConfigError, DataError, ReproError, ServeError
 from ..linalg.factors import FactorPair
+from ..stream.dynamic import RatedCells
 from ..stream.serve import Recommender
 from ..stream.snapshots import PrequentialTrace, SnapshotStore
 from ..stream.sources import QueueStream
@@ -79,6 +81,7 @@ from ..telemetry.prometheus import (
 from .cache import LruCache
 from .persistence import DurablePrequentialTrace, DurableSnapshotStore
 from .schemas import (
+    MAX_BATCH,
     ErrorResponse,
     HealthResponse,
     IngestRequest,
@@ -159,7 +162,7 @@ class RecommendationService:
     Parameters
     ----------
     warmup:
-        Initial training set; also seeds the ingest dedup set, so
+        Initial training set; also seeds the ingest duplicate check, so
         re-posting a warm-up rating counts as a duplicate.
     hyper:
         Model hyperparameters (``None`` = library defaults).
@@ -199,12 +202,11 @@ class RecommendationService:
         self.cache = LruCache(self.config.cache_capacity)
 
         # Ingest dedup: the trainer treats a duplicate (user, item) as
-        # data corruption, so the service filters at the edge.  Seeded
-        # from the warm-up set; streamed pairs accumulate as they are
-        # accepted.
-        self._seen: set[tuple[int, int]] = set(
-            zip(warmup.rows.tolist(), warmup.cols.tolist())
-        )
+        # data corruption, so the service filters at the edge with the
+        # trainer's own check over the warm-up set, adding each pair it
+        # accepts.  The id counts bound how far a batch may reach.
+        self._rated = RatedCells(warmup)
+        self._n_users, self._n_items = warmup.n_rows, warmup.n_cols
         self._ingest_lock = threading.Lock()
         self._ingest_accepted = 0
         self._ingest_duplicates = 0
@@ -492,16 +494,29 @@ class RecommendationService:
         request = IngestRequest.from_body(body)
         accepted = duplicates = 0
         with self._ingest_lock:
+            # The trainer grows a factor row for every id up to the
+            # largest it sees, so one far past every id held would stall
+            # it or exhaust its memory: such a batch is refused whole.
             for rating in request.ratings:
-                pair = (rating.user, rating.item)
-                if pair in self._seen:
+                if (rating.user >= self._n_users + MAX_BATCH
+                        or rating.item >= self._n_items + MAX_BATCH):
+                    raise ServeError(
+                        f"rating ({rating.user}, {rating.item}) lies more "
+                        f"than {MAX_BATCH} past the {self._n_users} users "
+                        f"and {self._n_items} items held"
+                    )
+            for rating in request.ratings:
+                user, item = rating.user, rating.item
+                if self._rated.contains(user, item):
                     duplicates += 1
                     continue
                 try:
-                    self.stream.push(rating.user, rating.item, rating.value)
+                    self.stream.push(user, item, rating.value)
                 except DataError:  # closed between the check and the push
                     break
-                self._seen.add(pair)
+                self._rated.add(user, item)
+                self._n_users = max(self._n_users, user + 1)
+                self._n_items = max(self._n_items, item + 1)
                 accepted += 1
             self._ingest_accepted += accepted
             self._ingest_duplicates += duplicates

@@ -49,7 +49,8 @@ SCHEMA_VERSION = 3
 #: Largest ``n`` a recommend request may ask for.
 MAX_TOP_N = 1000
 
-#: Largest ratings batch one ingest POST may carry.
+#: Largest ratings batch one ingest POST may carry; also how far past
+#: every id it holds the service lets a batch's ids reach.
 MAX_BATCH = 10_000
 
 

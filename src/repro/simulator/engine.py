@@ -43,17 +43,11 @@ class Simulator:
         self._seq = itertools.count()
         self._now = 0.0
         self._running = False
-        self._events_fired = 0
 
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def events_fired(self) -> int:
-        """Number of events executed by completed :meth:`run` calls."""
-        return self._events_fired
 
     def schedule_at(
         self, time: float, callback: Callable[..., Any], *args: Any
@@ -94,17 +88,14 @@ class Simulator:
         heap = self._heap
         pop = heapq.heappop
         limit = math.inf if until is None else until
-        fired = 0
         try:
             while heap and heap[0][0] <= limit:
                 time, _, callback, args = pop(heap)
                 self._now = time
-                fired += 1
                 callback(*args)
             if heap:  # only events later than `until` are left
                 self._now = until
         finally:
-            self._events_fired += fired
             self._running = False
 
     def pending(self) -> int:

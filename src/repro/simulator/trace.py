@@ -87,10 +87,6 @@ class Trace:
         """Test RMSE of each record."""
         return [r.rmse for r in self.records]
 
-    def cpu_times(self) -> list[float]:
-        """seconds × workers — the x-axis of Figures 7, 9 and 17."""
-        return [r.time * self.n_workers for r in self.records]
-
     # ------------------------------------------------------------------
     # Summaries
     # ------------------------------------------------------------------

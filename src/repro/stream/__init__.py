@@ -11,13 +11,15 @@ This package makes that claim executable:
   and items), and a live queue-fed source (:class:`QueueStream`) that
   other threads push into — the HTTP ingest path of :mod:`repro.serve`.
 * :mod:`~repro.stream.dynamic` — :class:`DynamicNomad`, warm-start NOMAD
-  over a base matrix plus an append-only delta store: factor rows grow on
-  first sight of a new user/item (the §4 fold-in), and every arriving
-  rating is routed to the owning worker's column store — never a global
-  re-partition.
+  over a base matrix plus its arrivals: factor rows grow on first sight
+  of a new user/item (the §4 fold-in), and every arriving rating is
+  routed to the owning worker's column store — never a global
+  re-partition.  One :class:`~repro.stream.dynamic.RatedCells` check
+  refuses a cell already rated.
 * :mod:`~repro.stream.colstore` — :class:`~repro.stream.colstore.ColumnStore`,
-  that column store: one growable CSC per worker, arrivals folded in
-  lazily, laid out for the bound token kernels.
+  that column store and the one home of each rating: one growable CSC
+  per worker, arrivals folded in lazily, laid out for the bound token
+  kernels.
 * :mod:`~repro.stream.snapshots` — :class:`SnapshotStore`, rotating
   immutable :class:`~repro.model.CompletionModel` snapshots on a cadence,
   plus the prequential (test-then-train) RMSE trace of the stream.
@@ -29,7 +31,7 @@ The facade entry point is :func:`repro.fit_stream`, which drives all four
 parts and returns a :class:`~repro.api.result.StreamResult`.
 """
 
-from .dynamic import DeltaStore, DynamicNomad
+from .dynamic import DynamicNomad
 from .snapshots import (
     ModelSnapshot,
     PrequentialRecord,
@@ -51,7 +53,6 @@ __all__ = [
     "ReplayStream",
     "DriftStream",
     "QueueStream",
-    "DeltaStore",
     "DynamicNomad",
     "ModelSnapshot",
     "PrequentialRecord",

@@ -126,6 +126,21 @@ class ColumnStore:
         lo, hi = self.indptr[item], self.indptr[item + 1]
         return self.users[lo:hi], self.ratings[lo:hi], self.counts[lo:hi]
 
+    def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every rating held as COO ``(users, items, ratings)`` arrays:
+        the flushed columns in column order, then the pending arrivals.
+        Nothing is folded in — a flush here would replace arrays a bound
+        kernel still points at."""
+        items = np.repeat(np.arange(self.n_items), np.diff(self.indptr))
+        if not self._pending:
+            return self.users, items, self.ratings
+        pending_items, pending_users, pending_ratings = zip(*self._pending)
+        return (
+            np.concatenate([self.users, pending_users]),
+            np.concatenate([items, pending_items]),
+            np.concatenate([self.ratings, pending_ratings]),
+        )
+
     def clamp_counts(self, cap: int) -> None:
         """Floor the eq-(11) decay: no counter stays above ``cap``."""
         np.minimum(self.counts, cap, out=self.counts)

@@ -50,7 +50,6 @@ from collections import deque
 import numpy as np
 
 from ..config import HyperParams, RunConfig
-from ..core.load_balance import RecipientPolicy, UniformPolicy
 from ..datasets.ratings import RatingMatrix, partition_owner
 from ..errors import ConfigError, DataError
 from ..linalg.backends import resolve_backend
@@ -71,7 +70,7 @@ from ..telemetry import (
 from .colstore import ColumnStore
 from .sources import RatingEvent
 
-__all__ = ["DeltaStore", "DynamicNomad"]
+__all__ = ["DynamicNomad", "RatedCells"]
 
 #: nomadlint NMD001 owner contexts: ``sweep`` dispatches each token
 #: through exactly one worker at a time under the OwnershipLedger;
@@ -83,38 +82,31 @@ __nomad_owner_contexts__ = ("sweep", "_grow_users", "_grow_items")
 _MIN_CAPACITY = 8
 
 
-class DeltaStore:
-    """Append-only store of ratings that arrived after the base matrix.
+class RatedCells:
+    """The cells already rated: a base matrix's, plus every one added.
 
-    The stream never mutates the immutable base
-    :class:`~repro.datasets.ratings.RatingMatrix`; arrivals accumulate
-    here and :meth:`combined` composes them back into one matrix (via
-    :meth:`RatingMatrix.with_appended
-    <repro.datasets.ratings.RatingMatrix.with_appended>`) whenever a
-    whole-dataset view is needed — end-of-stream evaluation, a static
-    retrain baseline, or persistence.
+    The one duplicate check of a stream: :meth:`DynamicNomad.ingest`
+    refuses an arrival it holds, and the service's ingest edge counts one
+    as a duplicate.  A base lookup is one bisect over the user's sorted
+    items in the base CSR, behind memoryviews: indexing one yields a
+    plain int, so there is no per-lookup numpy call and no per-rating
+    Python object.  Only cells added since construction go in a set.
     """
 
     def __init__(self, base: RatingMatrix):
-        self.base = base
-        self._rows: list[int] = []
-        self._cols: list[int] = []
-        self._vals: list[float] = []
-        self._seen: set[tuple[int, int]] = set()
-        # The base CSR behind memoryviews: indexing one yields a plain
-        # int, so a lookup is one bisect over the user's sorted items
-        # with no per-arrival numpy call and no per-rating Python object.
         indptr, items, _ = base.csr()
         self._base_users = base.n_rows
         self._base_indptr = memoryview(np.ascontiguousarray(indptr))
         self._base_items = memoryview(np.ascontiguousarray(items))
+        self._added: set[tuple[int, int]] = set()
 
     def __len__(self) -> int:
-        return len(self._rows)
+        """Cells added since construction."""
+        return len(self._added)
 
     def contains(self, user: int, item: int) -> bool:
-        """Whether ``(user, item)`` is already rated (base or delta)."""
-        if (user, item) in self._seen:
+        """Whether ``(user, item)`` is rated (in the base or added)."""
+        if (user, item) in self._added:
             return True
         if user >= self._base_users:
             return False
@@ -122,49 +114,9 @@ class DeltaStore:
         pos = bisect_left(items, item, self._base_indptr[user], hi)
         return pos < hi and items[pos] == item
 
-    def append(self, user: int, item: int, value: float) -> None:
-        """Record one arrival; duplicates raise :class:`DataError`."""
-        if user < 0 or item < 0:
-            raise DataError(f"arrival index out of range: ({user}, {item})")
-        if not math.isfinite(value):
-            raise DataError(f"arrival rating must be finite, got {value}")
-        if self.contains(user, item):
-            raise DataError(
-                f"duplicate arrival for already-rated cell ({user}, {item})"
-            )
-        self.record(user, item, value)
-
-    def record(self, user: int, item: int, value: float) -> None:
-        """Append a *pre-validated* arrival (the trainer's hot path —
-        :meth:`DynamicNomad.ingest` has already run :meth:`append`'s
-        checks; external callers should use :meth:`append`)."""
-        self._rows.append(int(user))
-        self._cols.append(int(item))
-        self._vals.append(float(value))
-        self._seen.add((user, item))
-
-    def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The arrivals so far as COO arrays (cheap; no matrix build)."""
-        return (
-            np.asarray(self._rows, dtype=np.int64),
-            np.asarray(self._cols, dtype=np.int64),
-            np.asarray(self._vals, dtype=np.float64),
-        )
-
-    def combined(
-        self, n_rows: int | None = None, n_cols: int | None = None
-    ) -> RatingMatrix:
-        """Base plus every arrival as one :class:`RatingMatrix`."""
-        return self.base.with_appended(
-            np.asarray(self._rows, dtype=np.int64),
-            np.asarray(self._cols, dtype=np.int64),
-            np.asarray(self._vals, dtype=np.float64),
-            n_rows=n_rows,
-            n_cols=n_cols,
-        )
-
-    def __repr__(self) -> str:
-        return f"DeltaStore(base_nnz={self.base.nnz}, arrivals={len(self)})"
+    def add(self, user: int, item: int) -> None:
+        """Mark ``(user, item)`` rated."""
+        self._added.add((user, item))
 
 
 def _grown(array: np.ndarray, n_rows: int) -> np.ndarray:
@@ -181,10 +133,12 @@ class DynamicNomad:
     """Warm-start NOMAD over a base matrix plus streaming arrivals.
 
     One :class:`~repro.stream.colstore.ColumnStore` per worker holds its
-    ratings and their update counters.  :meth:`ingest` only appends to
-    the owning store's pending list; :meth:`sweep` first folds pending
-    arrivals in (a rating ingested now trains in the very next sweep)
-    and rebinds the token kernels that fold-in or growth left stale.
+    ratings and their update counters — the one copy of each rating;
+    :class:`RatedCells` answers whether a cell is rated.  :meth:`ingest`
+    only appends to the owning store's pending list; :meth:`sweep` first
+    folds pending arrivals in (a rating ingested now trains in the very
+    next sweep) and rebinds the token kernels that fold-in or growth
+    left stale.
 
     Parameters
     ----------
@@ -209,9 +163,6 @@ class DynamicNomad:
         :attr:`~repro.api.result.FitResult.factors` is the §4 fold-in
         protocol's starting point.  Without them the trainer starts
         from the seed's draw, the pair every engine starts from.
-    policy:
-        Recipient policy choosing each token's resting worker after a
-        sweep (§3.3; default uniform).
     count_cap:
         Optional ceiling on the per-rating update counters feeding the
         equation-(11) step schedule.  ``None`` (default) is the paper's
@@ -231,7 +182,6 @@ class DynamicNomad:
         hyper: HyperParams,
         run: RunConfig,
         init_factors: FactorPair | None = None,
-        policy: RecipientPolicy | None = None,
         count_cap: int | None = None,
         telemetry: bool = False,
     ):
@@ -250,7 +200,6 @@ class DynamicNomad:
         self.run_config = run
         self.n_workers = int(n_workers)
         self.backend = resolve_backend(run.kernel_backend)
-        self.policy = policy if policy is not None else UniformPolicy()
 
         self._factory = RngFactory(run.seed)
         self._route_rng = self.backend.rng_stream(
@@ -268,7 +217,7 @@ class DynamicNomad:
         self._w = _grown(factors.w.copy(), base.n_rows)
         self._h = _grown(factors.h.copy(), base.n_cols)
 
-        self.delta = DeltaStore(base)
+        self._rated = RatedCells(base)
 
         # One-time base partition; arrivals extend these structures only.
         p = self.n_workers
@@ -329,7 +278,7 @@ class DynamicNomad:
     @property
     def arrivals(self) -> int:
         """Ratings ingested since construction."""
-        return len(self.delta)
+        return len(self._rated)
 
     @property
     def new_users(self) -> int:
@@ -352,15 +301,12 @@ class DynamicNomad:
         """Tokens resting at each worker (diagnostics, tests)."""
         return [len(queue) for queue in self._queues]
 
-    def owner_of_user(self, user: int) -> int:
-        """The worker owning ``user``'s row (fixed at first sight)."""
-        if not 0 <= user < self._n_users:
-            raise ConfigError(f"user {user} out of range [0, {self._n_users})")
-        return self._owner_of_user[user]
-
-    def combined(self) -> RatingMatrix:
-        """Base plus arrivals over the current ``(n_users, n_items)`` shape."""
-        return self.delta.combined(self._n_users, self._n_items)
+    def triplets(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Every rating held, as one ``(users, items, ratings)`` COO triple
+        per worker (:meth:`ColumnStore.triplets
+        <repro.stream.colstore.ColumnStore.triplets>`: pending arrivals
+        included, nothing folded in)."""
+        return [store.triplets() for store in self._stores]
 
     # ------------------------------------------------------------------
     # Ingestion (the §4 fold-in path)
@@ -381,7 +327,7 @@ class DynamicNomad:
             raise DataError(f"arrival index out of range: ({user}, {item})")
         if not math.isfinite(value):
             raise DataError(f"arrival rating must be finite, got {value}")
-        if self.delta.contains(user, item):
+        if self._rated.contains(user, item):
             raise DataError(
                 f"duplicate arrival for already-rated cell ({user}, {item})"
             )
@@ -392,7 +338,7 @@ class DynamicNomad:
             self._grow_users(user + 1)
         if item >= self._n_items:
             self._grow_items(item + 1)
-        self.delta.record(user, item, value)
+        self._rated.add(user, item)
         owner = self._owner_of_user[user]
         self._stores[owner].append(item, user, value)
         self._worker_load[owner] += 1
@@ -456,16 +402,16 @@ class DynamicNomad:
         update what interleaving them would give: workers own disjoint
         ``w`` rows and a token is at one worker per round (a
         serializable execution by the owner-computes argument of §4.1).
-        Afterwards one :meth:`RecipientPolicy.place
-        <repro.core.load_balance.RecipientPolicy.place>` call rests every
-        token, in plan order, at the queue the policy picks for it — the
-        draws a per-token ``choose`` would make, whatever the policy.
+        Afterwards every token rests, in plan order, at a uniform draw
+        (Algorithm 1 line 22): the next sweep tours every token through
+        every worker again, so a resting queue only decides the round in
+        which a worker sees a token, never a worker's load.
 
         Every draw (tours, rests, new items' first queues) comes from one
         ``dynamic-route`` stream of the kernel backend
         (:meth:`~repro.linalg.backends.base.KernelBackend.rng_stream`):
         the draws a ``random.Random`` would make, under ``cext`` at C
-        prices — a uniform sweep's rests are one ``randbelow_many`` call.
+        prices — a sweep's rests are one ``randbelow_many`` call.
         """
         p = self.n_workers
         rec = self.recorder
@@ -517,14 +463,16 @@ class DynamicNomad:
             for store in self._stores:
                 store.clamp_counts(self.count_cap)
 
-        dests = self.policy.place(tokens, self._queues, self._route_rng)
+        dests = self._route_rng.randbelow_many(p, n_tokens)
+        for q, queue in enumerate(self._queues):
+            queue.extend(items[dests == q].tolist())
         self._ledger.transfer_many(items, stops[:, -1], dests)
         self._ledger.assert_conserved()
         self._total_updates += applied
         if rec is not None:
             rec.span(SPAN_SWEEP, sweep_start, clock() - sweep_start, applied)
             rec.add(C_UPDATES, applied)
-            rec.add(C_TOKENS, len(tokens))
+            rec.add(C_TOKENS, n_tokens)
         return applied
 
     def train(self, epochs: int) -> int:

@@ -93,16 +93,6 @@ class TestBlockGrid:
         assert set(rows.tolist()) <= set(grid.row_sets[1].tolist())
         assert set(cols.tolist()) <= set(grid.col_sets[2].tolist())
 
-    def test_nnz_matrix_matches_cells(self, matrix):
-        grid = BlockGrid(
-            matrix,
-            partition_range_blocks(matrix.n_rows, 2),
-            partition_range_blocks(matrix.n_cols, 2),
-        )
-        table = grid.nnz_matrix()
-        assert table.sum() == matrix.nnz
-        assert table[0, 1] == grid.cell_nnz(0, 1)
-
     def test_out_of_range_cell(self, matrix):
         grid = BlockGrid(
             matrix,

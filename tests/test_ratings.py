@@ -113,8 +113,10 @@ class TestDenseRoundTrip:
     def test_from_dense_to_dense(self):
         dense = np.array([[0.0, 2.0], [3.0, 0.0]])
         matrix = RatingMatrix.from_dense(dense)
-        assert matrix.nnz == 2
-        assert np.array_equal(matrix.to_dense(), dense)
+        assert matrix.shape == dense.shape
+        assert matrix.rows.tolist() == [0, 1]
+        assert matrix.cols.tolist() == [1, 0]
+        assert matrix.vals.tolist() == [2.0, 3.0]
 
     def test_from_dense_rejects_1d(self):
         with pytest.raises(DataError):

@@ -579,6 +579,71 @@ class TestService:
         _, repost = http_post(service.url + "/ratings", {"ratings": ratings})
         assert repost["accepted"] == 0 and repost["duplicates"] == 25
 
+    @staticmethod
+    def _trains_through(service, count):
+        """Wait until a snapshot covers ``count`` arrivals; the trainer
+        must still be healthy then."""
+        deadline = time.monotonic() + 30
+        while service.store.latest.arrivals_seen < count:
+            assert service.trainer_error is None, service.trainer_error
+            assert time.monotonic() < deadline, "no rotation"
+            time.sleep(0.02)
+        _, health = http_get(service.url + "/health")
+        assert health["status"] == "ok"
+
+    def test_reposting_a_warm_up_rating_is_a_duplicate(self, service):
+        """The edge checks against the warm-up ratings too: a re-posted
+        warm-up cell is never queued, so the trainer never sees it."""
+        warmup = service.warmup
+        cell = {
+            "user": int(warmup.rows[0]), "item": int(warmup.cols[0]),
+            "value": 5.0,
+        }
+        status, payload = http_post(
+            service.url + "/ratings", {"ratings": [cell]}
+        )
+        assert status == 202
+        assert payload["accepted"] == 0 and payload["duplicates"] == 1
+        ratings = fresh_pairs(warmup, 10)
+        _, payload = http_post(
+            service.url + "/ratings", {"ratings": [cell] + ratings}
+        )
+        assert payload["accepted"] == 10 and payload["duplicates"] == 1
+        self._trains_through(service, 10)
+
+    def test_a_far_id_refuses_the_whole_batch(self, service):
+        """Regression: one rating naming user 10**12 passed the schema
+        (ids are only checked >= 0) and was queued; the trainer then
+        tried to allocate factor rows up to it (MemoryError), /health
+        turned "degraded" and every later ingest got 503.  A batch
+        naming an id more than MAX_BATCH past every one held is now
+        refused whole, and nothing of it is queued."""
+        warmup = service.warmup
+        ratings = fresh_pairs(warmup, 9)
+        far_user = {"user": 10**12, "item": 0, "value": 1.0}
+        code, payload = http_error(
+            http_post, service.url + "/ratings",
+            {"ratings": ratings + [far_user]},
+        )
+        assert code == 400 and str(10**12) in payload["error"]
+        far_item = {"user": 0, "item": warmup.n_cols + MAX_BATCH, "value": 1.0}
+        code, _ = http_error(
+            http_post, service.url + "/ratings", {"ratings": [far_item]}
+        )
+        assert code == 400
+        assert service.stream.n_events == 0
+
+        # The last id in reach is accepted, with the refused batch's
+        # valid ratings, which were not kept the first time.
+        edge_user = {"user": warmup.n_rows + MAX_BATCH - 1, "item": 0,
+                     "value": 1.0}
+        status, payload = http_post(
+            service.url + "/ratings", {"ratings": ratings + [edge_user]}
+        )
+        assert status == 202
+        assert payload["accepted"] == 10 and payload["duplicates"] == 0
+        self._trains_through(service, 10)
+
     def test_stop_finishes_training(self):
         svc = RecommendationService(
             make_warmup(), HyperParams(k=4), ServiceConfig(**FAST)

@@ -197,13 +197,6 @@ class TestSimulator:
             sim.schedule_at(float("nan"), lambda: None)
         assert sim.pending() == 0
 
-    def test_events_fired_counter(self):
-        sim = Simulator()
-        for t in range(5):
-            sim.schedule_at(float(t), lambda: None)
-        sim.run()
-        assert sim.events_fired == 5
-
     def test_determinism(self):
         def run_once():
             sim = Simulator()
@@ -406,7 +399,6 @@ class TestTrace:
         assert trace.times() == [0.0, 1.0, 2.0]
         assert trace.updates() == [0, 100, 200]
         assert trace.rmses() == [2.0, 1.0, 0.5]
-        assert trace.cpu_times() == [0.0, 4.0, 8.0]
 
     def test_time_to_rmse(self):
         trace = self.make_trace()

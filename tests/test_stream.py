@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from collections import deque
 
 import numpy as np
 import pytest
@@ -14,19 +13,12 @@ from hypothesis import strategies as st
 
 import repro
 from repro.config import HyperParams, RunConfig
-from repro.core.load_balance import (
-    LeastQueuePolicy,
-    PowerOfTwoPolicy,
-    UniformPolicy,
-)
 from repro.datasets.ratings import RatingMatrix
 from repro.errors import ConfigError, DataError, DivergenceError
 from repro.linalg import cext_available
-from repro.linalg.backends import get_backend
 from repro.linalg.objective import test_rmse as rmse_of
 from repro.rng import RngFactory
 from repro.stream import (
-    DeltaStore,
     DriftStream,
     DynamicNomad,
     PrequentialTrace,
@@ -37,6 +29,7 @@ from repro.stream import (
     SnapshotStore,
 )
 from repro.stream.colstore import ColumnStore
+from repro.stream.dynamic import RatedCells
 
 HYPER = HyperParams(k=4, lambda_=0.01, alpha=0.1, beta=0.01)
 
@@ -51,6 +44,16 @@ def replay(tiny_matrix):
     return ReplayStream(
         tiny_matrix, warmup_fraction=0.5, holdout_rows=4, holdout_cols=2,
         seed=11,
+    )
+
+
+def _all_ratings(stream):
+    """The warm-up plus every arrival: the matrix ``stream`` ends on."""
+    events = list(stream.events())
+    return stream.warmup.with_appended(
+        [e.user for e in events],
+        [e.item for e in events],
+        [e.value for e in events],
     )
 
 
@@ -145,35 +148,28 @@ class TestDriftStream:
 
 
 # ----------------------------------------------------------------------
-# DeltaStore
+# RatedCells (the duplicate check)
 # ----------------------------------------------------------------------
-class TestDeltaStore:
-    def test_append_and_combined(self, tiny_matrix):
-        store = DeltaStore(tiny_matrix)
-        new_user = tiny_matrix.n_rows + 1
-        store.append(new_user, 0, 3.5)
-        assert len(store) == 1
-        combined = store.combined()
-        assert combined.n_rows == new_user + 1
-        assert combined.nnz == tiny_matrix.nnz + 1
-
-    def test_duplicates_rejected_against_base_and_delta(self, tiny_matrix):
-        store = DeltaStore(tiny_matrix)
+class TestRatedCells:
+    def test_duplicates_detected_against_base_and_added(self, tiny_matrix):
+        """A base cell is rated from the start; a fresh cell is not until
+        it is added, and then is: the two ways an arrival duplicates."""
+        cells = RatedCells(tiny_matrix)
         user = int(tiny_matrix.rows[0])
         item = int(tiny_matrix.cols[0])
-        with pytest.raises(DataError, match="duplicate"):
-            store.append(user, item, 1.0)
+        assert cells.contains(user, item)
         free_item = tiny_matrix.n_cols  # brand-new column: surely unrated
-        store.append(user, free_item, 1.0)
-        with pytest.raises(DataError, match="duplicate"):
-            store.append(user, free_item, 2.0)
+        assert not cells.contains(user, free_item)
+        cells.add(user, free_item)
+        assert cells.contains(user, free_item)
+        assert len(cells) == 1
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), density=st.floats(0.0, 0.9))
     def test_contains_matches_a_search_of_the_users_items(self, seed, density):
         """Every cell of a grid wider and taller than the base — users
         with no base rating, users and items past the base shape, cells
-        only the delta holds — answers what ``items_of_user`` plus
+        only added since — answers what ``items_of_user`` plus
         ``searchsorted`` answered."""
         rng = np.random.default_rng(seed)
         n_rows, n_cols = 12, 7
@@ -182,13 +178,14 @@ class TestDeltaStore:
         rated[rng.integers(0, n_rows), rng.integers(0, n_cols)] = True
         rows, cols = np.nonzero(rated)
         base = RatingMatrix(n_rows, n_cols, rows, cols, np.ones(rows.size))
-        store = DeltaStore(base)
+        cells = RatedCells(base)
         unrated = list(zip(*np.nonzero(~rated)))
         picks = rng.permutation(len(unrated))[:4]
         fresh = [tuple(map(int, unrated[t])) for t in picks]
         fresh += [(n_rows + 1, 0), (0, n_cols + 2), (n_rows, n_cols)]
         for user, item in fresh:
-            store.append(user, item, 1.0)
+            cells.add(user, item)
+        assert len(cells) == len(fresh)
 
         def searched(user, item):
             if (user, item) in fresh:
@@ -201,7 +198,7 @@ class TestDeltaStore:
 
         for user in range(n_rows + 3):
             for item in range(n_cols + 3):
-                assert store.contains(user, item) == searched(user, item)
+                assert cells.contains(user, item) == searched(user, item)
 
 
 # ----------------------------------------------------------------------
@@ -230,16 +227,12 @@ class TestDynamicNomad:
         assert np.array_equal(a.factors.h, b.factors.h)
 
     def test_ingest_routes_to_owner_without_repartition(self, warm_dynamic):
-        owners_before = [
-            warm_dynamic.owner_of_user(u) for u in range(warm_dynamic.n_users)
-        ]
+        owners_before = list(warm_dynamic._owner_of_user)
         user = 0
         item = warm_dynamic.n_items  # new item
         warm_dynamic.ingest(RatingEvent(0.0, user, item, 2.0))
         # Existing users keep their owner: no re-partitioning happened.
-        assert owners_before == [
-            warm_dynamic.owner_of_user(u) for u in range(len(owners_before))
-        ]
+        assert warm_dynamic._owner_of_user == owners_before
         assert warm_dynamic.arrivals == 1
 
     def test_new_entities_grow_factors_and_tokens(self, warm_dynamic):
@@ -255,31 +248,35 @@ class TestDynamicNomad:
         # Token conservation: every item rests in exactly one queue.
         assert sum(warm_dynamic.queue_sizes()) == warm_dynamic.n_items
 
-    def test_arrivals_train_on_next_sweep(self, warm_dynamic):
+    def test_arrivals_train_on_next_sweep(self, replay, warm_dynamic):
         """A fold-in rating actually changes its new user's factor row."""
         user = warm_dynamic.n_users  # brand-new user
         item = 0
         warm_dynamic.ingest(RatingEvent(0.0, user, item, 4.0))
         row_before = warm_dynamic.factors.w[user].copy()
         applied = warm_dynamic.sweep()
-        assert applied == warm_dynamic.delta.base.nnz + 1
+        assert applied == replay.warmup.nnz + 1
         assert not np.array_equal(warm_dynamic.factors.w[user], row_before)
 
-    def test_combined_matches_scratch_composition(self, warm_dynamic):
-        base = warm_dynamic.delta.base
-        events = [
-            RatingEvent(0.0, base.n_rows + 1, 0, 1.0),
-            RatingEvent(0.1, 0, base.n_cols, 2.0),
-        ]
-        for event in events:
+    def test_triplets_hold_every_rating_once(self, replay, warm_dynamic):
+        """The stores are the one copy of each rating: base, folded-in
+        and still-pending arrivals, each once."""
+        events = list(replay.events())[:40]
+        for event in events[:20]:
             warm_dynamic.ingest(event)
-        combined = warm_dynamic.combined()
-        scratch = base.with_appended(
-            [e.user for e in events],
-            [e.item for e in events],
-            [e.value for e in events],
-        )
-        assert combined == scratch
+        warm_dynamic.sweep()
+        for event in events[20:]:
+            warm_dynamic.ingest(event)
+        held = [
+            cell
+            for users, items, ratings in warm_dynamic.triplets()
+            for cell in zip(users.tolist(), items.tolist(), ratings.tolist())
+        ]
+        base = replay.warmup
+        expected = list(
+            zip(base.rows.tolist(), base.cols.tolist(), base.vals.tolist())
+        ) + [(e.user, e.item, e.value) for e in events]
+        assert sorted(held) == sorted(expected)
 
     def test_warm_start_and_validation(self, replay):
         warm = repro.init_factors(
@@ -294,12 +291,20 @@ class TestDynamicNomad:
         with pytest.raises(ConfigError, match="init factors"):
             DynamicNomad(replay.warmup, 2, HYPER, RunConfig(), init_factors=bad)
 
-    def test_duplicate_arrival_rejected(self, warm_dynamic):
-        base = warm_dynamic.delta.base
+    def test_duplicate_arrival_rejected(self, replay, warm_dynamic):
+        """A cell rated in the base, or by an earlier arrival, is refused
+        before anything grows."""
+        base = replay.warmup
         user = int(base.rows[0])
         item = int(base.cols[0])
         with pytest.raises(DataError, match="duplicate"):
             warm_dynamic.ingest(RatingEvent(0.0, user, item, 9.9))
+        free_item = base.n_cols  # brand-new column: surely unrated
+        warm_dynamic.ingest(RatingEvent(0.0, user, free_item, 1.0))
+        with pytest.raises(DataError, match="duplicate"):
+            warm_dynamic.ingest(RatingEvent(0.1, user, free_item, 2.0))
+        assert warm_dynamic.arrivals == 1
+        assert warm_dynamic.n_items == free_item + 1
 
     def test_rejected_arrival_leaves_trainer_untouched(self, warm_dynamic):
         """Validation happens before growth: a bad event must not leave
@@ -422,6 +427,27 @@ class TestColumnStore:
         with pytest.raises(ValueError, match="item -1"):
             store.flush(7)
 
+    def test_triplets_read_pending_arrivals_without_a_flush(self):
+        """Flushed columns in column order, then pending arrivals in
+        arrival order — and no array replaced, so a bound kernel stays
+        valid."""
+        store = ColumnStore([0, 2, 3], [4, 1, 0], [1.0, 2.0, 3.0])
+        store.append(3, 7, 4.0)
+        store.append(0, 5, 5.0)
+        arrays = (store.indptr, store.users, store.ratings, store.counts)
+        users, items, ratings = store.triplets()
+        assert users.tolist() == [4, 1, 0, 7, 5]
+        assert items.tolist() == [0, 0, 1, 3, 0]
+        assert ratings.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert all(a is b for a, b in zip(arrays, (
+            store.indptr, store.users, store.ratings, store.counts
+        )))
+        assert store.flush(4)
+        users, items, ratings = store.triplets()
+        assert users.tolist() == [4, 1, 5, 0, 7]
+        assert items.tolist() == [0, 0, 0, 1, 3]
+        assert ratings.tolist() == [1.0, 2.0, 5.0, 3.0, 4.0]
+
     def test_base_arrays_are_copied(self):
         indptr, users = np.array([0, 1]), np.array([2])
         store = ColumnStore(indptr, users, np.array([1.0]))
@@ -448,7 +474,7 @@ class ListReference:
             self.add(dynamic, user, item, value)
 
     def add(self, dynamic, user, item, value):
-        key = (dynamic.owner_of_user(user), item)
+        key = (dynamic._owner_of_user[user], item)
         users, ratings, counts = self.columns.setdefault(key, ([], [], []))
         users.append(user)
         ratings.append(value)
@@ -578,84 +604,6 @@ class TestDynamicNomadAgainstReference:
         reference.assert_matches(dynamic)
         counts = np.concatenate([s.counts for s in dynamic._stores])
         assert sorted(set(counts.tolist())) == [3, 4]
-
-
-    @pytest.mark.parametrize("n_workers", [1, 2, 4])
-    @pytest.mark.parametrize(
-        "policy", [LeastQueuePolicy(), PowerOfTwoPolicy()], ids=repr
-    )
-    def test_queue_aware_policies_conserve_and_match(
-        self, replay, policy, n_workers
-    ):
-        """Three sweeps under a policy that reads queue sizes: tokens are
-        conserved, every rating trains once a sweep, and the updates are
-        the list reference's (one constant tour row below three workers,
-        shuffled tours above)."""
-        dynamic = DynamicNomad(
-            replay.warmup, n_workers, HYPER,
-            RunConfig(seed=5, kernel_backend="list"),
-            policy=policy,
-        )
-        reference = ListReference(dynamic, replay.warmup)
-        for _ in range(3):
-            expected = reference.sweep(dynamic)
-            assert dynamic.sweep() == expected == replay.warmup.nnz
-            assert sum(dynamic.queue_sizes()) == dynamic.n_items
-            assert dynamic._ledger.items_in_flight().size == 0
-            dynamic._ledger.assert_conserved()
-            for q, queue in enumerate(dynamic._queues):
-                assert all(dynamic._ledger.owner_of(j) == q for j in queue)
-            reference.assert_matches(dynamic)
-        if isinstance(policy, LeastQueuePolicy):
-            sizes = dynamic.queue_sizes()
-            assert max(sizes) - min(sizes) <= 1
-
-
-# ----------------------------------------------------------------------
-# Recipient policies: placing a batch of tokens
-# ----------------------------------------------------------------------
-def _choose_loop(policy, tokens, queues, rng):
-    """The per-token loop ``RecipientPolicy.place`` replaces."""
-    workers = range(len(queues))
-    dests = []
-    for token in tokens:
-        dest = policy.choose(workers, lambda w: len(queues[w]), rng)
-        queues[dest].append(token)
-        dests.append(dest)
-    return dests
-
-
-class TestRecipientPlace:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        backend=st.sampled_from(
-            ["list", "cext"] if cext_available() else ["list"]
-        ),
-        policy=st.sampled_from(
-            [UniformPolicy(), LeastQueuePolicy(), PowerOfTwoPolicy()]
-        ),
-        lengths=st.lists(st.integers(0, 6), min_size=1, max_size=6),
-        n_tokens=st.integers(0, 40),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_place_equals_the_choose_loop(
-        self, backend, policy, lengths, n_tokens, seed
-    ):
-        """Same picks, same queue contents, same RNG state afterwards, on
-        the backend's draw stream (the dynamic trainer's)."""
-        def queues():
-            return [deque(range(100 * q, 100 * q + n))
-                    for q, n in enumerate(lengths)]
-
-        tokens = list(range(1000, 1000 + n_tokens))
-        stream = get_backend(backend).rng_stream
-        placed_rng = stream(random.Random(seed))
-        looped_rng = stream(random.Random(seed))
-        placed, looped = queues(), queues()
-        picks = policy.place(tokens, placed, placed_rng)
-        assert picks == _choose_loop(policy, tokens, looped, looped_rng)
-        assert placed == looped
-        assert placed_rng.getstate() == looped_rng.getstate()
 
 
 # ----------------------------------------------------------------------
@@ -833,7 +781,7 @@ class TestFitStream:
             epochs_per_train=1, final_epochs=final_epochs,
             snapshot_every=100,
         )
-        combined = result.final.raw.combined()
+        combined = _all_ratings(stream)
         dynamic_rmse = rmse_of(result.final.factors, combined)
         # Static retrain: the same worker count and total sweep count,
         # cold-started on the full data with the standard (uncapped)
@@ -860,9 +808,7 @@ class TestFitStream:
                 train_every=10, epochs_per_train=1, final_epochs=10,
                 snapshot_every=100, count_cap=count_cap,
             )
-            return rmse_of(
-                result.final.factors, result.final.raw.combined()
-            )
+            return rmse_of(result.final.factors, _all_ratings(stream))
 
         assert run(8) < run(None)
 
