@@ -10,34 +10,27 @@ bugs against (shared-memory unlink, socket close, ``perf_counter``
 timing).
 
 Structure mirrors the facade registries: one :class:`~.rules.Rule` per
-invariant, registered by code through :func:`~.rules.register_rule`;
-an AST :class:`~.context.ModuleContext` with scope/alias tracking; inline
-suppressions that must carry a reason; and a checked-in baseline so
-pre-existing findings ratchet (new violations fail, old ones are tracked
-down).  Run it as ``repro-nomad analyze`` or ``python -m repro.analysis``.
+invariant, registered by code through :func:`~.rules.register_rule`, and
+an AST :class:`~.context.ModuleContext` with scope/alias tracking.  Every
+rule runs over every file and every finding fails the run: the one way
+in is ``repro-nomad analyze [paths]``, which exits 1 on any finding.
 """
 
-from .baseline import Baseline, load_baseline, write_baseline
 from .context import Finding, ModuleContext
-from .report import AnalysisReport, render_json, render_text
+from .report import AnalysisReport, render_text
 from .rules import RULES, Rule, register_rule, rules_table
-from .runner import analyze_paths, iter_python_files, main
+from .runner import analyze_paths, iter_python_files
 from . import hygiene, invariants  # noqa: F401  (rule registration)
 
 __all__ = [
     "AnalysisReport",
-    "Baseline",
     "Finding",
     "ModuleContext",
     "RULES",
     "Rule",
     "analyze_paths",
     "iter_python_files",
-    "load_baseline",
-    "main",
     "register_rule",
-    "render_json",
     "render_text",
     "rules_table",
-    "write_baseline",
 ]

@@ -12,15 +12,13 @@ rule.  It owns the work no rule should repeat:
   matter how the module spells it;
 * scope utilities for the closure-capture analysis of NMD002 (names a
   function binds directly, names a nested function mutates);
-* a :meth:`ModuleContext.finding` factory stamping path, line, symbol
-  (the dotted chain of enclosing defs), and a **fingerprint** that is
-  stable under line-number drift — the unit the baseline ratchet tracks.
+* a :meth:`ModuleContext.finding` factory stamping path, line, and
+  symbol (the dotted chain of enclosing defs).
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass
 
 from ..errors import AnalysisError
@@ -51,10 +49,6 @@ class Finding:
 
     ``symbol`` is the dotted chain of enclosing class/function names
     (``"ClusterNomad.run"``), or ``"<module>"`` for module-level code.
-    ``fingerprint`` identifies the finding to the baseline ratchet: it
-    hashes the *source text* of the offending line rather than its line
-    number, so unrelated edits above a baselined finding do not turn it
-    into a "new" one.
     """
 
     code: str
@@ -63,7 +57,6 @@ class Finding:
     line: int
     col: int
     symbol: str
-    fingerprint: str
 
     def location(self) -> str:
         """``path:line:col`` for display."""
@@ -124,8 +117,6 @@ class ModuleContext:
 
     def __init__(self, path: str, source: str):
         self.path = path
-        self.source = source
-        self.lines = source.splitlines()
         try:
             self.tree = ast.parse(source, filename=path)
         except SyntaxError as error:
@@ -292,19 +283,11 @@ class ModuleContext:
     # ------------------------------------------------------------------
     def finding(self, code: str, node: ast.AST, message: str) -> Finding:
         """Build a :class:`Finding` anchored at ``node``."""
-        line = getattr(node, "lineno", 0)
-        col = getattr(node, "col_offset", 0)
-        symbol = self.qualname(node)
-        text = self.lines[line - 1].strip() if 0 < line <= len(self.lines) else ""
-        digest = hashlib.sha1(
-            f"{code}|{self.path}|{symbol}|{text}".encode()
-        ).hexdigest()[:12]
         return Finding(
             code=code,
             message=message,
             path=self.path,
-            line=line,
-            col=col + 1,
-            symbol=symbol,
-            fingerprint=f"{code}:{digest}",
+            line=getattr(node, "lineno", 0),
+            col=getattr(node, "col_offset", 0) + 1,
+            symbol=self.qualname(node),
         )

@@ -1,22 +1,13 @@
-"""Text and JSON reporters over one analysis run.
-
-The JSON schema is a stability contract (tests pin the key sets): CI
-consumers and editor integrations parse it, so keys are only ever
-*added*, never renamed, without a version bump.
-"""
+"""The text report over one analysis run: one line per finding, then a
+summary line with the verdict."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .baseline import Ratchet
 from .context import Finding
-from .suppressions import Suppression
 
-__all__ = ["AnalysisReport", "render_text", "render_json", "REPORT_VERSION"]
-
-REPORT_VERSION = 1
+__all__ = ["AnalysisReport", "render_text"]
 
 
 @dataclass
@@ -24,102 +15,26 @@ class AnalysisReport:
     """Everything one ``analyze`` run produced."""
 
     files: list[str]
-    ratchet: Ratchet
-    suppressed: list[tuple[Finding, Suppression]] = field(default_factory=list)
-    baseline_path: str | None = None
+    findings: list[Finding]
 
     @property
     def exit_code(self) -> int:
-        """0 when every live finding is baselined; 1 otherwise."""
-        return 1 if self.ratchet.new else 0
-
-    @property
-    def counts(self) -> dict:
-        return {
-            "files": len(self.files),
-            "new": len(self.ratchet.new),
-            "baselined": len(self.ratchet.baselined),
-            "suppressed": len(self.suppressed),
-            "stale_baseline": len(self.ratchet.stale),
-        }
-
-
-def _finding_dict(finding: Finding, status: str) -> dict:
-    return {
-        "code": finding.code,
-        "message": finding.message,
-        "path": finding.path,
-        "line": finding.line,
-        "col": finding.col,
-        "symbol": finding.symbol,
-        "fingerprint": finding.fingerprint,
-        "status": status,
-    }
-
-
-def render_json(report: AnalysisReport) -> str:
-    """The machine-readable report (schema pinned by tests)."""
-    findings = [
-        *(_finding_dict(f, "new") for f in report.ratchet.new),
-        *(_finding_dict(f, "baselined") for f in report.ratchet.baselined),
-    ]
-    findings.sort(key=lambda d: (d["path"], d["line"], d["col"], d["code"]))
-    payload = {
-        "tool": "nomadlint",
-        "version": REPORT_VERSION,
-        "findings": findings,
-        "suppressed": [
-            {
-                **_finding_dict(finding, "suppressed"),
-                "reason": suppression.reason,
-                "suppression_line": suppression.line,
-            }
-            for finding, suppression in report.suppressed
-        ],
-        "stale_baseline": list(report.ratchet.stale),
-        "summary": report.counts,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        """0 when no rule fired; 1 otherwise."""
+        return 1 if self.findings else 0
 
 
 def render_text(report: AnalysisReport) -> str:
     """The human-readable report."""
-    lines: list[str] = []
-    for finding in sorted(
-        report.ratchet.new, key=lambda f: (f.path, f.line, f.col, f.code)
-    ):
-        lines.append(
-            f"{finding.location()}: {finding.code} {finding.message} "
-            f"[{finding.symbol}]"
+    lines = [
+        f"{finding.location()}: {finding.code} {finding.message} "
+        f"[{finding.symbol}]"
+        for finding in sorted(
+            report.findings, key=lambda f: (f.path, f.line, f.col, f.code)
         )
-    for finding in sorted(
-        report.ratchet.baselined, key=lambda f: (f.path, f.line, f.col, f.code)
-    ):
-        lines.append(
-            f"{finding.location()}: {finding.code} (baselined) "
-            f"{finding.message}"
-        )
-    for finding, suppression in report.suppressed:
-        lines.append(
-            f"{finding.location()}: {finding.code} suppressed — "
-            f"{suppression.reason}"
-        )
-    for entry in report.ratchet.stale:
-        lines.append(
-            f"stale baseline entry {entry['fingerprint']} "
-            f"({entry.get('code', '?')} in {entry.get('path', '?')}): the "
-            "finding is gone — shrink the baseline with --update-baseline"
-        )
-    counts = report.counts
-    verdict = (
-        "FAIL (new findings above the baseline)"
-        if report.exit_code
-        else "ok"
-    )
+    ]
+    verdict = "FAIL" if report.exit_code else "ok"
     lines.append(
-        f"nomadlint: {counts['files']} file(s), {counts['new']} new, "
-        f"{counts['baselined']} baselined, {counts['suppressed']} "
-        f"suppressed, {counts['stale_baseline']} stale baseline "
-        f"entr{'y' if counts['stale_baseline'] == 1 else 'ies'} — {verdict}"
+        f"nomadlint: {len(report.files)} file(s), "
+        f"{len(report.findings)} finding(s) — {verdict}"
     )
     return "\n".join(lines) + "\n"

@@ -5,8 +5,6 @@ registries: a rule is one :class:`Rule` subclass registered through the
 :func:`register_rule` decorator, keyed by its ``NMD###`` code.  Codes
 are tiered by range:
 
-* ``NMD000``–``NMD009`` — meta findings emitted by the framework itself
-  (not by a registered rule): malformed or reason-less suppressions.
 * ``NMD001``–``NMD099`` — **repo-invariant tier**: the ownership,
   concurrency, and resource disciplines NOMAD's correctness argument and
   the live runtimes' timing contract rest on.
@@ -40,15 +38,10 @@ __all__ = [
     "run_rules",
     "INVARIANT_TIER",
     "HYGIENE_TIER",
-    "META_CODE_MALFORMED_SUPPRESSION",
 ]
 
 INVARIANT_TIER = "invariant"
 HYGIENE_TIER = "hygiene"
-
-#: Framework-emitted code for a suppression comment that does not parse
-#: or carries no reason.  Not a registered rule: it cannot be suppressed.
-META_CODE_MALFORMED_SUPPRESSION = "NMD000"
 
 _CODE_PATTERN = re.compile(r"^NMD\d{3}$")
 
@@ -88,11 +81,6 @@ def register_rule(cls: type[Rule]) -> type[Rule]:
         raise AnalysisError(
             f"rule {cls.__name__} has malformed code {rule.code!r}; "
             "expected NMD followed by three digits"
-        )
-    if rule.code == META_CODE_MALFORMED_SUPPRESSION:
-        raise AnalysisError(
-            f"rule code {rule.code} is reserved for the suppression "
-            "checker itself"
         )
     if rule.code in RULES:
         raise AnalysisError(

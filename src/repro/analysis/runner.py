@@ -1,33 +1,20 @@
-"""The nomadlint driver: collect files, run rules, ratchet, report.
+"""The nomadlint driver: collect files and run every rule over them.
 
-Exposed three ways, all sharing this module's :func:`run_analyze`:
-
-* ``repro-nomad analyze`` (the CLI subcommand in :mod:`repro.cli`);
-* ``python -m repro.analysis``;
-* :func:`analyze_paths` for tests and programmatic use.
+``repro-nomad analyze`` (the CLI subcommand in :mod:`repro.cli`) and the
+tests both call :func:`analyze_paths`.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
-import sys
 from typing import Sequence
 
 from ..errors import AnalysisError
-from .baseline import Baseline, load_baseline, ratchet, write_baseline
 from .context import ModuleContext
-from .report import AnalysisReport, render_json, render_text
-from .rules import ensure_rules_loaded, rules_table, run_rules
-from .suppressions import apply_suppressions, collect_suppressions
+from .report import AnalysisReport
+from .rules import ensure_rules_loaded, run_rules
 
-__all__ = [
-    "analyze_paths",
-    "iter_python_files",
-    "add_analyze_arguments",
-    "run_analyze",
-    "main",
-]
+__all__ = ["analyze_paths", "iter_python_files"]
 
 #: Directory names never descended into.
 _SKIP_DIRS = frozenset(
@@ -56,15 +43,11 @@ def iter_python_files(paths: Sequence[str]) -> list[str]:
     return sorted(files)
 
 
-def analyze_paths(
-    paths: Sequence[str],
-    baseline: Baseline | None = None,
-) -> AnalysisReport:
+def analyze_paths(paths: Sequence[str]) -> AnalysisReport:
     """Run every registered rule over every file under ``paths``."""
     ensure_rules_loaded()
     files = iter_python_files(paths)
     findings = []
-    suppressed = []
     for path in files:
         try:
             with open(path, encoding="utf-8") as handle:
@@ -72,101 +55,5 @@ def analyze_paths(
         except OSError as error:
             raise AnalysisError(f"cannot read {path!r}: {error}") from error
         module = ModuleContext(path.replace(os.sep, "/"), source)
-        raw = run_rules(module)
-        suppressions, malformed = collect_suppressions(module)
-        live, silenced = apply_suppressions(raw, suppressions)
-        # Malformed suppressions are findings in their own right and are
-        # themselves unsuppressible.
-        findings.extend(live)
-        findings.extend(malformed)
-        suppressed.extend(silenced)
-    return AnalysisReport(
-        files=files,
-        ratchet=ratchet(findings, baseline),
-        suppressed=suppressed,
-        baseline_path=baseline.path if baseline else None,
-    )
-
-
-def add_analyze_arguments(parser: argparse.ArgumentParser) -> None:
-    """The ``analyze`` options, shared by the CLI subcommand and
-    ``python -m repro.analysis``."""
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        default=["src"],
-        help="files or directories to analyze (default: src)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help=(
-            "baseline JSON for the ratchet: baselined findings pass, "
-            "new findings fail"
-        ),
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help=(
-            "rewrite --baseline from the current findings (creates it "
-            "if missing; stale entries are dropped, shrinking the file)"
-        ),
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print every registered rule and exit",
-    )
-
-
-def run_analyze(args: argparse.Namespace, out=None) -> int:
-    """Drive one analysis from parsed arguments; returns the exit code."""
-    out = out if out is not None else sys.stdout
-    if args.list_rules:
-        for code, name, tier, description in rules_table():
-            out.write(f"{code}  {tier:<9}  {name}\n    {description}\n")
-        return 0
-    if args.update_baseline and not args.baseline:
-        raise AnalysisError("--update-baseline requires --baseline PATH")
-
-    if args.update_baseline:
-        report = analyze_paths(args.paths, baseline=None)
-        written = write_baseline(args.baseline, report.ratchet.new)
-        out.write(
-            f"nomadlint: baseline {args.baseline} written with "
-            f"{len(written.entries)} finding(s) over "
-            f"{len(report.files)} file(s)\n"
-        )
-        return 0
-
-    baseline = load_baseline(args.baseline) if args.baseline else None
-    report = analyze_paths(args.paths, baseline=baseline)
-    renderer = render_json if args.format == "json" else render_text
-    out.write(renderer(report))
-    return report.exit_code
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """``python -m repro.analysis`` entry point."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis",
-        description=(
-            "nomadlint: AST-based invariant checker for the repro "
-            "codebase (ownership, concurrency, resource discipline)"
-        ),
-    )
-    add_analyze_arguments(parser)
-    args = parser.parse_args(argv)
-    try:
-        return run_analyze(args)
-    except AnalysisError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        findings.extend(run_rules(module))
+    return AnalysisReport(files=files, findings=findings)

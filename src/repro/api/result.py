@@ -202,10 +202,10 @@ class StreamResult:
             return 0.0
         return self.arrivals / busy
 
-    def recommender(self, cold_start: str = "mean") -> Recommender:
+    def recommender(self) -> Recommender:
         """A serving :class:`~repro.stream.serve.Recommender` over the
         rotated snapshots."""
-        return Recommender(self.snapshots, cold_start=cold_start)
+        return Recommender(self.snapshots)
 
     def summary(self) -> str:
         """One-line human summary (used by the CLI ``stream`` subcommand)."""

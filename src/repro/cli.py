@@ -14,7 +14,7 @@ Usage::
     repro-nomad serve --source drift --port 8080
     repro-nomad serve --persist-dir runs/movielens --dataset movielens
     repro-nomad trace --engine threaded --duration 1.0 --out trace.json
-    repro-nomad analyze --baseline results/analysis_baseline.json src
+    repro-nomad analyze src
     repro-nomad analyze --list-rules
 
 ``run`` prints the ASCII report to stdout and optionally writes every
@@ -31,8 +31,8 @@ last process stopped.  ``trace`` runs one telemetry-enabled fit and
 exports the recorded per-worker spans as Chrome trace-event JSON,
 loadable in Perfetto (ui.perfetto.dev) or ``chrome://tracing``.
 ``analyze`` runs
-nomadlint, the repo's AST invariant checker, ratcheting findings against
-a checked-in baseline (new findings fail; suppressions require a reason).
+nomadlint, the repo's AST invariant checker, over the given paths and
+exits 1 if any rule fires.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import sys
 import time
 from typing import Sequence
 
-from .analysis.runner import add_analyze_arguments, run_analyze
+from .analysis import analyze_paths, render_text, rules_table
 from .api import ALGORITHMS, ENGINES, fit, fit_stream, supported_pairs
 from .config import RunConfig
 from .errors import ConfigError, ReproError
@@ -355,14 +355,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the nomadlint static-analysis pass",
         description=(
             "nomadlint: AST-based invariant checker for ownership, "
-            "concurrency, and resource discipline.  Findings in the "
-            "--baseline file pass (ratcheted); new findings fail with "
-            "exit code 1.  Suppress inline with "
-            "'# nomadlint: ignore[NMD###] reason' — the reason is "
-            "mandatory."
+            "concurrency, and resource discipline.  Every finding is "
+            "printed and fails the run with exit code 1."
         ),
     )
-    add_analyze_arguments(analyze_cmd)
+    analyze_cmd.add_argument(
+        "paths",
+        nargs="*",
+        default=["src"],
+        help="files or directories to analyze (default: src)",
+    )
+    analyze_cmd.add_argument(
+        "--list-rules",
+        action="store_true",
+        help="print every registered rule and exit",
+    )
     return parser
 
 
@@ -624,6 +631,17 @@ def _run_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_analyze(args: argparse.Namespace) -> int:
+    """Run nomadlint over the given paths; exit 1 on any finding."""
+    if args.list_rules:
+        for code, name, tier, description in rules_table():
+            print(f"{code}  {tier:<9}  {name}\n    {description}")
+        return 0
+    report = analyze_paths(args.paths)
+    sys.stdout.write(render_text(report))
+    return report.exit_code
+
+
 #: Subcommands whose library errors end in ``error: ...`` on stderr and
 #: exit code 2 (``list`` cannot fail; ``run`` lets them propagate).
 _HANDLERS = {
@@ -631,7 +649,7 @@ _HANDLERS = {
     "stream": _run_stream,
     "serve": _run_serve,
     "trace": _run_trace,
-    "analyze": run_analyze,
+    "analyze": _run_analyze,
 }
 
 

@@ -63,8 +63,8 @@ class WireError(ReproError):
 class AnalysisError(ReproError):
     """The nomadlint static-analysis pass cannot proceed.
 
-    Raised for driver-level problems — an unparseable source file, a
-    missing or malformed baseline, an invalid rule registration — never
+    Raised for driver-level problems — a missing path, an unparseable
+    source file, an invalid rule registration — never
     for rule findings, which are data (:class:`repro.analysis.Finding`),
     not exceptions.
     """

@@ -151,7 +151,3 @@ class BlockGrid:
         lo = self._cell_boundaries[key]
         hi = self._cell_boundaries[key + 1]
         return self._cell_order[lo:hi]
-
-    def cell_nnz(self, row_block: int, col_block: int) -> int:
-        """Number of ratings inside one grid cell."""
-        return int(self.cell_indices(row_block, col_block).size)

@@ -40,10 +40,8 @@ Routes (all JSON, schemas in :mod:`repro.serve.schemas`):
 * ``GET /metrics`` — the same counters in Prometheus text exposition
   (the one non-JSON route), scrape-ready.
 
-Every dispatched request lands in a per-route latency
-:class:`~repro.telemetry.Histogram` and as a ``SPAN_HTTP`` event in the
-service's :class:`~repro.telemetry.Recorder` (single-writer discipline
-held by recording under the requests lock).
+Every dispatched request, refused or not, lands in a per-route latency
+:class:`~repro.telemetry.Histogram` (recorded under the requests lock).
 
 Restart story: with ``persist_dir`` set, every rotation lands on disk
 and a new process resumes serving from the newest persisted snapshot
@@ -71,7 +69,7 @@ from ..stream.dynamic import RatedCells
 from ..stream.serve import Recommender
 from ..stream.snapshots import PrequentialTrace, SnapshotStore
 from ..stream.sources import QueueStream
-from ..telemetry import SPAN_HTTP, Histogram, Recorder, clock
+from ..telemetry import Histogram, clock
 from ..telemetry.prometheus import (
     CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE,
     Metric,
@@ -122,10 +120,6 @@ class ServiceConfig:
         Trainer cadence, exactly as in :func:`repro.fit_stream`.
     n_workers:
         Trainer worker count (``None`` = library default).
-    cold_start:
-        :class:`~repro.stream.serve.Recommender` policy for unknown
-        users/items: ``"mean"`` answers with the average-factor fallback,
-        ``"error"`` turns such requests into HTTP 400.
     train:
         ``False`` runs a read-only replica: no trainer thread, ingest
         returns 503, and a persisted snapshot must exist to serve from.
@@ -145,7 +139,6 @@ class ServiceConfig:
     final_epochs: int = 5
     snapshot_every: int = 200
     n_workers: int | None = None
-    cold_start: str = "mean"
     train: bool = True
     startup_timeout: float = 30.0
 
@@ -196,9 +189,7 @@ class RecommendationService:
             self.prequential = PrequentialTrace()
 
         self.stream = QueueStream(warmup)
-        self.recommender = Recommender(
-            self.store, cold_start=self.config.cold_start
-        )
+        self.recommender = Recommender(self.store)
         self.cache = LruCache(self.config.cache_capacity)
 
         # Ingest dedup: the trainer treats a duplicate (user, item) as
@@ -213,11 +204,9 @@ class RecommendationService:
 
         self._requests_lock = threading.Lock()
         self._requests: dict[str, int] = {}
-        # Per-route latency histograms and the service's SPAN_HTTP
-        # recorder; handler threads write both under _requests_lock,
-        # which supplies the recorder's single-writer discipline.
+        # Per-route latency histograms; handler threads write them
+        # under _requests_lock.
         self._latency: dict[str, Histogram] = {}
-        self.recorder = Recorder(0)
 
         self._httpd: ThreadingHTTPServer | None = None
         self._server_thread: threading.Thread | None = None
@@ -380,8 +369,7 @@ class RecommendationService:
         A ``dict`` payload goes out as JSON; a ``str`` payload (the
         ``/metrics`` exposition) goes out verbatim as Prometheus text.
         :class:`~repro.errors.ServeError` (and the library's config/data
-        errors, e.g. a cold-start rejection) map to 400; anything else
-        the HTTP layer turns into 500.
+        errors) map to 400; anything else the HTTP layer turns into 500.
         """
         route = path.rstrip("/") or "/"
         key = f"{method} {route}"
@@ -406,16 +394,12 @@ class RecommendationService:
             return 404, ErrorResponse(f"no such route: {route}", 404).to_payload()
         started = clock()
         try:
-            status, payload = handler()
-        except Exception:
-            self._observe(key, started, 500)
-            raise
-        self._observe(key, started, status)
-        return status, payload
+            return handler()
+        finally:
+            self._observe(key, started)
 
-    def _observe(self, route_key: str, started: float, status: int) -> None:
-        """Fold one handled request into the route's latency histogram
-        and the service recorder."""
+    def _observe(self, route_key: str, started: float) -> None:
+        """Fold one handled request into the route's latency histogram."""
         elapsed = clock() - started
         with self._requests_lock:
             histogram = self._latency.get(route_key)
@@ -423,7 +407,6 @@ class RecommendationService:
                 histogram = Histogram()
                 self._latency[route_key] = histogram
             histogram.add(elapsed)
-            self.recorder.span(SPAN_HTTP, started, elapsed, status)
 
     # ------------------------------------------------------------------
     # Endpoints

@@ -1,17 +1,17 @@
 """Serving front: answer traffic from the newest snapshot.
 
-A :class:`Recommender` is the cold-start policy between request traffic
-and a :class:`~repro.stream.snapshots.SnapshotStore`.  It holds no state
+A :class:`Recommender` stands between request traffic and a
+:class:`~repro.stream.snapshots.SnapshotStore`.  It holds no state
 of its own: every call ranks or scores from *one* immutable snapshot —
 the one it is handed, or the store's newest, read exactly once — so any
 number of threads may share it without a lock and an answer can never
 mix two rotations.  Caching is the caller's business (the HTTP service
 keeps one seq-keyed LRU, :class:`repro.serve.cache.LruCache`).
 
-Cold-start policy is explicit: a user or item the serving snapshot has
-never seen either raises (``cold_start="error"``) or falls back to the
-mean factor row (``cold_start="mean"``, the default) — the average-user
-approximation, which degrades to popularity ranking.
+A user or item the serving snapshot has never seen falls back to the
+mean factor row — the average-user approximation, which degrades to
+popularity ranking.  The HTTP service tells its clients when an answer
+is such a fallback (``cold_user`` / ``cold_item``).
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from ..model import top_items
 from .snapshots import ModelSnapshot, SnapshotStore
 
 __all__ = ["Recommender"]
-
-_COLD_START = ("mean", "error")
 
 #: Which factor matrix (0 = W, 1 = H) holds the rows of each entity kind.
 _AXIS = {"user": 0, "item": 1}
@@ -38,33 +36,19 @@ class Recommender:
     store:
         Snapshot store to serve from; must hold at least one snapshot by
         the time the first request arrives.
-    cold_start:
-        ``"mean"`` (default) — requests for unseen users/items are
-        answered with the mean factor row; ``"error"`` — they raise
-        :class:`~repro.errors.ConfigError`.
     """
 
-    def __init__(self, store: SnapshotStore, cold_start: str = "mean"):
-        if cold_start not in _COLD_START:
-            raise ConfigError(
-                f"cold_start must be one of {_COLD_START}, got {cold_start!r}"
-            )
+    def __init__(self, store: SnapshotStore):
         self.store = store
-        self.cold_start = cold_start
 
     def _row(self, snapshot: ModelSnapshot, kind: str, index: int) -> np.ndarray:
-        """Factor row of one ``"user"`` or ``"item"``, falling back per
-        the cold-start policy when the snapshot does not cover it."""
+        """Factor row of one ``"user"`` or ``"item"``, falling back to
+        the mean row when the snapshot does not cover it."""
         axis = _AXIS[kind]
         factors = snapshot.model.factors
         matrix = (factors.w, factors.h)[axis]
         if 0 <= index < matrix.shape[0]:
             return matrix[index]
-        if self.cold_start == "error":
-            raise ConfigError(
-                f"{kind} {index} unknown to serving snapshot seq "
-                f"{snapshot.seq} (covers {matrix.shape[0]} {kind}s)"
-            )
         return snapshot.mean_rows[axis]
 
     # ------------------------------------------------------------------
@@ -75,8 +59,7 @@ class Recommender:
     ) -> float:
         """Predicted rating from ``snapshot`` (default: the newest).
 
-        Unknown users fall back per the cold-start policy; unknown items
-        likewise (mean item row under ``"mean"``).
+        Unknown users and items fall back to the mean factor row.
         """
         if snapshot is None:
             snapshot = self.store.latest
@@ -95,12 +78,12 @@ class Recommender:
         snapshot: ModelSnapshot | None = None,
     ) -> list[tuple[int, float]]:
         """Top-N items for ``user`` from ``snapshot`` (default: the
-        newest).  Unknown users follow the cold-start policy."""
+        newest).  An unknown user is served from the mean user row."""
         if top_n < 1:
             raise ConfigError(f"top_n must be >= 1, got {top_n}")
         if snapshot is None:
             snapshot = self.store.latest
-        w_row = self._row(snapshot, "user", user)  # may raise
+        w_row = self._row(snapshot, "user", user)
         return top_items(snapshot.model.factors.h @ w_row, top_n, exclude)
 
     # ------------------------------------------------------------------
@@ -108,6 +91,3 @@ class Recommender:
     def serving_seq(self) -> int:
         """Sequence number of the snapshot answering current traffic."""
         return self.store.latest.seq
-
-    def __repr__(self) -> str:
-        return f"Recommender(cold_start={self.cold_start!r})"

@@ -42,7 +42,6 @@ from .recorder import (
     POINT_QUEUE_DEPTH,
     Recorder,
     SPAN_HOP,
-    SPAN_HTTP,
     SPAN_IDLE,
     SPAN_INGEST,
     SPAN_KERNEL,
@@ -73,7 +72,6 @@ __all__ = [
     "Recorder",
     "RunTelemetry",
     "SPAN_HOP",
-    "SPAN_HTTP",
     "SPAN_IDLE",
     "SPAN_INGEST",
     "SPAN_KERNEL",

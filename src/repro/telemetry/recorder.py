@@ -42,7 +42,6 @@ __all__ = [
     "POINT_QUEUE_DEPTH",
     "Recorder",
     "SPAN_HOP",
-    "SPAN_HTTP",
     "SPAN_IDLE",
     "SPAN_INGEST",
     "SPAN_KERNEL",
@@ -70,7 +69,7 @@ SPAN_KERNEL = 3     #: one fused kernel-batch call; value = updates applied
 SPAN_SWEEP = 4      #: one dynamic-runtime sweep; value = updates applied
 SPAN_INGEST = 5     #: one streaming ingest call; value = ratings absorbed
 SPAN_ROTATION = 6   #: one snapshot rotation (retrain + swap)
-SPAN_HTTP = 7       #: one HTTP request; value = response status code
+# 7 was an HTTP request span nothing read; unused for the same reason.
 SPAN_IDLE = 8       #: worker blocked on an empty mailbox/transport
 POINT_QUEUE_DEPTH = 9  #: queue depth observed at drain time; value = depth
 
@@ -80,7 +79,6 @@ KIND_NAMES = {
     SPAN_SWEEP: "sweep",
     SPAN_INGEST: "ingest",
     SPAN_ROTATION: "rotation",
-    SPAN_HTTP: "http",
     SPAN_IDLE: "idle",
     POINT_QUEUE_DEPTH: "queue_depth",
 }

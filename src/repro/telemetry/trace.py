@@ -12,7 +12,7 @@ span so the timeline starts near zero.
 from __future__ import annotations
 
 from .aggregate import RunTelemetry
-from .recorder import KIND_NAMES, POINT_QUEUE_DEPTH, SPAN_HTTP
+from .recorder import KIND_NAMES, POINT_QUEUE_DEPTH
 
 __all__ = ["chrome_trace", "chrome_trace_events"]
 
@@ -23,7 +23,6 @@ _VALUE_KEYS = {
     3: "updates",        # kernel
     4: "updates",        # sweep
     5: "ratings",        # ingest
-    SPAN_HTTP: "status",
 }
 
 

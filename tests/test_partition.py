@@ -77,7 +77,7 @@ class TestBlockGrid:
             partition_range_blocks(matrix.n_cols, 4),
         )
         total = sum(
-            grid.cell_nnz(r, c) for r in range(3) for c in range(4)
+            grid.cell_indices(r, c).size for r in range(3) for c in range(4)
         )
         assert total == matrix.nnz
 

@@ -560,6 +560,18 @@ class TestService:
         )
         assert code == 400
 
+    def test_a_refused_ingest_is_still_timed(self):
+        # Unstarted: dispatch needs neither the socket nor the trainer.
+        svc = RecommendationService(
+            make_warmup(), HyperParams(k=3), ServiceConfig()
+        )
+        svc.store.adopt(make_snapshot())
+        with pytest.raises(ServeError):
+            svc.dispatch("POST", "/ratings", {}, b'{"ratings": []}')
+        _, stats = svc.dispatch("GET", "/stats", {}, b"")
+        assert stats["requests"]["POST /ratings"] == 1
+        assert stats["latency"]["POST /ratings"]["count"] == 1
+
     def test_ingest_feeds_training_and_rotation(self, service):
         base_seq = service.store.latest.seq
         ratings = fresh_pairs(service.warmup, 25)

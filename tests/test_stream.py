@@ -711,22 +711,16 @@ class TestRecommender:
         recommender.recommend(99, top_n=2)
         assert vars(snapshot)["mean_rows"][0] is w_mean  # memoised, not redone
 
-    def test_cold_user_mean_fallback_and_error_mode(self):
-        store = self._store()
-        lenient = Recommender(store, cold_start="mean")
-        result = lenient.recommend(99, top_n=2)
+    def test_cold_user_and_item_mean_fallback(self):
+        recommender = Recommender(self._store())
+        result = recommender.recommend(99, top_n=2)
         assert len(result) == 2
-        assert np.isfinite(lenient.predict(99, 0))
-        assert np.isfinite(lenient.predict(0, 99))
-        strict = Recommender(store, cold_start="error")
-        with pytest.raises(ConfigError, match="unknown"):
-            strict.recommend(99)
-        with pytest.raises(ConfigError, match="unknown"):
-            strict.predict(0, 99)
+        assert np.isfinite(recommender.predict(99, 0))
+        assert np.isfinite(recommender.predict(0, 99))
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            Recommender(self._store(), cold_start="panic")
+        with pytest.raises(ConfigError, match="top_n"):
+            Recommender(self._store()).recommend(0, top_n=0)
 
 
 # ----------------------------------------------------------------------
