@@ -7,9 +7,10 @@ serializable.
 
 This script makes the distinction concrete:
 
-1. runs NOMAD with full update logging and verifies its conflict graph is
-   acyclic, then *replays the log serially* and shows the replay reproduces
-   NOMAD's factors bit-for-bit;
+1. runs NOMAD with its visit log on and verifies its conflict graph is
+   acyclic, then *replays the log serially* through the run's own kernel
+   and checks that the replay reproduces NOMAD's factors bit for bit
+   (the script exits non-zero if it does not);
 2. runs a Hogwild-style execution with stale snapshot reads and shows its
    conflict graph contains cycles — no equivalent serial order exists.
 
@@ -19,6 +20,8 @@ Run with::
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -35,35 +38,10 @@ from repro import (
     init_factors,
     is_serializable,
     make_low_rank,
-    serial_order,
     train_test_split,
 )
 
 HYPER = HyperParams(k=4, lambda_=0.01, alpha=0.1, beta=0.01)
-
-
-def replay_serially(events, train, hyper, seed):
-    """Apply a logged update sequence one-at-a-time on fresh factors."""
-    ratings = {
-        (int(i), int(j)): float(v)
-        for i, j, v in zip(train.rows, train.cols, train.vals)
-    }
-    factors = init_factors(
-        train.n_rows, train.n_cols, hyper.k, RngFactory(seed).stream("init")
-    )
-    w, h = factors.w, factors.h
-    for event in events:
-        step = hyper.alpha / (1.0 + hyper.beta * event.count ** 1.5)
-        error = float(np.dot(w[event.row], h[event.col])) - ratings[
-            (event.row, event.col)
-        ]
-        scaled = step * error
-        decay = 1.0 - step * hyper.lambda_
-        w_new = decay * w[event.row] - scaled * h[event.col]
-        h_new = decay * h[event.col] - scaled * w[event.row]
-        w[event.row] = w_new
-        h[event.col] = h_new
-    return factors
 
 
 def main() -> None:
@@ -87,19 +65,31 @@ def main() -> None:
         cluster=Cluster(2, 2, HPC_PROFILE),
         options=NomadOptions(record_updates=True),
     )
-    log = nomad_result.raw.update_log
+    sim = nomad_result.raw
+    log = sim.update_log
     graph = conflict_graph(log)
-    print(f"NOMAD: {len(log):,} logged updates from 4 workers")
+    print(f"NOMAD: {len(log):,} logged updates in {len(sim.visits):,} "
+          f"token visits from 4 workers")
     print(f"  conflict graph: {len(graph):,} nodes, "
           f"{sum(map(len, graph.values())):,} edges")
     print(f"  serializable: {is_serializable(log)}")
 
-    replayed = replay_serially(serial_order(log), train, HYPER, seed=5)
-    final = nomad_result.factors
-    matches = np.allclose(replayed.w, final.w, atol=1e-9) and np.allclose(
-        replayed.h, final.h, atol=1e-9
+    # The same start the run drew from its seed, then the visits one
+    # worker burst at a time through the kernel backend the run used.
+    start = init_factors(
+        train.n_rows, train.n_cols, HYPER.k, RngFactory(run.seed).stream("init")
     )
-    print(f"  serial replay reproduces the parallel result exactly: {matches}")
+    replayed = repro.replay(
+        sim.visits, sim.shards, start, HYPER, sim.kernel_backend
+    )
+    final = nomad_result.factors
+    matches = np.array_equal(replayed.w, final.w) and np.array_equal(
+        replayed.h, final.h
+    )
+    print(f"  serial replay reproduces the parallel result bit for bit: "
+          f"{matches}")
+    if not matches:
+        sys.exit("serial replay differs from the asynchronous run")
 
     # --- Hogwild: asynchronous but NOT serializable --------------------
     # Algorithm-specific constructor keywords pass straight through fit().

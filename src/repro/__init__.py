@@ -83,7 +83,7 @@ from .core.serializability import (
     UpdateEvent,
     conflict_graph,
     is_serializable,
-    serial_order,
+    replay,
 )
 from .datasets import (
     RatingMatrix,
@@ -183,7 +183,7 @@ __all__ = [
     "UpdateEvent",
     "conflict_graph",
     "is_serializable",
-    "serial_order",
+    "replay",
     # datasets
     "RatingMatrix",
     "SyntheticSpec",

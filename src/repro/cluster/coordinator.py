@@ -52,7 +52,7 @@ from .transport import (
     TcpTransport,
     Transport,
 )
-from .worker import WorkerSpec, run_worker, tcp_worker_entry
+from .worker import _BOOTSTRAP_TIMEOUT, WorkerSpec, run_worker, tcp_worker_entry
 from . import wire
 
 __all__ = ["ClusterNomad", "DEFAULT_BATCH_SIZE"]
@@ -68,7 +68,6 @@ __nomad_owner_contexts__ = ("_assemble",)
 DEFAULT_BATCH_SIZE = 8
 
 _POLL_SECONDS = 0.02
-_BOOTSTRAP_TIMEOUT = 30.0
 _RESULT_TIMEOUT = 15.0
 _JOIN_TIMEOUT = 10.0
 

@@ -58,6 +58,9 @@ __nomad_owner_contexts__ = ("dispatch",)
 #: Receive poll period of the bootstrap wait and the drain barrier, seconds.
 _POLL_SECONDS = 0.02
 
+#: Bootstrap wait of the coordinator (``Ready``) and a TCP worker (``Peers``), s.
+_BOOTSTRAP_TIMEOUT = 30.0
+
 #: How long a worker keeps draining after ``Stop`` before giving up on
 #: missing ``Fin`` markers (a dead peer); its own result still ships.
 _DRAIN_TIMEOUT = 10.0
@@ -316,7 +319,6 @@ def tcp_worker_entry(
     spec: WorkerSpec,
     coordinator_port: int,
     host: str = "127.0.0.1",
-    bootstrap_timeout: float = 30.0,
 ) -> None:
     """Process entry point of one TCP worker (module-level for ``spawn``).
 
@@ -329,7 +331,7 @@ def tcp_worker_entry(
         transport.send(
             COORDINATOR, wire.encode_ready(spec.worker_id, transport.port)
         )
-        peers, early = _await_peers(transport, bootstrap_timeout)
+        peers, early = _await_peers(transport, _BOOTSTRAP_TIMEOUT)
         for worker_id, port in peers.ports.items():
             if worker_id != spec.worker_id:
                 transport.register_peer(worker_id, host, port)

@@ -5,8 +5,8 @@
   discrete-event cluster simulator.
 * :mod:`~repro.core.load_balance` — recipient-selection policies, including
   the dynamic load balancing of §3.3.
-* :mod:`~repro.core.serializability` — the conflict-graph checker backing
-  the paper's serializability claim.
+* :mod:`~repro.core.serializability` — the conflict-graph checker and the
+  visit-log replay behind the paper's serializability claim.
 """
 
 from .nomad import NomadSimulation, NomadOptions
@@ -22,7 +22,7 @@ from .serializability import (
     UpdateEvent,
     conflict_graph,
     is_serializable,
-    serial_order,
+    replay,
 )
 
 __all__ = [
@@ -37,5 +37,5 @@ __all__ = [
     "FRESH",
     "conflict_graph",
     "is_serializable",
-    "serial_order",
+    "replay",
 ]

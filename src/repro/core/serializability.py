@@ -1,42 +1,44 @@
 """Serializability analysis of asynchronous update logs.
 
 One of NOMAD's headline properties (§1, §4.3) is that, despite full
-asynchrony, its updates are *serializable*: there exists an equivalent
-ordering in a serial implementation.  This module makes the claim checkable.
+asynchrony, its updates are *serializable*: some serial execution is
+equivalent.  This module makes the claim checkable.
 
-Model.  Every SGD update on rating (i, j) reads and writes both ``w_i`` and
-``h_j``.  Two updates *conflict* when they share a parameter — same user row
-(same ``i``) or same item column (same ``j``).  An asynchronous execution is
-serializable iff its updates can be totally ordered such that every pair of
-conflicting updates executes in an order consistent with the data each one
-actually observed.
+An SGD update on rating (i, j) reads and writes ``w_i`` and ``h_j``, so two
+updates *conflict* when they share a row or a column.  The *conflict graph*
+links each update to the next conflicting one in observed order; the run is
+serializable iff it is acyclic.  Under owner-computes (NOMAD) a user's
+updates run in order on one worker and an item's in token ownership order,
+so it is; Hogwild-style stale reads close cycles, the contrast of §4.3.
 
-For owner-computes executions (NOMAD), the observed order is explicit:
-conflicting updates on the same user happen sequentially on the user's
-owning worker, and conflicting updates on the same item happen in token
-ownership order.  We therefore build the *conflict graph* whose nodes are
-update events and whose edges point from each update to the next conflicting
-update in observed order; the execution is serializable iff this graph is a
-DAG, and any topological order is an equivalent serial schedule.
-
-A Hogwild-style execution with stale reads produces cycles (update A read a
-value that update B later overwrote, while B read A's output), which is how
-the tests demonstrate the contrast the paper draws in §4.3.
+A NOMAD visit ``(q, j)`` (worker ``q`` updates every local rating of item
+``j``) fixes its updates, so a commit-order visit log is the whole run:
+:func:`expand_visits` derives the update log from it, and :func:`replay`
+re-runs it through the run's own kernel, bit for bit.
 """
 
 from __future__ import annotations
 
 import graphlib
-import heapq
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
+
+from ..config import HyperParams
+from ..datasets.ratings import Shard
+from ..errors import SimulationError
+from ..linalg.backends import resolve_backend
+from ..linalg.factors import FactorPair
+from ..linalg.losses import Loss
 
 __all__ = [
     "UpdateEvent",
     "FRESH",
     "conflict_graph",
+    "expand_visits",
     "is_serializable",
-    "serial_order",
+    "replay",
 ]
 
 
@@ -44,25 +46,13 @@ __all__ = [
 class UpdateEvent:
     """One logged SGD update.
 
-    Attributes
-    ----------
-    seq:
-        Global observation order (the order in which updates committed).
-        For NOMAD this is simulated-time order with deterministic
-        tie-breaking.
-    worker:
-        Worker that applied the update.
-    row, col:
-        The (user, item) pair of the rating touched.
-    count:
-        Per-rating update counter *before* this update (equation 11's t).
-    stale_read:
-        When the read of the *item column* ``h_col`` was stale (Hogwild
-        executions race on the shared ``H``), the sequence number of the
-        latest update to that column whose output this update actually
-        observed — or ``None`` for "observed nothing yet committed to the
-        column".  The sentinel :data:`FRESH` (the default) means the read
-        observed the latest committed value, as every NOMAD read does.
+    ``seq`` is the commit order (for NOMAD, simulated time with
+    deterministic tie-breaks); ``worker`` applied it to rating
+    ``(row, col)``; ``count`` is that rating's update counter before it
+    (equation 11's t).  ``stale_read`` is :data:`FRESH` (the default, and
+    every NOMAD read) when the read of ``h_col`` saw the latest commit to
+    the column; otherwise the ``seq`` of the latest update it did see, or
+    ``None`` for none (Hogwild races on the shared ``H``).
     """
 
     seq: int
@@ -78,24 +68,15 @@ FRESH = -1
 
 
 def conflict_graph(events: Sequence[UpdateEvent]) -> dict[int, set[int]]:
-    """Build the dependency graph of an update log.
+    """The dependency graph of an update log: ``seq -> set of successor
+    seqs``, with every event a key.
 
-    The graph is a plain adjacency dict, ``seq -> set of successor seqs``,
-    with every event present as a key.
-
-    Row (user) parameters are read/written by a single worker in commit
-    order, so row conflicts always produce a forward edge
-    ``previous -> event``.  Column (item) parameter conflicts depend on the
-    version the event observed:
-
-    * fresh read — forward edge ``previous -> event`` (reads-from);
-    * stale read — edge ``observed -> event`` (reads-from the old version)
-      **plus** ``event -> skipped`` for every commit between the observed
-      version and this event (anti-dependency: the event must serialize
-      before writes it did not see).
-
-    An execution is serializable iff this graph is acyclic; the backward
-    anti-dependency edges are what create cycles for Hogwild-style races.
+    A row conflict is a forward edge ``previous -> event`` (one worker
+    writes a row, in commit order).  A column conflict depends on the
+    version read: a fresh read is a forward edge, a stale read the edge
+    ``observed -> event`` plus ``event -> skipped`` for every commit it
+    did not see (an anti-dependency).  Those backward edges are what close
+    Hogwild's cycles; the execution is serializable iff there are none.
     """
     graph: dict[int, set[int]] = {event.seq: set() for event in events}
 
@@ -127,47 +108,91 @@ def conflict_graph(events: Sequence[UpdateEvent]) -> dict[int, set[int]]:
     return graph
 
 
-def _sorter(graph: dict[int, set[int]]) -> graphlib.TopologicalSorter:
-    """A prepared sorter over ``graph``; raises ``CycleError`` on a cycle."""
-    sorter = graphlib.TopologicalSorter()
-    for node, successors in graph.items():
-        sorter.add(node)
-        for successor in successors:
-            sorter.add(successor, node)
-    sorter.prepare()
-    return sorter
 
 
 def is_serializable(events: Sequence[UpdateEvent]) -> bool:
     """Whether the logged execution admits an equivalent serial order."""
+    # Read as predecessor sets: the reversed graph, cyclic iff the graph is.
     try:
-        _sorter(conflict_graph(events))
+        graphlib.TopologicalSorter(conflict_graph(events)).prepare()
     except graphlib.CycleError:
         return False
     return True
 
 
-def serial_order(events: Sequence[UpdateEvent]) -> list[UpdateEvent]:
-    """An equivalent serial schedule of a serializable execution: the
-    lexicographically smallest topological order of the conflict graph
-    (among the updates whose predecessors are all placed, lowest ``seq``
-    first).
+def expand_visits(
+    visits: Iterable[tuple[int, int]], shards: Sequence[Shard]
+) -> list[UpdateEvent]:
+    """The update log of a visit log: visit ``(q, j)`` is one event per
+    rating of item ``j`` on ``shards[q]``, in column order, and ``count``
+    is the number of earlier visits of the same ``(q, j)``."""
+    earlier: dict[tuple[int, int], int] = {}
+    events: list[UpdateEvent] = []
+    for q, j in visits:
+        indptr, users, _ = shards[q].csc()
+        count = earlier.get((q, j), 0)
+        earlier[q, j] = count + 1
+        for user in users[indptr[j]:indptr[j + 1]].tolist():
+            events.append(UpdateEvent(len(events), q, user, j, count))
+    return events
 
-    Raises
-    ------
-    graphlib.CycleError
-        If the execution is not serializable (the conflict graph has a
-        cycle).
-    """
-    sorter = _sorter(conflict_graph(events))
-    by_seq = {event.seq: event for event in events}
-    ready = list(sorter.get_ready())
-    heapq.heapify(ready)
-    ordered = []
-    while ready:
-        seq = heapq.heappop(ready)
-        ordered.append(by_seq[seq])
-        sorter.done(seq)
-        for released in sorter.get_ready():
-            heapq.heappush(ready, released)
-    return ordered
+
+def replay(
+    visits: Iterable[tuple[int, int]],
+    shards: Sequence[Shard],
+    start: FactorPair,
+    hyper: HyperParams,
+    backend: str,
+    loss: Loss | None = None,
+) -> FactorPair:
+    """Re-run a commit-order visit log serially from ``start``: each shard
+    gets a fresh kernel of ``backend`` (a name, e.g. the run's
+    ``kernel_backend``) bound as the run bound its own, and each burst of
+    :func:`_bursts` is one ``process_tokens`` call.  On a log the run
+    wrote, the result equals the run's ``(W, H)`` bit for bit."""
+    programs: list[list[int]] = [[] for _ in shards]
+    turns: dict[int, list[int]] = {}
+    for q, j in visits:
+        programs[q].append(j)
+        turns.setdefault(j, []).append(q)
+    w, h = start.w.copy(), start.h.copy()
+    kernels = [
+        resolve_backend(backend).bind_tokens(
+            w, h, *shard.csc(), np.zeros(shard.nnz, dtype=np.int64),
+            hyper.alpha, hyper.beta, hyper.lambda_, loss,
+        )
+        for shard in shards
+    ]
+    for q, burst in _bursts(programs, turns):
+        kernels[q].process_tokens(np.array(burst, dtype=np.int64))
+    return FactorPair(w, h)
+
+
+def _bursts(
+    programs: Sequence[Sequence[int]], turns: dict[int, Sequence[int]]
+) -> Iterator[tuple[int, list[int]]]:
+    """Bursts ``(q, items)`` that keep each worker's program order
+    (``programs[q]``) and each item's visit order (``turns[j]``, the
+    workers that visited ``j``).  A pass runs every worker's longest
+    prefix of ready visits, no item twice; a pass that runs none means
+    the two orders cross, and raises :class:`SimulationError`."""
+    heads = [0] * len(programs)
+    turn = dict.fromkeys(turns, 0)
+    left = sum(map(len, programs))
+    while left:
+        stalled = True
+        for q, program in enumerate(programs):
+            head = end = heads[q]
+            taken = set()
+            while end < len(program):
+                j = program[end]
+                if j in taken or turns[j][turn[j]] != q:
+                    break
+                taken.add(j)
+                turn[j] += 1
+                end += 1
+            if end > head:
+                heads[q], left, stalled = end, left - (end - head), False
+                yield q, program[head:end]
+        if stalled:
+            raise SimulationError(f"visit log stalled with {left} visits left")

@@ -123,9 +123,7 @@ class Cluster:
         Computation workers per machine (communication threads are modeled
         implicitly; see module docstring).
     network:
-        Inter-machine link model.
-    intra:
-        Intra-machine link model (defaults to :data:`LOCAL_PROFILE`).
+        Inter-machine link model (within a machine: :data:`LOCAL_PROFILE`).
     hardware:
         Compute cost constants.
     machine_speeds:
@@ -148,7 +146,6 @@ class Cluster:
         n_machines: int,
         cores_per_machine: int,
         network: NetworkModel,
-        intra: NetworkModel = LOCAL_PROFILE,
         hardware: HardwareProfile | None = None,
         machine_speeds: np.ndarray | None = None,
         jitter: float = 0.0,
@@ -162,7 +159,7 @@ class Cluster:
         self.n_machines = int(n_machines)
         self.cores_per_machine = int(cores_per_machine)
         self.network = network
-        self.intra = intra
+        self.intra = LOCAL_PROFILE
         self.hardware = hardware if hardware is not None else HardwareProfile()
         if machine_speeds is None:
             machine_speeds = np.ones(n_machines)

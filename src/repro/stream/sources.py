@@ -207,11 +207,11 @@ class ReplayStream:
 class DriftStream:
     """Synthetic arrivals from a drifting planted low-rank model.
 
-    A ground-truth factorization ``W* H*ᵀ`` is planted; each arrival
-    observes one unrated cell of it plus Gaussian noise.  Between events
-    the truth factors take a small random-walk step (concept drift), and
-    with configurable probability an event introduces a brand-new user or
-    item whose truth row is drawn fresh.
+    A ground-truth factorization ``W* H*ᵀ`` is planted; a tenth of its cells
+    is the warm-up, and each arrival observes one unrated cell, both noisy.
+    Between events the truth factors take a small random-walk step (concept
+    drift), and with configurable probability an event introduces a
+    brand-new user or item whose truth row is drawn fresh.
 
     Parameters
     ----------
@@ -219,8 +219,6 @@ class DriftStream:
         Initial entity counts.
     rank:
         Rank of the planted truth.
-    warmup_density:
-        Expected observed fraction of the initial matrix used as warm-up.
     n_events:
         Number of arrivals to generate.
     drift:
@@ -242,7 +240,6 @@ class DriftStream:
         n_users: int = 120,
         n_items: int = 60,
         rank: int = 4,
-        warmup_density: float = 0.1,
         n_events: int = 1000,
         drift: float = 0.001,
         new_user_prob: float = 0.01,
@@ -255,10 +252,6 @@ class DriftStream:
             raise DataError(f"shape must be positive, got {n_users}x{n_items}")
         if rank < 1:
             raise DataError(f"rank must be >= 1, got {rank}")
-        if not 0.0 < warmup_density < 1.0:
-            raise DataError(
-                f"warmup_density must be in (0, 1), got {warmup_density}"
-            )
         if n_events < 1:
             raise DataError(f"n_events must be >= 1, got {n_events}")
         if drift < 0 or noise < 0:
@@ -278,9 +271,9 @@ class DriftStream:
         w_true = truth_rng.normal(0.0, scale, size=(n_users, rank))
         h_true = truth_rng.normal(0.0, scale, size=(n_items, rank))
 
-        # Warm-up observations: a uniform cell sample of the initial truth.
+        # Warm-up observations: a uniform tenth of the initial truth's cells.
         warm_rng = factory.stream("drift-warmup")
-        n_warm = max(1, int(round(n_users * n_items * warmup_density)))
+        n_warm = max(1, int(round(n_users * n_items * 0.1)))
         flat = warm_rng.choice(n_users * n_items, size=n_warm, replace=False)
         rows, cols = np.divmod(flat, n_items)
         vals = np.einsum("ij,ij->i", w_true[rows], h_true[cols])

@@ -4,9 +4,9 @@ Converts a :class:`~repro.telemetry.aggregate.RunTelemetry` into the
 Trace Event Format consumed by ``chrome://tracing`` and Perfetto
 (https://ui.perfetto.dev): spans become complete events (``"ph": "X"``),
 queue-depth points become counter events (``"ph": "C"``).  Every event
-carries the four keys tooling requires — ``ph``, ``ts``, ``pid``,
-``tid`` — with timestamps in microseconds rebased to the first observed
-span so the timeline starts near zero.
+carries the four keys tooling requires — ``ph``, ``ts``, ``pid`` (1),
+``tid`` (the worker) — with timestamps in microseconds rebased to the
+first observed span so the timeline starts near zero.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ _VALUE_KEYS = {
 }
 
 
-def chrome_trace_events(telemetry: RunTelemetry, pid: int = 1) -> list[dict]:
+def chrome_trace_events(telemetry: RunTelemetry) -> list[dict]:
     """Flat list of trace events, chronological per worker."""
     starts = [
         start
@@ -41,7 +41,7 @@ def chrome_trace_events(telemetry: RunTelemetry, pid: int = 1) -> list[dict]:
                 "name": "thread_name",
                 "ph": "M",
                 "ts": 0,
-                "pid": pid,
+                "pid": 1,
                 "tid": worker.worker_id,
                 "args": {"name": f"worker-{worker.worker_id}"},
             }
@@ -54,7 +54,7 @@ def chrome_trace_events(telemetry: RunTelemetry, pid: int = 1) -> list[dict]:
                         "name": "queue_depth",
                         "ph": "C",
                         "ts": ts,
-                        "pid": pid,
+                        "pid": 1,
                         "tid": worker.worker_id,
                         "args": {"depth": value},
                     }
@@ -70,7 +70,7 @@ def chrome_trace_events(telemetry: RunTelemetry, pid: int = 1) -> list[dict]:
                     "ph": "X",
                     "ts": ts,
                     "dur": duration * 1e6,
-                    "pid": pid,
+                    "pid": 1,
                     "tid": worker.worker_id,
                     "args": args,
                 }
@@ -78,9 +78,9 @@ def chrome_trace_events(telemetry: RunTelemetry, pid: int = 1) -> list[dict]:
     return events
 
 
-def chrome_trace(telemetry: RunTelemetry, pid: int = 1) -> dict:
+def chrome_trace(telemetry: RunTelemetry) -> dict:
     """The JSON-object trace container Perfetto and chrome://tracing load."""
     return {
-        "traceEvents": chrome_trace_events(telemetry, pid=pid),
+        "traceEvents": chrome_trace_events(telemetry),
         "displayTimeUnit": "ms",
     }

@@ -19,7 +19,7 @@ from repro.core.nomad import (
     NomadOptions,
     NomadSimulation,
 )
-from repro.core.serializability import is_serializable, serial_order
+from repro.core.serializability import is_serializable, replay
 from repro.core.tokens import ItemToken
 from repro.errors import ConfigError, SimulationError
 from repro.linalg.backends import cext_available
@@ -427,11 +427,14 @@ class TestSerializabilityOfNomad:
         )
 
     def test_serial_replay_reproduces_factors(self, tiny_split):
-        """Replaying the log in topological order gives identical factors.
+        """Replaying the log serially gives identical factors.
 
         This is serializability in action: an equivalent *serial* execution
         produces bit-identical results, because conflicting updates keep
         their observed order and non-conflicting updates commute exactly.
+        The replay runs the visit log through the run's own kernel; the
+        hand-written loop below re-derives each update from the update log
+        in commit order, independently of any kernel.
         """
         train, test = tiny_split
         options = NomadOptions(record_updates=True)
@@ -440,17 +443,21 @@ class TestSerializabilityOfNomad:
         cluster = Cluster(2, 2, HPC_PROFILE)
         sim = NomadSimulation(train, test, cluster, hyper, run, options=options)
         sim.run()
+        final = sim.factors
 
-        ordered = serial_order(sim.update_log)
+        start = init_factors(
+            train.n_rows, train.n_cols, hyper.k, RngFactory(run.seed).stream("init")
+        )
+        replayed = replay(sim.visits, sim.shards, start, hyper, sim.kernel_backend)
+        assert np.array_equal(replayed.w, final.w)
+        assert np.array_equal(replayed.h, final.h)
+
         ratings = {
             (int(i), int(j)): float(v)
             for i, j, v in zip(train.rows, train.cols, train.vals)
         }
-        replay = init_factors(
-            train.n_rows, train.n_cols, hyper.k, RngFactory(run.seed).stream("init")
-        )
-        w, h = replay.w, replay.h
-        for event in ordered:
+        w, h = start.w.copy(), start.h.copy()
+        for event in sim.update_log:
             step = hyper.alpha / (1.0 + hyper.beta * event.count ** 1.5)
             rating = ratings[(event.row, event.col)]
             w_row = w[event.row]
@@ -463,7 +470,6 @@ class TestSerializabilityOfNomad:
             w[event.row] = w_new
             h[event.col] = h_new
 
-        final = sim.factors
         assert np.allclose(final.w, w, atol=1e-9)
         assert np.allclose(final.h, h, atol=1e-9)
 

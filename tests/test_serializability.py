@@ -1,18 +1,27 @@
-"""Tests for the serializability checker — the paper's headline property."""
+"""Tests for the serializability checker and the visit-log replay — the
+paper's headline property."""
 
 from __future__ import annotations
 
-import graphlib
-
+import numpy as np
 import pytest
 
+from repro.config import HyperParams, RunConfig
+from repro.core.nomad import NomadOptions, NomadSimulation
 from repro.core.serializability import (
     FRESH,
     UpdateEvent,
+    _bursts,
     conflict_graph,
     is_serializable,
-    serial_order,
+    replay,
 )
+from repro.errors import SimulationError
+from repro.linalg.factors import start_factors
+from repro.linalg.losses import HuberLoss
+from repro.simulator.cluster import Cluster
+from repro.simulator.network import HPC_PROFILE
+from test_nomad import BRANCH_PINS
 
 
 def fresh(seq, row, col, worker=0, count=0):
@@ -101,39 +110,6 @@ class TestSerializability:
         assert is_serializable(events)
 
 
-class TestSerialOrder:
-    def test_returns_equivalent_schedule(self):
-        events = [
-            fresh(0, 0, 0),
-            fresh(1, 1, 1),
-            fresh(2, 0, 1),
-        ]
-        ordered = serial_order(events)
-        positions = {event.seq: idx for idx, event in enumerate(ordered)}
-        # Row conflict 0 -> 2 and column conflict 1 -> 2 must be respected.
-        assert positions[0] < positions[2]
-        assert positions[1] < positions[2]
-
-    def test_respects_anti_dependencies(self):
-        events = [fresh(0, 0, 2), stale(1, 1, 2, observed=None)]
-        ordered = serial_order(events)
-        assert [event.seq for event in ordered] == [1, 0]
-
-    def test_raises_on_cycle(self):
-        events = [
-            fresh(0, 1, 1),
-            fresh(1, 2, 2),
-            stale(2, 1, 2, observed=None),
-            stale(3, 2, 1, observed=None),
-        ]
-        with pytest.raises(graphlib.CycleError):
-            serial_order(events)
-
-    def test_all_events_present(self):
-        events = [fresh(t, t, t % 2, count=t) for t in range(10)]
-        assert {event.seq for event in serial_order(events)} == set(range(10))
-
-
 class TestFreshSentinel:
     def test_default_is_fresh(self):
         assert UpdateEvent(seq=0, worker=0, row=0, col=0, count=0).stale_read == FRESH
@@ -141,3 +117,82 @@ class TestFreshSentinel:
     def test_none_means_pre_commit_observation(self):
         event = stale(1, 0, 0, observed=None)
         assert event.stale_read is None
+
+
+#: (Cluster keywords, NomadOptions keywords, RunConfig keywords) of the
+#: runs the replay is held to: every TestBranchDigests branch, jitter on
+#: machines of unequal speed, a bound Huber loss and the interpreted
+#: kernel.
+REPLAY_RUNS = {
+    **{case: pin[:3] for case, pin in BRANCH_PINS.items()},
+    "jitter-speeds": (
+        {"jitter": 0.3, "machine_speeds": np.array([1.0, 0.5])}, {}, {},
+    ),
+    "huber": ({}, {"loss": HuberLoss(delta=1.0)}, {}),
+    "list": ({}, {}, {"kernel_backend": "list"}),
+}
+
+
+def recorded_run(train, test, cluster_kw, option_kw, run_kw):
+    cluster_kw = {"machines": 2, "cores": 2, "profile": HPC_PROFILE,
+                  **cluster_kw}
+    cluster = Cluster(
+        cluster_kw.pop("machines"), cluster_kw.pop("cores"),
+        cluster_kw.pop("profile"), **cluster_kw,
+    )
+    run = RunConfig(duration=0.01, eval_interval=0.002, seed=7, **run_kw)
+    sim = NomadSimulation(
+        train, test, cluster,
+        HyperParams(k=4, lambda_=0.01, alpha=0.1, beta=0.01), run,
+        options=NomadOptions(record_updates=True, **option_kw),
+    )
+    sim.run()
+    return sim
+
+
+def replayed(sim, visits):
+    start = start_factors(
+        sim.train.n_rows, sim.train.n_cols, sim.hyper.k,
+        sim.run_config.seed, None,
+    )
+    pair = replay(visits, sim.shards, start, sim.hyper, sim.kernel_backend,
+                  sim.options.loss)
+    return np.vstack([pair.w, pair.h])
+
+
+def final(sim):
+    return np.vstack([sim.factors.w, sim.factors.h])
+
+
+class TestReplay:
+    @pytest.mark.parametrize("case", REPLAY_RUNS)
+    def test_replay_equals_run(self, tiny_split, case):
+        sim = recorded_run(*tiny_split, *REPLAY_RUNS[case])
+        assert sim.visits
+        assert np.array_equal(replayed(sim, sim.visits), final(sim))
+
+    def test_swapped_item_visits_change_the_bits(self, tiny_split):
+        sim = recorded_run(*tiny_split, {}, {}, {})
+        first: dict[int, int] = {}
+        for index, (q, j) in enumerate(sim.visits):
+            if j not in first:
+                first[j] = index
+            elif sim.visits[first[j]][0] != q:
+                break
+        swapped = list(sim.visits)
+        swapped[first[j]], swapped[index] = swapped[index], swapped[first[j]]
+        assert not np.array_equal(replayed(sim, swapped), final(sim))
+
+    def test_crossed_orders_stall(self):
+        # Worker 0 waits for worker 1's visit of item 0, which waits in
+        # worker 1's program behind item 1, which waits for worker 0.
+        bursts = _bursts([[0, 1], [1, 0]], {0: [1, 0], 1: [0, 1]})
+        with pytest.raises(SimulationError, match="stalled with 4 visits"):
+            list(bursts)
+
+    def test_bursts_keep_both_orders(self):
+        programs = [[0, 1, 0, 2], [1, 2]]
+        turns = {0: [0, 0], 1: [0, 1], 2: [1, 0]}
+        assert list(_bursts(programs, turns)) == [
+            (0, [0, 1]), (1, [1, 2]), (0, [0, 2]),
+        ]
