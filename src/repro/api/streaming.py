@@ -12,6 +12,7 @@ are not registry entries, and :func:`repro.fit` has no streaming engine.
 from __future__ import annotations
 
 import time
+from itertools import islice
 
 import numpy as np
 
@@ -71,10 +72,13 @@ def fit_stream(
     """Train NOMAD *online* over an arrival stream; return a
     :class:`~repro.api.result.StreamResult`.
 
-    The loop is score → ingest → train on cadence → rotate.  Every
-    arrival is scored *prequentially* against the newest snapshot
-    (skipped and tallied as cold when the snapshot has never seen its
-    user/item), then folded into the trainer.  Warm-start sweeps run
+    The loop is ingest → score → train on cadence → rotate, a window of
+    arrivals at a time: a window ends at the next ``train_every`` or
+    ``snapshot_every`` point, so no model trains and no snapshot rotates
+    inside one.  Every arrival is folded into the trainer and scored
+    *prequentially* against the newest snapshot (skipped and tallied as
+    cold when the snapshot has never seen its user/item) before any
+    model trains on it.  Warm-start sweeps run
     every ``train_every`` arrivals and an immutable serving snapshot
     rotates every ``snapshot_every`` arrivals; both always run once more
     at end of stream so the final model reflects every arrival.  A
@@ -118,7 +122,9 @@ def fit_stream(
         quiet; training continues, as it would between arrivals in a
         live deployment).  These sweeps anneal: the ``count_cap`` step
         floor lifts, restoring the paper's full eq-(11) decay now that
-        plasticity is no longer needed.  0 disables the phase; the
+        plasticity is no longer needed.  0 disables the phase: a stream
+        that ends off the ``train_every`` cadence then gets
+        ``epochs_per_train`` sweeps for its last arrivals instead.  The
         final snapshot rotation always happens.
     snapshot_every:
         Rotate an immutable serving snapshot every this many arrivals.
@@ -249,25 +255,44 @@ def fit_stream(
     ingest_seconds = 0.0
     arrivals = 0
     last_time = 0.0
-    for event in stream.events():
-        arrivals += 1
-        last_time = max(last_time, event.time)
-        # Score + fold-in are the per-arrival hot path; both count
-        # toward ingest_seconds (and so the throughput figure).
-        # The score is predict_one's ⟨w_u, h_i⟩ read straight off the
-        # snapshot's rows; ingest rejects a negative index just after.
+    events = iter(stream.events())
+    while True:
+        # A window ends at the next train or snapshot point, so the
+        # served snapshot cannot change inside it.
+        window = list(islice(events, min(
+            train_every - arrivals % train_every,
+            snapshot_every - arrivals % snapshot_every,
+        )))
+        if not window:
+            break
+        # Fold-in and score are the hot path; both count toward
+        # ingest_seconds (and so the throughput figure).  Each score is
+        # predict_one's ⟨w_u, h_i⟩ read straight off the snapshot's rows
+        # (vecdot equals np.dot's bits); an arrival the snapshot has no
+        # row for is counted cold, in place.  Ingest refuses the window
+        # before anything is scored.
         started = time.perf_counter()
+        times = np.array([event.time for event in window])
+        users = np.array([event.user for event in window], dtype=np.int64)
+        items = np.array([event.item for event in window], dtype=np.int64)
+        values = np.array([event.value for event in window])
+        dynamic.ingest(users, items, values)
         factors = store.latest.model.factors
-        w, h, user, item = factors.w, factors.h, event.user, event.item
-        if 0 <= user < len(w) and 0 <= item < len(h):
-            prequential.score(
-                event.time, arrivals, float(np.dot(w[user], h[item])),
-                event.value,
-            )
+        w, h = factors.w, factors.h
+        cold = (users >= len(w)) | (items >= len(h))
+        if np.count_nonzero(cold):
+            predicted = np.zeros(len(window))
+            warm = ~cold
+            predicted[warm] = np.vecdot(w[users[warm]], h[items[warm]])
         else:
-            prequential.mark_cold()
-        dynamic.ingest(event)
+            predicted, cold = np.vecdot(w[users], h[items]), None
+        prequential.score(
+            times, np.arange(arrivals + 1, arrivals + len(window) + 1),
+            predicted, values, cold,
+        )
         ingest_seconds += time.perf_counter() - started
+        arrivals += len(window)
+        last_time = max(last_time, float(times.max()))
         if arrivals % train_every == 0:
             started = time.perf_counter()
             dynamic.train(epochs_per_train)
@@ -279,16 +304,22 @@ def fit_stream(
     # training continues, as it would between arrivals in a live
     # deployment).  The step-schedule floor exists to keep warm rows
     # plastic *while data flows*; with no more arrivals the cap lifts so
-    # the sweeps anneal under the paper's full eq-(11) decay.  Then one
-    # final rotation so the newest snapshot reflects every arrival.
+    # the sweeps anneal under the paper's full eq-(11) decay.  Without
+    # that phase, arrivals since the last train point still get their
+    # cadence's sweeps.  Then one final rotation so the newest snapshot
+    # reflects every arrival.
+    closing = final_epochs
+    if not final_epochs and arrivals % train_every:
+        closing = epochs_per_train
     if final_epochs:
         dynamic.count_cap = None
+    if closing:
         started = time.perf_counter()
-        dynamic.train(final_epochs)
+        dynamic.train(closing)
         train_seconds += time.perf_counter() - started
     # Skip the closing rotation only when it would duplicate one that
     # just ran (stream ended exactly on the cadence, model unchanged).
-    if arrivals == 0 or arrivals % snapshot_every != 0 or final_epochs:
+    if arrivals == 0 or arrivals % snapshot_every != 0 or closing:
         rotation_seconds += rotate(last_time)
 
     final = FitResult(

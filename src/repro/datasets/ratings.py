@@ -222,15 +222,6 @@ class RatingMatrix:
     # ------------------------------------------------------------------
     # Constructors / exports
     # ------------------------------------------------------------------
-    @classmethod
-    def from_dense(cls, dense: np.ndarray, missing: float = 0.0) -> "RatingMatrix":
-        """Build from a dense array, treating ``missing`` entries as absent."""
-        dense = np.asarray(dense, dtype=np.float64)
-        if dense.ndim != 2:
-            raise DataError("dense input must be 2-D")
-        rows, cols = np.nonzero(dense != missing)
-        return cls(dense.shape[0], dense.shape[1], rows, cols, dense[rows, cols])
-
     def with_appended(
         self,
         rows: np.ndarray,

@@ -126,6 +126,7 @@ class KernelBackend(abc.ABC):
         beta: float,
         lambda_: float,
         loss: Loss | None = None,
+        ends: np.ndarray | None = None,
     ) -> "TokenKernel":
         """Bind a worker's factors, CSC shard and loss once, for bursts
         of tokens.
@@ -154,6 +155,15 @@ class KernelBackend(abc.ABC):
         with ``loss.dloss_dpred`` (``None`` for the square loss, which
         is looping ``ListBackend.process_column``).  A compiled backend
         resolves every pointer here and runs a burst in one native call.
+
+        ``ends`` gives a shard with slack (the stream's
+        :class:`~repro.stream.colstore.ColumnStore`): column ``j`` is
+        then ``users[indptr[j]:ends[j]]``, and the kernel reads ``ends``
+        and the columns at every call, so a caller may append to a
+        column inside its slack after binding.  Such a caller must keep
+        every user it writes inside ``w``'s rows, and must bind again
+        when a write breaks a column's ascent (``ascending`` is observed
+        here, once).  ``None`` is ``indptr[1:]``: a plain CSC.
         """
 
     @abc.abstractmethod

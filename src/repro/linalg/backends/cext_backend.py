@@ -145,7 +145,7 @@ class CextBackend(KernelBackend):
 
     def bind_tokens(
         self, w, h, indptr, users, ratings, counts, alpha, beta, lambda_,
-        loss: Loss | None = None,
+        loss: Loss | None = None, ends: np.ndarray | None = None,
     ) -> TokenKernel:
         dispatch = (0, 0.0) if loss is None else _loss_id(loss)
         if dispatch is None:
@@ -155,11 +155,11 @@ class CextBackend(KernelBackend):
 
             return get_backend("list").bind_tokens(
                 w, h, indptr, users, ratings, counts, alpha, beta, lambda_,
-                loss,
+                loss, ends,
             )
         return CextTokenKernel(
             self._kernels, w, h, indptr, users, ratings, counts,
-            alpha, beta, lambda_, *dispatch,
+            alpha, beta, lambda_, *dispatch, ends,
         )
 
     def rng_stream(self, rng):
@@ -222,14 +222,14 @@ class CextTokenKernel(TokenKernel):
 
     def __init__(
         self, kernels, w, h, indptr, users, ratings, counts,
-        alpha, beta, lambda_, loss_id, loss_param,
+        alpha, beta, lambda_, loss_id, loss_param, ends,
     ):
         super().__init__(
             w, h, indptr, users, ratings, counts, alpha, beta, lambda_
         )
         self._bound = kernels.bind(
             w, h, indptr, users, ratings, counts, loss_id,
-            alpha, beta, lambda_, loss_param,
+            alpha, beta, lambda_, loss_param, ends,
         )
         # The hot calls are the native methods themselves: these instance
         # attributes shadow the delegating methods below, so no Python

@@ -225,11 +225,12 @@ class ListBackend(KernelBackend):
 
     def bind_tokens(
         self, w, h, indptr, users, ratings, counts, alpha, beta, lambda_,
-        loss: Loss | None = None,
+        loss: Loss | None = None, ends: np.ndarray | None = None,
     ) -> "ListTokenKernel":
         return ListTokenKernel(
             w, h, indptr, users, ratings, counts, alpha, beta, lambda_,
             None if loss is None else loss.dloss_dpred,
+            indptr[1:] if ends is None else ends,
         )
 
     def rng_stream(self, rng: random.Random) -> PyRandomStream:
@@ -259,26 +260,28 @@ class ListBackend(KernelBackend):
 
 class ListTokenKernel(TokenKernel):
     """The interpreted bound kernel: :func:`column_on_lists` over each
-    token's CSC column in turn, under the bound loss's gradient
-    (``dloss``; ``None`` for the inlined square loss)."""
+    token's column ``indptr[j]:ends[j]`` in turn, under the bound loss's
+    gradient (``dloss``; ``None`` for the inlined square loss)."""
 
     def __init__(
         self, w, h, indptr, users, ratings, counts, alpha, beta, lambda_,
-        dloss,
+        dloss, ends,
     ):
         super().__init__(
             w, h, indptr, users, ratings, counts, alpha, beta, lambda_
         )
         self._dloss = dloss
+        self._ends = ends
 
     def process_tokens(self, items: np.ndarray) -> int:
         items = np.asarray(items, dtype=np.int64)
         if items.size and not 0 <= items.min() <= items.max() < self.n_items:
             raise IndexError(f"token item id outside [0, {self.n_items})")
         w, h, indptr, users, ratings, counts = self._arrays
+        ends = self._ends
         applied = 0
         for j in items.tolist():
-            lo, hi = indptr[j], indptr[j + 1]
+            lo, hi = indptr[j], ends[j]
             if hi > lo:
                 applied += column_on_lists(
                     w, h[j], users[lo:hi], ratings[lo:hi], counts[lo:hi],

@@ -151,14 +151,15 @@ static inline int64_t column(double *w, double *h_col, const int64_t *users,
 }
 
 /* One token: item names a column of the shard (users/ratings/counts
- * sliced by indptr) and a row of h, run under the bound loss.  Returns
- * -1, having applied nothing, if the id is outside [0, n_items). */
+ * from indptr[item] to ends[item]) and a row of h, run under the bound
+ * loss.  Returns -1, having applied nothing, if the id is outside
+ * [0, n_items). */
 static int64_t process_token(const nomad_bound *b, int64_t item) {
     if (item < 0 || item >= b->n_items)
         return -1;
     int64_t lo = b->indptr[item];
     return column(b->w, b->h + item * b->k, b->users + lo, b->ratings + lo,
-                  b->counts + lo, b->indptr[item + 1] - lo, b->k, b->alpha,
+                  b->counts + lo, b->ends[item] - lo, b->k, b->alpha,
                   b->beta, b->lambda_, b->loss_id, b->loss_param);
 }
 
@@ -174,8 +175,8 @@ static int64_t process_token_pair(const nomad_bound *b, int64_t item_a,
                                   int64_t item_b) {
     const int64_t k = b->k;
     const double alpha = b->alpha, beta = b->beta, lambda_ = b->lambda_;
-    int64_t pa = b->indptr[item_a], end_a = b->indptr[item_a + 1];
-    int64_t pb = b->indptr[item_b], end_b = b->indptr[item_b + 1];
+    int64_t pa = b->indptr[item_a], end_a = b->ends[item_a];
+    int64_t pb = b->indptr[item_b], end_b = b->ends[item_b];
     const int64_t applied = (end_a - pa) + (end_b - pb);
     const int64_t *users = b->users;
     const double *ratings = b->ratings;

@@ -13,13 +13,15 @@
 #include <stdint.h>
 
 /* A worker's factors and CSC shard, bound once (the module's
- * TokenKernel owns it).  ascending is nonzero when users rise strictly
- * inside every column: what process_tokens needs to pair columns.
- * loss_id and loss_param name the loss every column runs under (see
- * loss_gradient in nomad_kernels.c). */
+ * TokenKernel owns it).  Column j is users[indptr[j]:ends[j]]; for a
+ * plain CSC ends is indptr + 1, so it reads the memory indptr[j + 1]
+ * names.  ascending is nonzero when users rise strictly inside every
+ * column: what process_tokens needs to pair columns.  loss_id and
+ * loss_param name the loss every column runs under (see loss_gradient
+ * in nomad_kernels.c). */
 typedef struct {
     double *w, *h;
-    const int64_t *indptr, *users;
+    const int64_t *indptr, *ends, *users;
     const double *ratings;
     int64_t *counts;
     int64_t n_items, k, ascending, loss_id;

@@ -7,7 +7,7 @@
  * and exposes it as `kernels`, a Kernels object:
  *
  *   kernels.bind(w, h, indptr, users, ratings, counts, loss_id,
- *                alpha, beta, lambda_, loss_param) -> TokenKernel
+ *                alpha, beta, lambda_, loss_param[, ends]) -> TokenKernel
  *   kernels.process_column(w, h_col, users, ratings, counts,
  *                          alpha, beta, lambda_) -> int
  *   kernels.process_entries(w, h, rows, cols, ratings, counts, order,
@@ -102,7 +102,7 @@ static void release_all(Py_buffer *views, int n) {
 /* TokenKernel                                                         */
 /* ------------------------------------------------------------------ */
 
-enum { N_BOUND = 6 }; /* w, h, indptr, users, ratings, counts */
+enum { N_BOUND = 7 }; /* w, h, indptr, users, ratings, counts, ends */
 
 typedef struct {
     PyObject_HEAD
@@ -191,13 +191,25 @@ typedef struct {
     const nomad_variant *variant;
 } KernelsObject;
 
-/* Whether users rise strictly inside every column: what process_tokens
- * needs to pair columns (true of Shard.csc(), not of a ColumnStore in
- * arrival order).  Observed here, never assumed. */
-static int ascending(const int64_t *indptr, Py_ssize_t n_items,
-                     const int64_t *users) {
+/* Whether every column's users lie in [0, n_rows). */
+static int columns_in_range(const int64_t *indptr, const int64_t *ends,
+                            Py_ssize_t n_items, const int64_t *users,
+                            int64_t n_rows) {
     for (Py_ssize_t j = 0; j < n_items; j++)
-        for (int64_t i = indptr[j] + 1; i < indptr[j + 1]; i++)
+        if (!in_range(users + indptr[j], ends[j] - indptr[j], n_rows))
+            return 0;
+    return 1;
+}
+
+/* Whether users rise strictly inside every column: what process_tokens
+ * needs to pair columns (true of Shard.csc(), not of a ColumnStore
+ * once an arrival lands at or below its column's last user).  Observed
+ * here, never assumed: a caller that writes a column after binding
+ * must bind again if the write could break the ascent. */
+static int ascending(const int64_t *indptr, const int64_t *ends,
+                     Py_ssize_t n_items, const int64_t *users) {
+    for (Py_ssize_t j = 0; j < n_items; j++)
+        for (int64_t i = indptr[j] + 1; i < ends[j]; i++)
             if (users[i] <= users[i - 1])
                 return 0;
     return 1;
@@ -205,22 +217,27 @@ static int ascending(const int64_t *indptr, Py_ssize_t n_items,
 
 static PyObject *kernels_bind(KernelsObject *self, PyObject *args) {
     PyObject *arrays[N_BOUND];
+    arrays[N_BOUND - 1] = Py_None;
     long long loss_id;
     double alpha, beta, lambda_, loss_param;
-    if (!PyArg_ParseTuple(args, "OOOOOOLdddd:bind", &arrays[0], &arrays[1],
+    if (!PyArg_ParseTuple(args, "OOOOOOLdddd|O:bind", &arrays[0], &arrays[1],
                           &arrays[2], &arrays[3], &arrays[4], &arrays[5],
-                          &loss_id, &alpha, &beta, &lambda_, &loss_param))
+                          &loss_id, &alpha, &beta, &lambda_, &loss_param,
+                          &arrays[N_BOUND - 1]))
         return NULL;
-    static const char kinds[N_BOUND] = {'f', 'f', 'i', 'i', 'f', 'i'};
-    static const int writable[N_BOUND] = {1, 1, 0, 0, 0, 1};
-    static const char *names[N_BOUND] = {"w", "h", "indptr",
-                                         "users", "ratings", "counts"};
+    static const char kinds[N_BOUND] = {'f', 'f', 'i', 'i', 'f', 'i', 'i'};
+    static const int writable[N_BOUND] = {1, 1, 0, 0, 0, 1, 0};
+    static const char *names[N_BOUND] = {"w", "h", "indptr", "users",
+                                         "ratings", "counts", "ends"};
+    /* Without ends the shard is a plain CSC and ends is indptr + 1. */
+    const int with_ends = arrays[N_BOUND - 1] != Py_None;
+    const int n_arrays = with_ends ? N_BOUND : N_BOUND - 1;
     TokenKernelObject *kernel = PyObject_New(TokenKernelObject,
                                              &TokenKernelType);
     if (kernel == NULL)
         return NULL;
     Py_buffer *v = kernel->views;
-    for (kernel->n_views = 0; kernel->n_views < N_BOUND; kernel->n_views++) {
+    for (kernel->n_views = 0; kernel->n_views < n_arrays; kernel->n_views++) {
         int i = kernel->n_views;
         if (get_array(arrays[i], &v[i], kinds[i], writable[i], names[i]) < 0)
             goto fail;
@@ -230,12 +247,21 @@ static PyObject *kernels_bind(KernelsObject *self, PyObject *args) {
         goto fail;
     Py_ssize_t n_items = v[1].shape[0], nnz = length(&v[3]);
     const int64_t *indptr = v[2].buf;
+    const int64_t *ends = with_ends ? v[N_BOUND - 1].buf : indptr + 1;
     int csc = v[1].shape[1] == k && length(&v[2]) == n_items + 1 &&
-              length(&v[4]) == nnz && length(&v[5]) == nnz &&
-              indptr[0] == 0 && indptr[n_items] == nnz;
-    for (Py_ssize_t j = 0; csc && j < n_items; j++)
-        csc = indptr[j] <= indptr[j + 1];
-    if (!csc || !in_range(v[3].buf, nnz, v[0].shape[0])) {
+              length(&v[4]) == nnz && length(&v[5]) == nnz;
+    if (with_ends) {
+        /* Columns with slack: each span lies inside the arrays. */
+        csc = csc && length(&v[N_BOUND - 1]) == n_items;
+        for (Py_ssize_t j = 0; csc && j < n_items; j++)
+            csc = 0 <= indptr[j] && indptr[j] <= ends[j] && ends[j] <= nnz;
+    } else {
+        csc = csc && indptr[0] == 0 && indptr[n_items] == nnz;
+        for (Py_ssize_t j = 0; csc && j < n_items; j++)
+            csc = indptr[j] <= indptr[j + 1];
+    }
+    if (!csc || !columns_in_range(indptr, ends, n_items, v[3].buf,
+                                  v[0].shape[0])) {
         PyErr_SetString(PyExc_ValueError,
                         "bind_tokens: shard arrays do not describe a CSC "
                         "over w/h");
@@ -243,8 +269,8 @@ static PyObject *kernels_bind(KernelsObject *self, PyObject *args) {
     }
     kernel->variant = self->variant;
     kernel->bound = (nomad_bound){
-        v[0].buf, v[1].buf, indptr, v[3].buf, v[4].buf, v[5].buf,
-        n_items, k, ascending(indptr, n_items, v[3].buf), loss_id,
+        v[0].buf, v[1].buf, indptr, ends, v[3].buf, v[4].buf, v[5].buf,
+        n_items, k, ascending(indptr, ends, n_items, v[3].buf), loss_id,
         alpha, beta, lambda_, loss_param,
     };
     return (PyObject *)kernel;
@@ -350,7 +376,8 @@ fail:
 static PyMethodDef kernels_methods[] = {
     {"bind", (PyCFunction)kernels_bind, METH_VARARGS,
      "bind(w, h, indptr, users, ratings, counts, loss_id, alpha, beta, "
-     "lambda_, loss_param) -> TokenKernel"},
+     "lambda_, loss_param[, ends]) -> TokenKernel: column j is "
+     "users[indptr[j]:ends[j]], ends defaulting to indptr[1:]"},
     {"process_column", (PyCFunction)kernels_process_column, METH_VARARGS,
      "process_column(w, h_col, users, ratings, counts, alpha, beta, "
      "lambda_) -> updates (square loss)"},

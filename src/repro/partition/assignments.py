@@ -143,14 +143,6 @@ class OwnershipLedger:
         self._owners()[items] = destinations
         self._transfers += int(items.size)
 
-    def owned_items(self, worker: int) -> np.ndarray:
-        """All items currently owned by ``worker``."""
-        return np.flatnonzero(self._owners() == worker)
-
-    def items_in_flight(self) -> np.ndarray:
-        """All items currently serialized inside messages."""
-        return np.flatnonzero(self._owners() == _IN_FLIGHT)
-
     def assert_conserved(self) -> None:
         """Check token conservation: every item is owned or in flight.
 

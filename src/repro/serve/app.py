@@ -488,19 +488,28 @@ class RecommendationService:
                         f"than {MAX_BATCH} past the {self._n_users} users "
                         f"and {self._n_items} items held"
                     )
-            for rating in request.ratings:
-                user, item = rating.user, rating.item
-                if self._rated.contains(user, item):
+            # One duplicate check for the batch; a repeat inside it
+            # counts as a duplicate of its first occurrence.
+            rated = self._rated.contains(
+                [rating.user for rating in request.ratings],
+                [rating.item for rating in request.ratings],
+            )
+            pushed: list[tuple[int, int]] = []
+            for rating, duplicate in zip(request.ratings, rated.tolist()):
+                if duplicate:
                     duplicates += 1
                     continue
+                user, item = rating.user, rating.item
                 try:
                     self.stream.push(user, item, rating.value)
                 except DataError:  # closed between the check and the push
                     break
-                self._rated.add(user, item)
+                pushed.append((user, item))
                 self._n_users = max(self._n_users, user + 1)
                 self._n_items = max(self._n_items, item + 1)
                 accepted += 1
+            if pushed:
+                self._rated.add(*zip(*pushed))
             self._ingest_accepted += accepted
             self._ingest_duplicates += duplicates
         return 202, IngestResponse(

@@ -30,6 +30,8 @@ import os
 import re
 import threading
 
+import numpy as np
+
 from ..errors import DataError
 from ..model import CompletionModel
 from ..stream.snapshots import ModelSnapshot, PrequentialTrace, SnapshotStore
@@ -242,31 +244,45 @@ class DurablePrequentialTrace(PrequentialTrace):
         exists = os.path.exists(self.path)
         if exists:
             loaded = self.load(root)
-            self.records.extend(loaded.records)
+            super().score(
+                loaded.times, loaded.arrivals, loaded.predicted, loaded.actual
+            )
             self.cold = loaded.cold
         self._handle = open(self.path, "a", encoding="utf-8")
         if not exists:
-            self._write_line({"persist_version": PERSIST_VERSION})
+            self._write([{"persist_version": PERSIST_VERSION}])
 
-    def _write_line(self, payload: dict) -> None:
+    def _write(self, payloads: list[dict]) -> None:
+        """Append one line per payload with one write and one flush."""
+        text = "".join(
+            json.dumps(payload, sort_keys=True) + "\n" for payload in payloads
+        )
         with self._lock:
-            self._handle.write(json.dumps(payload, sort_keys=True) + "\n")
+            self._handle.write(text)
             self._handle.flush()
 
-    def score(self, time, arrival, predicted, actual):
-        super().score(time, arrival, predicted, actual)
-        self._write_line(
-            {
-                "time": float(time),
-                "arrival": int(arrival),
-                "predicted": float(predicted),
-                "actual": float(actual),
-            }
+    def score(self, times, arrivals, predicted, actual, cold=None):
+        """Score the block like the in-memory trace, then append its
+        lines — a ``{"cold": 1}`` marker in place of each cold arrival."""
+        super().score(times, arrivals, predicted, actual, cold)
+        columns = [
+            np.array(column, dtype=dtype, ndmin=1).tolist()
+            for column, dtype in (
+                (times, np.float64), (arrivals, np.int64),
+                (predicted, np.float64), (actual, np.float64),
+            )
+        ]
+        marks = (
+            [False] * len(columns[0]) if cold is None
+            else np.array(cold, dtype=bool, ndmin=1).tolist()
         )
-
-    def mark_cold(self):
-        super().mark_cold()
-        self._write_line({"cold": 1})
+        self._write([
+            {"cold": 1} if mark else {
+                "time": time, "arrival": arrival,
+                "predicted": value, "actual": truth,
+            }
+            for mark, time, arrival, value, truth in zip(marks, *columns)
+        ])
 
     def close(self) -> None:
         """Flush and close the backing file (idempotent)."""
@@ -281,6 +297,7 @@ class DurablePrequentialTrace(PrequentialTrace):
         a malformed line."""
         path = os.path.join(root, _PREQUENTIAL_FILE)
         trace = PrequentialTrace()
+        rows: list[tuple[float, int, float, float]] = []
         try:
             handle = open(path, "r", encoding="utf-8")
         except FileNotFoundError:
@@ -308,10 +325,10 @@ class DurablePrequentialTrace(PrequentialTrace):
                 if payload.get("cold"):
                     trace.cold += 1
                     continue
-                trace.score(
-                    payload["time"],
-                    payload["arrival"],
-                    payload["predicted"],
-                    payload["actual"],
-                )
+                rows.append((
+                    payload["time"], payload["arrival"],
+                    payload["predicted"], payload["actual"],
+                ))
+        if rows:
+            trace.score(*zip(*rows))
         return trace

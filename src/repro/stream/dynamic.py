@@ -21,17 +21,21 @@ that execution model made concrete:
   rating receives exactly one equation-(11) SGD update per sweep, through
   the same kernel-backend layer every other engine uses.
 
-Each worker's ratings live in one growable CSC
-(:class:`~repro.stream.colstore.ColumnStore`, seeded from
-:meth:`Shard.csc <repro.datasets.ratings.Shard.csc>`): ingest parks an
-arrival in the store's pending list, and the next sweep folds the list
-in before it runs.  A sweep round is then one
-``kernel.process_tokens(items)`` per worker on a kernel bound once by
-:meth:`KernelBackend.bind_tokens
-<repro.linalg.backends.base.KernelBackend.bind_tokens>` — no per-column
-Python.  A kernel is rebound (and its arrays re-validated) only when a
-flush replaced its store's arrays or a first-seen user or item moved the
-factor matrices or their live row counts.
+Arrivals come in blocks (:meth:`DynamicNomad.ingest`; one arrival is
+a block of one): a block is validated whole, grows the entities it
+introduces in arrival order, and is handed to the owning workers'
+column stores as arrays.  Each worker's ratings live in one growable
+CSC with per-column slack (:class:`~repro.stream.colstore.ColumnStore`,
+seeded from :meth:`Shard.csc <repro.datasets.ratings.Shard.csc>`), and
+the next sweep writes the block's ratings into that slack in place.  A
+sweep round is then one ``kernel.process_tokens(items)`` per worker on a
+kernel bound by :meth:`KernelBackend.bind_tokens
+<repro.linalg.backends.base.KernelBackend.bind_tokens>` over the store's
+columns and their ``ends`` — no per-column Python.  The kernel reads the
+arrivals where they were written; it is rebound (and its arrays
+re-validated) only when the store's flush says so (its buffers grew,
+items were added, or a column's users stopped ascending) or a
+first-seen user reallocated ``W``.
 
 The execution is in-process and deterministic given the seed: within a
 round the workers run one after another, which is update for update the
@@ -44,7 +48,6 @@ from.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import deque
 
 import numpy as np
@@ -68,7 +71,6 @@ from ..telemetry import (
     clock,
 )
 from .colstore import ColumnStore
-from .sources import RatingEvent
 
 __all__ = ["DynamicNomad", "RatedCells"]
 
@@ -86,37 +88,61 @@ class RatedCells:
     """The cells already rated: a base matrix's, plus every one added.
 
     The one duplicate check of a stream: :meth:`DynamicNomad.ingest`
-    refuses an arrival it holds, and the service's ingest edge counts one
-    as a duplicate.  A base lookup is one bisect over the user's sorted
-    items in the base CSR, behind memoryviews: indexing one yields a
-    plain int, so there is no per-lookup numpy call and no per-rating
-    Python object.  Only cells added since construction go in a set.
+    refuses a block holding one, and the service's ingest edge counts
+    one as a duplicate.  Both ask about a block at once.  A base lookup
+    is one ``searchsorted`` over the base cells' sorted integer keys;
+    only cells added since construction go in a set.
     """
 
     def __init__(self, base: RatingMatrix):
         indptr, items, _ = base.csr()
-        self._base_users = base.n_rows
-        self._base_indptr = memoryview(np.ascontiguousarray(indptr))
-        self._base_items = memoryview(np.ascontiguousarray(items))
+        self._shape = (base.n_rows, base.n_cols)
+        rows = np.repeat(np.arange(base.n_rows), np.diff(indptr))
+        # Keys user * (n_cols + 1) + item, sorted, with a sentinel above
+        # every key so a search never runs off the end.  A cell outside
+        # the base shape is looked up clipped to row n_rows or column
+        # n_cols, which no base key has.
+        self._base_keys = np.append(
+            rows * (base.n_cols + 1) + items, np.iinfo(np.int64).max
+        )
         self._added: set[tuple[int, int]] = set()
 
     def __len__(self) -> int:
         """Cells added since construction."""
         return len(self._added)
 
-    def contains(self, user: int, item: int) -> bool:
-        """Whether ``(user, item)`` is rated (in the base or added)."""
-        if (user, item) in self._added:
-            return True
-        if user >= self._base_users:
-            return False
-        items, hi = self._base_items, self._base_indptr[user + 1]
-        pos = bisect_left(items, item, self._base_indptr[user], hi)
-        return pos < hi and items[pos] == item
+    def contains(self, users, items) -> np.ndarray:
+        """Whether each ``(users[t], items[t])`` is rated — in the base,
+        added, or earlier in the same block — as a bool array.  Ids are
+        non-negative."""
+        users, items = _ids(users), _ids(items)
+        n_rows, n_cols = self._shape
+        keys = np.minimum(users, n_rows) * (n_cols + 1)
+        keys += np.minimum(items, n_cols)
+        rated = self._base_keys[self._base_keys.searchsorted(keys)] == keys
+        cells = list(zip(users.tolist(), items.tolist()))
+        if self._added.isdisjoint(cells) and len(set(cells)) == len(cells):
+            return rated
+        added, seen = self._added, set()
+        for t, cell in enumerate(cells):
+            if cell in added or cell in seen:
+                rated[t] = True
+            seen.add(cell)
+        return rated
 
-    def add(self, user: int, item: int) -> None:
-        """Mark ``(user, item)`` rated."""
-        self._added.add((user, item))
+    def add(self, users, items) -> None:
+        """Mark every ``(users[t], items[t])`` rated."""
+        self._added.update(zip(_ids(users).tolist(), _ids(items).tolist()))
+
+
+def _ids(ids) -> np.ndarray:
+    """``ids`` as a flat ``int64`` array (a scalar is a block of one)."""
+    return np.asarray(ids, dtype=np.int64).reshape(-1)
+
+
+def _running_max(ids: np.ndarray, start: int) -> np.ndarray:
+    """``out[t]`` is the largest of ``start`` and ``ids[:t]``."""
+    return np.maximum.accumulate(np.concatenate([[start], ids[:-1]]))
 
 
 def _grown(array: np.ndarray, n_rows: int) -> np.ndarray:
@@ -135,10 +161,10 @@ class DynamicNomad:
     One :class:`~repro.stream.colstore.ColumnStore` per worker holds its
     ratings and their update counters — the one copy of each rating;
     :class:`RatedCells` answers whether a cell is rated.  :meth:`ingest`
-    only appends to the owning store's pending list; :meth:`sweep` first
-    folds pending arrivals in (a rating ingested now trains in the very
-    next sweep) and rebinds the token kernels that fold-in or growth
-    left stale.
+    takes a block of arrivals and hands each owner's share to its store;
+    :meth:`sweep` first has the stores write them into their columns (a
+    rating ingested now trains in the very next sweep) and rebinds only
+    the token kernels a store or a reallocated ``W`` asks for.
 
     Parameters
     ----------
@@ -222,15 +248,16 @@ class DynamicNomad:
         # One-time base partition; arrivals extend these structures only.
         p = self.n_workers
         partition = partition_rows_equal_ratings(base, p)
-        # A list, not an array: ingestion appends each new user's owner.
-        self._owner_of_user = partition_owner(partition, base.n_rows).tolist()
+        self._owner_of_user = partition_owner(partition, base.n_rows)
         shards = base.shard_by_rows(partition)
         self._stores = [ColumnStore(*shard.csc()) for shard in shards]
-        self._worker_load = [shard.nnz for shard in shards]
+        self._worker_load = np.array([shard.nnz for shard in shards])
         # One bound token kernel per worker, made by the first sweep and
-        # remade whenever a flush or a growth invalidates its pointers.
+        # remade when a flush asks for it or ``_w`` is reallocated (the
+        # kernels bind the whole capacity, so new rows inside it are
+        # seen without a rebind).
         self._kernels: list = [None] * p
-        self._stale = True
+        self._bound_w: np.ndarray | None = None
 
         self._queues: list[deque[int]] = [deque() for _ in range(p)]
         self._ledger = OwnershipLedger(base.n_cols, p)
@@ -304,46 +331,102 @@ class DynamicNomad:
     def triplets(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Every rating held, as one ``(users, items, ratings)`` COO triple
         per worker (:meth:`ColumnStore.triplets
-        <repro.stream.colstore.ColumnStore.triplets>`: pending arrivals
-        included, nothing folded in)."""
+        <repro.stream.colstore.ColumnStore.triplets>`: arrivals not yet
+        written into their columns included, last)."""
         return [store.triplets() for store in self._stores]
 
     # ------------------------------------------------------------------
     # Ingestion (the §4 fold-in path)
     # ------------------------------------------------------------------
-    def ingest(self, event: RatingEvent) -> None:
-        """Fold one arrival in: grow entities on first sight, route the
-        rating to the owning worker's column store.
+    def ingest(self, users, items, values) -> None:
+        """Fold a block of arrivals in, in order: grow entities on first
+        sight, route each rating to its owner's column store.
 
-        No re-partitioning ever happens: a new user is pinned to the
-        currently least-loaded worker; a new item mints a fresh token
-        placed on a seeded random queue.  The rating participates in the
+        The block is validated whole before anything grows: a negative
+        index, a non-finite value or a cell already rated (in the base,
+        by an earlier arrival, or earlier in this block) refuses it with
+        a :class:`~repro.errors.DataError` naming the first offender,
+        and leaves the trainer exactly as it was.  No re-partitioning
+        ever happens: first-seen users and items grow in arrival order,
+        a new user pinned to the worker least loaded at its arrival
+        (counting the block's earlier arrivals), a new item minting a
+        token on a seeded random queue.  The ratings train from the
         very next :meth:`sweep`.
         """
-        user, item, value = event.user, event.item, event.value
-        # Validate everything BEFORE growing: a rejected arrival must
-        # leave the trainer exactly as it was (no phantom users/tokens).
-        if user < 0 or item < 0:
-            raise DataError(f"arrival index out of range: ({user}, {item})")
-        if not math.isfinite(value):
-            raise DataError(f"arrival rating must be finite, got {value}")
-        if self._rated.contains(user, item):
-            raise DataError(
-                f"duplicate arrival for already-rated cell ({user}, {item})"
-            )
+        users, items = _ids(users), _ids(items)
+        values = np.asarray(values, dtype=np.float64).reshape(-1)
+        if not users.size:
+            return
+        # (users | items) < 0 where either id is negative.
+        if (np.count_nonzero((users | items) < 0)
+                or np.count_nonzero(np.isfinite(values)) < values.size
+                or np.count_nonzero(self._rated.contains(users, items))):
+            self._refuse(users, items, values)
         rec = self.recorder
         if rec is not None:
             ingest_start = clock()
-        if user >= self._n_users:
-            self._grow_users(user + 1)
-        if item >= self._n_items:
-            self._grow_items(item + 1)
-        self._rated.add(user, item)
-        owner = self._owner_of_user[user]
-        self._stores[owner].append(item, user, value)
-        self._worker_load[owner] += 1
+        counted = 0
+        if users.max() >= self._n_users or items.max() >= self._n_items:
+            counted = self._grow(users, items)
+        self._rated.add(users, items)
+        # Each worker's share, in arrival order, as one slice.
+        owners = self._owner_of_user[users]
+        shares = np.bincount(owners, minlength=self.n_workers)
+        self._worker_load += (
+            shares if not counted
+            else np.bincount(owners[counted:], minlength=self.n_workers)
+        )
+        order = np.argsort(owners, kind="stable")
+        items, users, values = items[order], users[order], values[order]
+        end = 0
+        for store, share in zip(self._stores, shares.tolist()):
+            if share:
+                start, end = end, end + share
+                store.append(items[start:end], users[start:end],
+                             values[start:end])
         if rec is not None:
-            rec.span(SPAN_INGEST, ingest_start, clock() - ingest_start, 1)
+            rec.span(
+                SPAN_INGEST, ingest_start, clock() - ingest_start, users.size
+            )
+
+    def _refuse(self, users, items, values) -> None:
+        """Raise the :class:`~repro.errors.DataError` of a refused block's
+        first offender, checking arrival by arrival."""
+        seen: set[tuple[int, int]] = set()
+        for user, item, value in zip(
+            users.tolist(), items.tolist(), values.tolist()
+        ):
+            if user < 0 or item < 0:
+                raise DataError(f"arrival index out of range: ({user}, {item})")
+            if not math.isfinite(value):
+                raise DataError(f"arrival rating must be finite, got {value}")
+            if (user, item) in seen or self._rated.contains(user, item)[0]:
+                raise DataError(
+                    f"duplicate arrival for already-rated cell ({user}, {item})"
+                )
+            seen.add((user, item))
+
+    def _grow(self, users: np.ndarray, items: np.ndarray) -> int:
+        """Grow every user and item the block sees first, in arrival
+        order.  Arrivals naming an id above every one seen before them
+        grow the model one after another, and the worker load up to each
+        is what the next new user's placement sees.  Returns how many
+        leading arrivals' load is counted; the caller counts the rest."""
+        counted = 0
+        for t in np.flatnonzero(
+            (users > _running_max(users, self._n_users - 1))
+            | (items > _running_max(items, self._n_items - 1))
+        ).tolist():
+            self._worker_load += np.bincount(
+                self._owner_of_user[users[counted:t]],
+                minlength=self.n_workers,
+            )
+            counted = t
+            if users[t] >= self._n_users:
+                self._grow_users(int(users[t]) + 1)
+            if items[t] >= self._n_items:
+                self._grow_items(int(items[t]) + 1)
+        return counted
 
     def _grow_users(self, n_users: int) -> None:
         bound = 1.0 / np.sqrt(self.hyper.k)
@@ -352,11 +435,13 @@ class DynamicNomad:
             self._w[user] = self._grow_rng.uniform(
                 0.0, bound, size=self.hyper.k
             )
-            owner = int(np.argmin(self._worker_load))
-            self._owner_of_user.append(owner)
-            self._new_users += 1
+        owner = int(np.argmin(self._worker_load))
+        self._owner_of_user = np.concatenate([
+            self._owner_of_user,
+            np.full(n_users - self._n_users, owner, dtype=np.int64),
+        ])
+        self._new_users += n_users - self._n_users
         self._n_users = n_users
-        self._stale = True
 
     def _grow_items(self, n_items: int) -> None:
         bound = 1.0 / np.sqrt(self.hyper.k)
@@ -376,19 +461,20 @@ class DynamicNomad:
     # Training
     # ------------------------------------------------------------------
     def _bound_kernels(self) -> list:
-        """Fold pending arrivals into every store and rebind the kernels
-        left stale: a flush that replaced the store's arrays (every
-        store's, when items grew — ``indptr`` extends) or a user growth,
-        which touches no store but moves ``_w`` and its live length."""
+        """Write pending arrivals into every store and rebind the kernels
+        a flush asks for (every store's, when items grew) — or all of
+        them, when a user growth reallocated ``_w``."""
         hyper = self.hyper
-        w, h = self._w[: self._n_users], self._h[: self._n_items]
+        w, h = self._w, self._h[: self._n_items]
+        moved = self._bound_w is not w
         for q, store in enumerate(self._stores):
-            if store.flush(self._n_items) or self._stale:
+            if store.flush(self._n_items) or moved:
+                indptr, users, ratings, counts, ends = store.kernel_arrays()
                 self._kernels[q] = self.backend.bind_tokens(
-                    w, h, store.indptr, store.users, store.ratings,
-                    store.counts, hyper.alpha, hyper.beta, hyper.lambda_,
+                    w, h, indptr, users, ratings, counts,
+                    hyper.alpha, hyper.beta, hyper.lambda_, ends=ends,
                 )
-        self._stale = False
+        self._bound_w = w
         return self._kernels
 
     def sweep(self) -> int:

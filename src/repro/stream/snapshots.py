@@ -17,7 +17,7 @@ never seen cannot be scored and are tallied separately as *cold*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -28,7 +28,6 @@ from ..model import CompletionModel
 
 __all__ = [
     "ModelSnapshot",
-    "PrequentialRecord",
     "PrequentialTrace",
     "SnapshotStore",
 ]
@@ -71,80 +70,102 @@ class ModelSnapshot:
         return factors.w.mean(axis=0), factors.h.mean(axis=0)
 
 
-@dataclass(frozen=True)
-class PrequentialRecord:
-    """One scored arrival: predicted before trained on."""
-
-    time: float
-    arrival: int
-    predicted: float
-    actual: float
-
-    @property
-    def error(self) -> float:
-        """Signed prediction error ``predicted - actual``."""
-        return self.predicted - self.actual
-
-
-@dataclass
 class PrequentialTrace:
     """Test-then-train error series over one stream.
 
+    Scored arrivals are kept block by block as four aligned columns in
+    stream order, read back as arrays: :attr:`times`, :attr:`arrivals`
+    (1-based arrival numbers), :attr:`predicted` and :attr:`actual`.
+
     Attributes
     ----------
-    records:
-        Scored arrivals in stream order.
     cold:
         Arrivals that could not be scored because the serving snapshot
         had never seen their user or item (they still train the model).
     """
 
-    records: list[PrequentialRecord] = field(default_factory=list)
-    cold: int = 0
+    _DTYPES = (np.float64, np.int64, np.float64, np.float64)
 
-    def score(self, time: float, arrival: int, predicted: float, actual: float) -> None:
-        """Append one scored arrival."""
-        self.records.append(
-            PrequentialRecord(time, int(arrival), float(predicted), float(actual))
-        )
+    def __init__(self) -> None:
+        self._blocks: list[list[np.ndarray]] = []
+        self._scored = 0
+        self.cold = 0
 
-    def mark_cold(self) -> None:
-        """Count one unscorable (new-user/new-item) arrival."""
-        self.cold += 1
+    def score(self, times, arrivals, predicted, actual, cold=None) -> None:
+        """Append a block of arrivals, in stream order (scalars are a
+        block of one).  ``cold`` marks the ones the serving snapshot
+        could not score: they are counted, and their ``predicted`` is
+        not read."""
+        block = [
+            np.array(column, dtype=dtype).reshape(-1)
+            for column, dtype in zip(
+                (times, arrivals, predicted, actual), self._DTYPES
+            )
+        ]
+        if cold is not None:
+            cold = np.asarray(cold, dtype=bool).reshape(-1)
+            n_cold = int(np.count_nonzero(cold))
+            if n_cold:
+                self.cold += n_cold
+                block = [column[~cold] for column in block]
+        self._blocks.append(block)
+        self._scored += block[0].size
+
+    def _column(self, index: int) -> np.ndarray:
+        if not self._blocks:
+            return np.empty(0, dtype=self._DTYPES[index])
+        return np.concatenate([block[index] for block in self._blocks])
+
+    @property
+    def times(self) -> np.ndarray:
+        """Stream time of each scored arrival."""
+        return self._column(0)
+
+    @property
+    def arrivals(self) -> np.ndarray:
+        """1-based arrival number of each scored arrival."""
+        return self._column(1)
+
+    @property
+    def predicted(self) -> np.ndarray:
+        """The serving snapshot's prediction of each scored arrival."""
+        return self._column(2)
+
+    @property
+    def actual(self) -> np.ndarray:
+        """The rating each scored arrival carried."""
+        return self._column(3)
 
     @property
     def scored(self) -> int:
         """Number of scored arrivals."""
-        return len(self.records)
+        return self._scored
+
+    def _errors(self, window: int | None = None) -> np.ndarray:
+        """Signed errors ``predicted - actual`` of the last ``window``
+        scored arrivals (all of them for ``None``)."""
+        if not self._scored:
+            raise DataError("prequential trace has no scored arrivals")
+        start = 0 if window is None else max(0, self._scored - window)
+        return self.predicted[start:] - self.actual[start:]
 
     def rmse(self) -> float:
         """RMSE over every scored arrival."""
-        if not self.records:
-            raise DataError("prequential trace has no scored arrivals")
-        errors = np.array([r.error for r in self.records])
+        errors = self._errors()
         return float(np.sqrt(np.mean(errors * errors)))
 
     def windowed_rmse(self, window: int) -> float:
         """RMSE over the last ``window`` scored arrivals (recency view)."""
         if window < 1:
             raise ConfigError(f"window must be >= 1, got {window}")
-        if not self.records:
-            raise DataError("prequential trace has no scored arrivals")
-        errors = np.array([r.error for r in self.records[-window:]])
+        errors = self._errors(window)
         return float(np.sqrt(np.mean(errors * errors)))
 
-    def series(self) -> tuple[list[float], list[float]]:
-        """(times, absolute errors) for plotting RMSE over the stream."""
-        return (
-            [r.time for r in self.records],
-            [abs(r.error) for r in self.records],
-        )
-
     def __len__(self) -> int:
-        return len(self.records)
+        return self.scored
 
     def __repr__(self) -> str:
-        if not self.records:
+        if not self._scored:
             return f"PrequentialTrace(empty, cold={self.cold})"
         return (
             f"PrequentialTrace(scored={self.scored}, cold={self.cold}, "

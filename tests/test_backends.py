@@ -439,6 +439,48 @@ def _shard_arrays(columns, ascending):
     )
 
 
+#: A slack layout for a shard of up to 6 columns: the free slots after
+#: each column, and the order the columns sit in the buffers.
+_LAYOUTS = st.one_of(
+    st.none(),
+    st.tuples(
+        st.lists(st.integers(0, 3), min_size=6, max_size=6),
+        st.permutations(range(6)),
+    ),
+)
+
+#: What a slack slot holds: a rating a kernel that read past ``ends``
+#: would train on, and a counter it would move.
+_SLACK_RATING, _SLACK_COUNT = 99.0, 5
+
+
+def _with_slack(indptr, users, ratings, counts, layout):
+    """The shard laid out as a ``ColumnStore`` keeps one: the columns in
+    ``layout``'s order, each followed by its free slots.  Returns the
+    arrays ``bind_tokens(..., ends=ends)`` takes, in that order with
+    ``ends`` last, and the buffer slot of every rating of the plain
+    layout."""
+    gaps, order = layout
+    n_items = indptr.size - 1
+    lengths = np.diff(indptr)
+    starts = np.empty(n_items + 1, dtype=np.int64)
+    top = 0
+    for j in (j for j in order if j < n_items):
+        starts[j] = top
+        top += lengths[j] + gaps[j]
+    starts[n_items] = top
+    slots = np.concatenate(
+        [np.arange(starts[j], starts[j] + lengths[j]) for j in range(n_items)]
+    ).astype(np.int64)
+    slack_users = np.zeros(top, dtype=np.int64)
+    slack_ratings = np.full(top, _SLACK_RATING)
+    slack_counts = np.full(top, _SLACK_COUNT, dtype=np.int64)
+    slack_users[slots], slack_ratings[slots] = users, ratings
+    slack_counts[slots] = counts
+    ends = starts[:-1] + lengths
+    return (starts, slack_users, slack_ratings, slack_counts, ends), slots
+
+
 def _bit_fixture(n_items: int):
     rng = np.random.default_rng(11)
     return rng.random((_N_USERS, _K)), rng.random((n_items, _K))
@@ -476,15 +518,19 @@ class TestBitForBit:
         shard=_SHARDS,
         burst=st.lists(st.integers(0, 10**6), max_size=9),
         loss=_LOSSES,
+        layout=_LAYOUTS,
     )
     def test_process_tokens_equals_looped_reference(
-        self, name, shard, burst, loss
+        self, name, shard, burst, loss, layout
     ):
         """Any CSC with in-range users, any burst (repeats, adjacent
         repeats, odd length, length 0 / 1), counters mixed inside a
-        column, any loss.  Fails on a ``cext`` that pairs columns
-        without checking that they ascend, or under a loss other than
-        the square loss."""
+        column, any loss, and the same columns laid out with slack
+        (``ends=``: columns out of order, free slots a kernel must
+        neither read nor write).  Fails on a ``cext`` that pairs
+        columns without checking that they ascend, or under a loss
+        other than the square loss, or that reads a column past its
+        end."""
         indptr, users, ratings, counts = _shard_arrays(*shard)
         n_items = indptr.size - 1
         burst = [j % n_items for j in burst]
@@ -494,13 +540,28 @@ class TestBitForBit:
         expected = _looped_reference(
             w_l, h_l, indptr, users, ratings, counts_l, burst, loss
         )
-        kernel = get_backend(name).bind_tokens(
-            w, h, indptr, users, ratings, counts, ALPHA, BETA, LAMBDA, loss
-        )
+        bind = get_backend(name).bind_tokens
+        if layout is None:
+            kernel = bind(
+                w, h, indptr, users, ratings, counts, ALPHA, BETA, LAMBDA,
+                loss,
+            )
+            bound_counts, slots = counts, np.arange(counts.size)
+        else:
+            (*arrays, ends), slots = _with_slack(
+                indptr, users, ratings, counts, layout
+            )
+            kernel = bind(
+                w, h, *arrays[:4], ALPHA, BETA, LAMBDA, loss, ends=ends
+            )
+            bound_counts = arrays[3]
         assert kernel.process_tokens(np.array(burst, dtype=np.int64)) == expected
         assert np.array_equal(np.asarray(w_l), w)
         assert np.array_equal(np.asarray(h_l), h)
-        assert counts_l == counts.tolist()
+        assert counts_l == bound_counts[slots].tolist()
+        slack = np.ones(bound_counts.size, dtype=bool)
+        slack[slots] = False
+        assert np.all(bound_counts[slack] == _SLACK_COUNT)
 
     @needs_cext
     @settings(max_examples=150, deadline=None)

@@ -295,6 +295,31 @@ def _shard(rng, n_users: int, n_items: int, ascending: bool):
     return indptr, users, ratings, counts
 
 
+def _with_slack(rng, indptr, users, ratings, counts):
+    """The shard with its columns shuffled in the buffers and free slots
+    after each (holding values a kernel must not touch), and the ``ends``
+    that bind it."""
+    n_items = indptr.size - 1
+    lengths = np.diff(indptr)
+    room = lengths + rng.integers(0, 4, size=n_items)
+    starts = np.empty(n_items + 1, dtype=np.int64)
+    top = 0
+    for j in rng.permutation(n_items):
+        starts[j] = top
+        top += room[j]
+    starts[n_items] = top
+    slack = (
+        rng.integers(0, int(users.max()) + 1, size=top).astype(np.int64),
+        1.0 + 4.0 * rng.random(top),
+        rng.integers(0, 12, size=top).astype(np.int64),
+    )
+    for j in range(n_items):
+        lo, hi = indptr[j], indptr[j + 1]
+        for buffer, column in zip(slack, (users, ratings, counts)):
+            buffer[starts[j]: starts[j] + hi - lo] = column[lo:hi]
+    return (starts, *slack, starts[:-1] + lengths)
+
+
 @needs_both_variants
 class TestVariantsAgree:
     """The plain and the AVX2 build of ``nomad_kernels.c`` run the same
@@ -308,28 +333,34 @@ class TestVariantsAgree:
     def test_token_kernels(self, k, loss_id, loss_param, ascending):
         rng = np.random.default_rng(1000 * k + 10 * loss_id + ascending)
         n_users, n_items = 60, 25
-        indptr, users, ratings, counts = _shard(rng, n_users, n_items, ascending)
+        shard = _shard(rng, n_users, n_items, ascending)
         w0 = 0.5 * rng.random((n_users, k))
         h0 = 0.5 * rng.random((n_items, k))
         burst = rng.integers(0, n_items, size=80).astype(np.int64)
         burst[10:13] = burst[9]  # adjacent repeats run alone
         singles = rng.integers(0, n_items, size=20).tolist()
-        sides = []
-        for variant in _runnable_variants().values():
-            w, h, c = w0.copy(), h0.copy(), counts.copy()
-            kernel = variant.bind(
-                w, h, indptr, users, ratings, c, loss_id, *STEP, loss_param
-            )
-            assert kernel.ascending == ascending
-            applied = [kernel.process_tokens(burst)]
-            applied += [kernel.process_token(j) for j in singles]
-            sides.append((applied, w, h, c))
-        (a_applied, *a), (b_applied, *b) = sides
-        assert a_applied == b_applied
-        assert a_applied[0] == sum(np.diff(indptr)[burst])
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
-        assert not np.array_equal(a[0], w0)
+        # The shard as a plain CSC, then laid out with slack (``ends=``).
+        for indptr, users, ratings, counts, ends in (
+            (*shard, None), _with_slack(rng, *shard),
+        ):
+            sides = []
+            for variant in _runnable_variants().values():
+                w, h, c = w0.copy(), h0.copy(), counts.copy()
+                kernel = variant.bind(
+                    w, h, indptr, users, ratings, c, loss_id, *STEP,
+                    loss_param, ends,
+                )
+                assert kernel.ascending == ascending
+                applied = [kernel.process_tokens(burst)]
+                applied += [kernel.process_token(j) for j in singles]
+                sides.append((applied, w, h, c))
+            (a_applied, *a), (b_applied, *b) = sides
+            assert a_applied == b_applied
+            lengths = np.diff(shard[0])
+            assert a_applied[0] == sum(lengths[burst])
+            for x, y in zip(a, b):
+                assert np.array_equal(x, y)
+            assert not np.array_equal(a[0], w0)
 
     @pytest.mark.parametrize("k", [3, 8, 32, 37])
     @pytest.mark.parametrize("scheduled", [True, False], ids=["eq11", "const"])

@@ -238,11 +238,8 @@ class TestMechanics:
         sim, trace = run_nomad(train, test, run=run)
         assert sim.total_updates == trace.records[-1].updates
         assert objective.test_rmse(sim.factors, test) == trace.final_rmse()
-        owned = sum(
-            sim._ledger.owned_items(q).size
-            for q in range(sim.cluster.n_workers)
-        )
-        assert owned + sim._ledger.items_in_flight().size == train.n_cols
+        assert sim._ledger.n_items == train.n_cols
+        sim._ledger.assert_conserved()
 
     def test_factors_shapes(self, tiny_split):
         train, test = tiny_split
@@ -257,12 +254,10 @@ class TestMechanics:
         train, test = tiny_split
         sim, _ = run_nomad(train, test)
         queued = sum(sim.queue_sizes())
-        in_flight = sim._ledger.items_in_flight().size
+        sim._ledger.assert_conserved()
         owned = sum(
-            sim._ledger.owned_items(q).size
-            for q in range(sim.cluster.n_workers)
+            sim._ledger.owner_of(j) is not None for j in range(train.n_cols)
         )
-        assert owned + in_flight == train.n_cols
         assert queued <= owned
 
     def test_throughput_positive(self, tiny_split):

@@ -227,14 +227,6 @@ class TestOwnershipLedger:
         with pytest.raises(SimulationError, match="worker -1 out of range"):
             ledger.transfer_many([0], [0], [-1])
 
-    def test_owned_items(self):
-        ledger = OwnershipLedger(4, 2)
-        ledger.acquire(0, 0)
-        ledger.acquire(2, 0)
-        ledger.acquire(1, 1)
-        assert ledger.owned_items(0).tolist() == [0, 2]
-        assert ledger.items_in_flight().tolist() == [3]
-
     def test_worker_out_of_range(self):
         ledger = OwnershipLedger(2, 2)
         with pytest.raises(SimulationError):

@@ -109,20 +109,6 @@ class TestViews:
         assert matrix.col_counts().sum() == matrix.nnz
 
 
-class TestDenseRoundTrip:
-    def test_from_dense_to_dense(self):
-        dense = np.array([[0.0, 2.0], [3.0, 0.0]])
-        matrix = RatingMatrix.from_dense(dense)
-        assert matrix.shape == dense.shape
-        assert matrix.rows.tolist() == [0, 1]
-        assert matrix.cols.tolist() == [1, 0]
-        assert matrix.vals.tolist() == [2.0, 3.0]
-
-    def test_from_dense_rejects_1d(self):
-        with pytest.raises(DataError):
-            RatingMatrix.from_dense(np.array([1.0, 2.0]))
-
-
 class TestSelect:
     def test_select_subset(self):
         matrix = make_matrix()
@@ -235,7 +221,8 @@ class TestWithAppended:
         n_rows, n_cols = 12, 9
         dense = rng.random((n_rows, n_cols))
         dense[dense < 0.6] = 0.0
-        whole = RatingMatrix.from_dense(dense)
+        rows, cols = np.nonzero(dense)
+        whole = RatingMatrix(n_rows, n_cols, rows, cols, dense[rows, cols])
         keep = rng.random(whole.nnz) < 0.5
         keep[0] = True  # base must be non-empty
         base_rows = whole.rows[keep]

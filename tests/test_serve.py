@@ -474,7 +474,7 @@ class TestDurablePrequentialTrace:
         trace = DurablePrequentialTrace(str(tmp_path))
         trace.score(0.1, 1, 3.0, 3.5)
         trace.score(0.2, 2, 2.0, 2.5)
-        trace.mark_cold()
+        trace.score(0.3, 3, 0.0, 1.0, cold=True)
         trace.close()
         loaded = DurablePrequentialTrace.load(str(tmp_path))
         assert loaded.scored == 2

@@ -16,6 +16,7 @@ from repro.config import HyperParams, RunConfig
 from repro.datasets.ratings import RatingMatrix
 from repro.errors import ConfigError, DataError, DivergenceError
 from repro.linalg import cext_available
+from repro.linalg.backends import get_backend
 from repro.linalg.objective import test_rmse as rmse_of
 from repro.rng import RngFactory
 from repro.stream import (
@@ -163,6 +164,12 @@ class TestRatedCells:
         cells.add(user, free_item)
         assert cells.contains(user, free_item)
         assert len(cells) == 1
+        # A block: a repeat inside it is a duplicate of its first
+        # occurrence, which is not (until added).
+        fresh = tiny_matrix.n_cols + 1
+        assert cells.contains(
+            [user, user, 0, user], [fresh, item, fresh + 1, fresh]
+        ).tolist() == [False, True, False, True]
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), density=st.floats(0.0, 0.9))
@@ -227,17 +234,17 @@ class TestDynamicNomad:
         assert np.array_equal(a.factors.h, b.factors.h)
 
     def test_ingest_routes_to_owner_without_repartition(self, warm_dynamic):
-        owners_before = list(warm_dynamic._owner_of_user)
+        owners_before = warm_dynamic._owner_of_user.tolist()
         user = 0
         item = warm_dynamic.n_items  # new item
-        warm_dynamic.ingest(RatingEvent(0.0, user, item, 2.0))
+        warm_dynamic.ingest(user, item, 2.0)
         # Existing users keep their owner: no re-partitioning happened.
-        assert warm_dynamic._owner_of_user == owners_before
+        assert warm_dynamic._owner_of_user.tolist() == owners_before
         assert warm_dynamic.arrivals == 1
 
     def test_new_entities_grow_factors_and_tokens(self, warm_dynamic):
         users0, items0 = warm_dynamic.n_users, warm_dynamic.n_items
-        warm_dynamic.ingest(RatingEvent(0.0, users0 + 2, items0, 1.5))
+        warm_dynamic.ingest(users0 + 2, items0, 1.5)
         assert warm_dynamic.n_users == users0 + 3
         assert warm_dynamic.n_items == items0 + 1
         assert warm_dynamic.new_users == 3
@@ -252,7 +259,7 @@ class TestDynamicNomad:
         """A fold-in rating actually changes its new user's factor row."""
         user = warm_dynamic.n_users  # brand-new user
         item = 0
-        warm_dynamic.ingest(RatingEvent(0.0, user, item, 4.0))
+        warm_dynamic.ingest(user, item, 4.0)
         row_before = warm_dynamic.factors.w[user].copy()
         applied = warm_dynamic.sweep()
         assert applied == replay.warmup.nnz + 1
@@ -263,10 +270,10 @@ class TestDynamicNomad:
         and still-pending arrivals, each once."""
         events = list(replay.events())[:40]
         for event in events[:20]:
-            warm_dynamic.ingest(event)
+            warm_dynamic.ingest(event.user, event.item, event.value)
         warm_dynamic.sweep()
         for event in events[20:]:
-            warm_dynamic.ingest(event)
+            warm_dynamic.ingest(event.user, event.item, event.value)
         held = [
             cell
             for users, items, ratings in warm_dynamic.triplets()
@@ -298,11 +305,11 @@ class TestDynamicNomad:
         user = int(base.rows[0])
         item = int(base.cols[0])
         with pytest.raises(DataError, match="duplicate"):
-            warm_dynamic.ingest(RatingEvent(0.0, user, item, 9.9))
+            warm_dynamic.ingest(user, item, 9.9)
         free_item = base.n_cols  # brand-new column: surely unrated
-        warm_dynamic.ingest(RatingEvent(0.0, user, free_item, 1.0))
+        warm_dynamic.ingest(user, free_item, 1.0)
         with pytest.raises(DataError, match="duplicate"):
-            warm_dynamic.ingest(RatingEvent(0.1, user, free_item, 2.0))
+            warm_dynamic.ingest(user, free_item, 2.0)
         assert warm_dynamic.arrivals == 1
         assert warm_dynamic.n_items == free_item + 1
 
@@ -312,9 +319,7 @@ class TestDynamicNomad:
         users0, items0 = warm_dynamic.n_users, warm_dynamic.n_items
         queues0 = sum(warm_dynamic.queue_sizes())
         with pytest.raises(DataError, match="finite"):
-            warm_dynamic.ingest(
-                RatingEvent(0.0, users0 + 50, items0 + 50, float("nan"))
-            )
+            warm_dynamic.ingest(users0 + 50, items0 + 50, float("nan"))
         assert warm_dynamic.n_users == users0
         assert warm_dynamic.n_items == items0
         assert warm_dynamic.new_users == 0 and warm_dynamic.new_items == 0
@@ -322,6 +327,55 @@ class TestDynamicNomad:
         assert warm_dynamic.arrivals == 0
         assert warm_dynamic.factors.n_rows == users0
 
+
+    def test_a_refused_block_leaves_the_trainer_untouched(self, warm_dynamic):
+        """A block is validated whole: new users and items before the
+        offender do not grow, and the first offender's message is the
+        one raised — here a repeat inside the block."""
+        users0, items0 = warm_dynamic.n_users, warm_dynamic.n_items
+        queues0 = warm_dynamic.queue_sizes()
+        held0 = [store.nnz for store in warm_dynamic._stores]
+        users = [users0 + 3, 0, users0 + 3, -1]
+        items = [0, items0 + 2, 0, 0]
+        with pytest.raises(DataError, match=rf"duplicate.*\({users0 + 3}, 0\)"):
+            warm_dynamic.ingest(users, items, [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(DataError, match="out of range"):
+            warm_dynamic.ingest(users[:2] + [-1], items[:2] + [0], [1.0] * 3)
+        assert (warm_dynamic.n_users, warm_dynamic.n_items) == (users0, items0)
+        assert warm_dynamic.queue_sizes() == queues0
+        assert warm_dynamic.arrivals == 0
+        assert [store.nnz for store in warm_dynamic._stores] == held0
+
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    def test_blocks_ingest_what_their_arrivals_would_one_by_one(
+        self, replay, block
+    ):
+        """Growth in arrival order, each new user on the worker least
+        loaded at its arrival (the block's earlier arrivals counted), the
+        growth draws interleaved as one by one: after two sweeps the
+        factors, owners and loads are those of single-arrival blocks."""
+        events = list(replay.events())
+        runs = []
+        for size in (1, block):
+            dynamic = DynamicNomad(
+                replay.warmup, 3, HYPER, RunConfig(seed=5)
+            )
+            dynamic.sweep()
+            for start in range(0, len(events), size):
+                window = events[start:start + size]
+                dynamic.ingest(
+                    [e.user for e in window], [e.item for e in window],
+                    [e.value for e in window],
+                )
+            dynamic.train(2)
+            runs.append(dynamic)
+        one, blocked = runs
+        assert one.new_users > 1 and one.new_items > 1
+        assert np.array_equal(one.factors.w, blocked.factors.w)
+        assert np.array_equal(one.factors.h, blocked.factors.h)
+        assert np.array_equal(one._owner_of_user, blocked._owner_of_user)
+        assert np.array_equal(one._worker_load, blocked._worker_load)
+        assert one.queue_sizes() == blocked.queue_sizes()
 
 # ----------------------------------------------------------------------
 # ColumnStore (the per-worker growable CSC)
@@ -345,10 +399,16 @@ class TestColumnStore:
     def _check(store, model):
         """``model[j]`` is column j as a list of [user, rating, count]."""
         assert store.n_items == len(model)
-        assert store.indptr[0] == 0
-        assert np.all(np.diff(store.indptr) >= 0)
-        assert store.indptr[-1] == store.nnz == store.users.size
-        assert store.ratings.shape == store.counts.shape == store.users.shape
+        indptr, users, ratings, counts, ends = store.kernel_arrays()
+        assert indptr.size == ends.size + 1 == store.n_items + 1
+        assert ratings.shape == counts.shape == users.shape
+        starts = indptr[:-1]
+        assert np.all(starts <= ends) and np.all(ends <= indptr[-1])
+        assert indptr[-1] <= users.size
+        slots = np.concatenate(
+            [np.arange(lo, hi) for lo, hi in zip(starts, ends)] + [[]]
+        )
+        assert slots.size == np.unique(slots).size == store.nnz
         for j, column in enumerate(model):
             users, ratings, counts = store.column(j)
             assert users.tolist() == [entry[0] for entry in column]
@@ -390,17 +450,73 @@ class TestColumnStore:
                 for entry in model[item]:
                     entry[2] += 1
             else:
-                arrays = (store.indptr, store.users, store.counts)
-                dirty = bool(pending) or n_items > len(model)
-                assert store.flush(n_items) == dirty
-                if not dirty:  # nothing replaced: bound kernels stay valid
-                    assert arrays == (store.indptr, store.users, store.counts)
+                arrays = store.kernel_arrays()
+                ascends = self._ascends(model)
+                grown = n_items > len(model)
+                rebind = store.flush(n_items)
+                assert rebind or not grown
+                if not rebind:  # written in place: bound kernels stay valid
+                    assert all(
+                        a is b for a, b in zip(arrays, store.kernel_arrays())
+                    )
                 model.extend([] for _ in range(n_items - len(model)))
                 for item, entry in pending:
                     model[item].append(entry)
                 pending.clear()
                 self._check(store, model)
+                # A kernel observed the ascent at bind: a flush that
+                # breaks it must ask for a rebind.
+                assert rebind or self._ascends(model) == ascends
             assert store.nnz == sum(map(len, model)) + len(pending)
+
+    @staticmethod
+    def _ascends(model):
+        return all(
+            all(a[0] < b[0] for a, b in zip(column, column[1:]))
+            for column in model
+        )
+
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    def test_an_arrival_that_breaks_the_ascent_asks_for_a_rebind(
+        self, backend
+    ):
+        """Arrivals above a column's last user land in its slack and keep
+        a bound kernel valid; a column past its slack is copied (new
+        buffers: rebind); an arrival at or below a column's last user
+        makes the flush ask for a rebind, and the kernel bound then
+        reads ``ascending`` false."""
+        store = ColumnStore([0, 2, 3], [1, 4, 2], [1.0, 2.0, 3.0])
+        bind = get_backend(backend).bind_tokens
+        w, h = np.ones((20, 2)), np.ones((2, 2))
+
+        def bound():
+            indptr, users, ratings, counts, ends = store.kernel_arrays()
+            return bind(
+                w, h, indptr, users, ratings, counts, 0.1, 0.1, 0.1,
+                ends=ends,
+            )
+
+        kernel = bound()
+        arrays = store.kernel_arrays()
+        store.append([0, 0, 1], [6, 7, 3], [4.0, 5.0, 6.0])
+        assert not store.flush(2)
+        assert all(a is b for a, b in zip(arrays, store.kernel_arrays()))
+        assert store.column(0)[0].tolist() == [1, 4, 6, 7]
+        assert kernel.process_tokens(np.array([0, 1])) == 6
+        if backend == "cext":  # the native kernel's observed flag
+            assert kernel._bound.ascending
+        store.append([0] * 11, range(8, 19), [1.0] * 11)
+        assert store.flush(2)  # column 0 outgrew its slack
+        assert store.column(0)[0].tolist() == [1, 4, 6, 7, *range(8, 19)]
+        assert store.column(0)[2].tolist() == [1] * 4 + [0] * 11
+        if backend == "cext":
+            assert bound()._bound.ascending
+        store.append(1, 3, 8.0)  # a repeat of column 1's last user
+        assert store.flush(2)
+        assert store.column(1)[0].tolist() == [2, 3, 3]
+        assert store.column(1)[2].tolist() == [1, 1, 0]
+        if backend == "cext":
+            assert not bound()._bound.ascending
 
     def test_flush_cannot_shrink(self):
         store = ColumnStore([0, 1, 1], [3], [1.0])
@@ -413,12 +529,10 @@ class TestColumnStore:
         store = ColumnStore([0, 1, 1], [3], [1.0])
         store.append(1, 5, 2.0)
         store.append(6, 4, 2.5)
-        arrays = (store.indptr, store.users, store.ratings, store.counts)
+        arrays = store.kernel_arrays()
         with pytest.raises(ValueError, match="item 6"):
             store.flush(3)
-        assert arrays == (
-            store.indptr, store.users, store.ratings, store.counts
-        )
+        assert all(a is b for a, b in zip(arrays, store.kernel_arrays()))
         assert store.n_items == 2 and store.nnz == 3
         assert store.flush(7)
         assert store.column(1)[0].tolist() == [5]
@@ -434,14 +548,12 @@ class TestColumnStore:
         store = ColumnStore([0, 2, 3], [4, 1, 0], [1.0, 2.0, 3.0])
         store.append(3, 7, 4.0)
         store.append(0, 5, 5.0)
-        arrays = (store.indptr, store.users, store.ratings, store.counts)
+        arrays = store.kernel_arrays()
         users, items, ratings = store.triplets()
         assert users.tolist() == [4, 1, 0, 7, 5]
         assert items.tolist() == [0, 0, 1, 3, 0]
         assert ratings.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert all(a is b for a, b in zip(arrays, (
-            store.indptr, store.users, store.ratings, store.counts
-        )))
+        assert all(a is b for a, b in zip(arrays, store.kernel_arrays()))
         assert store.flush(4)
         users, items, ratings = store.triplets()
         assert users.tolist() == [4, 1, 5, 0, 7]
@@ -451,7 +563,7 @@ class TestColumnStore:
     def test_base_arrays_are_copied(self):
         indptr, users = np.array([0, 1]), np.array([2])
         store = ColumnStore(indptr, users, np.array([1.0]))
-        store.users[0] = 9
+        store.kernel_arrays()[1][0] = 9
         assert users[0] == 2 and store.counts.tolist() == [0]
 
 
@@ -537,7 +649,7 @@ class TestDynamicNomadAgainstReference:
     @staticmethod
     def _fold_in(dynamic, reference, events):
         for event in events:
-            dynamic.ingest(event)
+            dynamic.ingest(event.user, event.item, event.value)
         reference.grow(dynamic)
         for event in events:
             reference.add(dynamic, event.user, event.item, event.value)
@@ -659,9 +771,12 @@ class TestPrequentialTrace:
 
     def test_cold_counting(self):
         trace = PrequentialTrace()
-        trace.mark_cold()
-        trace.mark_cold()
+        trace.score([0.0, 1.0], [1, 2], [0.0, 0.0], [3.0, 4.0], [True, True])
         assert trace.cold == 2 and trace.scored == 0
+        trace.score([2.0, 3.0], [3, 4], [9.0, 2.5], [1.0, 2.0], [True, False])
+        assert trace.cold == 3 and trace.scored == 1
+        assert trace.predicted.tolist() == [2.5]
+        assert trace.arrivals.tolist() == [4]
 
     def test_empty_trace_raises(self):
         with pytest.raises(DataError):
@@ -828,6 +943,40 @@ class TestFitStream:
                 "77d5df21bdfa73e15a313a14b4baa06e"
                 "5619006e58a53bbcc702a85a01ab4cfe"
             ), backend
+
+    def test_durable_prequential_file_is_pinned(self, replay, tmp_path):
+        """The ``prequential.jsonl`` a durable trace writes over a stream
+        with cold arrivals: scored lines and ``{"cold": 1}`` markers in
+        arrival order, byte for byte, on both backends."""
+        from repro.serve import DurablePrequentialTrace
+
+        for backend in ["list"] + (["cext"] if cext_available() else []):
+            root = tmp_path / backend
+            trace = DurablePrequentialTrace(str(root))
+            result = self._run(
+                replay, run=RunConfig(seed=5, kernel_backend=backend),
+                n_workers=3, final_epochs=2, count_cap=3, prequential=trace,
+            )
+            trace.close()
+            assert result.prequential.cold > 0, backend
+            data = (root / "prequential.jsonl").read_bytes()
+            assert data.count(b'{"cold": 1}\n') == result.prequential.cold
+            assert hashlib.sha256(data).hexdigest() == (
+                "17597d223baf58573ba398461a54502e"
+                "fc33eb86472b46cb266da8a0375c1d9e"
+            ), backend
+
+    def test_final_epochs_zero_trains_the_last_arrivals(self, replay):
+        """With no convergence phase, a stream that ends off the
+        ``train_every`` cadence still trains its last arrivals before
+        the closing rotation: every rating held has been updated."""
+        result = self._run(replay, train_every=60, final_epochs=0)
+        assert result.arrivals % 60 != 0
+        dynamic = result.final.raw
+        counts = np.concatenate([store.counts for store in dynamic._stores])
+        assert counts.size == replay.warmup.nnz + result.arrivals
+        assert counts.min() > 0
+        assert result.snapshots.latest.arrivals_seen == result.arrivals
 
     def test_recommender_round_trip(self, replay):
         result = self._run(replay)
