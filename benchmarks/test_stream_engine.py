@@ -82,11 +82,9 @@ def test_stream_engine(bench_env):
         final_epochs=final_epochs,
         snapshot_every=max(100, stream.n_events // 8),
     )
-    events = list(stream.events())
+    (arrivals,) = stream.blocks()  # a replay hands out its tail whole
     combined = stream.warmup.with_appended(
-        [e.user for e in events],
-        [e.item for e in events],
-        [e.value for e in events],
+        arrivals.users, arrivals.items, arrivals.values
     )
     dynamic_rmse = rmse_of(result.final.factors, combined)
 

@@ -119,11 +119,11 @@ from .model import CompletionModel
 from .rng import RngFactory
 from .serve import CacheStats, RecommendationService, ServiceConfig
 from .stream import (
+    Arrivals,
     DriftStream,
     ModelSnapshot,
     PrequentialTrace,
     QueueStream,
-    RatingEvent,
     RatingStream,
     Recommender,
     ReplayStream,
@@ -157,7 +157,7 @@ __all__ = [
     "register_engine",
     "supported_pairs",
     # streaming subsystem
-    "RatingEvent",
+    "Arrivals",
     "RatingStream",
     "ReplayStream",
     "DriftStream",

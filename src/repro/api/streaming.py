@@ -12,7 +12,6 @@ are not registry entries, and :func:`repro.fit` has no streaming engine.
 from __future__ import annotations
 
 import time
-from itertools import islice
 
 import numpy as np
 
@@ -91,8 +90,10 @@ def fit_stream(
     stream:
         Any :class:`~repro.stream.sources.RatingStream`: a warm-up
         :class:`~repro.datasets.ratings.RatingMatrix` plus timestamped
-        arrivals (see :class:`~repro.stream.sources.ReplayStream` and
-        :class:`~repro.stream.sources.DriftStream`).
+        :class:`~repro.stream.sources.Arrivals` blocks (see
+        :class:`~repro.stream.sources.ReplayStream` and
+        :class:`~repro.stream.sources.DriftStream`).  Where a block is
+        cut does not change the result.
     test:
         Optional held-out ratings for the final result's per-rotation
         convergence trace; ``None`` evaluates rotations against the
@@ -154,7 +155,7 @@ def fit_stream(
     """
     if not isinstance(stream, RatingStream):
         raise ConfigError(
-            f"stream must provide warmup/n_events/events() (see "
+            f"stream must provide warmup/n_events/blocks() (see "
             f"repro.stream.RatingStream), got {type(stream).__name__}"
         )
     if test is not None and not isinstance(test, RatingMatrix):
@@ -255,50 +256,49 @@ def fit_stream(
     ingest_seconds = 0.0
     arrivals = 0
     last_time = 0.0
-    events = iter(stream.events())
-    while True:
-        # A window ends at the next train or snapshot point, so the
-        # served snapshot cannot change inside it.
-        window = list(islice(events, min(
-            train_every - arrivals % train_every,
-            snapshot_every - arrivals % snapshot_every,
-        )))
-        if not window:
-            break
-        # Fold-in and score are the hot path; both count toward
-        # ingest_seconds (and so the throughput figure).  Each score is
-        # predict_one's ⟨w_u, h_i⟩ read straight off the snapshot's rows
-        # (vecdot equals np.dot's bits); an arrival the snapshot has no
-        # row for is counted cold, in place.  Ingest refuses the window
-        # before anything is scored.
-        started = time.perf_counter()
-        times = np.array([event.time for event in window])
-        users = np.array([event.user for event in window], dtype=np.int64)
-        items = np.array([event.item for event in window], dtype=np.int64)
-        values = np.array([event.value for event in window])
-        dynamic.ingest(users, items, values)
-        factors = store.latest.model.factors
-        w, h = factors.w, factors.h
-        cold = (users >= len(w)) | (items >= len(h))
-        if np.count_nonzero(cold):
-            predicted = np.zeros(len(window))
-            warm = ~cold
-            predicted[warm] = np.vecdot(w[users[warm]], h[items[warm]])
-        else:
-            predicted, cold = np.vecdot(w[users], h[items]), None
-        prequential.score(
-            times, np.arange(arrivals + 1, arrivals + len(window) + 1),
-            predicted, values, cold,
-        )
-        ingest_seconds += time.perf_counter() - started
-        arrivals += len(window)
-        last_time = max(last_time, float(times.max()))
-        if arrivals % train_every == 0:
+    for block in stream.blocks():
+        start = 0
+        while start < len(block.users):
+            # A window ends at the next train or snapshot point, so the
+            # served snapshot cannot change inside it.
+            stop = start + min(
+                train_every - arrivals % train_every,
+                snapshot_every - arrivals % snapshot_every,
+            )
+            times, users, items, values = (
+                column[start:stop] for column in block
+            )
+            start = stop
+            # Fold-in and score are the hot path; both count toward
+            # ingest_seconds (and so the throughput figure).  Each score
+            # is predict_one's ⟨w_u, h_i⟩ read straight off the
+            # snapshot's rows (vecdot equals np.dot's bits); an arrival
+            # the snapshot has no row for is counted cold, in place.
+            # Ingest refuses the window before anything is scored.
             started = time.perf_counter()
-            dynamic.train(epochs_per_train)
-            train_seconds += time.perf_counter() - started
-        if arrivals % snapshot_every == 0:
-            rotation_seconds += rotate(last_time)
+            dynamic.ingest(users, items, values)
+            factors = store.latest.model.factors
+            w, h = factors.w, factors.h
+            cold = (users >= len(w)) | (items >= len(h))
+            if np.count_nonzero(cold):
+                predicted = np.zeros(len(users))
+                warm = ~cold
+                predicted[warm] = np.vecdot(w[users[warm]], h[items[warm]])
+            else:
+                predicted, cold = np.vecdot(w[users], h[items]), None
+            prequential.score(
+                times, np.arange(arrivals + 1, arrivals + len(users) + 1),
+                predicted, values, cold,
+            )
+            ingest_seconds += time.perf_counter() - started
+            arrivals += len(users)
+            last_time = max(last_time, float(times.max()))
+            if arrivals % train_every == 0:
+                started = time.perf_counter()
+                dynamic.train(epochs_per_train)
+                train_seconds += time.perf_counter() - started
+            if arrivals % snapshot_every == 0:
+                rotation_seconds += rotate(last_time)
 
     # End of stream: a convergence phase (the stream has gone quiet;
     # training continues, as it would between arrivals in a live

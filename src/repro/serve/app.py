@@ -34,7 +34,8 @@ Routes (all JSON, schemas in :mod:`repro.serve.schemas`):
   counted as duplicates and skipped, never re-queued — the trainer
   treats a duplicate arrival as corruption, so the edge filters them;
   a batch naming an id more than ``MAX_BATCH`` past every one held is
-  refused whole with 400; 503 once no trainer drains the stream);
+  refused whole with 400; the rest is queued as one block; 503, with
+  nothing counted, once no trainer drains the stream);
 * ``GET /stats`` — request, cache, ingest, and trainer counters, plus
   per-route latency quantiles (p50/p95/p99);
 * ``GET /metrics`` — the same counters in Prometheus text exposition
@@ -59,6 +60,8 @@ import traceback
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
+
+import numpy as np
 
 from ..api.streaming import fit_stream
 from ..config import HyperParams
@@ -468,52 +471,52 @@ class RecommendationService:
             cached=cached,
         ).to_payload()
 
+    @staticmethod
+    def _ingest_unavailable() -> tuple[int, dict]:
+        return 503, ErrorResponse(
+            "ingest unavailable: no trainer is draining the stream", 503
+        ).to_payload()
+
     def _handle_ingest(self, body: bytes) -> tuple[int, dict]:
         if not self.config.train or self.stream.closed:
-            return 503, ErrorResponse(
-                "ingest unavailable: no trainer is draining the stream",
-                503,
-            ).to_payload()
+            return self._ingest_unavailable()
         request = IngestRequest.from_body(body)
-        accepted = duplicates = 0
+        ratings = request.ratings
+        users = np.array([r.user for r in ratings], dtype=np.int64)
+        items = np.array([r.item for r in ratings], dtype=np.int64)
+        values = np.array([r.value for r in ratings], dtype=np.float64)
         with self._ingest_lock:
             # The trainer grows a factor row for every id up to the
             # largest it sees, so one far past every id held would stall
             # it or exhaust its memory: such a batch is refused whole.
-            for rating in request.ratings:
-                if (rating.user >= self._n_users + MAX_BATCH
-                        or rating.item >= self._n_items + MAX_BATCH):
-                    raise ServeError(
-                        f"rating ({rating.user}, {rating.item}) lies more "
-                        f"than {MAX_BATCH} past the {self._n_users} users "
-                        f"and {self._n_items} items held"
-                    )
+            far = np.flatnonzero(
+                (users >= self._n_users + MAX_BATCH)
+                | (items >= self._n_items + MAX_BATCH)
+            )
+            if far.size:
+                t = int(far[0])
+                raise ServeError(
+                    f"rating ({users[t]}, {items[t]}) lies more than "
+                    f"{MAX_BATCH} past the {self._n_users} users and "
+                    f"{self._n_items} items held"
+                )
             # One duplicate check for the batch; a repeat inside it
             # counts as a duplicate of its first occurrence.
-            rated = self._rated.contains(
-                [rating.user for rating in request.ratings],
-                [rating.item for rating in request.ratings],
-            )
-            pushed: list[tuple[int, int]] = []
-            for rating, duplicate in zip(request.ratings, rated.tolist()):
-                if duplicate:
-                    duplicates += 1
-                    continue
-                user, item = rating.user, rating.item
+            fresh = ~self._rated.contains(users, items)
+            duplicates = users.size - int(np.count_nonzero(fresh))
+            users, items, values = users[fresh], items[fresh], values[fresh]
+            if users.size:
                 try:
-                    self.stream.push(user, item, rating.value)
+                    self.stream.push(users, items, values)
                 except DataError:  # closed between the check and the push
-                    break
-                pushed.append((user, item))
-                self._n_users = max(self._n_users, user + 1)
-                self._n_items = max(self._n_items, item + 1)
-                accepted += 1
-            if pushed:
-                self._rated.add(*zip(*pushed))
-            self._ingest_accepted += accepted
+                    return self._ingest_unavailable()
+                self._rated.add(users, items)
+                self._n_users = max(self._n_users, int(users.max()) + 1)
+                self._n_items = max(self._n_items, int(items.max()) + 1)
+            self._ingest_accepted += users.size
             self._ingest_duplicates += duplicates
         return 202, IngestResponse(
-            accepted=accepted,
+            accepted=users.size,
             duplicates=duplicates,
             pending=self.stream.pending,
         ).to_payload()

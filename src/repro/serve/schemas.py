@@ -113,6 +113,8 @@ def _body_index(entry: dict, name: str, index: int) -> int:
         )
     if value < 0:
         raise ServeError(f"ratings[{index}].{name} must be >= 0, got {value}")
+    if value >= 2**63:  # ids are int64 from here on
+        raise ServeError(f"ratings[{index}].{name} must be < 2**63, got {value}")
     return value
 
 

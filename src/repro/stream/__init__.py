@@ -5,11 +5,13 @@ asynchronous, decentralized design is built for: "new ratings arrive in a
 streaming fashion" and the algorithm folds them in *without a restart*.
 This package makes that claim executable:
 
-* :mod:`~repro.stream.sources` — arrival streams: a timestamped replay
-  source over any :class:`~repro.datasets.ratings.RatingMatrix`, a
-  synthetic drift generator (both emitting events for brand-new users
-  and items), and a live queue-fed source (:class:`QueueStream`) that
-  other threads push into — the HTTP ingest path of :mod:`repro.serve`.
+* :mod:`~repro.stream.sources` — arrival streams, each handing out its
+  arrivals by ``blocks()`` as :class:`Arrivals` (one array per field): a
+  timestamped replay source over any
+  :class:`~repro.datasets.ratings.RatingMatrix`, a synthetic drift
+  generator (both emitting arrivals for brand-new users and items), and
+  a live queue-fed source (:class:`QueueStream`) that other threads push
+  blocks into — the HTTP ingest path of :mod:`repro.serve`.
 * :mod:`~repro.stream.dynamic` — :class:`DynamicNomad`, warm-start NOMAD
   over a base matrix plus its arrivals, taken a block at a time: factor
   rows grow on first sight of a new user/item (the §4 fold-in), and
@@ -40,15 +42,15 @@ from .snapshots import (
 )
 from .serve import Recommender
 from .sources import (
+    Arrivals,
     DriftStream,
     QueueStream,
-    RatingEvent,
     RatingStream,
     ReplayStream,
 )
 
 __all__ = [
-    "RatingEvent",
+    "Arrivals",
     "RatingStream",
     "ReplayStream",
     "DriftStream",

@@ -1,7 +1,8 @@
 """Arrival streams: where online ratings come from.
 
-A :class:`RatingStream` is a warm-up matrix plus an ordered sequence of
-timestamped :class:`RatingEvent` arrivals.  Three sources ship:
+A :class:`RatingStream` is a warm-up matrix plus its arrivals, handed out
+by :meth:`~RatingStream.blocks` as timestamped :class:`Arrivals` blocks
+(one array per field).  Three sources ship:
 
 * :class:`ReplayStream` — splits any existing
   :class:`~repro.datasets.ratings.RatingMatrix` into a warm-up prefix and
@@ -10,11 +11,11 @@ timestamped :class:`RatingEvent` arrivals.  Three sources ship:
   mid-stream, exercising the §4 fold-in path.
 * :class:`DriftStream` — generates arrivals from a planted low-rank truth
   whose factors random-walk over time (concept drift), with new users and
-  items appearing at configurable rates.
+  items appearing as it goes.
 * :class:`QueueStream` — a *live* source fed by other threads (the HTTP
   ingest path of :mod:`repro.serve`): producers :meth:`~QueueStream.push`
-  ratings, the consuming :func:`repro.fit_stream` loop blocks until the
-  queue is closed.
+  blocks of ratings, the consuming :func:`repro.fit_stream` loop blocks
+  until the queue is closed.
 
 The replay and drift sources are fully deterministic given their seed and
 never emit a duplicate ``(user, item)`` pair, so the union of warm-up and
@@ -28,8 +29,7 @@ from __future__ import annotations
 import queue
 import threading
 import time as _time
-from dataclasses import dataclass
-from typing import Iterator, Protocol, runtime_checkable
+from typing import Iterator, NamedTuple, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -38,33 +38,39 @@ from ..errors import DataError
 from ..rng import RngFactory
 
 __all__ = [
-    "RatingEvent",
+    "Arrivals",
     "RatingStream",
     "ReplayStream",
     "DriftStream",
     "QueueStream",
 ]
 
+#: Synthetic arrival rate of the replay and drift sources: arrival ``i``
+#: is stamped ``i / _ARRIVALS_PER_SECOND`` stream seconds.
+_ARRIVALS_PER_SECOND = 100.0
 
-@dataclass(frozen=True)
-class RatingEvent:
-    """One rating arriving on the stream.
+
+class Arrivals(NamedTuple):
+    """A block of ratings arriving on the stream, one array per field.
+
+    Equal-length 1-D arrays, in timestamp order.
 
     Attributes
     ----------
-    time:
-        Stream timestamp in seconds, non-decreasing across a source.
-    user, item:
-        Global indices.  Either may exceed the warm-up matrix shape —
-        that is how a brand-new user/item announces itself.
-    value:
-        The observed rating.
+    times:
+        Stream timestamps in seconds (float64), non-decreasing across a
+        source.
+    users, items:
+        Global indices (int64).  Either may exceed the warm-up matrix
+        shape — that is how a brand-new user/item announces itself.
+    values:
+        The observed ratings (float64).
     """
 
-    time: float
-    user: int
-    item: int
-    value: float
+    times: np.ndarray
+    users: np.ndarray
+    items: np.ndarray
+    values: np.ndarray
 
 
 @runtime_checkable
@@ -78,11 +84,11 @@ class RatingStream(Protocol):
 
     @property
     def n_events(self) -> int:
-        """Number of arrivals :meth:`events` will yield."""
+        """Number of arrivals :meth:`blocks` will yield."""
         ...
 
-    def events(self) -> Iterator[RatingEvent]:
-        """The arrivals in timestamp order."""
+    def blocks(self) -> Iterator[Arrivals]:
+        """The arrivals in timestamp order, as blocks of any size."""
         ...
 
 
@@ -102,9 +108,6 @@ class ReplayStream:
         forced into the tail.  The warm-up matrix then does not cover
         those indices at all, guaranteeing the stream contains events for
         users/items the warm model has never seen.
-    events_per_second:
-        Synthetic arrival rate: event ``i`` is stamped
-        ``i / events_per_second``.
     seed:
         Drives the warm-up sample and the tail order.
 
@@ -122,7 +125,6 @@ class ReplayStream:
         warmup_fraction: float = 0.5,
         holdout_rows: int = 0,
         holdout_cols: int = 0,
-        events_per_second: float = 100.0,
         seed: int = 0,
     ):
         if not 0.0 < warmup_fraction < 1.0:
@@ -137,12 +139,7 @@ class ReplayStream:
             raise DataError(
                 f"holdout_cols must be in [0, {matrix.n_cols}), got {holdout_cols}"
             )
-        if events_per_second <= 0:
-            raise DataError(
-                f"events_per_second must be > 0, got {events_per_second}"
-            )
         self.full = matrix
-        self.events_per_second = float(events_per_second)
         self.seed = int(seed)
 
         factory = RngFactory(seed)
@@ -186,16 +183,16 @@ class ReplayStream:
         """Number of ratings in the arrival tail."""
         return int(self._tail.size)
 
-    def events(self) -> Iterator[RatingEvent]:
-        """Yield the tail in its seeded order with synthetic timestamps."""
-        matrix = self.full
-        for i, idx in enumerate(self._tail):
-            yield RatingEvent(
-                time=i / self.events_per_second,
-                user=int(matrix.rows[idx]),
-                item=int(matrix.cols[idx]),
-                value=float(matrix.vals[idx]),
-            )
+    def blocks(self) -> Iterator[Arrivals]:
+        """Yield the tail, in its seeded order with synthetic timestamps,
+        as one block."""
+        tail, matrix = self._tail, self.full
+        yield Arrivals(
+            np.arange(tail.size) / _ARRIVALS_PER_SECOND,
+            matrix.rows[tail],
+            matrix.cols[tail],
+            matrix.vals[tail],
+        )
 
     def __repr__(self) -> str:
         return (
@@ -207,63 +204,32 @@ class ReplayStream:
 class DriftStream:
     """Synthetic arrivals from a drifting planted low-rank model.
 
-    A ground-truth factorization ``W* H*ᵀ`` is planted; a tenth of its cells
-    is the warm-up, and each arrival observes one unrated cell, both noisy.
-    Between events the truth factors take a small random-walk step (concept
-    drift), and with configurable probability an event introduces a
-    brand-new user or item whose truth row is drawn fresh.
+    A rank-4 ground truth ``W* H*ᵀ`` over 120 users and 60 items is
+    planted; a tenth of its cells is the warm-up, and each arrival
+    observes one unrated cell, both with noise of standard deviation
+    0.05.  Between events the truth factors take a random-walk step of
+    standard deviation 0.001 (concept drift), and an event introduces a
+    brand-new user with probability 0.01, or a brand-new item with
+    probability 0.005, whose truth row is drawn fresh.
 
     Parameters
     ----------
-    n_users, n_items:
-        Initial entity counts.
-    rank:
-        Rank of the planted truth.
     n_events:
         Number of arrivals to generate.
-    drift:
-        Per-event standard deviation of the truth random walk; 0 freezes
-        the truth (a stationary stream).
-    new_user_prob, new_item_prob:
-        Per-event probability that the arrival comes from a brand-new
-        user/item (appended at the next free index).
-    noise:
-        Observation noise standard deviation.
-    events_per_second:
-        Synthetic arrival rate for timestamps.
     seed:
         Drives everything; two instances with one seed are identical.
     """
 
-    def __init__(
-        self,
-        n_users: int = 120,
-        n_items: int = 60,
-        rank: int = 4,
-        n_events: int = 1000,
-        drift: float = 0.001,
-        new_user_prob: float = 0.01,
-        new_item_prob: float = 0.005,
-        noise: float = 0.05,
-        events_per_second: float = 100.0,
-        seed: int = 0,
-    ):
-        if n_users < 1 or n_items < 1:
-            raise DataError(f"shape must be positive, got {n_users}x{n_items}")
-        if rank < 1:
-            raise DataError(f"rank must be >= 1, got {rank}")
+    _N_USERS, _N_ITEMS, _RANK = 120, 60, 4
+    _DRIFT, _NOISE = 0.001, 0.05
+    _NEW_USER_PROB, _NEW_ITEM_PROB = 0.01, 0.005
+
+    def __init__(self, n_events: int = 1000, seed: int = 0):
         if n_events < 1:
             raise DataError(f"n_events must be >= 1, got {n_events}")
-        if drift < 0 or noise < 0:
-            raise DataError("drift and noise must be >= 0")
-        if not 0 <= new_user_prob < 1 or not 0 <= new_item_prob < 1:
-            raise DataError("new-entity probabilities must be in [0, 1)")
-        if events_per_second <= 0:
-            raise DataError(
-                f"events_per_second must be > 0, got {events_per_second}"
-            )
-        self.events_per_second = float(events_per_second)
         self.seed = int(seed)
+        n_users, n_items, rank = self._N_USERS, self._N_ITEMS, self._RANK
+        drift, noise = self._DRIFT, self._NOISE
 
         factory = RngFactory(seed)
         truth_rng = factory.stream("drift-truth")
@@ -284,21 +250,23 @@ class DriftStream:
         # Arrivals are generated eagerly so every instance with one seed
         # is byte-identical however the caller interleaves iteration.
         event_rng = factory.stream("drift-events")
-        events: list[RatingEvent] = []
+        times: list[float] = []
+        users: list[int] = []
+        items: list[int] = []
+        values: list[float] = []
         n_u, n_i = n_users, n_items
         for i in range(n_events):
-            if drift:
-                w_true += event_rng.normal(0.0, drift, size=w_true.shape)
-                h_true += event_rng.normal(0.0, drift, size=h_true.shape)
+            w_true += event_rng.normal(0.0, drift, size=w_true.shape)
+            h_true += event_rng.normal(0.0, drift, size=h_true.shape)
             roll = event_rng.random()
-            if roll < new_user_prob:
+            if roll < self._NEW_USER_PROB:
                 w_true = np.vstack(
                     [w_true, event_rng.normal(0.0, scale, size=(1, rank))]
                 )
                 user = n_u
                 n_u += 1
                 item = int(event_rng.integers(n_i))
-            elif roll < new_user_prob + new_item_prob:
+            elif roll < self._NEW_USER_PROB + self._NEW_ITEM_PROB:
                 h_true = np.vstack(
                     [h_true, event_rng.normal(0.0, scale, size=(1, rank))]
                 )
@@ -319,31 +287,34 @@ class DriftStream:
                 else:
                     continue  # stream region saturated; skip this event
             seen.add((user, item))
-            value = float(w_true[user] @ h_true[item])
-            if noise:
-                value += float(event_rng.normal(0.0, noise))
-            events.append(
-                RatingEvent(
-                    time=i / self.events_per_second,
-                    user=user,
-                    item=item,
-                    value=value,
-                )
+            times.append(i / _ARRIVALS_PER_SECOND)
+            users.append(user)
+            items.append(item)
+            values.append(
+                float(w_true[user] @ h_true[item])
+                + float(event_rng.normal(0.0, noise))
             )
-        if not events:
+        if not users:
             raise DataError("drift stream generated no events; grow the matrix")
-        self._events = events
+        self._arrivals = Arrivals(
+            np.array(times),
+            np.array(users, dtype=np.int64),
+            np.array(items, dtype=np.int64),
+            np.array(values),
+        )
+        for column in self._arrivals:
+            column.setflags(write=False)
         self.final_users = n_u
         self.final_items = n_i
 
     @property
     def n_events(self) -> int:
         """Number of generated arrivals."""
-        return len(self._events)
+        return int(self._arrivals.users.size)
 
-    def events(self) -> Iterator[RatingEvent]:
-        """Yield the pre-generated arrivals in order."""
-        return iter(self._events)
+    def blocks(self) -> Iterator[Arrivals]:
+        """Yield the pre-generated arrivals as one (read-only) block."""
+        yield self._arrivals
 
     def __repr__(self) -> str:
         return (
@@ -358,7 +329,7 @@ class QueueStream:
     Unlike :class:`ReplayStream`/:class:`DriftStream`, the arrivals are
     not known up front: producers call :meth:`push` (thread-safe, any
     number of producers) and one consumer — the
-    :func:`repro.fit_stream` loop — drains :meth:`events`, blocking when
+    :func:`repro.fit_stream` loop — drains :meth:`blocks`, blocking when
     the queue is empty until :meth:`close` ends the stream.  This is how
     the HTTP service's ``POST /ratings`` ingest path feeds a background
     trainer: served traffic becomes training data without either side
@@ -372,11 +343,12 @@ class QueueStream:
 
     Notes
     -----
-    Timestamps are non-decreasing as the protocol requires: an explicit
-    ``at=`` is clamped to the newest stamp already issued, and the
-    default stamp is seconds since construction on the monotonic clock.
-    :attr:`n_events` reports arrivals *pushed so far* — for a live
-    source the eventual total is unknowable until :meth:`close`.
+    A pushed block is stamped with seconds since construction on the
+    monotonic clock, read and enqueued under the lock :meth:`close`
+    takes, so stamps are non-decreasing in queue order and every block
+    counted in :attr:`n_events` is queued ahead of the end-of-stream
+    sentinel.  :attr:`n_events` reports arrivals *pushed so far* — for a
+    live source the eventual total is unknowable until :meth:`close`.
     """
 
     def __init__(self, warmup: RatingMatrix):
@@ -384,7 +356,7 @@ class QueueStream:
         self._queue: queue.Queue = queue.Queue()
         self._lock = threading.Lock()
         self._pushed = 0
-        self._last_time = 0.0
+        self._drained = 0
         self._closed = False
         self._epoch = _time.monotonic()
 
@@ -396,44 +368,45 @@ class QueueStream:
     @property
     def pending(self) -> int:
         """Arrivals pushed but not yet drained by the consumer."""
-        return self._queue.qsize()
+        return self._pushed - self._drained
 
     @property
     def closed(self) -> bool:
         """Whether :meth:`close` has ended the stream."""
         return self._closed
 
-    def push(
-        self,
-        user: int,
-        item: int,
-        value: float,
-        at: float | None = None,
-    ) -> RatingEvent:
-        """Enqueue one arrival; returns the stamped event.
+    def push(self, users, items, values) -> Arrivals:
+        """Enqueue one block of arrivals (a scalar is a block of one);
+        returns it stamped.
 
         Validation mirrors the trainer's ingest checks (non-negative
-        indices, finite value) so a malformed rating fails at the edge,
-        in the producer's thread, instead of killing the consumer loop.
+        indices, finite values): a block holding a malformed rating is
+        refused whole, naming the first offender, in the producer's
+        thread instead of killing the consumer loop.
         """
-        if user < 0 or item < 0:
-            raise DataError(f"arrival index out of range: ({user}, {item})")
-        if not np.isfinite(value):
-            raise DataError(f"arrival rating must be finite, got {value}")
+        users = np.array(users, dtype=np.int64).reshape(-1)
+        items = np.array(items, dtype=np.int64).reshape(-1)
+        values = np.array(values, dtype=np.float64).reshape(-1)
+        if not users.size == items.size == values.size:
+            raise DataError(
+                f"arrival columns differ in length: {users.size} users, "
+                f"{items.size} items, {values.size} values"
+            )
+        bad = np.flatnonzero(((users | items) < 0) | ~np.isfinite(values))
+        if bad.size:
+            t = int(bad[0])
+            user, item = int(users[t]), int(items[t])
+            if user < 0 or item < 0:
+                raise DataError(f"arrival index out of range: ({user}, {item})")
+            raise DataError(f"arrival rating must be finite, got {float(values[t])}")
         with self._lock:
             if self._closed:
                 raise DataError("queue stream is closed; cannot push")
-            stamp = (
-                _time.monotonic() - self._epoch if at is None else float(at)
-            )
-            stamp = max(stamp, self._last_time)
-            self._last_time = stamp
-            self._pushed += 1
-        event = RatingEvent(
-            time=stamp, user=int(user), item=int(item), value=float(value)
-        )
-        self._queue.put(event)
-        return event
+            stamp = _time.monotonic() - self._epoch
+            block = Arrivals(np.full(users.size, stamp), users, items, values)
+            self._pushed += users.size
+            self._queue.put(block)
+        return block
 
     def close(self) -> None:
         """End the stream: the consumer drains what is queued and stops.
@@ -445,20 +418,21 @@ class QueueStream:
             if self._closed:
                 return
             self._closed = True
-        self._queue.put(None)  # sentinel: wakes the blocked consumer
+            self._queue.put(None)  # sentinel: wakes the blocked consumer
 
-    def events(self) -> Iterator[RatingEvent]:
-        """Yield arrivals as they are pushed; blocks while open.
+    def blocks(self) -> Iterator[Arrivals]:
+        """Yield each pushed block as it is drained; blocks while open.
 
         Single-consumer: exactly one loop (the ``fit_stream`` runner)
         should iterate this.  Iteration ends when :meth:`close` is
         called and everything already queued has been drained.
         """
         while True:
-            event = self._queue.get()
-            if event is None:
+            block = self._queue.get()
+            if block is None:
                 return
-            yield event
+            self._drained += block.users.size
+            yield block
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import os
+import queue
 import re
 import sys
 import threading
@@ -39,6 +40,7 @@ from repro.serve.schemas import (
     SCHEMA_VERSION,
 )
 from repro.stream import (
+    Arrivals,
     ModelSnapshot,
     QueueStream,
     Recommender,
@@ -213,6 +215,11 @@ class TestSchemas:
                 "must be >= 0",
             ),
             (
+                b'{"ratings": [{"user": 9223372036854775808, "item": 2, '
+                b'"value": 1.0}]}',
+                r"must be < 2\*\*63",
+            ),
+            (
                 b'{"ratings": [{"user": 1, "item": 2, "value": "hi"}]}',
                 "must be a number",
             ),
@@ -315,14 +322,70 @@ class TestCacheStats:
 class TestQueueStream:
     def test_push_drain_close(self, tiny_matrix):
         stream = QueueStream(tiny_matrix)
-        stream.push(1, 2, 3.0, at=0.5)
-        stream.push(3, 4, 5.0, at=0.25)  # clamped to non-decreasing
+        stream.push(1, 2, 3.0)
+        stream.push(3, 4, 5.0)
         stream.close()
-        events = list(stream.events())
-        assert [(e.user, e.item) for e in events] == [(1, 2), (3, 4)]
-        assert events[0].time == 0.5
-        assert events[1].time == 0.5  # clamped up from 0.25
+        blocks = list(stream.blocks())
+        assert [
+            (int(block.users[0]), int(block.items[0])) for block in blocks
+        ] == [(1, 2), (3, 4)]
+        times = [float(block.times[0]) for block in blocks]
+        assert times == sorted(times)  # stamps are non-decreasing
         assert stream.n_events == 2
+        assert stream.pending == 0
+
+    def test_a_block_is_counted_and_drained_whole(self, tiny_matrix):
+        stream = QueueStream(tiny_matrix)
+        stream.push([1, 3, 5], [2, 4, 6], [3.0, 5.0, 7.0])
+        assert stream.n_events == stream.pending == 3
+        stream.close()
+        (block,) = stream.blocks()
+        assert isinstance(block, Arrivals)
+        assert block.users.tolist() == [1, 3, 5]
+        assert block.items.tolist() == [2, 4, 6]
+        assert block.values.tolist() == [3.0, 5.0, 7.0]
+        assert block.times.shape == (3,)
+        assert stream.n_events == 3 and stream.pending == 0
+
+    def test_a_block_with_one_bad_rating_is_refused_whole(self, tiny_matrix):
+        """The first offender is named, and nothing of the block is
+        counted or queued."""
+        stream = QueueStream(tiny_matrix)
+        with pytest.raises(DataError, match=r"out of range: \(4, -2\)"):
+            stream.push([1, 4, -3], [2, -2, 0], [1.0, 2.0, 3.0])
+        with pytest.raises(DataError, match="finite, got inf"):
+            stream.push([1, 2, 3], [0, 0, 0], [1.0, np.inf, np.nan])
+        assert stream.n_events == stream.pending == 0
+        stream.close()
+        assert list(stream.blocks()) == []
+
+    def test_close_racing_a_push_drains_every_counted_arrival(
+        self, tiny_matrix
+    ):
+        """Regression: push stamped and counted under its lock but
+        enqueued after releasing it, so a close() landing in between
+        queued the end sentinel first: the arrival, counted (and
+        answered 202 by the service), was never drained.  Here close()
+        is started in a thread from inside the enqueue and given time
+        to run; it must wait for the push instead."""
+        stream = QueueStream(tiny_matrix)
+        closers = []
+
+        class RacingQueue(queue.Queue):
+            def put(self, item, *args, **kwargs):
+                if item is not None and not closers:
+                    closer = threading.Thread(target=stream.close)
+                    closers.append(closer)
+                    closer.start()
+                    closer.join(timeout=0.2)
+                super().put(item, *args, **kwargs)
+
+        stream._queue = RacingQueue()
+        stream.push(1, 2, 3.0)
+        closers[0].join(timeout=30)
+        assert stream.closed
+        drained = sum(block.users.size for block in stream.blocks())
+        assert stream.n_events == drained == 1
         assert stream.pending == 0
 
     def test_push_validation(self, tiny_matrix):
@@ -336,12 +399,49 @@ class TestQueueStream:
         with pytest.raises(DataError, match="closed"):
             stream.push(0, 0, 1.0)
 
+    def test_producers_racing_close_lose_nothing(self, tiny_matrix):
+        """Four producers push blocks while close() lands at a varying
+        point: every counted arrival is drained, in non-decreasing stamp
+        order."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(20):
+                stream = QueueStream(tiny_matrix)
+
+                def produce(user):
+                    for item in range(50):
+                        try:
+                            stream.push([user, user], [item, item + 50],
+                                        [1.0, 2.0])
+                        except DataError:  # closed
+                            return
+
+                producers = [
+                    threading.Thread(target=produce, args=(user,))
+                    for user in range(4)
+                ]
+                for producer in producers:
+                    producer.start()
+                time.sleep(trial * 1e-4)
+                stream.close()
+                for producer in producers:
+                    producer.join(timeout=30)
+                    assert not producer.is_alive()
+                blocks = list(stream.blocks())
+                assert sum(b.users.size for b in blocks) == stream.n_events
+                assert stream.pending == 0
+                times = [float(b.times[0]) for b in blocks]
+                assert times == sorted(times)
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_consumer_blocks_until_close(self, tiny_matrix):
         stream = QueueStream(tiny_matrix)
         drained = []
 
         def consume():
-            drained.extend(stream.events())
+            drained.extend(stream.blocks())
 
         consumer = threading.Thread(target=consume)
         consumer.start()
@@ -706,6 +806,36 @@ class TestService:
             {"ratings": fresh_pairs(service.warmup, 11)[10:]},
         )
         assert code == 503 and "no trainer" in payload["error"]
+
+    def test_ingest_on_a_closed_stream_counts_nothing(
+        self, service, monkeypatch
+    ):
+        """A batch posted after close() is refused with 503; so is one
+        whose stream closes between the check and the push, instead of
+        a 202 for part of it.  Neither is counted in /stats."""
+        stream = service.stream
+        push = stream.push
+
+        def closing_push(*args):
+            stream.close()
+            return push(*args)
+
+        monkeypatch.setattr(stream, "push", closing_push)
+        warmup = service.warmup
+        duplicate = {
+            "user": int(warmup.rows[0]), "item": int(warmup.cols[0]),
+            "value": 5.0,
+        }
+        batch = {"ratings": [duplicate] + fresh_pairs(warmup, 3)}
+        for _ in range(2):  # closing mid-request, then already closed
+            code, payload = http_error(
+                http_post, service.url + "/ratings", batch
+            )
+            assert code == 503 and "no trainer" in payload["error"]
+        _, stats = http_get(service.url + "/stats")
+        ingest = stats["ingest"]
+        assert ingest["accepted"] == ingest["duplicates"] == 0
+        assert ingest["pushed"] == ingest["pending"] == 0
 
     def test_double_start_rejected(self, service):
         with pytest.raises(ServeError, match="already started"):

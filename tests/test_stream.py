@@ -20,10 +20,10 @@ from repro.linalg.backends import get_backend
 from repro.linalg.objective import test_rmse as rmse_of
 from repro.rng import RngFactory
 from repro.stream import (
+    Arrivals,
     DriftStream,
     DynamicNomad,
     PrequentialTrace,
-    RatingEvent,
     RatingStream,
     Recommender,
     ReplayStream,
@@ -48,14 +48,33 @@ def replay(tiny_matrix):
     )
 
 
+def _arrivals(stream):
+    """Every arrival of ``stream``, its blocks joined into one."""
+    return Arrivals(*map(np.concatenate, zip(*stream.blocks())))
+
+
 def _all_ratings(stream):
     """The warm-up plus every arrival: the matrix ``stream`` ends on."""
-    events = list(stream.events())
+    arrivals = _arrivals(stream)
     return stream.warmup.with_appended(
-        [e.user for e in events],
-        [e.item for e in events],
-        [e.value for e in events],
+        arrivals.users, arrivals.items, arrivals.values
     )
+
+
+class Reblocked:
+    """``stream``'s arrivals handed out again in blocks of ``size`` (all
+    in one block for ``None``)."""
+
+    def __init__(self, stream, size):
+        self.warmup, self.n_events = stream.warmup, stream.n_events
+        self._arrivals, self._size = _arrivals(stream), size
+
+    def blocks(self):
+        size = self._size or self.n_events
+        for start in range(0, self.n_events, size):
+            yield Arrivals(
+                *(column[start:start + size] for column in self._arrivals)
+            )
 
 
 @pytest.fixture
@@ -77,26 +96,23 @@ class TestReplayStream:
     def test_holdout_entities_absent_from_warmup(self, tiny_matrix, replay):
         assert replay.warmup.n_rows <= tiny_matrix.n_rows - 4
         assert replay.warmup.n_cols <= tiny_matrix.n_cols - 2
-        held_users = {
-            event.user
-            for event in replay.events()
-            if event.user >= replay.warmup.n_rows
-        }
+        users = _arrivals(replay).users
+        held_users = set(users[users >= replay.warmup.n_rows].tolist())
         assert held_users  # the stream really introduces unseen users
 
     def test_events_are_timestamped_in_order(self, replay):
-        times = [event.time for event in replay.events()]
+        times = _arrivals(replay).times.tolist()
         assert times == sorted(times)
         assert times[0] == 0.0
 
     def test_union_of_warmup_and_events_is_the_full_matrix(
         self, tiny_matrix, replay
     ):
-        events = list(replay.events())
+        arrivals = _arrivals(replay)
         combined = replay.warmup.with_appended(
-            [e.user for e in events],
-            [e.item for e in events],
-            [e.value for e in events],
+            arrivals.users,
+            arrivals.items,
+            arrivals.values,
             n_rows=tiny_matrix.n_rows,
             n_cols=tiny_matrix.n_cols,
         )
@@ -106,7 +122,8 @@ class TestReplayStream:
         a = ReplayStream(tiny_matrix, seed=3)
         b = ReplayStream(tiny_matrix, seed=3)
         assert a.warmup == b.warmup
-        assert list(a.events()) == list(b.events())
+        for column_a, column_b in zip(_arrivals(a), _arrivals(b)):
+            assert np.array_equal(column_a, column_b)
 
     def test_satisfies_protocol(self, replay):
         assert isinstance(replay, RatingStream)
@@ -116,8 +133,6 @@ class TestReplayStream:
             ReplayStream(tiny_matrix, warmup_fraction=1.5)
         with pytest.raises(DataError, match="holdout_rows"):
             ReplayStream(tiny_matrix, holdout_rows=tiny_matrix.n_rows)
-        with pytest.raises(DataError, match="events_per_second"):
-            ReplayStream(tiny_matrix, events_per_second=0)
 
 
 class TestDriftStream:
@@ -125,27 +140,24 @@ class TestDriftStream:
         a = DriftStream(n_events=300, seed=4)
         b = DriftStream(n_events=300, seed=4)
         assert a.warmup == b.warmup
-        events_a = list(a.events())
-        assert events_a == list(b.events())
-        pairs = {(e.user, e.item) for e in events_a}
-        assert len(pairs) == len(events_a)
+        arrivals_a = _arrivals(a)
+        for column_a, column_b in zip(arrivals_a, _arrivals(b)):
+            assert np.array_equal(column_a, column_b)
+        pairs = set(zip(arrivals_a.users.tolist(), arrivals_a.items.tolist()))
+        assert len(pairs) == len(arrivals_a.users)
 
     def test_new_entities_appear(self):
-        stream = DriftStream(
-            n_events=500, new_user_prob=0.05, new_item_prob=0.05, seed=1
-        )
+        stream = DriftStream(n_events=500, seed=1)
         assert stream.final_users > stream.warmup.n_rows
         assert stream.final_items > stream.warmup.n_cols
 
     def test_union_forms_a_valid_matrix(self):
         stream = DriftStream(n_events=200, seed=2)
-        events = list(stream.events())
+        arrivals = _arrivals(stream)
         combined = stream.warmup.with_appended(
-            [e.user for e in events],
-            [e.item for e in events],
-            [e.value for e in events],
+            arrivals.users, arrivals.items, arrivals.values
         )
-        assert combined.nnz == stream.warmup.nnz + len(events)
+        assert combined.nnz == stream.warmup.nnz + len(arrivals.users)
 
 
 # ----------------------------------------------------------------------
@@ -268,12 +280,15 @@ class TestDynamicNomad:
     def test_triplets_hold_every_rating_once(self, replay, warm_dynamic):
         """The stores are the one copy of each rating: base, folded-in
         and still-pending arrivals, each once."""
-        events = list(replay.events())[:40]
-        for event in events[:20]:
-            warm_dynamic.ingest(event.user, event.item, event.value)
+        arrivals = _arrivals(replay)
+        events = list(zip(
+            *(column[:40].tolist() for column in arrivals[1:])
+        ))
+        for user, item, value in events[:20]:
+            warm_dynamic.ingest(user, item, value)
         warm_dynamic.sweep()
-        for event in events[20:]:
-            warm_dynamic.ingest(event.user, event.item, event.value)
+        for user, item, value in events[20:]:
+            warm_dynamic.ingest(user, item, value)
         held = [
             cell
             for users, items, ratings in warm_dynamic.triplets()
@@ -282,7 +297,7 @@ class TestDynamicNomad:
         base = replay.warmup
         expected = list(
             zip(base.rows.tolist(), base.cols.tolist(), base.vals.tolist())
-        ) + [(e.user, e.item, e.value) for e in events]
+        ) + events
         assert sorted(held) == sorted(expected)
 
     def test_warm_start_and_validation(self, replay):
@@ -354,18 +369,16 @@ class TestDynamicNomad:
         loaded at its arrival (the block's earlier arrivals counted), the
         growth draws interleaved as one by one: after two sweeps the
         factors, owners and loads are those of single-arrival blocks."""
-        events = list(replay.events())
+        arrivals = _arrivals(replay)
         runs = []
         for size in (1, block):
             dynamic = DynamicNomad(
                 replay.warmup, 3, HYPER, RunConfig(seed=5)
             )
             dynamic.sweep()
-            for start in range(0, len(events), size):
-                window = events[start:start + size]
+            for start in range(0, len(arrivals.users), size):
                 dynamic.ingest(
-                    [e.user for e in window], [e.item for e in window],
-                    [e.value for e in window],
+                    *(column[start:start + size] for column in arrivals[1:])
                 )
             dynamic.train(2)
             runs.append(dynamic)
@@ -647,12 +660,13 @@ class TestDynamicNomadAgainstReference:
         return dynamic, ListReference(dynamic, replay.warmup)
 
     @staticmethod
-    def _fold_in(dynamic, reference, events):
-        for event in events:
-            dynamic.ingest(event.user, event.item, event.value)
+    def _fold_in(dynamic, reference, users, items, values):
+        cells = list(zip(users, items, values))
+        for cell in cells:
+            dynamic.ingest(*cell)
         reference.grow(dynamic)
-        for event in events:
-            reference.add(dynamic, event.user, event.item, event.value)
+        for cell in cells:
+            reference.add(dynamic, *cell)
 
     @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
     def test_sweep_after_factor_reallocation(self, replay, backend):
@@ -668,7 +682,7 @@ class TestDynamicNomadAgainstReference:
 
         # A new user alone: one store gets the rating, every kernel
         # must still move to the reallocated W.
-        self._fold_in(dynamic, reference, [RatingEvent(0.0, user, 0, 4.0)])
+        self._fold_in(dynamic, reference, [user], [0], [4.0])
         assert dynamic._w is not w_bound and dynamic._h is h_bound
         fresh = dynamic.factors
         assert reference.sweep(dynamic) == dynamic.sweep()
@@ -676,10 +690,9 @@ class TestDynamicNomadAgainstReference:
         reference.assert_matches(dynamic)
 
         # A new item, rated by an old user and by another new one.
-        self._fold_in(dynamic, reference, [
-            RatingEvent(0.1, 0, item, 2.0),
-            RatingEvent(0.2, user + 1, item, 3.0),
-        ])
+        self._fold_in(
+            dynamic, reference, [0, user + 1], [item, item], [2.0, 3.0]
+        )
         assert dynamic._h is not h_bound
         fresh = dynamic.factors
         assert reference.sweep(dynamic) == dynamic.sweep()
@@ -703,7 +716,9 @@ class TestDynamicNomadAgainstReference:
             reference.sweep(dynamic, cap=2)
             dynamic.sweep()
         assert all(store.counts.max() == 2 for store in dynamic._stores)
-        self._fold_in(dynamic, reference, list(replay.events())[:30])
+        self._fold_in(dynamic, reference, *(
+            column[:30].tolist() for column in _arrivals(replay)[1:]
+        ))
         reference.sweep(dynamic, cap=2)
         dynamic.sweep()
         reference.assert_matches(dynamic)
@@ -966,6 +981,37 @@ class TestFitStream:
                 "fc33eb86472b46cb266da8a0375c1d9e"
             ), backend
 
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    def test_result_does_not_depend_on_where_blocks_are_cut(
+        self, replay, backend
+    ):
+        """fit_stream cuts each block at its train and snapshot points,
+        so the same arrivals in blocks of any size train the same bits,
+        score the same prequential trace and rotate at the same
+        arrivals."""
+        outcomes = []
+        for size in (None, 1, 7, 37):
+            store = SnapshotStore(max_keep=64)
+            result = self._run(
+                Reblocked(replay, size),
+                run=RunConfig(seed=5, kernel_backend=backend),
+                train_every=10, snapshot_every=45, store=store,
+            )
+            assert len(store) == store.rotations > 5
+            factors = result.final.factors
+            trace = result.prequential
+            outcomes.append((
+                factors.w.tobytes() + factors.h.tobytes(),
+                [column.tobytes() for column in (
+                    trace.times, trace.arrivals, trace.predicted,
+                    trace.actual,
+                )],
+                trace.cold,
+                [snapshot.arrivals_seen for snapshot in store.snapshots],
+            ))
+        assert outcomes[0][2] > 0
+        assert all(outcome == outcomes[0] for outcome in outcomes[1:])
+
     def test_final_epochs_zero_trains_the_last_arrivals(self, replay):
         """With no convergence phase, a stream that ends off the
         ``train_every`` cadence still trains its last arrivals before
@@ -1034,13 +1080,11 @@ class TestFitStream:
             warmup = replay.warmup
             n_events = replay.n_events
 
-            def events(self):
-                for arrival, event in enumerate(replay.events(), 1):
-                    if arrival == poisoned_at:
-                        event = RatingEvent(
-                            event.time, event.user, event.item, 1e300
-                        )
-                    yield event
+            def blocks(self):
+                (block,) = replay.blocks()
+                values = block.values.copy()
+                values[poisoned_at - 1] = 1e300
+                yield block._replace(values=values)
 
         store = SnapshotStore()
         with pytest.raises(DivergenceError, match="diverged"):
