@@ -143,9 +143,8 @@ class KernelBackend(abc.ABC):
         Any ``users`` inside ``w``'s rows are accepted, in any order and
         with repeats inside a column (a
         :class:`~repro.stream.colstore.ColumnStore` keeps arrival
-        order).  Columns whose users ascend strictly are what
-        ``Shard.csc()`` delivers, and a property a backend may observe
-        here and exploit — never one it may assume.
+        order); no backend may assume an order, and the compiled one
+        needs none.
 
         ``loss`` is the separable :class:`~repro.linalg.losses.Loss`
         every column runs under; ``None`` is the square loss.  The
@@ -160,10 +159,9 @@ class KernelBackend(abc.ABC):
         :class:`~repro.stream.colstore.ColumnStore`): column ``j`` is
         then ``users[indptr[j]:ends[j]]``, and the kernel reads ``ends``
         and the columns at every call, so a caller may append to a
-        column inside its slack after binding.  Such a caller must keep
-        every user it writes inside ``w``'s rows, and must bind again
-        when a write breaks a column's ascent (``ascending`` is observed
-        here, once).  ``None`` is ``indptr[1:]``: a plain CSC.
+        column inside its slack after binding, in any order.  Such a
+        caller must keep every user it writes inside ``w``'s rows.
+        ``None`` is ``indptr[1:]``: a plain CSC.
         """
 
     @abc.abstractmethod

@@ -25,15 +25,17 @@ Two properties worth knowing:
 
 The burst path is :meth:`CextBackend.bind_tokens`: the module's
 ``Kernels.bind`` checks the worker's factors and CSC shard once — dtypes,
-contiguity, the CSC shape, the user range — observes whether users
-ascend inside every column, and holds their buffers in a native
-``TokenKernel`` together with the loss (``_loss_id``'s ``(loss_id,
+contiguity, the CSC shape, the user range — and holds their buffers in
+a native ``TokenKernel`` together with the loss (``_loss_id``'s ``(loss_id,
 param)``: square, absolute or Huber).  From then on a burst of item ids
 is one ``METH_O`` call on that object, and a single token another.
 A :class:`~repro.linalg.losses.Loss` C has no id for is bound to the
 interpreted ``list`` kernel instead.  A burst is *defined* as its
 columns run one after another; the C gets there faster without changing
-a bit (see ``nomad_kernels.c``).  :meth:`process_column` and the
+a bit (see ``nomad_kernels.c``): under the square loss it runs two
+columns at a time in conflict order, on any shard, a per-user stamp of
+where the first column's last rating of that user lies deciding which
+of the second column's ratings may run beside the first's.  :meth:`process_column` and the
 inherited :meth:`~.base.KernelBackend.process_column_batch` are the
 legacy per-column entries; nothing in ``src/`` calls them any more.
 

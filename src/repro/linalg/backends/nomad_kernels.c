@@ -33,14 +33,15 @@
  *     previous rating's.  The value used is the one pow() returned for
  *     that counter; no table, no state outside the call.
  *   - Conflict-order pairing (NOMAD section 4.3).  Updates that share
- *     neither a w row nor an h row commute, so a burst runs two columns
- *     A, B at a time through one loop with two independent dot-product
- *     chains.  B's rating of user u runs only once A's cursor has passed
- *     u, which is decidable from the cursors alone when users ascend
- *     strictly inside every column (nomad_bound.ascending, observed at
- *     bind) and the bound loss is the square loss; otherwise the
- *     burst runs column by column.  Every w row and every h row
- *     therefore sees its updates in burst order.
+ *     neither a w row nor an h row commute, so under the square loss a
+ *     burst runs two columns A, B at a time through one loop with two
+ *     independent dot-product chains.  B's rating of user u runs only
+ *     once A has no rating of u left, which nomad_bound.mark answers
+ *     exactly in any column order, repeats included: before the walk,
+ *     mark[u] is stamped with where A's last rating of u lies, so A
+ *     has one left while its cursor has not passed that stamp.  Nothing
+ *     about the shard is observed at bind.  Every w row and every h
+ *     row therefore sees its updates in burst order.
  *   - A 4-wide apply.  In the AVX2 build the compiler runs the update
  *     loops four lanes at a time.  Each lane computes exactly the scalar
  *     expression for its own d (a multiply, a multiply, a subtract, each
@@ -60,6 +61,7 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 #include "nomad_kernels.h"
 
@@ -163,14 +165,27 @@ static int64_t process_token(const nomad_bound *b, int64_t item) {
                   b->beta, b->lambda_, b->loss_id, b->loss_param);
 }
 
-/* Two distinct tokens of a shard whose columns ascend, under the square
- * loss, interleaved in conflict order: the result is that of item_a's
- * column followed by
- * item_b's.  B's next rating runs beside A's next one when its user is
- * below A's (A is past that w row, or never touches it), and otherwise
- * waits while A advances alone; whichever column is left when the other
- * ends runs serially.  The paired step reads four distinct rows — two
- * different users, two different items — hence the restricts. */
+/* Two distinct tokens under the square loss, interleaved in conflict
+ * order: the result is that of item_a's column followed by item_b's.
+ * B's next rating runs beside A's next one when A has no rating of its
+ * user left (A is past that w row, or never touches it), and otherwise
+ * waits while A advances alone; whichever column is left when the
+ * other ends runs serially.  The paired step reads four distinct rows
+ * — two different users, two different items — hence the restricts.
+ *
+ * Which users A has left is read off stamps.  The pair takes the
+ * stamps base + 1 .. base + n, one per entry of A in order (base is
+ * mark[-1], the last stamp any earlier pair took; n is A's length),
+ * and mark[u] ends up holding the stamp of A's last rating of u.  A
+ * user A never rates holds an earlier pair's stamp, at most base.  So
+ * A still has a rating of u at or past its cursor exactly when mark[u]
+ * exceeds the stamp of the entry before the cursor (passed): the count
+ * of A's remaining ratings of u is nonzero.  Stamps only grow, so
+ * nothing is cleared between pairs, and one pass over A's users is the
+ * whole bookkeeping.  They are int32, half the cache footprint of
+ * int64 (on a dense shard, where A is long, the pass measurably costs
+ * more with int64), so every stamp restarts from zero when A's would
+ * pass INT32_MAX, and a column of 2^31 ratings or more runs alone. */
 static int64_t process_token_pair(const nomad_bound *b, int64_t item_a,
                                   int64_t item_b) {
     const int64_t k = b->k;
@@ -181,10 +196,18 @@ static int64_t process_token_pair(const nomad_bound *b, int64_t item_a,
     const int64_t *users = b->users;
     const double *ratings = b->ratings;
     int64_t *counts = b->counts;
+    int32_t *mark = b->mark;
     double *restrict h_a = b->h + item_a * k;
     double *restrict h_b = b->h + item_b * k;
+    const int64_t n_a = end_a - pa;
 
-    if (pa < end_a && pb < end_b) {
+    if (n_a > 0 && n_a < INT32_MAX && pb < end_b) {
+        if (mark[-1] > INT32_MAX - n_a)
+            memset(mark - 1, 0, (size_t)(b->n_rows + 1) * sizeof *mark);
+        int32_t passed = mark[-1];
+        for (int64_t i = 0; i < n_a; i++)
+            mark[users[pa + i]] = (int32_t)(passed + i + 1);
+        mark[-1] = (int32_t)(passed + n_a);
         eq11 sa = eq11_at(counts[pa], alpha, beta, lambda_);
         eq11 sb = eq11_at(counts[pb], alpha, beta, lambda_);
         while (pa < end_a && pb < end_b) {
@@ -193,10 +216,11 @@ static int64_t process_token_pair(const nomad_bound *b, int64_t item_a,
             if (ta != sa.t)
                 sa = eq11_at(ta, alpha, beta, lambda_);
             counts[pa] = ta + 1;
-            if (users[pb] >= users[pa]) {
+            if (mark[users[pb]] > passed) {
                 apply(w_a, h_a, k, sa.decay,
                       sa.step * (dot(w_a, h_a, k) - ratings[pa]));
                 pa++;
+                passed++;
                 continue;
             }
             double *restrict w_b = b->w + users[pb] * k;
@@ -220,6 +244,7 @@ static int64_t process_token_pair(const nomad_bound *b, int64_t item_a,
             }
             pa++;
             pb++;
+            passed++;
         }
     }
     column(b->w, h_a, users + pa, ratings + pa, counts + pa, end_a - pa, k,
@@ -231,17 +256,17 @@ static int64_t process_token_pair(const nomad_bound *b, int64_t item_a,
 
 /* Token burst: a burst is just item ids.  Tokens run in order — a
  * repeated id is simply visited twice — so the result is identical to
- * looping process_token; over an ascending shard under the square
- * loss they run two at a time (see process_token_pair), an adjacent
- * repeat and the odd one out alone.  Returns -1, having applied
- * nothing, if any id is outside [0, n_items). */
+ * looping process_token; under the square loss they run two at a time
+ * (see process_token_pair), an adjacent repeat and the odd one out
+ * alone.  Returns -1, having applied nothing, if any id is outside
+ * [0, n_items). */
 static int64_t process_tokens(const nomad_bound *b, const int64_t *items,
                               int64_t n_tokens) {
     int64_t applied = 0;
     for (int64_t t = 0; t < n_tokens; t++)
         if (items[t] < 0 || items[t] >= b->n_items)
             return -1;
-    const int pairing = b->ascending && b->loss_id == 0;
+    const int pairing = b->loss_id == 0;
     int64_t t = 0;
     while (t < n_tokens) {
         if (pairing && t + 1 < n_tokens && items[t] != items[t + 1]) {

@@ -15,16 +15,18 @@
 /* A worker's factors and CSC shard, bound once (the module's
  * TokenKernel owns it).  Column j is users[indptr[j]:ends[j]]; for a
  * plain CSC ends is indptr + 1, so it reads the memory indptr[j + 1]
- * names.  ascending is nonzero when users rise strictly inside every
- * column: what process_tokens needs to pair columns.  loss_id and
- * loss_param name the loss every column runs under (see loss_gradient
- * in nomad_kernels.c). */
+ * names.  mark is the kernel's scratch, one int32 per row of w (n_rows)
+ * plus mark[-1], all zero at bind: the stamps process_tokens writes to
+ * find which users a column it pairs has left (see process_token_pair
+ * in nomad_kernels.c).  loss_id and loss_param name the loss every
+ * column runs under (see loss_gradient there). */
 typedef struct {
     double *w, *h;
     const int64_t *indptr, *ends, *users;
     const double *ratings;
     int64_t *counts;
-    int64_t n_items, k, ascending, loss_id;
+    int32_t *mark;
+    int64_t n_rows, n_items, k, loss_id;
     double alpha, beta, lambda_, loss_param;
 } nomad_bound;
 

@@ -114,6 +114,8 @@ typedef struct {
 
 static void token_kernel_dealloc(TokenKernelObject *self) {
     release_all(self->views, self->n_views);
+    if (self->bound.mark != NULL)
+        PyMem_Free(self->bound.mark - 1);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
@@ -159,18 +161,6 @@ static PyMethodDef token_kernel_methods[] = {
     {NULL, NULL, 0, NULL},
 };
 
-static PyObject *token_kernel_ascending(TokenKernelObject *self,
-                                        void *closure) {
-    (void)closure;
-    return PyBool_FromLong(self->bound.ascending != 0);
-}
-
-static PyGetSetDef token_kernel_getset[] = {
-    {"ascending", (getter)token_kernel_ascending, NULL,
-     "Whether users rise strictly inside every bound column.", NULL},
-    {NULL, NULL, NULL, NULL, NULL},
-};
-
 static PyTypeObject TokenKernelType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "repro.linalg.backends._nomad.TokenKernel",
@@ -179,7 +169,6 @@ static PyTypeObject TokenKernelType = {
     .tp_flags = Py_TPFLAGS_DEFAULT,
     .tp_doc = "A worker's factors and CSC shard, bound by Kernels.bind.",
     .tp_methods = token_kernel_methods,
-    .tp_getset = token_kernel_getset,
 };
 
 /* ------------------------------------------------------------------ */
@@ -198,20 +187,6 @@ static int columns_in_range(const int64_t *indptr, const int64_t *ends,
     for (Py_ssize_t j = 0; j < n_items; j++)
         if (!in_range(users + indptr[j], ends[j] - indptr[j], n_rows))
             return 0;
-    return 1;
-}
-
-/* Whether users rise strictly inside every column: what process_tokens
- * needs to pair columns (true of Shard.csc(), not of a ColumnStore
- * once an arrival lands at or below its column's last user).  Observed
- * here, never assumed: a caller that writes a column after binding
- * must bind again if the write could break the ascent. */
-static int ascending(const int64_t *indptr, const int64_t *ends,
-                     Py_ssize_t n_items, const int64_t *users) {
-    for (Py_ssize_t j = 0; j < n_items; j++)
-        for (int64_t i = indptr[j] + 1; i < ends[j]; i++)
-            if (users[i] <= users[i - 1])
-                return 0;
     return 1;
 }
 
@@ -236,6 +211,7 @@ static PyObject *kernels_bind(KernelsObject *self, PyObject *args) {
                                              &TokenKernelType);
     if (kernel == NULL)
         return NULL;
+    kernel->bound.mark = NULL;
     Py_buffer *v = kernel->views;
     for (kernel->n_views = 0; kernel->n_views < n_arrays; kernel->n_views++) {
         int i = kernel->n_views;
@@ -267,11 +243,18 @@ static PyObject *kernels_bind(KernelsObject *self, PyObject *args) {
                         "over w/h");
         goto fail;
     }
+    /* The pairing walk's stamps: mark[-1], then one per row of w, all
+     * zero here; held for the kernel's lifetime, so no call allocates. */
+    int32_t *mark = PyMem_Calloc(v[0].shape[0] + 1, sizeof(int32_t));
+    if (mark == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
     kernel->variant = self->variant;
     kernel->bound = (nomad_bound){
         v[0].buf, v[1].buf, indptr, ends, v[3].buf, v[4].buf, v[5].buf,
-        n_items, k, ascending(indptr, ends, n_items, v[3].buf), loss_id,
-        alpha, beta, lambda_, loss_param,
+        mark + 1, v[0].shape[0], n_items, k, loss_id, alpha, beta, lambda_,
+        loss_param,
     };
     return (PyObject *)kernel;
 

@@ -3,15 +3,12 @@
 NOMAD's correctness hinges on a single invariant: *at any instant, each item
 parameter h_j is owned by at most one worker* (§3.1, "At each point of time
 an h_j variable resides in one and only worker").  :class:`OwnershipLedger`
-enforces that invariant at runtime — every acquire/release is checked — and
-doubles as the audit trail that the serializability tests inspect.
+enforces that invariant at runtime in the simulator — every acquire/release
+is checked — and doubles as the audit trail that the serializability tests
+inspect.
 """
 
 from __future__ import annotations
-
-from array import array
-
-import numpy as np
 
 from ..errors import SimulationError
 
@@ -29,11 +26,9 @@ class OwnershipLedger:
     :class:`~repro.errors.SimulationError` on any double-acquire or foreign
     release, which would indicate a scheduler bug.
 
-    The owners live in an ``array('q')``, so the batch and whole-ledger
-    checks the dynamic trainer runs every sweep work on an int64 ndarray
-    view of its buffer, with no copy.  :meth:`acquire` / :meth:`release`
-    run once per simulated token hop; an element read or write there
-    costs ≈20-30 ns more than a list's on CPython 3.11.
+    The owners live in a plain list: :meth:`acquire` / :meth:`release`
+    run once per simulated token hop, and a list element read or write
+    is about half an ``array`` or ndarray scalar access on CPython 3.11.
     """
 
     def __init__(self, n_items: int, n_workers: int):
@@ -42,38 +37,12 @@ class OwnershipLedger:
         if n_workers < 1:
             raise SimulationError(f"n_workers must be >= 1, got {n_workers}")
         self._n_workers = int(n_workers)
-        self._owner = array("q", [_IN_FLIGHT]) * int(n_items)
-        self._transfers = 0
-
-    def _owners(self) -> np.ndarray:
-        """The owners as an int64 view of the array's buffer.  Keep it
-        inside one expression: while a view lives, :meth:`grow` cannot
-        resize the array."""
-        return np.frombuffer(self._owner, dtype=np.int64)
+        self._owner = [_IN_FLIGHT] * int(n_items)
 
     @property
     def n_items(self) -> int:
         """Number of tracked item tokens."""
         return len(self._owner)
-
-    @property
-    def transfers(self) -> int:
-        """Total number of completed ownership transfers so far."""
-        return self._transfers
-
-    def grow(self, n_items: int) -> None:
-        """Extend the ledger to track more items (streaming fold-in).
-
-        New items start in flight, matching the constructor's convention:
-        a freshly minted token does not belong to any worker until its
-        first :meth:`acquire`.  Shrinking is rejected — tokens are never
-        destroyed.
-        """
-        if n_items < self.n_items:
-            raise SimulationError(
-                f"ledger cannot shrink from {self.n_items} to {n_items} items"
-            )
-        self._owner.extend(array("q", [_IN_FLIGHT]) * (n_items - self.n_items))
 
     def owner_of(self, item: int) -> int | None:
         """Current owner of ``item``, or None while the token is in flight."""
@@ -91,7 +60,6 @@ class OwnershipLedger:
                 f"worker {owner[item]}"
             )
         owner[item] = worker
-        self._transfers += 1
 
     def release(self, item: int, worker: int) -> None:
         """Record that ``worker`` sent the token for ``item`` onward."""
@@ -103,46 +71,6 @@ class OwnershipLedger:
             )
         owner[item] = _IN_FLIGHT
 
-    def transfer_many(self, items, sources, destinations) -> None:
-        """Hand each ``items[t]`` from ``sources[t]`` to ``destinations[t]``.
-
-        One vectorised :meth:`release` + :meth:`acquire` per token, with
-        the same checks and the same error text, raised for the first
-        offending position before anything is recorded: a source that
-        does not own its item is a foreign release, a destination
-        outside the worker range is rejected, and an item listed twice
-        is a double acquire (a token moves once per batch).
-        """
-        items = np.asarray(items, dtype=np.int64)
-        sources = np.asarray(sources, dtype=np.int64)
-        destinations = np.asarray(destinations, dtype=np.int64)
-        foreign = self._owners()[items] != sources
-        bad = foreign | (destinations < 0) | (destinations >= self._n_workers)
-        # No repeat is the rule: the per-position repeat mask is built
-        # only when a count says there is one.
-        repeated = None
-        if items.size and np.bincount(items).max() > 1:
-            repeated = np.ones(items.size, dtype=bool)
-            repeated[np.unique(items, return_index=True)[1]] = False
-            bad |= repeated
-        if bad.any():
-            t = int(np.argmax(bad))
-            item, worker = int(items[t]), int(destinations[t])
-            if repeated is not None and repeated[t]:
-                first = int(np.flatnonzero(items == item)[0])
-                raise SimulationError(
-                    f"item {item} acquired by worker {worker} while owned "
-                    f"by worker {int(destinations[first])}"
-                )
-            if foreign[t]:
-                raise SimulationError(
-                    f"worker {int(sources[t])} released item {item} owned "
-                    f"by {self.owner_of(item)}"
-                )
-            raise SimulationError(f"worker {worker} out of range")
-        self._owners()[items] = destinations
-        self._transfers += int(items.size)
-
     def assert_conserved(self) -> None:
         """Check token conservation: every item is owned or in flight.
 
@@ -150,12 +78,12 @@ class OwnershipLedger:
         the method also validates owner indices, guarding against memory
         corruption from buggy callers.
         """
-        owners = self._owners()
-        if owners.min() < _IN_FLIGHT or owners.max() >= self._n_workers:
-            item = int(np.flatnonzero(
-                (owners < _IN_FLIGHT) | (owners >= self._n_workers)
-            )[0])
-            del owners  # a live view would pin the array's size
+        owners = self._owner
+        if min(owners) < _IN_FLIGHT or max(owners) >= self._n_workers:
+            item = next(
+                j for j, owner in enumerate(owners)
+                if not _IN_FLIGHT <= owner < self._n_workers
+            )
             raise SimulationError(
-                f"item {item} has invalid owner {self._owner[item]}"
+                f"item {item} has invalid owner {owners[item]}"
             )

@@ -481,10 +481,7 @@ class RecommendationService:
         if not self.config.train or self.stream.closed:
             return self._ingest_unavailable()
         request = IngestRequest.from_body(body)
-        ratings = request.ratings
-        users = np.array([r.user for r in ratings], dtype=np.int64)
-        items = np.array([r.item for r in ratings], dtype=np.int64)
-        values = np.array([r.value for r in ratings], dtype=np.float64)
+        users, items, values = request.users, request.items, request.values
         with self._ingest_lock:
             # The trainer grows a factor row for every id up to the
             # largest it sees, so one far past every id held would stall

@@ -19,6 +19,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import ServeError
 
 __all__ = [
@@ -27,7 +29,6 @@ __all__ = [
     "MAX_BATCH",
     "PredictQuery",
     "RecommendQuery",
-    "RatingPayload",
     "IngestRequest",
     "HealthResponse",
     "SnapshotResponse",
@@ -153,24 +154,19 @@ class RecommendQuery:
         )
 
 
-@dataclass(frozen=True)
-class RatingPayload:
-    """One rating inside an ingest batch."""
-
-    user: int
-    item: int
-    value: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IngestRequest:
     """``POST /ratings`` body: ``{"ratings": [{"user", "item", "value"}, ...]}``.
 
     The whole batch is validated before any rating is accepted — a
-    malformed entry rejects the request without side effects.
+    malformed entry rejects the request without side effects.  The
+    ratings come out as three aligned arrays, ``users`` / ``items``
+    (``int64``) and ``values`` (``float64``), in body order.
     """
 
-    ratings: tuple[RatingPayload, ...]
+    users: np.ndarray
+    items: np.ndarray
+    values: np.ndarray
 
     @classmethod
     def from_body(cls, raw: bytes) -> "IngestRequest":
@@ -197,35 +193,67 @@ class IngestRequest:
             raise ServeError(
                 f"'ratings' batch too large: {len(entries)} > {MAX_BATCH}"
             )
-        ratings = []
-        for index, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                raise ServeError(
-                    f"ratings[{index}] must be an object, got "
-                    f"{type(entry).__name__}"
-                )
-            _reject_unknown(
-                set(entry), {"user", "item", "value"}, f"ratings[{index}]"
+        columns = _columns(entries)
+        if columns is None:
+            _refuse(entries)
+        return cls(*columns)
+
+
+def _columns(entries: list) -> tuple[np.ndarray, ...] | None:
+    """A well-formed batch's ``(users, items, values)`` arrays, checked a
+    column at a time; ``None`` when any entry breaks a rule (then
+    :func:`_refuse` finds which).  JSON gives ``int`` / ``float`` /
+    ``bool`` exactly, so ``type(...) is int`` is the integer check with
+    ``bool`` refused."""
+    try:
+        if any(type(entry) is not dict or len(entry) != 3 for entry in entries):
+            return None
+        users = [entry["user"] for entry in entries]
+        items = [entry["item"] for entry in entries]
+        values = [entry["value"] for entry in entries]
+    except KeyError:
+        return None
+    if {*map(type, users), *map(type, items)} != {int}:
+        return None
+    if not {*map(type, values)} <= {int, float}:
+        return None
+    try:
+        users = np.array(users, dtype=np.int64)
+        items = np.array(items, dtype=np.int64)
+        values = np.array(values, dtype=np.float64)
+    except OverflowError:  # an id past int64, or a value past float64
+        return None
+    if (users.min() < 0 or items.min() < 0
+            or np.count_nonzero(np.isfinite(values)) < values.size):
+        return None
+    return users, items, values
+
+
+def _refuse(entries: list) -> None:
+    """Raise the :class:`~repro.errors.ServeError` of a batch's first
+    malformed entry, checking entry by entry."""
+    for index, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ServeError(
+                f"ratings[{index}] must be an object, got "
+                f"{type(entry).__name__}"
             )
-            for field_name in ("user", "item", "value"):
-                if field_name not in entry:
-                    raise ServeError(
-                        f"ratings[{index}]: missing required field "
-                        f"{field_name!r}"
-                    )
-            value = _body_number(entry, "value", index)
-            if value != value or value in (float("inf"), float("-inf")):
+        _reject_unknown(
+            set(entry), {"user", "item", "value"}, f"ratings[{index}]"
+        )
+        for field_name in ("user", "item", "value"):
+            if field_name not in entry:
                 raise ServeError(
-                    f"ratings[{index}].value must be finite, got {value}"
+                    f"ratings[{index}]: missing required field "
+                    f"{field_name!r}"
                 )
-            ratings.append(
-                RatingPayload(
-                    user=_body_index(entry, "user", index),
-                    item=_body_index(entry, "item", index),
-                    value=value,
-                )
+        value = _body_number(entry, "value", index)
+        if value != value or value in (float("inf"), float("-inf")):
+            raise ServeError(
+                f"ratings[{index}].value must be finite, got {value}"
             )
-        return cls(ratings=tuple(ratings))
+        _body_index(entry, "user", index)
+        _body_index(entry, "item", index)
 
 
 # ----------------------------------------------------------------------

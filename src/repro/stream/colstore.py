@@ -15,9 +15,10 @@ them into their columns' slack, in place, at the start of the next
 sweep: a kernel bound to the store reads the new ``ends`` and the new
 ratings without being rebound.  A column whose slack runs out is copied
 to the free tail of the buffers with twice the room it needs, and the
-buffers themselves grow geometrically; only that growth, new columns,
-or an arrival that breaks a column's ascent (which a bound kernel
-observed once, at bind) make :meth:`flush` ask for a rebind.
+buffers themselves grow geometrically; only that growth or new columns
+make :meth:`flush` ask for a rebind.  An arrival lands after its
+column's last rating whatever its user: the kernels need no order
+inside a column.
 
 The store never reads or writes factors, so it declares no nomadlint
 owner context.
@@ -78,7 +79,6 @@ class ColumnStore:
         self._counts = np.zeros(self.indptr[-1], dtype=np.int64)
         self._pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._pending_n = 0
-        self._ascending = self._rises(slots[slots > np.repeat(starts, lengths)])
 
     @property
     def n_items(self) -> int:
@@ -118,10 +118,9 @@ class ColumnStore:
         slack runs out (then that column alone is copied) or the buffers
         must grow.  Columns beyond the old :attr:`n_items` start empty.
         Returns whether a kernel bound to this store must be rebound: an
-        array was replaced, columns were added, or an arrival landed at
-        or below its column's last user (a bound kernel's ``ascending``
-        would be stale).  A shrink or a pending item outside
-        ``[0, n_items)`` raises :class:`ValueError` and changes nothing.
+        array was replaced or columns were added.  A shrink or a pending
+        item outside ``[0, n_items)`` raises :class:`ValueError` and
+        changes nothing.
         """
         grown = n_items - self.n_items
         if grown < 0:
@@ -162,20 +161,11 @@ class ColumnStore:
             self._users[at] = users[order]
             self._ratings[at] = ratings[order]
             self._counts[at] = 0
-            if self._ascending:
-                self._ascending = self._rises(at[at > self.indptr[items]])
-                rebind |= not self._ascending
             np.add.at(self.ends, items, 1)
             self._held += items.size
             pending.clear()
             self._pending_n = 0
         return rebind
-
-    def _rises(self, slots: np.ndarray) -> bool:
-        """Whether each of ``slots`` holds a user above the slot before
-        it (every slot given is past its column's first)."""
-        users = self._users
-        return not np.count_nonzero(users[slots] <= users[slots - 1])
 
     def _make_room(self, added: np.ndarray) -> bool:
         """Give every column the slots for ``added[j]`` more ratings (some

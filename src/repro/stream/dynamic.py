@@ -11,11 +11,11 @@ that execution model made concrete:
   routed to the owning worker's column store (a new user is assigned to
   the least-loaded worker on first sight) — there is never a global
   re-partition;
-* item tokens circulate between per-worker queues under the
-  :class:`~repro.partition.assignments.OwnershipLedger` invariant (each
-  ``h_j`` owned by exactly one worker at a time), with
-  :meth:`~repro.partition.assignments.OwnershipLedger.grow` minting
-  tokens for items first seen mid-stream;
+* item tokens rest at workers between sweeps — two ``int64`` arrays,
+  the item and the worker it rests at, with a token appended for each
+  item first seen mid-stream — and every sweep checks the §3.1
+  invariant first: the tokens are a permutation of the items (each
+  ``h_j`` at exactly one worker);
 * one :meth:`sweep` routes every token through every worker exactly once
   (the §3.4 circulation schedule on a single machine), so each observed
   rating receives exactly one equation-(11) SGD update per sweep, through
@@ -32,9 +32,9 @@ sweep round is then one ``kernel.process_tokens(items)`` per worker on a
 kernel bound by :meth:`KernelBackend.bind_tokens
 <repro.linalg.backends.base.KernelBackend.bind_tokens>` over the store's
 columns and their ``ends`` — no per-column Python.  The kernel reads the
-arrivals where they were written; it is rebound (and its arrays
-re-validated) only when the store's flush says so (its buffers grew,
-items were added, or a column's users stopped ascending) or a
+arrivals where they were written, in whatever order they leave a
+column's users; it is rebound (and its arrays re-validated) only when
+the store's flush says so (its buffers grew or items were added) or a
 first-seen user reallocated ``W``.
 
 The execution is in-process and deterministic given the seed: within a
@@ -48,16 +48,14 @@ from.
 from __future__ import annotations
 
 import math
-from collections import deque
 
 import numpy as np
 
 from ..config import HyperParams, RunConfig
 from ..datasets.ratings import RatingMatrix, partition_owner
-from ..errors import ConfigError, DataError
+from ..errors import ConfigError, DataError, SimulationError
 from ..linalg.backends import resolve_backend
 from ..linalg.factors import FactorPair, start_factors
-from ..partition.assignments import OwnershipLedger
 from ..partition.partitioners import partition_rows_equal_ratings
 from ..rng import RngFactory
 from ..telemetry import (
@@ -75,7 +73,8 @@ from .colstore import ColumnStore
 __all__ = ["DynamicNomad", "RatedCells"]
 
 #: nomadlint NMD001 owner contexts: ``sweep`` dispatches each token
-#: through exactly one worker at a time under the OwnershipLedger;
+#: through exactly one worker at a time, having checked that each item
+#: has exactly one token;
 #: ``_grow_users``/``_grow_items`` initialize rows that no token or
 #: worker can reference until the growth completes.
 __nomad_owner_contexts__ = ("sweep", "_grow_users", "_grow_items")
@@ -259,13 +258,14 @@ class DynamicNomad:
         self._kernels: list = [None] * p
         self._bound_w: np.ndarray | None = None
 
-        self._queues: list[deque[int]] = [deque() for _ in range(p)]
-        self._ledger = OwnershipLedger(base.n_cols, p)
+        # The tokens at rest: item ``_rest_items[t]`` rests at worker
+        # ``_rest_at[t]``, in the order the tokens came to rest, so a
+        # stable sort by worker lists each worker's tokens in that order.
         scatter = self._factory.pyrandom("dynamic-scatter")
-        for j in range(base.n_cols):
-            q = scatter.randrange(p)
-            self._queues[q].append(j)
-            self._ledger.acquire(j, q)
+        self._rest_items = np.arange(base.n_cols, dtype=np.int64)
+        self._rest_at = np.array(
+            [scatter.randrange(p) for _ in range(base.n_cols)], dtype=np.int64
+        )
 
         self._total_updates = 0
         self._worker_updates = [0] * p
@@ -326,7 +326,7 @@ class DynamicNomad:
 
     def queue_sizes(self) -> list[int]:
         """Tokens resting at each worker (diagnostics, tests)."""
-        return [len(queue) for queue in self._queues]
+        return np.bincount(self._rest_at, minlength=self.n_workers).tolist()
 
     def triplets(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Every rating held, as one ``(users, items, ratings)`` COO triple
@@ -350,8 +350,8 @@ class DynamicNomad:
         ever happens: first-seen users and items grow in arrival order,
         a new user pinned to the worker least loaded at its arrival
         (counting the block's earlier arrivals), a new item minting a
-        token on a seeded random queue.  The ratings train from the
-        very next :meth:`sweep`.
+        token that rests at a seeded random worker.  The ratings train
+        from the very next :meth:`sweep`.
         """
         users, items = _ids(users), _ids(items)
         values = np.asarray(values, dtype=np.float64).reshape(-1)
@@ -446,15 +446,19 @@ class DynamicNomad:
     def _grow_items(self, n_items: int) -> None:
         bound = 1.0 / np.sqrt(self.hyper.k)
         self._h = _grown(self._h, n_items)
-        self._ledger.grow(n_items)
+        dests = []
         for item in range(self._n_items, n_items):
             self._h[item] = self._grow_rng.uniform(
                 0.0, bound, size=self.hyper.k
             )
-            dest = self._route_rng.randrange(self.n_workers)
-            self._queues[dest].append(item)
-            self._ledger.acquire(item, dest)
-            self._new_items += 1
+            dests.append(self._route_rng.randrange(self.n_workers))
+        self._rest_items = np.concatenate(
+            [self._rest_items, np.arange(self._n_items, n_items)]
+        )
+        self._rest_at = np.concatenate(
+            [self._rest_at, np.array(dests, dtype=np.int64)]
+        )
+        self._new_items += n_items - self._n_items
         self._n_items = n_items
 
     # ------------------------------------------------------------------
@@ -477,6 +481,53 @@ class DynamicNomad:
         self._bound_w = w
         return self._kernels
 
+    def _plan(self) -> tuple[np.ndarray, np.ndarray]:
+        """The resting tokens in plan order (each worker's in the order
+        they came to rest, worker by worker) and how many rest at each
+        worker, once they pass the sweep's one check of them: the tokens
+        are a permutation of the items, each resting at a worker in
+        range (§3.1: each ``h_j`` at one worker).  Raises
+        :class:`~repro.errors.SimulationError` otherwise."""
+        items, at = self._rest_items, self._rest_at
+        n_items, p = self._n_items, self.n_workers
+        try:
+            copies = np.bincount(items, minlength=n_items)
+            sizes = np.bincount(at, minlength=p)
+        except ValueError:  # a negative id
+            copies = sizes = np.empty(0, dtype=np.int64)
+        # n_items tokens, none for an item twice and none beyond the last.
+        if (items.size != n_items or at.size != n_items
+                or copies.size != n_items or sizes.size != p
+                or np.count_nonzero(copies != 1)):
+            raise SimulationError(
+                f"the {items.size} resting tokens are not one per item "
+                f"of {n_items}, each at a worker in [0, {p})"
+            )
+        return items[np.argsort(at, kind="stable")], sizes
+
+    def _rounds(self, items: np.ndarray, sizes: np.ndarray) -> list:
+        """``rounds[r][q]``: the tokens worker ``q`` runs in round ``r``,
+        in plan order.  Token ``t``'s tour is its resting worker, then
+        the others in a fresh order: a shuffle of each token's row of
+        ``stops``, one row at a time.  A shuffle of one worker draws
+        nothing, so below three workers every tour a worker's tokens
+        take is the same and a round is ``p`` slices of the plan."""
+        p = self.n_workers
+        bounds = [0, *np.cumsum(sizes).tolist()]
+        if p <= 2:
+            rests = [items[bounds[q]:bounds[q + 1]] for q in range(p)]
+            return [[rests[q - r] for q in range(p)] for r in range(p)]
+        stops = np.empty((items.size, p), dtype=np.int64)
+        for q in range(p):
+            stops[bounds[q]:bounds[q + 1], 0] = q
+            stops[bounds[q]:bounds[q + 1], 1:] = [
+                w for w in range(p) if w != q
+            ]
+        shuffle = self._route_rng.shuffle
+        for tour in stops[:, 1:]:
+            shuffle(tour)
+        return [[items[stops[:, r] == q] for q in range(p)] for r in range(p)]
+
     def sweep(self) -> int:
         """Route every token through every worker once; return updates.
 
@@ -488,13 +539,15 @@ class DynamicNomad:
         update what interleaving them would give: workers own disjoint
         ``w`` rows and a token is at one worker per round (a
         serializable execution by the owner-computes argument of §4.1).
+        Before any kernel runs, the resting tokens must be a permutation
+        of the items (:class:`~repro.errors.SimulationError` otherwise).
         Afterwards every token rests, in plan order, at a uniform draw
         (Algorithm 1 line 22): the next sweep tours every token through
-        every worker again, so a resting queue only decides the round in
-        which a worker sees a token, never a worker's load.
+        every worker again, so where a token rests only decides the
+        round in which a worker sees it, never a worker's load.
 
-        Every draw (tours, rests, new items' first queues) comes from one
-        ``dynamic-route`` stream of the kernel backend
+        Every draw (tours, rests, new items' first workers) comes from
+        one ``dynamic-route`` stream of the kernel backend
         (:meth:`~repro.linalg.backends.base.KernelBackend.rng_stream`):
         the draws a ``random.Random`` would make, under ``cext`` at C
         prices — a sweep's rests are one ``randbelow_many`` call.
@@ -503,38 +556,18 @@ class DynamicNomad:
         rec = self.recorder
         if rec is not None:
             sweep_start = clock()
-            for q in range(p):
-                rec.point(POINT_QUEUE_DEPTH, len(self._queues[q]))
+        items, sizes = self._plan()
+        if rec is not None:
+            for size in sizes.tolist():
+                rec.point(POINT_QUEUE_DEPTH, size)
         kernels = self._bound_kernels()
-        # Row t of ``stops`` is token t's tour: its resting worker, then
-        # the others, shuffled in place one row at a time.  A shuffle of
-        # one worker draws nothing, so below three workers a queue's
-        # tours are one constant row and no shuffle runs.
-        tokens: list[int] = []
-        n_tokens = sum(map(len, self._queues))
-        stops = np.empty((n_tokens, p), dtype=np.int64)
-        shuffle = self._route_rng.shuffle
-        for q, queue in enumerate(self._queues):
-            first = len(tokens)
-            last = first + len(queue)
-            stops[first:last, 0] = q
-            stops[first:last, 1:] = [w for w in range(p) if w != q]
-            if p > 2:
-                for tour in stops[first:last, 1:]:
-                    shuffle(tour)
-            tokens.extend(queue)
-            queue.clear()
-        items = np.array(tokens, dtype=np.int64)
-
         applied = 0
-        for r in range(p):
-            if r > 0:
-                self._ledger.transfer_many(items, stops[:, r - 1], stops[:, r])
+        for bursts in self._rounds(items, sizes):
             if rec is not None:
                 kernel_start = clock()
             round_applied = 0
-            for q in range(p):
-                done = kernels[q].process_tokens(items[stops[:, r] == q])
+            for q, burst in enumerate(bursts):
+                done = kernels[q].process_tokens(burst)
                 round_applied += done
                 self._worker_updates[q] += done
             applied += round_applied
@@ -549,16 +582,13 @@ class DynamicNomad:
             for store in self._stores:
                 store.clamp_counts(self.count_cap)
 
-        dests = self._route_rng.randbelow_many(p, n_tokens)
-        for q, queue in enumerate(self._queues):
-            queue.extend(items[dests == q].tolist())
-        self._ledger.transfer_many(items, stops[:, -1], dests)
-        self._ledger.assert_conserved()
+        self._rest_items = items
+        self._rest_at = self._route_rng.randbelow_many(p, items.size)
         self._total_updates += applied
         if rec is not None:
             rec.span(SPAN_SWEEP, sweep_start, clock() - sweep_start, applied)
             rec.add(C_UPDATES, applied)
-            rec.add(C_TOKENS, n_tokens)
+            rec.add(C_TOKENS, items.size)
         return applied
 
     def train(self, epochs: int) -> int:

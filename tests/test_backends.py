@@ -14,7 +14,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import HyperParams, RunConfig
@@ -407,10 +407,12 @@ _COUNTERS = st.sampled_from([0, 0, 1, 7, 8, 8, 28, 33])
 _RATINGS = st.floats(0.5, 5.0)
 _N_USERS, _K = 9, 3
 
-#: One shard: per column a list of (user, rating, counter), as drawn —
-#: unsorted, a user repeated inside a column, empty and trailing-empty
-#: columns all occur — or, when the flag is set, every column cut down
-#: to strictly ascending users (what ``Shard.csc()`` delivers).
+#: One shard: per column a list of (user, rating, counter), and the
+#: shape it is given.  ``drawn`` keeps the columns as drawn — unsorted,
+#: a user repeated inside a column, empty and trailing-empty columns all
+#: occur; ``ascending`` cuts every column down to strictly ascending
+#: users (what ``Shard.csc()`` delivers); ``stream`` gives it a column
+#: store's shape (see :func:`_stream_columns`).
 _SHARDS = st.tuples(
     st.lists(
         st.lists(
@@ -419,16 +421,33 @@ _SHARDS = st.tuples(
         ),
         min_size=1, max_size=6,
     ),
-    st.booleans(),
+    st.sampled_from(["drawn", "ascending", "stream"]),
 )
 
 
-def _shard_arrays(columns, ascending):
-    if ascending:
-        columns = [
-            sorted({entry[0]: entry for entry in column}.values())
-            for column in columns
-        ]
+def _ascending(column):
+    return sorted({entry[0]: entry for entry in column}.values())
+
+
+def _stream_columns(columns):
+    """Each column as a ``ColumnStore`` holds it after arrivals: the first
+    half of its entries as an ascending base, then the rest as drawn (an
+    arrival tail in any order), then a repeat of its first user and the
+    previous column's first user, which neighbouring columns so share."""
+    shaped, previous = [], []
+    for column in columns:
+        half = (len(column) + 1) // 2
+        base = _ascending(column[:half])
+        shaped.append(base + column[half:] + base[:1] + previous[:1])
+        previous = base
+    return shaped
+
+
+def _shard_arrays(columns, shape):
+    if shape == "ascending":
+        columns = [_ascending(column) for column in columns]
+    elif shape == "stream":
+        columns = _stream_columns(columns)
     flat = [entry for column in columns for entry in column]
     indptr = np.cumsum([0] + [len(column) for column in columns])
     return (
@@ -520,17 +539,27 @@ class TestBitForBit:
         loss=_LOSSES,
         layout=_LAYOUTS,
     )
+    # Column 0 comes out as users [1, 2, 3, 4, 5, 6, 1], column 1 as
+    # [7, 7, 1]: paired in that order, column 1's rating of user 1 must
+    # wait for column 0's second one, past a first that a flag per user
+    # would take as the last.
+    @example(
+        shard=([[(u, 1.0 + u / 4, 0) for u in range(1, 7)], [(7, 2.5, 8)]],
+               "stream"),
+        burst=[0, 1], loss=None, layout=None,
+    )
     def test_process_tokens_equals_looped_reference(
         self, name, shard, burst, loss, layout
     ):
-        """Any CSC with in-range users, any burst (repeats, adjacent
-        repeats, odd length, length 0 / 1), counters mixed inside a
-        column, any loss, and the same columns laid out with slack
-        (``ends=``: columns out of order, free slots a kernel must
-        neither read nor write).  Fails on a ``cext`` that pairs
-        columns without checking that they ascend, or under a loss
-        other than the square loss, or that reads a column past its
-        end."""
+        """Any CSC with in-range users in any of the three shapes, any
+        burst (repeats, adjacent repeats, odd length, length 0 / 1),
+        counters mixed inside a column, any loss, and the same columns
+        laid out with slack (``ends=``: columns out of order, free slots
+        a kernel must neither read nor write).  Fails on a ``cext`` that
+        lets a column's rating of a user run before the previous
+        column's last rating of that user (marks that only flag a user
+        fail the ``@example``), that pairs under a loss other than the
+        square loss, or that reads a column past its end."""
         indptr, users, ratings, counts = _shard_arrays(*shard)
         n_items = indptr.size - 1
         burst = [j % n_items for j in burst]

@@ -190,8 +190,55 @@ class TestSchemas:
             {"ratings": [{"user": 1, "item": 2, "value": 3.5}]}
         ).encode()
         request = IngestRequest.from_body(body)
-        (rating,) = request.ratings
-        assert (rating.user, rating.item, rating.value) == (1, 2, 3.5)
+        assert request.users.dtype == request.items.dtype == np.int64
+        assert request.values.dtype == np.float64
+        assert (request.users.tolist(), request.items.tolist(),
+                request.values.tolist()) == ([1], [2], [3.5])
+
+    def test_ingest_parses_a_batch_into_arrays_in_body_order(self):
+        entries = [
+            {"user": 3, "item": 0, "value": 4},
+            {"value": 1.5, "item": 7, "user": 0},
+            {"user": 2**63 - 1, "item": 1, "value": -2.25},
+        ]
+        request = IngestRequest.from_body(
+            json.dumps({"ratings": entries}).encode()
+        )
+        assert request.users.tolist() == [3, 0, 2**63 - 1]
+        assert request.items.tolist() == [0, 7, 1]
+        assert request.values.tolist() == [4.0, 1.5, -2.25]
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (1, r"ratings\[2\] must be an object"),
+            ({"user": 1, "item": 2}, r"ratings\[2\]: missing required field 'value'"),
+            ({"user": 1, "item": 2, "value": 1.0, "x": 0},
+             r"ratings\[2\]: unknown field"),
+            ({"user": 1.0, "item": 2, "value": 1.0},
+             r"ratings\[2\]\.user must be an integer"),
+            ({"user": 1, "item": False, "value": 1.0},
+             r"ratings\[2\]\.item must be an integer"),
+            ({"user": 1, "item": -3, "value": 1.0},
+             r"ratings\[2\]\.item must be >= 0"),
+            ({"user": -2**64, "item": 2, "value": 1.0},
+             r"ratings\[2\]\.user must be >= 0"),
+            ({"user": 2**64, "item": 2, "value": 1.0},
+             r"ratings\[2\]\.user must be < 2\*\*63"),
+            ({"user": 1, "item": 2, "value": None},
+             r"ratings\[2\]\.value must be a number"),
+            # The value is checked before the ids, as entry by entry.
+            ({"user": -1, "item": 2, "value": "x"},
+             r"ratings\[2\]\.value must be a number"),
+        ],
+    )
+    def test_ingest_names_the_first_offender(self, bad, match):
+        """A batch is refused for its first malformed entry, with the
+        message an entry-by-entry check gives, whatever follows it."""
+        good = {"user": 0, "item": 1, "value": 2.0}
+        entries = [good, good, bad, {"user": -5, "item": 0, "value": 1.0}]
+        with pytest.raises(ServeError, match=match):
+            IngestRequest.from_body(json.dumps({"ratings": entries}).encode())
 
     @pytest.mark.parametrize(
         "body, match",

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 import repro
 from repro.config import HyperParams, RunConfig
 from repro.datasets.ratings import RatingMatrix
-from repro.errors import ConfigError, DataError, DivergenceError
+from repro.errors import (
+    ConfigError, DataError, DivergenceError, SimulationError,
+)
 from repro.linalg import cext_available
 from repro.linalg.backends import get_backend
 from repro.linalg.objective import test_rmse as rmse_of
@@ -245,6 +247,33 @@ class TestDynamicNomad:
         assert np.array_equal(a.factors.w, b.factors.w)
         assert np.array_equal(a.factors.h, b.factors.h)
 
+    @pytest.mark.parametrize("fault", ["duplicated", "dropped"])
+    def test_a_token_duplicated_or_dropped_stops_the_sweep(
+        self, replay, fault
+    ):
+        """The sweep's one check of its resting tokens: they must be a
+        permutation of the items.  One item's token twice (another's
+        missing), or one token dropped, raises before any factor or
+        counter moves."""
+        dynamic = DynamicNomad(replay.warmup, 2, HYPER, RunConfig(seed=5))
+        dynamic.sweep()
+        items, at = dynamic._rest_items.copy(), dynamic._rest_at.copy()
+        if fault == "duplicated":
+            items[1] = items[0]
+        else:
+            items, at = items[1:], at[1:]
+        dynamic._rest_items, dynamic._rest_at = items, at
+        before = dynamic.factors
+        counts = [store.counts for store in dynamic._stores]
+        with pytest.raises(SimulationError, match="not one per item"):
+            dynamic.sweep()
+        after = dynamic.factors
+        assert np.array_equal(after.w, before.w)
+        assert np.array_equal(after.h, before.h)
+        for store, held in zip(dynamic._stores, counts):
+            assert np.array_equal(store.counts, held)
+        assert dynamic.total_updates == replay.warmup.nnz
+
     def test_ingest_routes_to_owner_without_repartition(self, warm_dynamic):
         owners_before = warm_dynamic._owner_of_user.tolist()
         user = 0
@@ -464,72 +493,64 @@ class TestColumnStore:
                     entry[2] += 1
             else:
                 arrays = store.kernel_arrays()
-                ascends = self._ascends(model)
                 grown = n_items > len(model)
                 rebind = store.flush(n_items)
                 assert rebind or not grown
-                if not rebind:  # written in place: bound kernels stay valid
-                    assert all(
-                        a is b for a, b in zip(arrays, store.kernel_arrays())
-                    )
+                # A rebind is asked for exactly when the flush replaced an
+                # array a bound kernel holds: the buffers grew or columns
+                # were added.  Anything else is written in place, in any
+                # user order, and bound kernels stay valid.
+                assert rebind == any(
+                    a is not b for a, b in zip(arrays, store.kernel_arrays())
+                )
                 model.extend([] for _ in range(n_items - len(model)))
                 for item, entry in pending:
                     model[item].append(entry)
                 pending.clear()
                 self._check(store, model)
-                # A kernel observed the ascent at bind: a flush that
-                # breaks it must ask for a rebind.
-                assert rebind or self._ascends(model) == ascends
             assert store.nnz == sum(map(len, model)) + len(pending)
 
-    @staticmethod
-    def _ascends(model):
-        return all(
-            all(a[0] < b[0] for a, b in zip(column, column[1:]))
-            for column in model
-        )
-
     @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-    def test_an_arrival_that_breaks_the_ascent_asks_for_a_rebind(
+    def test_an_arrival_below_its_columns_last_user_is_written_in_place(
         self, backend
     ):
-        """Arrivals above a column's last user land in its slack and keep
-        a bound kernel valid; a column past its slack is copied (new
-        buffers: rebind); an arrival at or below a column's last user
-        makes the flush ask for a rebind, and the kernel bound then
-        reads ``ascending`` false."""
+        """An arrival lands in its column's slack whatever its user —
+        above the column's last user, below it, a repeat inside the
+        column, one the next column shares — and asks for no rebind: a
+        kernel bound before it trains it bit for bit as the ``list``
+        kernel does.  Only a column past its slack (new buffers) asks
+        for a rebind."""
         store = ColumnStore([0, 2, 3], [1, 4, 2], [1.0, 2.0, 3.0])
-        bind = get_backend(backend).bind_tokens
-        w, h = np.ones((20, 2)), np.ones((2, 2))
+        rng = np.random.default_rng(3)
+        w, h = rng.random((20, 2)), rng.random((2, 2))
 
-        def bound():
-            indptr, users, ratings, counts, ends = store.kernel_arrays()
-            return bind(
+        def bound(backend, w, h, counts):
+            indptr, users, ratings, _, ends = store.kernel_arrays()
+            return get_backend(backend).bind_tokens(
                 w, h, indptr, users, ratings, counts, 0.1, 0.1, 0.1,
                 ends=ends,
             )
 
-        kernel = bound()
+        kernel = bound(backend, w, h, store.kernel_arrays()[3])
         arrays = store.kernel_arrays()
-        store.append([0, 0, 1], [6, 7, 3], [4.0, 5.0, 6.0])
+        store.append([0, 1, 0, 1, 1], [2, 3, 0, 2, 0], [4.0, 5.0, 6.0, 7.0, 8.0])
         assert not store.flush(2)
         assert all(a is b for a, b in zip(arrays, store.kernel_arrays()))
-        assert store.column(0)[0].tolist() == [1, 4, 6, 7]
-        assert kernel.process_tokens(np.array([0, 1])) == 6
-        if backend == "cext":  # the native kernel's observed flag
-            assert kernel._bound.ascending
+        assert store.column(0)[0].tolist() == [1, 4, 2, 0]
+        # Paired after column 1, column 0's rating of user 2 must wait
+        # for column 1's second one, not its first.
+        assert store.column(1)[0].tolist() == [2, 3, 2, 0]
+        w_ref, h_ref = w.copy(), h.copy()
+        counts_ref = store.kernel_arrays()[3].copy()
+        reference = bound("list", w_ref, h_ref, counts_ref)
+        burst = np.array([0, 1, 1, 0])
+        assert kernel.process_tokens(burst) == reference.process_tokens(burst)
+        assert np.array_equal(w, w_ref) and np.array_equal(h, h_ref)
+        assert np.array_equal(store.kernel_arrays()[3], counts_ref)
         store.append([0] * 11, range(8, 19), [1.0] * 11)
         assert store.flush(2)  # column 0 outgrew its slack
-        assert store.column(0)[0].tolist() == [1, 4, 6, 7, *range(8, 19)]
-        assert store.column(0)[2].tolist() == [1] * 4 + [0] * 11
-        if backend == "cext":
-            assert bound()._bound.ascending
-        store.append(1, 3, 8.0)  # a repeat of column 1's last user
-        assert store.flush(2)
-        assert store.column(1)[0].tolist() == [2, 3, 3]
-        assert store.column(1)[2].tolist() == [1, 1, 0]
-        if backend == "cext":
-            assert not bound()._bound.ascending
+        assert store.column(0)[0].tolist() == [1, 4, 2, 0, *range(8, 19)]
+        assert store.column(0)[2].tolist() == [2] * 4 + [0] * 11
 
     def test_flush_cannot_shrink(self):
         store = ColumnStore([0, 1, 1], [3], [1.0])
@@ -617,11 +638,13 @@ class ListReference:
         rng = random.Random()
         rng.setstate(dynamic._route_rng.getstate())
         plan = []
-        for q, queue in enumerate(dynamic._queues):
-            for j in queue:
-                others = [w for w in range(p) if w != q]
-                rng.shuffle(others)
-                plan.append((j, [q, *others]))
+        order = np.argsort(dynamic._rest_at, kind="stable")
+        for j, q in zip(
+            dynamic._rest_items[order].tolist(), dynamic._rest_at[order].tolist()
+        ):
+            others = [w for w in range(p) if w != q]
+            rng.shuffle(others)
+            plan.append((j, [q, *others]))
         applied = 0
         hyper = dynamic.hyper
         for r in range(p):
