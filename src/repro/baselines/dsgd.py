@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..linalg.objective import regularized_objective
-from ..linalg.regularizers import WeightedL2
 from ..partition.partitioners import BlockGrid, partition_range_blocks
 from ..schedules.bold_driver import BoldDriver
 from ..simulator.network import token_bytes
@@ -77,7 +76,6 @@ class DSGDSimulation(ClockedOptimizer):
         shuffle_rng = self._backend.rng_stream(
             self.rng_factory.pyrandom("dsgd-shuffle")
         )
-        regularizer = WeightedL2(self.hyper.lambda_)
 
         while not self._expired():
             # Gemulla et al.'s bold driver keeps the previous iterate so a
@@ -132,7 +130,7 @@ class DSGDSimulation(ClockedOptimizer):
                 driver.punish()
                 continue
             objective = regularized_objective(
-                self.factors, self.train, regularizer
+                self.factors, self.train, self.hyper.lambda_
             )
             baseline = driver.last_objective
             if baseline is not None and objective > baseline:

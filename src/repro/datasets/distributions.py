@@ -27,14 +27,13 @@ def log_normal_degrees(
     mean_degree: float,
     sigma: float,
     rng: np.random.Generator,
-    min_degree: int = 1,
 ) -> np.ndarray:
     """Sample ``n`` degrees from a log-normal with a given arithmetic mean.
 
     The underlying normal's ``mu`` is solved from
     ``mean = exp(mu + sigma**2 / 2)`` so callers specify the intuitive
-    arithmetic mean directly.  Draws are rounded and clipped to at least
-    ``min_degree``.
+    arithmetic mean directly.  Draws are rounded and clipped to at least 1,
+    so every row and column the degrees describe has a rating.
     """
     if n < 1:
         raise DataError(f"n must be >= 1, got {n}")
@@ -44,7 +43,7 @@ def log_normal_degrees(
         raise DataError(f"sigma must be >= 0, got {sigma}")
     mu = np.log(mean_degree) - 0.5 * sigma * sigma
     draws = rng.lognormal(mean=mu, sigma=sigma, size=n)
-    return np.maximum(np.round(draws).astype(np.int64), int(min_degree))
+    return np.maximum(np.round(draws).astype(np.int64), 1)
 
 
 def degrees_to_pair_sample(

@@ -25,6 +25,10 @@ from .ratings import RatingMatrix
 
 __all__ = ["SyntheticSpec", "make_low_rank", "make_netflix_like"]
 
+#: Log-normal shape of :func:`make_netflix_like`'s user and item rating
+#: counts: the skew of activity.
+DEGREE_SIGMA = 1.1
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -42,9 +46,9 @@ class SyntheticSpec:
     noise:
         Standard deviation of additive Gaussian observation noise; the best
         achievable test RMSE is approximately this value.
-    factor_scale:
-        Standard deviation of each planted factor entry.  Entry magnitudes
-        are then roughly ``factor_scale**2 * sqrt(rank)``.
+
+    Planted factor entries are standard normal, so entry magnitudes are
+    roughly ``sqrt(rank)``.
     """
 
     n_rows: int
@@ -52,7 +56,6 @@ class SyntheticSpec:
     rank: int = 4
     density: float = 0.05
     noise: float = 0.1
-    factor_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.n_rows < 1 or self.n_cols < 1:
@@ -63,15 +66,9 @@ class SyntheticSpec:
             raise DataError(f"density must be in (0, 1], got {self.density}")
         if self.noise < 0:
             raise DataError(f"noise must be >= 0, got {self.noise}")
-        if self.factor_scale <= 0:
-            raise DataError(f"factor_scale must be > 0, got {self.factor_scale}")
 
 
-def make_low_rank(
-    spec: SyntheticSpec,
-    rng: np.random.Generator,
-    return_truth: bool = False,
-):
+def make_low_rank(spec: SyntheticSpec, rng: np.random.Generator) -> RatingMatrix:
     """Generate a planted low-rank rating matrix.
 
     Observation locations are a uniform sample without replacement of the
@@ -84,18 +81,12 @@ def make_low_rank(
     spec:
         Dataset parameters.
     rng:
-        Source of randomness.
-    return_truth:
-        When True, also return the planted ``(W*, H*)`` pair.
-
-    Returns
-    -------
-    :class:`RatingMatrix`, or ``(RatingMatrix, W*, H*)`` when
-    ``return_truth`` is set.
+        Source of randomness.  Its first draws are the planted ``W*`` and
+        then ``H*``, standard normal.
     """
     m, n = spec.n_rows, spec.n_cols
-    w_true = rng.normal(0.0, spec.factor_scale, size=(m, spec.rank))
-    h_true = rng.normal(0.0, spec.factor_scale, size=(n, spec.rank))
+    w_true = rng.normal(0.0, 1.0, size=(m, spec.rank))
+    h_true = rng.normal(0.0, 1.0, size=(n, spec.rank))
 
     target_nnz = max(int(round(m * n * spec.density)), m + n)
     target_nnz = min(target_nnz, m * n)
@@ -126,10 +117,7 @@ def make_low_rank(
 
     clean = np.einsum("ij,ij->i", w_true[rows], h_true[cols])
     vals = clean + rng.normal(0.0, spec.noise, size=clean.shape)
-    matrix = RatingMatrix(m, n, rows, cols, vals)
-    if return_truth:
-        return matrix, w_true, h_true
-    return matrix
+    return RatingMatrix(m, n, rows, cols, vals)
 
 
 def make_netflix_like(
@@ -139,7 +127,6 @@ def make_netflix_like(
     rng: np.random.Generator,
     rank: int = 16,
     noise: float = 0.1,
-    degree_sigma: float = 1.1,
 ) -> RatingMatrix:
     """Generate the §5.5 weak-scaling dataset at a chosen scale.
 
@@ -149,7 +136,7 @@ def make_netflix_like(
     conditioned on the counts, and emits ratings ``⟨w_i, h_j⟩ + N(0, 0.1²)``
     with 100-dimensional standard Gaussian factors.  This function follows
     the same recipe with a log-normal degree profile (heavy-tailed, like the
-    empirical one) and a configurable rank.
+    empirical one, of shape :data:`DEGREE_SIGMA`) and a configurable rank.
 
     Parameters
     ----------
@@ -164,8 +151,6 @@ def make_netflix_like(
         Dimension of the planted Gaussian factors (paper: 100).
     noise:
         Observation noise std (paper: 0.1).
-    degree_sigma:
-        Log-normal shape parameter controlling the skew of activity.
     """
     if n_users < 1 or n_items < 1:
         raise DataError(f"shape must be positive, got {n_users}x{n_items}")
@@ -174,11 +159,11 @@ def make_netflix_like(
             f"mean_ratings_per_user must be > 0, got {mean_ratings_per_user}"
         )
     user_degrees = log_normal_degrees(
-        n_users, mean_ratings_per_user, degree_sigma, rng
+        n_users, mean_ratings_per_user, DEGREE_SIGMA, rng
     )
     user_degrees = np.minimum(user_degrees, n_items)
     mean_per_item = user_degrees.sum() / n_items
-    item_degrees = log_normal_degrees(n_items, mean_per_item, degree_sigma, rng)
+    item_degrees = log_normal_degrees(n_items, mean_per_item, DEGREE_SIGMA, rng)
     item_degrees = np.minimum(item_degrees, n_users)
 
     rows, cols = degrees_to_pair_sample(user_degrees, item_degrees, rng)

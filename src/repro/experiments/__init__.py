@@ -7,7 +7,6 @@
 """
 
 from .harness import (
-    ALGORITHMS,
     ExperimentResult,
     build_dataset,
     make_cluster,
@@ -17,7 +16,6 @@ from .figures import EXPERIMENT_REGISTRY, run_experiment
 from .report import render_result, result_to_csv_dir
 
 __all__ = [
-    "ALGORITHMS",
     "ExperimentResult",
     "build_dataset",
     "make_cluster",

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..api import ALGORITHMS as _ALGORITHM_SPECS
 from ..api import fit, resolve_algorithm
 from ..config import HyperParams, RunConfig
 from ..core.nomad import NomadOptions
@@ -33,7 +32,6 @@ from ..simulator.network import HPC_PROFILE, NetworkModel
 from ..simulator.trace import Trace
 
 __all__ = [
-    "ALGORITHMS",
     "ExperimentResult",
     "build_dataset",
     "make_cluster",
@@ -51,16 +49,6 @@ HPC_JITTER = 0.2
 
 #: Transient compute-noise sigma of a multi-tenant commodity VM.
 COMMODITY_JITTER = 0.3
-
-#: Optimizers runnable by name through :func:`run_algorithm` — the
-#: simulation classes of the :data:`repro.api.ALGORITHMS` registry (that
-#: registry is the single source of truth; this view keeps the historic
-#: name → class mapping importable).
-ALGORITHMS = {
-    spec.name: spec.simulated
-    for spec in _ALGORITHM_SPECS.values()
-    if spec.simulated is not None
-}
 
 
 @dataclass
@@ -141,9 +129,7 @@ def run_algorithm(
     try:
         spec = resolve_algorithm(name)
     except ConfigError as error:
-        raise ExperimentError(
-            f"unknown algorithm {name!r}; available: {sorted(ALGORITHMS)}"
-        ) from error
+        raise ExperimentError(str(error)) from error
     options = nomad_options if spec.accepts_nomad_options else None
     result = fit(
         train,

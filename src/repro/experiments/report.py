@@ -17,6 +17,9 @@ from .harness import ExperimentResult
 
 __all__ = ["ascii_table", "format_trace", "render_result", "result_to_csv_dir"]
 
+#: Points of a convergence series an ASCII report shows.
+MAX_POINTS = 8
+
 
 def ascii_table(rows: Sequence[dict], title: str | None = None) -> str:
     """Render a list of homogeneous dicts as a fixed-width ASCII table."""
@@ -47,25 +50,25 @@ def _cell(value: object) -> str:
     return str(value)
 
 
-def format_trace(label: str, trace: Trace, max_points: int = 8) -> str:
-    """One-line down-sampled RMSE series for a trace."""
+def format_trace(label: str, trace: Trace) -> str:
+    """One-line RMSE series for a trace, down-sampled to :data:`MAX_POINTS`."""
     records = trace.records
-    if len(records) > max_points:
-        stride = (len(records) - 1) / (max_points - 1)
-        picked = [records[round(i * stride)] for i in range(max_points)]
+    if len(records) > MAX_POINTS:
+        stride = (len(records) - 1) / (MAX_POINTS - 1)
+        picked = [records[round(i * stride)] for i in range(MAX_POINTS)]
     else:
         picked = list(records)
     series = " ".join(f"{r.rmse:.3f}@{r.time:.3g}s" for r in picked)
     return f"{label:42s} {series}"
 
 
-def render_result(result: ExperimentResult, max_points: int = 8) -> str:
+def render_result(result: ExperimentResult) -> str:
     """Full ASCII report of one experiment."""
     parts = [f"=== {result.experiment_id}: {result.title} ==="]
     if result.series:
         parts.append("-- convergence series (rmse@sim-seconds) --")
         for label, trace in result.series.items():
-            parts.append(format_trace(label, trace, max_points))
+            parts.append(format_trace(label, trace))
     for name, rows in result.tables.items():
         parts.append("")
         parts.append(ascii_table(rows, title=f"-- {name} --").rstrip())

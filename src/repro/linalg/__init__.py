@@ -1,4 +1,4 @@
-"""Numerical substrate: factors, losses, regularizers, and update kernels.
+"""Numerical substrate: factors, losses, the objective, and update kernels.
 
 Everything an optimizer touches numerically lives here so that NOMAD and
 all baselines share one audited implementation of the update mathematics.
@@ -11,7 +11,6 @@ solve.
 
 from .factors import FactorPair, init_factors
 from .losses import Loss, SquaredLoss
-from .regularizers import Regularizer, WeightedL2
 from .objective import regularized_objective, test_rmse, predict
 from .backends import (
     CextBackend,
@@ -28,8 +27,6 @@ __all__ = [
     "init_factors",
     "Loss",
     "SquaredLoss",
-    "Regularizer",
-    "WeightedL2",
     "regularized_objective",
     "test_rmse",
     "predict",

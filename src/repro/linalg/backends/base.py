@@ -203,10 +203,10 @@ class KernelBackend(abc.ABC):
         state: ``randrange(n)``, ``randbelow_many(n, count)`` (an int64
         array of ``count`` ``randrange(n)`` draws), ``shuffle(buffer)``
         (``random.shuffle`` over a writable C-contiguous int64 buffer, in
-        place), ``sample(population, k)`` and ``getstate()`` in
-        ``random.Random``'s format.  Every bound lies in ``[1, 2**32)``
-        (``ValueError`` otherwise) and a buffer of another dtype or
-        layout is a ``TypeError``.  The interpreted stream
+        place) and ``getstate()`` in ``random.Random``'s format.  Every
+        bound lies in ``[1, 2**32)`` (``ValueError`` otherwise) and a
+        buffer of another dtype or layout is a ``TypeError``.  The
+        interpreted stream
         (:class:`~repro.linalg.backends.list_backend.PyRandomStream`)
         calls :mod:`random` itself and is the specification a compiled
         one is held to.

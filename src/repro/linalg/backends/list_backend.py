@@ -198,11 +198,6 @@ class PyRandomStream:
         self._rng.shuffle(values)
         view[:] = array("q", values)
 
-    def sample(self, population: Sequence, k: int) -> list:
-        if len(population) >= _BOUND:
-            raise ValueError(_OUT_OF_BOUND)
-        return self._rng.sample(population, k)
-
     def getstate(self) -> tuple:
         return self._rng.getstate()
 

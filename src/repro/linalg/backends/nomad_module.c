@@ -25,13 +25,10 @@
  * `MTStream(random_obj.getstate())` is CPython's Mersenne Twister, built
  * from a random.Random's state and drawing exactly what that object
  * would: randrange(n), randbelow_many(n, count) -> int64[count],
- * shuffle(int64 buffer), sample(seq, k) and getstate(). */
+ * shuffle(int64 buffer) and getstate(). */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
-
-#include <math.h>
-#include <string.h>
 
 #include "nomad_kernels.h"
 
@@ -395,8 +392,8 @@ static PyObject *new_kernels(const nomad_variant *variant) {
  * random.Random's getstate().  Every draw is _randbelow(n) for n in
  * [1, 2**32): getrandbits(n.bit_length()) — one tempered word shifted
  * right by 32 - bit_length — until the value falls below n, which is
- * what random.py's randrange, shuffle and sample call, in the order
- * they call it.  The interpreted reference these are held to is the
+ * what random.py's randrange and shuffle call, in the order they call
+ * it.  The interpreted reference these are held to is the
  * list backend's stream (list_backend.py). */
 
 enum { MT_N = 624, MT_M = 397, MT_STATE_VERSION = 3 };
@@ -605,96 +602,6 @@ static PyObject *mt_stream_shuffle(MTStreamObject *self, PyObject *arg) {
     Py_RETURN_NONE;
 }
 
-/* Insert j into an open-addressed table of `mask + 1` slots (-1 empty);
- * 0 when it was already there.  sample's `selected` set. */
-static int insert_new(int64_t *table, size_t mask, uint32_t j) {
-    size_t slot = (size_t)((j * 0x9E3779B97F4A7C15ULL) >> 32) & mask;
-    while (table[slot] >= 0) {
-        if (table[slot] == j)
-            return 0;
-        slot = (slot + 1) & mask;
-    }
-    table[slot] = j;
-    return 1;
-}
-
-/* random.Random.sample(population, k): the pool branch when the
- * population is no larger than CPython's set-size estimate, else
- * rejection against the set of picks, with the same draws. */
-static PyObject *mt_stream_sample(MTStreamObject *self, PyObject *args) {
-    PyObject *population;
-    Py_ssize_t k;
-    if (!PyArg_ParseTuple(args, "On:sample", &population, &k))
-        return NULL;
-    if (!PySequence_Check(population)) {
-        PyErr_SetString(PyExc_TypeError, "Population must be a sequence.");
-        return NULL;
-    }
-    Py_ssize_t n = PySequence_Size(population);
-    if (n < 0)
-        return NULL;
-    if (k < 0 || k > n) {
-        PyErr_SetString(PyExc_ValueError,
-                        "Sample larger than population or is negative");
-        return NULL;
-    }
-    if (n >= MT_BOUND) {
-        out_of_bound();
-        return NULL;
-    }
-    Py_ssize_t setsize = 21;
-    if (k > 5)
-        setsize += (Py_ssize_t)1
-                   << (2 * (int)ceil(log((double)(3 * k)) / log(4.0)));
-    PyObject *result = PyList_New(k);
-    if (result == NULL)
-        return NULL;
-    if (n <= setsize) {
-        PyObject *pool = PySequence_List(population);
-        if (pool == NULL)
-            goto fail;
-        PyObject **slots = ((PyListObject *)pool)->ob_item;
-        for (Py_ssize_t i = 0; i < k; i++) {
-            Py_ssize_t j = mt_below(self->mt, &self->index,
-                                    (uint32_t)(n - i));
-            Py_ssize_t last = n - i - 1;
-            PyObject *item = slots[j]; /* the pool's reference moves */
-            slots[j] = slots[last];
-            slots[last] = NULL;
-            PyList_SET_ITEM(result, i, item);
-        }
-        Py_DECREF(pool);
-        return result;
-    }
-    size_t mask = 7;
-    while (mask + 1 < 2 * (size_t)k)
-        mask = 2 * mask + 1;
-    int64_t *table = PyMem_Malloc((mask + 1) * sizeof(int64_t));
-    if (table == NULL) {
-        PyErr_NoMemory();
-        goto fail;
-    }
-    memset(table, 0xff, (mask + 1) * sizeof(int64_t));
-    for (Py_ssize_t i = 0; i < k; i++) {
-        uint32_t j;
-        do
-            j = mt_below(self->mt, &self->index, (uint32_t)n);
-        while (!insert_new(table, mask, j));
-        PyObject *item = PySequence_GetItem(population, j);
-        if (item == NULL) {
-            PyMem_Free(table);
-            goto fail;
-        }
-        PyList_SET_ITEM(result, i, item);
-    }
-    PyMem_Free(table);
-    return result;
-
-fail:
-    Py_DECREF(result);
-    return NULL;
-}
-
 static PyObject *mt_stream_getstate(MTStreamObject *self,
                                     PyObject *Py_UNUSED(ignored)) {
     PyObject *words = PyTuple_New(MT_N + 1);
@@ -720,8 +627,6 @@ static PyMethodDef mt_stream_methods[] = {
     {"shuffle", (PyCFunction)mt_stream_shuffle, METH_O,
      "shuffle(buffer): random.Random.shuffle over a writable C-contiguous "
      "int64 buffer, in place."},
-    {"sample", (PyCFunction)mt_stream_sample, METH_VARARGS,
-     "sample(population, k) -> list: random.Random.sample."},
     {"getstate", (PyCFunction)mt_stream_getstate, METH_NOARGS,
      "The state in random.Random.getstate()'s format."},
     {NULL, NULL, 0, NULL},

@@ -2,8 +2,8 @@
 
 The quantities here match the paper exactly:
 
-* :func:`regularized_objective` — J(W, H) of equation (1) with the weighted
-  L2 regularizer.
+* :func:`regularized_objective` — J(W, H) of equation (1): the square loss
+  plus the weighted L2 penalty.
 * :func:`test_rmse` — the held-out root-mean-square error of §5.1, the
   y-axis of every convergence figure.
 * :func:`predict` — vectorized ``⟨w_i, h_j⟩`` for arbitrary index pairs.
@@ -18,8 +18,6 @@ import numpy as np
 
 from ..datasets.ratings import RatingMatrix
 from .factors import FactorPair
-from .losses import Loss, SquaredLoss
-from .regularizers import Regularizer, WeightedL2
 
 __all__ = ["predict", "test_rmse", "regularized_objective"]
 
@@ -37,35 +35,24 @@ def test_rmse(factors: FactorPair, test: RatingMatrix) -> float:
 
 
 def regularized_objective(
-    factors: FactorPair,
-    train: RatingMatrix,
-    regularizer: Regularizer | None = None,
-    loss: Loss | None = None,
-    lambda_: float | None = None,
+    factors: FactorPair, train: RatingMatrix, lambda_: float
 ) -> float:
-    """Evaluate J(W, H) of equation (1).
+    """J(W, H) of equation (1): the square loss ``(a - p)² / 2`` over the
+    observed ratings Ω plus the weighted penalty
+    ``(λ/2) Σ_i |Ω_i|·‖w_i‖² + (λ/2) Σ_j |Ω̄_j|·‖h_j‖²``.
 
-    Parameters
-    ----------
-    factors:
-        Current model.
-    train:
-        Observed ratings Ω.
-    regularizer:
-        Penalty term; defaults to the paper's :class:`WeightedL2` built from
-        ``lambda_``.
-    loss:
-        Per-entry loss; defaults to :class:`SquaredLoss`.
-    lambda_:
-        Convenience shortcut — used only when ``regularizer`` is None.
+    The weighting by rating counts is what makes the per-rating SGD
+    penalty a plain ``λ w_i`` term (equations 9–10): each of user ``i``'s
+    ``|Ω_i|`` sampled ratings contributes one ``λ w_i`` pull, which sums
+    to the full weighted penalty over an epoch.
     """
-    if regularizer is None:
-        regularizer = WeightedL2(0.0 if lambda_ is None else lambda_)
-    if loss is None:
-        loss = SquaredLoss()
-    predictions = predict(factors, train.rows, train.cols)
-    data_term = float(np.sum(loss.value(train.vals, predictions)))
-    penalty = regularizer.penalty(
-        factors.w, factors.h, train.row_counts(), train.col_counts()
+    diff = train.vals - predict(factors, train.rows, train.cols)
+    data_term = float(np.sum(0.5 * diff * diff))
+    w, h = factors.w, factors.h
+    row_norms = np.einsum("ij,ij->i", w, w)
+    col_norms = np.einsum("ij,ij->i", h, h)
+    penalty = 0.5 * lambda_ * (
+        float(np.dot(train.row_counts(), row_norms))
+        + float(np.dot(train.col_counts(), col_norms))
     )
     return data_term + penalty

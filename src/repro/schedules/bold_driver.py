@@ -16,37 +16,22 @@ from ..errors import ConfigError
 
 __all__ = ["BoldDriver"]
 
+#: Step multiplier after an epoch that did not increase the objective.
+GROW = 1.05
+
+#: Step multiplier after an epoch that increased it, or diverged.
+SHRINK = 0.5
+
 
 class BoldDriver:
-    """Epoch-level multiplicative step-size controller.
+    """Epoch-level multiplicative step-size controller: the classic
+    :data:`GROW` reward and :data:`SHRINK` punishment, starting from
+    ``initial_step``."""
 
-    Parameters
-    ----------
-    initial_step:
-        Step size used during the first epoch.
-    grow:
-        Multiplier applied after an epoch that decreased the objective
-        (classically 1.05).
-    shrink:
-        Multiplier applied after an epoch that increased the objective
-        (classically 0.5).
-    """
-
-    def __init__(
-        self,
-        initial_step: float,
-        grow: float = 1.05,
-        shrink: float = 0.5,
-    ):
+    def __init__(self, initial_step: float):
         if initial_step <= 0:
             raise ConfigError(f"initial_step must be > 0, got {initial_step}")
-        if grow < 1.0:
-            raise ConfigError(f"grow must be >= 1, got {grow}")
-        if not 0.0 < shrink < 1.0:
-            raise ConfigError(f"shrink must be in (0, 1), got {shrink}")
         self._step = float(initial_step)
-        self._grow = float(grow)
-        self._shrink = float(shrink)
         self._last_objective: float | None = None
 
     @property
@@ -67,7 +52,7 @@ class BoldDriver:
         baseline still describes the restored parameters, so only the step
         changes.
         """
-        self._step *= self._shrink
+        self._step *= SHRINK
         return self._step
 
     def observe(self, objective: float) -> float:
@@ -78,19 +63,16 @@ class BoldDriver:
         if not math.isfinite(objective):
             # Divergence: punish hard and reset the baseline so the next
             # finite value is accepted.
-            self._step *= self._shrink
+            self._step *= SHRINK
             self._last_objective = None
             return self._step
         if self._last_objective is not None:
             if objective <= self._last_objective:
-                self._step *= self._grow
+                self._step *= GROW
             else:
-                self._step *= self._shrink
+                self._step *= SHRINK
         self._last_objective = objective
         return self._step
 
     def __repr__(self) -> str:
-        return (
-            f"BoldDriver(step={self._step:.3g}, grow={self._grow}, "
-            f"shrink={self._shrink})"
-        )
+        return f"BoldDriver(step={self._step:.3g})"

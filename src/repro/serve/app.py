@@ -693,18 +693,32 @@ def _build_handler(service: RecommendationService):
             self.send_response(status)
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
+
+        def _read_body(self) -> bytes:
+            text = self.headers.get("Content-Length") or "0"
+            try:
+                length = int(text)
+            except ValueError:
+                length = -1
+            if length < 0:
+                # The body's end is unknown: refuse it unread, and close
+                # the connection it would desync.
+                self.close_connection = True
+                raise ServeError(
+                    f"Content-Length must be a non-negative integer, "
+                    f"got {text!r}"
+                )
+            return self.rfile.read(length)
 
         def _handle(self, method: str) -> None:
             split = urlsplit(self.path)
             params = parse_qs(split.query, keep_blank_values=True)
-            body = b""
-            if method == "POST":
-                length = int(self.headers.get("Content-Length") or 0)
-                if length:
-                    body = self.rfile.read(length)
             try:
+                body = self._read_body() if method == "POST" else b""
                 status, payload = service.dispatch(
                     method, split.path, params, body
                 )

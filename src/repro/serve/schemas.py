@@ -102,7 +102,13 @@ def _body_number(entry: dict, name: str, index: int) -> float:
             f"ratings[{index}].{name} must be a number, got "
             f"{type(value).__name__}"
         )
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ServeError(
+            f"ratings[{index}].{name} must be finite, got an integer past "
+            f"float64"
+        ) from None
 
 
 def _body_index(entry: dict, name: str, index: int) -> int:
@@ -172,7 +178,10 @@ class IngestRequest:
     def from_body(cls, raw: bytes) -> "IngestRequest":
         try:
             body = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        except (ValueError, RecursionError) as error:
+            # Bad UTF-8 and bad JSON are ValueErrors, as is an integer
+            # past CPython's int-string limit; nesting past the recursion
+            # limit is a RecursionError.
             raise ServeError(f"request body is not valid JSON: {error}") from None
         if not isinstance(body, dict):
             raise ServeError(

@@ -89,18 +89,6 @@ class NetworkModel:
             raise ConfigError(f"n_bytes must be >= 0, got {n_bytes}")
         return self.latency_s + n_bytes / self.bandwidth_bps
 
-    def scaled(self, latency_factor: float = 1.0, bandwidth_factor: float = 1.0
-               ) -> "NetworkModel":
-        """Return a copy with scaled latency/bandwidth (sensitivity studies)."""
-        if latency_factor < 0 or bandwidth_factor <= 0:
-            raise ConfigError("scale factors must be positive")
-        return NetworkModel(
-            name=f"{self.name}-scaled",
-            latency_s=self.latency_s * latency_factor,
-            bandwidth_bps=self.bandwidth_bps * bandwidth_factor,
-            batch_size=self.batch_size,
-        )
-
 
 #: InfiniBand-class interconnect (Stampede, §5.1): ~2 us latency, ~5 GB/s.
 HPC_PROFILE = NetworkModel(

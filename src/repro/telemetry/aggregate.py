@@ -46,8 +46,7 @@ class Histogram:
 
     ``bins`` buckets span ``[lo, hi]`` geometrically; values below
     ``lo`` land in the first bucket, values at or above ``hi`` in the
-    last.  Bucket geometry is part of identity: :meth:`merge` refuses
-    mismatched histograms rather than silently rebinning.
+    last.
     """
 
     __slots__ = ("lo", "hi", "bins", "counts", "count", "total", "max")
@@ -84,16 +83,6 @@ class Histogram:
         if value > self.max:
             self.max = value
 
-    def merge(self, other: "Histogram") -> None:
-        if (self.lo, self.hi, self.bins) != (other.lo, other.hi, other.bins):
-            raise ValueError("cannot merge histograms with different geometry")
-        for bucket, n in enumerate(other.counts):
-            self.counts[bucket] += n
-        self.count += other.count
-        self.total += other.total
-        if other.max > self.max:
-            self.max = other.max
-
     def quantile(self, q: float) -> float:
         """Upper bound of the bucket holding the ``q``-quantile (0 if empty)."""
         if not 0 <= q <= 1:
@@ -115,26 +104,6 @@ class Histogram:
     def quantiles(self) -> dict[str, float]:
         """The standard report: ``{"p50": ..., "p95": ..., "p99": ...}``."""
         return {f"p{int(q * 100)}": self.quantile(q) for q in QUANTILES}
-
-    def to_dict(self) -> dict:
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "bins": self.bins,
-            "counts": list(self.counts),
-            "count": self.count,
-            "total": self.total,
-            "max": self.max,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Histogram":
-        hist = cls(payload["lo"], payload["hi"], payload["bins"])
-        hist.counts = [int(n) for n in payload["counts"]]
-        hist.count = int(payload["count"])
-        hist.total = float(payload["total"])
-        hist.max = float(payload["max"])
-        return hist
 
 
 #: Queue depths are small integers; a tighter geometry keeps single-token

@@ -696,21 +696,6 @@ class TestDrawStream:
         _assert_same_state(stream, reference)
 
     @pytest.mark.parametrize("name", BIT_EXACT_BACKENDS)
-    @settings(max_examples=300, deadline=None)
-    @given(seed=_SEEDS, warmup=_WARMUP, data=st.data(),
-           as_range=st.booleans())
-    def test_sample(self, name, seed, warmup, data, as_range):
-        """Both of CPython's branches: ``k`` across the set-size
-        threshold (21 for ``k`` ≤ 5, then 21 + 4**ceil(log4(3k)))."""
-        n = data.draw(st.one_of(st.integers(0, 30), st.integers(0, 2000)))
-        k = data.draw(st.integers(0, min(n, 200)))
-        population = range(n) if as_range else [f"item{i}" for i in range(n)]
-        reference = _source(seed, warmup)
-        stream = get_backend(name).rng_stream(reference)
-        assert stream.sample(population, k) == reference.sample(population, k)
-        _assert_same_state(stream, reference)
-
-    @pytest.mark.parametrize("name", BIT_EXACT_BACKENDS)
     def test_source_is_not_advanced(self, name):
         source = random.Random(3)
         before = source.getstate()
@@ -760,16 +745,6 @@ class TestDrawStream:
         with pytest.raises(ValueError, match=r"\[1, 2\*\*32\)"):
             stream.randbelow_many(bound, 1)
         assert stream.getstate() == random.Random(0).getstate()
-
-    @pytest.mark.parametrize("name", BIT_EXACT_BACKENDS)
-    def test_sample_refusals_match_random(self, name):
-        stream = get_backend(name).rng_stream(random.Random(0))
-        with pytest.raises(ValueError, match="larger than population"):
-            stream.sample(range(3), 4)
-        with pytest.raises(ValueError, match="negative"):
-            stream.sample(range(3), -1)
-        with pytest.raises(TypeError, match="sequence"):
-            stream.sample({1, 2, 3}, 1)
 
 
 class TestSimulationEquivalence:

@@ -308,7 +308,7 @@ class TestBoldDriverRollback:
     def test_punish_shrinks_without_baseline_move(self):
         from repro.schedules.bold_driver import BoldDriver
 
-        driver = BoldDriver(initial_step=0.2, shrink=0.5)
+        driver = BoldDriver(initial_step=0.2)
         driver.observe(10.0)
         assert driver.punish() == pytest.approx(0.1)
         assert driver.last_objective == 10.0

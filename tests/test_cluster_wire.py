@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import wire
 from repro.cluster.transport import (
@@ -161,6 +163,44 @@ class TestControlFrames:
             wire.encode_result(
                 0, 1, np.array([1, 2]), np.zeros((3, 4)), [], 4
             )
+
+
+#: One valid frame of every kind (Fin with and without its telemetry
+#: block, an empty and a full token envelope).
+_FRAMES = [
+    wire.encode_tokens(make_tokens(3, k=2), 2),
+    wire.encode_tokens([], 4),
+    wire.encode_ready(3, 8080),
+    wire.encode_peers({0: 9000, 2: 9002}),
+    wire.encode_stop(),
+    wire.encode_fin(1),
+    wire.encode_fin(2, b"telemetry"),
+    wire.encode_result(
+        1, 10, np.array([4, 7]), np.ones((2, 2)), make_tokens(2, k=2), 2
+    ),
+]
+
+
+@st.composite
+def _mutated_frames(draw) -> bytes:
+    """A valid frame with some bytes flipped, then cut off, then with
+    bytes appended."""
+    frame = bytearray(draw(st.sampled_from(_FRAMES)))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(frame) - 1))
+        frame[at] ^= draw(st.integers(1, 255))
+    del frame[draw(st.integers(0, len(frame))):]
+    return bytes(frame) + draw(st.binary(max_size=16))
+
+
+class TestHostileFrames:
+    @settings(max_examples=500, deadline=None)
+    @given(body=st.binary(max_size=96) | _mutated_frames())
+    def test_decode_returns_or_raises_wire_error(self, body):
+        try:
+            wire.decode(body)
+        except WireError:
+            pass
 
 
 class TestLoopbackTransport:

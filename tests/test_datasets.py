@@ -27,8 +27,9 @@ class TestLogNormal:
         assert 30.0 < degrees.mean() < 50.0
 
     def test_min_degree(self, rng):
-        degrees = log_normal_degrees(1000, 1.5, 2.0, rng, min_degree=2)
-        assert degrees.min() >= 2
+        # Most draws of this skewed profile round to 0: each is clipped to 1.
+        degrees = log_normal_degrees(1000, 1.5, 2.0, rng)
+        assert degrees.min() == 1
 
     def test_bad_args(self, rng):
         with pytest.raises(DataError):
@@ -81,11 +82,13 @@ class TestMakeLowRank:
         matrix = make_low_rank(spec, rng)
         assert 0.08 < matrix.density < 0.13
 
-    def test_truth_returned(self, rng):
+    def test_truth_returned(self):
         spec = SyntheticSpec(n_rows=40, n_cols=20, rank=3, density=0.3)
-        matrix, w_true, h_true = make_low_rank(spec, rng, return_truth=True)
-        assert w_true.shape == (40, 3)
-        assert h_true.shape == (20, 3)
+        matrix = make_low_rank(spec, RngFactory(77).stream("truth"))
+        # The generator's first draws are the planted W* and then H*.
+        replay = RngFactory(77).stream("truth")
+        w_true = replay.normal(0.0, 1.0, size=(40, 3))
+        h_true = replay.normal(0.0, 1.0, size=(20, 3))
         # Observations should be near the planted values (noise 0.1).
         clean = np.einsum(
             "ij,ij->i", w_true[matrix.rows], h_true[matrix.cols]
@@ -123,7 +126,7 @@ class TestNetflixLike:
         assert large.nnz > 2.5 * small.nnz
 
     def test_heavy_tail_present(self, rng):
-        matrix = make_netflix_like(2000, 100, 15.0, rng, degree_sigma=1.3)
+        matrix = make_netflix_like(2000, 100, 15.0, rng)
         counts = matrix.row_counts()
         assert counts.max() > 4 * counts.mean()
 

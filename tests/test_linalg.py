@@ -1,4 +1,4 @@
-"""Tests for factors, losses, regularizers, objective, and kernels."""
+"""Tests for factors, losses, the objective, and kernels."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.linalg.kernels import als_solve_row
 from repro.linalg.losses import AbsoluteLoss, HuberLoss, SquaredLoss
 from repro.linalg.objective import predict, regularized_objective
 from repro.linalg.objective import test_rmse as compute_test_rmse
-from repro.linalg.regularizers import WeightedL2
 from repro.rng import RngFactory
 
 LIST = ListBackend()
@@ -105,22 +104,19 @@ class TestLosses:
 
 class TestRegularizers:
     def test_weighted_penalty_formula(self):
+        # Every prediction is exact, so the objective is the penalty alone:
+        # user 0 rated twice and user 1 once, item 0 twice and item 1 once.
         w = np.array([[1.0, 0.0], [0.0, 2.0]])
-        h = np.array([[3.0, 0.0]])
-        row_counts = np.array([2, 1])
-        col_counts = np.array([3])
-        reg = WeightedL2(0.5)
-        expected = 0.5 * 0.5 * (2 * 1.0 + 1 * 4.0 + 3 * 9.0)
-        assert reg.penalty(w, h, row_counts, col_counts) == pytest.approx(expected)
-
-    def test_weighted_sgd_coefficient_constant(self):
-        reg = WeightedL2(0.3)
-        assert reg.sgd_coefficient_row(5) == 0.3
-        assert reg.sgd_coefficient_col(50) == 0.3
-
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            WeightedL2(-0.1)
+        h = np.array([[3.0, 0.0], [0.0, 1.0]])
+        matrix = RatingMatrix(
+            2, 2,
+            rows=np.array([0, 0, 1]),
+            cols=np.array([0, 1, 0]),
+            vals=np.array([3.0, 0.0, 0.0]),
+        )
+        expected = 0.5 * 0.5 * (2 * 1.0 + 1 * 4.0 + 2 * 9.0 + 1 * 1.0)
+        objective = regularized_objective(FactorPair(w, h), matrix, 0.5)
+        assert objective == pytest.approx(expected)
 
 
 class TestObjective:

@@ -8,6 +8,7 @@ import json
 import os
 import queue
 import re
+import socket
 import sys
 import threading
 import time
@@ -16,6 +17,8 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.config import HyperParams
 from repro.datasets.ratings import RatingMatrix
@@ -289,6 +292,63 @@ class TestSchemas:
         body = json.dumps({"ratings": entries * (MAX_BATCH // 3 + 1)}).encode()
         with pytest.raises(ServeError, match="batch too large"):
             IngestRequest.from_body(body)
+
+
+#: Any JSON document: unbounded ints, every float (NaN and the infinities
+#: included, which ``json`` writes and reads), strings, lists and objects,
+#: with the three field names a rating has drawn often.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(
+        st.sampled_from(["user", "item", "value"]) | st.text(max_size=3),
+        children, max_size=4,
+    ),
+    max_leaves=12,
+)
+
+#: Bodies that each raised something other than ServeError (a 500): nesting
+#: past the recursion limit, an integer past the int-string limit, and an
+#: integer value past float64.
+_DEEP_BODY = b'{"ratings": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+_LONG_INT_BODY = (
+    b'{"ratings": [{"user": 1, "item": 2, "value": ' + b"9" * 5000 + b"}]}"
+)
+_HUGE_VALUE_BODY = (
+    b'{"ratings": [{"user": 1, "item": 2, "value": 1' + b"0" * 400 + b"}]}"
+)
+
+
+class TestHostileInput:
+    """A parser either returns or raises ServeError (a 400), whatever it
+    is given: nothing else may reach the handler's 500 branch."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(raw=st.binary() | _JSON.map(
+        lambda ratings: json.dumps({"ratings": ratings}).encode()
+    ))
+    @example(raw=_DEEP_BODY)
+    @example(raw=_LONG_INT_BODY)
+    @example(raw=_HUGE_VALUE_BODY)
+    def test_ingest_body_returns_or_raises_serve_error(self, raw):
+        try:
+            IngestRequest.from_body(raw)
+        except ServeError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(params=st.dictionaries(
+        st.sampled_from(["user", "item", "n"]) | st.text(max_size=3),
+        st.lists(st.text() | st.integers().map(str), max_size=3),
+        max_size=4,
+    ))
+    @example(params={"user": ["9" * 5000], "item": ["1"], "n": ["1"]})
+    def test_queries_return_or_raise_serve_error(self, params):
+        for parse in (PredictQuery.from_query, RecommendQuery.from_query):
+            try:
+                parse(params)
+            except ServeError:
+                pass
 
 
 # ---------------------------------------------------------------------------
@@ -706,6 +766,42 @@ class TestService:
             http_post, service.url + "/ratings", {"ratings": []}
         )
         assert code == 400
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_a_bad_content_length_gets_a_400_and_a_close(
+        self, service, length
+    ):
+        """Raw socket: the 400 comes without the body being read (``-1``
+        would read to EOF and never answer), then the server closes."""
+        request = (
+            f"POST /ratings HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        ).encode()
+        with socket.create_connection(
+            (service.config.host, service.port), timeout=5
+        ) as conn:
+            conn.sendall(request)
+            reply = b""
+            while chunk := conn.recv(65536):  # b"" once the server closes
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        payload = json.loads(body)
+        assert payload["status"] == 400
+        assert "Content-Length" in payload["error"]
+
+    @pytest.mark.parametrize(
+        "raw", [_DEEP_BODY, _LONG_INT_BODY, _HUGE_VALUE_BODY],
+        ids=["deep", "long_int", "huge_value"],
+    )
+    def test_hostile_bodies_get_a_400(self, service, raw):
+        request = urllib.request.Request(
+            service.url + "/ratings", data=raw, method="POST"
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=5)
+        assert excinfo.value.code == 400
+        assert json.loads(excinfo.value.read())["status"] == 400
 
     def test_a_refused_ingest_is_still_timed(self):
         # Unstarted: dispatch needs neither the socket nor the trainer.

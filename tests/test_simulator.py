@@ -229,13 +229,6 @@ class TestNetworkModel:
         assert COMMODITY_PROFILE.token_delay(8) > HPC_PROFILE.token_delay(8)
         assert LOCAL_PROFILE.token_delay(8) < HPC_PROFILE.token_delay(8)
 
-    def test_scaled(self):
-        slower = HPC_PROFILE.scaled(latency_factor=10, bandwidth_factor=0.1)
-        assert slower.latency_s == pytest.approx(HPC_PROFILE.latency_s * 10)
-        assert slower.bandwidth_bps == pytest.approx(
-            HPC_PROFILE.bandwidth_bps * 0.1
-        )
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             NetworkModel("x", -1.0, 1e9)

@@ -157,23 +157,6 @@ class TestHistogram:
         assert hist.counts[-1] == 1
         assert hist.max == 50.0
 
-    def test_merge_requires_identical_geometry(self):
-        left, right = Histogram(), Histogram()
-        left.add(0.5)
-        right.add(0.25, n=3)
-        left.merge(right)
-        assert left.count == 4
-        assert left.total == pytest.approx(0.5 + 0.75)
-        with pytest.raises(ValueError, match="geometry"):
-            left.merge(Histogram(bins=32))
-
-    def test_dict_round_trip(self):
-        hist = Histogram()
-        hist.add(0.01, n=7)
-        restored = Histogram.from_dict(hist.to_dict())
-        assert restored.counts == hist.counts
-        assert restored.quantile(0.5) == hist.quantile(0.5)
-
     def test_empty_histogram_reports_zero(self):
         assert Histogram().quantile(0.5) == 0.0
         assert Histogram().mean == 0.0
