@@ -25,7 +25,7 @@ def test_fig08(run_figure):
             assert other is None or nomad_time <= other * 1.1, (
                 dataset, competitor)
 
-    # Yahoo: the SGD methods are nearly tied (within 2x of each other).
+    # Yahoo: the SGD methods are nearly tied (within 2.5x of each other).
     yahoo_times = {}
     for algo in ("NOMAD", "DSGD", "DSGD++"):
         reached = result.series[f"yahoo/{algo}"].time_to_rmse(

@@ -24,11 +24,29 @@ mutated in place by one token kernel per worker, bound at construction
 over its shard's CSC arrays, a per-rating counter array and the run's
 loss (``KernelBackend.bind_tokens``): a visit is one ``process_token(j)``
 call.  The cost model is asked once for every (worker, item) visit time
-and the two hop times.  A token's life is two events, both bound methods
-scheduled with their arguments: ``_finish_token(q, token)`` applies the
-visit, draws the next stop, releases the token and starts the worker's
-next queued token; ``_deliver_token(q, token)`` is its arrival.  What a
-finish reads that is fixed for the run is resolved at construction.
+and the two hop times.  The event loop runs one of two ways, chosen at
+construction and equal event for event, draw for draw and bit for bit:
+
+* **Compiled** — whenever every worker's kernel is the ``cext`` native
+  ``TokenKernel`` (so the loss is one C has an id for) and the policy's
+  type is exactly :class:`UniformPolicy`, :class:`LeastQueuePolicy` or
+  :class:`PowerOfTwoPolicy`.  The backend's ``Schedule``
+  (``KernelBackend.bind_schedule``) owns the heap, the queues, the tours,
+  the ownership ledger's owners and both draw streams (``MTStream``
+  copies of the ``nomad-routing`` and ``nomad-jitter`` generators), and
+  calls each finish's kernel directly.  It hands control back only at
+  an evaluation event and at the budget halt, where
+  :meth:`NomadSimulation._record_point` scores the model as below.
+* **Python** — otherwise (the ``list`` backend, a loss C has no id for,
+  any other :class:`RecipientPolicy`, a subclass of a shipped one
+  included).  A token's life is two events on
+  :class:`~repro.simulator.engine.Simulator`, both bound methods
+  scheduled with their arguments: ``_finish_token(q, token)`` applies
+  the visit, draws the next stop, releases the token and starts the
+  worker's next queued token; ``_deliver_token(q, token)`` is its
+  arrival.  This is the reference the compiled loop is held to
+  (``tests/test_nomad.py::TestCompiledSchedule``).
+
 :attr:`NomadSimulation.factors` is a decoupled snapshot.
 """
 
@@ -55,7 +73,12 @@ from ..rng import RngFactory
 from ..simulator.cluster import Cluster
 from ..simulator.engine import Simulator
 from ..simulator.trace import Trace
-from .load_balance import RecipientPolicy, UniformPolicy
+from .load_balance import (
+    LeastQueuePolicy,
+    PowerOfTwoPolicy,
+    RecipientPolicy,
+    UniformPolicy,
+)
 from .serializability import UpdateEvent, expand_visits
 from .tokens import ItemToken
 
@@ -65,6 +88,26 @@ __all__ = ["NomadOptions", "NomadSimulation"]
 # expressed as a fraction of one SGD update's cost.  Pop + route + push is
 # much cheaper than an update but not free.
 _TOKEN_HANDLING_FRACTION = 0.25
+
+#: The policies a backend's compiled event loop runs, by the id it takes;
+#: any other type (a subclass included) runs the Python handlers.
+_POLICY_IDS = {UniformPolicy: 0, LeastQueuePolicy: 1, PowerOfTwoPolicy: 2}
+
+
+def _visit_times(cluster: Cluster, k: int, shards) -> np.ndarray:
+    """Simulated seconds of every (worker, item) visit: ``sgd_time`` of
+    the worker's ratings of the item, or the token's handling alone for
+    an item it has none of; one ``sgd_time`` call per distinct count."""
+    rows = []
+    for q, shard in enumerate(shards):
+        lengths, at = np.unique(np.diff(shard.csc()[0]), return_inverse=True)
+        handling = cluster.sgd_time(q, k, 1) * _TOKEN_HANDLING_FRACTION
+        times = [
+            cluster.sgd_time(q, k, n) if n else handling
+            for n in lengths.tolist()
+        ]
+        rows.append(np.array(times)[at])
+    return np.array(rows)
 
 
 @dataclass
@@ -204,35 +247,15 @@ class NomadSimulation:
             )
             for shard in self.shards
         ]
-        # Column bounds as Python ints: they are read on every token visit.
-        self._col_ptr = [shard.csc()[0].tolist() for shard in self.shards]
-        # The cluster's cost model, asked once per (worker, item) and per
-        # link class instead of once per visit (an empty column costs the
-        # token's handling only).
-        k = hyper.k
-        self._visit_time: list[list[float]] = []
-        for q, ptr in enumerate(self._col_ptr):
-            handling = cluster.sgd_time(q, k, 1) * _TOKEN_HANDLING_FRACTION
-            self._visit_time.append([
-                cluster.sgd_time(q, k, hi - lo) if hi > lo else handling
-                for lo, hi in zip(ptr, ptr[1:])
-            ])
-        self._network_delay = cluster.network.token_delay(k)
-        self._local_delay = cluster.intra.token_delay(k)
+        # The cluster's cost model, asked once per (worker, column
+        # length) and per link class instead of once per visit (an empty
+        # column costs the token's handling only).
+        visit_time = _visit_times(cluster, hyper.k, self.shards)
+        self._network_delay = cluster.network.token_delay(hyper.k)
+        self._local_delay = cluster.intra.token_delay(hyper.k)
         self._machine_of = [cluster.machine_of(q) for q in range(p)]
-        # Routing tables, built once: each machine's workers and its peers.
-        machines = range(cluster.n_machines)
-        self._machine_workers = [
-            tuple(cluster.workers_of_machine(m)) for m in machines
-        ]
-        self._other_machines = [
-            tuple(other for other in machines if other != m) for m in machines
-        ]
 
-        self._queues: list[deque[ItemToken]] = [deque() for _ in range(p)]
-        self._busy = [False] * p
         self._ledger = OwnershipLedger(train.n_cols, p)
-        self._sim = Simulator()
         self._total_updates = 0
         self._network_hops = 0
         self._local_hops = 0
@@ -252,6 +275,43 @@ class NomadSimulation:
         )
         self.visits: list[tuple[int, int]] = []  # filled under record_updates
 
+        # The backend's compiled event loop where it has one for these
+        # kernels and this policy, else the Python handlers below.
+        self._schedule = None
+        policy = _POLICY_IDS.get(type(self.options.policy))
+        if policy is not None:
+            self._routing = self._backend.rng_stream(self._routing_rng)
+            self._schedule = self._backend.bind_schedule(
+                self._kernels, visit_time, cluster.cores_per_machine,
+                self._local_delay, self._network_delay, self._routing,
+                self._backend.rng_stream(self._jitter_rng), cluster.jitter,
+                policy, self.options.circulate, run.max_updates,
+                self.visits if self.options.record_updates else None,
+            )
+        if self._schedule is not None:
+            self._visit_time = visit_time
+        else:
+            self._bind_python_handlers(visit_time.tolist())
+
+    def _bind_python_handlers(self, visit_time: list[list[float]]) -> None:
+        """The Python schedule's tables and per-hop constants: what its
+        two handlers read on every finish, resolved once."""
+        cluster, p = self.cluster, self.cluster.n_workers
+        self._visit_time = visit_time
+        # Column bounds as Python ints: they are read on every token visit.
+        self._col_ptr = [shard.csc()[0].tolist() for shard in self.shards]
+        # Routing tables, built once: each machine's workers and its peers.
+        machines = range(cluster.n_machines)
+        self._machine_workers = [
+            tuple(cluster.workers_of_machine(m)) for m in machines
+        ]
+        self._other_machines = [
+            tuple(other for other in machines if other != m) for m in machines
+        ]
+        self._queues: list[deque[ItemToken]] = [deque() for _ in range(p)]
+        self._busy = [False] * p
+        self._sim = Simulator()
+
         # Per-run constants of the token hop, resolved once.
         self._stations = [
             (queue, visit, ptr, kernel.process_token, machine)
@@ -265,8 +325,8 @@ class NomadSimulation:
         self._choose = self.options.policy.choose
         self._sample = self._routing_rng.sample
         self._jitter = cluster.jitter_multiplier if cluster.jitter else None
-        self._budget = run.max_updates
-        self._schedule = self._sim.schedule_after
+        self._budget = self.run_config.max_updates
+        self._schedule_after = self._sim.schedule_after
         self._finish = self._finish_token
         self._deliver = self._deliver_token
         self._acquire = self._ledger.acquire
@@ -286,14 +346,46 @@ class NomadSimulation:
                 "a NomadSimulation runs once; build a new one to run again"
             )
         self._started = True
-        self._seed_queues()
-        for q in range(self.cluster.n_workers):
-            self._wake_worker(q)
-        self._schedule_evaluations()
-        self._sim.run(until=self.run_config.duration)
+        if self._schedule is not None:
+            self._run_compiled()
+        else:
+            self._seed_queues()
+            for q in range(self.cluster.n_workers):
+                self._wake_worker(q)
+            self._record_point(0.0)
+            for time in self._evaluation_times():
+                self._sim.schedule_at(time, self._record_point, time)
+            self._sim.run(until=self.run_config.duration)
         self._record_point(self.run_config.duration)
         self._ledger.assert_conserved()
         return self._trace
+
+    def _run_compiled(self) -> None:
+        """The same run on the backend's event loop, which hands control
+        back at each evaluation and at the budget halt to score the
+        model here."""
+        schedule = self._schedule
+        p, n = self.cluster.n_workers, self.train.n_cols
+        # Algorithm 1 lines 7–10, the draws _seed_queues makes.
+        owners = self._routing.randbelow_many(p, n)
+        schedule.start(
+            [np.flatnonzero(owners == q) for q in range(p)],
+            np.array(self._evaluation_times(), dtype=np.float64),
+        )
+        self._record_point(0.0)
+        try:
+            while (time := schedule.advance(self.run_config.duration)) is not None:
+                self._total_updates = schedule.updates
+                if schedule.halted:
+                    self._halt_time = time
+                self._record_point(time)
+        finally:
+            self._total_updates = schedule.updates
+            self._network_hops = schedule.network_hops
+            self._local_hops = schedule.local_hops
+            for j, q in enumerate(schedule.owners()):
+                if q >= 0:
+                    self._ledger.acquire(j, q)
 
     @property
     def factors(self) -> FactorPair:
@@ -327,6 +419,8 @@ class NomadSimulation:
 
     def queue_sizes(self) -> list[int]:
         """Current queue length of every worker (diagnostics, tests)."""
+        if self._schedule is not None:
+            return self._schedule.queue_sizes()
         return [len(queue) for queue in self._queues]
 
     def telemetry_counters(self) -> dict:
@@ -355,17 +449,18 @@ class NomadSimulation:
             self._queues[q].append(token)
             self._ledger.acquire(j, q)
 
-    def _schedule_evaluations(self) -> None:
+    def _evaluation_times(self) -> list[float]:
+        """The evaluation grid strictly inside the run; the final point
+        at ``duration`` is recorded by run() itself."""
         interval = self.run_config.eval_interval
         duration = self.run_config.duration
-        self._record_point(0.0)
+        times = []
         index = 1
-        # Integer multiples (not accumulation) keep the grid exact; the
-        # final point at `duration` is recorded by run() itself.
+        # Integer multiples (not accumulation) keep the grid exact.
         while index * interval < duration * (1 - 1e-9):
-            time = index * interval
-            self._sim.schedule_at(time, self._record_point, time)
+            times.append(index * interval)
             index += 1
+        return times
 
     # ------------------------------------------------------------------
     # Worker event handlers
@@ -379,7 +474,7 @@ class NomadSimulation:
         delay = self._visit_time[q][token.item]
         if self._jitter is not None:
             delay *= self._jitter(self._jitter_rng)
-        self._schedule(delay, self._finish, q, token)
+        self._schedule_after(delay, self._finish, q, token)
 
     def _finish_token(self, q: int, token: ItemToken) -> None:
         """One visit ends (Algorithm 1 lines 15–23 and §3.4): apply the
@@ -433,7 +528,7 @@ class NomadSimulation:
         else:
             self._network_hops += 1
             delay = self._network_delay
-        schedule = self._schedule
+        schedule = self._schedule_after
         schedule(delay, self._deliver, destination, token)
 
         budget = self._budget

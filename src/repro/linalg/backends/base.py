@@ -212,6 +212,25 @@ class KernelBackend(abc.ABC):
         one is held to.
         """
 
+    def bind_schedule(
+        self, kernels: Sequence["TokenKernel"], visit_time: np.ndarray,
+        cores: int, local_delay: float, network_delay: float,
+        routing: Any, jitter: Any, sigma: float, policy: int,
+        circulate: bool, budget: int | None,
+        visits: list[tuple[int, int]] | None,
+    ) -> Any:
+        """The simulator's event loop in native code over ``kernels``
+        (one per worker), or ``None``, which is this default: the
+        simulator then runs its Python handlers.
+
+        ``routing`` and ``jitter`` are this backend's draw streams
+        (:meth:`rng_stream`); ``visit_time`` is the ``(workers, items)``
+        cost table; ``policy`` numbers the shipped recipient policy
+        (uniform 0, least-queue 1, power-of-two 2).  See
+        :class:`~repro.core.nomad.NomadSimulation` for the contract.
+        """
+        return None
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 

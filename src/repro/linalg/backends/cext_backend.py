@@ -41,8 +41,11 @@ legacy per-column entries; nothing in ``src/`` calls them any more.
 
 :meth:`CextBackend.rng_stream` hands out the module's ``MTStream``:
 CPython's Mersenne Twister started from a ``random.Random``'s state,
-whose ``randrange`` / ``randbelow_many`` / ``shuffle`` / ``sample`` draw
-exactly what that object's would, at C prices.
+whose ``randrange`` / ``randbelow_many`` / ``shuffle`` draw exactly what
+that object's would, at C prices.  :meth:`CextBackend.bind_schedule`
+hands out the module's ``Schedule``: the simulator's whole event loop
+over the workers' native token kernels, each finish one direct C call
+of ``process_token``, every draw on two ``MTStream`` objects.
 """
 
 from __future__ import annotations
@@ -124,6 +127,7 @@ class CextBackend(KernelBackend):
         module = cext_build.load_library()
         self._kernels = module.kernels
         self._stream_type = module.MTStream
+        self._schedule_type = module.Schedule
 
     # ------------------------------------------------------------------
     # Kernels
@@ -166,6 +170,20 @@ class CextBackend(KernelBackend):
 
     def rng_stream(self, rng):
         return self._stream_type(rng.getstate())
+
+    def bind_schedule(
+        self, kernels, visit_time, cores, local_delay, network_delay,
+        routing, jitter, sigma, policy, circulate, budget, visits,
+    ):
+        # A kernel bound to the interpreted backend (a loss C has no id
+        # for) has no native struct for the loop to call.
+        if not all(type(kernel) is CextTokenKernel for kernel in kernels):
+            return None
+        return self._schedule_type(
+            [kernel._bound for kernel in kernels], visit_time, cores,
+            local_delay, network_delay, routing, jitter, sigma, policy,
+            circulate, budget, visits,
+        )
 
     def _entries_call(
         self, w, h, entry_rows, entry_cols, ratings, counts, order,

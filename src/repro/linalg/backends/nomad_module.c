@@ -25,10 +25,18 @@
  * `MTStream(random_obj.getstate())` is CPython's Mersenne Twister, built
  * from a random.Random's state and drawing exactly what that object
  * would: randrange(n), randbelow_many(n, count) -> int64[count],
- * shuffle(int64 buffer) and getstate(). */
+ * shuffle(int64 buffer) and getstate().
+ *
+ * `Schedule` is NomadSimulation's discrete-event loop (heap, finish and
+ * deliver handlers, ownership ledger, routing policies, §3.4 tours and
+ * jitter) over one bound TokenKernel per worker, drawing on two
+ * MTStreams; see its section below. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <structmember.h>
+
+#include <math.h>
 
 #include "nomad_kernels.h"
 
@@ -402,7 +410,8 @@ typedef struct {
     PyObject_HEAD
     uint32_t mt[MT_N];
     int index;
-    PyObject *gauss_next; /* random.Random's, handed back by getstate() */
+    int has_gauss_next; /* random.Random's gauss_next: None when 0 */
+    double gauss_next;
 } MTStreamObject;
 
 /* The next tempered word.  The read position is the caller's local
@@ -507,12 +516,19 @@ static PyObject *mt_stream_new(PyTypeObject *type, PyObject *args,
         else
             self->index = (int)word;
     }
-    self->gauss_next = Py_NewRef(PyTuple_GET_ITEM(state, 2));
+    PyObject *gauss_next = PyTuple_GET_ITEM(state, 2);
+    self->has_gauss_next = gauss_next != Py_None;
+    if (self->has_gauss_next) {
+        self->gauss_next = PyFloat_AsDouble(gauss_next);
+        if (self->gauss_next == -1.0 && PyErr_Occurred()) {
+            Py_DECREF(self);
+            return NULL;
+        }
+    }
     return (PyObject *)self;
 }
 
 static void mt_stream_dealloc(MTStreamObject *self) {
-    Py_XDECREF(self->gauss_next);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
@@ -616,7 +632,9 @@ static PyObject *mt_stream_getstate(MTStreamObject *self,
         }
         PyTuple_SET_ITEM(words, i, word);
     }
-    return Py_BuildValue("(iNO)", MT_STATE_VERSION, words, self->gauss_next);
+    if (!self->has_gauss_next)
+        return Py_BuildValue("(iNO)", MT_STATE_VERSION, words, Py_None);
+    return Py_BuildValue("(iNd)", MT_STATE_VERSION, words, self->gauss_next);
 }
 
 static PyMethodDef mt_stream_methods[] = {
@@ -646,6 +664,690 @@ static PyTypeObject MTStreamType = {
 };
 
 /* ------------------------------------------------------------------ */
+/* Schedule: NomadSimulation's event loop                              */
+/* ------------------------------------------------------------------ */
+
+/* core/nomad.py's handlers over simulator/engine.py's heap, compiled
+ * (the Python ones are the reference this is held to, event for event
+ * and draw for draw):
+ *
+ *   Schedule(kernels, visit_time, cores, local_delay, network_delay,
+ *            routing, jitter, sigma, policy, circulate, budget, visits)
+ *   start(queues, eval_times)   seed the queues, wake every worker,
+ *                               schedule the evaluations
+ *   advance(until) -> float | None
+ *
+ * One heap of (time, seq) keyed events, popped while the earliest is
+ * not later than `until`.  A finish runs the visit through its worker's
+ * bound TokenKernel, picks the token's next stop (the rest of its §3.4
+ * tour, or a machine from the policy and then a fresh tour or one
+ * worker), releases it, sends it and starts the worker's next queued
+ * token; a delivery acquires, enqueues and wakes.  advance() returns
+ * the time of an evaluation event (before a halt) or of the finish that
+ * spent the update budget, for the caller to score the model, and None
+ * once no event at or before `until` is left.  After a halt, finishes
+ * apply nothing and hand their token back to the head of its queue, and
+ * evaluations are skipped, as the Python handlers do.
+ *
+ * The routing draws (policies, tours) come from `routing`, the jitter
+ * multipliers exp(sigma * gauss - sigma**2 / 2) from `jitter`: two
+ * MTStreams, drawing what random.Random's randrange, sample and gauss
+ * would. */
+
+enum { EVENT_FINISH, EVENT_DELIVER, EVENT_EVALUATE };
+enum { POLICY_UNIFORM, POLICY_LEAST_QUEUE, POLICY_POWER_OF_TWO };
+enum { IN_FLIGHT = -1, NO_ITEM = -1 };
+
+/* random.Random.sample's set-size estimate for k = 2: a population at
+ * most this large is sampled from a pool, a larger one by rejection. */
+enum { SAMPLE_SETSIZE = 21 };
+
+typedef struct {
+    double time;
+    uint64_t seq;
+    int64_t kind, worker, item;
+} sim_event;
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *kernel_refs; /* tuple of TokenKernel, one per worker */
+    TokenKernelObject **kernel;
+    Py_buffer visit_time_view; /* n_workers x n_items float64 */
+    const double *visit_time;
+    int has_view;
+    MTStreamObject *routing, *jitter;
+    PyObject *visits; /* list of (worker, item), or NULL */
+    int64_t n_items, n_workers, cores, n_machines, budget;
+    double local_delay, network_delay, sigma;
+    int policy, circulating, started, halted;
+    double now;
+    uint64_t seq;
+    sim_event *heap;
+    int64_t heap_len, heap_cap;
+    /* Queues as linked lists over the items (a token is in at most one
+     * queue): next item, and per worker head, tail and length. */
+    int64_t *next, *head, *tail, *queued;
+    int64_t *owner;   /* per item: worker, or IN_FLIGHT */
+    int64_t *tour;    /* per item: its §3.4 tour, cores entries */
+    int64_t *tour_at; /* per item: next stop in tour; cores when done */
+    int64_t *pool;    /* scratch candidates, max(n_machines, cores) */
+    int64_t *sizes;   /* scratch queue sizes, as many */
+    char *busy;
+    long long updates, network_hops, local_hops;
+} ScheduleObject;
+
+/* repro.errors.SimulationError, raised with a formatted message; -1. */
+static int simulation_error(const char *format, ...) {
+    static PyObject *error = NULL; /* held for the process's lifetime */
+    if (error == NULL) {
+        PyObject *errors = PyImport_ImportModule("repro.errors");
+        if (errors == NULL)
+            return -1;
+        error = PyObject_GetAttrString(errors, "SimulationError");
+        Py_DECREF(errors);
+        if (error == NULL)
+            return -1;
+    }
+    va_list args;
+    va_start(args, format);
+    PyErr_FormatV(error, format, args);
+    va_end(args);
+    return -1;
+}
+
+/* SimulationError for a refused time or delay, formatted with %S. */
+static int refused_time(const char *format, double value) {
+    PyObject *number = PyFloat_FromDouble(value);
+    if (number == NULL)
+        return -1;
+    simulation_error(format, number);
+    Py_DECREF(number);
+    return -1;
+}
+
+/* random.Random.random(): 53 bits from two words. */
+static double mt_random(MTStreamObject *s) {
+    uint32_t a = mt_next(s->mt, &s->index) >> 5;
+    uint32_t b = mt_next(s->mt, &s->index) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* libm's sin and cos, each in a function of its own so the compiler
+ * does not fuse the pair into one sincos call: gauss must be the
+ * math.sin and math.cos that random.py calls. */
+static __attribute__((noinline)) double libm_sin(double x) { return sin(x); }
+static __attribute__((noinline)) double libm_cos(double x) { return cos(x); }
+
+/* random.Random.gauss(0.0, 1.0), its gauss_next included. */
+static double mt_gauss(MTStreamObject *s) {
+    double z;
+    if (s->has_gauss_next) {
+        z = s->gauss_next;
+        s->has_gauss_next = 0;
+    } else {
+        double x2pi = mt_random(s) * (2.0 * 3.141592653589793);
+        double g2rad = sqrt(-2.0 * log(1.0 - mt_random(s)));
+        z = libm_cos(x2pi) * g2rad;
+        s->gauss_next = libm_sin(x2pi) * g2rad;
+        s->has_gauss_next = 1;
+    }
+    return 0.0 + z * 1.0;
+}
+
+static inline int64_t routing_below(ScheduleObject *s, int64_t n) {
+    return mt_below(s->routing->mt, &s->routing->index, (uint32_t)n);
+}
+
+/* ---- the heap: (time, seq) order, seq unique ---------------------- */
+
+static inline int event_before(const sim_event *a, const sim_event *b) {
+    return a->time < b->time || (a->time == b->time && a->seq < b->seq);
+}
+
+/* Simulator.schedule_after: refuses a delay that is not >= 0. */
+static int push_event(ScheduleObject *s, double delay, int64_t kind,
+                      int64_t worker, int64_t item) {
+    if (!(delay >= 0))
+        return refused_time("delay must be >= 0, got %S", delay);
+    if (s->heap_len == s->heap_cap)
+        return simulation_error("event heap full: %lld events pending",
+                                (long long)s->heap_len);
+    sim_event event = {s->now + delay, s->seq++, kind, worker, item};
+    int64_t at = s->heap_len++;
+    while (at > 0) {
+        int64_t parent = (at - 1) / 2;
+        if (!event_before(&event, &s->heap[parent]))
+            break;
+        s->heap[at] = s->heap[parent];
+        at = parent;
+    }
+    s->heap[at] = event;
+    return 0;
+}
+
+static sim_event pop_event(ScheduleObject *s) {
+    sim_event top = s->heap[0], last = s->heap[--s->heap_len];
+    int64_t at = 0, n = s->heap_len;
+    for (;;) {
+        int64_t child = 2 * at + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n && event_before(&s->heap[child + 1], &s->heap[child]))
+            child++;
+        if (!event_before(&s->heap[child], &last))
+            break;
+        s->heap[at] = s->heap[child];
+        at = child;
+    }
+    if (n > 0)
+        s->heap[at] = last;
+    return top;
+}
+
+/* ---- queues and the ownership ledger ------------------------------ */
+
+static void push_back(ScheduleObject *s, int64_t q, int64_t j) {
+    s->next[j] = NO_ITEM;
+    if (s->queued[q]++ == 0)
+        s->head[q] = j;
+    else
+        s->next[s->tail[q]] = j;
+    s->tail[q] = j;
+}
+
+static void push_front(ScheduleObject *s, int64_t q, int64_t j) {
+    s->next[j] = s->queued[q] ? s->head[q] : NO_ITEM;
+    if (s->queued[q]++ == 0)
+        s->tail[q] = j;
+    s->head[q] = j;
+}
+
+static int64_t pop_front(ScheduleObject *s, int64_t q) {
+    int64_t j = s->head[q];
+    s->head[q] = s->next[j];
+    s->queued[q]--;
+    return j;
+}
+
+static int acquire(ScheduleObject *s, int64_t j, int64_t q) {
+    if (s->owner[j] != IN_FLIGHT)
+        return simulation_error(
+            "item %lld acquired by worker %lld while owned by worker %lld",
+            (long long)j, (long long)q, (long long)s->owner[j]);
+    s->owner[j] = q;
+    return 0;
+}
+
+static int release(ScheduleObject *s, int64_t j, int64_t q) {
+    if (s->owner[j] != q) {
+        if (s->owner[j] == IN_FLIGHT)
+            return simulation_error(
+                "worker %lld released item %lld owned by None",
+                (long long)q, (long long)j);
+        return simulation_error("worker %lld released item %lld owned by %lld",
+                                (long long)q, (long long)j,
+                                (long long)s->owner[j]);
+    }
+    s->owner[j] = IN_FLIGHT;
+    return 0;
+}
+
+/* ---- routing: the three shipped RecipientPolicy.choose ------------- */
+
+/* The §3.3 payload: a worker's queue, or a machine's summed. */
+static int64_t queue_size(const ScheduleObject *s, int64_t id, int machines) {
+    if (!machines)
+        return s->queued[id];
+    int64_t total = 0;
+    for (int64_t w = id * s->cores; w < (id + 1) * s->cores; w++)
+        total += s->queued[w];
+    return total;
+}
+
+/* policy.choose(candidates, queue_size, rng) over cand[0:n], n >= 1;
+ * cand is scratch (the draws may reorder it). */
+static int64_t choose(ScheduleObject *s, int64_t *cand, int64_t n,
+                      int machines) {
+    if (s->policy == POLICY_UNIFORM)
+        return cand[routing_below(s, n)];
+    if (s->policy == POLICY_LEAST_QUEUE) {
+        int64_t minimum = INT64_MAX, ties = 0;
+        for (int64_t i = 0; i < n; i++) {
+            s->sizes[i] = queue_size(s, cand[i], machines);
+            if (s->sizes[i] < minimum)
+                minimum = s->sizes[i];
+        }
+        for (int64_t i = 0; i < n; i++)
+            if (s->sizes[i] == minimum)
+                cand[ties++] = cand[i];
+        return cand[routing_below(s, ties)];
+    }
+    /* PowerOfTwoPolicy: rng.sample(candidates, 2), CPython's pool
+     * branch at most SAMPLE_SETSIZE candidates, its set branch past. */
+    if (n == 1)
+        return cand[0];
+    int64_t a, b;
+    if (n <= SAMPLE_SETSIZE) {
+        int64_t first = routing_below(s, n);
+        a = cand[first];
+        cand[first] = cand[n - 1];
+        b = cand[routing_below(s, n - 1)];
+    } else {
+        int64_t first = routing_below(s, n), second;
+        do
+            second = routing_below(s, n);
+        while (second == first);
+        a = cand[first];
+        b = cand[second];
+    }
+    int64_t size_a = queue_size(s, a, machines);
+    int64_t size_b = queue_size(s, b, machines);
+    if (size_a == size_b)
+        return routing_below(s, 2) == 0 ? a : b;
+    return size_a < size_b ? a : b;
+}
+
+/* ---- the two handlers ---------------------------------------------- */
+
+/* Start worker q's next queued token, if it is idle and has one. */
+static int wake(ScheduleObject *s, int64_t q) {
+    if (s->busy[q] || s->halted || s->queued[q] == 0)
+        return 0;
+    int64_t j = pop_front(s, q);
+    s->busy[q] = 1;
+    double delay = s->visit_time[q * s->n_items + j];
+    if (s->sigma != 0.0)
+        delay *= exp(s->sigma * mt_gauss(s->jitter) - 0.5 * s->sigma * s->sigma);
+    return push_event(s, delay, EVENT_FINISH, q, j);
+}
+
+static int deliver(ScheduleObject *s, int64_t q, int64_t j) {
+    if (acquire(s, j, q) < 0)
+        return -1;
+    push_back(s, q, j);
+    return s->busy[q] ? 0 : wake(s, q);
+}
+
+/* The end of worker q's visit of item j: -1 on an error, 1 when it
+ * spent the update budget, else 0. */
+static int finish(ScheduleObject *s, int64_t q, int64_t j) {
+    if (s->halted) {
+        push_front(s, q, j);
+        s->busy[q] = 0;
+        return 0;
+    }
+    TokenKernelObject *kernel = s->kernel[q];
+    if (kernel->bound.ends[j] > kernel->bound.indptr[j]) {
+        if (s->visits != NULL) {
+            PyObject *visit = Py_BuildValue("(LL)", (long long)q,
+                                            (long long)j);
+            int failed = visit == NULL || PyList_Append(s->visits, visit) < 0;
+            Py_XDECREF(visit);
+            if (failed)
+                return -1;
+        }
+        int64_t applied = kernel->variant->process_token(&kernel->bound, j);
+        if (applied < 0) {
+            out_of_range(&kernel->bound);
+            return -1;
+        }
+        s->updates += applied;
+    }
+
+    int64_t machine = q / s->cores, destination;
+    int64_t *tour = s->tour + j * s->cores;
+    if (s->tour_at[j] < s->cores) {
+        destination = tour[s->tour_at[j]++];
+    } else {
+        int64_t target = 0;
+        if (s->n_machines > 1) {
+            int64_t n = 0;
+            for (int64_t m = 0; m < s->n_machines; m++)
+                if (m != machine)
+                    s->pool[n++] = m;
+            target = choose(s, s->pool, n, 1);
+        }
+        for (int64_t i = 0; i < s->cores; i++)
+            s->pool[i] = target * s->cores + i;
+        if (s->circulating) {
+            /* rng.sample(workers, len(workers)): the pool branch. */
+            for (int64_t i = 0; i < s->cores; i++) {
+                int64_t pick = routing_below(s, s->cores - i);
+                tour[i] = s->pool[pick];
+                s->pool[pick] = s->pool[s->cores - i - 1];
+            }
+            destination = tour[0];
+            s->tour_at[j] = 1;
+        } else {
+            destination = choose(s, s->pool, s->cores, 0);
+        }
+    }
+    if (release(s, j, q) < 0)
+        return -1;
+    double delay;
+    if (destination / s->cores == machine) {
+        s->local_hops++;
+        delay = s->local_delay;
+    } else {
+        s->network_hops++;
+        delay = s->network_delay;
+    }
+    if (push_event(s, delay, EVENT_DELIVER, destination, j) < 0)
+        return -1;
+
+    if (s->budget >= 0 && s->updates >= s->budget) {
+        s->halted = 1;
+        s->busy[q] = 0;
+        return 1;
+    }
+    s->busy[q] = 0;
+    return wake(s, q);
+}
+
+/* ---- the Python type ----------------------------------------------- */
+
+static void schedule_dealloc(ScheduleObject *self) {
+    if (self->has_view)
+        PyBuffer_Release(&self->visit_time_view);
+    Py_XDECREF(self->kernel_refs);
+    Py_XDECREF(self->routing);
+    Py_XDECREF(self->jitter);
+    Py_XDECREF(self->visits);
+    void *arrays[] = {self->kernel, self->heap, self->next, self->head,
+                      self->tail, self->queued, self->owner, self->tour,
+                      self->tour_at, self->pool, self->sizes, self->busy};
+    for (size_t i = 0; i < sizeof(arrays) / sizeof(arrays[0]); i++)
+        PyMem_Free(arrays[i]);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static int64_t *new_filled(int64_t n, int64_t value) {
+    int64_t *array = PyMem_Malloc((size_t)(n ? n : 1) * sizeof(int64_t));
+    for (int64_t i = 0; array != NULL && i < n; i++)
+        array[i] = value;
+    return array;
+}
+
+static PyObject *schedule_new(PyTypeObject *type, PyObject *args,
+                              PyObject *kwds) {
+    static char *kwlist[] = {"kernels", "visit_time", "cores", "local_delay",
+                             "network_delay", "routing", "jitter", "sigma",
+                             "policy", "circulate", "budget", "visits", NULL};
+    PyObject *kernels, *visit_time, *budget, *visits;
+    MTStreamObject *routing, *jitter;
+    Py_ssize_t cores;
+    double local_delay, network_delay, sigma;
+    int policy, circulate;
+    if (!PyArg_ParseTupleAndKeywords(
+            args, kwds, "OOnddO!O!dipOO:Schedule", kwlist, &kernels,
+            &visit_time, &cores, &local_delay, &network_delay, &MTStreamType,
+            &routing, &MTStreamType, &jitter, &sigma, &policy, &circulate,
+            &budget, &visits))
+        return NULL;
+    ScheduleObject *self = (ScheduleObject *)type->tp_alloc(type, 0);
+    if (self == NULL)
+        return NULL;
+    self->routing = (MTStreamObject *)Py_NewRef(routing);
+    self->jitter = (MTStreamObject *)Py_NewRef(jitter);
+    self->kernel_refs = PySequence_Tuple(kernels);
+    if (self->kernel_refs == NULL)
+        goto fail;
+    Py_ssize_t p = PyTuple_GET_SIZE(self->kernel_refs);
+    if (p < 1 || p >= INT32_MAX || cores < 1 || p % cores != 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "Schedule: need one kernel per worker, a whole "
+                        "number of machines of `cores` workers");
+        goto fail;
+    }
+    self->kernel = PyMem_Malloc(p * sizeof(TokenKernelObject *));
+    if (self->kernel == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    for (Py_ssize_t q = 0; q < p; q++) {
+        PyObject *kernel = PyTuple_GET_ITEM(self->kernel_refs, q);
+        if (!Py_IS_TYPE(kernel, &TokenKernelType)) {
+            PyErr_SetString(PyExc_TypeError,
+                            "Schedule: kernels must be bound TokenKernels");
+            goto fail;
+        }
+        self->kernel[q] = (TokenKernelObject *)kernel;
+    }
+    self->n_workers = p;
+    self->cores = cores;
+    self->n_machines = p / cores;
+    self->n_items = self->kernel[0]->bound.n_items;
+    for (Py_ssize_t q = 1; q < p; q++)
+        if (self->kernel[q]->bound.n_items != self->n_items) {
+            PyErr_SetString(PyExc_ValueError,
+                            "Schedule: kernels bound over different items");
+            goto fail;
+        }
+    if (get_array(visit_time, &self->visit_time_view, 'f', 0,
+                  "visit_time") < 0)
+        goto fail;
+    self->has_view = 1;
+    if (self->visit_time_view.ndim != 2 ||
+        self->visit_time_view.shape[0] != p ||
+        self->visit_time_view.shape[1] != self->n_items) {
+        PyErr_SetString(PyExc_ValueError,
+                        "Schedule: visit_time must be (workers, items)");
+        goto fail;
+    }
+    self->visit_time = self->visit_time_view.buf;
+    if (policy < POLICY_UNIFORM || policy > POLICY_POWER_OF_TWO) {
+        PyErr_SetString(PyExc_ValueError, "Schedule: unknown policy id");
+        goto fail;
+    }
+    self->budget = -1;
+    if (budget != Py_None) {
+        self->budget = PyLong_AsLongLong(budget);
+        if (self->budget == -1 && PyErr_Occurred())
+            goto fail;
+        if (self->budget < 0) {
+            PyErr_SetString(PyExc_ValueError, "Schedule: budget < 0");
+            goto fail;
+        }
+    }
+    if (visits != Py_None) {
+        if (!PyList_Check(visits)) {
+            PyErr_SetString(PyExc_TypeError,
+                            "Schedule: visits must be a list or None");
+            goto fail;
+        }
+        self->visits = Py_NewRef(visits);
+    }
+    self->local_delay = local_delay;
+    self->network_delay = network_delay;
+    self->sigma = sigma;
+    self->policy = policy;
+    self->circulating = circulate && cores > 1;
+    int64_t n = self->n_items;
+    int64_t scratch = self->n_machines > cores ? self->n_machines : cores;
+    self->next = new_filled(n, NO_ITEM);
+    self->owner = new_filled(n, IN_FLIGHT);
+    self->tour = new_filled(n * cores, 0);
+    self->tour_at = new_filled(n, cores);
+    self->head = new_filled(p, NO_ITEM);
+    self->tail = new_filled(p, NO_ITEM);
+    self->queued = new_filled(p, 0);
+    self->pool = new_filled(scratch, 0);
+    self->sizes = new_filled(scratch, 0);
+    self->busy = PyMem_Calloc(p, 1);
+    if (!self->next || !self->owner || !self->tour || !self->tour_at ||
+        !self->head || !self->tail || !self->queued || !self->pool ||
+        !self->sizes || !self->busy) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    return (PyObject *)self;
+
+fail:
+    Py_DECREF(self);
+    return NULL;
+}
+
+static PyObject *schedule_start(ScheduleObject *self, PyObject *args) {
+    PyObject *queues, *eval_times;
+    if (!PyArg_ParseTuple(args, "OO:start", &queues, &eval_times))
+        return NULL;
+    if (self->started) {
+        simulation_error("a Schedule starts once");
+        return NULL;
+    }
+    self->started = 1;
+    PyObject *seq = PySequence_Fast(queues, "queues must be a sequence");
+    if (seq == NULL)
+        return NULL;
+    if (PySequence_Fast_GET_SIZE(seq) != self->n_workers) {
+        Py_DECREF(seq);
+        PyErr_SetString(PyExc_ValueError, "start: one queue per worker");
+        return NULL;
+    }
+    /* Algorithm 1 lines 7-10: each queue's items, in order, owned. */
+    for (int64_t q = 0; q < self->n_workers; q++) {
+        Py_buffer view;
+        if (get_array(PySequence_Fast_GET_ITEM(seq, q), &view, 'i', 0,
+                      "queue") < 0) {
+            Py_DECREF(seq);
+            return NULL;
+        }
+        const int64_t *items = view.buf;
+        int failed = 0;
+        for (Py_ssize_t i = 0; !failed && i < length(&view); i++) {
+            int64_t j = items[i];
+            if (j < 0 || j >= self->n_items) {
+                PyErr_Format(PyExc_IndexError,
+                             "token item id %lld outside [0, %lld)",
+                             (long long)j, (long long)self->n_items);
+                failed = 1;
+            } else if (acquire(self, j, q) < 0) {
+                failed = 1;
+            } else {
+                push_back(self, q, j);
+            }
+        }
+        PyBuffer_Release(&view);
+        if (failed) {
+            Py_DECREF(seq);
+            return NULL;
+        }
+    }
+    Py_DECREF(seq);
+    Py_buffer times;
+    if (get_array(eval_times, &times, 'f', 0, "eval_times") < 0)
+        return NULL;
+    /* Every token is queued, in a visit or in flight: one event each
+     * at most, beside the evaluations. */
+    self->heap_cap = self->n_items + length(&times);
+    self->heap = PyMem_Malloc(self->heap_cap * sizeof(sim_event));
+    int failed = self->heap == NULL;
+    if (failed)
+        PyErr_NoMemory();
+    for (int64_t q = 0; !failed && q < self->n_workers; q++)
+        failed = wake(self, q) < 0;
+    const double *at = times.buf;
+    for (Py_ssize_t i = 0; !failed && i < length(&times); i++) {
+        if (!(at[i] >= self->now))
+            failed = refused_time("cannot schedule at %S; simulated clock "
+                                  "is at 0.0", at[i]) < 0;
+        else
+            failed = push_event(self, at[i] - self->now, EVENT_EVALUATE,
+                                -1, -1) < 0;
+    }
+    PyBuffer_Release(&times);
+    if (failed)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *schedule_advance(ScheduleObject *self, PyObject *arg) {
+    double until = PyFloat_AsDouble(arg);
+    if (until == -1.0 && PyErr_Occurred())
+        return NULL;
+    while (self->heap_len > 0 && self->heap[0].time <= until) {
+        sim_event event = pop_event(self);
+        self->now = event.time;
+        int outcome = 0;
+        if (event.kind == EVENT_EVALUATE) {
+            if (!self->halted)
+                return PyFloat_FromDouble(self->now);
+        } else if (event.kind == EVENT_DELIVER) {
+            outcome = deliver(self, event.worker, event.item);
+        } else {
+            outcome = finish(self, event.worker, event.item);
+        }
+        if (outcome < 0)
+            return NULL;
+        if (outcome > 0)
+            return PyFloat_FromDouble(self->now);
+    }
+    Py_RETURN_NONE;
+}
+
+static PyObject *int64_list(const int64_t *values, int64_t n) {
+    PyObject *list = PyList_New(n);
+    for (int64_t i = 0; list != NULL && i < n; i++) {
+        PyObject *value = PyLong_FromLongLong(values[i]);
+        if (value == NULL) {
+            Py_CLEAR(list);
+            break;
+        }
+        PyList_SET_ITEM(list, i, value);
+    }
+    return list;
+}
+
+static PyObject *schedule_queue_sizes(ScheduleObject *self,
+                                      PyObject *Py_UNUSED(ignored)) {
+    return int64_list(self->queued, self->n_workers);
+}
+
+static PyObject *schedule_owners(ScheduleObject *self,
+                                 PyObject *Py_UNUSED(ignored)) {
+    return int64_list(self->owner, self->n_items);
+}
+
+static PyMethodDef schedule_methods[] = {
+    {"start", (PyCFunction)schedule_start, METH_VARARGS,
+     "start(queues, eval_times): queue and own each worker's items "
+     "(int64 buffers, in order), wake every worker, then schedule an "
+     "evaluation at each time (a float64 buffer)."},
+    {"advance", (PyCFunction)schedule_advance, METH_O,
+     "advance(until) -> float | None: run events up to `until`; the time "
+     "of an evaluation or of the halt, or None when none is left."},
+    {"queue_sizes", (PyCFunction)schedule_queue_sizes, METH_NOARGS,
+     "Tokens queued at each worker."},
+    {"owners", (PyCFunction)schedule_owners, METH_NOARGS,
+     "Each item's owner, -1 while in flight."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMemberDef schedule_members[] = {
+    {"updates", T_LONGLONG, offsetof(ScheduleObject, updates), READONLY,
+     "SGD updates applied."},
+    {"network_hops", T_LONGLONG, offsetof(ScheduleObject, network_hops),
+     READONLY, "Tokens sent between machines."},
+    {"local_hops", T_LONGLONG, offsetof(ScheduleObject, local_hops),
+     READONLY, "Tokens sent within a machine."},
+    {"halted", T_INT, offsetof(ScheduleObject, halted), READONLY,
+     "Whether the update budget is spent."},
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyTypeObject ScheduleType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.linalg.backends._nomad.Schedule",
+    .tp_basicsize = sizeof(ScheduleObject),
+    .tp_dealloc = (destructor)schedule_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "NomadSimulation's event loop over bound TokenKernels.",
+    .tp_methods = schedule_methods,
+    .tp_members = schedule_members,
+    .tp_new = schedule_new,
+};
+
+/* ------------------------------------------------------------------ */
 /* Module                                                              */
 /* ------------------------------------------------------------------ */
 
@@ -668,7 +1370,7 @@ PyMODINIT_FUNC PyInit__nomad(void) {
 #endif
     const nomad_variant *chosen = runnable[n_runnable - 1];
     if (PyType_Ready(&TokenKernelType) < 0 || PyType_Ready(&KernelsType) < 0
-        || PyType_Ready(&MTStreamType) < 0)
+        || PyType_Ready(&MTStreamType) < 0 || PyType_Ready(&ScheduleType) < 0)
         return NULL;
     PyObject *module = PyModule_Create(&nomad_module);
     PyObject *variants = PyDict_New();
@@ -677,7 +1379,9 @@ PyMODINIT_FUNC PyInit__nomad(void) {
         goto fail;
     }
     if (PyModule_AddObjectRef(module, "MTStream",
-                              (PyObject *)&MTStreamType) < 0) {
+                              (PyObject *)&MTStreamType) < 0 ||
+        PyModule_AddObjectRef(module, "Schedule",
+                              (PyObject *)&ScheduleType) < 0) {
         Py_DECREF(variants);
         goto fail;
     }

@@ -10,6 +10,12 @@ and, being unique, it decides every comparison ``heapq`` makes before
 the callback or its arguments (which need not be orderable) are
 reached.  There is no wall-clock dependence anywhere, so a run is a
 pure function of its inputs and seed.
+
+NOMAD's run uses this simulator only where it runs its Python handlers
+(the ``list`` backend, a loss C has no id for, a policy other than the
+three shipped ones); otherwise the ``cext`` backend's compiled
+``Schedule`` runs the same heap with the same ``(time, seq)`` tie-break
+in C (see :mod:`repro.core.nomad`).
 """
 
 from __future__ import annotations

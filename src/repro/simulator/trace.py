@@ -29,14 +29,11 @@ class TraceRecord:
         Cumulative SGD updates (or equivalent work units) applied so far.
     rmse:
         Test RMSE at this instant.
-    objective:
-        Optional training objective J(W, H) (recorded when cheap to get).
     """
 
     time: float
     updates: int
     rmse: float
-    objective: float | None = None
 
 
 @dataclass
@@ -58,19 +55,13 @@ class Trace:
     meta: dict = field(default_factory=dict)
     records: list[TraceRecord] = field(default_factory=list)
 
-    def add(
-        self,
-        time: float,
-        updates: int,
-        rmse: float,
-        objective: float | None = None,
-    ) -> None:
+    def add(self, time: float, updates: int, rmse: float) -> None:
         """Append one evaluation point (must be in non-decreasing time)."""
         if self.records and time < self.records[-1].time:
             raise SimulationError(
                 f"trace time went backwards: {time} after {self.records[-1].time}"
             )
-        self.records.append(TraceRecord(time, int(updates), float(rmse), objective))
+        self.records.append(TraceRecord(time, int(updates), float(rmse)))
 
     # ------------------------------------------------------------------
     # Series accessors (one per paper x-axis)
@@ -136,12 +127,11 @@ class Trace:
     # Export
     # ------------------------------------------------------------------
     def to_csv(self) -> str:
-        """Render the trace as CSV text (time,updates,rmse,objective)."""
+        """Render the trace as CSV text (time,updates,rmse)."""
         buffer = io.StringIO()
-        buffer.write("time,updates,rmse,objective\n")
+        buffer.write("time,updates,rmse\n")
         for r in self.records:
-            objective = "" if r.objective is None else repr(r.objective)
-            buffer.write(f"{r.time!r},{r.updates},{r.rmse!r},{objective}\n")
+            buffer.write(f"{r.time!r},{r.updates},{r.rmse!r}\n")
         return buffer.getvalue()
 
     def _require_records(self) -> None:

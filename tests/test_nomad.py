@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import HyperParams, RunConfig
 from repro.core.load_balance import (
@@ -21,6 +24,8 @@ from repro.core.nomad import (
 )
 from repro.core.serializability import is_serializable, replay
 from repro.core.tokens import ItemToken
+from repro.datasets.ratings import train_test_split
+from repro.datasets.synthetic import SyntheticSpec, make_low_rank
 from repro.errors import ConfigError, SimulationError
 from repro.linalg.backends import cext_available
 from repro.linalg import objective
@@ -146,6 +151,141 @@ class TestDeterminism:
         _, a = run_nomad(train, test, jitter=0.3)
         _, b = run_nomad(train, test, jitter=0.3)
         assert [r.rmse for r in a.records] == [r.rmse for r in b.records]
+
+
+class _PythonUniform(UniformPolicy):
+    """Draws what UniformPolicy draws; being a subclass, it keeps a run
+    on the simulator's Python handlers."""
+
+
+class _PythonLeastQueue(LeastQueuePolicy):
+    """LeastQueuePolicy on the Python handlers."""
+
+
+class _PythonPowerOfTwo(PowerOfTwoPolicy):
+    """PowerOfTwoPolicy on the Python handlers."""
+
+
+#: (shipped policy, its subclass on the Python handlers)
+_POLICY_PAIRS = [
+    (UniformPolicy, _PythonUniform),
+    (LeastQueuePolicy, _PythonLeastQueue),
+    (PowerOfTwoPolicy, _PythonPowerOfTwo),
+]
+
+
+@functools.lru_cache(maxsize=1)
+def _property_split():
+    """tiny_split's shape, built once for every Hypothesis example."""
+    rng = RngFactory(12345)
+    spec = SyntheticSpec(n_rows=80, n_cols=40, rank=2, density=0.2, noise=0.05)
+    matrix = make_low_rank(spec, rng.stream("tiny"))
+    return train_test_split(matrix, 0.2, rng.stream("split"))
+
+
+def _outcome(sim, trace):
+    """Everything a run leaves behind that the two schedules must share."""
+    return {
+        "visits": sim.visits,
+        "records": trace.records,
+        "updates": sim.total_updates,
+        "hops": (sim.network_hops, sim.local_hops),
+        "queues": sim.queue_sizes(),
+        "owners": [sim._ledger.owner_of(j) for j in range(sim.train.n_cols)],
+    }
+
+
+def _assert_schedules_agree(make_cluster, policies, run, **options):
+    """One run on the compiled schedule (the shipped policy) and one on
+    the Python handlers (its subclass): everything they leave equal."""
+    train, test = _property_split()
+    outcomes = []
+    for policy_type in policies:
+        sim = NomadSimulation(
+            train, test, make_cluster(),
+            HyperParams(k=4, lambda_=0.01, alpha=0.1, beta=0.01), run,
+            options=NomadOptions(
+                policy=policy_type(), record_updates=True, **options
+            ),
+        )
+        assert (sim._schedule is not None) == (policy_type is policies[0])
+        trace = sim.run()
+        outcomes.append((_outcome(sim, trace), sim.factors))
+    (native, native_factors), (python, python_factors) = outcomes
+    assert native == python
+    assert native["visits"]
+    assert np.array_equal(native_factors.w, python_factors.w)
+    assert np.array_equal(native_factors.h, python_factors.h)
+
+
+@pytest.mark.skipif(not cext_available(), reason="no usable C toolchain")
+class TestCompiledSchedule:
+    """The backend's compiled event loop against the Python handlers it
+    replaces: the same visits in the same order, the same bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        machines=st.integers(1, 3),
+        cores=st.integers(1, 3),
+        policy=st.sampled_from(_POLICY_PAIRS),
+        circulate=st.booleans(),
+        jitter=st.sampled_from([0.0, 0.3]),
+        speeds=st.sampled_from([None, (1.0, 0.5, 1.7)]),
+        budget=st.sampled_from([None, 1, 150, 700, 10**9]),
+        eval_interval=st.sampled_from([0.001, 0.0025, 0.004, 0.01]),
+        partition=st.sampled_from(["ratings", "rows"]),
+        seed=st.integers(0, 2**31),
+    )
+    def test_compiled_schedule_equals_python_handlers(
+        self, machines, cores, policy, circulate, jitter, speeds, budget,
+        eval_interval, partition, seed,
+    ):
+        _assert_schedules_agree(
+            lambda: Cluster(
+                machines, cores, HPC_PROFILE, jitter=jitter,
+                machine_speeds=None if speeds is None else speeds[:machines],
+            ),
+            policy,
+            RunConfig(
+                duration=0.01, eval_interval=eval_interval, seed=seed,
+                max_updates=budget, kernel_backend="cext",
+            ),
+            circulate=circulate, partition=partition,
+        )
+
+    @pytest.mark.parametrize("machines, cores", [(23, 1), (1, 23)])
+    def test_power_of_two_past_the_sample_pool(self, machines, cores):
+        # More than 21 candidates: random.sample's set branch.
+        _assert_schedules_agree(
+            lambda: Cluster(machines, cores, HPC_PROFILE, jitter=0.3),
+            _POLICY_PAIRS[2],
+            RunConfig(duration=0.01, eval_interval=0.002, seed=11,
+                      kernel_backend="cext"),
+            circulate=False, partition="rows",
+        )
+
+    def _compiled(self, tiny_split):
+        train, test = tiny_split
+        sim = NomadSimulation(
+            train, test, Cluster(1, 2, HPC_PROFILE),
+            HyperParams(k=4, lambda_=0.01, alpha=0.1, beta=0.01),
+            RunConfig(duration=0.01, eval_interval=0.002, seed=7,
+                      kernel_backend="cext"),
+        )
+        assert sim._schedule is not None
+        return sim._schedule, train.n_cols
+
+    def test_forged_double_acquire_is_a_simulation_error(self, tiny_split):
+        schedule, _ = self._compiled(tiny_split)
+        queues = [np.array([0, 1]), np.array([2, 1])]
+        with pytest.raises(SimulationError, match="item 1 acquired by worker 1"):
+            schedule.start(queues, np.array([0.002]))
+
+    def test_item_out_of_range_is_an_index_error(self, tiny_split):
+        schedule, n_items = self._compiled(tiny_split)
+        queues = [np.array([0, n_items]), np.array([], dtype=np.int64)]
+        with pytest.raises(IndexError, match="outside"):
+            schedule.start(queues, np.array([0.002]))
 
 
 #: Routing branches PINNED_RUNS does not reach: (cluster keywords,
@@ -474,6 +614,9 @@ class TestTokens:
         # Under §3.4 circulation a token's stops come in tours: each run
         # of `cores` arrivals after its first finish visits every worker
         # of the machine exactly once, in the order its tour was drawn.
+        # A policy subclass keeps the run on the Python handlers, whose
+        # _deliver_token this observes; TestCompiledSchedule holds the
+        # compiled schedule's tours to them.
         arrivals: dict[int, list[int]] = {}
 
         class Recording(NomadSimulation):
@@ -486,6 +629,7 @@ class TestTokens:
             train, test, Cluster(1, 4, HPC_PROFILE),
             HyperParams(k=4, lambda_=0.01, alpha=0.1, beta=0.01),
             RunConfig(duration=0.01, eval_interval=0.002, seed=7),
+            options=NomadOptions(policy=_PythonUniform()),
         )
         sim.run()
         tours = 0

@@ -412,7 +412,7 @@ class TestTrace:
     def test_csv_round_trippable(self):
         text = self.make_trace().to_csv()
         lines = text.strip().split("\n")
-        assert lines[0] == "time,updates,rmse,objective"
+        assert lines[0] == "time,updates,rmse"
         assert len(lines) == 4
 
     def test_len_and_repr(self):
